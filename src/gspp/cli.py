@@ -69,26 +69,28 @@ def load_config(path: str) -> dict[str, str]:
     return values
 
 
-def apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
-    """Fill argparse defaults from the config file; explicit flags win."""
-    if not getattr(args, "config", None):
-        return
-    values = load_config(args.config)
-    for key, raw in values.items():
-        if key in ("config", "command"):
+def config_defaults(path: str, sub: argparse.ArgumentParser) -> dict:
+    """Config values keyed by option destination, for sub.set_defaults().
+
+    argparse runs each string through its option's type when it parses,
+    and a flag given on the command line beats its default, so explicit
+    flags win over the config file.  Switches take true/false words.
+    """
+    actions = {a.dest: a for a in sub._actions if a.dest not in ("help", "config")}
+    defaults = {}
+    for key, raw in load_config(path).items():
+        if key == "command":
             continue
-        if not hasattr(args, key):
+        if key not in actions:
             raise ValueError(f"unknown config key {key!r}")
-        if key in args._explicit:  # noqa: SLF001 - set below in main()
-            continue
-        action = next((a for a in parser._actions if a.dest == key), None)
-        if action is not None and action.type is not None:
-            setattr(args, key, action.type(raw))
-        elif isinstance(getattr(args, key), bool) or (action is not None
-                                                      and action.const is not None):
-            setattr(args, key, raw.strip().lower() in ("1", "true", "yes", "on"))
+        if isinstance(actions[key].const, bool):
+            word = raw.lower()
+            if word not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
+                raise ValueError(f"config key {key!r} needs true or false, not {raw!r}")
+            defaults[key] = word in ("1", "true", "yes", "on")
         else:
-            setattr(args, key, raw)
+            defaults[key] = raw
+    return defaults
 
 
 def _fmt(value) -> str:
@@ -231,6 +233,8 @@ def cmd_dispersion(args) -> int:
 def cmd_prism(args) -> int:
     params = material_from_args(args)
     if args.mode == "reflectance-map":
+        if args.theta_points < 1:
+            raise ValueError("need at least one angle point")
         thetas = np.radians(np.linspace(args.theta_min_deg, args.theta_max_deg,
                                         args.theta_points))
         omegas = 2.0 * math.pi * frequency_grid(args.fmin_thz, args.fmax_thz,
@@ -251,6 +255,8 @@ def cmd_prism(args) -> int:
         return 0
 
     # beta-sweep
+    if args.d_points < 1:
+        raise ValueError("need at least one spacing point")
     geom = PrismGeometry(eps1=args.eps1, d=1e-9, theta_i=math.radians(args.theta_deg),
                          polarization=args.pol)
     d_values = np.linspace(args.d_min_um, args.d_max_um, args.d_points) * 1e-6
@@ -272,7 +278,7 @@ def cmd_prism(args) -> int:
         "f_thz": args.f_thz, "d_min_um": args.d_min_um, "d_max_um": args.d_max_um,
         "d_points": args.d_points,
         "dip_refined": dips is not None,
-        "max_beta_abs": float(np.abs(betas).max()) if len(rows) else 0.0}
+        "max_beta_abs": float(np.abs(betas).max())}
     write_csv(args.out, echo, ["d_m", "beta_abs", "beta_arg", "g_abs"], rows)
     write_manifest(args.out, "prism beta-sweep", echo)
     return 0
@@ -280,6 +286,8 @@ def cmd_prism(args) -> int:
 
 def cmd_propagate(args) -> int:
     betas = [float(b) for b in args.beta_list.split(",")]
+    if args.points < 1:
+        raise ValueError("need at least one distance point")
     x = np.linspace(0.0, args.xi_max, args.points)
     rows = []
     for beta in betas:
@@ -362,8 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--config", type=str, default=None,
                          help="key = value config file; flags override")
         sub.add_argument("--out", type=str, required=False, default=None)
-        sub.add_argument("--workers", type=int, default=None,
-                         help=f"parallel workers (or ${WORKERS_ENV})")
 
     sigma = subs.add_parser("sigma", help="sheet conductivity sweep")
     common(sigma)
@@ -437,6 +443,8 @@ def build_parser() -> argparse.ArgumentParser:
     qec.add_argument("--input-set", choices=("six", "haar"), default="six")
     qec.add_argument("--seed", type=int, required=True)
     qec.add_argument("--ortho-out", type=str, default=None)
+    qec.add_argument("--workers", type=int, default=None,
+                     help=f"parallel workers (or ${WORKERS_ENV})")
     qec.set_defaults(func=cmd_qec)
 
     return parser
@@ -453,15 +461,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
     args = parser.parse_args(argv)
-    # remember which destinations were given explicitly so config values
-    # do not override them
-    explicit = set()
-    for token in argv:
-        if token.startswith("--"):
-            explicit.add(token[2:].split("=", 1)[0].replace("-", "_"))
-    args._explicit = explicit
     try:
-        apply_config(args, _subparser_for(parser, args.command))
+        if args.config:
+            sub = _subparser_for(parser, args.command)
+            sub.set_defaults(**config_defaults(args.config, sub))
+            args = parser.parse_args(argv)
         if args.out is None:
             raise ValueError("--out is required")
         return args.func(args)

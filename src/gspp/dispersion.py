@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .material import CONSTANTS, Conductivity, GrapheneParams, PhysicalConstants, conductivity
+from .material import CONSTANTS, Conductivity, GrapheneParams, conductivity
 
 TM = "TM"
 TE = "TE"
@@ -65,8 +65,8 @@ class SppMode:
         return self.k / self.k0
 
 
-def _impedance(eps_r: float, constants: PhysicalConstants = CONSTANTS) -> float:
-    return math.sqrt(constants.mu0 / (constants.eps0 * eps_r))
+def _impedance(eps_r: float) -> float:
+    return math.sqrt(CONSTANTS.mu0 / (CONSTANTS.eps0 * eps_r))
 
 
 def supported_polarization(sigma: Conductivity) -> str | None:
@@ -85,42 +85,37 @@ def _forward_branch(k: complex) -> complex:
     return k
 
 
-def kappa_tm(sigma: complex, eps_r: float,
-             constants: PhysicalConstants = CONSTANTS) -> complex:
+def kappa_tm(sigma: complex, eps_r: float) -> complex:
     """Normalized TM wavenumber sqrt(eps_r*(1 - (2/(sigma*eta))^2))."""
     if sigma == 0:
         raise ValueError("sigma = 0: graphene absent, TM dispersion undefined")
-    eta = _impedance(eps_r, constants)
+    eta = _impedance(eps_r)
     return _forward_branch(complex(np.sqrt(complex(eps_r * (1.0 - (2.0 / (sigma * eta)) ** 2)))))
 
 
-def kappa_te(sigma: complex, eps_r: float,
-             constants: PhysicalConstants = CONSTANTS) -> complex:
+def kappa_te(sigma: complex, eps_r: float) -> complex:
     """Normalized TE wavenumber sqrt(eps_r*(1 - (sigma*eta/2)^2))."""
     if sigma == 0:
         raise ValueError("sigma = 0: graphene absent, TE dispersion undefined")
-    eta = _impedance(eps_r, constants)
+    eta = _impedance(eps_r)
     return _forward_branch(complex(np.sqrt(complex(eps_r * (1.0 - (sigma * eta / 2.0) ** 2)))))
 
 
 def tm_wavenumber(params: GrapheneParams, omega: float, *,
-                  sigma: Conductivity | None = None,
-                  constants: PhysicalConstants = CONSTANTS) -> complex:
+                  sigma: Conductivity | None = None) -> complex:
     """Complex TM wavenumber k (1/m) at radian frequency omega."""
-    sig = sigma if sigma is not None else conductivity(params, omega, constants=constants)
-    return (omega / constants.c0) * kappa_tm(sig.value, params.eps_r, constants)
+    sig = sigma if sigma is not None else conductivity(params, omega)
+    return (omega / CONSTANTS.c0) * kappa_tm(sig.value, params.eps_r)
 
 
 def te_wavenumber(params: GrapheneParams, omega: float, *,
-                  sigma: Conductivity | None = None,
-                  constants: PhysicalConstants = CONSTANTS) -> complex:
+                  sigma: Conductivity | None = None) -> complex:
     """Complex TE wavenumber k (1/m) at radian frequency omega."""
-    sig = sigma if sigma is not None else conductivity(params, omega, constants=constants)
-    return (omega / constants.c0) * kappa_te(sig.value, params.eps_r, constants)
+    sig = sigma if sigma is not None else conductivity(params, omega)
+    return (omega / CONSTANTS.c0) * kappa_te(sig.value, params.eps_r)
 
 
-def transverse_q0(polarization: str, sigma: Conductivity, eps_r: float,
-                  constants: PhysicalConstants = CONSTANTS) -> complex:
+def transverse_q0(polarization: str, sigma: Conductivity, eps_r: float) -> complex:
     """Transverse decay constant with the boundary-condition-fixed sign.
 
     TM: q0 = 2i*omega*eps0*eps_r/sigma;  TE: q0 = i*sigma*mu0*omega/2.
@@ -129,15 +124,14 @@ def transverse_q0(polarization: str, sigma: Conductivity, eps_r: float,
     """
     omega = sigma.omega
     if polarization == TM:
-        return 2j * omega * constants.eps0 * eps_r / sigma.value
+        return 2j * omega * CONSTANTS.eps0 * eps_r / sigma.value
     if polarization == TE:
-        return 1j * sigma.value * constants.mu0 * omega / 2.0
+        return 1j * sigma.value * CONSTANTS.mu0 * omega / 2.0
     raise ValueError("polarization must be 'TM' or 'TE'")
 
 
 def group_velocity(params: GrapheneParams, omega: float, polarization: str,
-                   rel_step: float = 1e-5,
-                   constants: PhysicalConstants = CONSTANTS) -> float:
+                   rel_step: float = 1e-5) -> float:
     """Group velocity 1/(d Re k/d omega) by Richardson-extrapolated central
     differences with relative step rel_step.
 
@@ -147,8 +141,8 @@ def group_velocity(params: GrapheneParams, omega: float, polarization: str,
     wavenumber = tm_wavenumber if polarization == TM else te_wavenumber
     h = rel_step * omega
     offsets = (-h, -h / 2.0, h / 2.0, h)
-    k_re = [wavenumber(params, omega + d, constants=constants).real for d in offsets]
-    seq = [k_re[0], k_re[1], wavenumber(params, omega, constants=constants).real, k_re[2], k_re[3]]
+    k_re = [wavenumber(params, omega + d).real for d in offsets]
+    seq = [k_re[0], k_re[1], wavenumber(params, omega).real, k_re[2], k_re[3]]
     diffs = np.diff(seq)
     if not (np.all(diffs > 0.0) or np.all(diffs < 0.0)):
         raise ValueError("Re k is not monotonic across the stencil; "
@@ -174,23 +168,20 @@ def effective_wavelength(mode: SppMode) -> float:
     return 2.0 * math.pi / mode.k.real
 
 
-def solve_mode(params: GrapheneParams, omega: float,
-               polarization: str | None = None,
-               constants: PhysicalConstants = CONSTANTS) -> SppMode:
+def solve_mode(params: GrapheneParams, omega: float, polarization: str | None = None) -> SppMode:
     """Solve the dispersion relation at omega.
 
     With polarization=None the supported polarization is selected from
     the sign of Im sigma; passing an explicit polarization returns that
     branch, flagged unsupported when it lies on the improper sheet.
     """
-    sig = conductivity(params, omega, constants=constants)
+    sig = conductivity(params, omega)
     selected = supported_polarization(sig)
     pol = polarization or selected
     if pol is None:
         raise UnsupportedModeError("Im sigma = 0: neither TM nor TE is supported")
-    k = (tm_wavenumber if pol == TM else te_wavenumber)(params, omega, sigma=sig,
-                                                        constants=constants)
-    q0 = transverse_q0(pol, sig, params.eps_r, constants)
+    k = (tm_wavenumber if pol == TM else te_wavenumber)(params, omega, sigma=sig)
+    q0 = transverse_q0(pol, sig, params.eps_r)
     supported = pol == selected
     # The group velocity is only a transport speed where dispersion is
     # normal; inside absorption windows it can exceed c0/sqrt(eps_r) and is
@@ -198,10 +189,10 @@ def solve_mode(params: GrapheneParams, omega: float,
     v_g = math.nan
     if supported:
         try:
-            cand = group_velocity(params, omega, pol, constants=constants)
+            cand = group_velocity(params, omega, pol)
         except ValueError:
             cand = math.nan
-        if 0.0 < cand <= constants.c0 / math.sqrt(params.eps_r) * (1.0 + 1e-9):
+        if 0.0 < cand <= CONSTANTS.c0 / math.sqrt(params.eps_r) * (1.0 + 1e-9):
             v_g = cand
     return SppMode(polarization=pol, omega=omega, k=k, q0=q0, v_g=v_g,
                    supported=supported, eps_r=params.eps_r)

@@ -132,15 +132,14 @@ class Conductivity:
         return self.value.imag
 
 
-def sigma_min(constants: PhysicalConstants = CONSTANTS) -> float:
+def sigma_min() -> float:
     """Universal sheet conductivity pi*e^2/(2h) = e^2/(4*hbar), siemens."""
-    return constants.e**2 / (4.0 * constants.hbar)
+    return CONSTANTS.e**2 / (4.0 * CONSTANTS.hbar)
 
 
-def _intraband_full(params: GrapheneParams, omega: float,
-                    constants: PhysicalConstants = CONSTANTS) -> complex:
+def _intraband_full(params: GrapheneParams, omega: float) -> complex:
     """Drude-like intraband term of the finite-temperature conductivity."""
-    k = constants
+    k = CONSTANTS
     kT = k.kB * params.temperature
     mu = abs(params.mu_c) * k.e
     x = mu / kT
@@ -148,8 +147,7 @@ def _intraband_full(params: GrapheneParams, omega: float,
     return 1j * k.e**2 * kT * bracket / (math.pi * k.hbar**2 * (omega + 1j * params.gamma_intra))
 
 
-def _interband_full(params: GrapheneParams, omega: float,
-                    constants: PhysicalConstants = CONSTANTS) -> complex:
+def _interband_full(params: GrapheneParams, omega: float) -> complex:
     """Interband term of the finite-temperature conductivity.
 
     The energy integral is rescaled with eps = hbar*omega*u/2 so the
@@ -159,7 +157,7 @@ def _interband_full(params: GrapheneParams, omega: float,
     and the remainder is added in closed form, so the truncation error is
     far below 1e-10 of the accumulated value.
     """
-    k = constants
+    k = CONSTANTS
     kT = k.kB * params.temperature
     mu = abs(params.mu_c) * k.e
     a = omega + 1j * params.gamma_inter
@@ -200,8 +198,7 @@ def _interband_full(params: GrapheneParams, omega: float,
     return 1j * k.e**2 * a * (integral + tail) / (2.0 * math.pi * k.hbar * omega)
 
 
-def conductivity_full(params: GrapheneParams, omega: float,
-                      constants: PhysicalConstants = CONSTANTS) -> Conductivity:
+def conductivity_full(params: GrapheneParams, omega: float) -> Conductivity:
     """Finite-temperature sheet conductivity (intraband + interband integral).
 
     Requires temperature > 0; at T = 0 the closed low-temperature form is
@@ -211,12 +208,11 @@ def conductivity_full(params: GrapheneParams, omega: float,
         raise ValueError("omega must be > 0")
     if params.temperature <= 0.0:
         raise ValueError("finite-temperature form needs T > 0; use conductivity_lowT at T = 0")
-    value = _intraband_full(params, omega, constants) + _interband_full(params, omega, constants)
+    value = _intraband_full(params, omega) + _interband_full(params, omega)
     return Conductivity(value=params.n_layers * value, omega=omega)
 
 
-def conductivity_lowT(params: GrapheneParams, omega: float,
-                      constants: PhysicalConstants = CONSTANTS) -> Conductivity:
+def conductivity_lowT(params: GrapheneParams, omega: float) -> Conductivity:
     """Low-temperature closed form: Drude term plus interband step and log.
 
     Valid for kB*T << min(|mu_c|, hbar*omega).  Exactly at
@@ -225,7 +221,7 @@ def conductivity_lowT(params: GrapheneParams, omega: float,
     """
     if omega <= 0.0:
         raise ValueError("omega must be > 0")
-    k = constants
+    k = CONSTANTS
     mu = abs(params.mu_c) * k.e
     hw = k.hbar * omega
     drude = 1j * k.e**2 * mu / (math.pi * k.hbar**2 * (omega + 1j * params.gamma_intra))
@@ -240,27 +236,19 @@ def conductivity_lowT(params: GrapheneParams, omega: float,
     return Conductivity(value=params.n_layers * (drude + inter), omega=omega)
 
 
-def select_mode(params: GrapheneParams, omega: float,
-                constants: PhysicalConstants = CONSTANTS) -> str:
+def select_mode(params: GrapheneParams, omega: float) -> str:
     """Dispatch rule: the low-T form when kB*T < 0.01*min(|mu_c|, hbar*omega)."""
-    kT = constants.kB * params.temperature
-    scale = min(abs(params.mu_c) * constants.e, constants.hbar * omega)
+    kT = CONSTANTS.kB * params.temperature
+    scale = min(abs(params.mu_c) * CONSTANTS.e, CONSTANTS.hbar * omega)
     return "low" if kT < 0.01 * scale else "full"
 
 
-def conductivity(params: GrapheneParams, omega: float, mode: str = "auto",
-                 constants: PhysicalConstants = CONSTANTS) -> Conductivity:
-    """Sheet conductivity with backend selection: 'auto', 'full' or 'low'.
-
-    With mode='auto' the params' own conductivity_model is honored first,
-    then the temperature dispatch rule.
-    """
+def conductivity(params: GrapheneParams, omega: float) -> Conductivity:
+    """Sheet conductivity on the backend named by params.conductivity_model:
+    'full', 'low', or 'auto' for the temperature dispatch rule."""
+    mode = params.conductivity_model
     if mode == "auto":
-        mode = params.conductivity_model
-    if mode == "auto":
-        mode = select_mode(params, omega, constants)
+        mode = select_mode(params, omega)
     if mode == "full":
-        return conductivity_full(params, omega, constants)
-    if mode == "low":
-        return conductivity_lowT(params, omega, constants)
-    raise ValueError(f"unknown conductivity mode {mode!r}")
+        return conductivity_full(params, omega)
+    return conductivity_lowT(params, omega)

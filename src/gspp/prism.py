@@ -26,7 +26,7 @@ from scipy.optimize import minimize_scalar
 
 from ._zgrid import graded_nodes
 from .dispersion import TE, TM, solve_mode, supported_polarization
-from .material import CONSTANTS, GrapheneParams, PhysicalConstants, conductivity
+from .material import CONSTANTS, GrapheneParams, conductivity
 from .quantize import _lossless_mode, mode_function, mode_normalization, tm_parallel_amplitude
 from scipy.integrate import simpson
 
@@ -106,11 +106,10 @@ def _require_vacuum_background(params: GrapheneParams) -> None:
                          "graphene (eps_r = 1)")
 
 
-def atr_solve_sigma(geom: PrismGeometry, sigma: complex, omega: float,
-                    constants: PhysicalConstants = CONSTANTS) -> AtrSolution:
+def atr_solve_sigma(geom: PrismGeometry, sigma: complex, omega: float) -> AtrSolution:
     """Solve the three-region reflection/transmission problem for a given
     sheet conductivity (the graphene-free limit is sigma -> 0)."""
-    k0 = omega / constants.c0
+    k0 = omega / CONSTANTS.c0
     k1 = math.sqrt(geom.eps1) * k0
     kx = k1 * math.sin(geom.theta_i)
     kz1 = k1 * math.cos(geom.theta_i)
@@ -119,7 +118,7 @@ def atr_solve_sigma(geom: PrismGeometry, sigma: complex, omega: float,
 
     if geom.polarization == TE:
         # unknowns (r, m1, m2, t): E_y amplitudes
-        smu = sigma * constants.mu0 * omega
+        smu = sigma * CONSTANTS.mu0 * omega
         mat = np.array([
             [1.0, -u, -1.0, 0.0],
             [-kz1, kz0 * u, -kz0, 0.0],
@@ -129,7 +128,7 @@ def atr_solve_sigma(geom: PrismGeometry, sigma: complex, omega: float,
         rhs = np.array([-1.0, -kz1, 0.0, 0.0], dtype=complex)
     else:
         # unknowns (r, m1, m2, t): H_y amplitudes
-        se = sigma * kz0 / (omega * constants.eps0)
+        se = sigma * kz0 / (omega * CONSTANTS.eps0)
         mat = np.array([
             [1.0, -u, -1.0, 0.0],
             [kz1 / geom.eps1, -kz0 * u, kz0, 0.0],
@@ -153,22 +152,21 @@ def atr_solve_sigma(geom: PrismGeometry, sigma: complex, omega: float,
                        sigma=complex(sigma), eps1=geom.eps1, d=geom.d)
 
 
-def atr_solve(geom: PrismGeometry, params: GrapheneParams, omega: float,
-              constants: PhysicalConstants = CONSTANTS) -> AtrSolution:
+def atr_solve(geom: PrismGeometry, params: GrapheneParams, omega: float) -> AtrSolution:
     """Solve the three-region problem with the graphene conductivity at omega."""
     _require_vacuum_background(params)
-    sigma = conductivity(params, omega, constants=constants).value
-    return atr_solve_sigma(geom, sigma, omega, constants)
+    sigma = conductivity(params, omega).value
+    return atr_solve_sigma(geom, sigma, omega)
 
 
-def boundary_residuals(sol: AtrSolution, constants: PhysicalConstants = CONSTANTS) -> np.ndarray:
+def boundary_residuals(sol: AtrSolution) -> np.ndarray:
     """Residuals of the four boundary equations for the returned amplitudes
     (all should vanish to machine precision)."""
     kz0, kz1, d = sol.k_z_gap, sol.k_z_prism, sol.d
     u = cmath.exp(1j * kz0 * d)
     r, m1, m2, t = sol.r, sol.m1, sol.m2, sol.t
     if sol.polarization == TE:
-        smu = sol.sigma * constants.mu0 * sol.omega
+        smu = sol.sigma * CONSTANTS.mu0 * sol.omega
         res = [
             (1.0 + r) - (m1 * u + m2),
             kz1 * (1.0 - r) - kz0 * (-m1 * u + m2),
@@ -176,7 +174,7 @@ def boundary_residuals(sol: AtrSolution, constants: PhysicalConstants = CONSTANT
             kz0 * (-m1 + m2 * u) - kz0 * t - smu * t,
         ]
     else:
-        se = sol.sigma * kz0 / (sol.omega * constants.eps0)
+        se = sol.sigma * kz0 / (sol.omega * CONSTANTS.eps0)
         res = [
             (1.0 + r) - (m1 * u + m2),
             (kz1 / sol.eps1) * (r - 1.0) - kz0 * (m1 * u - m2),
@@ -187,8 +185,7 @@ def boundary_residuals(sol: AtrSolution, constants: PhysicalConstants = CONSTANT
 
 
 def reflectance_map(thetas, omegas, eps1: float, d: float, polarization: str,
-                    params: GrapheneParams,
-                    constants: PhysicalConstants = CONSTANTS) -> np.ndarray:
+                    params: GrapheneParams) -> np.ndarray:
     """Reflectance R = |r|^2 on the (omega, theta) grid, shape
     (len(omegas), len(thetas)).  The conductivity is evaluated once per
     frequency row."""
@@ -197,16 +194,15 @@ def reflectance_map(thetas, omegas, eps1: float, d: float, polarization: str,
     omegas = np.asarray(omegas, dtype=float)
     out = np.empty((len(omegas), len(thetas)))
     for i, w in enumerate(omegas):
-        sigma = conductivity(params, float(w), constants=constants).value
+        sigma = conductivity(params, float(w)).value
         for j, th in enumerate(thetas):
             geom = PrismGeometry(eps1=eps1, d=d, theta_i=float(th), polarization=polarization)
-            out[i, j] = atr_solve_sigma(geom, sigma, float(w), constants).reflectance
+            out[i, j] = atr_solve_sigma(geom, sigma, float(w)).reflectance
     return out
 
 
 def matching_frequency(geom: PrismGeometry, params: GrapheneParams,
-                       omega_lo: float, omega_hi: float, n_scan: int = 400,
-                       constants: PhysicalConstants = CONSTANTS) -> float:
+                       omega_lo: float, omega_hi: float, n_scan: int = 400) -> float:
     """Frequency of the reflectance minimum: coarse scan on
     [omega_lo, omega_hi] refined by golden-section search.
 
@@ -216,7 +212,7 @@ def matching_frequency(geom: PrismGeometry, params: GrapheneParams,
     if geom.theta_i <= critical_angle(geom.eps1):
         raise NotResonant("incidence below the critical angle: no surface-wave excitation")
     omegas = np.linspace(omega_lo, omega_hi, n_scan)
-    refl = np.array([atr_solve(geom, params, float(w), constants).reflectance
+    refl = np.array([atr_solve(geom, params, float(w)).reflectance
                      for w in omegas])
     i_min = int(np.argmin(refl))
     if refl[i_min] > 0.99:
@@ -225,27 +221,26 @@ def matching_frequency(geom: PrismGeometry, params: GrapheneParams,
     if i_min == 0 or i_min == n_scan - 1:
         return float(omegas[i_min])
     res = minimize_scalar(
-        lambda w: atr_solve(geom, params, float(w), constants).reflectance,
+        lambda w: atr_solve(geom, params, float(w)).reflectance,
         bracket=(omegas[i_min - 1], omegas[i_min], omegas[i_min + 1]),
         method="golden", options={"xtol": 1e-10})
     return float(res.x)
 
 
 def lossless_matching_frequency(geom: PrismGeometry, params: GrapheneParams,
-                                omega_lo: float, omega_hi: float, n_scan: int = 2000,
-                                constants: PhysicalConstants = CONSTANTS) -> float:
+                                omega_lo: float, omega_hi: float, n_scan: int = 2000) -> float:
     """Root of the momentum-matching condition using the reactive
     conductivity only: sigma''*eta = -2*sqrt(eps1 sin^2 - 1) (TE) or
     +2/sqrt(eps1 sin^2 - 1) (TM)."""
     if geom.theta_i <= critical_angle(geom.eps1):
         raise NotResonant("incidence below the critical angle")
     from scipy.optimize import brentq
-    eta = math.sqrt(constants.mu0 / constants.eps0)
+    eta = math.sqrt(CONSTANTS.mu0 / CONSTANTS.eps0)
     root = math.sqrt(geom.eps1 * math.sin(geom.theta_i) ** 2 - 1.0)
     target = -2.0 * root if geom.polarization == TE else 2.0 / root
 
     def mismatch(w):
-        sig = conductivity(params, float(w), constants=constants)
+        sig = conductivity(params, float(w))
         return sig.imag * eta - target
 
     omegas = np.linspace(omega_lo, omega_hi, n_scan)
@@ -260,7 +255,7 @@ def lossless_matching_frequency(geom: PrismGeometry, params: GrapheneParams,
 # ---------------------------------------------------------------------------
 # photon-mode profiles and the overlap transmission coefficient
 
-def _photon_profile(sol: AtrSolution, constants: PhysicalConstants = CONSTANTS):
+def _photon_profile(sol: AtrSolution):
     """Vector potential shape of the lower-region photon mode and its curl.
 
     Returns (profile, curl) callables of z valid for z <= d: the gap field
@@ -269,7 +264,7 @@ def _photon_profile(sol: AtrSolution, constants: PhysicalConstants = CONSTANTS):
     the normalized overlap).
     """
     kz0, kx, w = sol.k_z_gap, sol.k_x, sol.omega
-    mu0, eps0 = constants.mu0, constants.eps0
+    mu0, eps0 = CONSTANTS.mu0, CONSTANTS.eps0
 
     def gap_waves(z):
         up = sol.m1 * np.exp(1j * kz0 * z)
@@ -331,8 +326,7 @@ def _photon_profile(sol: AtrSolution, constants: PhysicalConstants = CONSTANTS):
 
 
 def prism_mode_normalization(geom: PrismGeometry, params: GrapheneParams, omega: float,
-                             n_points: int = 2048,
-                             constants: PhysicalConstants = CONSTANTS) -> float:
+                             n_points: int = 2048) -> float:
     """Quantization length of the lower-region photon mode by the same
     Hamiltonian-integral method used for the surface wave: half the
     integral of |A|^2 + (c0/omega)^2 |curl A|^2 over [-z_ext, d] plus the
@@ -340,14 +334,13 @@ def prism_mode_normalization(geom: PrismGeometry, params: GrapheneParams, omega:
     evanescent-gap regime (theta above the critical angle)."""
     if geom.theta_i <= critical_angle(geom.eps1):
         raise NotResonant("theta below the critical angle: gap field not evanescent")
-    sol = atr_solve(geom, params, omega, constants)
-    return _photon_norm_from_solution(sol, sol.sigma.imag, n_points, constants)
+    sol = atr_solve(geom, params, omega)
+    return _photon_norm_from_solution(sol, sol.sigma.imag, n_points)
 
 
-def _photon_norm_from_solution(sol: AtrSolution, sigma_pp: float, n_points: int,
-                               constants: PhysicalConstants = CONSTANTS) -> float:
-    profile, curl = _photon_profile(sol, constants)
-    c2w2 = (constants.c0 / sol.omega) ** 2
+def _photon_norm_from_solution(sol: AtrSolution, sigma_pp: float, n_points: int) -> float:
+    profile, curl = _photon_profile(sol)
+    c2w2 = (CONSTANTS.c0 / sol.omega) ** 2
 
     def density(z):
         p = profile(z)
@@ -369,15 +362,14 @@ def _photon_norm_from_solution(sol: AtrSolution, sigma_pp: float, n_points: int,
 
     a0 = profile(np.array(0.0))
     a_par_sq = abs(a0[..., 0]) ** 2 + abs(a0[..., 1]) ** 2
-    surface = abs(sigma_pp) / (2.0 * constants.eps0 * sol.omega) * float(a_par_sq)
+    surface = abs(sigma_pp) / (2.0 * CONSTANTS.eps0 * sol.omega) * float(a_par_sq)
     n_len = 0.5 * float(below + gap) + surface
     if not n_len > 0.0:
         raise ValueError("non-positive photon-mode normalization")
     return n_len
 
 
-def prism_energy_fraction(sol: AtrSolution, n_lower: float,
-                          constants: PhysicalConstants = CONSTANTS) -> float:
+def prism_energy_fraction(sol: AtrSolution, n_lower: float) -> float:
     """Standing-wave field energy inside the prism, taken over a depth
     equal to the lower region's own extent (gap plus one decay length of
     the transmitted tail), relative to the lower-region mode energy.  The
@@ -387,14 +379,14 @@ def prism_energy_fraction(sol: AtrSolution, n_lower: float,
     kz1 = sol.k_z_prism.real
     k1_sq = abs(sol.k_x) ** 2 + kz1 * kz1
     amp_sq = 1.0 + abs(sol.r) ** 2
-    c2w2 = (constants.c0 / w) ** 2
+    c2w2 = (CONSTANTS.c0 / w) ** 2
     if sol.polarization == TE:
         # E_y amplitude 1; |A|^2 = |E|^2/w^2, |curl A|^2 = mu0^2 |H|^2
         density = amp_sq * (1.0 / w**2 + c2w2 * k1_sq / w**2)
     else:
         # H_y amplitude 1; E = (k/(w eps0 eps1)) H
-        e_sq = k1_sq / (w * constants.eps0 * sol.eps1) ** 2
-        density = amp_sq * (e_sq / w**2 + c2w2 * constants.mu0 ** 2)
+        e_sq = k1_sq / (w * CONSTANTS.eps0 * sol.eps1) ** 2
+        density = amp_sq * (e_sq / w**2 + c2w2 * CONSTANTS.mu0 ** 2)
     decay_below = abs(np.imag(-sol.k_z_gap))
     depth = sol.d + (0.5 / decay_below if decay_below > 0.0 else sol.d)
     prism_energy = 0.5 * density * depth
@@ -402,8 +394,7 @@ def prism_energy_fraction(sol: AtrSolution, n_lower: float,
 
 
 def overlap_beta(geom: PrismGeometry, params: GrapheneParams, omega: float,
-                 n_points: int = 2048,
-                 constants: PhysicalConstants = CONSTANTS) -> complex:
+                 n_points: int = 2048) -> complex:
     """Overlap transmission coefficient of the photon into the surface wave.
 
     beta* = sqrt(1 - |r|^2) * <Psi_L, phi> / sqrt(N_Psi N_phi) with the
@@ -415,17 +406,17 @@ def overlap_beta(geom: PrismGeometry, params: GrapheneParams, omega: float,
     _require_vacuum_background(params)
     if geom.theta_i <= critical_angle(geom.eps1):
         raise NotResonant("theta below the critical angle: gap field not evanescent")
-    sol = atr_solve(geom, params, omega, constants)
-    sig = conductivity(params, omega, constants=constants)
+    sol = atr_solve(geom, params, omega)
+    sig = conductivity(params, omega)
     if supported_polarization(sig) != geom.polarization:
         raise ValueError(f"{geom.polarization} surface wave not supported at this "
                          f"frequency (Im sigma = {sig.imag:.3e} S)")
 
-    spp = _lossless_mode(geom.polarization, omega, sig.imag, params.eps_r, constants)
-    n_phi = mode_normalization(geom.polarization, spp, params, n_points, constants)
-    n_psi = _photon_norm_from_solution(sol, sig.imag, n_points, constants)
+    spp = _lossless_mode(geom.polarization, omega, sig.imag, params.eps_r)
+    n_phi = mode_normalization(geom.polarization, spp, params, n_points)
+    n_psi = _photon_norm_from_solution(sol, sig.imag, n_points)
 
-    profile, _ = _photon_profile(sol, constants)
+    profile, _ = _photon_profile(sol)
     q0 = spp.q0.real
     decay_below = max(abs(np.imag(-sol.k_z_gap)), abs(sol.k_z_gap) * 1e-3)
     rate = decay_below + q0
@@ -448,7 +439,7 @@ def overlap_beta(geom: PrismGeometry, params: GrapheneParams, omega: float,
     beta_conj = math.sqrt(max(0.0, 1.0 - abs(sol.r) ** 2)) * overlap
     beta = complex(np.conj(beta_conj))
 
-    frac = prism_energy_fraction(sol, n_psi, constants)
+    frac = prism_energy_fraction(sol, n_psi)
     if frac > 1.0:
         warnings.warn(f"field energy in the prism is not negligible "
                       f"(ratio {frac:.2f}); the overlap model is marginal here",
@@ -457,20 +448,18 @@ def overlap_beta(geom: PrismGeometry, params: GrapheneParams, omega: float,
 
 
 def beta_sweep(geom: PrismGeometry, params: GrapheneParams, omega: float,
-               d_values, n_points: int = 1024,
-               constants: PhysicalConstants = CONSTANTS) -> np.ndarray:
+               d_values, n_points: int = 1024) -> np.ndarray:
     """beta as a function of prism-graphene spacing at fixed omega/theta."""
     from dataclasses import replace
     out = np.empty(len(d_values), dtype=complex)
     for i, d in enumerate(d_values):
-        out[i] = overlap_beta(replace(geom, d=float(d)), params, omega, n_points, constants)
+        out[i] = overlap_beta(replace(geom, d=float(d)), params, omega, n_points)
     return out
 
 
 def beta_sweep_matched(geom: PrismGeometry, params: GrapheneParams,
                        omega_lo: float, omega_hi: float, d_values,
-                       n_scan: int = 1200, n_points: int = 1024,
-                       constants: PhysicalConstants = CONSTANTS):
+                       n_scan: int = 1200, n_points: int = 1024):
     """beta versus spacing with the evaluation frequency refined to the
     reflectance dip for each spacing (the dip shifts and narrows as the
     coupling weakens, especially for the sharp below-edge TE resonance).
@@ -485,11 +474,11 @@ def beta_sweep_matched(geom: PrismGeometry, params: GrapheneParams,
         g2 = replace(geom, d=float(d))
         try:
             w_star = matching_frequency(g2, params, omega_lo, omega_hi,
-                                        n_scan=n_scan, constants=constants)
+                                        n_scan=n_scan)
         except NotResonant:
             continue
         dips[i] = w_star
-        betas[i] = overlap_beta(g2, params, w_star, n_points, constants)
+        betas[i] = overlap_beta(g2, params, w_star, n_points)
     return betas, dips
 
 

@@ -130,19 +130,9 @@ def kraus_completeness_residual(gamma_dt: float, dim: int) -> float:
 
 def parity_check(state: StateVector, rng: np.random.Generator) -> tuple[int, StateVector]:
     """Born-rule projective parity measurement; returns (+-1, projected state)."""
-    probs_even = float(np.sum(np.abs(state.amplitudes[0::2]) ** 2))
-    probs_odd = float(np.sum(np.abs(state.amplitudes[1::2]) ** 2))
-    total = probs_even + probs_odd
-    if total < 1e-14:
-        raise ArithmeticError("state norm collapsed in parity projection")
-    u = rng.random()
-    outcome = 1 if u < probs_even / total else -1
-    amps = np.array(state.amplitudes)
-    if outcome > 0:
-        amps[1::2] = 0.0
-    else:
-        amps[0::2] = 0.0
-    return outcome, StateVector(amps).normalized()
+    row = np.array(state.normalized().amplitudes)[None, :]
+    outcome = _vec_parity(row, rng.random(1))
+    return int(outcome[0]), StateVector(row[0])
 
 
 @dataclass(frozen=True)
@@ -260,7 +250,6 @@ class TrajectoryRecord:
     parity_outcomes: tuple[int, ...]
     final_state: StateVector
     seed: int
-    warn_flag: bool = False
 
 
 @dataclass(frozen=True)
@@ -297,159 +286,9 @@ def trajectory_rng(seed: int, input_index: int, traj_index: int) -> np.random.Ge
 
 def _draw_blocks(rng: np.random.Generator, n_exc: int, n_steps: int, n_checks: int):
     """Fixed consumption order: excitation jumps, initial check, step jumps,
-    scheduled checks.  Both the reference and vectorized engines use this."""
+    scheduled checks."""
     return (rng.random(n_exc), rng.random(1), rng.random(n_steps), rng.random(n_checks))
 
-
-# ---------------------------------------------------------------------------
-# single-trajectory reference engine
-
-def _jump(amps: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(amps)
-    n = np.arange(1, len(amps))
-    out[:-1] = amps[1:] * np.sqrt(n)
-    norm = np.linalg.norm(out)
-    if norm < 1e-14:
-        raise ArithmeticError("jump applied to (near-)vacuum state")
-    return out / norm
-
-
-def _loss_steps(amps: np.ndarray, gamma_dt: float, uniforms: np.ndarray,
-                decay: np.ndarray) -> tuple[np.ndarray, int]:
-    jumps = 0
-    n = np.arange(len(amps))
-    for u in uniforms:
-        nbar = float(np.sum(n * np.abs(amps) ** 2))
-        if u < gamma_dt * nbar:
-            amps = _jump(amps)
-            jumps += 1
-        else:
-            amps = amps * decay
-            amps /= np.linalg.norm(amps)
-    return amps, jumps
-
-
-def run_trajectory(config: QecRunConfig, input_logical: tuple[complex, complex],
-                   rng: np.random.Generator) -> TrajectoryRecord:
-    """Reference quantum-jump run for one input state.
-
-    Alternates channel micro-steps with parity checks on the schedule: one
-    initial check right after excitation, then every dx/p.  Records every
-    parity outcome and the total jump count.
-    """
-    c0, c1 = input_logical
-    dim = truncation_dimension(config.alpha)
-    code = CatCode(alpha=config.alpha, dim=dim)
-    amps = np.array(code.encode(c0, c1).amplitudes)
-
-    n_exc = config.n_excitation_steps
-    n_steps = config.n_steps
-    schedule = config.check_schedule()
-    exc_u, init_u, step_u, check_u = _draw_blocks(rng, n_exc, n_steps, int(schedule.sum()))
-
-    jumps = 0
-    if n_exc:
-        g_dt = config.excitation_gamma_t / n_exc
-        decay = np.exp(-0.5 * g_dt * np.arange(dim))
-        amps, jumps = _loss_steps(amps, g_dt, exc_u, decay)
-    # deterministic phase of the excited amplitude: -conj(beta) = r*e^{i phi}
-    phi = np.angle(config.alpha_excited / config.alpha) if abs(config.alpha) else 0.0
-    amps = amps * np.exp(1j * phi * np.arange(dim))
-
-    outcomes: list[int] = []
-    state = StateVector(amps)
-    if config.initial_check:
-        outcome, state = _parity_with_uniform(state, float(init_u[0]))
-        outcomes.append(outcome)
-
-    gamma_dx = 2.0 * config.k0_kappa2 * config.step
-    decay = np.exp(-0.5 * gamma_dx * np.arange(dim))
-    amps = np.array(state.amplitudes)
-    n_op = np.arange(dim)
-    check_i = 0
-    for i in range(n_steps):
-        nbar = float(np.sum(n_op * np.abs(amps) ** 2))
-        if step_u[i] < gamma_dx * nbar:
-            amps = _jump(amps)
-            jumps += 1
-        else:
-            amps = amps * decay
-            amps /= np.linalg.norm(amps)
-        if schedule[i]:
-            state = StateVector(amps)
-            outcome, state = _parity_with_uniform(state, float(check_u[check_i]))
-            outcomes.append(outcome)
-            amps = np.array(state.amplitudes)
-            check_i += 1
-
-    return TrajectoryRecord(jump_count=jumps, parity_outcomes=tuple(outcomes),
-                            final_state=StateVector(amps), seed=config.seed)
-
-
-def _parity_with_uniform(state: StateVector, u: float) -> tuple[int, StateVector]:
-    p_even = float(np.sum(np.abs(state.amplitudes[0::2]) ** 2))
-    outcome = 1 if u < p_even else -1
-    amps = np.array(state.amplitudes)
-    if outcome > 0:
-        amps[1::2] = 0.0
-    else:
-        amps[0::2] = 0.0
-    norm = np.linalg.norm(amps)
-    if norm < 1e-14:
-        raise ArithmeticError("parity projection annihilated the state")
-    return outcome, StateVector(amps / norm)
-
-
-# ---------------------------------------------------------------------------
-# recovery
-
-def count_flips(outcomes) -> int:
-    """Inferred jump count: parity flips relative to the even start."""
-    flips = 0
-    prev = 1
-    for o in outcomes:
-        if o != prev:
-            flips += 1
-        prev = o
-    return flips
-
-
-def recover(record: TrajectoryRecord, code: CatCode) -> tuple[StateVector, bool]:
-    """End-of-line correction using the decayed-amplitude code basis.
-
-    If the recorded parity indicates the erred space, the map
-    |0L+><0L-| + |1L+><1L-| + h.c. swaps the parity sectors.  It is a
-    partial isometry only up to second order in the code-word overlap
-    reported by orthogonality_monitor, since the decayed code words are not
-    exactly orthogonal; the state is renormalized afterwards.  The
-    accumulated i^k phase on the logical-one component is undone with k
-    inferred from the parity-flip count.  Components inconsistent with the
-    record are carried into the wrong sector (honest infidelity) rather
-    than dropped.  Returns (state, warn) with warn set when the projection
-    onto the indicated subspace retains less than half the norm.
-    """
-    k_hat = count_flips(record.parity_outcomes)
-    parity_sign = 1 if (len(record.parity_outcomes) == 0
-                        or record.parity_outcomes[-1] > 0) else -1
-    psi = record.final_state
-    comps = {(lg, s): code.state(lg, s) for lg in (0, 1) for s in (+1, -1)}
-    coeff = {key: st.inner(psi) for key, st in comps.items()}
-    weight = abs(coeff[(0, parity_sign)]) ** 2 + abs(coeff[(1, parity_sign)]) ** 2
-    warn = weight < 0.5
-    phase = (-1j) ** (k_hat % 4)
-    opp = -parity_sign
-    vec = (coeff[(0, parity_sign)] * comps[(0, +1)].amplitudes
-           + phase * coeff[(1, parity_sign)] * comps[(1, +1)].amplitudes
-           + coeff[(0, opp)] * comps[(0, -1)].amplitudes
-           + phase * coeff[(1, opp)] * comps[(1, -1)].amplitudes)
-    norm = np.linalg.norm(vec)
-    if norm < 1e-8:
-        raise ArithmeticError("recovery annihilated the state (outside the code span)")
-    return StateVector(vec / norm), warn
-
-
-# ---------------------------------------------------------------------------
-# vectorized ensemble engine
 
 def _ensemble_uniforms(config: QecRunConfig, input_index: int, n_exc: int,
                        n_steps: int, n_checks: int):
@@ -469,6 +308,9 @@ def _ensemble_uniforms(config: QecRunConfig, input_index: int, n_exc: int,
     return exc, init, steps, checks
 
 
+# ---------------------------------------------------------------------------
+# quantum-jump engine on a (n_traj, dim) block of Fock vectors
+
 def _vec_channel_step(states, u, gamma_dt, n_vec, sqrt_n, decay, jumps) -> None:
     """One jump/no-jump micro-step applied in place to all trajectories."""
     prob2 = np.abs(states) ** 2
@@ -487,14 +329,8 @@ def _vec_channel_step(states, u, gamma_dt, n_vec, sqrt_n, decay, jumps) -> None:
         jumps += mask
 
 
-def _vec_loss_steps(states, gamma_dt, uniforms, n_vec, sqrt_n, decay, jumps):
-    for t in range(uniforms.shape[0]):
-        _vec_channel_step(states, uniforms[t], gamma_dt, n_vec, sqrt_n, decay, jumps)
-    return jumps
-
-
-def _vec_parity(states: np.ndarray, uniforms: np.ndarray,
-                prev: np.ndarray, flips: np.ndarray) -> np.ndarray:
+def _vec_parity(states: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """Projective parity measurement in place; returns the +-1 outcomes."""
     p_even = np.sum(np.abs(states[:, 0::2]) ** 2, axis=1)
     outcome = np.where(uniforms < p_even, 1, -1)
     states[outcome > 0, 1::2] = 0.0
@@ -503,38 +339,139 @@ def _vec_parity(states: np.ndarray, uniforms: np.ndarray,
     if np.any(norms < 1e-14):
         raise ArithmeticError("parity projection annihilated a trajectory")
     states /= norms
-    flips += (outcome != prev)
     return outcome
 
 
-def _vec_recover_fidelity(states, parity_now, flips, code_decayed, reference_ref):
-    """Recovered-state fidelity per trajectory against the alpha'-encoded
-    reference (vectorized form of recover + pure_fidelity).
+def _unravel(config: QecRunConfig, states: np.ndarray, blocks, snapshot=None,
+             outcomes: list | None = None) -> np.ndarray:
+    """Quantum-jump run of every row of states, in place.
 
-    As in recover, the sector swap is a partial isometry only up to second
-    order in the code-word overlap reported by orthogonality_monitor.
+    blocks are the (draws, n_traj) uniforms in _draw_blocks order.  The
+    excitation-stage loss and the excitation phase come first, then the
+    initial check and the line steps with their scheduled checks.
+    snapshot(step_no, parity, flips) is called after the initial check
+    (step 0) and after every step; outcomes, when given, receives each
+    check's outcome array.  Returns the per-trajectory jump counts.
     """
-    bases = {(lg, s): code_decayed.state(lg, s).amplitudes
-             for lg in (0, 1) for s in (+1, -1)}
-    nt = states.shape[0]
-    fid = np.empty(nt)
+    exc_u, init_u, step_u, check_u = blocks
+    nt, dim = states.shape
+    n_vec = np.arange(dim, dtype=float)
+    sqrt_n = np.sqrt(np.arange(1, dim, dtype=float))
+    jumps = np.zeros(nt, dtype=int)
+    flips = np.zeros(nt, dtype=int)
+    parity = np.ones(nt, dtype=int)
+
+    def check(u):
+        nonlocal parity
+        outcome = _vec_parity(states, u)
+        flips[:] += outcome != parity
+        parity = outcome
+        if outcomes is not None:
+            outcomes.append(outcome)
+
+    if len(exc_u):
+        g_dt = config.excitation_gamma_t / len(exc_u)
+        decay = np.exp(-0.5 * g_dt * n_vec)
+        for u in exc_u:
+            _vec_channel_step(states, u, g_dt, n_vec, sqrt_n, decay, jumps)
+    # deterministic phase of the excited amplitude: -conj(beta) = r*e^{i phi}
+    phi = np.angle(config.alpha_excited / config.alpha) if abs(config.alpha) else 0.0
+    states *= np.exp(1j * phi * n_vec)
+
+    if config.initial_check:
+        check(init_u[0])
+    if snapshot is not None:
+        snapshot(0, parity, flips)
+    gamma_dx = 2.0 * config.k0_kappa2 * config.step
+    decay = np.exp(-0.5 * gamma_dx * n_vec)
+    checks = iter(check_u)
+    for i, due in enumerate(config.check_schedule()):
+        _vec_channel_step(states, step_u[i], gamma_dx, n_vec, sqrt_n, decay, jumps)
+        if due:
+            check(next(checks))
+        if snapshot is not None:
+            snapshot(i + 1, parity, flips)
+    return jumps
+
+
+def run_trajectory(config: QecRunConfig, input_logical: tuple[complex, complex],
+                   rng: np.random.Generator) -> TrajectoryRecord:
+    """Quantum-jump run for one input state: the one-row case of the engine.
+
+    Alternates channel micro-steps with parity checks on the schedule: one
+    initial check right after excitation, then every dx/p.  Records every
+    parity outcome and the total jump count.
+    """
+    c0, c1 = input_logical
+    code = CatCode(alpha=config.alpha, dim=truncation_dimension(config.alpha))
+    states = np.array(code.encode(c0, c1).amplitudes)[None, :]
+    blocks = _draw_blocks(rng, config.n_excitation_steps, config.n_steps,
+                          int(config.check_schedule().sum()))
+    outcomes: list[np.ndarray] = []
+    jumps = _unravel(config, states, [b[:, None] for b in blocks], outcomes=outcomes)
+    return TrajectoryRecord(jump_count=int(jumps[0]),
+                            parity_outcomes=tuple(int(o[0]) for o in outcomes),
+                            final_state=StateVector(states[0]), seed=config.seed)
+
+
+# ---------------------------------------------------------------------------
+# recovery
+
+def count_flips(outcomes) -> int:
+    """Inferred jump count: parity flips relative to the even start."""
+    flips = 0
+    prev = 1
+    for o in outcomes:
+        if o != prev:
+            flips += 1
+        prev = o
+    return flips
+
+
+def _recovered(states: np.ndarray, parity: np.ndarray, flips: np.ndarray,
+               code: CatCode) -> tuple[np.ndarray, np.ndarray]:
+    """Sector swap of each row, given its last parity outcome and flip count.
+
+    Returns the unnormalized recovered states and the weight each row
+    keeps in its indicated parity sector (see recover).
+    """
+    bases = {(lg, s): code.state(lg, s).amplitudes for lg in (0, 1) for s in (+1, -1)}
+    c = {key: states @ basis.conj() for key, basis in bases.items()}
+    even = parity > 0
+    # coefficients in the indicated parity sector and in the other one
+    same = [np.where(even, c[(lg, +1)], c[(lg, -1)]) for lg in (0, 1)]
+    other = [np.where(even, c[(lg, -1)], c[(lg, +1)]) for lg in (0, 1)]
     phase = (-1j) ** (flips % 4)
-    ref = reference_ref.amplitudes
-    for sign in (+1, -1):
-        sel = parity_now == sign
-        if not np.any(sel):
-            continue
-        c = {key: states[sel] @ bases[key].conj() for key in bases}
-        ph = phase[sel]
-        vec = (c[(0, sign)][:, None] * bases[(0, +1)][None, :]
-               + (ph * c[(1, sign)])[:, None] * bases[(1, +1)][None, :]
-               + c[(0, -sign)][:, None] * bases[(0, -1)][None, :]
-               + (ph * c[(1, -sign)])[:, None] * bases[(1, -1)][None, :])
-        norms = np.linalg.norm(vec, axis=1)
-        good = norms > 1e-8
-        overlap = np.abs(vec @ ref.conj()) ** 2
-        fid[sel] = np.where(good, overlap / np.maximum(norms, 1e-300) ** 2, 0.0)
-    return fid
+    # summed in place, left to right, to hold one (n_traj, dim) temporary
+    vec = same[0][:, None] * bases[(0, +1)]
+    vec += (phase * same[1])[:, None] * bases[(1, +1)]
+    vec += other[0][:, None] * bases[(0, -1)]
+    vec += (phase * other[1])[:, None] * bases[(1, -1)]
+    return vec, np.abs(same[0]) ** 2 + np.abs(same[1]) ** 2
+
+
+def recover(record: TrajectoryRecord, code: CatCode) -> tuple[StateVector, bool]:
+    """End-of-line correction using the decayed-amplitude code basis.
+
+    If the recorded parity indicates the erred space, the map
+    |0L+><0L-| + |1L+><1L-| + h.c. swaps the parity sectors.  It is a
+    partial isometry only up to second order in the code-word overlap
+    reported by orthogonality_monitor, since the decayed code words are not
+    exactly orthogonal; the state is renormalized afterwards.  The
+    accumulated i^k phase on the logical-one component is undone with k
+    inferred from the parity-flip count.  Components inconsistent with the
+    record are carried into the wrong sector (honest infidelity) rather
+    than dropped.  Returns (state, warn) with warn set when the projection
+    onto the indicated subspace retains less than half the norm.
+    """
+    outcomes = record.parity_outcomes
+    parity = np.array([outcomes[-1] if outcomes else 1])
+    flips = np.array([count_flips(outcomes)])
+    vec, weight = _recovered(record.final_state.amplitudes[None, :], parity, flips, code)
+    norm = np.linalg.norm(vec[0])
+    if norm < 1e-8:
+        raise ArithmeticError("recovery annihilated the state (outside the code span)")
+    return StateVector(vec[0] / norm), bool(weight[0] < 0.5)
 
 
 def _f0_analytic(config: QecRunConfig, inputs) -> float:
@@ -555,47 +492,27 @@ def _f0_analytic(config: QecRunConfig, inputs) -> float:
 
 def run_ensemble(config: QecRunConfig, input_logical: tuple[complex, complex],
                  input_index: int) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized trajectory ensemble for one input state.
+    """Trajectory ensemble for one input state.
 
     Returns (fidelities, jumps): fidelities has shape
     (n_checkpoints, n_trajectories) holding the recovered fidelity at each
-    snapshot; jumps the per-trajectory jump count.
+    snapshot; jumps the per-trajectory jump count.  Rows scored against a
+    recovery that annihilated them get fidelity 0.
     """
     c0, c1 = input_logical
     dim = truncation_dimension(config.alpha)
     code = CatCode(alpha=config.alpha, dim=dim)
+    blocks = _ensemble_uniforms(config, input_index, config.n_excitation_steps,
+                                config.n_steps, int(config.check_schedule().sum()))
     nt = config.n_trajectories
-    n_steps = config.n_steps
-    schedule = config.check_schedule()
-    n_exc = config.n_excitation_steps
-    exc_u, init_u, step_u, check_u = _ensemble_uniforms(
-        config, input_index, n_exc, n_steps, int(schedule.sum()))
-
     states = np.tile(code.encode(c0, c1).amplitudes, (nt, 1)).astype(complex)
-    n_vec = np.arange(dim, dtype=float)
-    sqrt_n = np.sqrt(np.arange(1, dim, dtype=float))
-    jumps = np.zeros(nt, dtype=int)
-    flips = np.zeros(nt, dtype=int)
-    prev_parity = np.ones(nt, dtype=int)
-
-    if n_exc:
-        g_dt = config.excitation_gamma_t / n_exc
-        decay = np.exp(-0.5 * g_dt * n_vec)
-        jumps = _vec_loss_steps(states, g_dt, exc_u, n_vec, sqrt_n, decay, jumps)
-    phi = np.angle(config.alpha_excited / config.alpha) if abs(config.alpha) else 0.0
-    states *= np.exp(1j * phi * n_vec)
-
-    if config.initial_check:
-        prev_parity = _vec_parity(states, init_u[0], prev_parity, flips)
 
     checkpoints = config.checkpoint_steps()
     fid = np.empty((len(checkpoints), nt))
     cp_index = {int(s): i for i, s in enumerate(checkpoints)}
     a0 = config.alpha_excited
-    gamma_dx = 2.0 * config.k0_kappa2 * config.step
-    decay = np.exp(-0.5 * gamma_dx * n_vec)
 
-    def snapshot(step_no: int):
+    def snapshot(step_no: int, parity: np.ndarray, flips: np.ndarray):
         idx = cp_index.get(step_no)
         if idx is None:
             return
@@ -603,21 +520,16 @@ def run_ensemble(config: QecRunConfig, input_logical: tuple[complex, complex],
         a_x = a0 * math.exp(-config.k0_kappa2 * x)
         amps_ref = np.array([a_x, -a_x, 1j * a_x, -1j * a_x])
         coeffs = normalize_superposition([c0, c0, c1, c1], amps_ref)
-        ref = superposition_vector(coeffs, amps_ref, dim)
-        if config.apply_recovery:
-            code_x = CatCode(alpha=a_x, dim=dim)
-            fid[idx] = _vec_recover_fidelity(states, prev_parity, flips, code_x, ref)
-        else:
-            fid[idx] = np.abs(states @ ref.amplitudes.conj()) ** 2
+        ref = superposition_vector(coeffs, amps_ref, dim).amplitudes
+        if not config.apply_recovery:
+            fid[idx] = np.abs(states @ ref.conj()) ** 2
+            return
+        vec, _ = _recovered(states, parity, flips, CatCode(alpha=a_x, dim=dim))
+        norms = np.linalg.norm(vec, axis=1)
+        overlap = np.abs(vec @ ref.conj()) ** 2
+        fid[idx] = np.where(norms > 1e-8, overlap / np.maximum(norms, 1e-300) ** 2, 0.0)
 
-    snapshot(0)
-    check_i = 0
-    for i in range(n_steps):
-        _vec_channel_step(states, step_u[i], gamma_dx, n_vec, sqrt_n, decay, jumps)
-        if schedule[i]:
-            prev_parity = _vec_parity(states, check_u[check_i], prev_parity, flips)
-            check_i += 1
-        snapshot(i + 1)
+    jumps = _unravel(config, states, blocks, snapshot=snapshot)
     return fid, jumps
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from ._zgrid import integrate_graded
 from .dispersion import TE, TM, SppMode, UnsupportedModeError, supported_polarization, with_normalization
-from .material import CONSTANTS, GrapheneParams, PhysicalConstants, conductivity
+from .material import CONSTANTS, GrapheneParams, conductivity
 
 
 @dataclass(frozen=True)
@@ -59,10 +59,9 @@ def mode_function(polarization: str, mode: SppMode, z) -> np.ndarray:
     return out
 
 
-def _lossless_mode(polarization: str, omega: float, sigma_pp: float,
-                   eps_r: float, constants: PhysicalConstants = CONSTANTS) -> SppMode:
+def _lossless_mode(polarization: str, omega: float, sigma_pp: float, eps_r: float) -> SppMode:
     """Real-(k, q0) mode built from the reactive conductivity alone."""
-    k = constants
+    k = CONSTANTS
     if polarization == TM:
         if sigma_pp <= 0.0:
             raise UnsupportedModeError("TM needs Im sigma > 0")
@@ -77,14 +76,13 @@ def _lossless_mode(polarization: str, omega: float, sigma_pp: float,
                    q0=complex(q0), v_g=c_bg, supported=True, eps_r=eps_r)
 
 
-def _energy_density(polarization: str, mode: SppMode, eps_r: float,
-                    constants: PhysicalConstants = CONSTANTS):
+def _energy_density(polarization: str, mode: SppMode, eps_r: float):
     """Bulk energy-density integrand eps_r|phi|^2 + (c0/omega)^2 |curl phi|^2
     for z > 0 (the profile is symmetric in |z|)."""
     q0 = mode.q0
     kx = mode.k
     w = mode.omega
-    c2w2 = (constants.c0 / w) ** 2
+    c2w2 = (CONSTANTS.c0 / w) ** 2
     if polarization == TE:
         coeff = eps_r + c2w2 * (abs(q0) ** 2 + abs(kx) ** 2)
     else:
@@ -99,8 +97,7 @@ def _energy_density(polarization: str, mode: SppMode, eps_r: float,
 
 
 def mode_normalization(polarization: str, mode: SppMode, params: GrapheneParams,
-                       n_points: int = 2048,
-                       constants: PhysicalConstants = CONSTANTS) -> float:
+                       n_points: int = 2048) -> float:
     """Quantization length N (m) from the z-integrated mode energy.
 
     N = (1/2) Int [eps_r |phi|^2 + (c0/omega)^2 |curl phi|^2] dz
@@ -108,38 +105,35 @@ def mode_normalization(polarization: str, mode: SppMode, params: GrapheneParams,
     integrated over z in [-z_max, z_max], z_max = 40/Re(q0), on a grid
     refined toward the sheet.
     """
-    sig = conductivity(params, mode.omega, constants=constants)
+    sig = conductivity(params, mode.omega)
     if supported_polarization(sig) != polarization:
         raise UnsupportedModeError(
             f"{polarization} not supported at this frequency (Im sigma = {sig.imag:.3e})")
-    ll = _lossless_mode(polarization, mode.omega, sig.imag, params.eps_r, constants)
+    ll = _lossless_mode(polarization, mode.omega, sig.imag, params.eps_r)
     q0 = ll.q0.real
     z_max = 40.0 / q0
-    density = _energy_density(polarization, ll, params.eps_r, constants)
+    density = _energy_density(polarization, ll, params.eps_r)
     # symmetric profile: integrate one side, double
     bulk = 2.0 * integrate_graded(density, z_max, 2.0 * q0, n_points // 2 + 1).real
     if polarization == TE:
         phi_par0 = 1.0
     else:
         phi_par0 = abs(tm_parallel_amplitude(ll)) ** 2
-    surface = abs(sig.imag) / (2.0 * constants.eps0 * mode.omega) * phi_par0
+    surface = abs(sig.imag) / (2.0 * CONSTANTS.eps0 * mode.omega) * phi_par0
     n_len = 0.5 * bulk + surface
     if not n_len > 0.0:
         raise ValueError("non-positive mode normalization")
     return n_len
 
 
-def quantize_mode(mode: SppMode, params: GrapheneParams,
-                  n_points: int = 2048,
-                  constants: PhysicalConstants = CONSTANTS) -> SppMode:
+def quantize_mode(mode: SppMode, params: GrapheneParams, n_points: int = 2048) -> SppMode:
     """Return the mode with its normalization length filled in."""
-    n_len = mode_normalization(mode.polarization, mode, params, n_points, constants)
+    n_len = mode_normalization(mode.polarization, mode, params, n_points)
     return with_normalization(mode, n_len)
 
 
 def vector_potential_amplitude(mode: SppMode, geometry: QuantizationGeometry,
-                               omega: float | None = None,
-                               constants: PhysicalConstants = CONSTANTS) -> float:
+                               omega: float | None = None) -> float:
     """Prefactor sqrt(hbar/(2 eps0 W v_g omega N)) of the quantized vector
     potential for a beam of width W."""
     w = mode.omega if omega is None else omega
@@ -147,5 +141,5 @@ def vector_potential_amplitude(mode: SppMode, geometry: QuantizationGeometry,
         raise ValueError("mode has no normalization; run quantize_mode first")
     if not (mode.supported and mode.v_g > 0.0):
         raise UnsupportedModeError("amplitude defined for supported modes only")
-    return math.sqrt(constants.hbar /
-                     (2.0 * constants.eps0 * geometry.W * mode.v_g * w * mode.norm_n))
+    return math.sqrt(CONSTANTS.hbar /
+                     (2.0 * CONSTANTS.eps0 * geometry.W * mode.v_g * w * mode.norm_n))

@@ -1,4 +1,5 @@
-"""Shared test oracles: exact two-mode beamsplitter, trace distance."""
+"""Shared test oracles: exact two-mode beamsplitter, trace distance, and a
+per-trajectory quantum-jump loop over one Fock vector."""
 
 import cmath
 import math
@@ -6,6 +7,9 @@ import math
 import numpy as np
 import pytest
 from scipy.linalg import expm
+
+from gspp.qec import CatCode
+from gspp.qstate import truncation_dimension
 
 
 def two_mode_beamsplitter(psi: np.ndarray, g: complex) -> np.ndarray:
@@ -45,6 +49,53 @@ def partial_trace_mode_a(psi: np.ndarray) -> np.ndarray:
 def trace_distance(rho1: np.ndarray, rho2: np.ndarray) -> float:
     eigs = np.linalg.eigvalsh(rho1 - rho2)
     return 0.5 * float(np.sum(np.abs(eigs)))
+
+
+def fock_trajectory(config, input_logical, rng):
+    """One quantum-jump trajectory as a plain loop over a Fock vector.
+
+    Draws its uniforms in the engine's order (excitation steps, initial
+    check, line steps, scheduled checks) and returns
+    (jump count, parity outcomes, final amplitudes).
+    """
+    c0, c1 = input_logical
+    dim = truncation_dimension(config.alpha)
+    amps = np.array(CatCode(alpha=config.alpha, dim=dim).encode(c0, c1).amplitudes)
+    n = np.arange(dim)
+    schedule = config.check_schedule()
+    n_exc = config.n_excitation_steps
+    exc_u, init_u = rng.random(n_exc), rng.random(1)
+    step_u, check_u = rng.random(config.n_steps), rng.random(int(schedule.sum()))
+    jumps, outcomes = 0, []
+
+    def step(amps, u, gamma_dt):
+        nonlocal jumps
+        if u < gamma_dt * np.sum(n * np.abs(amps) ** 2):
+            jumps += 1
+            out = np.zeros_like(amps)
+            out[:-1] = amps[1:] * np.sqrt(n[1:])
+        else:
+            out = amps * np.exp(-0.5 * gamma_dt * n)
+        return out / np.linalg.norm(out)
+
+    def check(amps, u):
+        outcome = 1 if u < np.sum(np.abs(amps[0::2]) ** 2) else -1
+        outcomes.append(outcome)
+        out = amps.copy()
+        out[(1 if outcome > 0 else 0)::2] = 0.0
+        return out / np.linalg.norm(out)
+
+    for u in exc_u:
+        amps = step(amps, u, config.excitation_gamma_t / n_exc)
+    amps = amps * np.exp(1j * np.angle(config.alpha_excited / config.alpha) * n)
+    if config.initial_check:
+        amps = check(amps, init_u[0])
+    checks = iter(check_u)
+    for u, due in zip(step_u, schedule):
+        amps = step(amps, u, 2.0 * config.k0_kappa2 * config.step)
+        if due:
+            amps = check(amps, next(checks))
+    return jumps, tuple(outcomes), amps
 
 
 @pytest.fixture

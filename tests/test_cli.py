@@ -189,8 +189,42 @@ class TestConfigFiles:
         assert len(rows) == 7  # flag overrides the config's 400
         assert "# mu_c_ev: 0.5" in out.read_text()
 
+    def test_explicit_switch_beats_config(self, tmp_path):
+        cfg = tmp_path / "log.cfg"
+        cfg.write_text("log_spacing = true\nfmin_thz = 1\nfmax_thz = 100\npoints = 3\n")
+        out = tmp_path / "sigma.csv"
+        rc = main(["sigma", "--config", str(cfg), "--linear-spacing", "--out", str(out)])
+        assert rc == 0
+        _, rows = read_rows(out)
+        assert float(rows[1][0]) == pytest.approx(50.5e12)  # linear, not 10 THz
+        assert "# log_spacing: False" in out.read_text()
+
+    def test_bad_switch_value_rejected(self, tmp_path):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("log_spacing = maybe\n")
+        rc = main(["sigma", "--config", str(bad), "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+
     def test_unknown_config_key_rejected(self, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("not_a_key = 1\n")
         rc = main(["sigma", "--config", str(bad), "--out", str(tmp_path / "x.csv")])
         assert rc == 2
+
+
+class TestUsageErrors:
+    def test_workers_only_on_qec(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["sigma", "--workers", "7", "--points", "3",
+                  "--out", str(tmp_path / "s.csv")])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["prism", "beta-sweep", "--d-points", "0"],
+        ["prism", "reflectance-map", "--theta-points", "0"],
+        ["propagate", "--points", "0"],
+    ])
+    def test_empty_table_rejected(self, tmp_path, argv):
+        out = tmp_path / "t.csv"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert not out.exists()

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import fock_trajectory
 from gspp.channel import AMPLITUDE_MATCHED, fidelity_vs_distance
 from gspp.coupling import normalize_superposition, superposition_vector
 from gspp.qec import (
@@ -207,6 +208,19 @@ class TestTrajectories:
         for idx in range(4):
             rec = run_trajectory(cfg, (1.0, 0.0), trajectory_rng(cfg.seed, 0, idx))
             assert rec.jump_count == jumps[idx]
+
+    @pytest.mark.parametrize("beta, parity_p", [(1.0, 0.6), (0.9511, 1.0)])
+    def test_matches_fock_oracle(self, beta, parity_p):
+        # the one-row engine against the per-trajectory Fock loop, with and
+        # without excitation-stage loss
+        cfg = make_config(g=math.asin(beta), parity_p=parity_p, x_total=0.15)
+        inp = (1.0 / math.sqrt(2.0), 1j / math.sqrt(2.0))
+        for idx in range(8):
+            rec = run_trajectory(cfg, inp, trajectory_rng(cfg.seed, 0, idx))
+            jumps, outcomes, amps = fock_trajectory(cfg, inp, trajectory_rng(cfg.seed, 0, idx))
+            assert rec.jump_count == jumps
+            assert rec.parity_outcomes == outcomes
+            assert np.abs(rec.final_state.amplitudes - amps).max() < 1e-10
 
     def test_too_coarse_step_rejected(self):
         with pytest.raises(ValueError):
