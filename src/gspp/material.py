@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import constants as _const
 from scipy.integrate import quad
-from scipy.special import expit
 
 
 class QuadratureError(RuntimeError):
@@ -165,9 +164,6 @@ def _interband_full(params: GrapheneParams, omega: float) -> complex:
     s = k.hbar * omega / (2.0 * kT)      # u -> energy/kT scale
     xmu = mu / kT
 
-    def occupation_diff(u):
-        return expit(xmu + s * u) - expit(xmu - s * u)
-
     u_step = 2.0 * mu / (k.hbar * omega)          # interband onset
     step_width = 2.0 * kT / (k.hbar * omega)
     u_cut = max(4.0, 3.0 * abs(abar), u_step + 60.0 * step_width + 2.0)
@@ -178,13 +174,46 @@ def _interband_full(params: GrapheneParams, omega: float) -> complex:
                   u_step - 30 * step_width, u_step, u_step + 30 * step_width]
     points = sorted({p for p in raw_points if 0.0 < p < u_cut})
 
-    def integrand(u, part):
-        val = occupation_diff(u) / (abar * abar - u * u)
-        return val.real if part == 0 else val.imag
+    # The integrand, the occupation difference over (abar^2 - u^2), runs in
+    # plain floats but equals the numpy-scalar form bit for bit: expit(x)
+    # is 1/(1 + exp(-x)), and 0 where exp(-x) overflows; the quotient is
+    # Smith's method with scl = 1/denominator, as numpy divides a float64
+    # by a complex scalar (Python's complex division differs in the last
+    # bit).  Both quad runs sample the same nodes, so the imaginary run
+    # reads the values the real run cached by u.
+    exp = math.exp
+    xmu, s = float(xmu), float(s)
+    aa = abar * abar
+    aa_re, bi = float(aa.real), float(aa.imag)
+    abs_bi = abs(bi)
+    cached_imag = {}
+
+    def real_part(u):
+        su = s * u
+        try:
+            f_minus = 1.0 / (1.0 + exp(-(xmu - su)))
+        except OverflowError:
+            f_minus = 0.0
+        d = 1.0 / (1.0 + exp(-(xmu + su))) - f_minus
+        br = aa_re - u * u
+        if abs(br) >= abs_bi:
+            rat = bi / br
+            scl = 1.0 / (br + bi * rat)
+            cached_imag[u] = (0.0 - d * rat) * scl
+            return (d + 0.0 * rat) * scl
+        rat = br / bi
+        scl = 1.0 / (bi + br * rat)
+        cached_imag[u] = (0.0 * rat - d) * scl
+        return (d * rat + 0.0) * scl
+
+    def imag_part(u):
+        if u not in cached_imag:
+            real_part(u)
+        return cached_imag[u]
 
     pieces = []
-    for part in (0, 1):
-        out = quad(integrand, 0.0, u_cut, args=(part,), points=points,
+    for integrand in (real_part, imag_part):
+        out = quad(integrand, 0.0, u_cut, points=points,
                    epsabs=1e-9, epsrel=1e-9, limit=400, full_output=1)
         if len(out) > 3:
             raise QuadratureError("interband conductivity integral did not converge", out[1])

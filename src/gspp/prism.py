@@ -8,10 +8,11 @@ tunnels across the gap and can excite the surface wave.
 
 The boundary-value problem is a 4x4 linear system per (omega, theta):
 tangential-E continuity at z = d and z = 0 plus the H-field jump sigma*E
-across the sheet.  Phases are referenced at z = d for the prism waves and
-z = 0 for the transmitted wave; the transmitted wave carries e^{-i kz0 z}
-with the principal branch of kz0 = sqrt(k0^2 - kx^2), which decays
-downward in the evanescent regime.
+across the sheet.  Grids and scans stack their systems and solve them in
+one batch; a single solve is the one-point case.  Phases are referenced
+at z = d for the prism waves and z = 0 for the transmitted wave; the
+transmitted wave carries e^{-i kz0 z} with the principal branch of
+kz0 = sqrt(k0^2 - kx^2), which decays downward in the evanescent regime.
 """
 
 from __future__ import annotations
@@ -106,50 +107,77 @@ def _require_vacuum_background(params: GrapheneParams) -> None:
                          "graphene (eps_r = 1)")
 
 
+def _atr_amplitudes(eps1: float, d: float, polarization: str, thetas, sigmas, omegas):
+    """Solve the boundary systems of many (theta, sigma, omega) points as
+    one stacked batch.  The three inputs broadcast to a common shape S;
+    returns the amplitudes (r, m1, m2, t) with shape S + (4,), and kx, kz1
+    and kz0 with shape S.  Raises ArithmeticError when any system's
+    condition number is above 1e12 or not finite."""
+    omegas = np.asarray(omegas, dtype=float)
+    sigmas = np.asarray(sigmas, dtype=complex)
+    k0 = omegas / CONSTANTS.c0
+    k1 = math.sqrt(eps1) * k0
+    kx = k1 * np.sin(thetas)
+    kz1 = k1 * np.cos(thetas)
+    kz0 = np.sqrt((k0 * k0 - kx * kx).astype(complex))
+    u = np.exp(1j * kz0 * d)
+
+    shape = np.broadcast_shapes(kz0.shape, sigmas.shape)
+    mat = np.zeros(shape + (4, 4), dtype=complex)
+    rhs = np.zeros(shape + (4, 1), dtype=complex)
+    mat[..., 0, 0] = 1.0
+    mat[..., 0, 1] = -u
+    mat[..., 0, 2] = -1.0
+    mat[..., 2, 1] = 1.0
+    rhs[..., 0, 0] = -1.0
+    if polarization == TE:
+        # unknowns (r, m1, m2, t): E_y amplitudes
+        smu = sigmas * CONSTANTS.mu0 * omegas
+        mat[..., 1, 0] = -kz1
+        mat[..., 1, 1] = kz0 * u
+        mat[..., 1, 2] = -kz0
+        mat[..., 2, 2] = u
+        mat[..., 2, 3] = -1.0
+        mat[..., 3, 1] = -kz0
+        mat[..., 3, 2] = kz0 * u
+        mat[..., 3, 3] = -(kz0 + smu)
+        rhs[..., 1, 0] = -kz1
+    else:
+        # unknowns (r, m1, m2, t): H_y amplitudes
+        se = sigmas * kz0 / (omegas * CONSTANTS.eps0)
+        mat[..., 1, 0] = kz1 / eps1
+        mat[..., 1, 1] = -kz0 * u
+        mat[..., 1, 2] = kz0
+        mat[..., 2, 2] = -u
+        mat[..., 2, 3] = 1.0
+        mat[..., 3, 1] = -1.0
+        mat[..., 3, 2] = -u
+        mat[..., 3, 3] = 1.0 + se
+        rhs[..., 1, 0] = kz1 / eps1
+
+    cond = np.linalg.cond(mat)
+    bad = ~np.isfinite(cond) | (cond > 1e12)
+    if np.any(bad):
+        value = np.asarray(cond)[bad][0]
+        raise ArithmeticError(f"singular ATR boundary system (condition number {value:.3e})")
+    return np.linalg.solve(mat, rhs)[..., 0], kx, kz1, kz0
+
+
 def atr_solve_sigma(geom: PrismGeometry, sigma: complex, omega: float) -> AtrSolution:
     """Solve the three-region reflection/transmission problem for a given
     sheet conductivity (the graphene-free limit is sigma -> 0)."""
-    k0 = omega / CONSTANTS.c0
-    k1 = math.sqrt(geom.eps1) * k0
-    kx = k1 * math.sin(geom.theta_i)
-    kz1 = k1 * math.cos(geom.theta_i)
-    kz0 = complex(np.sqrt(complex(k0 * k0 - kx * kx)))
-    u = cmath.exp(1j * kz0 * geom.d)
-
-    if geom.polarization == TE:
-        # unknowns (r, m1, m2, t): E_y amplitudes
-        smu = sigma * CONSTANTS.mu0 * omega
-        mat = np.array([
-            [1.0, -u, -1.0, 0.0],
-            [-kz1, kz0 * u, -kz0, 0.0],
-            [0.0, 1.0, u, -1.0],
-            [0.0, -kz0, kz0 * u, -(kz0 + smu)],
-        ], dtype=complex)
-        rhs = np.array([-1.0, -kz1, 0.0, 0.0], dtype=complex)
-    else:
-        # unknowns (r, m1, m2, t): H_y amplitudes
-        se = sigma * kz0 / (omega * CONSTANTS.eps0)
-        mat = np.array([
-            [1.0, -u, -1.0, 0.0],
-            [kz1 / geom.eps1, -kz0 * u, kz0, 0.0],
-            [0.0, 1.0, -u, 1.0],
-            [0.0, -1.0, -u, 1.0 + se],
-        ], dtype=complex)
-        rhs = np.array([-1.0, kz1 / geom.eps1, 0.0, 0.0], dtype=complex)
-
-    cond = np.linalg.cond(mat)
-    if not np.isfinite(cond) or cond > 1e12:
-        raise ArithmeticError(f"singular ATR boundary system (condition number {cond:.3e})")
-    r, m1, m2, t = np.linalg.solve(mat, rhs)
-
+    amps, kx, kz1, kz0 = _atr_amplitudes(geom.eps1, geom.d, geom.polarization,
+                                         geom.theta_i, sigma, omega)
+    r, m1, m2, t = (complex(a) for a in amps)
+    kz0 = complex(kz0)
     if geom.polarization == TE:
         tau = t
     else:
         tau = complex(np.sqrt(kz0 / kz1)) * math.sqrt(geom.eps1) * t
-    return AtrSolution(r=complex(r), tau=complex(tau), m1=complex(m1), m2=complex(m2),
-                       t=complex(t), omega=omega, polarization=geom.polarization,
-                       k_x=complex(kx), k_z_prism=complex(kz1), k_z_gap=kz0,
-                       sigma=complex(sigma), eps1=geom.eps1, d=geom.d)
+    return AtrSolution(r=r, tau=complex(tau), m1=m1, m2=m2, t=t, omega=omega,
+                       polarization=geom.polarization, k_x=complex(kx),
+                       k_z_prism=complex(kz1), k_z_gap=kz0, sigma=complex(sigma),
+                       eps1=geom.eps1, d=geom.d)
 
 
 def atr_solve(geom: PrismGeometry, params: GrapheneParams, omega: float) -> AtrSolution:
@@ -188,32 +216,35 @@ def reflectance_map(thetas, omegas, eps1: float, d: float, polarization: str,
                     params: GrapheneParams) -> np.ndarray:
     """Reflectance R = |r|^2 on the (omega, theta) grid, shape
     (len(omegas), len(thetas)).  The conductivity is evaluated once per
-    frequency row."""
+    frequency row; the whole grid is solved as one batch."""
     _require_vacuum_background(params)
     thetas = np.asarray(thetas, dtype=float)
     omegas = np.asarray(omegas, dtype=float)
-    out = np.empty((len(omegas), len(thetas)))
-    for i, w in enumerate(omegas):
-        sigma = conductivity(params, float(w)).value
-        for j, th in enumerate(thetas):
-            geom = PrismGeometry(eps1=eps1, d=d, theta_i=float(th), polarization=polarization)
-            out[i, j] = atr_solve_sigma(geom, sigma, float(w)).reflectance
-    return out
+    for th in thetas:
+        PrismGeometry(eps1=eps1, d=d, theta_i=float(th), polarization=polarization)
+    sigmas = np.array([conductivity(params, float(w)).value for w in omegas], dtype=complex)
+    amps = _atr_amplitudes(eps1, d, polarization, thetas[None, :],
+                           sigmas[:, None], omegas[:, None])[0]
+    return np.abs(amps[..., 0]) ** 2
 
 
 def matching_frequency(geom: PrismGeometry, params: GrapheneParams,
                        omega_lo: float, omega_hi: float, n_scan: int = 400) -> float:
     """Frequency of the reflectance minimum: coarse scan on
-    [omega_lo, omega_hi] refined by golden-section search.
+    [omega_lo, omega_hi], solved as one batch, refined by golden-section
+    search.
 
     Raises NotResonant below the critical angle or when the scan window
     has no minimum with R < 0.99.
     """
     if geom.theta_i <= critical_angle(geom.eps1):
         raise NotResonant("incidence below the critical angle: no surface-wave excitation")
+    _require_vacuum_background(params)
     omegas = np.linspace(omega_lo, omega_hi, n_scan)
-    refl = np.array([atr_solve(geom, params, float(w)).reflectance
-                     for w in omegas])
+    sigmas = np.array([conductivity(params, float(w)).value for w in omegas], dtype=complex)
+    amps = _atr_amplitudes(geom.eps1, geom.d, geom.polarization, geom.theta_i,
+                           sigmas, omegas)[0]
+    refl = np.abs(amps[:, 0]) ** 2
     i_min = int(np.argmin(refl))
     if refl[i_min] > 0.99:
         raise NotResonant(f"no reflectance dip below 0.99 in the scan window "

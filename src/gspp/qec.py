@@ -168,6 +168,8 @@ class QecRunConfig:
             raise ValueError("need x_total > 0 and k0_kappa2 >= 0")
         if self.n_trajectories < 1:
             raise ValueError("need at least one trajectory")
+        if self.n_checkpoints < 1:
+            raise ValueError("need at least one checkpoint")
         if self.input_set not in ("six", "haar"):
             raise ValueError("input_set must be 'six' or 'haar'")
         nbar = abs(self.alpha_excited) ** 2
@@ -539,7 +541,10 @@ def average_fidelity(config: QecRunConfig, workers: int = 1) -> QecCurve:
     Averages over the configured input set (the six Pauli eigenstates
     form a 2-design, so their mean equals the Haar average) and the
     trajectory ensemble; F0 is the analytic pre-check fidelity at x = 0.
+    The standard error needs at least two trajectories.
     """
+    if config.n_trajectories < 2:
+        raise ValueError("need at least two trajectories for a standard error")
     inputs = config.input_states()
     checkpoints = config.checkpoint_steps()
     x = checkpoints * config.step

@@ -1,13 +1,17 @@
-"""Shared test oracles: exact two-mode beamsplitter, trace distance, and a
-per-trajectory quantum-jump loop over one Fock vector."""
+"""Shared test oracles: exact two-mode beamsplitter, trace distance, a
+per-trajectory quantum-jump loop over one Fock vector, and the interband
+conductivity quadrature with a numpy-scalar integrand."""
 
 import cmath
 import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.linalg import expm
+from scipy.special import expit
 
+from gspp.material import CONSTANTS, QuadratureError
 from gspp.qec import CatCode
 from gspp.qstate import truncation_dimension
 
@@ -96,6 +100,45 @@ def fock_trajectory(config, input_logical, rng):
         if due:
             amps = check(amps, next(checks))
     return jumps, tuple(outcomes), amps
+
+
+def quad_interband_oracle(params, omega):
+    """Interband conductivity term with the integrand in numpy scalars:
+    scipy's expit for the occupation difference and a float64 / complex
+    quotient, one part per quad run.  Same breakpoints, tolerances and
+    closed-form tail as gspp.material._interband_full."""
+    k = CONSTANTS
+    kT = k.kB * params.temperature
+    mu = abs(params.mu_c) * k.e
+    a = omega + 1j * params.gamma_inter
+    abar = a / omega
+    s = k.hbar * omega / (2.0 * kT)
+    xmu = mu / kT
+
+    u_step = 2.0 * mu / (k.hbar * omega)
+    step_width = 2.0 * kT / (k.hbar * omega)
+    u_cut = max(4.0, 3.0 * abs(abar), u_step + 60.0 * step_width + 2.0)
+    pole = abar.real if abar.real > 0 else abs(abar)
+    pole_width = max(abar.imag, 1e-3)
+    raw_points = [pole - 3 * pole_width, pole, pole + 3 * pole_width,
+                  u_step - 30 * step_width, u_step, u_step + 30 * step_width]
+    points = sorted({p for p in raw_points if 0.0 < p < u_cut})
+
+    def integrand(u, part):
+        val = (expit(xmu + s * u) - expit(xmu - s * u)) / (abar * abar - u * u)
+        return val.real if part == 0 else val.imag
+
+    pieces = []
+    for part in (0, 1):
+        out = quad(integrand, 0.0, u_cut, args=(part,), points=points,
+                   epsabs=1e-9, epsrel=1e-9, limit=400, full_output=1)
+        if len(out) > 3:
+            raise QuadratureError("interband conductivity integral did not converge", out[1])
+        pieces.append(out[0])
+    integral = pieces[0] + 1j * pieces[1]
+    ratio = (abar + u_cut) / (abar - u_cut)
+    tail = (-1j * math.pi - np.log(ratio)) / (2.0 * abar)
+    return 1j * k.e**2 * a * (integral + tail) / (2.0 * math.pi * k.hbar * omega)
 
 
 @pytest.fixture

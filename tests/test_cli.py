@@ -7,6 +7,8 @@ import pytest
 from gspp.cli import load_config, main
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+QEC_SMALL = ["qec", "--seed", "1", "--mu-c-ev", "1.4", "--k0kappa2x-max", "0.02",
+             "--p-list", "1", "--workers", "1"]
 
 
 def read_rows(path: Path):
@@ -223,8 +225,15 @@ class TestUsageErrors:
         ["prism", "beta-sweep", "--d-points", "0"],
         ["prism", "reflectance-map", "--theta-points", "0"],
         ["propagate", "--points", "0"],
+        QEC_SMALL + ["--trajectories", "4", "--checkpoints", "0"],
     ])
     def test_empty_table_rejected(self, tmp_path, argv):
         out = tmp_path / "t.csv"
         assert main(argv + ["--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_single_trajectory_rejected(self, tmp_path):
+        out = tmp_path / "q.csv"
+        argv = QEC_SMALL + ["--trajectories", "1", "--checkpoints", "2", "--out", str(out)]
+        assert main(argv) == 2
         assert not out.exists()

@@ -1,12 +1,17 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gspp.material
+from conftest import quad_interband_oracle
+from gspp.cli import frequency_grid, load_config, main
 from gspp.material import (
     CONSTANTS,
     GrapheneParams,
     LogSingularityError,
+    QuadratureError,
     conductivity,
     conductivity_full,
     conductivity_lowT,
@@ -18,6 +23,7 @@ from gspp.material import (
 
 EV = CONSTANTS.e
 HBAR = CONSTANTS.hbar
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def ev_to_omega(hw_ev: float) -> float:
@@ -218,3 +224,57 @@ def test_parameter_validation():
     with pytest.raises(ValueError):
         conductivity(GrapheneParams(mu_c=0.5, temperature=300.0, gamma_intra=1e12,
                                     gamma_inter=1e13), -1.0)
+
+
+def assert_interband_matches_oracle(params, omega):
+    """_interband_full equals the numpy-scalar quad oracle bit for bit, or
+    both raise the same exception type."""
+    try:
+        expected = quad_interband_oracle(params, omega)
+    except Exception as exc:
+        with pytest.raises(Exception) as got:
+            _interband_full(params, omega)
+        assert type(got.value) is type(exc)
+        return
+    assert _interband_full(params, omega) == expected, (params, omega)
+
+
+def test_interband_bit_exact_on_fig2a_grid():
+    cfg = load_config(str(CONFIG_DIR / "fig2a.cfg"))
+    p = GrapheneParams(mu_c=float(cfg["mu_c_ev"]), temperature=float(cfg["temperature_k"]),
+                       gamma_intra=1.0 / (float(cfg["tau_intra_ps"]) * 1e-12),
+                       gamma_inter=1.0 / (float(cfg["tau_inter_ps"]) * 1e-12))
+    freqs = frequency_grid(float(cfg["fmin_thz"]), float(cfg["fmax_thz"]),
+                           int(cfg["points"]), True)
+    for f in freqs:
+        # the sigma command passes numpy-scalar frequencies
+        assert_interband_matches_oracle(p, 2.0 * math.pi * f)
+
+
+def test_interband_bit_exact_random_and_overflow():
+    # mu = 0.5 eV, T = 10 K from 860 THz up: exp(-x) in the occupation of
+    # the lower band overflows, where expit gives exactly 0
+    points = [(0.5, 10.0, f) for f in (860.0, 1000.0, 2000.0)]
+    rng = np.random.default_rng(4)
+    points += [(float(rng.uniform(0.0, 1.5)), float(rng.uniform(1.0, 600.0)),
+                float(rng.uniform(0.1, 2000.0))) for _ in range(200)]
+    for i, (mu, t, f_thz) in enumerate(points):
+        omega = 2.0 * math.pi * f_thz * 1e12
+        assert_interband_matches_oracle(GrapheneParams.with_default_rates(mu, t),
+                                        np.float64(omega) if i % 2 else omega)
+
+
+def test_quadrature_error_propagates(monkeypatch, tmp_path):
+    def unconverged(func, a, b, **kwargs):
+        return 0.0, 1.0, {"last": 400}, "The maximum number of subdivisions (400) has been achieved."
+
+    monkeypatch.setattr(gspp.material, "quad", unconverged)
+    p = GrapheneParams.with_default_rates(0.5, 300.0)
+    with pytest.raises(QuadratureError) as exc:
+        conductivity_full(p, 2.0 * math.pi * 10e12)
+    assert exc.value.error_estimate == 1.0
+    out = tmp_path / "s.csv"
+    rc = main(["sigma", "--fmin-thz", "10", "--fmax-thz", "10", "--points", "1",
+               "--out", str(out)])
+    assert rc == 3
+    assert not out.exists()

@@ -1,11 +1,14 @@
 import math
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
-from gspp.material import CONSTANTS, GrapheneParams
+from gspp.cli import load_config
+from gspp.material import CONSTANTS, GrapheneParams, conductivity
 from gspp.prism import (
     NotResonant,
     PrismGeometry,
@@ -27,6 +30,7 @@ from gspp.prism import (
 )
 
 K = CONSTANTS
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def te_geom(**kw):
@@ -144,6 +148,71 @@ class TestMatchingFrequency:
         w_root = lossless_matching_frequency(geom, params, lo, hi)
         w_dip = matching_frequency(geom, params, lo, hi, n_scan=900)
         assert abs(w_dip - w_root) / w_root < 0.01
+
+
+class TestBatchedAtr:
+    """reflectance_map and the dip scan of matching_frequency solve their
+    boundary systems as one batch; each point must match the one-point
+    solve."""
+
+    @pytest.mark.parametrize("name", ["fig6a", "fig6b"])
+    def test_map_matches_pointwise_solves(self, name):
+        cfg = load_config(str(CONFIG_DIR / f"{name}.cfg"))
+        params = GrapheneParams.with_default_rates(float(cfg["mu_c_ev"]),
+                                                   float(cfg["temperature_k"]))
+        eps1, d, pol = float(cfg["eps1"]), float(cfg["d_um"]) * 1e-6, cfg["pol"]
+        thetas = np.radians(np.linspace(float(cfg["theta_min_deg"]),
+                                        float(cfg["theta_max_deg"]), int(cfg["theta_points"])))
+        omegas = 2.0 * math.pi * 1e12 * np.linspace(float(cfg["fmin_thz"]),
+                                                    float(cfg["fmax_thz"]),
+                                                    int(cfg["freq_points"]))
+        grid = reflectance_map(thetas, omegas, eps1=eps1, d=d, polarization=pol,
+                               params=params)
+        ref = np.empty_like(grid)
+        for i, w in enumerate(omegas):
+            sigma = conductivity(params, float(w)).value
+            for j, th in enumerate(thetas):
+                geom = PrismGeometry(eps1=eps1, d=d, theta_i=float(th), polarization=pol)
+                ref[i, j] = atr_solve_sigma(geom, sigma, float(w)).reflectance
+        np.testing.assert_allclose(grid, ref, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("geom, params, f_lo, f_hi, n_scan", [
+        (te_geom(d=20e-6), GrapheneParams.with_default_rates(1.24, 0.0), 590.5e12, 591.1e12, 900),
+        (te_geom(d=40e-6), GrapheneParams.with_default_rates(1.24, 0.0), 590.5e12, 591.1e12, 900),
+        (tm_geom(), GrapheneParams.with_default_rates(0.5, 300.0), 0.3e12, 1.5e12, 400),
+    ])
+    def test_dip_matches_pointwise_scan(self, geom, params, f_lo, f_hi, n_scan):
+        lo, hi = 2.0 * math.pi * f_lo, 2.0 * math.pi * f_hi
+        omegas = np.linspace(lo, hi, n_scan)
+        refl = np.array([atr_solve(geom, params, float(w)).reflectance for w in omegas])
+        i = int(np.argmin(refl))
+        assert 0 < i < n_scan - 1
+        ref = minimize_scalar(lambda w: atr_solve(geom, params, float(w)).reflectance,
+                              bracket=(omegas[i - 1], omegas[i], omegas[i + 1]),
+                              method="golden", options={"xtol": 1e-10}).x
+        got = matching_frequency(geom, params, lo, hi, n_scan=n_scan)
+        assert got == pytest.approx(ref, rel=1e-12)
+
+    @pytest.mark.parametrize("bad", [2e12, math.inf, math.nan])
+    def test_one_ill_conditioned_point_raises(self, monkeypatch, bad):
+        real_cond = np.linalg.cond
+
+        def cond_with_one_bad_point(mat):
+            cond = np.array(real_cond(mat))
+            cond.flat[cond.size // 2] = bad
+            return cond
+
+        monkeypatch.setattr(np.linalg, "cond", cond_with_one_bad_point)
+        params = GrapheneParams.with_default_rates(0.5, 300.0)
+        thetas = np.radians(np.linspace(56.0, 75.0, 5))
+        omegas = 2.0 * math.pi * np.linspace(0.3e12, 1.5e12, 4)
+        with pytest.raises(ArithmeticError, match="condition number"):
+            reflectance_map(thetas, omegas, eps1=1.5, d=200e-6, polarization="TM",
+                            params=params)
+        with pytest.raises(ArithmeticError, match="condition number"):
+            matching_frequency(tm_geom(), params, omegas[0], omegas[-1], n_scan=50)
+        with pytest.raises(ArithmeticError, match="condition number"):
+            atr_solve(tm_geom(), params, omegas[0])
 
 
 class TestOverlapBeta:
