@@ -13,7 +13,10 @@ sin^2|g| and is unraveled the same way before x = 0.
 
 Every trajectory draws from its own deterministic random stream derived
 from (seed, input index, trajectory index), so ensembles are reproducible
-and order-independent under any parallel chunking.
+and order-independent under any parallel chunking.  The stream is numpy's
+default_rng((seed, input, trajectory)), SeedSequence + PCG64; the ensemble
+builds every trajectory's stream in one vectorized pass of uint32/uint64
+arithmetic, bit-identical to trajectory_rng.
 """
 
 from __future__ import annotations
@@ -170,6 +173,8 @@ class QecRunConfig:
             raise ValueError("need at least one trajectory")
         if self.n_checkpoints < 1:
             raise ValueError("need at least one checkpoint")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         if self.input_set not in ("six", "haar"):
             raise ValueError("input_set must be 'six' or 'haar'")
         nbar = abs(self.alpha_excited) ** 2
@@ -282,7 +287,9 @@ class OrthogonalityReport:
 # deterministic random streams
 
 def trajectory_rng(seed: int, input_index: int, traj_index: int) -> np.random.Generator:
-    """Independent stream per (seed, input, trajectory)."""
+    """Independent stream per (seed, input, trajectory): numpy's
+    SeedSequence + PCG64.  _ensemble_uniforms builds the same streams for
+    a whole ensemble in one vectorized pass."""
     return np.random.default_rng((seed, input_index, traj_index))
 
 
@@ -292,35 +299,128 @@ def _draw_blocks(rng: np.random.Generator, n_exc: int, n_steps: int, n_checks: i
     return (rng.random(n_exc), rng.random(1), rng.random(n_steps), rng.random(n_checks))
 
 
+# numpy.random.SeedSequence hash constants, and the PCG64 multiplier's
+# high 64 bits and the two 32-bit limbs of its low 64 bits
+_M32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_HI = np.uint64(0x2360ED051FC65DA4)
+_PCG_LO1, _PCG_LO0 = np.uint64(0x4385DF64), np.uint64(0x9FCCF645)
+_PCG_LO = (_PCG_LO1 << np.uint64(32)) | _PCG_LO0
+_LOW32, _SHIFT32 = np.uint64(_M32), np.uint64(32)
+
+
+def _uint32_words(n: int) -> list[int]:
+    """SeedSequence's little-endian uint32 words of a non-negative integer."""
+    words = [n & _M32]
+    while n > _M32:
+        n >>= 32
+        words.append(n & _M32)
+    return words
+
+
+def _seed_sequence_states(seed: int, input_index: int, nt: int) -> list[np.ndarray]:
+    """SeedSequence((seed, input_index, j)).generate_state(4, np.uint64) for
+    every j < nt, as four uint64 arrays of length nt."""
+    entropy = [np.full(nt, w, dtype=np.uint32)
+               for w in _uint32_words(seed) + _uint32_words(input_index)]
+    entropy.append(np.arange(nt, dtype=np.uint32))
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_A & _M32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> np.uint32(16))
+
+    def mix(x, y):
+        result = x * np.uint32(_MIX_L) - y * np.uint32(_MIX_R)
+        return result ^ (result >> np.uint32(16))
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else np.zeros(nt, dtype=np.uint32))
+            for i in range(4)]
+    for i_src in range(4):
+        for i_dst in range(4):
+            if i_src != i_dst:
+                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+    for word in entropy[4:]:
+        for i_dst in range(4):
+            pool[i_dst] = mix(pool[i_dst], hashmix(word))
+
+    hash_const = _INIT_B
+    state = []
+    for i_dst in range(8):
+        value = pool[i_dst % 4] ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_B & _M32
+        value = value * np.uint32(hash_const)
+        state.append((value ^ (value >> np.uint32(16))).astype(np.uint64))
+    return [state[2 * k] | (state[2 * k + 1] << _SHIFT32) for k in range(4)]
+
+
+def _lcg_step(hi, lo, inc_hi, inc_lo):
+    """PCG64's 128-bit state * multiplier + increment on (hi, lo) uint64
+    halves; the high half of lo * multiplier's low half from 32-bit limbs."""
+    l1, l0 = lo >> _SHIFT32, lo & _LOW32
+    p00, p01, p10 = l0 * _PCG_LO0, l0 * _PCG_LO1, l1 * _PCG_LO0
+    mid = (p00 >> _SHIFT32) + (p01 & _LOW32) + (p10 & _LOW32)
+    carry = l1 * _PCG_LO1 + (p01 >> _SHIFT32) + (p10 >> _SHIFT32) + (mid >> _SHIFT32)
+    new_lo = lo * _PCG_LO + inc_lo
+    new_hi = carry + lo * _PCG_HI + hi * _PCG_LO + inc_hi + (new_lo < inc_lo)
+    return new_hi, new_lo
+
+
 def _ensemble_uniforms(config: QecRunConfig, input_index: int, n_exc: int,
                        n_steps: int, n_checks: int):
-    """Per-trajectory streams assembled into (draws, n_traj) blocks."""
+    """The (draws, n_traj) blocks of every trajectory's trajectory_rng
+    stream in _draw_blocks order, built in one vectorized pass: the
+    SeedSequence pool of each (seed, input, trajectory) entropy tuple,
+    PCG64 seeding, then per draw one LCG step, the XSL-RR output and
+    (x >> 11) * 2**-53, as Generator.random computes it."""
     nt = config.n_trajectories
-    exc = np.empty((n_exc, nt))
-    init = np.empty((1, nt))
-    steps = np.empty((n_steps, nt))
-    checks = np.empty((n_checks, nt))
-    for j in range(nt):
-        rng = trajectory_rng(config.seed, input_index, j)
-        e, i0, s, c = _draw_blocks(rng, n_exc, n_steps, n_checks)
-        exc[:, j] = e
-        init[:, j] = i0
-        steps[:, j] = s
-        checks[:, j] = c
-    return exc, init, steps, checks
+    s_hi, s_lo, q_hi, q_lo = _seed_sequence_states(config.seed, input_index, nt)
+    one = np.uint64(1)
+    inc_hi = (q_hi << one) | (q_lo >> np.uint64(63))
+    inc_lo = (q_lo << one) | one
+    # srandom: state = 0; step; state += initstate; step
+    lo = inc_lo + s_lo
+    hi = inc_hi + s_hi + (lo < s_lo)
+    hi, lo = _lcg_step(hi, lo, inc_hi, inc_lo)
+    out = np.empty((n_exc + 1 + n_steps + n_checks, nt))
+    for row in out:
+        hi, lo = _lcg_step(hi, lo, inc_hi, inc_lo)
+        x = hi ^ lo
+        rot = hi >> np.uint64(58)
+        x = (x >> rot) | (x << (-rot & np.uint64(63)))
+        np.multiply(x >> np.uint64(11), 2.0**-53, out=row)
+    ends = np.cumsum([n_exc, 1, n_steps])
+    return tuple(np.split(out, ends))
 
 
 # ---------------------------------------------------------------------------
 # quantum-jump engine on a (n_traj, dim) block of Fock vectors
 
-def _vec_channel_step(states, u, gamma_dt, n_vec, sqrt_n, decay, jumps) -> None:
-    """One jump/no-jump micro-step applied in place to all trajectories."""
+def _row_norms(states: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(states, axis=1, keepdims=True) with its ufuncs,
+    the product written into the conjugate's buffer."""
+    sq = np.conj(states)
+    np.multiply(sq, states, out=sq)
+    return np.sqrt(np.add.reduce(sq.real, axis=1, keepdims=True))
+
+
+def _vec_channel_step(states, u, gamma_dt, n_vec, sqrt_n, decay2, jumps) -> None:
+    """One jump/no-jump micro-step applied in place to all trajectories;
+    decay2 is the no-jump decay repeated for the float view's (re, im)
+    pairs.  Scaling that view by 1/norm is what dividing the complex rows
+    by a real norm computes."""
     prob2 = np.abs(states) ** 2
     nbar = prob2 @ n_vec
     mask = u < gamma_dt * nbar
-    pre = states[mask].copy() if np.any(mask) else None
-    states *= decay
-    states /= np.linalg.norm(states, axis=1, keepdims=True)
+    pre = states[mask] if np.any(mask) else None
+    flat = states.view(float)
+    flat *= decay2
+    flat *= 1.0 / _row_norms(states)
     if pre is not None:
         shifted = np.zeros_like(pre)
         shifted[:, :-1] = pre[:, 1:] * sqrt_n
@@ -335,12 +435,14 @@ def _vec_parity(states: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     """Projective parity measurement in place; returns the +-1 outcomes."""
     p_even = np.sum(np.abs(states[:, 0::2]) ** 2, axis=1)
     outcome = np.where(uniforms < p_even, 1, -1)
-    states[outcome > 0, 1::2] = 0.0
-    states[outcome < 0, 0::2] = 0.0
-    norms = np.linalg.norm(states, axis=1, keepdims=True)
+    even = (outcome > 0)[:, None]
+    np.copyto(states[:, 1::2], 0.0, where=even)
+    np.copyto(states[:, 0::2], 0.0, where=~even)
+    norms = _row_norms(states)
     if np.any(norms < 1e-14):
         raise ArithmeticError("parity projection annihilated a trajectory")
-    states /= norms
+    flat = states.view(float)
+    flat *= 1.0 / norms
     return outcome
 
 
@@ -373,9 +475,9 @@ def _unravel(config: QecRunConfig, states: np.ndarray, blocks, snapshot=None,
 
     if len(exc_u):
         g_dt = config.excitation_gamma_t / len(exc_u)
-        decay = np.exp(-0.5 * g_dt * n_vec)
+        decay2 = np.repeat(np.exp(-0.5 * g_dt * n_vec), 2)
         for u in exc_u:
-            _vec_channel_step(states, u, g_dt, n_vec, sqrt_n, decay, jumps)
+            _vec_channel_step(states, u, g_dt, n_vec, sqrt_n, decay2, jumps)
     # deterministic phase of the excited amplitude: -conj(beta) = r*e^{i phi}
     phi = np.angle(config.alpha_excited / config.alpha) if abs(config.alpha) else 0.0
     states *= np.exp(1j * phi * n_vec)
@@ -385,10 +487,10 @@ def _unravel(config: QecRunConfig, states: np.ndarray, blocks, snapshot=None,
     if snapshot is not None:
         snapshot(0, parity, flips)
     gamma_dx = 2.0 * config.k0_kappa2 * config.step
-    decay = np.exp(-0.5 * gamma_dx * n_vec)
+    decay2 = np.repeat(np.exp(-0.5 * gamma_dx * n_vec), 2)
     checks = iter(check_u)
     for i, due in enumerate(config.check_schedule()):
-        _vec_channel_step(states, step_u[i], gamma_dx, n_vec, sqrt_n, decay, jumps)
+        _vec_channel_step(states, step_u[i], gamma_dx, n_vec, sqrt_n, decay2, jumps)
         if due:
             check(next(checks))
         if snapshot is not None:

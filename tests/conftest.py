@@ -1,19 +1,28 @@
 """Shared test oracles: exact two-mode beamsplitter, trace distance, a
-per-trajectory quantum-jump loop over one Fock vector, and the interband
-conductivity quadrature with a numpy-scalar integrand."""
+per-trajectory quantum-jump loop over one Fock vector, the ensemble
+streams built one Generator per trajectory, the complex-arithmetic
+ensemble micro-step and parity projection, and the interband conductivity
+quadrature with a numpy-scalar integrand.
+
+Registers a derandomized hypothesis profile, so property tests draw the
+same examples on every run."""
 
 import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
 from scipy.integrate import quad
 from scipy.linalg import expm
 from scipy.special import expit
 
 from gspp.material import CONSTANTS, QuadratureError
-from gspp.qec import CatCode
+from gspp.qec import CatCode, _draw_blocks, trajectory_rng
 from gspp.qstate import truncation_dimension
+
+settings.register_profile("gspp", derandomize=True, deadline=None, database=None)
+settings.load_profile("gspp")
 
 
 def two_mode_beamsplitter(psi: np.ndarray, g: complex) -> np.ndarray:
@@ -100,6 +109,57 @@ def fock_trajectory(config, input_logical, rng):
         if due:
             amps = check(amps, next(checks))
     return jumps, tuple(outcomes), amps
+
+
+def ensemble_uniforms_oracle(config, input_index, n_exc, n_steps, n_checks):
+    """(draws, n_traj) uniform blocks from one trajectory_rng Generator
+    per trajectory, drawn in _draw_blocks order."""
+    nt = config.n_trajectories
+    exc = np.empty((n_exc, nt))
+    init = np.empty((1, nt))
+    steps = np.empty((n_steps, nt))
+    checks = np.empty((n_checks, nt))
+    for j in range(nt):
+        rng = trajectory_rng(config.seed, input_index, j)
+        e, i0, s, c = _draw_blocks(rng, n_exc, n_steps, n_checks)
+        exc[:, j] = e
+        init[:, j] = i0
+        steps[:, j] = s
+        checks[:, j] = c
+    return exc, init, steps, checks
+
+
+def channel_step_oracle(states, u, gamma_dt, n_vec, sqrt_n, decay, jumps) -> None:
+    """Ensemble jump/no-jump micro-step in complex arithmetic: multiply by
+    the decay and divide by np.linalg.norm, in place."""
+    prob2 = np.abs(states) ** 2
+    nbar = prob2 @ n_vec
+    mask = u < gamma_dt * nbar
+    pre = states[mask].copy() if np.any(mask) else None
+    states *= decay
+    states /= np.linalg.norm(states, axis=1, keepdims=True)
+    if pre is not None:
+        shifted = np.zeros_like(pre)
+        shifted[:, :-1] = pre[:, 1:] * sqrt_n
+        norms = np.linalg.norm(shifted, axis=1, keepdims=True)
+        if np.any(norms < 1e-14):
+            raise ArithmeticError("jump applied to (near-)vacuum trajectory")
+        states[mask] = shifted / norms
+        jumps += mask
+
+
+def parity_oracle(states, uniforms):
+    """Ensemble parity projection by boolean row assignment and complex
+    division by np.linalg.norm, in place; returns the +-1 outcomes."""
+    p_even = np.sum(np.abs(states[:, 0::2]) ** 2, axis=1)
+    outcome = np.where(uniforms < p_even, 1, -1)
+    states[outcome > 0, 1::2] = 0.0
+    states[outcome < 0, 0::2] = 0.0
+    norms = np.linalg.norm(states, axis=1, keepdims=True)
+    if np.any(norms < 1e-14):
+        raise ArithmeticError("parity projection annihilated a trajectory")
+    states /= norms
+    return outcome
 
 
 def quad_interband_oracle(params, omega):

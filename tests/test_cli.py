@@ -161,6 +161,24 @@ class TestQecCommand:
         assert "trajectories: 60" in manifest
         assert "gspp" in manifest
 
+    def test_worker_count_does_not_change_rows(self, tmp_path):
+        argv = QEC_SMALL + ["--trajectories", "200", "--checkpoints", "3"]
+        tables = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"w{workers}.csv"
+            assert main(argv + ["--workers", workers, "--out", str(out)]) == 0
+            tables.append(read_rows(out))
+        assert len(tables[0][1]) == 3
+        assert tables[0] == tables[1]
+
+    def test_negative_seed_rejected(self, tmp_path, capsys):
+        out = tmp_path / "q.csv"
+        argv = QEC_SMALL[:2] + ["-1"] + QEC_SMALL[3:]  # QEC_SMALL with --seed -1
+        assert main(argv + ["--trajectories", "4", "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "seed" in err and "-1" in err
+
     def test_ortho_export(self, tmp_path):
         out = tmp_path / "q.csv"
         ortho = tmp_path / "ortho.csv"

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from conftest import fock_trajectory
+from conftest import channel_step_oracle, ensemble_uniforms_oracle, fock_trajectory, parity_oracle
 from gspp.channel import AMPLITUDE_MATCHED, fidelity_vs_distance
 from gspp.coupling import normalize_superposition, superposition_vector
 from gspp.qec import (
@@ -26,6 +28,7 @@ from gspp.qec import (
     run_trajectory,
     trajectory_rng,
 )
+from gspp.qec import _draw_blocks, _ensemble_uniforms, _vec_channel_step, _vec_parity
 from gspp.qstate import StateVector, annihilation, parity, pure_fidelity, truncation_dimension
 
 ALPHA = 3.0
@@ -315,7 +318,103 @@ class TestEnsemble:
         serial = average_fidelity(cfg, workers=1)
         threaded = average_fidelity(cfg, workers=4)
         assert np.array_equal(serial.f_bar, threaded.f_bar)
+        assert np.array_equal(serial.std_err, threaded.std_err)
         assert serial.f0 == threaded.f0
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed .*-1"):
+            make_config(seed=-1)
+
+
+# seeds of one, two and three SeedSequence uint32 words
+SEEDS = st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1),
+                  st.integers(2**64, 2**70 - 1))
+
+
+class TestVectorizedStreams:
+    """_ensemble_uniforms builds every trajectory's stream at once; column j
+    must be trajectory_rng(seed, input, j) drawn in _draw_blocks order."""
+
+    @given(seed=SEEDS, input_index=st.integers(0, 9), nt=st.integers(1, 64),
+           n_exc=st.integers(0, 4), n_steps=st.integers(1, 12), n_checks=st.integers(0, 12))
+    @example(seed=0, input_index=0, nt=1, n_exc=0, n_steps=1, n_checks=0)
+    @example(seed=2**32 - 1, input_index=9, nt=64, n_exc=0, n_steps=5, n_checks=5)
+    @example(seed=2**64, input_index=3, nt=7, n_exc=3, n_steps=4, n_checks=0)
+    def test_matches_trajectory_rng(self, seed, input_index, nt, n_exc, n_steps, n_checks):
+        cfg = make_config(seed=seed, n_trajectories=nt)
+        blocks = _ensemble_uniforms(cfg, input_index, n_exc, n_steps, n_checks)
+        assert [b.shape for b in blocks] == [(n_exc, nt), (1, nt), (n_steps, nt), (n_checks, nt)]
+        for j in range(nt):
+            drawn = _draw_blocks(trajectory_rng(seed, input_index, j), n_exc, n_steps, n_checks)
+            for block, ref in zip(blocks, drawn):
+                assert np.array_equal(block[:, j], ref)
+
+    def test_matches_generator_loop(self):
+        cfg = make_config(seed=7, n_trajectories=300)
+        new = _ensemble_uniforms(cfg, 4, 9, 30, 17)
+        old = ensemble_uniforms_oracle(cfg, 4, 9, 30, 17)
+        for block, ref in zip(new, old):
+            assert np.array_equal(block, ref)
+
+
+class TestMicroStepOracle:
+    """The float-view micro-step and parity projection against their
+    complex-arithmetic forms, bit for bit, over many steps."""
+
+    @staticmethod
+    def ensemble(rng, nt=400, dim=45):
+        states = rng.standard_normal((nt, dim)) + 1j * rng.standard_normal((nt, dim))
+        states *= np.exp(-0.08 * np.arange(dim))
+        states[: nt // 4, 1::2] = 0.0  # even rows: odd sector exactly zero
+        states[nt // 4: nt // 2, 0::2] = 0.0  # odd rows
+        states /= np.linalg.norm(states, axis=1, keepdims=True)
+        return states
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_steps_and_checks_bit_exact(self, seed):
+        rng = np.random.default_rng(seed)
+        new = self.ensemble(rng)
+        old = new.copy()
+        nt, dim = new.shape
+        n_vec = np.arange(dim, dtype=float)
+        sqrt_n = np.sqrt(np.arange(1, dim, dtype=float))
+        jumps_new = np.zeros(nt, dtype=int)
+        jumps_old = np.zeros(nt, dtype=int)
+        flips = 0
+        for k in range(120):
+            gamma_dt = 0.02 * (1 + k % 3)
+            decay = np.exp(-0.5 * gamma_dt * n_vec)
+            u = rng.random(nt) * (0.2 if k % 5 == 0 else 1.0)  # bursts of jumps
+            _vec_channel_step(new, u, gamma_dt, n_vec, sqrt_n, np.repeat(decay, 2), jumps_new)
+            channel_step_oracle(old, u, gamma_dt, n_vec, sqrt_n, decay, jumps_old)
+            assert np.array_equal(new.view(float), old.view(float))
+            if k % 2:
+                before = np.sum(np.abs(new[:, 0::2]) ** 2, axis=1) > 0.5
+                u = rng.random(nt)
+                outcome = _vec_parity(new, u)
+                assert np.array_equal(outcome, parity_oracle(old, u))
+                assert np.array_equal(new.view(float), old.view(float))
+                flips += int(np.sum((outcome > 0) != before))
+        assert np.array_equal(jumps_new, jumps_old)
+        assert jumps_new.sum() > nt  # jump rows were exercised
+        assert flips > 0  # and parity flips
+        assert np.any(new == 0.0)  # and exact-zero sectors
+
+    def test_one_row_jump_and_vacuum_errors(self):
+        dim = 8
+        n_vec = np.arange(dim, dtype=float)
+        sqrt_n = np.sqrt(np.arange(1, dim, dtype=float))
+        vacuum = np.zeros((1, dim), dtype=complex)
+        vacuum[0, 0] = 1.0
+        odd = np.zeros((1, dim), dtype=complex)
+        odd[0, 1] = 1.0
+        with pytest.raises(ArithmeticError):
+            _vec_parity(vacuum.copy(), np.array([1.0]))  # p_even = 1, u = 1 -> odd
+        state = odd.copy()
+        jumps = np.zeros(1, dtype=int)
+        _vec_channel_step(state, np.array([0.0]), 0.01, n_vec, sqrt_n,
+                          np.repeat(np.exp(-0.005 * n_vec), 2), jumps)
+        assert jumps[0] == 1 and np.array_equal(state, vacuum)
 
 
 class TestOrthogonalityMonitor:
