@@ -257,17 +257,21 @@ def cmd_prism(args) -> int:
     # beta-sweep
     if args.d_points < 1:
         raise ValueError("need at least one spacing point")
+    matched = args.match_fmin_thz is not None
+    if matched != (args.match_fmax_thz is not None):
+        raise ValueError("--match-fmin-thz and --match-fmax-thz must be given together")
+    if matched and not 0.0 < args.match_fmin_thz < args.match_fmax_thz:
+        raise ValueError("need 0 < match fmin < match fmax")
     geom = PrismGeometry(eps1=args.eps1, d=1e-9, theta_i=math.radians(args.theta_deg),
                          polarization=args.pol)
     d_values = np.linspace(args.d_min_um, args.d_max_um, args.d_points) * 1e-6
-    if args.match_fmin_thz is not None and args.match_fmax_thz is not None:
-        betas, dips = beta_sweep_matched(
+    if matched:
+        betas, _ = beta_sweep_matched(
             geom, params, 2.0 * math.pi * args.match_fmin_thz * 1e12,
             2.0 * math.pi * args.match_fmax_thz * 1e12, d_values,
             n_scan=args.match_scan_points)
     else:
         betas = beta_sweep(geom, params, 2.0 * math.pi * args.f_thz * 1e12, d_values)
-        dips = None
     rows = []
     for i, d in enumerate(d_values):
         b = betas[i]
@@ -276,8 +280,9 @@ def cmd_prism(args) -> int:
     echo = material_echo(params) | {
         "eps1": args.eps1, "theta_deg": args.theta_deg, "pol": args.pol,
         "f_thz": args.f_thz, "d_min_um": args.d_min_um, "d_max_um": args.d_max_um,
-        "d_points": args.d_points,
-        "dip_refined": dips is not None,
+        "d_points": args.d_points, "match_fmin_thz": args.match_fmin_thz,
+        "match_fmax_thz": args.match_fmax_thz, "match_scan_points": args.match_scan_points,
+        "dip_refined": matched,
         "max_beta_abs": float(np.abs(betas).max())}
     write_csv(args.out, echo, ["d_m", "beta_abs", "beta_arg", "g_abs"], rows)
     write_manifest(args.out, "prism beta-sweep", echo)

@@ -13,6 +13,10 @@ one batch; a single solve is the one-point case.  Phases are referenced
 at z = d for the prism waves and z = 0 for the transmitted wave; the
 transmitted wave carries e^{-i kz0 z} with the principal branch of
 kz0 = sqrt(k0^2 - kx^2), which decays downward in the evanescent regime.
+
+The photon mode below the prism is a sum of exponentials in z, read off
+the ATR amplitudes as quantize.Waves; its normalization and its overlap
+with the surface wave are exact integrals, with no sampling grid.
 """
 
 from __future__ import annotations
@@ -20,16 +24,14 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from ._zgrid import graded_nodes
-from .dispersion import TE, TM, solve_mode, supported_polarization
-from .material import CONSTANTS, GrapheneParams, conductivity
-from .quantize import _lossless_mode, mode_function, mode_normalization, tm_parallel_amplitude
-from scipy.integrate import simpson
+from .dispersion import TE, TM, supported_polarization
+from .material import CONSTANTS, Conductivity, GrapheneParams, conductivity
+from .quantize import Waves, _lossless_mode, hamiltonian_norm, mode_normalization, spp_waves, wave_integral
 
 
 class NotResonant(RuntimeError):
@@ -286,118 +288,36 @@ def lossless_matching_frequency(geom: PrismGeometry, params: GrapheneParams,
 # ---------------------------------------------------------------------------
 # photon-mode profiles and the overlap transmission coefficient
 
-def _photon_profile(sol: AtrSolution):
-    """Vector potential shape of the lower-region photon mode and its curl.
+def _photon_regions(sol: AtrSolution) -> list:
+    """Vector potential A = E/(i omega) of the lower-region photon mode as
+    (lo, hi, Waves) regions: below the sheet (z <= 0) the transmitted wave
+    t, in the gap (0 <= z <= d) the up-going wave m1 referenced at z = 0
+    and the down-going wave m2 referenced at z = d.  The amplitudes are E_y
+    for TE and H_y for TM, where A = curl H/(eps0 omega^2).  The overall
+    scale is arbitrary (it cancels in the normalized overlap)."""
+    s, w = 1j * sol.k_z_gap, sol.omega
 
-    Returns (profile, curl) callables of z valid for z <= d: the gap field
-    for 0 <= z <= d and the transmitted field below.  Shapes are A = E/(i
-    omega); curl A = mu0 H.  The overall scale is arbitrary (it cancels in
-    the normalized overlap).
-    """
-    kz0, kx, w = sol.k_z_gap, sol.k_x, sol.omega
-    mu0, eps0 = CONSTANTS.mu0, CONSTANTS.eps0
+    def potential(amps, rates, refs):
+        field = Waves(sol.k_x, np.outer(amps, (0.0, 1.0, 0.0)), np.array(rates), np.array(refs))
+        if sol.polarization == TE:
+            return replace(field, amps=field.amps / (1j * w))
+        curl_h = field.curl()
+        return replace(curl_h, amps=curl_h.amps / (CONSTANTS.eps0 * w * w))
 
-    def gap_waves(z):
-        up = sol.m1 * np.exp(1j * kz0 * z)
-        down = sol.m2 * np.exp(-1j * kz0 * (z - sol.d))
-        return up, down
-
-    if sol.polarization == TE:
-        def e_field(z):
-            z = np.asarray(z, dtype=float)
-            up, down = gap_waves(z)
-            low = sol.t * np.exp(-1j * kz0 * z)
-            out = np.zeros(z.shape + (3,), dtype=complex)
-            out[..., 1] = np.where(z >= 0.0, up + down, low)
-            return out
-
-        def h_field(z):
-            z = np.asarray(z, dtype=float)
-            up, down = gap_waves(z)
-            # H = (1/(i w mu0)) curl E; per e^{iqz} component H_x = -q/(w mu0) E_y,
-            # H_z = kx/(w mu0) E_y
-            hx_gap = -(kz0 * up - kz0 * down) / (w * mu0)
-            hx_low = (kz0 * sol.t * np.exp(-1j * kz0 * z)) / (w * mu0)
-            hz = kx / (w * mu0) * np.where(z >= 0.0, up + down,
-                                           sol.t * np.exp(-1j * kz0 * z))
-            out = np.zeros(z.shape + (3,), dtype=complex)
-            out[..., 0] = np.where(z >= 0.0, hx_gap, hx_low)
-            out[..., 2] = hz
-            return out
-    else:
-        def h_field(z):
-            z = np.asarray(z, dtype=float)
-            up, down = gap_waves(z)
-            low = sol.t * np.exp(-1j * kz0 * z)
-            out = np.zeros(z.shape + (3,), dtype=complex)
-            out[..., 1] = np.where(z >= 0.0, up + down, low)
-            return out
-
-        def e_field(z):
-            z = np.asarray(z, dtype=float)
-            up, down = gap_waves(z)
-            # per e^{iqz} component with eps = 1: E_x = q/(w eps0) H_y,
-            # E_z = -kx/(w eps0) H_y
-            ex_gap = (kz0 * up - kz0 * down) / (w * eps0)
-            ex_low = -(kz0 * sol.t * np.exp(-1j * kz0 * z)) / (w * eps0)
-            ez = -kx / (w * eps0) * np.where(z >= 0.0, up + down,
-                                             sol.t * np.exp(-1j * kz0 * z))
-            out = np.zeros(z.shape + (3,), dtype=complex)
-            out[..., 0] = np.where(z >= 0.0, ex_gap, ex_low)
-            out[..., 2] = ez
-            return out
-
-    def profile(z):
-        return e_field(z) / (1j * w)
-
-    def curl(z):
-        return mu0 * h_field(z)
-
-    return profile, curl
+    return [(-math.inf, 0.0, potential([sol.t], [-s], [0.0])),
+            (0.0, sol.d, potential([sol.m1, sol.m2], [s, -s], [0.0, sol.d]))]
 
 
-def prism_mode_normalization(geom: PrismGeometry, params: GrapheneParams, omega: float,
-                             n_points: int = 2048) -> float:
+def prism_mode_normalization(geom: PrismGeometry, params: GrapheneParams, omega: float) -> float:
     """Quantization length of the lower-region photon mode by the same
     Hamiltonian-integral method used for the surface wave: half the
-    integral of |A|^2 + (c0/omega)^2 |curl A|^2 over [-z_ext, d] plus the
+    integral of |A|^2 + (c0/omega)^2 |curl A|^2 over z <= d plus the
     sheet term |sigma''|/(2 eps0 omega)|A_par(0)|^2.  Defined for the
     evanescent-gap regime (theta above the critical angle)."""
     if geom.theta_i <= critical_angle(geom.eps1):
         raise NotResonant("theta below the critical angle: gap field not evanescent")
     sol = atr_solve(geom, params, omega)
-    return _photon_norm_from_solution(sol, sol.sigma.imag, n_points)
-
-
-def _photon_norm_from_solution(sol: AtrSolution, sigma_pp: float, n_points: int) -> float:
-    profile, curl = _photon_profile(sol)
-    c2w2 = (CONSTANTS.c0 / sol.omega) ** 2
-
-    def density(z):
-        p = profile(z)
-        c = curl(z)
-        return (np.sum(np.abs(p) ** 2, axis=-1)
-                + c2w2 * np.sum(np.abs(c) ** 2, axis=-1))
-
-    decay_below = abs(np.imag(-sol.k_z_gap))
-    if decay_below <= 0.0:
-        raise ValueError("transmitted field is not evanescent; no finite mode energy")
-    z_ext = 40.0 / decay_below
-    n_side = n_points // 2 + 1
-    z_neg, jac_neg = graded_nodes(z_ext, decay_below, n_side)
-    zb = -z_neg
-    zb[0] = -1e-300  # fields jump across the sheet; stay on the lower side
-    below = simpson(density(zb) * jac_neg, dx=1.0 / (n_side - 1))
-    z_gap = np.linspace(0.0, sol.d, n_side)
-    gap = simpson(density(z_gap), x=z_gap)
-
-    a0 = profile(np.array(0.0))
-    a_par_sq = abs(a0[..., 0]) ** 2 + abs(a0[..., 1]) ** 2
-    surface = abs(sigma_pp) / (2.0 * CONSTANTS.eps0 * sol.omega) * float(a_par_sq)
-    n_len = 0.5 * float(below + gap) + surface
-    if not n_len > 0.0:
-        raise ValueError("non-positive photon-mode normalization")
-    return n_len
+    return hamiltonian_norm(_photon_regions(sol), sol.sigma.imag, omega)
 
 
 def prism_energy_fraction(sol: AtrSolution, n_lower: float) -> float:
@@ -424,50 +344,33 @@ def prism_energy_fraction(sol: AtrSolution, n_lower: float) -> float:
     return float(prism_energy / n_lower)
 
 
-def overlap_beta(geom: PrismGeometry, params: GrapheneParams, omega: float,
-                 n_points: int = 2048) -> complex:
+def overlap_beta(geom: PrismGeometry, params: GrapheneParams, omega: float) -> complex:
     """Overlap transmission coefficient of the photon into the surface wave.
 
     beta* = sqrt(1 - |r|^2) * <Psi_L, phi> / sqrt(N_Psi N_phi) with the
-    overlap integral on z in [-z_ext, d]; frequency and in-plane momentum
-    matching are enforced by evaluating both modes at the same omega (call
-    at or near the matching frequency).  Raises when the gap field is not
-    evanescent (theta below the critical angle).
+    overlap integral on z <= d in closed form; frequency and in-plane
+    momentum matching are enforced by evaluating both modes at the same
+    omega (call at or near the matching frequency).  Raises when the gap
+    field is not evanescent (theta below the critical angle).
     """
     _require_vacuum_background(params)
     if geom.theta_i <= critical_angle(geom.eps1):
         raise NotResonant("theta below the critical angle: gap field not evanescent")
     sol = atr_solve(geom, params, omega)
-    sig = conductivity(params, omega)
-    if supported_polarization(sig) != geom.polarization:
+    sigma_pp = sol.sigma.imag
+    if supported_polarization(Conductivity(sol.sigma, omega)) != geom.polarization:
         raise ValueError(f"{geom.polarization} surface wave not supported at this "
-                         f"frequency (Im sigma = {sig.imag:.3e} S)")
+                         f"frequency (Im sigma = {sigma_pp:.3e} S)")
 
-    spp = _lossless_mode(geom.polarization, omega, sig.imag, params.eps_r)
-    n_phi = mode_normalization(geom.polarization, spp, params, n_points)
-    n_psi = _photon_norm_from_solution(sol, sig.imag, n_points)
-
-    profile, _ = _photon_profile(sol)
-    q0 = spp.q0.real
-    decay_below = max(abs(np.imag(-sol.k_z_gap)), abs(sol.k_z_gap) * 1e-3)
-    rate = decay_below + q0
-    z_ext = 40.0 / rate
-    n_side = n_points // 2 + 1
-
-    z_neg, jac_neg = graded_nodes(z_ext, rate, n_side)
-    zb = -z_neg
-    zb[0] = -1e-300  # stay on the lower side of the sheet discontinuity
-    integrand_below = np.sum(profile(zb) * np.conj(mode_function(geom.polarization, spp, zb)),
-                             axis=-1)
-    below = simpson(integrand_below * jac_neg, dx=1.0 / (n_side - 1))
-
-    z_gap = np.linspace(0.0, geom.d, n_side)
-    integrand_gap = np.sum(profile(z_gap) * np.conj(mode_function(geom.polarization, spp, z_gap)),
-                           axis=-1)
-    gap = simpson(integrand_gap, x=z_gap)
-
-    overlap = (below + gap) / math.sqrt(n_psi * n_phi)
-    beta_conj = math.sqrt(max(0.0, 1.0 - abs(sol.r) ** 2)) * overlap
+    spp = _lossless_mode(geom.polarization, omega, sigma_pp, params.eps_r)
+    n_phi = mode_normalization(geom.polarization, spp, params)
+    regions = _photon_regions(sol)
+    n_psi = hamiltonian_norm(regions, sigma_pp, omega)
+    below, gap = (field for _, _, field in regions)
+    spp_above, spp_below = spp_waves(geom.polarization, spp)
+    overlap = (wave_integral(below, spp_below, -math.inf, 0.0)
+               + wave_integral(gap, spp_above, 0.0, geom.d))
+    beta_conj = math.sqrt(max(0.0, 1.0 - abs(sol.r) ** 2)) * overlap / math.sqrt(n_psi * n_phi)
     beta = complex(np.conj(beta_conj))
 
     frac = prism_energy_fraction(sol, n_psi)
@@ -479,18 +382,16 @@ def overlap_beta(geom: PrismGeometry, params: GrapheneParams, omega: float,
 
 
 def beta_sweep(geom: PrismGeometry, params: GrapheneParams, omega: float,
-               d_values, n_points: int = 1024) -> np.ndarray:
+               d_values) -> np.ndarray:
     """beta as a function of prism-graphene spacing at fixed omega/theta."""
-    from dataclasses import replace
     out = np.empty(len(d_values), dtype=complex)
     for i, d in enumerate(d_values):
-        out[i] = overlap_beta(replace(geom, d=float(d)), params, omega, n_points)
+        out[i] = overlap_beta(replace(geom, d=float(d)), params, omega)
     return out
 
 
 def beta_sweep_matched(geom: PrismGeometry, params: GrapheneParams,
-                       omega_lo: float, omega_hi: float, d_values,
-                       n_scan: int = 1200, n_points: int = 1024):
+                       omega_lo: float, omega_hi: float, d_values, n_scan: int = 1200):
     """beta versus spacing with the evaluation frequency refined to the
     reflectance dip for each spacing (the dip shifts and narrows as the
     coupling weakens, especially for the sharp below-edge TE resonance).
@@ -498,7 +399,6 @@ def beta_sweep_matched(geom: PrismGeometry, params: GrapheneParams,
     Returns (betas, dip_omegas); spacings whose window holds no usable dip
     yield beta = 0 and omega = nan.
     """
-    from dataclasses import replace
     betas = np.zeros(len(d_values), dtype=complex)
     dips = np.full(len(d_values), math.nan)
     for i, d in enumerate(d_values):
@@ -509,7 +409,7 @@ def beta_sweep_matched(geom: PrismGeometry, params: GrapheneParams,
         except NotResonant:
             continue
         dips[i] = w_star
-        betas[i] = overlap_beta(g2, params, w_star, n_points)
+        betas[i] = overlap_beta(g2, params, w_star)
     return betas, dips
 
 

@@ -1,21 +1,24 @@
 """Mode functions and quantization normalization for graphene surface waves.
 
-The normalization length N is fixed by requiring that the mode Hamiltonian
-(field energy plus the sheet term delta(z)*omega*|sigma''|/eps0*|A_par|^2)
-take the harmonic-oscillator form eps0*L^2*omega^2*N*(C*C^+ + C^+C).
-Quantization uses the lossless idealization: the reactive part of the
-conductivity only (sigma = i*sigma''), giving real k and q0.  Loss enters
-downstream through the channel module.
+Every mode profile of the model is a sum of exponentials in z, so a field
+is held as `Waves` on each z-region and every integral the model needs is
+taken in closed form (`wave_integral`).  The normalization length N is
+fixed by requiring that the mode Hamiltonian (field energy plus the sheet
+term delta(z)*omega*|sigma''|/eps0*|A_par|^2) take the harmonic-oscillator
+form eps0*L^2*omega^2*N*(C*C^+ + C^+C); `hamiltonian_norm` computes it for
+the surface wave here and for the prism's photon mode.  Quantization uses
+the lossless idealization: the reactive part of the conductivity only
+(sigma = i*sigma''), giving real k and q0.  Loss enters downstream through
+the channel module.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._zgrid import integrate_graded
 from .dispersion import TE, TM, SppMode, UnsupportedModeError, supported_polarization, with_normalization
 from .material import CONSTANTS, GrapheneParams, conductivity
 
@@ -31,32 +34,113 @@ class QuantizationGeometry:
             raise ValueError("beamwidth W must be > 0")
 
 
+@dataclass(frozen=True)
+class Waves:
+    """Field sum_i amps[i] exp(i kx x + rates[i] (z - refs[i])) on one z-region.
+
+    amps holds one (x, y, z) vector per wave.  Each wave is referenced at
+    the end of its region where it is largest, so no factor of a
+    closed-form integral overflows however many decay lengths the region
+    spans.
+    """
+
+    kx: complex
+    amps: np.ndarray
+    rates: np.ndarray
+    refs: np.ndarray
+
+    def curl(self) -> Waves:
+        """curl of the field: (i kx, 0, rate) x amps for each wave."""
+        ax, ay, az = self.amps.T
+        s, ikx = self.rates, 1j * self.kx
+        return replace(self, amps=np.stack([-s * ay, s * ax - ikx * az, ikx * ay], axis=-1))
+
+    def at(self, z) -> np.ndarray:
+        """Field vectors at x = 0 and the points z, shape z.shape + (3,)."""
+        z = np.asarray(z, dtype=float)
+        return np.exp(np.subtract.outer(z, self.refs) * self.rates) @ self.amps
+
+
+def wave_integral(a: Waves, b: Waves, lo: float, hi: float) -> complex:
+    """Int_lo^hi a(z) . conj(b(z)) dz in closed form, for [lo, hi] one of
+    (-inf, 0], [0, d] and [0, inf).
+
+    Each wave pair contributes a_i . conj(b_j) times the integral of
+    e^{r z}, r = s_i + conj(t_j), taken from the end where e^{r z} peaks:
+    expm1(rho L)/rho with Re rho <= 0 over a finite length L, and -1/rho
+    over a half-line, toward whose open end every pair must decay.
+    """
+    r = a.rates[:, None] + np.conj(b.rates)[None, :]
+    grows = r.real > 0.0
+    top = np.where(grows, hi, lo)
+    rho = np.where(grows, -r, r)
+    length = hi - lo
+    if math.isinf(length):
+        if not (np.all(np.isfinite(top)) and np.all(rho.real < 0.0)):
+            raise ValueError("field does not decay toward infinity; no finite mode integral")
+        weight = -1.0 / rho
+    else:
+        flat = rho == 0.0
+        weight = np.where(flat, length, np.expm1(rho * length) / np.where(flat, 1.0, rho))
+    shift = np.exp(a.rates[:, None] * (top - a.refs[:, None])
+                   + np.conj(b.rates)[None, :] * (top - b.refs[None, :]))
+    return complex(np.sum((a.amps @ b.amps.conj().T) * shift * weight))
+
+
+def hamiltonian_norm(regions, sigma_pp: float, omega: float, eps_r: float = 1.0) -> float:
+    """Quantization length N (m) of a mode given as (lo, hi, A) regions:
+
+    N = (1/2) Int [eps_r |A|^2 + (c0/omega)^2 |curl A|^2] dz
+        + |sigma''|/(2 eps0 omega) |A_par(0)|^2,
+
+    with A_par(0) read on the region that starts at z = 0 (the tangential
+    field is continuous across the sheet).
+    """
+    c2w2 = (CONSTANTS.c0 / omega) ** 2
+    bulk = 0.0
+    for lo, hi, field in regions:
+        curl = field.curl()
+        bulk += (eps_r * wave_integral(field, field, lo, hi)
+                 + c2w2 * wave_integral(curl, curl, lo, hi)).real
+    a0 = next(field for lo, _, field in regions if lo == 0.0).at(0.0)
+    a_par_sq = abs(a0[0]) ** 2 + abs(a0[1]) ** 2
+    n_len = 0.5 * bulk + abs(sigma_pp) / (2.0 * CONSTANTS.eps0 * omega) * a_par_sq
+    if not n_len > 0.0:
+        raise ValueError("non-positive mode normalization")
+    return n_len
+
+
 def tm_parallel_amplitude(mode: SppMode) -> complex:
     """x-directed amplitude P of the TM mode function; the boundary
     conditions reduce 2*k*i/(2*q0 - i*sigma*mu0*omega) to i*q0/k."""
     return 1j * mode.q0 / mode.k
 
 
-def mode_function(polarization: str, mode: SppMode, z) -> np.ndarray:
-    """Vector mode profile phi(z), shape (..., 3) for components (x, y, z).
+def spp_waves(polarization: str, mode: SppMode) -> tuple[Waves, Waves]:
+    """Surface-wave profile above (z >= 0) and below the sheet:
 
-    TE:  Theta(+-z) y_hat e^{-+q0 z};
-    TM:  -Theta(+-z) (P x_hat -+ z_hat) e^{-+q0 z}, P = i q0/k.
-    At z = 0 the one-sided limit from z > 0 is returned.
+    TE:  y_hat e^{-q0|z|};
+    TM:  -(P x_hat -+ z_hat) e^{-q0|z|}, P = i q0/k.
     """
-    z = np.asarray(z, dtype=float)
-    decay = np.exp(-mode.q0 * np.abs(z))
-    sign = np.where(z >= 0.0, 1.0, -1.0)
-    out = np.zeros(z.shape + (3,), dtype=complex)
     if polarization == TE:
-        out[..., 1] = decay
+        above = below = (0.0, 1.0, 0.0)
     elif polarization == TM:
         p_amp = tm_parallel_amplitude(mode)
-        out[..., 0] = -p_amp * decay
-        out[..., 2] = sign * decay
+        above, below = (-p_amp, 0.0, 1.0), (-p_amp, 0.0, -1.0)
     else:
         raise ValueError("polarization must be 'TM' or 'TE'")
-    return out
+    ref = np.zeros(1)
+    return (Waves(mode.k, np.array([above], dtype=complex), np.array([-mode.q0]), ref),
+            Waves(mode.k, np.array([below], dtype=complex), np.array([mode.q0]), ref))
+
+
+def mode_function(polarization: str, mode: SppMode, z) -> np.ndarray:
+    """Vector mode profile phi(z) of spp_waves, shape (..., 3) for
+    components (x, y, z).  At z = 0 the one-sided limit from z > 0 is
+    returned."""
+    dist = np.abs(np.asarray(z, dtype=float))
+    above, below = spp_waves(polarization, mode)
+    return np.where((np.asarray(z) >= 0.0)[..., None], above.at(dist), below.at(-dist))
 
 
 def _lossless_mode(polarization: str, omega: float, sigma_pp: float, eps_r: float) -> SppMode:
@@ -76,59 +160,22 @@ def _lossless_mode(polarization: str, omega: float, sigma_pp: float, eps_r: floa
                    q0=complex(q0), v_g=c_bg, supported=True, eps_r=eps_r)
 
 
-def _energy_density(polarization: str, mode: SppMode, eps_r: float):
-    """Bulk energy-density integrand eps_r|phi|^2 + (c0/omega)^2 |curl phi|^2
-    for z > 0 (the profile is symmetric in |z|)."""
-    q0 = mode.q0
-    kx = mode.k
-    w = mode.omega
-    c2w2 = (CONSTANTS.c0 / w) ** 2
-    if polarization == TE:
-        coeff = eps_r + c2w2 * (abs(q0) ** 2 + abs(kx) ** 2)
-    else:
-        p_amp = tm_parallel_amplitude(mode)
-        curl_y = q0 * p_amp - 1j * kx      # d_z phi_x - i k phi_z on z > 0
-        coeff = eps_r * (abs(p_amp) ** 2 + 1.0) + c2w2 * abs(curl_y) ** 2
-
-    def density(z):
-        return coeff * np.exp(-2.0 * np.real(q0) * z) * np.ones_like(z)
-
-    return density
-
-
-def mode_normalization(polarization: str, mode: SppMode, params: GrapheneParams,
-                       n_points: int = 2048) -> float:
-    """Quantization length N (m) from the z-integrated mode energy.
-
-    N = (1/2) Int [eps_r |phi|^2 + (c0/omega)^2 |curl phi|^2] dz
-        + |sigma''|/(2 eps0 omega) |phi_par(0)|^2,
-    integrated over z in [-z_max, z_max], z_max = 40/Re(q0), on a grid
-    refined toward the sheet.
-    """
+def mode_normalization(polarization: str, mode: SppMode, params: GrapheneParams) -> float:
+    """Quantization length N (m) of the surface wave: hamiltonian_norm of
+    the lossless mode over both half-spaces."""
     sig = conductivity(params, mode.omega)
     if supported_polarization(sig) != polarization:
         raise UnsupportedModeError(
             f"{polarization} not supported at this frequency (Im sigma = {sig.imag:.3e})")
     ll = _lossless_mode(polarization, mode.omega, sig.imag, params.eps_r)
-    q0 = ll.q0.real
-    z_max = 40.0 / q0
-    density = _energy_density(polarization, ll, params.eps_r)
-    # symmetric profile: integrate one side, double
-    bulk = 2.0 * integrate_graded(density, z_max, 2.0 * q0, n_points // 2 + 1).real
-    if polarization == TE:
-        phi_par0 = 1.0
-    else:
-        phi_par0 = abs(tm_parallel_amplitude(ll)) ** 2
-    surface = abs(sig.imag) / (2.0 * CONSTANTS.eps0 * mode.omega) * phi_par0
-    n_len = 0.5 * bulk + surface
-    if not n_len > 0.0:
-        raise ValueError("non-positive mode normalization")
-    return n_len
+    above, below = spp_waves(polarization, ll)
+    return hamiltonian_norm([(-math.inf, 0.0, below), (0.0, math.inf, above)],
+                            sig.imag, mode.omega, params.eps_r)
 
 
-def quantize_mode(mode: SppMode, params: GrapheneParams, n_points: int = 2048) -> SppMode:
+def quantize_mode(mode: SppMode, params: GrapheneParams) -> SppMode:
     """Return the mode with its normalization length filled in."""
-    n_len = mode_normalization(mode.polarization, mode, params, n_points)
+    n_len = mode_normalization(mode.polarization, mode, params)
     return with_normalization(mode, n_len)
 
 

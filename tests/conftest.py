@@ -1,8 +1,10 @@
 """Shared test oracles: exact two-mode beamsplitter, trace distance, a
 per-trajectory quantum-jump loop over one Fock vector, the ensemble
 streams built one Generator per trajectory, the complex-arithmetic
-ensemble micro-step and parity projection, and the interband conductivity
-quadrature with a numpy-scalar integrand.
+ensemble micro-step and parity projection, the interband conductivity
+quadrature with a numpy-scalar integrand, and the mode integrals of the
+quantization and prism-overlap layers as sampled profiles integrated by
+graded-grid Simpson quadrature.
 
 Registers a derandomized hypothesis profile, so property tests draw the
 same examples on every run."""
@@ -13,13 +15,15 @@ import math
 import numpy as np
 import pytest
 from hypothesis import settings
-from scipy.integrate import quad
+from scipy.integrate import quad, simpson
 from scipy.linalg import expm
 from scipy.special import expit
 
-from gspp.material import CONSTANTS, QuadratureError
+from gspp.material import CONSTANTS, QuadratureError, conductivity
+from gspp.prism import atr_solve
 from gspp.qec import CatCode, _draw_blocks, trajectory_rng
 from gspp.qstate import truncation_dimension
+from gspp.quantize import _lossless_mode, tm_parallel_amplitude
 
 settings.register_profile("gspp", derandomize=True, deadline=None, database=None)
 settings.load_profile("gspp")
@@ -199,6 +203,153 @@ def quad_interband_oracle(params, omega):
     ratio = (abar + u_cut) / (abar - u_cut)
     tail = (-1j * math.pi - np.log(ratio)) / (2.0 * abar)
     return 1j * k.e**2 * a * (integral + tail) / (2.0 * math.pi * k.hbar * omega)
+
+
+def graded_nodes(length: float, rate: float, n: int):
+    """Nodes on [0, length] geometrically refined toward 0 on scale 1/rate.
+
+    Returns (z, dz_du) for the map z(u) = length*(e^{c u}-1)/(e^c-1) on a
+    uniform u-grid of n points (n is forced odd for Simpson weights).
+    """
+    if length <= 0.0 or n < 3:
+        raise ValueError("need length > 0 and n >= 3")
+    if n % 2 == 0:
+        n += 1
+    c = math.log1p(max(rate, 1.0 / length) * length)
+    u = np.linspace(0.0, 1.0, n)
+    z = length * np.expm1(c * u) / math.expm1(c)
+    jac = length * c * np.exp(c * u) / math.expm1(c)
+    return z, jac
+
+
+def integrate_graded(f, length: float, rate: float, n: int = 1025) -> complex:
+    """Composite Simpson integral of f over [0, length] in the uniform
+    coordinate of graded_nodes."""
+    z, jac = graded_nodes(length, rate, n)
+    y = np.asarray(f(z)) * jac
+    return simpson(y, dx=1.0 / (len(z) - 1))
+
+
+def spp_profile_oracle(polarization, mode, z):
+    """Surface-wave profile written out per component: TE y_hat e^{-q0|z|},
+    TM -(P x_hat -+ z_hat) e^{-q0|z|}; z = 0 takes the z > 0 side."""
+    z = np.asarray(z, dtype=float)
+    decay = np.exp(-mode.q0 * np.abs(z))
+    out = np.zeros(z.shape + (3,), dtype=complex)
+    if polarization == "TE":
+        out[..., 1] = decay
+    else:
+        out[..., 0] = -tm_parallel_amplitude(mode) * decay
+        out[..., 2] = np.where(z >= 0.0, 1.0, -1.0) * decay
+    return out
+
+
+def spp_energy_density(polarization, mode, eps_r):
+    """Surface-wave energy density eps_r|phi|^2 + (c0/omega)^2 |curl phi|^2
+    on z > 0, as a function of z."""
+    q0, kx = mode.q0, mode.k
+    c2w2 = (CONSTANTS.c0 / mode.omega) ** 2
+    if polarization == "TE":
+        coeff = eps_r + c2w2 * (abs(q0) ** 2 + abs(kx) ** 2)
+    else:
+        p_amp = tm_parallel_amplitude(mode)
+        coeff = eps_r * (abs(p_amp) ** 2 + 1.0) + c2w2 * abs(q0 * p_amp - 1j * kx) ** 2
+    return lambda z: coeff * np.exp(-2.0 * np.real(q0) * z) * np.ones_like(z)
+
+
+def spp_norm_oracle(polarization, mode, params, n_points=2048):
+    """Surface-wave quantization length: the energy density integrated over
+    z in [0, 40/q0] on a graded grid, doubled, plus the sheet term."""
+    sig = conductivity(params, mode.omega)
+    ll = _lossless_mode(polarization, mode.omega, sig.imag, params.eps_r)
+    q0 = ll.q0.real
+    density = spp_energy_density(polarization, ll, params.eps_r)
+    bulk = 2.0 * integrate_graded(density, 40.0 / q0, 2.0 * q0, n_points // 2 + 1).real
+    phi_par0 = 1.0 if polarization == "TE" else abs(tm_parallel_amplitude(ll)) ** 2
+    return 0.5 * bulk + abs(sig.imag) / (2.0 * CONSTANTS.eps0 * mode.omega) * phi_par0
+
+
+def photon_profile_oracle(sol):
+    """(A, curl A) of the lower-region photon mode as functions of z <= d,
+    from the E and H fields of each ATR wave written out per component."""
+    kz0, kx, w, d = sol.k_z_gap, sol.k_x, sol.omega, sol.d
+    mu0, eps0 = CONSTANTS.mu0, CONSTANTS.eps0
+
+    def waves(z):
+        # (y amplitude, x factor q) of the waves present at each z
+        gap = z >= 0.0
+        up = sol.m1 * np.exp(1j * kz0 * z)
+        down = sol.m2 * np.exp(-1j * kz0 * (z - d))
+        low = sol.t * np.exp(-1j * kz0 * z)
+        y = np.where(gap, up + down, low)
+        qy = np.where(gap, kz0 * (up - down), -kz0 * low)
+        return y, qy
+
+    def fields(z):
+        z = np.asarray(z, dtype=float)
+        y, qy = waves(z)
+        prim = np.zeros(z.shape + (3,), dtype=complex)
+        dual = np.zeros(z.shape + (3,), dtype=complex)
+        prim[..., 1] = y
+        if sol.polarization == "TE":
+            # E_y primary: H_x = -q E_y/(w mu0), H_z = kx E_y/(w mu0)
+            dual[..., 0] = -qy / (w * mu0)
+            dual[..., 2] = kx * y / (w * mu0)
+            return prim, dual
+        # H_y primary: E_x = q H_y/(w eps0), E_z = -kx H_y/(w eps0)
+        dual[..., 0] = qy / (w * eps0)
+        dual[..., 2] = -kx * y / (w * eps0)
+        return dual, prim
+
+    return (lambda z: fields(z)[0] / (1j * w)), (lambda z: mu0 * fields(z)[1])
+
+
+def photon_norm_oracle(sol, n_points=2048):
+    """Photon-mode quantization length: graded Simpson over [-40/kappa, 0),
+    uniform Simpson over the gap, plus the sheet term."""
+    profile, curl = photon_profile_oracle(sol)
+    c2w2 = (CONSTANTS.c0 / sol.omega) ** 2
+
+    def density(z):
+        return (np.sum(np.abs(profile(z)) ** 2, axis=-1)
+                + c2w2 * np.sum(np.abs(curl(z)) ** 2, axis=-1))
+
+    decay_below = abs(np.imag(-sol.k_z_gap))
+    n_side = n_points // 2 + 1
+    z_neg, jac_neg = graded_nodes(40.0 / decay_below, decay_below, n_side)
+    zb = -z_neg
+    zb[0] = -1e-300  # fields jump across the sheet; stay on the lower side
+    below = simpson(density(zb) * jac_neg, dx=1.0 / (n_side - 1))
+    z_gap = np.linspace(0.0, sol.d, n_side)
+    gap = simpson(density(z_gap), x=z_gap)
+    a0 = profile(np.array(0.0))
+    a_par_sq = abs(a0[0]) ** 2 + abs(a0[1]) ** 2
+    return 0.5 * float(below + gap) + abs(sol.sigma.imag) / (2.0 * CONSTANTS.eps0 * sol.omega) * a_par_sq
+
+
+def overlap_beta_oracle(geom, params, omega, n_points=1024):
+    """Overlap transmission coefficient with every mode integral sampled:
+    graded Simpson below the sheet down to 40 combined decay lengths and
+    uniform Simpson across the gap."""
+    sol = atr_solve(geom, params, omega)
+    spp = _lossless_mode(geom.polarization, omega, sol.sigma.imag, params.eps_r)
+    n_phi = spp_norm_oracle(geom.polarization, spp, params, n_points)
+    n_psi = photon_norm_oracle(sol, n_points)
+    profile, _ = photon_profile_oracle(sol)
+    decay_below = max(abs(np.imag(-sol.k_z_gap)), abs(sol.k_z_gap) * 1e-3)
+    rate = decay_below + spp.q0.real
+    n_side = n_points // 2 + 1
+    z_neg, jac_neg = graded_nodes(40.0 / rate, rate, n_side)
+    zb = -z_neg
+    zb[0] = -1e-300  # stay on the lower side of the sheet discontinuity
+    f_below = np.sum(profile(zb) * np.conj(spp_profile_oracle(geom.polarization, spp, zb)), axis=-1)
+    below = simpson(f_below * jac_neg, dx=1.0 / (n_side - 1))
+    z_gap = np.linspace(0.0, geom.d, n_side)
+    f_gap = np.sum(profile(z_gap) * np.conj(spp_profile_oracle(geom.polarization, spp, z_gap)),
+                   axis=-1)
+    gap = simpson(f_gap, x=z_gap)
+    overlap = (below + gap) / math.sqrt(n_psi * n_phi)
+    return complex(np.conj(math.sqrt(max(0.0, 1.0 - abs(sol.r) ** 2)) * overlap))
 
 
 @pytest.fixture

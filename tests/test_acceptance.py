@@ -114,7 +114,7 @@ def test_criterion_4_prism_coupling():
         geom = PrismGeometry(eps1=1.5, d=50e-6, theta_i=math.radians(64.0),
                              polarization="TM")
         ds = np.linspace(10e-6, 160e-6, 16)
-        betas = beta_sweep(geom, params, omega_tm, ds, n_points=512)
+        betas = beta_sweep(geom, params, omega_tm, ds)
         tm_max[mu_c] = float(np.abs(betas).max())
 
     # TE branch: theta = 54.74 deg, mu_c = 1.24 eV, T = 0; evaluate each
@@ -127,7 +127,7 @@ def test_criterion_4_prism_coupling():
     ds_te = np.linspace(18e-6, 34e-6, 6)
     betas_te, dips = beta_sweep_matched(
         geom_te, params_te, w_root - 2.0 * math.pi * 0.02e12,
-        w_root + 2.0 * math.pi * 0.35e12, ds_te, n_scan=900, n_points=512)
+        w_root + 2.0 * math.pi * 0.35e12, ds_te, n_scan=900)
     te_max = float(np.abs(betas_te).max())
 
     # reflectance-dip location of the d = 620 nm geometry near 2 mu_c/hbar

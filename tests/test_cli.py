@@ -111,6 +111,34 @@ class TestPrismCommand:
                    "--d-min-um", "30", "--d-max-um", "70", "--d-points", "2"])
         assert rc == 3
 
+    TE_SWEEP = ["prism", "beta-sweep", "--mu-c-ev", "1.24", "--temperature-k", "0",
+                "--pol", "TE", "--eps1", "1.5", "--theta-deg", "54.74",
+                "--d-min-um", "20", "--d-max-um", "30", "--d-points", "2"]
+
+    @pytest.mark.parametrize("window", [
+        ["--match-fmin-thz", "590.5"],
+        ["--match-fmax-thz", "591.1"],
+        ["--match-fmin-thz", "591.1", "--match-fmax-thz", "590.5"],
+        ["--match-fmin-thz", "590.5", "--match-fmax-thz", "590.5"],
+    ])
+    def test_bad_match_window_rejected(self, tmp_path, capsys, window):
+        # a lone bound used to fall back to the fixed-frequency sweep
+        out = tmp_path / "beta.csv"
+        assert main(self.TE_SWEEP + window + ["--out", str(out)]) == 2
+        assert not out.exists()
+        assert "match" in capsys.readouterr().err
+
+    def test_match_window_echoed(self, tmp_path):
+        out = tmp_path / "beta.csv"
+        rc = main(self.TE_SWEEP + ["--match-fmin-thz", "590.5", "--match-fmax-thz", "591.1",
+                                   "--match-scan-points", "300", "--out", str(out)])
+        assert rc == 0
+        manifest = (tmp_path / "beta.csv.manifest").read_text()
+        for text, prefix in ((out.read_text(), "# "), (manifest, "")):
+            for line in ("match_fmin_thz: 590.5", "match_fmax_thz: 591.1",
+                         "match_scan_points: 300", "dip_refined: True"):
+                assert prefix + line in text.splitlines()
+
 
 class TestPropagateCommand:
     def test_curve_family(self, tmp_path):

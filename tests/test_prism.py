@@ -5,8 +5,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
+from conftest import overlap_beta_oracle, photon_norm_oracle
 from gspp.cli import load_config
 from gspp.material import CONSTANTS, GrapheneParams, conductivity
 from gspp.prism import (
@@ -26,7 +29,6 @@ from gspp.prism import (
     prism_energy_fraction,
     prism_mode_normalization,
     reflectance_map,
-    _photon_norm_from_solution,
 )
 
 K = CONSTANTS
@@ -222,7 +224,7 @@ class TestOverlapBeta:
         ds = np.linspace(10e-6, 150e-6, 15)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ValidityWarning)
-            betas = beta_sweep(tm_geom(), params, omega, ds, n_points=512)
+            betas = beta_sweep(tm_geom(), params, omega, ds)
         assert np.abs(betas).max() > 0.7
 
     def test_te_matched_sweep_peaks_above_07(self):
@@ -235,7 +237,7 @@ class TestOverlapBeta:
             warnings.simplefilter("ignore", ValidityWarning)
             betas, dips = beta_sweep_matched(
                 geom, params, w_root - 2.0 * math.pi * 0.02e12,
-                w_root + 2.0 * math.pi * 0.35e12, ds, n_scan=900, n_points=512)
+                w_root + 2.0 * math.pi * 0.35e12, ds, n_scan=900)
         assert np.abs(betas).max() > 0.7
 
     def test_total_reflection_gives_zero(self):
@@ -244,7 +246,7 @@ class TestOverlapBeta:
                                 gamma_inter=10.0, conductivity_model="low")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ValidityWarning)
-            beta = overlap_beta(tm_geom(), params, 2.0 * math.pi * 10e12, n_points=512)
+            beta = overlap_beta(tm_geom(), params, 2.0 * math.pi * 10e12)
         assert abs(beta) < 1e-3
 
     def test_below_critical_angle_raises(self):
@@ -267,7 +269,7 @@ class TestOverlapBeta:
             for d in (20e-6, 60e-6, 120e-6):
                 geom = tm_geom(d=d)
                 sol = atr_solve(geom, params, omega)
-                beta = overlap_beta(geom, params, omega, n_points=512)
+                beta = overlap_beta(geom, params, omega)
                 assert abs(beta) <= math.sqrt(max(0.0, 1.0 - sol.reflectance)) + 1e-9
 
     def test_background_permittivity_guard(self):
@@ -287,17 +289,9 @@ class TestPrismNormalization:
         params = GrapheneParams.with_default_rates(0.5, 300.0)
         omega = 2.0 * math.pi * 0.81e12
         ds = np.linspace(20e-6, 120e-6, 9)
-        vals = np.array([prism_mode_normalization(tm_geom(d=float(d)), params, omega,
-                                                  n_points=512) for d in ds])
+        vals = np.array([prism_mode_normalization(tm_geom(d=float(d)), params, omega) for d in ds])
         rel_jump = np.abs(np.diff(vals)) / vals[:-1]
         assert rel_jump.max() < 0.8
-
-    def test_grid_refinement_convergence(self):
-        params = GrapheneParams.with_default_rates(0.5, 300.0)
-        omega = 2.0 * math.pi * 0.81e12
-        coarse = prism_mode_normalization(tm_geom(), params, omega, n_points=2048)
-        fine = prism_mode_normalization(tm_geom(), params, omega, n_points=4096)
-        assert abs(coarse - fine) / fine < 1e-6
 
     def test_below_critical_angle_raises(self):
         params = GrapheneParams.with_default_rates(0.5, 300.0)
@@ -311,7 +305,85 @@ class TestPrismNormalization:
         params = GrapheneParams.with_default_rates(0.5, 300.0)
         geom = tm_geom(d=400e-6, theta_i=math.radians(74.0))
         with pytest.warns(ValidityWarning):
-            overlap_beta(geom, params, 2.0 * math.pi * 1.4e12, n_points=512)
+            overlap_beta(geom, params, 2.0 * math.pi * 1.4e12)
+
+
+def sweep_points(name):
+    """(geometry, params, omega) of every spacing a fig4b config evaluates."""
+    cfg = load_config(str(CONFIG_DIR / f"{name}.cfg"))
+    params = GrapheneParams.with_default_rates(float(cfg["mu_c_ev"]),
+                                               float(cfg["temperature_k"]))
+    geom = PrismGeometry(eps1=float(cfg["eps1"]), d=1e-9,
+                         theta_i=math.radians(float(cfg["theta_deg"])), polarization=cfg["pol"])
+    ds = np.linspace(float(cfg["d_min_um"]), float(cfg["d_max_um"]), int(cfg["d_points"])) * 1e-6
+    if "match_fmin_thz" in cfg:
+        lo, hi = (2.0 * math.pi * float(cfg[k]) * 1e12 for k in ("match_fmin_thz", "match_fmax_thz"))
+        omegas = [matching_frequency(replace(geom, d=float(d)), params, lo, hi,
+                                     n_scan=int(cfg["match_scan_points"])) for d in ds]
+    else:
+        omegas = [2.0 * math.pi * float(cfg["f_thz"]) * 1e12] * len(ds)
+    return [(replace(geom, d=float(d)), params, w) for d, w in zip(ds, omegas)]
+
+
+class TestClosedFormIntegrals:
+    """overlap_beta and the mode normalizations take every z-integral in
+    closed form; the sampled-profile Simpson quadrature in conftest is
+    their oracle."""
+
+    @pytest.mark.parametrize("name", ["fig4b-te", "fig4b-tm"])
+    def test_matches_quadrature_at_fig4b_points(self, name):
+        # the oracle at the 1024-point grid the sweeps used to run on
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ValidityWarning)
+            for geom, params, omega in sweep_points(name):
+                beta = overlap_beta(geom, params, omega)
+                ref = overlap_beta_oracle(geom, params, omega, n_points=1024)
+                assert abs(beta - ref) <= 1e-9 * abs(ref)
+
+    @pytest.mark.parametrize("geom, params, f_lo, f_hi", [
+        (tm_geom(), GrapheneParams.with_default_rates(0.5, 300.0), 0.81e12, None),
+        (te_geom(d=40e-6), GrapheneParams.with_default_rates(1.24, 0.0), 590.5e12, 591.1e12),
+    ], ids=["TM", "TE"])
+    def test_quadrature_converges_onto_closed_form(self, geom, params, f_lo, f_hi):
+        # Simpson error falls about 16x per grid doubling toward the closed form
+        omega = 2.0 * math.pi * f_lo
+        if f_hi is not None:
+            omega = matching_frequency(geom, params, omega, 2.0 * math.pi * f_hi, n_scan=900)
+        sol = atr_solve(geom, params, omega)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ValidityWarning)
+            beta = overlap_beta(geom, params, omega)
+        n_psi = prism_mode_normalization(geom, params, omega)
+        grids = (128, 256, 512, 1024, 2048)
+        err_n = np.array([abs(photon_norm_oracle(sol, n) - n_psi) / n_psi for n in grids])
+        err_b = np.array([abs(overlap_beta_oracle(geom, params, omega, n) - beta) / abs(beta)
+                          for n in grids])
+        for err in (err_n, err_b):
+            assert np.all(err[:-1] / err[1:] > 10.0)
+            assert err[-1] < 1e-10
+
+    @settings(max_examples=150)
+    @given(pol=st.sampled_from(["TE", "TM"]), eps1=st.sampled_from([1.5, 3.9]),
+           above=st.floats(1e-4, 1.0), log_d_um=st.floats(-1.0, 2.7),
+           f_frac=st.floats(0.0, 1.0))
+    def test_beta_bounded_by_absorbed_fraction(self, pol, eps1, above, log_d_um, f_frac):
+        # |beta| <= sqrt(1 - R) (Cauchy-Schwarz against N >= Int |A|^2 for
+        # evanescent fields) and a positive photon-mode normalization
+        if pol == "TE":
+            params, f = GrapheneParams.with_default_rates(1.24, 0.0), 560e12 + 38e12 * f_frac
+        else:
+            params, f = GrapheneParams.with_default_rates(0.5, 300.0), 0.3e12 + 29.7e12 * f_frac
+        theta_c = critical_angle(eps1)
+        geom = PrismGeometry(eps1=eps1, d=10.0 ** log_d_um * 1e-6,
+                             theta_i=theta_c + above * (math.radians(89.0) - theta_c),
+                             polarization=pol)
+        omega = 2.0 * math.pi * f
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ValidityWarning)
+            beta = overlap_beta(geom, params, omega)
+        refl = atr_solve(geom, params, omega).reflectance
+        assert abs(beta) <= math.sqrt(max(0.0, 1.0 - refl)) + 1e-9
+        assert prism_mode_normalization(geom, params, omega) > 0.0
 
 
 class TestCouplingFromBeta:

@@ -3,19 +3,20 @@ import math
 import numpy as np
 import pytest
 
+from conftest import integrate_graded, spp_energy_density
 from gspp.material import CONSTANTS, GrapheneParams, conductivity
 from gspp.dispersion import solve_mode
 from gspp.quantize import (
     QuantizationGeometry,
-    _energy_density,
+    Waves,
     _lossless_mode,
     mode_function,
     mode_normalization,
     quantize_mode,
     tm_parallel_amplitude,
     vector_potential_amplitude,
+    wave_integral,
 )
-from gspp._zgrid import integrate_graded
 
 K = CONSTANTS
 
@@ -83,14 +84,14 @@ class TestNormalization:
         sig = conductivity(params, mode.omega)
         numeric = mode_normalization("TE", mode, params)
         analytic = analytic_n_te(mode.omega, sig.imag, params.eps_r)
-        assert numeric == pytest.approx(analytic, rel=1e-8)
+        assert numeric == pytest.approx(analytic, rel=1e-13, abs=0.0)
 
     def test_tm_numeric_vs_analytic(self):
         params, mode = tm_setup()
         sig = conductivity(params, mode.omega)
         numeric = mode_normalization("TM", mode, params)
         analytic = analytic_n_tm(mode.omega, sig.imag, params.eps_r)
-        assert numeric == pytest.approx(analytic, rel=1e-8)
+        assert numeric == pytest.approx(analytic, rel=1e-13, abs=0.0)
 
     def test_positive(self):
         params, mode = tm_setup()
@@ -121,7 +122,7 @@ class TestNormalization:
             sig = conductivity(params, mode.omega)
             ll = _lossless_mode(pol, mode.omega, sig.imag, params.eps_r)
             q0 = ll.q0.real
-            density = _energy_density(pol, ll, params.eps_r)
+            density = spp_energy_density(pol, ll, params.eps_r)
             bulk = 2.0 * integrate_graded(density, 40.0 / q0, 2.0 * q0, 4097).real
             phi_par0 = 1.0 if pol == "TE" else abs(tm_parallel_amplitude(ll)) ** 2
             sheet = abs(sig.imag) / (2.0 * K.eps0 * mode.omega) * phi_par0
@@ -152,6 +153,48 @@ class TestNormalization:
             total = electric + magnetic + sheet
             scale = abs(electric) + abs(magnetic) + abs(sheet)
             assert abs(total) / scale < 1e-8
+
+
+class TestWaveIntegral:
+    """Closed-form integrals of exponential sums against scipy quad."""
+
+    A = Waves(0.7, np.array([[1.0, 2j, -0.5], [0.3, 0.0, 1.0 + 1j], [0.0, 1.0, 0.2j]]),
+              np.array([-2.0 + 3.0j, 1.5 - 1.0j, 0.5j]), np.array([0.0, 1.5, 0.0]))
+    B = Waves(0.7, np.array([[0.5j, 1.0, 0.0], [2.0, -1.0, 1j]]),
+              np.array([0.5j, -1.0 + 2.0j]), np.array([0.0, 0.0]))
+
+    @staticmethod
+    def quad_integral(a, b, lo, hi):
+        from scipy.integrate import quad
+
+        def f(z, part):
+            val = np.sum(a.at(z) * np.conj(b.at(z)))
+            return val.real if part == 0 else val.imag
+
+        return complex(*(quad(f, lo, hi, args=(part,), epsabs=1e-13, epsrel=1e-12,
+                              limit=200)[0] for part in (0, 1)))
+
+    def test_finite_span_matches_quad(self):
+        # waves referenced at either end, and a pair with zero total rate
+        got = wave_integral(self.A, self.B, 0.0, 1.5)
+        assert got == pytest.approx(self.quad_integral(self.A, self.B, 0.0, 1.5), rel=1e-10)
+
+    def test_half_lines_match_quad(self):
+        below = Waves(0.7, self.A.amps, np.array([2.0 + 3.0j, 0.5 - 1.0j, 4.0]), np.zeros(3))
+        above = Waves(0.7, self.B.amps, np.array([-1.0 + 1.0j, -3.0]), np.zeros(2))
+        assert wave_integral(below, below, -math.inf, 0.0) == pytest.approx(
+            self.quad_integral(below, below, -40.0, 0.0), rel=1e-10)
+        assert wave_integral(above, above, 0.0, math.inf) == pytest.approx(
+            self.quad_integral(above, above, 0.0, 40.0), rel=1e-10)
+
+    def test_non_decaying_half_line_raises(self):
+        with pytest.raises(ValueError, match="decay"):
+            wave_integral(self.B, self.B, 0.0, math.inf)
+
+    def test_wide_span_does_not_overflow(self):
+        # a growing wave referenced at the far end of a 2000-decay-length gap
+        grow = Waves(0.0, np.array([[0.0, 1.0, 0.0]]), np.array([1.0]), np.array([2000.0]))
+        assert wave_integral(grow, grow, 0.0, 2000.0) == pytest.approx(0.5, rel=1e-15, abs=0.0)
 
 
 class TestVectorPotentialAmplitude:
