@@ -1,13 +1,14 @@
 """Lossy propagation of SPP states along the graphene sheet.
 
 Propagation over distance x is a pure-loss bosonic channel with energy
-transmissivity eta = exp(-2*k0*kappa''*x).  On a coherent dyad it acts in
-closed form,
+transmissivity eta = exp(-2*k0*kappa''*x), a beamsplitter onto a vacuum
+environment that is traced out.  On sum_jk M_jk |a_j><a_k| it scales the
+amplitudes by sqrt(eta) and multiplies M by the environment's Gram matrix,
 
-    |a><b|  ->  exp[(1-eta)(conj(b) a - |a|^2/2 - |b|^2/2)] |sqrt(eta) a><sqrt(eta) b|,
+    M_jk  ->  M_jk <sqrt(1-eta) a_k|sqrt(1-eta) a_j>,
 
 which reproduces the decohered-cat mixture exactly and preserves the trace
-term by term.  A truncated-Fock Kraus realization of the same channel is
+dyad by dyad.  A truncated-Fock Kraus realization of the same channel is
 provided as the independent cross-check path.
 """
 
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coupling import CoherentMixture, CouplerSpec, excite_cat, normalize_superposition
-from .qstate import DensityMatrix
+from .qstate import DensityMatrix, coherent_gram
 
 INITIAL = "initial"
 AMPLITUDE_MATCHED = "matched"
@@ -27,20 +28,16 @@ AMPLITUDE_MATCHED = "matched"
 
 @dataclass(frozen=True)
 class ChannelSpec:
-    """Attenuation factor k0*kappa'' (1/m), distance x (m) and optionally
-    the group velocity for distance-to-time conversion."""
+    """Attenuation factor k0*kappa'' (1/m) and distance x (m)."""
 
     k0_kappa2: float
     x: float
-    v_g: float | None = None
 
     def __post_init__(self):
         if self.k0_kappa2 < 0.0:
             raise ValueError("attenuation factor must be >= 0")
         if self.x < 0.0:
             raise ValueError("distance must be >= 0")
-        if self.v_g is not None and self.v_g <= 0.0:
-            raise ValueError("group velocity must be > 0")
 
     @property
     def transmissivity(self) -> float:
@@ -53,15 +50,13 @@ def flux_damping(spec: ChannelSpec) -> float:
 
 
 def propagate_mixture(rho: CoherentMixture, eta: float) -> CoherentMixture:
-    """Pure-loss channel with energy transmissivity eta on a coherent mixture."""
+    """Pure-loss channel with energy transmissivity eta on a coherent mixture:
+    a beamsplitter onto the environment, which is then traced out."""
     if not 0.0 < eta <= 1.0:
         raise ValueError("transmissivity must lie in (0, 1]")
-    root = math.sqrt(eta)
-    terms = []
-    for w, a, b in rho.terms:
-        factor = np.exp((1.0 - eta) * (np.conj(b) * a - 0.5 * abs(a) ** 2 - 0.5 * abs(b) ** 2))
-        terms.append((complex(w * factor), complex(root * a), complex(root * b)))
-    return CoherentMixture(tuple(terms))
+    lost = math.sqrt(1.0 - eta) * rho.amps
+    return CoherentMixture(math.sqrt(eta) * rho.amps,
+                           rho.weights * coherent_gram(lost, lost).T)
 
 
 def propagate_cat(rho: CoherentMixture, spec: ChannelSpec) -> CoherentMixture:

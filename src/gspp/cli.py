@@ -36,6 +36,8 @@ from .material import (
     GrapheneParams,
     LogSingularityError,
     QuadratureError,
+    TAU_INTRA_300K,
+    TAU_INTRA_LOWT,
     conductivity,
     sigma_min,
 )
@@ -138,8 +140,11 @@ def add_material_options(sub: argparse.ArgumentParser) -> None:
 
 
 def material_from_args(args) -> GrapheneParams:
+    for flag, tau in (("--tau-intra-ps", args.tau_intra_ps), ("--tau-inter-ps", args.tau_inter_ps)):
+        if tau is not None and not tau > 0.0:
+            raise ValueError(f"{flag} must be > 0, got {tau}")
     if args.tau_intra_ps is None:
-        tau_intra = 0.35e-12 if args.temperature_k >= 150.0 else 5.0e-12
+        tau_intra = TAU_INTRA_300K if args.temperature_k >= 150.0 else TAU_INTRA_LOWT
     else:
         tau_intra = args.tau_intra_ps * 1e-12
     return GrapheneParams(
@@ -312,6 +317,8 @@ def cmd_propagate(args) -> int:
 
 def cmd_qec(args) -> int:
     params = material_from_args(args)
+    if not args.lambda0_nm > 0.0:
+        raise ValueError(f"--lambda0-nm must be > 0, got {args.lambda0_nm}")
     omega = 2.0 * math.pi * CONSTANTS.c0 / (args.lambda0_nm * 1e-9)
     mode = solve_mode(params, omega, args.pol)
     if not mode.supported:

@@ -3,10 +3,11 @@
 The coupler is the 2x2 unitary [[gamma, beta], [-beta*, gamma*]] acting on
 the (photon, SPP) annihilation operators, parameterized by the coupling
 angle g with |beta| = sin|g|, arg(beta) = arg(g), gamma = cos|g|.  Tracing
-out the photon after exciting a superposition of coherent states leaves a
-mixture of coherent projectors, which is the primary (dimension-free)
-representation here; rendering into a truncated Fock space is the
-cross-check path.
+out the photon after exciting sum_j c_j |a_j> leaves the SPP in
+sum_jk M_jk |-beta* a_j><-beta* a_k| with M_jk = c_j c_k* <gamma a_k|gamma a_j>,
+held as an amplitude vector and a Hermitian weight matrix whose overlaps
+all come from one Gram matrix.  Rendering into a truncated Fock space is
+the cross-check path.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import DensityMatrix, StateVector, _coherent_column, coherent_overlap
+from .qstate import DensityMatrix, StateVector, _coherent_column, coherent_gram
 
 
 @dataclass(frozen=True)
@@ -53,74 +54,69 @@ def heisenberg_transform(g: complex) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CoherentMixture:
-    """rho = sum_j w_j |ket_j><bra_j| over coherent states.
+    """rho = sum_jk weights[j, k] |amps[j]><amps[k]| over coherent states,
+    with amps of shape (T,) and weights of shape (T, T), Hermitian.  The
+    overlaps come from G = coherent_gram(amps, amps).  Treat as immutable."""
 
-    terms is a tuple of (weight, ket amplitude, bra amplitude) triples;
-    Hermiticity means every (w, a, b) is paired with (conj(w), b, a).
-    """
+    amps: np.ndarray
+    weights: np.ndarray
 
-    terms: tuple[tuple[complex, complex, complex], ...]
+    def __post_init__(self):
+        amps = np.array(self.amps, dtype=complex).ravel()
+        weights = np.array(self.weights, dtype=complex)
+        if weights.shape != (len(amps), len(amps)):
+            raise ValueError("weights must be a square matrix over amps")
+        amps.setflags(write=False)
+        weights.setflags(write=False)
+        object.__setattr__(self, "amps", amps)
+        object.__setattr__(self, "weights", weights)
 
     def trace(self) -> float:
-        tr = sum(w * coherent_overlap(b, a) for w, a, b in self.terms)
-        return float(tr.real)
+        """Tr rho = sum_jk M_jk <a_k|a_j>."""
+        return float(np.sum(self.weights * coherent_gram(self.amps, self.amps).T).real)
 
     def mean_photon(self) -> float:
         """<n> via Tr(n |a><b|) = conj(b) a <b|a>."""
-        val = sum(w * np.conj(b) * a * coherent_overlap(b, a) for w, a, b in self.terms)
-        return float(val.real)
+        dyads = np.outer(self.amps, self.amps.conj()) * coherent_gram(self.amps, self.amps).T
+        return float(np.sum(self.weights * dyads).real)
 
     def purity(self) -> float:
-        val = 0.0 + 0.0j
-        for w1, a1, b1 in self.terms:
-            for w2, a2, b2 in self.terms:
-                val += w1 * w2 * coherent_overlap(b1, a2) * coherent_overlap(b2, a1)
-        return float(val.real)
+        """Tr rho^2 = Tr((M G)^2)."""
+        mg = self.weights @ coherent_gram(self.amps, self.amps)
+        return float(np.trace(mg @ mg).real)
 
     def fidelity_pure(self, coeffs, amps) -> float:
         """<psi|rho|psi> for |psi> = sum_m c_m |alpha_m> (normalized input)."""
         coeffs = np.asarray(coeffs, dtype=complex)
-        amps = np.asarray(amps, dtype=complex)
+        # Python-ordered sums, not a matmul or np.sum: the QEC tables print
+        # this F0 to the last bit, and reordering the additions moves it.
+        bra = [sum(np.conj(c) * g for c, g in zip(coeffs, col))
+               for col in coherent_gram(amps, self.amps).T]
+        ket = [sum(c * g for c, g in zip(coeffs, row))
+               for row in coherent_gram(self.amps, amps)]
         f = 0.0 + 0.0j
-        for w, a, b in self.terms:
-            bra = sum(np.conj(c) * coherent_overlap(m, a) for c, m in zip(coeffs, amps))
-            ket = sum(c * coherent_overlap(b, m) for c, m in zip(coeffs, amps))
-            f += w * bra * ket
+        for (j, k), w in np.ndenumerate(self.weights):
+            f += w * bra[j] * ket[k]
         return float(f.real)
 
     def to_density_matrix(self, dim: int) -> DensityMatrix:
         """Render into a truncated Fock space (raw coherent columns; the
         tail outside the truncation is assumed negligible)."""
-        rho = np.zeros((dim, dim), dtype=complex)
-        cols: dict[complex, np.ndarray] = {}
-        for w, a, b in self.terms:
-            if a not in cols:
-                cols[a] = _coherent_column(a, dim)
-            if b not in cols:
-                cols[b] = _coherent_column(b, dim)
-            rho += w * np.outer(cols[a], cols[b].conj())
-        return DensityMatrix(rho)
+        cols = np.stack([_coherent_column(a, dim) for a in self.amps], axis=1)
+        return DensityMatrix(cols @ self.weights @ cols.conj().T)
 
     def validate(self, tol: float = 1e-9) -> None:
+        m = self.weights
+        if np.abs(m - m.conj().T).max() > tol * max(1.0, float(np.abs(m).max())):
+            raise ValueError("mixture is not Hermitian")
         if abs(self.trace() - 1.0) > tol:
             raise ValueError(f"mixture trace {self.trace()} differs from 1")
-        # Hermitian pairing: rho - rho^dagger == 0 term-by-term
-        paired = {}
-        for w, a, b in self.terms:
-            key = (complex(a), complex(b))
-            paired[key] = paired.get(key, 0.0 + 0.0j) + w
-        for (a, b), w in paired.items():
-            w_conj = paired.get((b, a))
-            if w_conj is None or abs(np.conj(w_conj) - w) > tol * max(1.0, abs(w)):
-                raise ValueError("mixture is not Hermitian")
 
 
 def normalize_superposition(coeffs, amps) -> np.ndarray:
     """Rescale coefficients so sum_mn c_m* c_n <a_m|a_n> equals 1 exactly."""
     coeffs = np.asarray(coeffs, dtype=complex)
-    amps = np.asarray(amps, dtype=complex)
-    gram = np.array([[coherent_overlap(am, an) for an in amps] for am in amps])
-    norm_sq = float(np.real(coeffs.conj() @ gram @ coeffs))
+    norm_sq = float(np.real(coeffs.conj() @ coherent_gram(amps, amps) @ coeffs))
     if norm_sq <= 0.0:
         raise ValueError("degenerate coherent superposition")
     return coeffs / math.sqrt(norm_sq)
@@ -137,19 +133,14 @@ def superposition_vector(coeffs, amps, dim: int) -> StateVector:
 
 def excite_superposition(coeffs, amps, g: complex) -> CoherentMixture:
     """Send sum_j c_j |a_j>_photon |0>_spp through the coupler and trace
-    out the photon: each component maps to -conj(beta)*a_j on the SPP with
-    cross weights <gamma a_k|gamma a_j>."""
+    out the photon: component j maps to -conj(beta)*a_j on the SPP, and
+    the dyad (j, k) keeps the photon overlap <gamma a_k|gamma a_j>."""
     spec = CouplerSpec(g)
-    gam = spec.gamma_amp
-    bfac = -np.conj(spec.beta_amp)
     coeffs = normalize_superposition(coeffs, amps)
     amps = np.asarray(amps, dtype=complex)
-    terms = []
-    for cj, aj in zip(coeffs, amps):
-        for ck, ak in zip(coeffs, amps):
-            w = cj * np.conj(ck) * coherent_overlap(gam * ak, gam * aj)
-            terms.append((complex(w), complex(bfac * aj), complex(bfac * ak)))
-    return CoherentMixture(tuple(terms))
+    photon = spec.gamma_amp * amps
+    weights = np.outer(coeffs, coeffs.conj()) * coherent_gram(photon, photon).T
+    return CoherentMixture(-np.conj(spec.beta_amp) * amps, weights)
 
 
 def excite_cat(alpha: complex, g: complex) -> CoherentMixture:

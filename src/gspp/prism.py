@@ -31,7 +31,7 @@ from scipy.optimize import minimize_scalar
 
 from .dispersion import TE, TM, supported_polarization
 from .material import CONSTANTS, Conductivity, GrapheneParams, conductivity
-from .quantize import Waves, _lossless_mode, hamiltonian_norm, mode_normalization, spp_waves, wave_integral
+from .quantize import Waves, _lossless_mode, hamiltonian_norm, spp_waves, wave_integral
 
 
 class NotResonant(RuntimeError):
@@ -69,16 +69,14 @@ class PrismGeometry:
 class AtrSolution:
     """Field amplitudes for unit incident amplitude.
 
-    r and tau are the reflection and transmission parameters; m1/m2 the
-    gap amplitudes, with the up-going wave m1 e^{+i kz0 z} referenced at
-    z = 0 and the down-going wave m2 e^{-i kz0 (z-d)} at z = d (this keeps
-    the linear system well conditioned at any spacing); t is the
-    transmitted amplitude at z = 0.  For the TM case the amplitudes are
-    the H_y amplitudes of each wave.
+    r is the reflection amplitude; m1/m2 the gap amplitudes, with the
+    up-going wave m1 e^{+i kz0 z} referenced at z = 0 and the down-going
+    wave m2 e^{-i kz0 (z-d)} at z = d (this keeps the linear system well
+    conditioned at any spacing); t is the transmitted amplitude at z = 0.
+    For the TM case the amplitudes are the H_y amplitudes of each wave.
     """
 
     r: complex
-    tau: complex
     m1: complex
     m2: complex
     t: complex
@@ -171,14 +169,9 @@ def atr_solve_sigma(geom: PrismGeometry, sigma: complex, omega: float) -> AtrSol
     amps, kx, kz1, kz0 = _atr_amplitudes(geom.eps1, geom.d, geom.polarization,
                                          geom.theta_i, sigma, omega)
     r, m1, m2, t = (complex(a) for a in amps)
-    kz0 = complex(kz0)
-    if geom.polarization == TE:
-        tau = t
-    else:
-        tau = complex(np.sqrt(kz0 / kz1)) * math.sqrt(geom.eps1) * t
-    return AtrSolution(r=r, tau=complex(tau), m1=m1, m2=m2, t=t, omega=omega,
+    return AtrSolution(r=r, m1=m1, m2=m2, t=t, omega=omega,
                        polarization=geom.polarization, k_x=complex(kx),
-                       k_z_prism=complex(kz1), k_z_gap=kz0, sigma=complex(sigma),
+                       k_z_prism=complex(kz1), k_z_gap=complex(kz0), sigma=complex(sigma),
                        eps1=geom.eps1, d=geom.d)
 
 
@@ -237,8 +230,11 @@ def matching_frequency(geom: PrismGeometry, params: GrapheneParams,
     search.
 
     Raises NotResonant below the critical angle or when the scan window
-    has no minimum with R < 0.99.
+    has no minimum with R < 0.99, and ValueError for fewer than three scan
+    points, which cannot bracket a dip.
     """
+    if n_scan < 3:
+        raise ValueError(f"need at least 3 scan points to bracket a dip, got {n_scan}")
     if geom.theta_i <= critical_angle(geom.eps1):
         raise NotResonant("incidence below the critical angle: no surface-wave excitation")
     _require_vacuum_background(params)
@@ -268,13 +264,12 @@ def lossless_matching_frequency(geom: PrismGeometry, params: GrapheneParams,
     if geom.theta_i <= critical_angle(geom.eps1):
         raise NotResonant("incidence below the critical angle")
     from scipy.optimize import brentq
-    eta = math.sqrt(CONSTANTS.mu0 / CONSTANTS.eps0)
     root = math.sqrt(geom.eps1 * math.sin(geom.theta_i) ** 2 - 1.0)
     target = -2.0 * root if geom.polarization == TE else 2.0 / root
 
     def mismatch(w):
         sig = conductivity(params, float(w))
-        return sig.imag * eta - target
+        return sig.imag * CONSTANTS.eta0 - target
 
     omegas = np.linspace(omega_lo, omega_hi, n_scan)
     vals = np.array([mismatch(w) for w in omegas])
@@ -363,11 +358,12 @@ def overlap_beta(geom: PrismGeometry, params: GrapheneParams, omega: float) -> c
                          f"frequency (Im sigma = {sigma_pp:.3e} S)")
 
     spp = _lossless_mode(geom.polarization, omega, sigma_pp, params.eps_r)
-    n_phi = mode_normalization(geom.polarization, spp, params)
+    spp_above, spp_below = spp_waves(geom.polarization, spp)
+    n_phi = hamiltonian_norm([(-math.inf, 0.0, spp_below), (0.0, math.inf, spp_above)],
+                             sigma_pp, omega, params.eps_r)
     regions = _photon_regions(sol)
     n_psi = hamiltonian_norm(regions, sigma_pp, omega)
     below, gap = (field for _, _, field in regions)
-    spp_above, spp_below = spp_waves(geom.polarization, spp)
     overlap = (wave_integral(below, spp_below, -math.inf, 0.0)
                + wave_integral(gap, spp_above, 0.0, geom.d))
     beta_conj = math.sqrt(max(0.0, 1.0 - abs(sol.r) ** 2)) * overlap / math.sqrt(n_psi * n_phi)

@@ -165,6 +165,8 @@ class QecRunConfig:
     n_checkpoints: int = 7
 
     def __post_init__(self):
+        if self.alpha == 0:
+            raise ValueError("code amplitude alpha must be nonzero, got 0")
         if not 0.0 <= self.parity_p <= 1.0:
             raise ValueError("parity probability must lie in [0, 1]")
         if self.x_total <= 0.0 or self.k0_kappa2 < 0.0:
@@ -218,10 +220,10 @@ class QecRunConfig:
         """Step indices (0..n_steps) where fidelity snapshots are taken."""
         return np.unique(np.linspace(0, self.n_steps, self.n_checkpoints).round().astype(int))
 
-    def input_states(self, rng: np.random.Generator | None = None):
+    def input_states(self):
         if self.input_set == "six":
             return list(SIX_CARDINAL)
-        rng = rng if rng is not None else np.random.default_rng((self.seed, 0xA11A))
+        rng = np.random.default_rng((self.seed, 0xA11A))
         out = []
         for _ in range(self.haar_samples):
             v = rng.normal(size=2) + 1j * rng.normal(size=2)
@@ -674,10 +676,10 @@ def average_fidelity(config: QecRunConfig, workers: int = 1) -> QecCurve:
                     n_trajectories=config.n_trajectories)
 
 
-def orthogonality_monitor(config: QecRunConfig, n_points: int = 200) -> OrthogonalityReport:
-    """Max |<0L'+-|1L'+->| on the decayed code basis along the run; the
-    code analysis assumes it stays below 1e-2."""
-    x = np.linspace(0.0, config.x_total, n_points)
+def orthogonality_monitor(config: QecRunConfig) -> OrthogonalityReport:
+    """Max |<0L'+-|1L'+->| on the decayed code basis at 200 points along
+    the run; the code analysis assumes it stays below 1e-2."""
+    x = np.linspace(0.0, config.x_total, 200)
     a = np.abs(config.alpha_excited) * np.exp(-config.k0_kappa2 * x)
     a_sq = a * a
     n_plus = 2.0 * (1.0 + np.exp(-2.0 * a_sq))

@@ -78,10 +78,16 @@ class DensityMatrix:
             raise ValueError("density matrix has a negative eigenvalue beyond tolerance")
 
 
+def coherent_gram(x, y) -> np.ndarray:
+    """Gram matrix G_ij = <x_i|y_j> = exp(-|x_i|^2/2 - |y_j|^2/2 + conj(x_i)*y_j)."""
+    x = np.asarray(x, dtype=complex)[:, None]
+    y = np.asarray(y, dtype=complex)[None, :]
+    return np.exp(-0.5 * np.abs(x) ** 2 - 0.5 * np.abs(y) ** 2 + x.conj() * y)
+
+
 def coherent_overlap(alpha: complex, beta: complex) -> complex:
-    """<alpha|beta> = exp(-|alpha|^2/2 - |beta|^2/2 + conj(alpha)*beta)."""
-    return complex(np.exp(-0.5 * abs(alpha) ** 2 - 0.5 * abs(beta) ** 2
-                          + np.conj(alpha) * beta))
+    """<alpha|beta>, the one-pair case of coherent_gram."""
+    return complex(coherent_gram([alpha], [beta])[0, 0])
 
 
 def _coherent_column(alpha: complex, dim: int) -> np.ndarray:

@@ -179,14 +179,12 @@ def quantize_mode(mode: SppMode, params: GrapheneParams) -> SppMode:
     return with_normalization(mode, n_len)
 
 
-def vector_potential_amplitude(mode: SppMode, geometry: QuantizationGeometry,
-                               omega: float | None = None) -> float:
+def vector_potential_amplitude(mode: SppMode, geometry: QuantizationGeometry) -> float:
     """Prefactor sqrt(hbar/(2 eps0 W v_g omega N)) of the quantized vector
     potential for a beam of width W."""
-    w = mode.omega if omega is None else omega
     if mode.norm_n is None:
         raise ValueError("mode has no normalization; run quantize_mode first")
     if not (mode.supported and mode.v_g > 0.0):
         raise UnsupportedModeError("amplitude defined for supported modes only")
     return math.sqrt(CONSTANTS.hbar /
-                     (2.0 * CONSTANTS.eps0 * geometry.W * mode.v_g * w * mode.norm_n))
+                     (2.0 * CONSTANTS.eps0 * geometry.W * mode.v_g * mode.omega * mode.norm_n))

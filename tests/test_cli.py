@@ -128,6 +128,16 @@ class TestPrismCommand:
         assert not out.exists()
         assert "match" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("points", ["2", "0"])
+    def test_too_few_match_scan_points_rejected(self, tmp_path, capsys, points):
+        # two scan points cannot bracket a dip; they used to write beta = 0
+        out = tmp_path / "beta.csv"
+        argv = self.TE_SWEEP + ["--match-fmin-thz", "590.5", "--match-fmax-thz", "591.1",
+                                "--match-scan-points", points, "--out", str(out)]
+        assert main(argv) == 2
+        assert not list(tmp_path.iterdir())
+        assert f"scan points to bracket a dip, got {points}" in capsys.readouterr().err
+
     def test_match_window_echoed(self, tmp_path):
         out = tmp_path / "beta.csv"
         rc = main(self.TE_SWEEP + ["--match-fmin-thz", "590.5", "--match-fmax-thz", "591.1",
@@ -277,6 +287,25 @@ class TestUsageErrors:
         out = tmp_path / "t.csv"
         assert main(argv + ["--out", str(out)]) == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["sigma", "--points", "3", "--tau-intra-ps", "0"], "--tau-intra-ps"),
+        (["sigma", "--points", "3", "--tau-inter-ps", "0"], "--tau-inter-ps"),
+        (["dispersion", "--points", "3", "--tau-intra-ps", "0"], "--tau-intra-ps"),
+        (["dispersion", "--points", "3", "--tau-inter-ps", "0"], "--tau-inter-ps"),
+        (["prism", "beta-sweep", "--d-points", "2", "--tau-intra-ps", "0"], "--tau-intra-ps"),
+        (["prism", "beta-sweep", "--d-points", "2", "--tau-inter-ps", "0"], "--tau-inter-ps"),
+        (QEC_SMALL + ["--trajectories", "4", "--tau-intra-ps", "0"], "--tau-intra-ps"),
+        (QEC_SMALL + ["--trajectories", "4", "--tau-inter-ps", "0"], "--tau-inter-ps"),
+        (QEC_SMALL + ["--trajectories", "4", "--alpha", "0"], "alpha"),
+        (QEC_SMALL + ["--trajectories", "4", "--lambda0-nm", "0"], "--lambda0-nm"),
+    ])
+    def test_zero_physical_value_rejected(self, tmp_path, capsys, argv, flag):
+        # these used to exit 3 on a float division by zero
+        assert main(argv + ["--out", str(tmp_path / "t.csv")]) == 2
+        assert not list(tmp_path.iterdir())
+        err = capsys.readouterr().err
+        assert "invalid input" in err and flag in err and "got 0" in err
 
     def test_single_trajectory_rejected(self, tmp_path):
         out = tmp_path / "q.csv"

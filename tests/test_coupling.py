@@ -3,8 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import partial_trace_mode_a, trace_distance, two_mode_beamsplitter
+from gspp.channel import damp_fock, propagate_mixture
 from gspp.coupling import (
     CoherentMixture,
     CouplerSpec,
@@ -15,7 +18,7 @@ from gspp.coupling import (
     normalize_superposition,
     superposition_vector,
 )
-from gspp.qstate import coherent_state
+from gspp.qstate import coherent_gram, coherent_state, number
 
 
 class TestCouplerSpec:
@@ -63,14 +66,11 @@ class TestExciteCat:
         rho = excite_cat(alpha, g)
         c_out = math.exp(-2.0 * (alpha * math.cos(g)) ** 2)
         n_sq = 1.0 / (2.0 + 2.0 * math.exp(-2.0 * alpha**2))
-        weights = {}
-        for w, a, b in rho.terms:
-            weights[(round(a.real, 9), round(b.real, 9))] = w
+        index = {round(a.real, 9): i for i, a in enumerate(rho.amps)}
         a_out = alpha * math.sin(g)
-        key_diag = (round(-a_out, 9), round(-a_out, 9))
-        key_cross = (round(a_out, 9), round(-a_out, 9))
-        assert weights[key_diag] == pytest.approx(n_sq, rel=1e-12)
-        assert weights[key_cross] == pytest.approx(n_sq * c_out, rel=1e-12)
+        plus, minus = index[round(a_out, 9)], index[round(-a_out, 9)]
+        assert rho.weights[minus, minus] == pytest.approx(n_sq, rel=1e-12)
+        assert rho.weights[plus, minus] == pytest.approx(n_sq * c_out, rel=1e-12)
 
     def test_against_two_mode_oracle(self):
         alpha, g, dim = 3.0, 0.8, 50
@@ -135,6 +135,19 @@ class TestCoherentMixture:
     def test_validate(self):
         excite_cat(2.0, 0.7).validate()
 
+    def test_validate_rejects_non_hermitian_weights(self):
+        with pytest.raises(ValueError, match="Hermitian"):
+            CoherentMixture([2.0, -2.0], [[0.5, 0.1], [0.2, 0.5]]).validate()
+
+    def test_weights_square_over_amps_and_read_only(self):
+        with pytest.raises(ValueError, match="square"):
+            CoherentMixture([1.0, 2.0], [[1.0, 0.0]])
+        rho = excite_cat(2.0, 0.7)
+        with pytest.raises(ValueError):
+            rho.weights[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            rho.amps[0] = 0.0
+
     def test_mean_photon(self):
         rho = excite_cat(3.0, math.pi / 2)
         alpha = 3.0
@@ -149,3 +162,36 @@ class TestCoherentMixture:
         rendered = rho.to_density_matrix(dim)
         assert trace_distance(rendered.matrix,
                               np.outer(target.amplitudes, target.amplitudes.conj())) < 1e-10
+
+
+class TestMixtureAgainstFock:
+    DIM = 60
+
+    def fock_checks(self, rho: CoherentMixture, fock: np.ndarray):
+        assert rho.trace() == pytest.approx(1.0, abs=1e-12)
+        assert rho.trace() == pytest.approx(np.trace(fock).real, abs=1e-10)
+        assert rho.mean_photon() == pytest.approx(
+            np.trace(number(self.DIM) @ fock).real, abs=1e-10)
+        assert rho.purity() == pytest.approx(np.trace(fock @ fock).real, abs=1e-10)
+        w = rho.weights
+        assert np.abs(w - w.conj().T).max() <= 1e-13 * max(1.0, np.abs(w).max())
+
+    @settings(max_examples=100)
+    @given(legs=st.lists(st.tuples(st.complex_numbers(max_magnitude=3.0),
+                                   st.complex_numbers(min_magnitude=0.1, max_magnitude=1.0)),
+                         min_size=1, max_size=4),
+           g=st.floats(0.0, math.pi / 2), eta=st.floats(0.05, 1.0))
+    def test_matrix_form_matches_fock_rendering(self, legs, g, eta):
+        amps = np.array([a for a, _ in legs])
+        coeffs = np.array([c for _, c in legs])
+        # keep clear of superpositions that nearly cancel, whose normalized
+        # coefficients (and rounding errors) blow up
+        norm_sq = np.real(coeffs.conj() @ coherent_gram(amps, amps) @ coeffs)
+        assume(norm_sq > 0.1 * np.sum(np.abs(coeffs) ** 2))
+        rho = excite_superposition(coeffs, amps, g)
+        fock = rho.to_density_matrix(self.DIM).matrix
+        self.fock_checks(rho, fock)
+        lossy = propagate_mixture(rho, eta)
+        damped = damp_fock(rho.to_density_matrix(self.DIM), eta).matrix
+        assert np.abs(lossy.to_density_matrix(self.DIM).matrix - damped).max() <= 1e-10
+        self.fock_checks(lossy, damped)

@@ -28,7 +28,7 @@ from gspp.qec import (
     run_trajectory,
     trajectory_rng,
 )
-from gspp.qec import _draw_blocks, _ensemble_uniforms, _vec_channel_step, _vec_parity
+from gspp.qec import SIX_CARDINAL, _draw_blocks, _ensemble_uniforms, _f0_analytic, _vec_channel_step, _vec_parity
 from gspp.qstate import StateVector, annihilation, parity, pure_fidelity, truncation_dimension
 
 ALPHA = 3.0
@@ -307,6 +307,15 @@ class TestEnsemble:
     def test_f0_perfect_coupling(self):
         curve = average_fidelity(make_config(n_trajectories=8, n_checkpoints=2))
         assert curve.f0 == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("g, f0", [
+        (math.pi / 2, 0.9999999999999999),
+        (math.asin(0.9877), 0.8090420834760145),
+        (math.asin(0.9511), 0.48547185737417736),
+    ])
+    def test_f0_bits_pinned(self, g, f0):
+        # the seed-7 benchmark tables print F0 to the last bit
+        assert _f0_analytic(make_config(g=g), SIX_CARDINAL) == f0
 
     def test_f0_partial_coupling_below_one(self):
         curve = average_fidelity(make_config(g=0.8 * math.pi / 2, n_trajectories=8,

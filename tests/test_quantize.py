@@ -128,7 +128,7 @@ class TestNormalization:
             sheet = abs(sig.imag) / (2.0 * K.eps0 * mode.omega) * phi_par0
             n_direct = 0.5 * bulk + sheet
             n_module = mode_normalization(pol, mode, params)
-            assert n_module == pytest.approx(n_direct, rel=1e-8)
+            assert n_module == pytest.approx(n_direct, rel=1e-12, abs=0.0)
 
     def test_cross_terms_cancel(self):
         # +k/-k cross contributions to the energy integral vanish; the
