@@ -20,9 +20,8 @@ from .dispersion import (
     propagation_length,
     solve_mode,
     supported_polarization,
-    te_wavenumber,
-    tm_wavenumber,
     transverse_q0,
+    wavenumber,
 )
 from .quantize import (
     QuantizationGeometry,

@@ -26,19 +26,14 @@ from .dispersion import (
     effective_wavelength,
     propagation_length,
     solve_mode,
-    supported_polarization,
-    te_wavenumber,
-    tm_wavenumber,
-    transverse_q0,
 )
 from .material import (
     CONSTANTS,
     GrapheneParams,
     LogSingularityError,
     QuadratureError,
-    TAU_INTRA_300K,
-    TAU_INTRA_LOWT,
     conductivity,
+    default_tau_intra,
     sigma_min,
 )
 from .prism import (
@@ -144,7 +139,7 @@ def material_from_args(args) -> GrapheneParams:
         if tau is not None and not tau > 0.0:
             raise ValueError(f"{flag} must be > 0, got {tau}")
     if args.tau_intra_ps is None:
-        tau_intra = TAU_INTRA_300K if args.temperature_k >= 150.0 else TAU_INTRA_LOWT
+        tau_intra = default_tau_intra(args.temperature_k)
     else:
         tau_intra = args.tau_intra_ps * 1e-12
     return GrapheneParams(
@@ -208,24 +203,14 @@ def cmd_dispersion(args) -> int:
     freqs = frequency_grid(args.fmin_thz, args.fmax_thz, args.points, args.log_spacing)
     rows = []
     for f in freqs:
-        omega = 2.0 * math.pi * f
-        sig = conductivity(params, omega)
-        selected = supported_polarization(sig)
-        k0 = omega / CONSTANTS.c0
         for pol in (TM, TE):
-            k = (tm_wavenumber if pol == TM else te_wavenumber)(params, omega, sigma=sig)
-            kappa = k / k0
-            q0 = transverse_q0(pol, sig, params.eps_r)
-            supported = pol == selected
-            if supported:
-                mode = solve_mode(params, omega, pol)
-                vg = mode.v_g
-                lam_eff = effective_wavelength(mode)
-                l_prop = propagation_length(mode)
+            mode = solve_mode(params, 2.0 * math.pi * f, pol)
+            if mode.supported:
+                lam_eff, l_prop = effective_wavelength(mode), propagation_length(mode)
             else:
-                vg = lam_eff = l_prop = math.nan
-            rows.append((f, pol, int(supported), kappa.real, kappa.imag,
-                         q0.real, vg, lam_eff, l_prop))
+                lam_eff = l_prop = math.nan
+            rows.append((f, pol, int(mode.supported), mode.kappa.real, mode.kappa.imag,
+                         mode.q0.real, mode.v_g, lam_eff, l_prop))
     echo = material_echo(params) | {"fmin_thz": args.fmin_thz, "fmax_thz": args.fmax_thz,
                                     "points": args.points, "log_spacing": args.log_spacing}
     write_csv(args.out, echo,
@@ -319,6 +304,9 @@ def cmd_qec(args) -> int:
     params = material_from_args(args)
     if not args.lambda0_nm > 0.0:
         raise ValueError(f"--lambda0-nm must be > 0, got {args.lambda0_nm}")
+    if args.beta is not None and not abs(args.beta) <= 1.0:
+        raise ValueError(f"--beta must lie in [-1, 1], got {args.beta}")
+    g = args.g if args.beta is None else math.asin(args.beta)
     omega = 2.0 * math.pi * CONSTANTS.c0 / (args.lambda0_nm * 1e-9)
     mode = solve_mode(params, omega, args.pol)
     if not mode.supported:
@@ -327,10 +315,6 @@ def cmd_qec(args) -> int:
     lam_eff = effective_wavelength(mode)
     x_total = args.k0kappa2x_max / k0_kappa2
 
-    if args.beta is not None:
-        g = math.asin(args.beta)
-    else:
-        g = args.g
     workers = args.workers or int(os.environ.get(WORKERS_ENV, "0")) or (os.cpu_count() or 1)
 
     p_values = [float(p) for p in args.p_list.split(",")]
@@ -469,6 +453,13 @@ def _subparser_for(parser: argparse.ArgumentParser, command: str) -> argparse.Ar
     return parser
 
 
+def require_finite(args) -> None:
+    """Reject a float option that is nan or infinite, from a flag or a config."""
+    for dest, value in vars(args).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"--{dest.replace('_', '-')} must be finite, got {value}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
@@ -478,6 +469,7 @@ def main(argv=None) -> int:
             sub = _subparser_for(parser, args.command)
             sub.set_defaults(**config_defaults(args.config, sub))
             args = parser.parse_args(argv)
+        require_finite(args)
         if args.out is None:
             raise ValueError("--out is required")
         return args.func(args)

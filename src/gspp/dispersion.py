@@ -1,15 +1,16 @@
 """Surface-wave dispersion on a conducting graphene sheet.
 
-Solves the explicit TM/TE dispersion relations for the complex in-plane
-wavenumber, selects the supported polarization from the sign of the
-conductivity's reactive part, and derives the transverse decay constant,
-group velocity, effective wavelength and propagation length.
+One explicit dispersion relation (`wavenumber`) gives the complex in-plane
+wavenumber of either polarization.  `solve_mode` selects the supported
+polarization from the sign of the conductivity's reactive part and
+derives the transverse decay constant and group velocity; the effective
+wavelength and propagation length follow from the solved mode.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -85,34 +86,25 @@ def _forward_branch(k: complex) -> complex:
     return k
 
 
-def kappa_tm(sigma: complex, eps_r: float) -> complex:
-    """Normalized TM wavenumber sqrt(eps_r*(1 - (2/(sigma*eta))^2))."""
-    if sigma == 0:
-        raise ValueError("sigma = 0: graphene absent, TM dispersion undefined")
+def wavenumber(polarization: str, sigma: Conductivity, eps_r: float) -> complex:
+    """Complex in-plane wavenumber k (1/m) at sigma.omega on the forward branch:
+
+    k = k0*sqrt(eps_r*(1 - r^2)),  r = 2/(sigma*eta) for TM, sigma*eta/2 for TE,
+
+    with eta the background wave impedance (Hanson, J. Appl. Phys. 103,
+    064302 (2008)).
+    """
+    if sigma.value == 0:
+        raise ValueError(f"sigma = 0: graphene absent, {polarization} dispersion undefined")
     eta = _impedance(eps_r)
-    return _forward_branch(complex(np.sqrt(complex(eps_r * (1.0 - (2.0 / (sigma * eta)) ** 2)))))
-
-
-def kappa_te(sigma: complex, eps_r: float) -> complex:
-    """Normalized TE wavenumber sqrt(eps_r*(1 - (sigma*eta/2)^2))."""
-    if sigma == 0:
-        raise ValueError("sigma = 0: graphene absent, TE dispersion undefined")
-    eta = _impedance(eps_r)
-    return _forward_branch(complex(np.sqrt(complex(eps_r * (1.0 - (sigma * eta / 2.0) ** 2)))))
-
-
-def tm_wavenumber(params: GrapheneParams, omega: float, *,
-                  sigma: Conductivity | None = None) -> complex:
-    """Complex TM wavenumber k (1/m) at radian frequency omega."""
-    sig = sigma if sigma is not None else conductivity(params, omega)
-    return (omega / CONSTANTS.c0) * kappa_tm(sig.value, params.eps_r)
-
-
-def te_wavenumber(params: GrapheneParams, omega: float, *,
-                  sigma: Conductivity | None = None) -> complex:
-    """Complex TE wavenumber k (1/m) at radian frequency omega."""
-    sig = sigma if sigma is not None else conductivity(params, omega)
-    return (omega / CONSTANTS.c0) * kappa_te(sig.value, params.eps_r)
+    if polarization == TM:
+        r = 2.0 / (sigma.value * eta)
+    elif polarization == TE:
+        r = sigma.value * eta / 2.0
+    else:
+        raise ValueError("polarization must be 'TM' or 'TE'")
+    kappa = _forward_branch(complex(np.sqrt(complex(eps_r * (1.0 - r ** 2)))))
+    return (sigma.omega / CONSTANTS.c0) * kappa
 
 
 def transverse_q0(polarization: str, sigma: Conductivity, eps_r: float) -> complex:
@@ -130,19 +122,21 @@ def transverse_q0(polarization: str, sigma: Conductivity, eps_r: float) -> compl
     raise ValueError("polarization must be 'TM' or 'TE'")
 
 
-def group_velocity(params: GrapheneParams, omega: float, polarization: str,
+def group_velocity(params: GrapheneParams, sigma: Conductivity, polarization: str,
                    rel_step: float = 1e-5) -> float:
-    """Group velocity 1/(d Re k/d omega) by Richardson-extrapolated central
-    differences with relative step rel_step.
+    """Group velocity 1/(d Re k/d omega) at sigma.omega by Richardson-
+    extrapolated central differences with relative step rel_step; sigma is
+    the conductivity at the stencil centre.
 
     Raises if Re k is not monotonic across the stencil (resonance or log
     singularity nearby) or if the slope is not positive.
     """
-    wavenumber = tm_wavenumber if polarization == TM else te_wavenumber
+    omega = sigma.omega
     h = rel_step * omega
     offsets = (-h, -h / 2.0, h / 2.0, h)
-    k_re = [wavenumber(params, omega + d).real for d in offsets]
-    seq = [k_re[0], k_re[1], wavenumber(params, omega).real, k_re[2], k_re[3]]
+    k_re = [wavenumber(polarization, conductivity(params, omega + d), params.eps_r).real
+            for d in offsets]
+    seq = [k_re[0], k_re[1], wavenumber(polarization, sigma, params.eps_r).real, k_re[2], k_re[3]]
     diffs = np.diff(seq)
     if not (np.all(diffs > 0.0) or np.all(diffs < 0.0)):
         raise ValueError("Re k is not monotonic across the stencil; "
@@ -180,7 +174,7 @@ def solve_mode(params: GrapheneParams, omega: float, polarization: str | None = 
     pol = polarization or selected
     if pol is None:
         raise UnsupportedModeError("Im sigma = 0: neither TM nor TE is supported")
-    k = (tm_wavenumber if pol == TM else te_wavenumber)(params, omega, sigma=sig)
+    k = wavenumber(pol, sig, params.eps_r)
     q0 = transverse_q0(pol, sig, params.eps_r)
     supported = pol == selected
     # The group velocity is only a transport speed where dispersion is
@@ -189,7 +183,7 @@ def solve_mode(params: GrapheneParams, omega: float, polarization: str | None = 
     v_g = math.nan
     if supported:
         try:
-            cand = group_velocity(params, omega, pol)
+            cand = group_velocity(params, sig, pol)
         except ValueError:
             cand = math.nan
         if 0.0 < cand <= CONSTANTS.c0 / math.sqrt(params.eps_r) * (1.0 + 1e-9):
@@ -197,7 +191,3 @@ def solve_mode(params: GrapheneParams, omega: float, polarization: str | None = 
     return SppMode(polarization=pol, omega=omega, k=k, q0=q0, v_g=v_g,
                    supported=supported, eps_r=params.eps_r)
 
-
-def with_normalization(mode: SppMode, norm_n: float) -> SppMode:
-    """Return a copy of the mode with the quantization length attached."""
-    return replace(mode, norm_n=norm_n)

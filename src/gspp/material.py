@@ -67,6 +67,12 @@ TAU_INTRA_LOWT = 5.0e-12
 TAU_INTER_DEFAULT = 0.0658e-12
 
 
+def default_tau_intra(temperature: float) -> float:
+    """Standard intraband scattering time (s): 0.35 ps at temperatures
+    >= 150 K, 5 ps below."""
+    return TAU_INTRA_300K if temperature >= 150.0 else TAU_INTRA_LOWT
+
+
 @dataclass(frozen=True)
 class GrapheneParams:
     """Material state of the graphene sheet.
@@ -107,11 +113,10 @@ class GrapheneParams:
     def with_default_rates(cls, mu_c: float, temperature: float,
                            eps_r: float = 1.0, n_layers: int = 1) -> "GrapheneParams":
         """Build params with the standard scattering times: intraband
-        tau = 0.35 ps for temperatures >= 150 K, 5 ps below; interband
-        1/gamma = 0.0658 ps."""
-        tau = TAU_INTRA_300K if temperature >= 150.0 else TAU_INTRA_LOWT
+        default_tau_intra(temperature); interband 1/gamma = 0.0658 ps."""
         return cls(mu_c=mu_c, temperature=temperature,
-                   gamma_intra=1.0 / tau, gamma_inter=1.0 / TAU_INTER_DEFAULT,
+                   gamma_intra=1.0 / default_tau_intra(temperature),
+                   gamma_inter=1.0 / TAU_INTER_DEFAULT,
                    eps_r=eps_r, n_layers=n_layers)
 
 

@@ -31,7 +31,7 @@ from scipy.optimize import minimize_scalar
 
 from .dispersion import TE, TM, supported_polarization
 from .material import CONSTANTS, Conductivity, GrapheneParams, conductivity
-from .quantize import Waves, _lossless_mode, hamiltonian_norm, spp_waves, wave_integral
+from .quantize import Waves, hamiltonian_norm, lossless_spp_norm, wave_integral
 
 
 class NotResonant(RuntimeError):
@@ -357,10 +357,8 @@ def overlap_beta(geom: PrismGeometry, params: GrapheneParams, omega: float) -> c
         raise ValueError(f"{geom.polarization} surface wave not supported at this "
                          f"frequency (Im sigma = {sigma_pp:.3e} S)")
 
-    spp = _lossless_mode(geom.polarization, omega, sigma_pp, params.eps_r)
-    spp_above, spp_below = spp_waves(geom.polarization, spp)
-    n_phi = hamiltonian_norm([(-math.inf, 0.0, spp_below), (0.0, math.inf, spp_above)],
-                             sigma_pp, omega, params.eps_r)
+    n_phi, spp_above, spp_below = lossless_spp_norm(geom.polarization, omega, sigma_pp,
+                                                    params.eps_r)
     regions = _photon_regions(sol)
     n_psi = hamiltonian_norm(regions, sigma_pp, omega)
     below, gap = (field for _, _, field in regions)

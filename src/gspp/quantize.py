@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dispersion import TE, TM, SppMode, UnsupportedModeError, supported_polarization, with_normalization
+from .dispersion import TE, TM, SppMode, UnsupportedModeError, supported_polarization
 from .material import CONSTANTS, GrapheneParams, conductivity
 
 
@@ -160,23 +160,29 @@ def _lossless_mode(polarization: str, omega: float, sigma_pp: float, eps_r: floa
                    q0=complex(q0), v_g=c_bg, supported=True, eps_r=eps_r)
 
 
-def mode_normalization(polarization: str, mode: SppMode, params: GrapheneParams) -> float:
-    """Quantization length N (m) of the surface wave: hamiltonian_norm of
-    the lossless mode over both half-spaces."""
+def lossless_spp_norm(polarization: str, omega: float, sigma_pp: float,
+                      eps_r: float) -> tuple[float, Waves, Waves]:
+    """Quantization length N (m) of the lossless surface wave, hamiltonian_norm
+    over both half-spaces, with its (above, below) profiles."""
+    above, below = spp_waves(polarization, _lossless_mode(polarization, omega, sigma_pp, eps_r))
+    n_len = hamiltonian_norm([(-math.inf, 0.0, below), (0.0, math.inf, above)],
+                             sigma_pp, omega, eps_r)
+    return n_len, above, below
+
+
+def mode_normalization(mode: SppMode, params: GrapheneParams) -> float:
+    """Quantization length N (m) of the surface wave at the mode's frequency
+    and polarization."""
     sig = conductivity(params, mode.omega)
-    if supported_polarization(sig) != polarization:
-        raise UnsupportedModeError(
-            f"{polarization} not supported at this frequency (Im sigma = {sig.imag:.3e})")
-    ll = _lossless_mode(polarization, mode.omega, sig.imag, params.eps_r)
-    above, below = spp_waves(polarization, ll)
-    return hamiltonian_norm([(-math.inf, 0.0, below), (0.0, math.inf, above)],
-                            sig.imag, mode.omega, params.eps_r)
+    if supported_polarization(sig) != mode.polarization:
+        raise UnsupportedModeError(f"{mode.polarization} not supported at this frequency "
+                                   f"(Im sigma = {sig.imag:.3e})")
+    return lossless_spp_norm(mode.polarization, mode.omega, sig.imag, params.eps_r)[0]
 
 
 def quantize_mode(mode: SppMode, params: GrapheneParams) -> SppMode:
     """Return the mode with its normalization length filled in."""
-    n_len = mode_normalization(mode.polarization, mode, params)
-    return with_normalization(mode, n_len)
+    return replace(mode, norm_n=mode_normalization(mode, params))
 
 
 def vector_potential_amplitude(mode: SppMode, geometry: QuantizationGeometry) -> float:

@@ -19,6 +19,7 @@ from scipy.integrate import quad, simpson
 from scipy.linalg import expm
 from scipy.special import expit
 
+import gspp.material
 from gspp.material import CONSTANTS, QuadratureError, conductivity
 from gspp.prism import atr_solve
 from gspp.qec import CatCode, _draw_blocks, trajectory_rng
@@ -355,3 +356,13 @@ def overlap_beta_oracle(geom, params, omega, n_points=1024):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def full_calls(monkeypatch):
+    """Frequencies of the conductivity_full calls made during the test."""
+    calls = []
+    full = gspp.material.conductivity_full
+    monkeypatch.setattr(gspp.material, "conductivity_full",
+                        lambda params, omega: calls.append(omega) or full(params, omega))
+    return calls

@@ -70,6 +70,12 @@ class TestDispersionCommand:
         assert int(te_row[2]) == 0  # flagged unsupported at this frequency
         assert math.isnan(float(te_row[6]))
 
+    def test_conductivity_calls_per_frequency(self, tmp_path, full_calls):
+        # per frequency: the supported solve (centre plus four stencil
+        # points) and the unsupported one (centre only)
+        assert main(["dispersion", "--points", "3", "--out", str(tmp_path / "d.csv")]) == 0
+        assert len(full_calls) == 18
+
 
 class TestPrismCommand:
     def test_map_grid_point_matches_direct(self, tmp_path):
@@ -306,6 +312,44 @@ class TestUsageErrors:
         assert not list(tmp_path.iterdir())
         err = capsys.readouterr().err
         assert "invalid input" in err and flag in err and "got 0" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["propagate", "--beta-list", "1", "--alpha", "nan"],
+        ["propagate", "--beta-list", "1", "--alpha", "inf"],
+        ["sigma", "--points", "3", "--fmin-thz", "nan"],
+        ["sigma", "--points", "3", "--temperature-k", "nan"],
+        ["sigma", "--points", "3", "--mu-c-ev", "nan"],
+        ["sigma", "--points", "3", "--eps-r", "nan"],
+        ["prism", "reflectance-map", "--theta-points", "2", "--freq-points", "2", "--d-um", "nan"],
+        QEC_SMALL + ["--trajectories", "4", "--alpha", "inf"],
+        QEC_SMALL + ["--trajectories", "4", "--alpha", "nan"],
+        QEC_SMALL + ["--trajectories", "4", "--g", "nan"],
+        QEC_SMALL + ["--trajectories", "4", "--k0kappa2x-max", "nan"],
+        QEC_SMALL + ["--trajectories", "4", "--beta", "1.5"],
+        QEC_SMALL + ["--trajectories", "4", "--beta", "-1.5"],
+    ])
+    def test_non_finite_or_out_of_range_rejected(self, tmp_path, capsys, argv):
+        # these used to exit 0 with nan rows, or exit 2 or 3 without naming the flag
+        flag, value = argv[-2:]
+        assert main(argv + ["--out", str(tmp_path / "t.csv")]) == 2
+        assert not list(tmp_path.iterdir())
+        err = capsys.readouterr().err
+        assert "invalid input" in err and flag in err and f"got {value}" in err
+
+    def test_non_finite_config_value_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "nan.cfg"
+        cfg.write_text("alpha = nan\nbeta_list = 1\n")
+        out = tmp_path / "t.csv"
+        assert main(["propagate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert list(tmp_path.iterdir()) == [cfg]
+        assert "--alpha must be finite, got nan" in capsys.readouterr().err
+
+    def test_negative_beta_accepted(self, tmp_path):
+        # a transmission amplitude with phase pi
+        out = tmp_path / "q.csv"
+        argv = QEC_SMALL + ["--trajectories", "4", "--checkpoints", "2", "--beta", "-0.9"]
+        assert main(argv + ["--out", str(out)]) == 0
+        assert f"# g: {math.asin(-0.9)!r}" in out.read_text()
 
     def test_single_trajectory_rejected(self, tmp_path):
         out = tmp_path / "q.csv"

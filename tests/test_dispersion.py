@@ -9,14 +9,11 @@ from gspp.dispersion import (
     UnsupportedModeError,
     effective_wavelength,
     group_velocity,
-    kappa_te,
-    kappa_tm,
     propagation_length,
     solve_mode,
     supported_polarization,
-    te_wavenumber,
-    tm_wavenumber,
     transverse_q0,
+    wavenumber,
 )
 
 C0 = CONSTANTS.c0
@@ -28,15 +25,17 @@ def omega_from_lambda(lam0: float) -> float:
 
 class TestWavenumbers:
     def test_sigma_zero_raises(self):
-        with pytest.raises(ValueError):
-            kappa_tm(0.0, 1.0)
-        with pytest.raises(ValueError):
-            kappa_te(0.0, 1.0)
+        for pol in ("TM", "TE"):
+            with pytest.raises(ValueError, match="sigma = 0"):
+                wavenumber(pol, Conductivity(0.0, 1.0), 1.0)
+        with pytest.raises(ValueError, match="polarization"):
+            wavenumber("TEM", Conductivity(1e-5 + 2e-5j, 1.0), 1.0)
 
     def test_te_free_photon_limit(self):
         # vanishing (capacitive) conductivity: TE wavenumber -> k0 sqrt(eps_r)
         for eps_r in (1.0, 2.25):
-            kappa = kappa_te(1e-12 - 1e-12j, eps_r)
+            # omega = c0 makes k0 = 1, so k is kappa
+            kappa = wavenumber("TE", Conductivity(1e-12 - 1e-12j, C0), eps_r)
             assert kappa.real == pytest.approx(math.sqrt(eps_r), rel=1e-12)
             assert kappa.imag >= 0.0
 
@@ -61,11 +60,11 @@ class TestWavenumbers:
             sig = conductivity(params, omega)
             eta = math.sqrt(CONSTANTS.mu0 / (CONSTANTS.eps0 * params.eps_r))
             k0 = omega / C0
-            k_tm = tm_wavenumber(params, omega, sigma=sig)
+            k_tm = wavenumber("TM", sig, params.eps_r)
             lhs = (k_tm / k0) ** 2
             rhs = params.eps_r * (1.0 - (2.0 / (sig.value * eta)) ** 2)
             assert abs(lhs - rhs) / abs(rhs) < 1e-10
-            k_te = te_wavenumber(params, omega, sigma=sig)
+            k_te = wavenumber("TE", sig, params.eps_r)
             rhs_te = params.eps_r * (1.0 - (sig.value * eta / 2.0) ** 2)
             assert abs((k_te / k0) ** 2 - rhs_te) / abs(rhs_te) < 1e-10
 
@@ -73,8 +72,9 @@ class TestWavenumbers:
         params = GrapheneParams.with_default_rates(0.5, 300.0)
         for f in (1e12, 50e12, 500e12):
             omega = 2.0 * math.pi * f
-            assert tm_wavenumber(params, omega).imag >= 0.0
-            assert te_wavenumber(params, omega).imag >= 0.0
+            sig = conductivity(params, omega)
+            assert wavenumber("TM", sig, params.eps_r).imag >= 0.0
+            assert wavenumber("TE", sig, params.eps_r).imag >= 0.0
 
 
 class TestPolarizationSelection:
@@ -128,7 +128,7 @@ class TestTransverseDecay:
         for f, pol in ((5e12, "TM"), (700e12, "TE")):
             omega = 2.0 * math.pi * f
             sig = conductivity(params, omega)
-            k = (tm_wavenumber if pol == "TM" else te_wavenumber)(params, omega, sigma=sig)
+            k = wavenumber(pol, sig, params.eps_r)
             q0 = transverse_q0(pol, sig, 1.0)
             rhs = k**2 - params.eps_r * (omega / C0) ** 2
             assert abs(q0**2 - rhs) / abs(rhs) < 1e-10
@@ -139,19 +139,20 @@ class TestGroupVelocity:
         # nearly transparent sheet: v_g -> c0/sqrt(eps_r)
         params = GrapheneParams(mu_c=1e-6, temperature=0.0, gamma_intra=1e9,
                                 gamma_inter=1e10, eps_r=2.0)
-        v = group_velocity(params, 2.0 * math.pi * 500e12, "TE")
+        sig = conductivity(params, 2.0 * math.pi * 500e12)
+        v = group_velocity(params, sig, "TE")
         assert v == pytest.approx(C0 / math.sqrt(2.0), rel=1e-4)
 
     def test_tm_slow_wave(self):
         params = GrapheneParams.with_default_rates(1.4, 300.0)
-        v = group_velocity(params, omega_from_lambda(1550e-9), "TM")
+        v = group_velocity(params, conductivity(params, omega_from_lambda(1550e-9)), "TM")
         assert 0.0 < v < 0.05 * C0
 
     def test_step_halving_convergence(self):
         params = GrapheneParams.with_default_rates(1.4, 300.0)
-        omega = omega_from_lambda(1550e-9)
-        v1 = group_velocity(params, omega, "TM", rel_step=1e-5)
-        v2 = group_velocity(params, omega, "TM", rel_step=5e-6)
+        sig = conductivity(params, omega_from_lambda(1550e-9))
+        v1 = group_velocity(params, sig, "TM", rel_step=1e-5)
+        v2 = group_velocity(params, sig, "TM", rel_step=5e-6)
         assert abs(v1 - v2) / v2 < 1e-6
 
 
@@ -173,7 +174,7 @@ class TestDerivedQuantities:
         params = GrapheneParams(mu_c=0.5, temperature=0.0, gamma_intra=1.0,
                                 gamma_inter=1.0)
         omega = 2.0 * math.pi * 10e12
-        k = tm_wavenumber(params, omega)
+        k = wavenumber("TM", conductivity(params, omega), params.eps_r)
         assert abs(k.imag) < 1e-10 * abs(k.real)
 
     def test_solve_mode_unsupported_flag(self):
@@ -191,3 +192,11 @@ class TestDerivedQuantities:
         ratio = effective_wavelength(mode) / 1550e-9
         assert ratio == pytest.approx(0.0235, rel=0.02)
         assert mode.v_g < 0.05 * C0
+
+    def test_solve_mode_conductivity_calls(self, full_calls):
+        # one conductivity at the centre, shared with the group-velocity
+        # stencil, plus its four off-centre points
+        params = GrapheneParams.with_default_rates(1.4, 300.0)
+        mode = solve_mode(params, omega_from_lambda(1550e-9), "TM")
+        assert mode.supported and mode.v_g > 0.0
+        assert len(full_calls) == 5

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -82,20 +83,20 @@ class TestNormalization:
     def test_te_numeric_vs_analytic(self):
         params, mode = te_setup()
         sig = conductivity(params, mode.omega)
-        numeric = mode_normalization("TE", mode, params)
+        numeric = mode_normalization(mode, params)
         analytic = analytic_n_te(mode.omega, sig.imag, params.eps_r)
         assert numeric == pytest.approx(analytic, rel=1e-13, abs=0.0)
 
     def test_tm_numeric_vs_analytic(self):
         params, mode = tm_setup()
         sig = conductivity(params, mode.omega)
-        numeric = mode_normalization("TM", mode, params)
+        numeric = mode_normalization(mode, params)
         analytic = analytic_n_tm(mode.omega, sig.imag, params.eps_r)
         assert numeric == pytest.approx(analytic, rel=1e-13, abs=0.0)
 
     def test_positive(self):
         params, mode = tm_setup()
-        assert mode_normalization("TM", mode, params) > 0.0
+        assert mode_normalization(mode, params) > 0.0
 
     def test_te_field_integral_enters(self):
         # lossless TE: the |phi|^2 integral contributes eps_r/q0 to N
@@ -110,8 +111,10 @@ class TestNormalization:
     def test_unsupported_raises(self):
         params, mode = tm_setup()
         from gspp.dispersion import UnsupportedModeError
+        te_mode = solve_mode(params, mode.omega, "TE")
+        assert not te_mode.supported
         with pytest.raises(UnsupportedModeError):
-            mode_normalization("TE", mode, params)
+            mode_normalization(te_mode, params)
 
     def test_hamiltonian_identity(self):
         # integrated mode energy equals eps0 L^2 w^2 N (C C* + C* C) with
@@ -127,7 +130,7 @@ class TestNormalization:
             phi_par0 = 1.0 if pol == "TE" else abs(tm_parallel_amplitude(ll)) ** 2
             sheet = abs(sig.imag) / (2.0 * K.eps0 * mode.omega) * phi_par0
             n_direct = 0.5 * bulk + sheet
-            n_module = mode_normalization(pol, mode, params)
+            n_module = mode_normalization(mode, params)
             assert n_module == pytest.approx(n_direct, rel=1e-12, abs=0.0)
 
     def test_cross_terms_cancel(self):
@@ -204,8 +207,7 @@ class TestVectorPotentialAmplitude:
         base = vector_potential_amplitude(mode, QuantizationGeometry(W=1e-6))
         wide = vector_potential_amplitude(mode, QuantizationGeometry(W=2e-6))
         assert wide == pytest.approx(base / math.sqrt(2.0), rel=1e-12)
-        from gspp.dispersion import with_normalization
-        doubled = with_normalization(mode, 2.0 * mode.norm_n)
+        doubled = replace(mode, norm_n=2.0 * mode.norm_n)
         assert vector_potential_amplitude(doubled, QuantizationGeometry(W=1e-6)) == \
             pytest.approx(base / math.sqrt(2.0), rel=1e-12)
 
