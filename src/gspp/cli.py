@@ -118,6 +118,37 @@ def write_manifest(path: str, command: str, params: dict) -> None:
             fh.write(f"{key}: {_fmt(params[key])}\n")
 
 
+def float_list(flag: str, text: str) -> list[float]:
+    """The finite numbers of a comma-separated list option."""
+    values = []
+    for entry in text.split(","):
+        try:
+            value = float(entry)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise ValueError(f"{flag} needs comma-separated finite numbers, got {entry!r} in {text!r}")
+        values.append(value)
+    return values
+
+
+def worker_count(flag: int | None) -> int:
+    """--workers, else $GSPP_WORKERS, else the CPU count; at least 1."""
+    if flag is not None:
+        name, value = "--workers", flag
+    elif WORKERS_ENV not in os.environ:
+        return os.cpu_count() or 1
+    else:
+        name, raw = WORKERS_ENV, os.environ[WORKERS_ENV]
+        try:
+            value = int(raw)
+        except ValueError:
+            raise ValueError(f"{name} must be a positive integer, got {raw!r}") from None
+    if value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # shared option groups
 
@@ -280,7 +311,7 @@ def cmd_prism(args) -> int:
 
 
 def cmd_propagate(args) -> int:
-    betas = [float(b) for b in args.beta_list.split(",")]
+    betas = float_list("--beta-list", args.beta_list)
     if args.points < 1:
         raise ValueError("need at least one distance point")
     x = np.linspace(0.0, args.xi_max, args.points)
@@ -302,6 +333,8 @@ def cmd_propagate(args) -> int:
 
 def cmd_qec(args) -> int:
     params = material_from_args(args)
+    workers = worker_count(args.workers)
+    p_values = float_list("--p-list", args.p_list)
     if not args.lambda0_nm > 0.0:
         raise ValueError(f"--lambda0-nm must be > 0, got {args.lambda0_nm}")
     if args.beta is not None and not abs(args.beta) <= 1.0:
@@ -315,9 +348,6 @@ def cmd_qec(args) -> int:
     lam_eff = effective_wavelength(mode)
     x_total = args.k0kappa2x_max / k0_kappa2
 
-    workers = args.workers or int(os.environ.get(WORKERS_ENV, "0")) or (os.cpu_count() or 1)
-
-    p_values = [float(p) for p in args.p_list.split(",")]
     rows = []
     f0 = None
     for p in p_values:

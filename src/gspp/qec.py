@@ -134,7 +134,7 @@ def kraus_completeness_residual(gamma_dt: float, dim: int) -> float:
 def parity_check(state: StateVector, rng: np.random.Generator) -> tuple[int, StateVector]:
     """Born-rule projective parity measurement; returns (+-1, projected state)."""
     row = np.array(state.normalized().amplitudes)[None, :]
-    outcome = _vec_parity(row, rng.random(1))
+    outcome = _vec_parity(row, rng.random(1), None)
     return int(outcome[0]), StateVector(row[0])
 
 
@@ -403,6 +403,10 @@ def _ensemble_uniforms(config: QecRunConfig, input_index: int, n_exc: int,
 # ---------------------------------------------------------------------------
 # quantum-jump engine on a (n_traj, dim) block of Fock vectors
 
+# relative margin inside which a shortcut may not decide a Bernoulli draw
+_BAND = 1e-9
+
+
 def _row_norms(states: np.ndarray) -> np.ndarray:
     """np.linalg.norm(states, axis=1, keepdims=True) with its ufuncs,
     the product written into the conjugate's buffer."""
@@ -415,31 +419,57 @@ def _vec_channel_step(states, u, gamma_dt, n_vec, sqrt_n, decay2, jumps) -> None
     """One jump/no-jump micro-step applied in place to all trajectories;
     decay2 is the no-jump decay repeated for the float view's (re, im)
     pairs.  Scaling that view by 1/norm is what dividing the complex rows
-    by a real norm computes."""
-    prob2 = np.abs(states) ** 2
-    nbar = prob2 @ n_vec
-    mask = u < gamma_dt * nbar
-    pre = states[mask] if np.any(mask) else None
+    by a real norm computes.
+
+    A row jumps when u < gamma_dt*<n>.  Rows enter with unit norm, so
+    <n> <= dim - 1, and <n> is computed only on the rows whose u lies
+    below gamma_dt*(dim - 1).  A gemv over a row subset can differ from
+    the whole-array gemv in the last bits, so a draw within a relative
+    _BAND of its threshold sends the step back to the whole-array <n>:
+    every jump is the one that comparison decides.
+    """
+    rows = np.flatnonzero(u < gamma_dt * n_vec[-1] * (1.0 + _BAND))
+    pre = states[rows]
+    u_rows = u[rows]
+    thr = gamma_dt * (np.abs(pre) ** 2 @ n_vec)
+    if np.any(np.abs(u_rows - thr) <= _BAND * thr):
+        rows = np.flatnonzero(u < gamma_dt * (np.abs(states) ** 2 @ n_vec))
+        pre = states[rows]
+    else:
+        jumped = u_rows < thr
+        rows, pre = rows[jumped], pre[jumped]
     flat = states.view(float)
     flat *= decay2
     flat *= 1.0 / _row_norms(states)
-    if pre is not None:
+    if len(rows):
         shifted = np.zeros_like(pre)
         shifted[:, :-1] = pre[:, 1:] * sqrt_n
         norms = np.linalg.norm(shifted, axis=1, keepdims=True)
         if np.any(norms < 1e-14):
             raise ArithmeticError("jump applied to (near-)vacuum trajectory")
-        states[mask] = shifted / norms
-        jumps += mask
+        states[rows] = shifted / norms
+        jumps[rows] += 1
 
 
-def _vec_parity(states: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    """Projective parity measurement in place; returns the +-1 outcomes."""
-    p_even = np.sum(np.abs(states[:, 0::2]) ** 2, axis=1)
-    outcome = np.where(uniforms < p_even, 1, -1)
-    even = (outcome > 0)[:, None]
-    np.copyto(states[:, 1::2], 0.0, where=even)
-    np.copyto(states[:, 0::2], 0.0, where=~even)
+def _vec_parity(states: np.ndarray, uniforms: np.ndarray, sector) -> np.ndarray:
+    """Projective parity measurement in place; returns the +-1 outcomes.
+
+    sector is None, or each row's +-1 parity sector when every row is
+    sector-pure: the other sector's amplitudes are exactly zero.  Then an
+    odd row has p_even = 0 and measures -1, and an even row has p_even
+    equal to its unit norm to about 1e-14 and measures +1 for any u below
+    1 - _BAND.  The projection would write zeros over zeros, so only the
+    renormalization runs.  An even row drawing u >= 1 - _BAND sends the
+    check to the general projection, which raises on an annihilated row.
+    """
+    if sector is not None and not np.any((sector > 0) & (uniforms >= 1.0 - _BAND)):
+        outcome = sector
+    else:
+        p_even = np.sum(np.abs(states[:, 0::2]) ** 2, axis=1)
+        outcome = np.where(uniforms < p_even, 1, -1)
+        even = (outcome > 0)[:, None]
+        np.copyto(states[:, 1::2], 0.0, where=even)
+        np.copyto(states[:, 0::2], 0.0, where=~even)
     norms = _row_norms(states)
     if np.any(norms < 1e-14):
         raise ArithmeticError("parity projection annihilated a trajectory")
@@ -466,12 +496,18 @@ def _unravel(config: QecRunConfig, states: np.ndarray, blocks, snapshot=None,
     jumps = np.zeros(nt, dtype=int)
     flips = np.zeros(nt, dtype=int)
     parity = np.ones(nt, dtype=int)
+    at_check = None  # jump counts at the last check, which left every row sector-pure
 
     def check(u):
-        nonlocal parity
-        outcome = _vec_parity(states, u)
+        nonlocal parity, at_check
+        # a jump moves a row to the other sector; decay and renormalization
+        # scale by positive reals, so exact zeros stay exact
+        sector = None if at_check is None else np.where((jumps - at_check) % 2 == 0,
+                                                        parity, -parity)
+        outcome = _vec_parity(states, u, sector)
         flips[:] += outcome != parity
         parity = outcome
+        at_check = jumps.copy()
         if outcomes is not None:
             outcomes.append(outcome)
 
@@ -649,6 +685,8 @@ def average_fidelity(config: QecRunConfig, workers: int = 1) -> QecCurve:
     """
     if config.n_trajectories < 2:
         raise ValueError("need at least two trajectories for a standard error")
+    if workers < 1:
+        raise ValueError(f"need at least one worker, got {workers}")
     inputs = config.input_states()
     checkpoints = config.checkpoint_steps()
     x = checkpoints * config.step

@@ -1,7 +1,8 @@
 """Shared test oracles: exact two-mode beamsplitter, trace distance, a
 per-trajectory quantum-jump loop over one Fock vector, the ensemble
 streams built one Generator per trajectory, the complex-arithmetic
-ensemble micro-step and parity projection, the interband conductivity
+ensemble micro-step and parity projection and the ensemble loop built on
+them, the interband conductivity
 quadrature with a numpy-scalar integrand, and the mode integrals of the
 quantization and prism-overlap layers as sampled profiles integrated by
 graded-grid Simpson quadrature.
@@ -165,6 +166,48 @@ def parity_oracle(states, uniforms):
         raise ArithmeticError("parity projection annihilated a trajectory")
     states /= norms
     return outcome
+
+
+def unravel_oracle(config, states, blocks, snapshot=None, outcomes=None):
+    """The ensemble quantum-jump loop in gspp.qec._unravel's order, with
+    <n> over the whole array at every micro-step (channel_step_oracle) and
+    the general projection at every check (parity_oracle).  Same arguments
+    and return value as _unravel."""
+    exc_u, init_u, step_u, check_u = blocks
+    nt, dim = states.shape
+    n_vec = np.arange(dim, dtype=float)
+    sqrt_n = np.sqrt(np.arange(1, dim, dtype=float))
+    jumps = np.zeros(nt, dtype=int)
+    flips = np.zeros(nt, dtype=int)
+    parity = np.ones(nt, dtype=int)
+
+    def check(u):
+        nonlocal parity
+        outcome = parity_oracle(states, u)
+        flips[:] += outcome != parity
+        parity = outcome
+        if outcomes is not None:
+            outcomes.append(outcome)
+
+    if len(exc_u):
+        g_dt = config.excitation_gamma_t / len(exc_u)
+        for u in exc_u:
+            channel_step_oracle(states, u, g_dt, n_vec, sqrt_n, np.exp(-0.5 * g_dt * n_vec), jumps)
+    states *= np.exp(1j * np.angle(config.alpha_excited / config.alpha) * n_vec)
+    if config.initial_check:
+        check(init_u[0])
+    if snapshot is not None:
+        snapshot(0, parity, flips)
+    gamma_dx = 2.0 * config.k0_kappa2 * config.step
+    decay = np.exp(-0.5 * gamma_dx * n_vec)
+    checks = iter(check_u)
+    for i, due in enumerate(config.check_schedule()):
+        channel_step_oracle(states, step_u[i], gamma_dx, n_vec, sqrt_n, decay, jumps)
+        if due:
+            check(next(checks))
+        if snapshot is not None:
+            snapshot(i + 1, parity, flips)
+    return jumps
 
 
 def quad_interband_oracle(params, omega):

@@ -1,4 +1,5 @@
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -350,6 +351,47 @@ class TestUsageErrors:
         argv = QEC_SMALL + ["--trajectories", "4", "--checkpoints", "2", "--beta", "-0.9"]
         assert main(argv + ["--out", str(out)]) == 0
         assert f"# g: {math.asin(-0.9)!r}" in out.read_text()
+
+    @pytest.mark.parametrize("flags, env, message", [
+        (["--workers=-3"], None, "--workers must be a positive integer, got -3"),
+        (["--workers", "0"], None, "--workers must be a positive integer, got 0"),
+        (["--workers", "-1"], "2", "--workers must be a positive integer, got -1"),
+        ([], "-5", "GSPP_WORKERS must be a positive integer, got -5"),
+        ([], "0", "GSPP_WORKERS must be a positive integer, got 0"),
+        ([], "abc", "GSPP_WORKERS must be a positive integer, got 'abc'"),
+        ([], "", "GSPP_WORKERS must be a positive integer, got ''"),
+    ])
+    def test_bad_worker_count_rejected(self, tmp_path, capsys, monkeypatch, flags, env, message):
+        # a count below 1 used to run serially and print itself into the header
+        if env is None:
+            monkeypatch.delenv("GSPP_WORKERS", raising=False)
+        else:
+            monkeypatch.setenv("GSPP_WORKERS", env)
+        argv = QEC_SMALL[:-2] + flags + ["--trajectories", "4", "--out", str(tmp_path / "q.csv")]
+        assert main(argv) == 2
+        assert not list(tmp_path.iterdir())
+        assert message in capsys.readouterr().err
+
+    def test_unset_workers_means_cpu_count(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("GSPP_WORKERS", raising=False)
+        out = tmp_path / "q.csv"
+        argv = QEC_SMALL[:-2] + ["--trajectories", "4", "--checkpoints", "2", "--out", str(out)]
+        assert main(argv) == 0
+        assert f"# workers: {os.cpu_count() or 1}\n" in out.read_text()
+
+    @pytest.mark.parametrize("argv, flag, entry", [
+        (QEC_SMALL + ["--p-list", "1,,0"], "--p-list", "''"),
+        (QEC_SMALL + ["--p-list", "abc"], "--p-list", "'abc'"),
+        (QEC_SMALL + ["--p-list", "0,inf"], "--p-list", "'inf'"),
+        (["propagate", "--beta-list", "1,x"], "--beta-list", "'x'"),
+        (["propagate", "--beta-list", "nan"], "--beta-list", "'nan'"),
+    ])
+    def test_bad_list_entry_rejected(self, tmp_path, capsys, argv, flag, entry):
+        # these used to exit 2 with only "could not convert string to float"
+        assert main(argv + ["--out", str(tmp_path / "t.csv")]) == 2
+        assert not list(tmp_path.iterdir())
+        err = capsys.readouterr().err
+        assert "invalid input" in err and flag in err and f"got {entry}" in err
 
     def test_single_trajectory_rejected(self, tmp_path):
         out = tmp_path / "q.csv"

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import channel_step_oracle, ensemble_uniforms_oracle, fock_trajectory, parity_oracle
+from conftest import (
+    channel_step_oracle,
+    ensemble_uniforms_oracle,
+    fock_trajectory,
+    parity_oracle,
+    unravel_oracle,
+)
 from gspp.channel import AMPLITUDE_MATCHED, fidelity_vs_distance
 from gspp.coupling import normalize_superposition, superposition_vector
 from gspp.qec import (
@@ -28,7 +34,15 @@ from gspp.qec import (
     run_trajectory,
     trajectory_rng,
 )
-from gspp.qec import SIX_CARDINAL, _draw_blocks, _ensemble_uniforms, _f0_analytic, _vec_channel_step, _vec_parity
+from gspp.qec import (
+    SIX_CARDINAL,
+    _draw_blocks,
+    _ensemble_uniforms,
+    _f0_analytic,
+    _unravel,
+    _vec_channel_step,
+    _vec_parity,
+)
 from gspp.qstate import StateVector, annihilation, parity, pure_fidelity, truncation_dimension
 
 ALPHA = 3.0
@@ -330,6 +344,11 @@ class TestEnsemble:
         assert np.array_equal(serial.std_err, threaded.std_err)
         assert serial.f0 == threaded.f0
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_worker_count_below_one_rejected(self, workers):
+        with pytest.raises(ValueError, match=f"worker.*{workers}"):
+            average_fidelity(make_config(n_trajectories=8, n_checkpoints=2), workers=workers)
+
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="seed .*-1"):
             make_config(seed=-1)
@@ -400,7 +419,7 @@ class TestMicroStepOracle:
             if k % 2:
                 before = np.sum(np.abs(new[:, 0::2]) ** 2, axis=1) > 0.5
                 u = rng.random(nt)
-                outcome = _vec_parity(new, u)
+                outcome = _vec_parity(new, u, None)
                 assert np.array_equal(outcome, parity_oracle(old, u))
                 assert np.array_equal(new.view(float), old.view(float))
                 flips += int(np.sum((outcome > 0) != before))
@@ -418,12 +437,183 @@ class TestMicroStepOracle:
         odd = np.zeros((1, dim), dtype=complex)
         odd[0, 1] = 1.0
         with pytest.raises(ArithmeticError):
-            _vec_parity(vacuum.copy(), np.array([1.0]))  # p_even = 1, u = 1 -> odd
+            _vec_parity(vacuum.copy(), np.array([1.0]), None)  # p_even = 1, u = 1 -> odd
         state = odd.copy()
         jumps = np.zeros(1, dtype=int)
         _vec_channel_step(state, np.array([0.0]), 0.01, n_vec, sqrt_n,
                           np.repeat(np.exp(-0.005 * n_vec), 2), jumps)
         assert jumps[0] == 1 and np.array_equal(state, vacuum)
+
+
+def sector_pure_rows(rng, nt, dim, decay=0.08):
+    """Unit rows with random amplitudes in one parity sector each, the other
+    sector exactly zero; returns (states, sector)."""
+    states = rng.standard_normal((nt, dim)) + 1j * rng.standard_normal((nt, dim))
+    states *= np.exp(-decay * np.arange(dim))
+    sector = rng.choice([1, -1], size=nt)
+    states[sector > 0, 1::2] = 0.0
+    states[sector < 0, 0::2] = 0.0
+    states /= np.linalg.norm(states, axis=1, keepdims=True)
+    return states, sector
+
+
+def outcome_or_error(fn, *args):
+    try:
+        return fn(*args)
+    except ArithmeticError:
+        return ArithmeticError
+
+
+def near(value, rng, size):
+    """value, or one representable step below or above it, per entry."""
+    value = np.broadcast_to(value, size)
+    return rng.choice(3, size=size).choose(
+        [np.nextafter(value, -np.inf), value, np.nextafter(value, np.inf)])
+
+
+class TestDecisionShortcuts:
+    """The micro-step decides a jump from <n> on the rows that can jump,
+    and a check after the first from each row's parity sector.  Every
+    jump, outcome and state bit must be what the whole-array <n> and the
+    general projection give.  (States compare as float views: the oracles'
+    complex division turns some -0.0 into +0.0, the float view does not.)"""
+
+    @staticmethod
+    def run_engines(cfg, edit=None):
+        blocks = _ensemble_uniforms(cfg, 0, cfg.n_excitation_steps, cfg.n_steps,
+                                    int(cfg.check_schedule().sum()))
+        if edit is not None:
+            edit(blocks)
+        code = CatCode(alpha=cfg.alpha, dim=truncation_dimension(cfg.alpha))
+        start = np.tile(code.encode(1.0 / math.sqrt(2.0), 1j / math.sqrt(2.0)).amplitudes,
+                        (cfg.n_trajectories, 1))
+        runs = []
+        for engine in (_unravel, unravel_oracle):
+            states = start.copy()
+            outcomes, snaps = [], []
+            def snapshot(i, parity, flips):
+                snaps.append((i, parity.copy(), flips.copy()))
+
+            jumps = outcome_or_error(engine, cfg, states, blocks, snapshot, outcomes)
+            runs.append(jumps if jumps is ArithmeticError else (jumps, outcomes, snaps, states))
+        return runs
+
+    @staticmethod
+    def assert_same(new, old):
+        if new is ArithmeticError or old is ArithmeticError:
+            assert new is old
+            return
+        assert np.array_equal(new[0], old[0])
+        assert len(new[1]) == len(old[1])
+        assert all(np.array_equal(a, b) for a, b in zip(new[1], old[1]))
+        assert len(new[2]) == len(old[2])
+        for (i, p, f), (j, q, g) in zip(new[2], old[2]):
+            assert i == j and np.array_equal(p, q) and np.array_equal(f, g)
+        assert np.array_equal(new[3].view(float), old[3].view(float))
+
+    @pytest.mark.parametrize("beta, parity_p, initial_check", [
+        (1.0, 1.0, True), (1.0, 0.2, True), (1.0, 0.6, True),
+        (0.9511, 1.0, True), (0.9511, 0.6, True),
+        (1.0, 0.6, False), (0.9511, 0.2, False),
+    ])
+    def test_ensemble_matches_oracle(self, beta, parity_p, initial_check):
+        cfg = make_config(g=math.asin(beta), parity_p=parity_p, initial_check=initial_check,
+                          n_trajectories=300)
+        new, old = self.run_engines(cfg)
+        assert new[0].sum() > 100 and len(new[1]) > 30  # jumps and checks exercised
+        self.assert_same(new, old)
+
+    @pytest.mark.parametrize("rows", [slice(None), slice(0, 1), slice(0, 300, 7)])
+    @pytest.mark.parametrize("u", [1.0 - 2.0**-53, 1.0 - 1e-9, np.nextafter(1.0 - 1e-9, 0.0),
+                                   np.nextafter(1.0 - 1e-9, 1.0)])
+    def test_check_draws_near_top_of_unit_interval(self, rows, u):
+        # against p_even = 1 to rounding, u = 1 - 2**-53 may send an even row
+        # to the empty odd sector, and then both engines raise
+        def edit(blocks):
+            blocks[3][5:, rows] = u
+
+        cfg = make_config(parity_p=1.0, n_trajectories=300, x_total=0.05)
+        new, old = self.run_engines(cfg, edit)
+        if u < 1.0 - 1e-10:
+            assert new is not ArithmeticError
+        self.assert_same(new, old)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_jump_draws_at_threshold(self, seed):
+        # u at the whole-array gamma*<n> and at its neighbours on a random
+        # row subset: a subset gemv alone decides some of them wrongly
+        rng = np.random.default_rng(seed)
+        nt, dim, gamma_dt = 2000, 45, 0.01
+        n_vec = np.arange(dim, dtype=float)
+        sqrt_n = np.sqrt(np.arange(1, dim, dtype=float))
+        decay = np.exp(-0.5 * gamma_dt * n_vec)
+        for _ in range(25):
+            new, _ = sector_pure_rows(rng, nt, dim)
+            old = new.copy()
+            thr = gamma_dt * (np.abs(new) ** 2 @ n_vec)
+            u = np.ones(nt)
+            rows = rng.choice(nt, int(rng.integers(1, 400)), replace=False)
+            u[rows] = near(thr[rows], rng, len(rows))
+            jumps_new = np.zeros(nt, dtype=int)
+            jumps_old = np.zeros(nt, dtype=int)
+            _vec_channel_step(new, u, gamma_dt, n_vec, sqrt_n, np.repeat(decay, 2), jumps_new)
+            channel_step_oracle(old, u, gamma_dt, n_vec, sqrt_n, decay, jumps_old)
+            assert np.array_equal(jumps_new, jumps_old)
+            assert np.array_equal(new.view(float), old.view(float))
+
+    @pytest.mark.parametrize("beta, parity_p, initial_check", [
+        (1.0, 1.0, True), (1.0, 0.2, True), (0.9511, 0.6, True), (0.9511, 0.6, False),
+    ])
+    def test_rows_stay_sector_pure(self, beta, parity_p, initial_check):
+        cfg = make_config(g=math.asin(beta), parity_p=parity_p, initial_check=initial_check,
+                          n_trajectories=200)
+        blocks = _ensemble_uniforms(cfg, 0, cfg.n_excitation_steps, cfg.n_steps,
+                                    int(cfg.check_schedule().sum()))
+        code = CatCode(alpha=cfg.alpha, dim=truncation_dimension(cfg.alpha))
+        states = np.tile(code.encode(0.6, 0.8).amplitudes, (cfg.n_trajectories, 1))
+        outcomes = []
+        impure = []
+
+        def snapshot(i, parity, flips):
+            if outcomes:
+                pure = np.all(states[:, 0::2] == 0.0, axis=1) | np.all(states[:, 1::2] == 0.0, axis=1)
+                impure.append(int(np.sum(~pure)))
+
+        jumps = _unravel(cfg, states, blocks, snapshot, outcomes)
+        assert jumps.sum() > 0 and len(impure) > 100
+        assert not any(impure)
+
+    @given(dim=st.integers(8, 60), gamma_dt=st.floats(1e-4, 0.05), nt=st.integers(1, 200),
+           seed=st.integers(0, 2**32 - 1))
+    def test_kernels_match_oracles(self, dim, gamma_dt, nt, seed):
+        rng = np.random.default_rng(seed)
+        new, sector = sector_pure_rows(rng, nt, dim, decay=rng.uniform(0.0, 0.2))
+        old = new.copy()
+        n_vec = np.arange(dim, dtype=float)
+        sqrt_n = np.sqrt(np.arange(1, dim, dtype=float))
+        decay = np.exp(-0.5 * gamma_dt * n_vec)
+        thr = gamma_dt * (np.abs(new) ** 2 @ n_vec)
+        bound = gamma_dt * (dim - 1) * (1.0 + 1e-9)
+        # draws at the row's threshold, at the candidate bound, or anywhere
+        u = rng.choice(3, size=nt).choose([near(thr, rng, nt), near(bound, rng, nt),
+                                           rng.random(nt) * min(1.0, 2.0 * bound)])
+        jumps_new = np.zeros(nt, dtype=int)
+        jumps_old = np.zeros(nt, dtype=int)
+        _vec_channel_step(new, u, gamma_dt, n_vec, sqrt_n, np.repeat(decay, 2), jumps_new)
+        channel_step_oracle(old, u, gamma_dt, n_vec, sqrt_n, decay, jumps_old)
+        assert np.array_equal(jumps_new, jumps_old)
+        assert np.array_equal(new.view(float), old.view(float))
+
+        sector = np.where(jumps_new % 2 == 0, sector, -sector)
+        u = rng.choice(4, size=nt).choose([near(1.0 - 1e-9, rng, nt), np.full(nt, 1.0 - 2.0**-53),
+                                           np.zeros(nt), rng.random(nt)])
+        outcome = outcome_or_error(_vec_parity, new, u, sector)
+        expected = outcome_or_error(parity_oracle, old, u)
+        if expected is ArithmeticError:
+            assert outcome is ArithmeticError
+        else:
+            assert np.array_equal(outcome, expected) and np.array_equal(outcome, sector)
+            assert np.array_equal(new.view(float), old.view(float))
 
 
 class TestOrthogonalityMonitor:
