@@ -4,8 +4,8 @@ deterministic seeds and run manifests.
 Output CSVs carry a comment header (lines starting with '#') echoing every
 physical parameter, followed by an RFC-4180-style table ('.' decimal,
 scientific notation, UTF-8).  A plain-text manifest is written next to
-each output.  Exit codes: 0 success, 2 validation error, 3 numerical
-failure.
+each output: the same parameter echo under the tool and command lines.
+Exit codes: 0 success, 2 validation or file error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -62,21 +62,27 @@ def load_config(path: str) -> dict[str, str]:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key, val = line.split("=", 1)
-            values[key.strip().replace("-", "_")] = val.strip()
+            key = key.strip().replace("-", "_")
+            if key in values:
+                raise ValueError(f"{path}:{lineno}: config key {key!r} given twice")
+            values[key] = val.strip()
     return values
 
 
-def config_defaults(path: str, sub: argparse.ArgumentParser) -> dict:
+def config_defaults(path: str, sub: argparse.ArgumentParser, command: str) -> dict:
     """Config values keyed by option destination, for sub.set_defaults().
 
     argparse runs each string through its option's type when it parses,
     and a flag given on the command line beats its default, so explicit
-    flags win over the config file.  Switches take true/false words.
+    flags win over the config file.  Switches take true/false words.  A
+    config's command key, when present, must name the invoked command.
     """
     actions = {a.dest: a for a in sub._actions if a.dest not in ("help", "config")}
     defaults = {}
     for key, raw in load_config(path).items():
         if key == "command":
+            if raw.split() != command.split():
+                raise ValueError(f"{path} is a config for {raw!r}, not {command!r}")
             continue
         if key not in actions:
             raise ValueError(f"unknown config key {key!r}")
@@ -100,22 +106,19 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_csv(path: str, params: dict, columns: list[str], rows) -> None:
+def write_csv(path: str, command: str, params: dict, columns: list[str], rows) -> None:
+    """The table at path under a '# ' parameter echo, and the same echo
+    under tool and command lines at path + '.manifest'."""
+    echo = [f"{key}: {_fmt(params[key])}\n" for key in sorted(params)]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# gspp {__version__}\n")
-        for key in sorted(params):
-            fh.write(f"# {key}: {_fmt(params[key])}\n")
+        fh.writelines("# " + line for line in echo)
         fh.write(",".join(columns) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
-
-
-def write_manifest(path: str, command: str, params: dict) -> None:
     with open(path + ".manifest", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"tool: gspp {__version__}\n")
-        fh.write(f"command: {command}\n")
-        for key in sorted(params):
-            fh.write(f"{key}: {_fmt(params[key])}\n")
+        fh.write(f"tool: gspp {__version__}\ncommand: {command}\n")
+        fh.writelines(echo)
 
 
 def float_list(flag: str, text: str) -> list[float]:
@@ -222,10 +225,9 @@ def cmd_sigma(args) -> int:
         rows.append((f, sig.real, sig.imag, sig.real / smin, sig.imag / smin))
     echo = material_echo(params) | {"fmin_thz": args.fmin_thz, "fmax_thz": args.fmax_thz,
                                     "points": args.points, "log_spacing": args.log_spacing}
-    write_csv(args.out, echo,
+    write_csv(args.out, "sigma", echo,
               ["freq_hz", "sigma_re_S", "sigma_im_S", "sigma_re_over_min",
                "sigma_im_over_min"], rows)
-    write_manifest(args.out, "sigma", echo)
     return 0
 
 
@@ -244,10 +246,9 @@ def cmd_dispersion(args) -> int:
                          mode.q0.real, mode.v_g, lam_eff, l_prop))
     echo = material_echo(params) | {"fmin_thz": args.fmin_thz, "fmax_thz": args.fmax_thz,
                                     "points": args.points, "log_spacing": args.log_spacing}
-    write_csv(args.out, echo,
+    write_csv(args.out, "dispersion", echo,
               ["freq_hz", "pol", "supported", "kappa_re", "kappa_im", "q0_re_per_m",
                "vg_m_s", "lambda_eff_m", "L_prop_m"], rows)
-    write_manifest(args.out, "dispersion", echo)
     return 0
 
 
@@ -271,8 +272,7 @@ def cmd_prism(args) -> int:
             "theta_min_deg": args.theta_min_deg, "theta_max_deg": args.theta_max_deg,
             "theta_points": args.theta_points, "fmin_thz": args.fmin_thz,
             "fmax_thz": args.fmax_thz, "freq_points": args.freq_points}
-        write_csv(args.out, echo, ["freq_hz", "theta_deg", "R"], rows)
-        write_manifest(args.out, "prism reflectance-map", echo)
+        write_csv(args.out, "prism reflectance-map", echo, ["freq_hz", "theta_deg", "R"], rows)
         return 0
 
     # beta-sweep
@@ -305,8 +305,7 @@ def cmd_prism(args) -> int:
         "match_fmax_thz": args.match_fmax_thz, "match_scan_points": args.match_scan_points,
         "dip_refined": matched,
         "max_beta_abs": float(np.abs(betas).max())}
-    write_csv(args.out, echo, ["d_m", "beta_abs", "beta_arg", "g_abs"], rows)
-    write_manifest(args.out, "prism beta-sweep", echo)
+    write_csv(args.out, "prism beta-sweep", echo, ["d_m", "beta_abs", "beta_arg", "g_abs"], rows)
     return 0
 
 
@@ -326,8 +325,7 @@ def cmd_propagate(args) -> int:
             rows.append((beta, xi, fi, fm))
     echo = {"alpha": args.alpha, "beta_list": args.beta_list,
             "xi_max": args.xi_max, "points": args.points}
-    write_csv(args.out, echo, ["beta", "k0kappa2_x", "F_initial", "F_matched"], rows)
-    write_manifest(args.out, "propagate", echo)
+    write_csv(args.out, "propagate", echo, ["beta", "k0kappa2_x", "F_initial", "F_matched"], rows)
     return 0
 
 
@@ -349,15 +347,12 @@ def cmd_qec(args) -> int:
     x_total = args.k0kappa2x_max / k0_kappa2
 
     rows = []
-    f0 = None
     for p in p_values:
         cfg = QecRunConfig(alpha=args.alpha, g=g, k0_kappa2=k0_kappa2,
                            x_total=x_total, parity_p=p,
                            n_trajectories=args.trajectories, seed=args.seed,
-                           input_set=args.input_set,
                            n_checkpoints=args.checkpoints)
         curve = average_fidelity(cfg, workers=workers)
-        f0 = curve.f0
         for xi, fb, se in zip(curve.x, curve.f_bar, curve.std_err):
             rows.append((xi / lam_eff, p, fb, se, curve.f0))
     echo = material_echo(params) | {
@@ -365,21 +360,17 @@ def cmd_qec(args) -> int:
         "k0_kappa2_per_m": k0_kappa2, "lambda_eff_m": lam_eff,
         "k0kappa2x_max": args.k0kappa2x_max, "p_list": args.p_list,
         "trajectories": args.trajectories, "seed": args.seed,
-        "input_set": args.input_set, "checkpoints": args.checkpoints,
-        "f0": f0, "workers": workers}
-    write_csv(args.out, echo, ["x_over_leff", "p", "F_bar", "std_err", "F0"], rows)
-    write_manifest(args.out, "qec", echo)
+        "input_set": cfg.input_set, "checkpoints": args.checkpoints,
+        "f0": curve.f0, "workers": workers}
+    write_csv(args.out, "qec", echo, ["x_over_leff", "p", "F_bar", "std_err", "F0"], rows)
 
     if args.ortho_out:
-        cfg = QecRunConfig(alpha=args.alpha, g=g, k0_kappa2=k0_kappa2,
-                           x_total=x_total, parity_p=1.0,
-                           n_trajectories=1, seed=args.seed)
+        # the report reads only alpha, g, k0*kappa'' and x_total, which every p shares
         report = orthogonality_monitor(cfg)
-        ortho_rows = [(xi / lam_eff, ov) for xi, ov in zip(report.x, report.overlap)]
-        write_csv(args.ortho_out, echo | {"max_overlap": report.max_overlap,
-                                          "violated": report.violated},
-                  ["x_over_leff", "overlap_abs"], ortho_rows)
-        write_manifest(args.ortho_out, "qec orthogonality", echo)
+        write_csv(args.ortho_out, "qec orthogonality",
+                  echo | {"max_overlap": report.max_overlap, "violated": report.violated},
+                  ["x_over_leff", "overlap_abs"],
+                  [(xi / lam_eff, ov) for xi, ov in zip(report.x, report.overlap)])
     return 0
 
 
@@ -397,25 +388,17 @@ def build_parser() -> argparse.ArgumentParser:
                          help="key = value config file; flags override")
         sub.add_argument("--out", type=str, required=False, default=None)
 
-    sigma = subs.add_parser("sigma", help="sheet conductivity sweep")
-    common(sigma)
-    add_material_options(sigma)
-    sigma.add_argument("--fmin-thz", type=float, default=0.1)
-    sigma.add_argument("--fmax-thz", type=float, default=1000.0)
-    sigma.add_argument("--points", type=int, default=400)
-    sigma.add_argument("--log-spacing", action="store_true", default=True)
-    sigma.add_argument("--linear-spacing", dest="log_spacing", action="store_false")
-    sigma.set_defaults(func=cmd_sigma)
-
-    disp = subs.add_parser("dispersion", help="surface-wave dispersion sweep")
-    common(disp)
-    add_material_options(disp)
-    disp.add_argument("--fmin-thz", type=float, default=0.1)
-    disp.add_argument("--fmax-thz", type=float, default=1000.0)
-    disp.add_argument("--points", type=int, default=400)
-    disp.add_argument("--log-spacing", action="store_true", default=True)
-    disp.add_argument("--linear-spacing", dest="log_spacing", action="store_false")
-    disp.set_defaults(func=cmd_dispersion)
+    for name, func, text in (("sigma", cmd_sigma, "sheet conductivity sweep"),
+                             ("dispersion", cmd_dispersion, "surface-wave dispersion sweep")):
+        sweep = subs.add_parser(name, help=text)
+        common(sweep)
+        add_material_options(sweep)
+        sweep.add_argument("--fmin-thz", type=float, default=0.1)
+        sweep.add_argument("--fmax-thz", type=float, default=1000.0)
+        sweep.add_argument("--points", type=int, default=400)
+        sweep.add_argument("--log-spacing", action="store_true", default=True)
+        sweep.add_argument("--linear-spacing", dest="log_spacing", action="store_false")
+        sweep.set_defaults(func=func)
 
     prism = subs.add_parser("prism", help="prism-coupling studies")
     common(prism)
@@ -466,7 +449,6 @@ def build_parser() -> argparse.ArgumentParser:
     qec.add_argument("--p-list", type=str, default="0,0.2,0.4,0.6,0.8,1")
     qec.add_argument("--trajectories", type=int, default=10_000)
     qec.add_argument("--checkpoints", type=int, default=7)
-    qec.add_argument("--input-set", choices=("six", "haar"), default="six")
     qec.add_argument("--seed", type=int, required=True)
     qec.add_argument("--ortho-out", type=str, default=None)
     qec.add_argument("--workers", type=int, default=None,
@@ -477,10 +459,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _subparser_for(parser: argparse.ArgumentParser, command: str) -> argparse.ArgumentParser:
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            return action.choices[command]
-    return parser
+    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return subs.choices[command]
 
 
 def require_finite(args) -> None:
@@ -497,7 +477,8 @@ def main(argv=None) -> int:
     try:
         if args.config:
             sub = _subparser_for(parser, args.command)
-            sub.set_defaults(**config_defaults(args.config, sub))
+            command = f"prism {args.mode}" if args.command == "prism" else args.command
+            sub.set_defaults(**config_defaults(args.config, sub, command))
             args = parser.parse_args(argv)
         require_finite(args)
         if args.out is None:
@@ -505,6 +486,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, UnsupportedModeError, LogSingularityError) as exc:
         print(f"gspp: invalid input: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"gspp: file error: {exc}", file=sys.stderr)
         return 2
     except (QuadratureError, NotResonant, ArithmeticError,
             np.linalg.LinAlgError) as exc:

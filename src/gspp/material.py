@@ -271,10 +271,11 @@ def conductivity_lowT(params: GrapheneParams, omega: float) -> Conductivity:
 
 
 def select_mode(params: GrapheneParams, omega: float) -> str:
-    """Dispatch rule: the low-T form when kB*T < 0.01*min(|mu_c|, hbar*omega)."""
+    """Dispatch rule: the low-T form when kB*T < 0.01*min(|mu_c|, hbar*omega),
+    and always at T = 0, where the full form is undefined."""
     kT = CONSTANTS.kB * params.temperature
     scale = min(abs(params.mu_c) * CONSTANTS.e, CONSTANTS.hbar * omega)
-    return "low" if kT < 0.01 * scale else "full"
+    return "low" if kT == 0.0 or kT < 0.01 * scale else "full"
 
 
 def conductivity(params: GrapheneParams, omega: float) -> Conductivity:

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gspp.cli import load_config, main
+from gspp.cli import _subparser_for, build_parser, config_defaults, load_config, main
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 QEC_SMALL = ["qec", "--seed", "1", "--mu-c-ev", "1.4", "--k0kappa2x-max", "0.02",
@@ -17,6 +17,15 @@ def read_rows(path: Path):
     header = lines[0].split(",")
     rows = [ln.split(",") for ln in lines[1:]]
     return header, rows
+
+
+def assert_manifest_echoes_header(path: Path, command: str):
+    """The manifest is the CSV's comment header without '# ', under tool
+    and command lines."""
+    header = [ln[2:] for ln in path.read_text().splitlines() if ln.startswith("# ")]
+    manifest = Path(f"{path}.manifest").read_text().splitlines()
+    assert manifest[:2] == ["tool: " + header[0], f"command: {command}"]
+    assert manifest[2:] == header[1:]
 
 
 class TestSigmaCommand:
@@ -237,6 +246,36 @@ class TestQecCommand:
         header, rows = read_rows(ortho)
         assert header == ["x_over_leff", "overlap_abs"]
         assert all(float(r[1]) <= 1e-2 for r in rows)
+        manifest = (tmp_path / "ortho.csv.manifest").read_text().splitlines()
+        max_overlap = max(float(r[1]) for r in rows)
+        assert f"max_overlap: {max_overlap!r}" in manifest
+        assert "violated: False" in manifest
+
+    def test_input_set_flag_gone(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(QEC_SMALL + ["--input-set", "six", "--trajectories", "4",
+                              "--out", str(tmp_path / "q.csv")])
+        assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv, command", [
+    (["sigma", "--points", "3"], "sigma"),
+    (["dispersion", "--points", "2"], "dispersion"),
+    (["prism", "reflectance-map", "--theta-points", "2", "--freq-points", "2"],
+     "prism reflectance-map"),
+    (["prism", "beta-sweep", "--d-min-um", "40", "--d-max-um", "70", "--d-points", "2"],
+     "prism beta-sweep"),
+    (["propagate", "--beta-list", "1", "--points", "3"], "propagate"),
+    (QEC_SMALL + ["--trajectories", "4", "--checkpoints", "2"], "qec"),
+])
+def test_manifest_is_the_header_echo(tmp_path, argv, command):
+    out, ortho = tmp_path / "t.csv", tmp_path / "ortho.csv"
+    if command == "qec":
+        argv = argv + ["--ortho-out", str(ortho)]
+    assert main(argv + ["--out", str(out)]) == 0
+    assert_manifest_echoes_header(out, command)
+    if command == "qec":
+        assert_manifest_echoes_header(ortho, "qec orthogonality")
 
 
 class TestConfigFiles:
@@ -244,6 +283,44 @@ class TestConfigFiles:
         for cfg in sorted(CONFIG_DIR.glob("*.cfg")):
             values = load_config(str(cfg))
             assert values, cfg
+
+    @pytest.mark.parametrize("cfg", sorted(CONFIG_DIR.glob("*.cfg")), ids=lambda c: c.stem)
+    def test_checked_in_config_fits_its_command(self, cfg):
+        # every key must be an option of the command the config names, and
+        # every value must pass that option's type
+        words = load_config(str(cfg))["command"].split()
+        parser = build_parser()
+        sub = _subparser_for(parser, words[0])
+        sub.set_defaults(**config_defaults(str(cfg), sub, " ".join(words)))
+        args = parser.parse_args(words + ["--seed", "0"] * (words[0] == "qec"))
+        assert args.command == words[0]
+
+    @pytest.mark.parametrize("argv, invoked, config, named", [
+        (["dispersion"], "dispersion", "fig2a", "sigma"),
+        (["prism", "reflectance-map"], "prism reflectance-map", "fig4b-tm", "prism beta-sweep"),
+        (["prism", "beta-sweep"], "prism beta-sweep", "fig6a", "prism reflectance-map"),
+        (["qec", "--seed", "1"], "qec", "fig4-fid", "propagate"),
+    ])
+    def test_config_for_another_command_rejected(self, tmp_path, capsys, argv, invoked,
+                                                 config, named):
+        # these used to run, the prism map from its own defaults
+        cfg = CONFIG_DIR / f"{config}.cfg"
+        assert main(argv + ["--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+        assert not list(tmp_path.iterdir())
+        assert f"{cfg} is a config for {named!r}, not {invoked!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, line, key", [
+        ("points = 3\nfmin_thz = 1\npoints = 5\n", 3, "points"),
+        ("mu_c_ev = 0.5\nmu-c-ev = 0.7\n", 2, "mu_c_ev"),
+        ("command = sigma\ncommand = sigma\n", 2, "command"),
+    ])
+    def test_repeated_config_key_rejected(self, tmp_path, capsys, text, line, key):
+        # the last value used to win without notice
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text(text)
+        assert main(["sigma", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+        assert list(tmp_path.iterdir()) == [cfg]
+        assert f"{cfg}:{line}: config key {key!r} given twice" in capsys.readouterr().err
 
     def test_config_drives_run_and_flags_override(self, tmp_path):
         out = tmp_path / "sigma.csv"
@@ -275,6 +352,28 @@ class TestConfigFiles:
         bad.write_text("not_a_key = 1\n")
         rc = main(["sigma", "--config", str(bad), "--out", str(tmp_path / "x.csv")])
         assert rc == 2
+
+
+class TestFileErrors:
+    # each used to end in a traceback with exit code 1
+
+    def test_missing_config_file(self, tmp_path, capsys):
+        cfg = tmp_path / "absent.cfg"
+        assert main(["sigma", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+        assert not list(tmp_path.iterdir())
+        assert str(cfg) in capsys.readouterr().err
+
+    def test_unwritable_out(self, tmp_path, capsys):
+        out = tmp_path / "absent" / "x.csv"
+        assert main(["sigma", "--points", "3", "--out", str(out)]) == 2
+        assert str(out) in capsys.readouterr().err
+
+    def test_unwritable_ortho_out(self, tmp_path, capsys):
+        ortho = tmp_path / "absent" / "ortho.csv"
+        argv = QEC_SMALL + ["--trajectories", "4", "--checkpoints", "2",
+                            "--out", str(tmp_path / "q.csv"), "--ortho-out", str(ortho)]
+        assert main(argv) == 2
+        assert str(ortho) in capsys.readouterr().err
 
 
 class TestUsageErrors:

@@ -151,6 +151,25 @@ def test_dispatch_rules():
     assert select_mode(p300, 2.0 * math.pi * 1e12) == "full"
 
 
+@pytest.mark.parametrize("n_layers", [1, 2])
+def test_zero_temperature_neutral_sheet_dispatches_closed_form(n_layers):
+    # kT < 0.01*min(|mu|, hbar*omega) read 0 < 0 here and picked the full
+    # form, which rejects T = 0
+    p = GrapheneParams(mu_c=0.0, temperature=0.0, gamma_intra=1e12, gamma_inter=1e13,
+                       n_layers=n_layers)
+    w = ev_to_omega(0.5)
+    assert select_mode(p, w) == "low"
+    assert conductivity(p, w).value == n_layers * sigma_min()
+
+
+def test_zero_temperature_neutral_sheet_cli(tmp_path):
+    out = tmp_path / "x.csv"
+    assert main(["sigma", "--temperature-k", "0", "--mu-c-ev", "0", "--points", "3",
+                 "--out", str(out)]) == 0
+    rows = [ln.split(",") for ln in out.read_text().splitlines() if not ln.startswith("#")][1:]
+    assert [(r[3], r[4]) for r in rows] == [("1.0", "0.0")] * 3
+
+
 def test_params_model_override():
     p = GrapheneParams(mu_c=0.5, temperature=1.0, gamma_intra=1e12,
                        gamma_inter=1e13, conductivity_model="full")

@@ -353,6 +353,12 @@ class TestEnsemble:
         with pytest.raises(ValueError, match="seed .*-1"):
             make_config(seed=-1)
 
+    def test_only_the_six_state_input_set(self):
+        # the six Pauli eigenstates are an exact 2-design; a sampled set is gone
+        assert make_config().input_states() == list(SIX_CARDINAL)
+        with pytest.raises(ValueError, match="input_set must be 'six', got 'haar'"):
+            make_config(input_set="haar")
+
 
 # seeds of one, two and three SeedSequence uint32 words
 SEEDS = st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1),
