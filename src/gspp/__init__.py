@@ -31,14 +31,7 @@ from .quantize import (
     vector_potential_amplitude,
 )
 from .qstate import (
-    DensityMatrix,
     StateVector,
-    annihilation,
-    coherent_overlap,
-    coherent_state,
-    fidelity,
-    number,
-    parity,
     truncation_dimension,
 )
 from .coupling import (
@@ -46,13 +39,10 @@ from .coupling import (
     CouplerSpec,
     excite_cat,
     excite_code,
-    heisenberg_transform,
 )
 from .channel import (
     ChannelSpec,
-    damp_fock,
     fidelity_vs_distance,
-    flux_damping,
     propagate_cat,
 )
 from .prism import (
@@ -70,16 +60,8 @@ from .prism import (
 from .qec import (
     CatCode,
     QecRunConfig,
-    TrajectoryRecord,
-    apply_annihilation,
     average_fidelity,
-    code_states,
-    kraus_pair,
-    no_jump,
     orthogonality_monitor,
-    parity_check,
-    recover,
-    run_trajectory,
 )
 
 __version__ = "0.1.0"

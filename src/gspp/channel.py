@@ -8,8 +8,7 @@ amplitudes by sqrt(eta) and multiplies M by the environment's Gram matrix,
     M_jk  ->  M_jk <sqrt(1-eta) a_k|sqrt(1-eta) a_j>,
 
 which reproduces the decohered-cat mixture exactly and preserves the trace
-dyad by dyad.  A truncated-Fock Kraus realization of the same channel is
-provided as the independent cross-check path.
+dyad by dyad.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coupling import CoherentMixture, CouplerSpec, excite_cat, normalize_superposition
-from .qstate import DensityMatrix, coherent_gram
+from .qstate import coherent_gram
 
 INITIAL = "initial"
 AMPLITUDE_MATCHED = "matched"
@@ -44,11 +43,6 @@ class ChannelSpec:
         return math.exp(-2.0 * self.k0_kappa2 * self.x)
 
 
-def flux_damping(spec: ChannelSpec) -> float:
-    """Classical flux attenuation exp(-2*k0*kappa''*x)."""
-    return spec.transmissivity
-
-
 def propagate_mixture(rho: CoherentMixture, eta: float) -> CoherentMixture:
     """Pure-loss channel with energy transmissivity eta on a coherent mixture:
     a beamsplitter onto the environment, which is then traced out."""
@@ -63,30 +57,6 @@ def propagate_cat(rho: CoherentMixture, spec: ChannelSpec) -> CoherentMixture:
     """Propagate a coherent mixture a distance x: amplitudes shrink by
     exp(-k0*kappa''*x) and cross weights decohere accordingly."""
     return propagate_mixture(rho, spec.transmissivity)
-
-
-def damp_fock(rho: DensityMatrix, eta: float) -> DensityMatrix:
-    """Kraus-sum pure-loss channel on a truncated Fock density matrix,
-    K_l[n-l, n] = sqrt(C(n, l)) (1-eta)^{l/2} eta^{(n-l)/2}."""
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError("transmissivity must lie in [0, 1]")
-    dim = rho.dim
-    if eta == 1.0:
-        return DensityMatrix(rho.matrix.copy())
-    out = np.zeros_like(rho.matrix)
-    if eta == 0.0:
-        out[0, 0] = np.trace(rho.matrix)
-        return DensityMatrix(out)
-    log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, dim)))))
-    for lost in range(dim):
-        rows = np.arange(lost, dim)
-        log_binom = log_fact[rows] - log_fact[lost] - log_fact[rows - lost]
-        diag = np.exp(0.5 * (log_binom + lost * math.log1p(-eta)
-                             + (rows - lost) * math.log(eta)))
-        kraus = np.zeros((dim, dim), dtype=complex)
-        kraus[rows - lost, rows] = diag
-        out += kraus @ rho.matrix @ kraus.conj().T
-    return DensityMatrix(out)
 
 
 def _cat_reference(alpha: float | complex):

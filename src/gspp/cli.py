@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 validation or file error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import errno
 import math
 import os
 import sys
@@ -119,6 +120,16 @@ def write_csv(path: str, command: str, params: dict, columns: list[str], rows) -
     with open(path + ".manifest", "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"tool: gspp {__version__}\ncommand: {command}\n")
         fh.writelines(echo)
+
+
+def require_writable(path: str) -> None:
+    """Raise an OSError naming path when it cannot be written, without
+    creating it: for a run that writes its files only at the end."""
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        raise FileNotFoundError(errno.ENOENT, "no such directory", path)
+    if os.path.isdir(path) or not os.access(path if os.path.exists(path) else folder, os.W_OK):
+        raise PermissionError(errno.EACCES, "cannot write", path)
 
 
 def float_list(flag: str, text: str) -> list[float]:
@@ -337,6 +348,9 @@ def cmd_qec(args) -> int:
         raise ValueError(f"--lambda0-nm must be > 0, got {args.lambda0_nm}")
     if args.beta is not None and not abs(args.beta) <= 1.0:
         raise ValueError(f"--beta must lie in [-1, 1], got {args.beta}")
+    for path in (args.out, args.ortho_out):
+        if path:
+            require_writable(path)
     g = args.g if args.beta is None else math.asin(args.beta)
     omega = 2.0 * math.pi * CONSTANTS.c0 / (args.lambda0_nm * 1e-9)
     mode = solve_mode(params, omega, args.pol)

@@ -6,8 +6,7 @@ angle g with |beta| = sin|g|, arg(beta) = arg(g), gamma = cos|g|.  Tracing
 out the photon after exciting sum_j c_j |a_j> leaves the SPP in
 sum_jk M_jk |-beta* a_j><-beta* a_k| with M_jk = c_j c_k* <gamma a_k|gamma a_j>,
 held as an amplitude vector and a Hermitian weight matrix whose overlaps
-all come from one Gram matrix.  Rendering into a truncated Fock space is
-the cross-check path.
+all come from one Gram matrix.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import DensityMatrix, StateVector, _coherent_column, coherent_gram
+from .qstate import StateVector, _coherent_column, coherent_gram
 
 
 @dataclass(frozen=True)
@@ -45,11 +44,6 @@ class CouplerSpec:
         gam = self.gamma_amp
         bet = self.beta_amp
         return np.array([[gam, bet], [-np.conj(bet), np.conj(gam)]], dtype=complex)
-
-
-def heisenberg_transform(g: complex) -> np.ndarray:
-    """The coupler's 2x2 unitary on (a, b) annihilation operators."""
-    return CouplerSpec(g).matrix()
 
 
 @dataclass(frozen=True)
@@ -98,12 +92,6 @@ class CoherentMixture:
         for (j, k), w in np.ndenumerate(self.weights):
             f += w * bra[j] * ket[k]
         return float(f.real)
-
-    def to_density_matrix(self, dim: int) -> DensityMatrix:
-        """Render into a truncated Fock space (raw coherent columns; the
-        tail outside the truncation is assumed negligible)."""
-        cols = np.stack([_coherent_column(a, dim) for a in self.amps], axis=1)
-        return DensityMatrix(cols @ self.weights @ cols.conj().T)
 
     def validate(self, tol: float = 1e-9) -> None:
         m = self.weights

@@ -182,31 +182,6 @@ def atr_solve(geom: PrismGeometry, params: GrapheneParams, omega: float) -> AtrS
     return atr_solve_sigma(geom, sigma, omega)
 
 
-def boundary_residuals(sol: AtrSolution) -> np.ndarray:
-    """Residuals of the four boundary equations for the returned amplitudes
-    (all should vanish to machine precision)."""
-    kz0, kz1, d = sol.k_z_gap, sol.k_z_prism, sol.d
-    u = cmath.exp(1j * kz0 * d)
-    r, m1, m2, t = sol.r, sol.m1, sol.m2, sol.t
-    if sol.polarization == TE:
-        smu = sol.sigma * CONSTANTS.mu0 * sol.omega
-        res = [
-            (1.0 + r) - (m1 * u + m2),
-            kz1 * (1.0 - r) - kz0 * (-m1 * u + m2),
-            (m1 + m2 * u) - t,
-            kz0 * (-m1 + m2 * u) - kz0 * t - smu * t,
-        ]
-    else:
-        se = sol.sigma * kz0 / (sol.omega * CONSTANTS.eps0)
-        res = [
-            (1.0 + r) - (m1 * u + m2),
-            (kz1 / sol.eps1) * (r - 1.0) - kz0 * (m1 * u - m2),
-            (m1 - m2 * u) + t,
-            t - (m1 + m2 * u) + se * t,
-        ]
-    return np.array(res, dtype=complex)
-
-
 def reflectance_map(thetas, omegas, eps1: float, d: float, polarization: str,
                     params: GrapheneParams) -> np.ndarray:
     """Reflectance R = |r|^2 on the (omega, theta) grid, shape
@@ -391,7 +366,8 @@ def beta_sweep_matched(geom: PrismGeometry, params: GrapheneParams,
     coupling weakens, especially for the sharp below-edge TE resonance).
 
     Returns (betas, dip_omegas); spacings whose window holds no usable dip
-    yield beta = 0 and omega = nan.
+    yield beta = 0 and omega = nan.  Raises NotResonant when no spacing
+    has one.
     """
     betas = np.zeros(len(d_values), dtype=complex)
     dips = np.full(len(d_values), math.nan)
@@ -404,6 +380,8 @@ def beta_sweep_matched(geom: PrismGeometry, params: GrapheneParams,
             continue
         dips[i] = w_star
         betas[i] = overlap_beta(g2, params, w_star)
+    if np.all(np.isnan(dips)):
+        raise NotResonant("no spacing has a reflectance dip in the scan window")
     return betas, dips
 
 

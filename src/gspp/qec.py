@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coupling import CouplerSpec, excite_superposition, normalize_superposition, superposition_vector
-from .qstate import StateVector, _coherent_column, annihilation, number, truncation_dimension
+from .qstate import StateVector, _coherent_column, truncation_dimension
 
 SIX_CARDINAL = (
     (1.0, 0.0),
@@ -74,68 +74,6 @@ class CatCode:
         """Normalized c0|0L> + c1|1L> (exact Gram normalization)."""
         amps = [self.alpha, -self.alpha, 1j * self.alpha, -1j * self.alpha]
         return superposition_vector([c0, c0, c1, c1], amps, self.dim)
-
-
-def code_states(code: CatCode) -> tuple[StateVector, StateVector, StateVector, StateVector]:
-    """(|0L+>, |0L->, |1L+>, |1L->)."""
-    return (code.state(0, +1), code.state(0, -1), code.state(1, +1), code.state(1, -1))
-
-
-@dataclass(frozen=True)
-class CodeWord:
-    """Label of one basis code word: logical in {0, 1}, parity_sign +-1."""
-
-    logical: int
-    parity_sign: int
-
-
-def apply_annihilation(code: CatCode, word: CodeWord) -> tuple[complex, CodeWord]:
-    """a|0L+-> = alpha sqrt(N-+/N+-)|0L-+>; a|1L+-> picks an extra factor i.
-
-    Returns the analytic coefficient and the parity-flipped word.
-    """
-    ratio = (code.n_minus / code.n_plus if word.parity_sign > 0
-             else code.n_plus / code.n_minus)
-    coeff = code.alpha * math.sqrt(ratio)
-    if word.logical == 1:
-        coeff *= 1j
-    return complex(coeff), CodeWord(word.logical, -word.parity_sign)
-
-
-def no_jump(state: StateVector, gamma_dt: float) -> StateVector:
-    """Exact no-jump evolution exp(-gamma*dt*n/2), renormalized."""
-    if gamma_dt < 0.0:
-        raise ValueError("gamma_dt must be >= 0")
-    n = np.arange(state.dim)
-    return StateVector(state.amplitudes * np.exp(-0.5 * gamma_dt * n)).normalized()
-
-
-def no_jump_norm(state: StateVector, gamma_dt: float) -> float:
-    """Norm of exp(-gamma*dt*n/2)|state> before renormalization."""
-    n = np.arange(state.dim)
-    return float(np.linalg.norm(state.amplitudes * np.exp(-0.5 * gamma_dt * n)))
-
-
-def kraus_pair(gamma_dt: float, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """First-order damping Kraus pair E0 = sqrt(gamma dt) a,
-    E1 = 1 - (gamma dt/2) n; completeness holds up to (gamma dt)^2 n^2/4."""
-    e0 = math.sqrt(gamma_dt) * annihilation(dim)
-    e1 = np.eye(dim, dtype=complex) - 0.5 * gamma_dt * number(dim)
-    return e0, e1
-
-
-def kraus_completeness_residual(gamma_dt: float, dim: int) -> float:
-    """Operator norm of E0^+E0 + E1^+E1 - 1."""
-    e0, e1 = kraus_pair(gamma_dt, dim)
-    resid = e0.conj().T @ e0 + e1.conj().T @ e1 - np.eye(dim)
-    return float(np.linalg.norm(resid, 2))
-
-
-def parity_check(state: StateVector, rng: np.random.Generator) -> tuple[int, StateVector]:
-    """Born-rule projective parity measurement; returns (+-1, projected state)."""
-    row = np.array(state.normalized().amplitudes)[None, :]
-    outcome = _vec_parity(row, rng.random(1), None)
-    return int(outcome[0]), StateVector(row[0])
 
 
 @dataclass(frozen=True)
@@ -245,16 +183,6 @@ class QecRunConfig:
 
 
 @dataclass(frozen=True)
-class TrajectoryRecord:
-    """Outcome of one quantum-jump run."""
-
-    jump_count: int
-    parity_outcomes: tuple[int, ...]
-    final_state: StateVector
-    seed: int
-
-
-@dataclass(frozen=True)
 class QecCurve:
     """Ensemble fidelity versus distance, with the pre-check baseline F0.
 
@@ -285,12 +213,6 @@ def trajectory_rng(seed: int, input_index: int, traj_index: int) -> np.random.Ge
     SeedSequence + PCG64.  _ensemble_uniforms builds the same streams for
     a whole ensemble in one vectorized pass."""
     return np.random.default_rng((seed, input_index, traj_index))
-
-
-def _draw_blocks(rng: np.random.Generator, n_exc: int, n_steps: int, n_checks: int):
-    """Fixed consumption order: excitation jumps, initial check, step jumps,
-    scheduled checks."""
-    return (rng.random(n_exc), rng.random(1), rng.random(n_steps), rng.random(n_checks))
 
 
 # numpy.random.SeedSequence hash constants, and the PCG64 multiplier's
@@ -368,7 +290,9 @@ def _lcg_step(hi, lo, inc_hi, inc_lo):
 def _ensemble_uniforms(config: QecRunConfig, input_index: int, n_exc: int,
                        n_steps: int, n_checks: int):
     """The (draws, n_traj) blocks of every trajectory's trajectory_rng
-    stream in _draw_blocks order, built in one vectorized pass: the
+    stream, drawn in a fixed order: n_exc excitation-step draws, one
+    initial-check draw, n_steps line-step draws and n_checks scheduled-check
+    draws.  They are built in one vectorized pass: the
     SeedSequence pool of each (seed, input, trajectory) entropy tuple,
     PCG64 seeding, then per draw one LCG step, the XSL-RR output and
     (x >> 11) * 2**-53, as Generator.random computes it."""
@@ -474,7 +398,7 @@ def _unravel(config: QecRunConfig, states: np.ndarray, blocks, snapshot=None,
              outcomes: list | None = None) -> np.ndarray:
     """Quantum-jump run of every row of states, in place.
 
-    blocks are the (draws, n_traj) uniforms in _draw_blocks order.  The
+    blocks are the (draws, n_traj) uniforms of _ensemble_uniforms.  The
     excitation-stage loss and the excitation phase come first, then the
     initial check and the line steps with their scheduled checks.
     snapshot(step_no, parity, flips) is called after the initial check
@@ -528,46 +452,21 @@ def _unravel(config: QecRunConfig, states: np.ndarray, blocks, snapshot=None,
     return jumps
 
 
-def run_trajectory(config: QecRunConfig, input_logical: tuple[complex, complex],
-                   rng: np.random.Generator) -> TrajectoryRecord:
-    """Quantum-jump run for one input state: the one-row case of the engine.
-
-    Alternates channel micro-steps with parity checks on the schedule: one
-    initial check right after excitation, then every dx/p.  Records every
-    parity outcome and the total jump count.
-    """
-    c0, c1 = input_logical
-    code = CatCode(alpha=config.alpha, dim=truncation_dimension(config.alpha))
-    states = np.array(code.encode(c0, c1).amplitudes)[None, :]
-    blocks = _draw_blocks(rng, config.n_excitation_steps, config.n_steps,
-                          int(config.check_schedule().sum()))
-    outcomes: list[np.ndarray] = []
-    jumps = _unravel(config, states, [b[:, None] for b in blocks], outcomes=outcomes)
-    return TrajectoryRecord(jump_count=int(jumps[0]),
-                            parity_outcomes=tuple(int(o[0]) for o in outcomes),
-                            final_state=StateVector(states[0]), seed=config.seed)
-
-
 # ---------------------------------------------------------------------------
 # recovery
 
-def count_flips(outcomes) -> int:
-    """Inferred jump count: parity flips relative to the even start."""
-    flips = 0
-    prev = 1
-    for o in outcomes:
-        if o != prev:
-            flips += 1
-        prev = o
-    return flips
-
-
 def _recovered(states: np.ndarray, parity: np.ndarray, flips: np.ndarray,
-               code: CatCode) -> tuple[np.ndarray, np.ndarray]:
-    """Sector swap of each row, given its last parity outcome and flip count.
+               code: CatCode) -> np.ndarray:
+    """End-of-line correction of each row on the decayed-amplitude code
+    basis, given its last parity outcome and flip count; returns the
+    unnormalized recovered states.
 
-    Returns the unnormalized recovered states and the weight each row
-    keeps in its indicated parity sector (see recover).
+    A row whose parity indicates the erred space has its sectors swapped
+    by |0L+><0L-| + |1L+><1L-| + h.c., a partial isometry only up to
+    second order in the code-word overlap that orthogonality_monitor
+    reports.  The i^k phase on the logical-one component is undone with k
+    the flip count.  Components inconsistent with the record are carried
+    into the wrong sector (honest infidelity) rather than dropped.
     """
     bases = {(lg, s): code.state(lg, s).amplitudes for lg in (0, 1) for s in (+1, -1)}
     c = {key: states @ basis.conj() for key, basis in bases.items()}
@@ -581,31 +480,7 @@ def _recovered(states: np.ndarray, parity: np.ndarray, flips: np.ndarray,
     vec += (phase * same[1])[:, None] * bases[(1, +1)]
     vec += other[0][:, None] * bases[(0, -1)]
     vec += (phase * other[1])[:, None] * bases[(1, -1)]
-    return vec, np.abs(same[0]) ** 2 + np.abs(same[1]) ** 2
-
-
-def recover(record: TrajectoryRecord, code: CatCode) -> tuple[StateVector, bool]:
-    """End-of-line correction using the decayed-amplitude code basis.
-
-    If the recorded parity indicates the erred space, the map
-    |0L+><0L-| + |1L+><1L-| + h.c. swaps the parity sectors.  It is a
-    partial isometry only up to second order in the code-word overlap
-    reported by orthogonality_monitor, since the decayed code words are not
-    exactly orthogonal; the state is renormalized afterwards.  The
-    accumulated i^k phase on the logical-one component is undone with k
-    inferred from the parity-flip count.  Components inconsistent with the
-    record are carried into the wrong sector (honest infidelity) rather
-    than dropped.  Returns (state, warn) with warn set when the projection
-    onto the indicated subspace retains less than half the norm.
-    """
-    outcomes = record.parity_outcomes
-    parity = np.array([outcomes[-1] if outcomes else 1])
-    flips = np.array([count_flips(outcomes)])
-    vec, weight = _recovered(record.final_state.amplitudes[None, :], parity, flips, code)
-    norm = np.linalg.norm(vec[0])
-    if norm < 1e-8:
-        raise ArithmeticError("recovery annihilated the state (outside the code span)")
-    return StateVector(vec[0] / norm), bool(weight[0] < 0.5)
+    return vec
 
 
 def _f0_analytic(config: QecRunConfig, inputs) -> float:
@@ -658,7 +533,7 @@ def run_ensemble(config: QecRunConfig, input_logical: tuple[complex, complex],
         if not config.apply_recovery:
             fid[idx] = np.abs(states @ ref.conj()) ** 2
             return
-        vec, _ = _recovered(states, parity, flips, CatCode(alpha=a_x, dim=dim))
+        vec = _recovered(states, parity, flips, CatCode(alpha=a_x, dim=dim))
         norms = np.linalg.norm(vec, axis=1)
         overlap = np.abs(vec @ ref.conj()) ** 2
         fid[idx] = np.where(norms > 1e-8, overlap / np.maximum(norms, 1e-300) ** 2, 0.0)

@@ -1,17 +1,21 @@
-"""Shared test oracles: exact two-mode beamsplitter, trace distance, a
-per-trajectory quantum-jump loop over one Fock vector, the ensemble
-streams built one Generator per trajectory, the complex-arithmetic
-ensemble micro-step and parity projection and the ensemble loop built on
-them, the interband conductivity
-quadrature with a numpy-scalar integrand, and the mode integrals of the
-quantization and prism-overlap layers as sampled profiles integrated by
-graded-grid Simpson quadrature.
+"""Shared test oracles: exact two-mode beamsplitter, trace distance, the
+truncated-Fock toolkit (density matrices, ladder/number/parity operators,
+coherent states, the Fock rendering of a coherent mixture, the Kraus-sum
+pure-loss channel damp_fock, the first-order damping Kraus pair and the
+cat-code jump relations), a per-trajectory quantum-jump loop over one
+Fock vector, the ensemble streams built one Generator per trajectory,
+the complex-arithmetic ensemble micro-step and parity projection and the
+ensemble loop built on them, the interband conductivity quadrature with a
+numpy-scalar integrand, the ATR boundary-equation residuals, and the mode
+integrals of the quantization and prism-overlap layers as sampled
+profiles integrated by graded-grid Simpson quadrature.
 
 Registers a derandomized hypothesis profile, so property tests draw the
 same examples on every run."""
 
 import cmath
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -21,14 +25,200 @@ from scipy.linalg import expm
 from scipy.special import expit
 
 import gspp.material
+from gspp.dispersion import TE
 from gspp.material import CONSTANTS, QuadratureError, conductivity
 from gspp.prism import atr_solve
-from gspp.qec import CatCode, _draw_blocks, trajectory_rng
-from gspp.qstate import truncation_dimension
+from gspp.qec import CatCode, trajectory_rng
+from gspp.qstate import StateVector, _coherent_column, truncation_dimension
 from gspp.quantize import _lossless_mode, tm_parallel_amplitude
 
 settings.register_profile("gspp", derandomize=True, deadline=None, database=None)
 settings.load_profile("gspp")
+
+TRACE_TOL = 1e-9
+HERM_TOL = 1e-12
+PSD_TOL = -1e-9
+
+
+@dataclass(frozen=True)
+class DensityMatrix:
+    """Mixed state as a dense D x D matrix.  Treat as immutable."""
+
+    matrix: np.ndarray
+
+    def __post_init__(self):
+        m = np.array(self.matrix, dtype=complex)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise ValueError("density matrix must be square")
+        m.setflags(write=False)
+        object.__setattr__(self, "matrix", m)
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[0]
+
+    def trace(self) -> float:
+        return float(np.trace(self.matrix).real)
+
+    def validate(self) -> None:
+        """Hermiticity to 1e-12, unit trace to 1e-9, eigenvalues >= -1e-9."""
+        m = self.matrix
+        scale = max(1.0, float(np.abs(m).max()))
+        if np.abs(m - m.conj().T).max() > HERM_TOL * scale:
+            raise ValueError("density matrix is not Hermitian")
+        tr = np.trace(m)
+        if abs(tr - 1.0) > TRACE_TOL:
+            raise ValueError(f"trace {tr} differs from 1 beyond tolerance")
+        if np.linalg.eigvalsh(m).min() < PSD_TOL:
+            raise ValueError("density matrix has a negative eigenvalue beyond tolerance")
+
+
+def projector(psi: StateVector) -> DensityMatrix:
+    return DensityMatrix(np.outer(psi.amplitudes, psi.amplitudes.conj()))
+
+
+def coherent_tail_mass(alpha: complex, dim: int) -> float:
+    """Probability mass of the coherent state above the truncation."""
+    return max(0.0, 1.0 - float(np.sum(np.abs(_coherent_column(alpha, dim)) ** 2)))
+
+
+def coherent_state(alpha: complex, dim: int) -> StateVector:
+    """Truncated, renormalized coherent state.  Errors when the truncated
+    norm falls below 1 - 1e-8 (dimension too small for this amplitude)."""
+    amps = _coherent_column(alpha, dim)
+    norm_sq = float(np.sum(np.abs(amps) ** 2))
+    if norm_sq < 1.0 - 1e-8:
+        raise ValueError(f"dim={dim} too small for |alpha|={abs(alpha):.3f} "
+                         f"(truncated norm^2 = {norm_sq:.12f})")
+    return StateVector(amps / math.sqrt(norm_sq))
+
+
+def annihilation(dim: int) -> np.ndarray:
+    """Ladder operator a with <n-1|a|n> = sqrt(n)."""
+    return np.diag(np.sqrt(np.arange(1, dim, dtype=float)), k=1).astype(complex)
+
+
+def number(dim: int) -> np.ndarray:
+    return np.diag(np.arange(dim, dtype=float)).astype(complex)
+
+
+def parity(dim: int) -> np.ndarray:
+    """Photon parity (-1)^n, diagonal +-1."""
+    return np.diag((-1.0) ** np.arange(dim)).astype(complex)
+
+
+def fidelity(psi: StateVector, rho: DensityMatrix) -> float:
+    """F = <psi|rho|psi>, clamped onto [0, 1] within 1e-9 slack."""
+    v = psi.amplitudes
+    if len(v) != rho.dim:
+        raise ValueError("dimension mismatch")
+    f = float(np.real(np.vdot(v, rho.matrix @ v)))
+    if f < -TRACE_TOL or f > 1.0 + TRACE_TOL:
+        raise ValueError(f"fidelity {f} outside [0,1] beyond tolerance")
+    return min(max(f, 0.0), 1.0)
+
+
+def to_density_matrix(mixture, dim: int) -> DensityMatrix:
+    """Fock rendering C M C^+ of a CoherentMixture over its raw coherent
+    columns (the tail outside the truncation is assumed negligible)."""
+    cols = np.stack([_coherent_column(a, dim) for a in mixture.amps], axis=1)
+    return DensityMatrix(cols @ mixture.weights @ cols.conj().T)
+
+
+def damp_fock(rho: DensityMatrix, eta: float) -> DensityMatrix:
+    """Kraus-sum pure-loss channel on a truncated Fock density matrix,
+    K_l[n-l, n] = sqrt(C(n, l)) (1-eta)^{l/2} eta^{(n-l)/2}."""
+    if not 0.0 <= eta <= 1.0:
+        raise ValueError("transmissivity must lie in [0, 1]")
+    dim = rho.dim
+    if eta == 1.0:
+        return DensityMatrix(rho.matrix.copy())
+    out = np.zeros_like(rho.matrix)
+    if eta == 0.0:
+        out[0, 0] = np.trace(rho.matrix)
+        return DensityMatrix(out)
+    log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, dim)))))
+    for lost in range(dim):
+        rows = np.arange(lost, dim)
+        log_binom = log_fact[rows] - log_fact[lost] - log_fact[rows - lost]
+        diag = np.exp(0.5 * (log_binom + lost * math.log1p(-eta)
+                             + (rows - lost) * math.log(eta)))
+        kraus = np.zeros((dim, dim), dtype=complex)
+        kraus[rows - lost, rows] = diag
+        out += kraus @ rho.matrix @ kraus.conj().T
+    return DensityMatrix(out)
+
+
+def kraus_pair(gamma_dt: float, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """First-order damping Kraus pair E0 = sqrt(gamma dt) a,
+    E1 = 1 - (gamma dt/2) n; completeness holds up to (gamma dt)^2 n^2/4."""
+    e0 = math.sqrt(gamma_dt) * annihilation(dim)
+    e1 = np.eye(dim, dtype=complex) - 0.5 * gamma_dt * number(dim)
+    return e0, e1
+
+
+def kraus_completeness_residual(gamma_dt: float, dim: int) -> float:
+    """Operator norm of E0^+E0 + E1^+E1 - 1."""
+    e0, e1 = kraus_pair(gamma_dt, dim)
+    resid = e0.conj().T @ e0 + e1.conj().T @ e1 - np.eye(dim)
+    return float(np.linalg.norm(resid, 2))
+
+
+def no_jump_norm(state: StateVector, gamma_dt: float) -> float:
+    """Norm of exp(-gamma*dt*n/2)|state> before renormalization."""
+    n = np.arange(len(state.amplitudes))
+    return float(np.linalg.norm(state.amplitudes * np.exp(-0.5 * gamma_dt * n)))
+
+
+@dataclass(frozen=True)
+class CodeWord:
+    """Label of one basis code word: logical in {0, 1}, parity_sign +-1."""
+
+    logical: int
+    parity_sign: int
+
+
+def apply_annihilation(code: CatCode, word: CodeWord) -> tuple[complex, CodeWord]:
+    """a|0L+-> = alpha sqrt(N-+/N+-)|0L-+>; a|1L+-> picks an extra factor i.
+
+    Returns the analytic coefficient and the parity-flipped word.
+    """
+    ratio = (code.n_minus / code.n_plus if word.parity_sign > 0
+             else code.n_plus / code.n_minus)
+    coeff = code.alpha * math.sqrt(ratio)
+    if word.logical == 1:
+        coeff *= 1j
+    return complex(coeff), CodeWord(word.logical, -word.parity_sign)
+
+
+def code_states(code: CatCode) -> tuple[StateVector, StateVector, StateVector, StateVector]:
+    """(|0L+>, |0L->, |1L+>, |1L->)."""
+    return (code.state(0, +1), code.state(0, -1), code.state(1, +1), code.state(1, -1))
+
+
+def boundary_residuals(sol) -> np.ndarray:
+    """Residuals of the four ATR boundary equations for the amplitudes of
+    an AtrSolution (all should vanish to machine precision)."""
+    kz0, kz1, d = sol.k_z_gap, sol.k_z_prism, sol.d
+    u = cmath.exp(1j * kz0 * d)
+    r, m1, m2, t = sol.r, sol.m1, sol.m2, sol.t
+    if sol.polarization == TE:
+        smu = sol.sigma * CONSTANTS.mu0 * sol.omega
+        res = [
+            (1.0 + r) - (m1 * u + m2),
+            kz1 * (1.0 - r) - kz0 * (-m1 * u + m2),
+            (m1 + m2 * u) - t,
+            kz0 * (-m1 + m2 * u) - kz0 * t - smu * t,
+        ]
+    else:
+        se = sol.sigma * kz0 / (sol.omega * CONSTANTS.eps0)
+        res = [
+            (1.0 + r) - (m1 * u + m2),
+            (kz1 / sol.eps1) * (r - 1.0) - kz0 * (m1 * u - m2),
+            (m1 - m2 * u) + t,
+            t - (m1 + m2 * u) + se * t,
+        ]
+    return np.array(res, dtype=complex)
 
 
 def two_mode_beamsplitter(psi: np.ndarray, g: complex) -> np.ndarray:
@@ -118,21 +308,16 @@ def fock_trajectory(config, input_logical, rng):
 
 
 def ensemble_uniforms_oracle(config, input_index, n_exc, n_steps, n_checks):
-    """(draws, n_traj) uniform blocks from one trajectory_rng Generator
-    per trajectory, drawn in _draw_blocks order."""
-    nt = config.n_trajectories
-    exc = np.empty((n_exc, nt))
-    init = np.empty((1, nt))
-    steps = np.empty((n_steps, nt))
-    checks = np.empty((n_checks, nt))
-    for j in range(nt):
+    """(draws, n_traj) uniform blocks from one trajectory_rng Generator per
+    trajectory, drawn in the engine's order: excitation steps, initial
+    check, line steps, scheduled checks."""
+    sizes = (n_exc, 1, n_steps, n_checks)
+    blocks = tuple(np.empty((n, config.n_trajectories)) for n in sizes)
+    for j in range(config.n_trajectories):
         rng = trajectory_rng(config.seed, input_index, j)
-        e, i0, s, c = _draw_blocks(rng, n_exc, n_steps, n_checks)
-        exc[:, j] = e
-        init[:, j] = i0
-        steps[:, j] = s
-        checks[:, j] = c
-    return exc, init, steps, checks
+        for block, n in zip(blocks, sizes):
+            block[:, j] = rng.random(n)
+    return blocks
 
 
 def channel_step_oracle(states, u, gamma_dt, n_vec, sqrt_n, decay, jumps) -> None:

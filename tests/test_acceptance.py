@@ -15,12 +15,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import trace_distance
+from conftest import damp_fock, kraus_completeness_residual, to_density_matrix, trace_distance
 from gspp.channel import (
     AMPLITUDE_MATCHED,
     INITIAL,
     ChannelSpec,
-    damp_fock,
     fidelity_vs_distance,
     propagate_cat,
 )
@@ -42,7 +41,7 @@ from gspp.prism import (
     lossless_matching_frequency,
     matching_frequency,
 )
-from gspp.qec import QecRunConfig, average_fidelity, kraus_completeness_residual, orthogonality_monitor, run_ensemble
+from gspp.qec import QecRunConfig, average_fidelity, orthogonality_monitor, run_ensemble
 
 K = CONSTANTS
 
@@ -191,8 +190,8 @@ def test_criterion_7_oracle_equivalence(rng):
         x = rng.uniform(0.0, 1.5)
         spec = ChannelSpec(k0_kappa2=1.0, x=float(x))
         mix = excite_cat(alpha, g)
-        analytic = propagate_cat(mix, spec).to_density_matrix(dim).matrix
-        fock = damp_fock(mix.to_density_matrix(dim), spec.transmissivity).matrix
+        analytic = to_density_matrix(propagate_cat(mix, spec), dim).matrix
+        fock = damp_fock(to_density_matrix(mix, dim), spec.transmissivity).matrix
         worst = max(worst, trace_distance(analytic, fock))
     ok = worst <= 1e-8
     report(7, ok, f"worst trace distance {worst:.2e} over 20 random (alpha, g, x)")

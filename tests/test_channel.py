@@ -3,29 +3,26 @@ import math
 import numpy as np
 import pytest
 
-from conftest import trace_distance
+from conftest import coherent_state, damp_fock, projector, to_density_matrix, trace_distance
 from gspp.channel import (
     AMPLITUDE_MATCHED,
     INITIAL,
     ChannelSpec,
-    damp_fock,
     fidelity_vs_distance,
-    flux_damping,
     matched_turning_point,
     propagate_cat,
     propagate_mixture,
 )
 from gspp.coupling import excite_cat, normalize_superposition
-from gspp.qstate import DensityMatrix, coherent_state
 
 
 class TestFluxDamping:
     def test_zero_distance(self):
-        assert flux_damping(ChannelSpec(k0_kappa2=5.0, x=0.0)) == 1.0
+        assert ChannelSpec(k0_kappa2=5.0, x=0.0).transmissivity == 1.0
 
     def test_one_propagation_length(self):
         spec = ChannelSpec(k0_kappa2=2.0, x=1.0 / (2.0 * 2.0))
-        assert flux_damping(spec) == pytest.approx(math.exp(-1.0))
+        assert spec.transmissivity == pytest.approx(math.exp(-1.0))
 
     def test_fig5_tm_five_wavelengths(self):
         # TM mode of the long-wavelength figure set: finite damping factor
@@ -36,7 +33,7 @@ class TestFluxDamping:
         mode = solve_mode(params, omega, "TM")
         lam_eff = effective_wavelength(mode)
         spec = ChannelSpec(k0_kappa2=mode.k.imag, x=5.0 * lam_eff)
-        val = flux_damping(spec)
+        val = spec.transmissivity
         assert 0.0 < val < 1.0
 
 
@@ -64,8 +61,8 @@ class TestPropagateCat:
         alpha, g = 3.0, math.pi / 2
         spec = ChannelSpec(k0_kappa2=1.0, x=0.5)
         dim = 64
-        analytic = propagate_cat(excite_cat(alpha, g), spec).to_density_matrix(dim)
-        fock = damp_fock(excite_cat(alpha, g).to_density_matrix(dim), spec.transmissivity)
+        analytic = to_density_matrix(propagate_cat(excite_cat(alpha, g), spec), dim)
+        fock = damp_fock(to_density_matrix(excite_cat(alpha, g), dim), spec.transmissivity)
         assert trace_distance(analytic.matrix, fock.matrix) < 1e-8
 
     def test_cross_weight_decoherence_factor(self):
@@ -96,29 +93,29 @@ class TestPropagateCat:
 
 class TestDampFock:
     def test_identity(self):
-        rho = coherent_state(2.0, 40).projector()
+        rho = projector(coherent_state(2.0, 40))
         out = damp_fock(rho, 1.0)
         assert trace_distance(out.matrix, rho.matrix) == 0.0
 
     def test_coherent_to_scaled_coherent(self):
         alpha, eta, dim = 2.0, 0.6, 50
-        out = damp_fock(coherent_state(alpha, dim).projector(), eta)
-        target = coherent_state(alpha * math.sqrt(eta), dim).projector()
+        out = damp_fock(projector(coherent_state(alpha, dim)), eta)
+        target = projector(coherent_state(alpha * math.sqrt(eta), dim))
         assert trace_distance(out.matrix, target.matrix) < 1e-10
 
     def test_semigroup_composition(self):
-        rho = excite_cat(2.5, 0.9).to_density_matrix(48)
+        rho = to_density_matrix(excite_cat(2.5, 0.9), 48)
         step1 = damp_fock(damp_fock(rho, 0.8), 0.7)
         once = damp_fock(rho, 0.8 * 0.7)
         assert trace_distance(step1.matrix, once.matrix) < 1e-12
 
     def test_trace_preserved(self):
-        rho = excite_cat(2.5, 0.9).to_density_matrix(48)
+        rho = to_density_matrix(excite_cat(2.5, 0.9), 48)
         out = damp_fock(rho, 0.37)
         assert out.trace() == pytest.approx(1.0, abs=1e-10)
 
     def test_vacuum_limit(self):
-        rho = excite_cat(2.0, 0.9).to_density_matrix(40)
+        rho = to_density_matrix(excite_cat(2.0, 0.9), 40)
         out = damp_fock(rho, 0.0)
         assert out.matrix[0, 0] == pytest.approx(1.0, abs=1e-12)
 

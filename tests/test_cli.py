@@ -127,6 +127,14 @@ class TestPrismCommand:
                    "--d-min-um", "30", "--d-max-um", "70", "--d-points", "2"])
         assert rc == 3
 
+    def test_matched_sweep_below_critical_angle_exit_code(self, tmp_path):
+        # with no dip at any spacing this used to write beta_abs = 0 rows and exit 0
+        out = tmp_path / "beta.csv"
+        rc = main(["prism", "beta-sweep", "--out", str(out), "--theta-deg", "30",
+                   "--match-fmin-thz", "0.5", "--match-fmax-thz", "1", "--d-points", "3"])
+        assert rc == 3
+        assert not list(tmp_path.iterdir())
+
     TE_SWEEP = ["prism", "beta-sweep", "--mu-c-ev", "1.24", "--temperature-k", "0",
                 "--pol", "TE", "--eps1", "1.5", "--theta-deg", "54.74",
                 "--d-min-um", "20", "--d-max-um", "30", "--d-points", "2"]
@@ -368,12 +376,19 @@ class TestFileErrors:
         assert main(["sigma", "--points", "3", "--out", str(out)]) == 2
         assert str(out) in capsys.readouterr().err
 
-    def test_unwritable_ortho_out(self, tmp_path, capsys):
+    def test_unwritable_ortho_out(self, tmp_path, capsys, monkeypatch):
+        # both paths are checked before any ensemble runs
+        def no_run(*args, **kwargs):
+            raise AssertionError("an ensemble ran")
+
+        monkeypatch.setattr("gspp.cli.average_fidelity", no_run)
         ortho = tmp_path / "absent" / "ortho.csv"
         argv = QEC_SMALL + ["--trajectories", "4", "--checkpoints", "2",
                             "--out", str(tmp_path / "q.csv"), "--ortho-out", str(ortho)]
         assert main(argv) == 2
         assert str(ortho) in capsys.readouterr().err
+        assert not (tmp_path / "q.csv").exists()
+        assert not (tmp_path / "q.csv.manifest").exists()
 
 
 class TestUsageErrors:

@@ -6,35 +6,41 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import partial_trace_mode_a, trace_distance, two_mode_beamsplitter
-from gspp.channel import damp_fock, propagate_mixture
+from conftest import (
+    damp_fock,
+    number,
+    partial_trace_mode_a,
+    to_density_matrix,
+    trace_distance,
+    two_mode_beamsplitter,
+)
+from gspp.channel import propagate_mixture
 from gspp.coupling import (
     CoherentMixture,
     CouplerSpec,
     excite_cat,
     excite_code,
     excite_superposition,
-    heisenberg_transform,
     normalize_superposition,
     superposition_vector,
 )
-from gspp.qstate import coherent_gram, coherent_state, number
+from gspp.qstate import coherent_gram
 
 
 class TestCouplerSpec:
     def test_unitarity(self):
         for g in (0.0, 0.3, math.pi / 2, 0.7 * cmath.exp(0.4j), 1.2 - 0.1j):
-            m = heisenberg_transform(g)
+            m = CouplerSpec(g).matrix()
             assert np.allclose(m @ m.conj().T, np.eye(2), atol=1e-12)
 
     def test_identity_and_swap(self):
-        assert np.allclose(heisenberg_transform(0.0), np.eye(2))
-        m = heisenberg_transform(math.pi / 2)
+        assert np.allclose(CouplerSpec(0.0).matrix(), np.eye(2))
+        m = CouplerSpec(math.pi / 2).matrix()
         assert abs(m[0, 0]) < 1e-15 and abs(m[0, 1] - 1.0) < 1e-15
 
     def test_composition_real_g(self):
-        m = heisenberg_transform(0.3) @ heisenberg_transform(0.5)
-        assert np.allclose(m, heisenberg_transform(0.8), atol=1e-12)
+        m = CouplerSpec(0.3).matrix() @ CouplerSpec(0.5).matrix()
+        assert np.allclose(m, CouplerSpec(0.8).matrix(), atol=1e-12)
 
     def test_amplitudes_real_g(self):
         spec = CouplerSpec(0.8)
@@ -78,7 +84,7 @@ class TestExciteCat:
         psi2 = np.zeros((dim, dim), dtype=complex)
         psi2[:, 0] = cat
         rho_b = partial_trace_mode_a(two_mode_beamsplitter(psi2, g))
-        rho = excite_cat(alpha, g).to_density_matrix(dim).matrix
+        rho = to_density_matrix(excite_cat(alpha, g), dim).matrix
         assert trace_distance(rho_b, rho) < 1e-8
 
     def test_purity_dip_between_endpoints(self):
@@ -102,8 +108,8 @@ class TestExciteCode:
         code = excite_code(1.0, 0.0, alpha, g)
         cat = excite_cat(alpha, g)
         dim = 40
-        assert trace_distance(code.to_density_matrix(dim).matrix,
-                              cat.to_density_matrix(dim).matrix) < 1e-12
+        assert trace_distance(to_density_matrix(code, dim).matrix,
+                              to_density_matrix(cat, dim).matrix) < 1e-12
 
     def test_perfect_transfer_preserves_logical(self):
         alpha = 2.5
@@ -123,7 +129,7 @@ class TestExciteCode:
         psi2 = np.zeros((dim, dim), dtype=complex)
         psi2[:, 0] = enc
         rho_oracle = partial_trace_mode_a(two_mode_beamsplitter(psi2, g))
-        rho = excite_code(c0, c1, alpha, g).to_density_matrix(dim).matrix
+        rho = to_density_matrix(excite_code(c0, c1, alpha, g), dim).matrix
         assert trace_distance(rho_oracle, rho) < 1e-8
 
     def test_unnormalized_logical_raises(self):
@@ -159,7 +165,7 @@ class TestCoherentMixture:
         rho = excite_cat(2.0, math.pi / 2)
         dim = 40
         target = superposition_vector([1.0, 1.0], [2.0, -2.0], dim)
-        rendered = rho.to_density_matrix(dim)
+        rendered = to_density_matrix(rho, dim)
         assert trace_distance(rendered.matrix,
                               np.outer(target.amplitudes, target.amplitudes.conj())) < 1e-10
 
@@ -189,9 +195,9 @@ class TestMixtureAgainstFock:
         norm_sq = np.real(coeffs.conj() @ coherent_gram(amps, amps) @ coeffs)
         assume(norm_sq > 0.1 * np.sum(np.abs(coeffs) ** 2))
         rho = excite_superposition(coeffs, amps, g)
-        fock = rho.to_density_matrix(self.DIM).matrix
+        fock = to_density_matrix(rho, self.DIM).matrix
         self.fock_checks(rho, fock)
         lossy = propagate_mixture(rho, eta)
-        damped = damp_fock(rho.to_density_matrix(self.DIM), eta).matrix
-        assert np.abs(lossy.to_density_matrix(self.DIM).matrix - damped).max() <= 1e-10
+        damped = damp_fock(to_density_matrix(rho, self.DIM), eta).matrix
+        assert np.abs(to_density_matrix(lossy, self.DIM).matrix - damped).max() <= 1e-10
         self.fock_checks(lossy, damped)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
-from conftest import overlap_beta_oracle, photon_norm_oracle
+from conftest import boundary_residuals, overlap_beta_oracle, photon_norm_oracle
 from gspp.cli import load_config
 from gspp.material import CONSTANTS, GrapheneParams, conductivity
 from gspp.prism import (
@@ -20,7 +20,6 @@ from gspp.prism import (
     atr_solve_sigma,
     beta_sweep,
     beta_sweep_matched,
-    boundary_residuals,
     coupling_from_beta,
     critical_angle,
     lossless_matching_frequency,

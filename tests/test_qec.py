@@ -6,44 +6,40 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import (
+    CodeWord,
+    annihilation,
+    apply_annihilation,
     channel_step_oracle,
+    code_states,
     ensemble_uniforms_oracle,
     fock_trajectory,
+    kraus_completeness_residual,
+    kraus_pair,
+    no_jump_norm,
+    parity,
     parity_oracle,
     unravel_oracle,
 )
 from gspp.channel import AMPLITUDE_MATCHED, fidelity_vs_distance
-from gspp.coupling import normalize_superposition, superposition_vector
+from gspp.coupling import superposition_vector
 from gspp.qec import (
     CatCode,
-    CodeWord,
     QecRunConfig,
-    TrajectoryRecord,
-    apply_annihilation,
     average_fidelity,
-    code_states,
-    count_flips,
-    kraus_completeness_residual,
-    kraus_pair,
-    no_jump,
-    no_jump_norm,
     orthogonality_monitor,
-    parity_check,
-    recover,
     run_ensemble,
-    run_trajectory,
     trajectory_rng,
 )
 from gspp.qec import (
     SIX_CARDINAL,
-    _draw_blocks,
     _ensemble_uniforms,
     _f0_analytic,
+    _recovered,
     _unravel,
     _vec_channel_step,
     _vec_parity,
 )
-from gspp.qstate import StateVector, annihilation, parity, pure_fidelity, truncation_dimension
+from gspp.qstate import StateVector, truncation_dimension
 
 ALPHA = 3.0
 DIM = 64
@@ -68,11 +64,22 @@ class TestCodeStates:
 
     def test_code_words_nearly_orthogonal(self, code):
         zero_p, _, one_p, _ = code_states(code)
-        assert abs(zero_p.inner(one_p)) < 1e-3
+        assert abs(np.vdot(zero_p.amplitudes, one_p.amplitudes)) < 1e-3
 
     def test_normalizations(self, code):
         assert code.n_plus == pytest.approx(2.0 * (1.0 + math.exp(-18.0)))
         assert code.n_minus == pytest.approx(2.0 * (1.0 - math.exp(-18.0)))
+
+
+def step_without_jumps(states, gamma_dt):
+    """One _vec_channel_step in place with draws u = 1, which cannot jump
+    while gamma_dt*<n> < 1."""
+    nt, dim = states.shape
+    n_vec = np.arange(dim, dtype=float)
+    jumps = np.zeros(nt, dtype=int)
+    _vec_channel_step(states, np.ones(nt), gamma_dt, n_vec, np.sqrt(n_vec[1:]),
+                      np.repeat(np.exp(-0.5 * gamma_dt * n_vec), 2), jumps)
+    assert not jumps.any()
 
 
 class TestJumpRelations:
@@ -98,12 +105,11 @@ class TestJumpRelations:
         gamma_dt = 0.04
         decayed_alpha = ALPHA * math.exp(-gamma_dt / 2.0)
         code_dt = CatCode(alpha=decayed_alpha, dim=DIM)
-        for logical in (0, 1):
-            for sign in (+1, -1):
-                st = code.state(logical, sign)
-                out = no_jump(st, gamma_dt)
-                target = code_dt.state(logical, sign)
-                assert np.linalg.norm(out.amplitudes - target.amplitudes) < 1e-10
+        words = [(logical, sign) for logical in (0, 1) for sign in (+1, -1)]
+        states = np.array([code.state(*w).amplitudes for w in words])
+        step_without_jumps(states, gamma_dt)
+        for row, w in zip(states, words):
+            assert np.linalg.norm(row - code_dt.state(*w).amplitudes) < 1e-10
 
     def test_no_jump_norm_analytic(self, code):
         gamma_dt = 0.05
@@ -118,8 +124,9 @@ class TestJumpRelations:
 
     def test_no_jump_identity(self, code):
         st = code.state(0, +1)
-        out = no_jump(st, 0.0)
-        assert np.allclose(out.amplitudes, st.amplitudes)
+        states = np.array(st.amplitudes)[None, :]
+        step_without_jumps(states, 0.0)
+        assert np.allclose(states[0], st.amplitudes)
 
 
 class TestKraus:
@@ -154,25 +161,27 @@ class TestKraus:
 class TestParityCheck:
     def test_even_cat_deterministic(self, code):
         rng = np.random.default_rng(1)
-        outcome, st = parity_check(code.state(0, +1), rng)
-        assert outcome == 1
-        assert pure_fidelity(st, code.state(0, +1)) == pytest.approx(1.0, abs=1e-12)
+        rows = np.array(code.state(0, +1).amplitudes)[None, :]
+        outcome = _vec_parity(rows, rng.random(1), None)
+        assert outcome[0] == 1
+        assert abs(np.vdot(rows[0], code.state(0, +1).amplitudes)) ** 2 == pytest.approx(
+            1.0, abs=1e-12)
 
     def test_vacuum_even(self):
         rng = np.random.default_rng(2)
-        vac = StateVector(np.eye(8, dtype=complex)[0])
-        outcome, _ = parity_check(vac, rng)
-        assert outcome == 1
+        vac = np.eye(8, dtype=complex)[:1]
+        assert _vec_parity(vac, rng.random(1), None)[0] == 1
 
     def test_statistics_match_weights(self, code):
-        # even/odd superposition sampled 10^4 times: binomial within 3 sigma
+        # even/odd superposition measured on 10^4 rows: binomial within 3 sigma
         w_even = 0.7
         psi = StateVector(math.sqrt(w_even) * code.state(0, +1).amplitudes
                           + math.sqrt(1.0 - w_even) * code.state(0, -1).amplitudes)
         psi = psi.normalized()
         rng = np.random.default_rng(3)
         n = 10_000
-        hits = sum(parity_check(psi, rng)[0] == 1 for _ in range(n))
+        rows = np.tile(psi.amplitudes, (n, 1))
+        hits = int(np.sum(_vec_parity(rows, rng.random(n), None) == 1))
         p_even = float(np.sum(np.abs(psi.amplitudes[0::2]) ** 2))
         sigma = math.sqrt(n * p_even * (1.0 - p_even))
         assert abs(hits - n * p_even) < 3.0 * sigma
@@ -185,12 +194,25 @@ def make_config(**kw):
     return QecRunConfig(**base)
 
 
+def unravel_rows(cfg, inp):
+    """_unravel on input 0's ensemble block, every row starting at inp.
+    Returns the jump counts, the (checks, n_traj) outcomes, the flip
+    counts passed to the last snapshot and the final states."""
+    blocks = _ensemble_uniforms(cfg, 0, cfg.n_excitation_steps, cfg.n_steps,
+                                int(cfg.check_schedule().sum()))
+    code = CatCode(alpha=cfg.alpha, dim=truncation_dimension(cfg.alpha))
+    states = np.tile(code.encode(*inp).amplitudes, (cfg.n_trajectories, 1))
+    outcomes, flips = [], []
+    jumps = _unravel(cfg, states, blocks, lambda i, sign, f: flips.append(f.copy()), outcomes)
+    return jumps, np.array(outcomes).reshape(-1, cfg.n_trajectories), flips[-1], states
+
+
 class TestTrajectories:
     def test_lossless_run(self):
         cfg = make_config(k0_kappa2=0.0, parity_p=1.0, x_total=1.0)
-        rec = run_trajectory(cfg, (1.0, 0.0), trajectory_rng(cfg.seed, 0, 0))
-        assert rec.jump_count == 0
-        assert all(o == 1 for o in rec.parity_outcomes)
+        jumps, outcomes, _, _ = unravel_rows(cfg, (1.0, 0.0))
+        assert not jumps.any()
+        assert outcomes.size and np.all(outcomes == 1)
 
     def test_jump_statistics(self):
         # mean jump count ~ <n>(1 - e^{-2 k x}) over the ensemble
@@ -206,52 +228,54 @@ class TestTrajectories:
     def test_parity_flip_jump_alignment(self):
         # p = 1 with a fine step: every recorded flip matches one jump
         cfg = make_config(parity_p=1.0, x_total=0.05, dx=0.0001,
-                          n_trajectories=1, seed=5)
-        for idx in range(30):
-            rec = run_trajectory(cfg, (1.0, 0.0), trajectory_rng(cfg.seed, 0, idx))
-            assert count_flips(rec.parity_outcomes) == rec.jump_count
+                          n_trajectories=30, seed=5)
+        jumps, _, flips, _ = unravel_rows(cfg, (1.0, 0.0))
+        assert jumps.any()
+        assert np.array_equal(flips, jumps)
 
     def test_determinism(self):
-        cfg = make_config(n_trajectories=1)
-        rec1 = run_trajectory(cfg, (0.6, 0.8), trajectory_rng(cfg.seed, 0, 3))
-        rec2 = run_trajectory(cfg, (0.6, 0.8), trajectory_rng(cfg.seed, 0, 3))
-        assert rec1.parity_outcomes == rec2.parity_outcomes
-        assert rec1.jump_count == rec2.jump_count
-        assert np.array_equal(rec1.final_state.amplitudes, rec2.final_state.amplitudes)
-
-    def test_single_matches_ensemble_row(self):
-        cfg = make_config(n_trajectories=4, parity_p=0.6, x_total=0.15)
-        fid, jumps = run_ensemble(cfg, (1.0, 0.0), 0)
-        for idx in range(4):
-            rec = run_trajectory(cfg, (1.0, 0.0), trajectory_rng(cfg.seed, 0, idx))
-            assert rec.jump_count == jumps[idx]
+        cfg = make_config(n_trajectories=4)
+        jumps1, outcomes1, _, states1 = unravel_rows(cfg, (0.6, 0.8))
+        jumps2, outcomes2, _, states2 = unravel_rows(cfg, (0.6, 0.8))
+        assert np.array_equal(outcomes1, outcomes2)
+        assert np.array_equal(jumps1, jumps2)
+        assert np.array_equal(states1, states2)
 
     @pytest.mark.parametrize("beta, parity_p", [(1.0, 0.6), (0.9511, 1.0)])
     def test_matches_fock_oracle(self, beta, parity_p):
-        # the one-row engine against the per-trajectory Fock loop, with and
-        # without excitation-stage loss
-        cfg = make_config(g=math.asin(beta), parity_p=parity_p, x_total=0.15)
+        # each ensemble row against the per-trajectory Fock loop on the same
+        # stream, with and without excitation-stage loss
+        cfg = make_config(g=math.asin(beta), parity_p=parity_p, x_total=0.15,
+                          n_trajectories=8)
         inp = (1.0 / math.sqrt(2.0), 1j / math.sqrt(2.0))
-        for idx in range(8):
-            rec = run_trajectory(cfg, inp, trajectory_rng(cfg.seed, 0, idx))
-            jumps, outcomes, amps = fock_trajectory(cfg, inp, trajectory_rng(cfg.seed, 0, idx))
-            assert rec.jump_count == jumps
-            assert rec.parity_outcomes == outcomes
-            assert np.abs(rec.final_state.amplitudes - amps).max() < 1e-10
+        jumps, outcomes, _, states = unravel_rows(cfg, inp)
+        for j in range(cfg.n_trajectories):
+            n_jumps, fock_outcomes, amps = fock_trajectory(cfg, inp, trajectory_rng(cfg.seed, 0, j))
+            assert jumps[j] == n_jumps
+            assert tuple(outcomes[:, j]) == fock_outcomes
+            assert np.abs(states[j] - amps).max() < 1e-10
 
     def test_too_coarse_step_rejected(self):
         with pytest.raises(ValueError):
             make_config(dx=1.0, k0_kappa2=1.0)
 
 
+def recovered(state, last_parity, flips, code):
+    """_recovered on one row, normalized."""
+    vec = _recovered(np.array(state.amplitudes)[None, :], np.array([last_parity]),
+                     np.array([flips]), code)[0]
+    return StateVector(vec).normalized()
+
+
+def overlap_sq(a, b):
+    return abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2
+
+
 class TestRecovery:
     def test_no_jump_identity(self, code):
-        rec = TrajectoryRecord(jump_count=0, parity_outcomes=(1,),
-                               final_state=code.state(0, +1), seed=0)
-        out, warn = recover(rec, code)
-        assert not warn
+        out = recovered(code.state(0, +1), 1, 0, code)
         # exact up to the e^{-alpha^2} non-orthogonality of the dyad sum
-        assert pure_fidelity(out, code.state(0, +1)) == pytest.approx(1.0, abs=1e-6)
+        assert overlap_sq(out, code.state(0, +1)) == pytest.approx(1.0, abs=1e-6)
 
     def test_one_jump_restores_plus(self, code):
         # |+> = (|0L> + |1L>)/sqrt(2), one jump, then recovery
@@ -259,11 +283,8 @@ class TestRecovery:
         amps = [ALPHA, -ALPHA, 1j * ALPHA, -1j * ALPHA]
         plus = superposition_vector(np.array([1, 1, 1, 1]) / math.sqrt(2.0), amps, DIM)
         jumped = StateVector(a @ plus.amplitudes).normalized()
-        rec = TrajectoryRecord(jump_count=1, parity_outcomes=(1, -1),
-                               final_state=jumped, seed=0)
-        out, warn = recover(rec, code)
-        assert not warn
-        assert pure_fidelity(out, plus) > 0.99
+        out = recovered(jumped, -1, 1, code)
+        assert overlap_sq(out, plus) > 0.99
 
     def test_two_jumps_phase_correction(self, code):
         # two detected jumps: parity back to even, logical-one phase i^2
@@ -271,23 +292,16 @@ class TestRecovery:
         amps = [ALPHA, -ALPHA, 1j * ALPHA, -1j * ALPHA]
         plus = superposition_vector(np.array([1, 1, 1, 1]) / math.sqrt(2.0), amps, DIM)
         double = StateVector(a @ (a @ plus.amplitudes)).normalized()
-        rec = TrajectoryRecord(jump_count=2, parity_outcomes=(1, -1, 1),
-                               final_state=double, seed=0)
-        out, _ = recover(rec, code)
-        assert pure_fidelity(out, plus) > 0.99
+        assert overlap_sq(recovered(double, 1, 2, code), plus) > 0.99
         # without the phase correction the state is orthogonal-ish to |+>
-        rec_blind = TrajectoryRecord(jump_count=2, parity_outcomes=(1,),
-                                     final_state=double, seed=0)
-        out_blind, _ = recover(rec_blind, code)
-        assert pure_fidelity(out_blind, plus) < 0.6
+        assert overlap_sq(recovered(double, 1, 0, code), plus) < 0.6
 
-    def test_inconsistent_record_flagged(self, code):
-        # state in the even space but record claims odd
-        rec = TrajectoryRecord(jump_count=0, parity_outcomes=(-1,),
-                               final_state=code.state(0, +1), seed=0)
-        out, warn = recover(rec, code)
-        assert warn
-        assert pure_fidelity(out, code.state(0, +1)) < 0.01
+    def test_inconsistent_record_carried_to_wrong_sector(self, code):
+        # state in the even space but the record claims odd: the swap moves
+        # it into the odd sector rather than dropping it
+        out = recovered(code.state(0, +1), -1, 1, code)
+        assert overlap_sq(out, code.state(0, +1)) < 0.01
+        assert overlap_sq(out, code.state(0, -1)) == pytest.approx(1.0, abs=1e-6)
 
 
 class TestEnsemble:
@@ -367,7 +381,8 @@ SEEDS = st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1),
 
 class TestVectorizedStreams:
     """_ensemble_uniforms builds every trajectory's stream at once; column j
-    must be trajectory_rng(seed, input, j) drawn in _draw_blocks order."""
+    must be trajectory_rng(seed, input, j) drawn in the engine's order, as
+    ensemble_uniforms_oracle draws it."""
 
     @given(seed=SEEDS, input_index=st.integers(0, 9), nt=st.integers(1, 64),
            n_exc=st.integers(0, 4), n_steps=st.integers(1, 12), n_checks=st.integers(0, 12))
@@ -378,10 +393,9 @@ class TestVectorizedStreams:
         cfg = make_config(seed=seed, n_trajectories=nt)
         blocks = _ensemble_uniforms(cfg, input_index, n_exc, n_steps, n_checks)
         assert [b.shape for b in blocks] == [(n_exc, nt), (1, nt), (n_steps, nt), (n_checks, nt)]
-        for j in range(nt):
-            drawn = _draw_blocks(trajectory_rng(seed, input_index, j), n_exc, n_steps, n_checks)
-            for block, ref in zip(blocks, drawn):
-                assert np.array_equal(block[:, j], ref)
+        drawn = ensemble_uniforms_oracle(cfg, input_index, n_exc, n_steps, n_checks)
+        for block, ref in zip(blocks, drawn):
+            assert np.array_equal(block, ref)
 
     def test_matches_generator_loop(self):
         cfg = make_config(seed=7, n_trajectories=300)
