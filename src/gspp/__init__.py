@@ -30,10 +30,7 @@ from .quantize import (
     quantize_mode,
     vector_potential_amplitude,
 )
-from .qstate import (
-    StateVector,
-    truncation_dimension,
-)
+from .qstate import truncation_dimension
 from .coupling import (
     CoherentMixture,
     CouplerSpec,
@@ -58,7 +55,6 @@ from .prism import (
     reflectance_map,
 )
 from .qec import (
-    CatCode,
     QecRunConfig,
     average_fidelity,
     orthogonality_monitor,

@@ -346,12 +346,12 @@ def cmd_qec(args) -> int:
     p_values = float_list("--p-list", args.p_list)
     if not args.lambda0_nm > 0.0:
         raise ValueError(f"--lambda0-nm must be > 0, got {args.lambda0_nm}")
-    if args.beta is not None and not abs(args.beta) <= 1.0:
+    if not abs(args.beta) <= 1.0:
         raise ValueError(f"--beta must lie in [-1, 1], got {args.beta}")
     for path in (args.out, args.ortho_out):
         if path:
             require_writable(path)
-    g = args.g if args.beta is None else math.asin(args.beta)
+    g = math.asin(args.beta)
     omega = 2.0 * math.pi * CONSTANTS.c0 / (args.lambda0_nm * 1e-9)
     mode = solve_mode(params, omega, args.pol)
     if not mode.supported:
@@ -454,9 +454,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(qec)
     add_material_options(qec)
     qec.add_argument("--alpha", type=float, default=3.0)
-    qec.add_argument("--g", type=float, default=math.pi / 2)
-    qec.add_argument("--beta", type=float, default=None,
-                     help="transmission amplitude; overrides --g")
+    qec.add_argument("--beta", type=float, default=1.0,
+                     help="transmission amplitude; the coupling angle is g = asin(beta)")
     qec.add_argument("--lambda0-nm", type=float, default=1550.0)
     qec.add_argument("--pol", choices=(TM, TE), default=TM)
     qec.add_argument("--k0kappa2x-max", type=float, default=0.18)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import StateVector, _coherent_column, coherent_gram
+from .qstate import coherent_gram
 
 
 @dataclass(frozen=True)
@@ -93,13 +93,6 @@ class CoherentMixture:
             f += w * bra[j] * ket[k]
         return float(f.real)
 
-    def validate(self, tol: float = 1e-9) -> None:
-        m = self.weights
-        if np.abs(m - m.conj().T).max() > tol * max(1.0, float(np.abs(m).max())):
-            raise ValueError("mixture is not Hermitian")
-        if abs(self.trace() - 1.0) > tol:
-            raise ValueError(f"mixture trace {self.trace()} differs from 1")
-
 
 def normalize_superposition(coeffs, amps) -> np.ndarray:
     """Rescale coefficients so sum_mn c_m* c_n <a_m|a_n> equals 1 exactly."""
@@ -110,13 +103,11 @@ def normalize_superposition(coeffs, amps) -> np.ndarray:
     return coeffs / math.sqrt(norm_sq)
 
 
-def superposition_vector(coeffs, amps, dim: int) -> StateVector:
-    """Fock rendering of a normalized coherent superposition."""
-    coeffs = normalize_superposition(coeffs, amps)
-    vec = np.zeros(dim, dtype=complex)
-    for c, a in zip(coeffs, np.asarray(amps, dtype=complex)):
-        vec += c * _coherent_column(a, dim)
-    return StateVector(vec).normalized()
+def code_legs(c0: complex, c1: complex, a: complex) -> tuple[list, list]:
+    """Coefficients and coherent amplitudes of the cat-code word
+    c0*|0L> + c1*|1L> at amplitude a (not normalized): |0L> on the legs
+    a, -a and |1L> on ia, -ia."""
+    return [c0, c0, c1, c1], [a, -a, 1j * a, -1j * a]
 
 
 def excite_superposition(coeffs, amps, g: complex) -> CoherentMixture:
@@ -146,6 +137,4 @@ def excite_code(c0: complex, c1: complex, alpha: complex, g: complex) -> Coheren
     """
     if abs(abs(c0) ** 2 + abs(c1) ** 2 - 1.0) > 1e-8:
         raise ValueError("logical coefficients must satisfy |c0|^2 + |c1|^2 = 1")
-    coeffs = [c0, c0, c1, c1]
-    amps = [alpha, -alpha, 1j * alpha, -1j * alpha]
-    return excite_superposition(coeffs, amps, g)
+    return excite_superposition(*code_legs(c0, c1, alpha), g)

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coupling import CouplerSpec, excite_superposition, normalize_superposition, superposition_vector
-from .qstate import StateVector, _coherent_column, truncation_dimension
+from .coupling import CouplerSpec, code_legs, excite_code, normalize_superposition
+from .qstate import fock_vector, truncation_dimension
 
 SIX_CARDINAL = (
     (1.0, 0.0),
@@ -37,43 +37,6 @@ SIX_CARDINAL = (
     (1.0 / math.sqrt(2.0), 1j / math.sqrt(2.0)),
     (1.0 / math.sqrt(2.0), -1j / math.sqrt(2.0)),
 )
-
-
-@dataclass(frozen=True)
-class CatCode:
-    """Code-space description at amplitude alpha in a D-dimensional space."""
-
-    alpha: complex
-    dim: int
-
-    def __post_init__(self):
-        if self.dim < truncation_dimension(self.alpha):
-            raise ValueError("truncation dimension too small for this alpha")
-
-    @property
-    def n_plus(self) -> float:
-        return 2.0 * (1.0 + math.exp(-2.0 * abs(self.alpha) ** 2))
-
-    @property
-    def n_minus(self) -> float:
-        return 2.0 * (1.0 - math.exp(-2.0 * abs(self.alpha) ** 2))
-
-    def basis_amplitudes(self, logical: int, parity_sign: int) -> tuple[np.ndarray, np.ndarray]:
-        """Coefficients and coherent amplitudes of |logical_(+-)>."""
-        a = self.alpha if logical == 0 else 1j * self.alpha
-        norm = self.n_plus if parity_sign > 0 else self.n_minus
-        c = 1.0 / math.sqrt(norm)
-        return np.array([c, parity_sign * c], dtype=complex), np.array([a, -a], dtype=complex)
-
-    def state(self, logical: int, parity_sign: int) -> StateVector:
-        coeffs, amps = self.basis_amplitudes(logical, parity_sign)
-        vec = sum(c * _coherent_column(a, self.dim) for c, a in zip(coeffs, amps))
-        return StateVector(vec).normalized()
-
-    def encode(self, c0: complex, c1: complex) -> StateVector:
-        """Normalized c0|0L> + c1|1L> (exact Gram normalization)."""
-        amps = [self.alpha, -self.alpha, 1j * self.alpha, -1j * self.alpha]
-        return superposition_vector([c0, c0, c1, c1], amps, self.dim)
 
 
 @dataclass(frozen=True)
@@ -394,16 +357,14 @@ def _vec_parity(states: np.ndarray, uniforms: np.ndarray, sector) -> np.ndarray:
     return outcome
 
 
-def _unravel(config: QecRunConfig, states: np.ndarray, blocks, snapshot=None,
-             outcomes: list | None = None) -> np.ndarray:
+def _unravel(config: QecRunConfig, states: np.ndarray, blocks, snapshot=None) -> np.ndarray:
     """Quantum-jump run of every row of states, in place.
 
     blocks are the (draws, n_traj) uniforms of _ensemble_uniforms.  The
     excitation-stage loss and the excitation phase come first, then the
     initial check and the line steps with their scheduled checks.
     snapshot(step_no, parity, flips) is called after the initial check
-    (step 0) and after every step; outcomes, when given, receives each
-    check's outcome array.  Returns the per-trajectory jump counts.
+    (step 0) and after every step.  Returns the per-trajectory jump counts.
     """
     exc_u, init_u, step_u, check_u = blocks
     nt, dim = states.shape
@@ -424,8 +385,6 @@ def _unravel(config: QecRunConfig, states: np.ndarray, blocks, snapshot=None,
         flips[:] += outcome != parity
         parity = outcome
         at_check = jumps.copy()
-        if outcomes is not None:
-            outcomes.append(outcome)
 
     if len(exc_u):
         g_dt = config.excitation_gamma_t / len(exc_u)
@@ -455,11 +414,24 @@ def _unravel(config: QecRunConfig, states: np.ndarray, blocks, snapshot=None,
 # ---------------------------------------------------------------------------
 # recovery
 
+def _code_basis(a: complex, dim: int) -> dict:
+    """Unit Fock rows of the code basis at amplitude a, keyed by
+    (logical, sign): |0L+-> ~ |a> +- |-a> and |1L+-> ~ |ia> +- |-ia>, with
+    c = 1/sqrt(2(1 +- e^{-2|a|^2})) on each leg."""
+    basis = {}
+    for logical in (0, 1):
+        leg = a if logical == 0 else 1j * a
+        for sign in (+1, -1):
+            c = 1.0 / math.sqrt(2.0 * (1.0 + sign * math.exp(-2.0 * abs(a) ** 2)))
+            basis[(logical, sign)] = fock_vector([c, sign * c], [leg, -leg], dim)
+    return basis
+
+
 def _recovered(states: np.ndarray, parity: np.ndarray, flips: np.ndarray,
-               code: CatCode) -> np.ndarray:
-    """End-of-line correction of each row on the decayed-amplitude code
-    basis, given its last parity outcome and flip count; returns the
-    unnormalized recovered states.
+               bases: dict) -> np.ndarray:
+    """End-of-line correction of each row on bases, the _code_basis at the
+    decayed amplitude, given its last parity outcome and flip count;
+    returns the unnormalized recovered states.
 
     A row whose parity indicates the erred space has its sectors swapped
     by |0L+><0L-| + |1L+><1L-| + h.c., a partial isometry only up to
@@ -468,7 +440,6 @@ def _recovered(states: np.ndarray, parity: np.ndarray, flips: np.ndarray,
     the flip count.  Components inconsistent with the record are carried
     into the wrong sector (honest infidelity) rather than dropped.
     """
-    bases = {(lg, s): code.state(lg, s).amplitudes for lg in (0, 1) for s in (+1, -1)}
     c = {key: states @ basis.conj() for key, basis in bases.items()}
     even = parity > 0
     # coefficients in the indicated parity sector and in the other one
@@ -486,16 +457,11 @@ def _recovered(states: np.ndarray, parity: np.ndarray, flips: np.ndarray,
 def _f0_analytic(config: QecRunConfig, inputs) -> float:
     """Average fidelity of the excited (pre-check) state against the
     matched-amplitude logical reference, from the analytic mixture."""
-    a_exc = config.alpha_excited
     total = 0.0
     for c0, c1 in inputs:
-        rho = excite_superposition(
-            [c0, c0, c1, c1],
-            [config.alpha, -config.alpha, 1j * config.alpha, -1j * config.alpha],
-            config.g)
-        amps_ref = np.array([a_exc, -a_exc, 1j * a_exc, -1j * a_exc])
-        coeffs_ref = normalize_superposition([c0, c0, c1, c1], amps_ref)
-        total += rho.fidelity_pure(coeffs_ref, amps_ref)
+        rho = excite_code(c0, c1, config.alpha, config.g)
+        coeffs, amps = code_legs(c0, c1, config.alpha_excited)
+        total += rho.fidelity_pure(normalize_superposition(coeffs, amps), amps)
     return total / len(inputs)
 
 
@@ -510,11 +476,11 @@ def run_ensemble(config: QecRunConfig, input_logical: tuple[complex, complex],
     """
     c0, c1 = input_logical
     dim = truncation_dimension(config.alpha)
-    code = CatCode(alpha=config.alpha, dim=dim)
     blocks = _ensemble_uniforms(config, input_index, config.n_excitation_steps,
                                 config.n_steps, int(config.check_schedule().sum()))
     nt = config.n_trajectories
-    states = np.tile(code.encode(c0, c1).amplitudes, (nt, 1)).astype(complex)
+    coeffs, amps = code_legs(c0, c1, config.alpha)
+    states = np.tile(fock_vector(normalize_superposition(coeffs, amps), amps, dim), (nt, 1))
 
     checkpoints = config.checkpoint_steps()
     fid = np.empty((len(checkpoints), nt))
@@ -527,13 +493,15 @@ def run_ensemble(config: QecRunConfig, input_logical: tuple[complex, complex],
             return
         x = step_no * config.step
         a_x = a0 * math.exp(-config.k0_kappa2 * x)
-        amps_ref = np.array([a_x, -a_x, 1j * a_x, -1j * a_x])
-        coeffs = normalize_superposition([c0, c0, c1, c1], amps_ref)
-        ref = superposition_vector(coeffs, amps_ref, dim).amplitudes
+        ref_coeffs, ref_amps = code_legs(c0, c1, a_x)
+        # Gram-normalized twice: a single pass moves std_err in its last digit
+        for _ in range(2):
+            ref_coeffs = normalize_superposition(ref_coeffs, ref_amps)
+        ref = fock_vector(ref_coeffs, ref_amps, dim)
         if not config.apply_recovery:
             fid[idx] = np.abs(states @ ref.conj()) ** 2
             return
-        vec = _recovered(states, parity, flips, CatCode(alpha=a_x, dim=dim))
+        vec = _recovered(states, parity, flips, _code_basis(a_x, dim))
         norms = np.linalg.norm(vec, axis=1)
         overlap = np.abs(vec @ ref.conj()) ** 2
         fid[idx] = np.where(norms > 1e-8, overlap / np.maximum(norms, 1e-300) ** 2, 0.0)

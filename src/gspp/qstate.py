@@ -4,30 +4,8 @@ ensemble starts from."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class StateVector:
-    """Pure state in a D-dimensional Fock space.  Treat as immutable."""
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        amps = np.array(self.amplitudes, dtype=complex)
-        amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def normalized(self) -> "StateVector":
-        n = self.norm()
-        if n == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        return StateVector(self.amplitudes / n)
 
 
 def coherent_gram(x, y) -> np.ndarray:
@@ -45,6 +23,15 @@ def _coherent_column(alpha: complex, dim: int) -> np.ndarray:
     for n in range(1, dim):
         amps[n] = amps[n - 1] * alpha / math.sqrt(n)
     return amps
+
+
+def fock_vector(coeffs, amps, dim: int) -> np.ndarray:
+    """Unit Fock vector of sum_j c_j |a_j>: the raw truncated columns
+    summed and divided by their Euclidean norm."""
+    vec = np.zeros(dim, dtype=complex)
+    for c, a in zip(coeffs, np.asarray(amps, dtype=complex)):
+        vec += c * _coherent_column(a, dim)
+    return vec / np.linalg.norm(vec)
 
 
 def truncation_dimension(alpha: complex) -> int:

@@ -28,8 +28,9 @@ import gspp.material
 from gspp.dispersion import TE
 from gspp.material import CONSTANTS, QuadratureError, conductivity
 from gspp.prism import atr_solve
-from gspp.qec import CatCode, trajectory_rng
-from gspp.qstate import StateVector, _coherent_column, truncation_dimension
+from gspp.coupling import code_legs
+from gspp.qec import trajectory_rng
+from gspp.qstate import _coherent_column, fock_vector, truncation_dimension
 from gspp.quantize import _lossless_mode, tm_parallel_amplitude
 
 settings.register_profile("gspp", derandomize=True, deadline=None, database=None)
@@ -73,8 +74,8 @@ class DensityMatrix:
             raise ValueError("density matrix has a negative eigenvalue beyond tolerance")
 
 
-def projector(psi: StateVector) -> DensityMatrix:
-    return DensityMatrix(np.outer(psi.amplitudes, psi.amplitudes.conj()))
+def projector(psi: np.ndarray) -> DensityMatrix:
+    return DensityMatrix(np.outer(psi, psi.conj()))
 
 
 def coherent_tail_mass(alpha: complex, dim: int) -> float:
@@ -82,7 +83,7 @@ def coherent_tail_mass(alpha: complex, dim: int) -> float:
     return max(0.0, 1.0 - float(np.sum(np.abs(_coherent_column(alpha, dim)) ** 2)))
 
 
-def coherent_state(alpha: complex, dim: int) -> StateVector:
+def coherent_state(alpha: complex, dim: int) -> np.ndarray:
     """Truncated, renormalized coherent state.  Errors when the truncated
     norm falls below 1 - 1e-8 (dimension too small for this amplitude)."""
     amps = _coherent_column(alpha, dim)
@@ -90,7 +91,7 @@ def coherent_state(alpha: complex, dim: int) -> StateVector:
     if norm_sq < 1.0 - 1e-8:
         raise ValueError(f"dim={dim} too small for |alpha|={abs(alpha):.3f} "
                          f"(truncated norm^2 = {norm_sq:.12f})")
-    return StateVector(amps / math.sqrt(norm_sq))
+    return amps / math.sqrt(norm_sq)
 
 
 def annihilation(dim: int) -> np.ndarray:
@@ -107,12 +108,11 @@ def parity(dim: int) -> np.ndarray:
     return np.diag((-1.0) ** np.arange(dim)).astype(complex)
 
 
-def fidelity(psi: StateVector, rho: DensityMatrix) -> float:
+def fidelity(psi: np.ndarray, rho: DensityMatrix) -> float:
     """F = <psi|rho|psi>, clamped onto [0, 1] within 1e-9 slack."""
-    v = psi.amplitudes
-    if len(v) != rho.dim:
+    if len(psi) != rho.dim:
         raise ValueError("dimension mismatch")
-    f = float(np.real(np.vdot(v, rho.matrix @ v)))
+    f = float(np.real(np.vdot(psi, rho.matrix @ psi)))
     if f < -TRACE_TOL or f > 1.0 + TRACE_TOL:
         raise ValueError(f"fidelity {f} outside [0,1] beyond tolerance")
     return min(max(f, 0.0), 1.0)
@@ -164,10 +164,10 @@ def kraus_completeness_residual(gamma_dt: float, dim: int) -> float:
     return float(np.linalg.norm(resid, 2))
 
 
-def no_jump_norm(state: StateVector, gamma_dt: float) -> float:
+def no_jump_norm(state: np.ndarray, gamma_dt: float) -> float:
     """Norm of exp(-gamma*dt*n/2)|state> before renormalization."""
-    n = np.arange(len(state.amplitudes))
-    return float(np.linalg.norm(state.amplitudes * np.exp(-0.5 * gamma_dt * n)))
+    n = np.arange(len(state))
+    return float(np.linalg.norm(state * np.exp(-0.5 * gamma_dt * n)))
 
 
 @dataclass(frozen=True)
@@ -178,22 +178,27 @@ class CodeWord:
     parity_sign: int
 
 
-def apply_annihilation(code: CatCode, word: CodeWord) -> tuple[complex, CodeWord]:
+def cat_norm(alpha: complex, sign: int) -> float:
+    """N+- = 2(1 +- e^{-2|alpha|^2}), the squared norm of |alpha> +- |-alpha>."""
+    return 2.0 * (1.0 + sign * math.exp(-2.0 * abs(alpha) ** 2))
+
+
+def apply_annihilation(alpha: complex, word: CodeWord) -> tuple[complex, CodeWord]:
     """a|0L+-> = alpha sqrt(N-+/N+-)|0L-+>; a|1L+-> picks an extra factor i.
 
     Returns the analytic coefficient and the parity-flipped word.
     """
-    ratio = (code.n_minus / code.n_plus if word.parity_sign > 0
-             else code.n_plus / code.n_minus)
-    coeff = code.alpha * math.sqrt(ratio)
+    sign = word.parity_sign
+    coeff = alpha * math.sqrt(cat_norm(alpha, -sign) / cat_norm(alpha, sign))
     if word.logical == 1:
         coeff *= 1j
     return complex(coeff), CodeWord(word.logical, -word.parity_sign)
 
 
-def code_states(code: CatCode) -> tuple[StateVector, StateVector, StateVector, StateVector]:
-    """(|0L+>, |0L->, |1L+>, |1L->)."""
-    return (code.state(0, +1), code.state(0, -1), code.state(1, +1), code.state(1, -1))
+def encode(input_logical, alpha: complex) -> np.ndarray:
+    """Unit Fock row of c0|0L> + c1|1L> at truncation_dimension(alpha)."""
+    coeffs, amps = code_legs(*input_logical, alpha)
+    return fock_vector(coeffs, amps, truncation_dimension(alpha))
 
 
 def boundary_residuals(sol) -> np.ndarray:
@@ -267,10 +272,8 @@ def fock_trajectory(config, input_logical, rng):
     check, line steps, scheduled checks) and returns
     (jump count, parity outcomes, final amplitudes).
     """
-    c0, c1 = input_logical
-    dim = truncation_dimension(config.alpha)
-    amps = np.array(CatCode(alpha=config.alpha, dim=dim).encode(c0, c1).amplitudes)
-    n = np.arange(dim)
+    amps = encode(input_logical, config.alpha)
+    n = np.arange(len(amps))
     schedule = config.check_schedule()
     n_exc = config.n_excitation_steps
     exc_u, init_u = rng.random(n_exc), rng.random(1)
@@ -353,7 +356,7 @@ def parity_oracle(states, uniforms):
     return outcome
 
 
-def unravel_oracle(config, states, blocks, snapshot=None, outcomes=None):
+def unravel_oracle(config, states, blocks, snapshot=None):
     """The ensemble quantum-jump loop in gspp.qec._unravel's order, with
     <n> over the whole array at every micro-step (channel_step_oracle) and
     the general projection at every check (parity_oracle).  Same arguments
@@ -371,8 +374,6 @@ def unravel_oracle(config, states, blocks, snapshot=None, outcomes=None):
         outcome = parity_oracle(states, u)
         flips[:] += outcome != parity
         parity = outcome
-        if outcomes is not None:
-            outcomes.append(outcome)
 
     if len(exc_u):
         g_dt = config.excitation_gamma_t / len(exc_u)

@@ -296,7 +296,7 @@ def test_criterion_9_orthogonality():
 def test_criterion_10_determinism(tmp_path):
     """Identical seeds reproduce byte-identical qec CSVs."""
     from gspp.cli import main
-    argv = ["qec", "--seed", "11", "--alpha", "3", "--g", str(math.pi / 2),
+    argv = ["qec", "--seed", "11", "--alpha", "3", "--beta", "1",
             "--mu-c-ev", "1.4", "--temperature-k", "300", "--lambda0-nm", "1550",
             "--pol", "TM", "--k0kappa2x-max", "0.1", "--p-list", "0,1",
             "--trajectories", "200", "--checkpoints", "3", "--workers", "2"]

@@ -24,7 +24,6 @@ KEEP = {
     "channel.matched_turning_point": "library physics: where the matched-reference fidelity turns",
     "prism.lossless_matching_frequency": "library physics: the reactive momentum-matching root",
     "prism.prism_mode_normalization": "library physics: the prism photon mode's quantization length",
-    "coupling.excite_code": "library physics: a logical code word sent through the coupler",
     "qec.trajectory_rng": "defines the streams _ensemble_uniforms builds; the benchmark traces it by name",
 }
 

@@ -1,3 +1,4 @@
+import gzip
 import math
 import os
 from pathlib import Path
@@ -7,7 +8,8 @@ import pytest
 
 from gspp.cli import _subparser_for, build_parser, config_defaults, load_config, main
 
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIG_DIR = ROOT / "configs"
 QEC_SMALL = ["qec", "--seed", "1", "--mu-c-ev", "1.4", "--k0kappa2x-max", "0.02",
              "--p-list", "1", "--workers", "1"]
 
@@ -206,7 +208,7 @@ class TestQecCommand:
         assert exc.value.code == 2
 
     def test_csv_and_determinism(self, tmp_path):
-        argv = ["qec", "--seed", "7", "--alpha", "3", "--g", str(math.pi / 2),
+        argv = ["qec", "--seed", "7", "--alpha", "3", "--beta", "1",
                 "--mu-c-ev", "1.4", "--temperature-k", "300",
                 "--lambda0-nm", "1550", "--pol", "TM",
                 "--k0kappa2x-max", "0.1", "--p-list", "0,1",
@@ -222,6 +224,28 @@ class TestQecCommand:
         assert "seed: 7" in manifest
         assert "trajectories: 60" in manifest
         assert "gspp" in manifest
+
+    def test_g_flag_gone(self, tmp_path):
+        # --beta is the only coupling option
+        with pytest.raises(SystemExit) as exc:
+            main(QEC_SMALL + ["--g", "1.5707963267948966", "--out", str(tmp_path / "q.csv")])
+        assert exc.value.code == 2
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("name, flags", [
+        ("qec-dense-parity", ["--p-list", "1", "--k0kappa2x-max", "0.06", "--workers", "2"]),
+        ("qec-lossy-coupler", ["--beta", "0.9511", "--p-list", "0", "--trajectories", "3000",
+                               "--workers", "1"]),
+    ])
+    def test_seed7_tables_match_bench_references(self, tmp_path, name, flags):
+        # the benchmark's stored seed-7 tables, byte for byte: the F_bar and
+        # std_err digits move with any change to the order of the arithmetic
+        out = tmp_path / "q.csv"
+        argv = ["qec", "--config", str(CONFIG_DIR / "fig5.cfg"), "--seed", "7", *flags]
+        assert main(argv + ["--out", str(out)]) == 0
+        with gzip.open(ROOT / "bench" / "golden" / f"{name}.csv.gz", "rt", encoding="utf-8") as fh:
+            reference = [ln for ln in fh.read().splitlines() if not ln.startswith("#")]
+        assert [ln for ln in out.read_text().splitlines() if not ln.startswith("#")] == reference
 
     def test_worker_count_does_not_change_rows(self, tmp_path):
         argv = QEC_SMALL + ["--trajectories", "200", "--checkpoints", "3"]
@@ -438,7 +462,7 @@ class TestUsageErrors:
         ["prism", "reflectance-map", "--theta-points", "2", "--freq-points", "2", "--d-um", "nan"],
         QEC_SMALL + ["--trajectories", "4", "--alpha", "inf"],
         QEC_SMALL + ["--trajectories", "4", "--alpha", "nan"],
-        QEC_SMALL + ["--trajectories", "4", "--g", "nan"],
+        QEC_SMALL + ["--trajectories", "4", "--beta", "nan"],
         QEC_SMALL + ["--trajectories", "4", "--k0kappa2x-max", "nan"],
         QEC_SMALL + ["--trajectories", "4", "--beta", "1.5"],
         QEC_SMALL + ["--trajectories", "4", "--beta", "-1.5"],

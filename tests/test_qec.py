@@ -9,8 +9,9 @@ from conftest import (
     CodeWord,
     annihilation,
     apply_annihilation,
+    cat_norm,
     channel_step_oracle,
-    code_states,
+    encode,
     ensemble_uniforms_oracle,
     fock_trajectory,
     kraus_completeness_residual,
@@ -21,9 +22,7 @@ from conftest import (
     unravel_oracle,
 )
 from gspp.channel import AMPLITUDE_MATCHED, fidelity_vs_distance
-from gspp.coupling import superposition_vector
 from gspp.qec import (
-    CatCode,
     QecRunConfig,
     average_fidelity,
     orthogonality_monitor,
@@ -32,6 +31,7 @@ from gspp.qec import (
 )
 from gspp.qec import (
     SIX_CARDINAL,
+    _code_basis,
     _ensemble_uniforms,
     _f0_analytic,
     _recovered,
@@ -39,36 +39,40 @@ from gspp.qec import (
     _vec_channel_step,
     _vec_parity,
 )
-from gspp.qstate import StateVector, truncation_dimension
+from gspp.qstate import _coherent_column, fock_vector
 
 ALPHA = 3.0
 DIM = 64
 
 
 @pytest.fixture(scope="module")
-def code():
-    return CatCode(alpha=ALPHA, dim=DIM)
+def basis():
+    """The code basis rows at ALPHA, keyed by (logical, sign)."""
+    return _code_basis(ALPHA, DIM)
 
 
 class TestCodeStates:
-    def test_normalized(self, code):
-        for st in code_states(code):
-            assert st.norm() == pytest.approx(1.0, abs=1e-12)
+    def test_normalized(self, basis):
+        for st in basis.values():
+            assert np.linalg.norm(st) == pytest.approx(1.0, abs=1e-12)
 
-    def test_parity_eigenvalues(self, code):
-        zero_p, zero_m, one_p, one_m = code_states(code)
+    def test_parity_eigenvalues(self, basis):
         p = parity(DIM)
-        for st, val in ((zero_p, 1.0), (one_p, 1.0), (zero_m, -1.0), (one_m, -1.0)):
-            exp = np.real(np.vdot(st.amplitudes, p @ st.amplitudes))
-            assert exp == pytest.approx(val, abs=1e-10)
+        for (_, sign), st in basis.items():
+            exp = np.real(np.vdot(st, p @ st))
+            assert exp == pytest.approx(sign, abs=1e-10)
 
-    def test_code_words_nearly_orthogonal(self, code):
-        zero_p, _, one_p, _ = code_states(code)
-        assert abs(np.vdot(zero_p.amplitudes, one_p.amplitudes)) < 1e-3
+    def test_code_words_nearly_orthogonal(self, basis):
+        assert abs(np.vdot(basis[(0, +1)], basis[(1, +1)])) < 1e-3
 
-    def test_normalizations(self, code):
-        assert code.n_plus == pytest.approx(2.0 * (1.0 + math.exp(-18.0)))
-        assert code.n_minus == pytest.approx(2.0 * (1.0 - math.exp(-18.0)))
+    def test_normalizations(self, basis):
+        # each row is (|a_l> +- |-a_l>)/sqrt(N+-), N+- = 2(1 +- e^{-18}) at ALPHA = 3
+        assert cat_norm(ALPHA, +1) == pytest.approx(2.0 * (1.0 + math.exp(-18.0)))
+        assert cat_norm(ALPHA, -1) == pytest.approx(2.0 * (1.0 - math.exp(-18.0)))
+        for (logical, sign), st in basis.items():
+            leg = ALPHA * 1j**logical
+            raw = _coherent_column(leg, DIM) + sign * _coherent_column(-leg, DIM)
+            assert np.abs(raw / math.sqrt(cat_norm(ALPHA, sign)) - st).max() < 1e-12
 
 
 def step_without_jumps(states, gamma_dt):
@@ -83,50 +87,46 @@ def step_without_jumps(states, gamma_dt):
 
 
 class TestJumpRelations:
-    def test_annihilation_coefficients(self, code):
-        coeff, word = apply_annihilation(code, CodeWord(0, +1))
+    def test_annihilation_coefficients(self):
+        ratio = cat_norm(ALPHA, -1) / cat_norm(ALPHA, +1)
+        coeff, word = apply_annihilation(ALPHA, CodeWord(0, +1))
         assert word == CodeWord(0, -1)
-        assert coeff == pytest.approx(ALPHA * math.sqrt(code.n_minus / code.n_plus))
-        coeff1, word1 = apply_annihilation(code, CodeWord(1, +1))
+        assert coeff == pytest.approx(ALPHA * math.sqrt(ratio))
+        coeff1, word1 = apply_annihilation(ALPHA, CodeWord(1, +1))
         assert word1 == CodeWord(1, -1)
-        assert coeff1 == pytest.approx(1j * ALPHA * math.sqrt(code.n_minus / code.n_plus))
+        assert coeff1 == pytest.approx(1j * ALPHA * math.sqrt(ratio))
 
-    def test_matrix_apply_matches_analytic(self, code):
+    def test_matrix_apply_matches_analytic(self, basis):
         a = annihilation(DIM)
-        for logical in (0, 1):
-            for sign in (+1, -1):
-                st = code.state(logical, sign)
-                applied = a @ st.amplitudes
-                coeff, word = apply_annihilation(code, CodeWord(logical, sign))
-                target = coeff * code.state(word.logical, word.parity_sign).amplitudes
-                assert np.linalg.norm(applied - target) < 1e-10
+        for (logical, sign), st in basis.items():
+            applied = a @ st
+            coeff, word = apply_annihilation(ALPHA, CodeWord(logical, sign))
+            target = coeff * basis[(word.logical, word.parity_sign)]
+            assert np.linalg.norm(applied - target) < 1e-10
 
-    def test_no_jump_closed_form(self, code):
+    def test_no_jump_closed_form(self, basis):
         gamma_dt = 0.04
-        decayed_alpha = ALPHA * math.exp(-gamma_dt / 2.0)
-        code_dt = CatCode(alpha=decayed_alpha, dim=DIM)
-        words = [(logical, sign) for logical in (0, 1) for sign in (+1, -1)]
-        states = np.array([code.state(*w).amplitudes for w in words])
+        basis_dt = _code_basis(ALPHA * math.exp(-gamma_dt / 2.0), DIM)
+        words = list(basis)
+        states = np.array([basis[w] for w in words])
         step_without_jumps(states, gamma_dt)
         for row, w in zip(states, words):
-            assert np.linalg.norm(row - code_dt.state(*w).amplitudes) < 1e-10
+            assert np.linalg.norm(row - basis_dt[w]) < 1e-10
 
-    def test_no_jump_norm_analytic(self, code):
+    def test_no_jump_norm_analytic(self, basis):
         gamma_dt = 0.05
         decayed_alpha = ALPHA * math.exp(-gamma_dt / 2.0)
-        code_dt = CatCode(alpha=decayed_alpha, dim=DIM)
-        for sign, n_now, n_dt in ((+1, code.n_plus, code_dt.n_plus),
-                                  (-1, code.n_minus, code_dt.n_minus)):
-            st = code.state(0, sign)
-            norm_sq = no_jump_norm(st, gamma_dt) ** 2
-            expected = math.exp(ALPHA**2 * (math.exp(-gamma_dt) - 1.0)) * n_dt / n_now
+        for sign in (+1, -1):
+            norm_sq = no_jump_norm(basis[(0, sign)], gamma_dt) ** 2
+            expected = (math.exp(ALPHA**2 * (math.exp(-gamma_dt) - 1.0))
+                        * cat_norm(decayed_alpha, sign) / cat_norm(ALPHA, sign))
             assert norm_sq == pytest.approx(expected, rel=1e-10)
 
-    def test_no_jump_identity(self, code):
-        st = code.state(0, +1)
-        states = np.array(st.amplitudes)[None, :]
+    def test_no_jump_identity(self, basis):
+        st = basis[(0, +1)]
+        states = st[None, :].copy()
         step_without_jumps(states, 0.0)
-        assert np.allclose(states[0], st.amplitudes)
+        assert np.allclose(states[0], st)
 
 
 class TestKraus:
@@ -140,18 +140,17 @@ class TestKraus:
             resid = kraus_completeness_residual(gamma_dt, 64)
             assert resid <= gamma_dt**2 * 64**2 / 4.0
 
-    def test_single_step_map_first_order(self, code):
+    def test_single_step_map_first_order(self, basis):
         # E0,E1 map |0L+><0L+| to dP|0L-><0L-| + (1-dP)|0L+,dt><0L+,dt|
         gamma_dt = 1e-3
         e0, e1 = kraus_pair(gamma_dt, DIM)
-        st = code.state(0, +1).amplitudes
+        st = basis[(0, +1)]
         rho_out = (e0 @ np.outer(st, st.conj()) @ e0.conj().T
                    + e1 @ np.outer(st, st.conj()) @ e1.conj().T)
-        n_bar = ALPHA**2 * code.n_minus / code.n_plus
+        n_bar = ALPHA**2 * cat_norm(ALPHA, -1) / cat_norm(ALPHA, +1)
         d_p = gamma_dt * n_bar
-        zero_m = code.state(0, -1).amplitudes
-        code_dt = CatCode(alpha=ALPHA * math.exp(-gamma_dt / 2.0), dim=DIM)
-        zero_p_dt = code_dt.state(0, +1).amplitudes
+        zero_m = basis[(0, -1)]
+        zero_p_dt = _code_basis(ALPHA * math.exp(-gamma_dt / 2.0), DIM)[(0, +1)]
         target = (d_p * np.outer(zero_m, zero_m.conj())
                   + (1.0 - d_p) * np.outer(zero_p_dt, zero_p_dt.conj()))
         diff = np.abs(rho_out - target).max()
@@ -159,30 +158,28 @@ class TestKraus:
 
 
 class TestParityCheck:
-    def test_even_cat_deterministic(self, code):
+    def test_even_cat_deterministic(self, basis):
         rng = np.random.default_rng(1)
-        rows = np.array(code.state(0, +1).amplitudes)[None, :]
+        rows = basis[(0, +1)][None, :].copy()
         outcome = _vec_parity(rows, rng.random(1), None)
         assert outcome[0] == 1
-        assert abs(np.vdot(rows[0], code.state(0, +1).amplitudes)) ** 2 == pytest.approx(
-            1.0, abs=1e-12)
+        assert abs(np.vdot(rows[0], basis[(0, +1)])) ** 2 == pytest.approx(1.0, abs=1e-12)
 
     def test_vacuum_even(self):
         rng = np.random.default_rng(2)
         vac = np.eye(8, dtype=complex)[:1]
         assert _vec_parity(vac, rng.random(1), None)[0] == 1
 
-    def test_statistics_match_weights(self, code):
+    def test_statistics_match_weights(self, basis):
         # even/odd superposition measured on 10^4 rows: binomial within 3 sigma
         w_even = 0.7
-        psi = StateVector(math.sqrt(w_even) * code.state(0, +1).amplitudes
-                          + math.sqrt(1.0 - w_even) * code.state(0, -1).amplitudes)
-        psi = psi.normalized()
+        psi = math.sqrt(w_even) * basis[(0, +1)] + math.sqrt(1.0 - w_even) * basis[(0, -1)]
+        psi /= np.linalg.norm(psi)
         rng = np.random.default_rng(3)
         n = 10_000
-        rows = np.tile(psi.amplitudes, (n, 1))
+        rows = np.tile(psi, (n, 1))
         hits = int(np.sum(_vec_parity(rows, rng.random(n), None) == 1))
-        p_even = float(np.sum(np.abs(psi.amplitudes[0::2]) ** 2))
+        p_even = float(np.sum(np.abs(psi[0::2]) ** 2))
         sigma = math.sqrt(n * p_even * (1.0 - p_even))
         assert abs(hits - n * p_even) < 3.0 * sigma
 
@@ -194,16 +191,28 @@ def make_config(**kw):
     return QecRunConfig(**base)
 
 
+def check_steps(cfg):
+    """Mask over snapshot steps 0..n_steps: a check ran just before it."""
+    return np.concatenate(([cfg.initial_check], cfg.check_schedule()))
+
+
 def unravel_rows(cfg, inp):
     """_unravel on input 0's ensemble block, every row starting at inp.
-    Returns the jump counts, the (checks, n_traj) outcomes, the flip
-    counts passed to the last snapshot and the final states."""
+    Returns the jump counts, the (checks, n_traj) outcomes read from the
+    snapshots that follow a check, the flip counts passed to the last
+    snapshot and the final states."""
     blocks = _ensemble_uniforms(cfg, 0, cfg.n_excitation_steps, cfg.n_steps,
                                 int(cfg.check_schedule().sum()))
-    code = CatCode(alpha=cfg.alpha, dim=truncation_dimension(cfg.alpha))
-    states = np.tile(code.encode(*inp).amplitudes, (cfg.n_trajectories, 1))
+    states = np.tile(encode(inp, cfg.alpha), (cfg.n_trajectories, 1))
+    due = check_steps(cfg)
     outcomes, flips = [], []
-    jumps = _unravel(cfg, states, blocks, lambda i, sign, f: flips.append(f.copy()), outcomes)
+
+    def snapshot(i, parity, f):
+        if due[i]:
+            outcomes.append(parity.copy())
+        flips.append(f.copy())
+
+    jumps = _unravel(cfg, states, blocks, snapshot)
     return jumps, np.array(outcomes).reshape(-1, cfg.n_trajectories), flips[-1], states
 
 
@@ -219,8 +228,7 @@ class TestTrajectories:
         cfg = make_config(parity_p=0.0, x_total=0.3, n_trajectories=400,
                           initial_check=False)
         _, jumps = run_ensemble(cfg, (1.0, 0.0), 0)
-        code = CatCode(alpha=ALPHA, dim=truncation_dimension(ALPHA))
-        n_bar = ALPHA**2 * code.n_minus / code.n_plus
+        n_bar = ALPHA**2 * cat_norm(ALPHA, -1) / cat_norm(ALPHA, +1)
         expected = n_bar * (1.0 - math.exp(-2.0 * 1.0 * 0.3))
         se = math.sqrt(expected / 400)  # Poisson-like spread
         assert abs(jumps.mean() - expected) < 4.0 * se
@@ -260,48 +268,49 @@ class TestTrajectories:
             make_config(dx=1.0, k0_kappa2=1.0)
 
 
-def recovered(state, last_parity, flips, code):
+def unit(vec):
+    return vec / np.linalg.norm(vec)
+
+
+def recovered(state, last_parity, flips, basis):
     """_recovered on one row, normalized."""
-    vec = _recovered(np.array(state.amplitudes)[None, :], np.array([last_parity]),
-                     np.array([flips]), code)[0]
-    return StateVector(vec).normalized()
+    return unit(_recovered(state[None, :], np.array([last_parity]), np.array([flips]), basis)[0])
 
 
 def overlap_sq(a, b):
-    return abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2
+    return abs(np.vdot(a, b)) ** 2
 
 
 class TestRecovery:
-    def test_no_jump_identity(self, code):
-        out = recovered(code.state(0, +1), 1, 0, code)
+    def test_no_jump_identity(self, basis):
+        out = recovered(basis[(0, +1)], 1, 0, basis)
         # exact up to the e^{-alpha^2} non-orthogonality of the dyad sum
-        assert overlap_sq(out, code.state(0, +1)) == pytest.approx(1.0, abs=1e-6)
+        assert overlap_sq(out, basis[(0, +1)]) == pytest.approx(1.0, abs=1e-6)
 
-    def test_one_jump_restores_plus(self, code):
+    def test_one_jump_restores_plus(self, basis):
         # |+> = (|0L> + |1L>)/sqrt(2), one jump, then recovery
         a = annihilation(DIM)
         amps = [ALPHA, -ALPHA, 1j * ALPHA, -1j * ALPHA]
-        plus = superposition_vector(np.array([1, 1, 1, 1]) / math.sqrt(2.0), amps, DIM)
-        jumped = StateVector(a @ plus.amplitudes).normalized()
-        out = recovered(jumped, -1, 1, code)
+        plus = fock_vector(np.ones(4), amps, DIM)
+        out = recovered(unit(a @ plus), -1, 1, basis)
         assert overlap_sq(out, plus) > 0.99
 
-    def test_two_jumps_phase_correction(self, code):
+    def test_two_jumps_phase_correction(self, basis):
         # two detected jumps: parity back to even, logical-one phase i^2
         a = annihilation(DIM)
         amps = [ALPHA, -ALPHA, 1j * ALPHA, -1j * ALPHA]
-        plus = superposition_vector(np.array([1, 1, 1, 1]) / math.sqrt(2.0), amps, DIM)
-        double = StateVector(a @ (a @ plus.amplitudes)).normalized()
-        assert overlap_sq(recovered(double, 1, 2, code), plus) > 0.99
+        plus = fock_vector(np.ones(4), amps, DIM)
+        double = unit(a @ (a @ plus))
+        assert overlap_sq(recovered(double, 1, 2, basis), plus) > 0.99
         # without the phase correction the state is orthogonal-ish to |+>
-        assert overlap_sq(recovered(double, 1, 0, code), plus) < 0.6
+        assert overlap_sq(recovered(double, 1, 0, basis), plus) < 0.6
 
-    def test_inconsistent_record_carried_to_wrong_sector(self, code):
+    def test_inconsistent_record_carried_to_wrong_sector(self, basis):
         # state in the even space but the record claims odd: the swap moves
         # it into the odd sector rather than dropping it
-        out = recovered(code.state(0, +1), -1, 1, code)
-        assert overlap_sq(out, code.state(0, +1)) < 0.01
-        assert overlap_sq(out, code.state(0, -1)) == pytest.approx(1.0, abs=1e-6)
+        out = recovered(basis[(0, +1)], -1, 1, basis)
+        assert overlap_sq(out, basis[(0, +1)]) < 0.01
+        assert overlap_sq(out, basis[(0, -1)]) == pytest.approx(1.0, abs=1e-6)
 
 
 class TestEnsemble:
@@ -504,17 +513,19 @@ class TestDecisionShortcuts:
                                     int(cfg.check_schedule().sum()))
         if edit is not None:
             edit(blocks)
-        code = CatCode(alpha=cfg.alpha, dim=truncation_dimension(cfg.alpha))
-        start = np.tile(code.encode(1.0 / math.sqrt(2.0), 1j / math.sqrt(2.0)).amplitudes,
+        start = np.tile(encode((1.0 / math.sqrt(2.0), 1j / math.sqrt(2.0)), cfg.alpha),
                         (cfg.n_trajectories, 1))
+        due = check_steps(cfg)
         runs = []
         for engine in (_unravel, unravel_oracle):
             states = start.copy()
             outcomes, snaps = [], []
             def snapshot(i, parity, flips):
                 snaps.append((i, parity.copy(), flips.copy()))
+                if due[i]:
+                    outcomes.append(parity.copy())
 
-            jumps = outcome_or_error(engine, cfg, states, blocks, snapshot, outcomes)
+            jumps = outcome_or_error(engine, cfg, states, blocks, snapshot)
             runs.append(jumps if jumps is ArithmeticError else (jumps, outcomes, snaps, states))
         return runs
 
@@ -589,17 +600,16 @@ class TestDecisionShortcuts:
                           n_trajectories=200)
         blocks = _ensemble_uniforms(cfg, 0, cfg.n_excitation_steps, cfg.n_steps,
                                     int(cfg.check_schedule().sum()))
-        code = CatCode(alpha=cfg.alpha, dim=truncation_dimension(cfg.alpha))
-        states = np.tile(code.encode(0.6, 0.8).amplitudes, (cfg.n_trajectories, 1))
-        outcomes = []
+        states = np.tile(encode((0.6, 0.8), cfg.alpha), (cfg.n_trajectories, 1))
+        first_check = int(np.argmax(check_steps(cfg)))
         impure = []
 
         def snapshot(i, parity, flips):
-            if outcomes:
+            if i >= first_check:
                 pure = np.all(states[:, 0::2] == 0.0, axis=1) | np.all(states[:, 1::2] == 0.0, axis=1)
                 impure.append(int(np.sum(~pure)))
 
-        jumps = _unravel(cfg, states, blocks, snapshot, outcomes)
+        jumps = _unravel(cfg, states, blocks, snapshot)
         assert jumps.sum() > 0 and len(impure) > 100
         assert not any(impure)
 
