@@ -10,6 +10,7 @@ from .material import (
     conductivity,
     conductivity_full,
     conductivity_lowT,
+    conductivity_slope,
     sigma_min,
 )
 from .dispersion import (

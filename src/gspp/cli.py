@@ -247,8 +247,9 @@ def cmd_dispersion(args) -> int:
     freqs = frequency_grid(args.fmin_thz, args.fmax_thz, args.points, args.log_spacing)
     rows = []
     for f in freqs:
+        sig = conductivity(params, 2.0 * math.pi * f)
         for pol in (TM, TE):
-            mode = solve_mode(params, 2.0 * math.pi * f, pol)
+            mode = solve_mode(params, sig, pol)
             if mode.supported:
                 lam_eff, l_prop = effective_wavelength(mode), propagation_length(mode)
             else:
@@ -353,7 +354,7 @@ def cmd_qec(args) -> int:
             require_writable(path)
     g = math.asin(args.beta)
     omega = 2.0 * math.pi * CONSTANTS.c0 / (args.lambda0_nm * 1e-9)
-    mode = solve_mode(params, omega, args.pol)
+    mode = solve_mode(params, conductivity(params, omega), args.pol)
     if not mode.supported:
         raise UnsupportedModeError(f"{args.pol} not supported at this frequency")
     k0_kappa2 = mode.k.imag

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .material import CONSTANTS, Conductivity, GrapheneParams, conductivity
+from .material import CONSTANTS, Conductivity, GrapheneParams, conductivity_slope
 
 TM = "TM"
 TE = "TE"
@@ -86,14 +86,9 @@ def _forward_branch(k: complex) -> complex:
     return k
 
 
-def wavenumber(polarization: str, sigma: Conductivity, eps_r: float) -> complex:
-    """Complex in-plane wavenumber k (1/m) at sigma.omega on the forward branch:
-
-    k = k0*sqrt(eps_r*(1 - r^2)),  r = 2/(sigma*eta) for TM, sigma*eta/2 for TE,
-
-    with eta the background wave impedance (Hanson, J. Appl. Phys. 103,
-    064302 (2008)).
-    """
+def _kappa(polarization: str, sigma: Conductivity, eps_r: float) -> tuple[complex, complex]:
+    """(r, kappa) of the dispersion relation kappa^2 = eps_r*(1 - r^2),
+    kappa = k/k0 on the forward branch."""
     if sigma.value == 0:
         raise ValueError(f"sigma = 0: graphene absent, {polarization} dispersion undefined")
     eta = _impedance(eps_r)
@@ -103,8 +98,18 @@ def wavenumber(polarization: str, sigma: Conductivity, eps_r: float) -> complex:
         r = sigma.value * eta / 2.0
     else:
         raise ValueError("polarization must be 'TM' or 'TE'")
-    kappa = _forward_branch(complex(np.sqrt(complex(eps_r * (1.0 - r ** 2)))))
-    return (sigma.omega / CONSTANTS.c0) * kappa
+    return r, _forward_branch(complex(np.sqrt(complex(eps_r * (1.0 - r ** 2)))))
+
+
+def wavenumber(polarization: str, sigma: Conductivity, eps_r: float) -> complex:
+    """Complex in-plane wavenumber k (1/m) at sigma.omega on the forward branch:
+
+    k = k0*sqrt(eps_r*(1 - r^2)),  r = 2/(sigma*eta) for TM, sigma*eta/2 for TE,
+
+    with eta the background wave impedance (Hanson, J. Appl. Phys. 103,
+    064302 (2008)).
+    """
+    return (sigma.omega / CONSTANTS.c0) * _kappa(polarization, sigma, eps_r)[1]
 
 
 def transverse_q0(polarization: str, sigma: Conductivity, eps_r: float) -> complex:
@@ -122,31 +127,24 @@ def transverse_q0(polarization: str, sigma: Conductivity, eps_r: float) -> compl
     raise ValueError("polarization must be 'TM' or 'TE'")
 
 
-def group_velocity(params: GrapheneParams, sigma: Conductivity, polarization: str,
-                   rel_step: float = 1e-5) -> float:
-    """Group velocity 1/(d Re k/d omega) at sigma.omega by Richardson-
-    extrapolated central differences with relative step rel_step; sigma is
-    the conductivity at the stencil centre.
+def group_velocity(params: GrapheneParams, sigma: Conductivity, polarization: str) -> float:
+    """Group velocity 1/Re(dk/d omega) at sigma.omega; sigma is the
+    conductivity there.
 
-    Raises if Re k is not monotonic across the stencil (resonance or log
-    singularity nearby) or if the slope is not positive.
+    Differentiating k = (omega/c0)*kappa, kappa^2 = eps_r*(1 - r^2):
+    dk/d omega = kappa/c0 + (omega/c0)*d kappa/d omega, d kappa/d omega =
+    -eps_r*r*r'/kappa, with r' = -r*sigma'/sigma (TM) or +r*sigma'/sigma (TE)
+    and sigma' from `conductivity_slope`.  nan where the slope is not
+    positive.
     """
     omega = sigma.omega
-    h = rel_step * omega
-    offsets = (-h, -h / 2.0, h / 2.0, h)
-    k_re = [wavenumber(polarization, conductivity(params, omega + d), params.eps_r).real
-            for d in offsets]
-    seq = [k_re[0], k_re[1], wavenumber(polarization, sigma, params.eps_r).real, k_re[2], k_re[3]]
-    diffs = np.diff(seq)
-    if not (np.all(diffs > 0.0) or np.all(diffs < 0.0)):
-        raise ValueError("Re k is not monotonic across the stencil; "
-                         "cannot form a group velocity here")
-    d_coarse = (k_re[3] - k_re[0]) / (2.0 * h)
-    d_fine = (k_re[2] - k_re[1]) / h
-    slope = (4.0 * d_fine - d_coarse) / 3.0
-    if slope <= 0.0:
-        raise ValueError("non-positive dispersion slope")
-    return 1.0 / slope
+    r, kappa = _kappa(polarization, sigma, params.eps_r)
+    if kappa == 0:
+        return math.nan
+    r_ratio = conductivity_slope(params, sigma) / sigma.value
+    dr = -r * r_ratio if polarization == TM else r * r_ratio
+    slope = ((kappa - omega * params.eps_r * r * dr / kappa) / CONSTANTS.c0).real
+    return 1.0 / slope if slope > 0.0 else math.nan
 
 
 def propagation_length(mode: SppMode) -> float:
@@ -162,32 +160,26 @@ def effective_wavelength(mode: SppMode) -> float:
     return 2.0 * math.pi / mode.k.real
 
 
-def solve_mode(params: GrapheneParams, omega: float, polarization: str | None = None) -> SppMode:
-    """Solve the dispersion relation at omega.
+def solve_mode(params: GrapheneParams, sigma: Conductivity,
+               polarization: str | None = None) -> SppMode:
+    """Solve the dispersion relation at sigma.omega, with sigma the
+    conductivity there (`conductivity(params, omega)`).
 
     With polarization=None the supported polarization is selected from
     the sign of Im sigma; passing an explicit polarization returns that
     branch, flagged unsupported when it lies on the improper sheet.
     """
-    sig = conductivity(params, omega)
-    selected = supported_polarization(sig)
+    selected = supported_polarization(sigma)
     pol = polarization or selected
     if pol is None:
         raise UnsupportedModeError("Im sigma = 0: neither TM nor TE is supported")
-    k = wavenumber(pol, sig, params.eps_r)
-    q0 = transverse_q0(pol, sig, params.eps_r)
     supported = pol == selected
     # The group velocity is only a transport speed where dispersion is
     # normal; inside absorption windows it can exceed c0/sqrt(eps_r) and is
     # reported as nan there.
-    v_g = math.nan
-    if supported:
-        try:
-            cand = group_velocity(params, sig, pol)
-        except ValueError:
-            cand = math.nan
-        if 0.0 < cand <= CONSTANTS.c0 / math.sqrt(params.eps_r) * (1.0 + 1e-9):
-            v_g = cand
-    return SppMode(polarization=pol, omega=omega, k=k, q0=q0, v_g=v_g,
+    v_g = group_velocity(params, sigma, pol) if supported else math.nan
+    if not v_g <= CONSTANTS.c0 / math.sqrt(params.eps_r) * (1.0 + 1e-9):
+        v_g = math.nan
+    return SppMode(polarization=pol, omega=sigma.omega, k=wavenumber(pol, sigma, params.eps_r),
+                   q0=transverse_q0(pol, sigma, params.eps_r), v_g=v_g,
                    supported=supported, eps_r=params.eps_r)
-

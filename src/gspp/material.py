@@ -3,13 +3,15 @@
 Two evaluation paths are provided: the full finite-temperature form
 (intraband Drude term plus an interband integral over the Fermi-Dirac
 occupation difference) and the closed-form low-temperature limit (Drude
-term plus step and logarithm).  All internal arithmetic is in SI; the
+term plus step and logarithm).  `conductivity_slope` gives d sigma/d omega
+on the same two paths.  All internal arithmetic is in SI; the
 chemical potential is accepted in eV at the API boundary and converted
 once.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -151,15 +153,17 @@ def _intraband_full(params: GrapheneParams, omega: float) -> complex:
     return 1j * k.e**2 * kT * bracket / (math.pi * k.hbar**2 * (omega + 1j * params.gamma_intra))
 
 
-def _interband_full(params: GrapheneParams, omega: float) -> complex:
-    """Interband term of the finite-temperature conductivity.
+def _interband_grid(params: GrapheneParams, omega: float):
+    """Scaled setup shared by the interband integral and its slope.
 
     The energy integral is rescaled with eps = hbar*omega*u/2 so the
-    (gamma-shifted) resonance sits at u ~ 1.  The quadrature runs on
-    [0, u_cut] where the Fermi occupation difference still deviates from
-    1; beyond u_cut the occupation difference is 1 to machine precision
-    and the remainder is added in closed form, so the truncation error is
-    far below 1e-10 of the accumulated value.
+    (gamma-shifted) resonance sits at u ~ abar = (omega + i*gamma)/omega.
+    The quadrature runs on [0, u_cut] where the Fermi occupation
+    difference still deviates from 1; beyond u_cut it is 1 to machine
+    precision and the remainder is added in closed form, so the
+    truncation error is far below 1e-10 of the accumulated value.
+    Returns abar, the occupation scales xmu = mu/kT and s = hbar*omega/(2kT)
+    as plain floats, u_cut and the quad breakpoints.
     """
     k = CONSTANTS
     kT = k.kB * params.temperature
@@ -178,6 +182,27 @@ def _interband_full(params: GrapheneParams, omega: float) -> complex:
     raw_points = [pole - 3 * pole_width, pole, pole + 3 * pole_width,
                   u_step - 30 * step_width, u_step, u_step + 30 * step_width]
     points = sorted({p for p in raw_points if 0.0 < p < u_cut})
+    return abar, float(xmu), float(s), u_cut, points
+
+
+def _quad_parts(real_part, imag_part, u_cut: float, points, what: str) -> complex:
+    """Integral over [0, u_cut] of real_part + i*imag_part; raises
+    QuadratureError when either adaptive run exhausts its subdivisions."""
+    pieces = []
+    for integrand in (real_part, imag_part):
+        out = quad(integrand, 0.0, u_cut, points=points,
+                   epsabs=1e-9, epsrel=1e-9, limit=400, full_output=1)
+        if len(out) > 3:
+            raise QuadratureError(f"{what} did not converge", out[1])
+        pieces.append(out[0])
+    return pieces[0] + 1j * pieces[1]
+
+
+def _interband_full(params: GrapheneParams, omega: float) -> complex:
+    """Interband term of the finite-temperature conductivity, on the
+    scaled grid of `_interband_grid`."""
+    k = CONSTANTS
+    abar, xmu, s, u_cut, points = _interband_grid(params, omega)
 
     # The integrand, the occupation difference over (abar^2 - u^2), runs in
     # plain floats but equals the numpy-scalar form bit for bit: expit(x)
@@ -187,7 +212,6 @@ def _interband_full(params: GrapheneParams, omega: float) -> complex:
     # bit).  Both quad runs sample the same nodes, so the imaginary run
     # reads the values the real run cached by u.
     exp = math.exp
-    xmu, s = float(xmu), float(s)
     aa = abar * abar
     aa_re, bi = float(aa.real), float(aa.imag)
     abs_bi = abs(bi)
@@ -216,20 +240,54 @@ def _interband_full(params: GrapheneParams, omega: float) -> complex:
             real_part(u)
         return cached_imag[u]
 
-    pieces = []
-    for integrand in (real_part, imag_part):
-        out = quad(integrand, 0.0, u_cut, points=points,
-                   epsabs=1e-9, epsrel=1e-9, limit=400, full_output=1)
-        if len(out) > 3:
-            raise QuadratureError("interband conductivity integral did not converge", out[1])
-        pieces.append(out[0])
-    integral = pieces[0] + 1j * pieces[1]
+    integral = _quad_parts(real_part, imag_part, u_cut, points,
+                           "interband conductivity integral")
 
     # Closed-form remainder for u > u_cut with occupation difference == 1.
     ratio = (abar + u_cut) / (abar - u_cut)
     tail = (-1j * math.pi - np.log(ratio)) / (2.0 * abar)
 
+    a = omega + 1j * params.gamma_inter
     return 1j * k.e**2 * a * (integral + tail) / (2.0 * math.pi * k.hbar * omega)
+
+
+def _interband_k2(params: GrapheneParams, omega: float) -> complex:
+    """K2 = integral over u > 0 of d(u)/(abar^2 - u^2)^2, the omega-derivative
+    kernel of the interband integral, on the same grid, cut and quad
+    options as `_interband_full`, with the d(u) = 1 tail in closed form."""
+    abar, xmu, s, u_cut, points = _interband_grid(params, omega)
+    exp = math.exp
+    aa = abar * abar
+    aa_re, bi = float(aa.real), float(aa.imag)
+    cached_imag = {}
+
+    def real_part(u):
+        su = s * u
+        try:
+            f_minus = 1.0 / (1.0 + exp(-(xmu - su)))
+        except OverflowError:
+            f_minus = 0.0
+        d = 1.0 / (1.0 + exp(-(xmu + su))) - f_minus
+        br = aa_re - u * u
+        den = br * br + bi * bi
+        wr, wi = br / den, -bi / den      # 1/(abar^2 - u^2)
+        cached_imag[u] = 2.0 * d * wr * wi
+        return d * (wr * wr - wi * wi)
+
+    def imag_part(u):
+        if u not in cached_imag:
+            real_part(u)
+        return cached_imag[u]
+
+    integral = _quad_parts(real_part, imag_part, u_cut, points,
+                           "interband conductivity slope integral")
+
+    # u/(2 abar^2 (abar^2 - u^2)) + ln((abar + u)/(abar - u))/(4 abar^3) is an
+    # antiderivative; at u -> inf the log tends to -i*pi, as in the sigma tail.
+    ratio = (abar + u_cut) / (abar - u_cut)
+    tail = ((-1j * math.pi - cmath.log(ratio)) / (4.0 * abar**3)
+            - u_cut / (2.0 * abar**2 * (abar**2 - u_cut**2)))
+    return integral + tail
 
 
 def conductivity_full(params: GrapheneParams, omega: float) -> Conductivity:
@@ -287,3 +345,38 @@ def conductivity(params: GrapheneParams, omega: float) -> Conductivity:
     if mode == "full":
         return conductivity_full(params, omega)
     return conductivity_lowT(params, omega)
+
+
+def conductivity_slope(params: GrapheneParams, sigma: Conductivity) -> complex:
+    """d sigma/d omega (S s) at sigma.omega, where sigma = conductivity(params,
+    sigma.omega), on the backend `conductivity` dispatches to.
+
+    Full form: each term carries a factor 1/(omega + i*gamma), whose
+    derivative gives -sigma_intra/(omega + i*gamma_intra) and
+    sigma_inter/(omega + i*gamma_inter); differentiating the interband
+    denominator adds -(i e^2 abar^2/(pi hbar omega))*K2.  Low-T form: the
+    closed form differentiated.
+    """
+    omega = sigma.omega
+    mode = params.conductivity_model
+    if mode == "auto":
+        mode = select_mode(params, omega)
+    k = CONSTANTS
+    n = params.n_layers
+    if mode == "full":
+        intra = _intraband_full(params, omega)
+        inter = sigma.value / n - intra
+        abar = (omega + 1j * params.gamma_inter) / omega
+        kernel = 1j * k.e**2 * abar**2 / (math.pi * k.hbar * omega) * _interband_k2(params, omega)
+        return n * (inter / (omega + 1j * params.gamma_inter)
+                    - intra / (omega + 1j * params.gamma_intra) - kernel)
+    mu = abs(params.mu_c) * k.e
+    hw = k.hbar * omega
+    a = omega + 1j * params.gamma_intra
+    slope = -1j * k.e**2 * mu / (math.pi * k.hbar**2 * a * a)
+    if mu != 0.0:
+        if hw == 2.0 * mu:
+            raise LogSingularityError(
+                "hbar*omega equals 2*mu_c exactly; offset omega away from the log singularity")
+        slope += 1j * k.e**2 * mu / (math.pi * (hw - 2.0 * mu) * (hw + 2.0 * mu))
+    return n * slope

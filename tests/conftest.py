@@ -25,7 +25,7 @@ from scipy.linalg import expm
 from scipy.special import expit
 
 import gspp.material
-from gspp.dispersion import TE
+from gspp.dispersion import TE, wavenumber
 from gspp.material import CONSTANTS, QuadratureError, conductivity
 from gspp.prism import atr_solve
 from gspp.coupling import code_legs
@@ -433,6 +433,26 @@ def quad_interband_oracle(params, omega):
     ratio = (abar + u_cut) / (abar - u_cut)
     tail = (-1j * math.pi - np.log(ratio)) / (2.0 * abar)
     return 1j * k.e**2 * a * (integral + tail) / (2.0 * math.pi * k.hbar * omega)
+
+
+def group_velocity_fd_oracle(params, sigma, polarization, rel_step=1e-5):
+    """Group velocity 1/(d Re k/d omega) by Richardson-extrapolated central
+    differences of `wavenumber` over conductivities at omega +- h and
+    omega +- h/2 (h = rel_step*omega), with sigma the centre conductivity.
+    nan where Re k is not monotonic across the stencil (resonance or log
+    singularity nearby) or the slope is not positive."""
+    omega = sigma.omega
+    h = rel_step * omega
+    k_re = [wavenumber(polarization, conductivity(params, omega + d), params.eps_r).real
+            for d in (-h, -h / 2.0, h / 2.0, h)]
+    seq = [k_re[0], k_re[1], wavenumber(polarization, sigma, params.eps_r).real, k_re[2], k_re[3]]
+    diffs = np.diff(seq)
+    if not (np.all(diffs > 0.0) or np.all(diffs < 0.0)):
+        return math.nan
+    d_coarse = (k_re[3] - k_re[0]) / (2.0 * h)
+    d_fine = (k_re[2] - k_re[1]) / h
+    slope = (4.0 * d_fine - d_coarse) / 3.0
+    return 1.0 / slope if slope > 0.0 else math.nan
 
 
 def graded_nodes(length: float, rate: float, n: int):

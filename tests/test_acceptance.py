@@ -28,6 +28,7 @@ from gspp.dispersion import effective_wavelength, solve_mode
 from gspp.material import (
     CONSTANTS,
     GrapheneParams,
+    conductivity,
     conductivity_full,
     conductivity_lowT,
     sigma_min,
@@ -62,7 +63,7 @@ def test_criterion_1_effective_wavelengths():
     for pol, mu_c, temp, lam0, expected in cases:
         params = GrapheneParams.with_default_rates(mu_c, temp)
         omega = 2.0 * math.pi * K.c0 / lam0
-        lam_eff = effective_wavelength(solve_mode(params, omega, pol))
+        lam_eff = effective_wavelength(solve_mode(params, conductivity(params, omega), pol))
         results.append((pol, lam0, lam_eff, expected,
                         abs(lam_eff - expected) / expected))
     ok = all(r[4] < 0.01 for r in results)

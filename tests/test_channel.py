@@ -26,11 +26,11 @@ class TestFluxDamping:
 
     def test_fig5_tm_five_wavelengths(self):
         # TM mode of the long-wavelength figure set: finite damping factor
-        from gspp.material import GrapheneParams, CONSTANTS
+        from gspp.material import GrapheneParams, CONSTANTS, conductivity
         from gspp.dispersion import effective_wavelength, solve_mode
         params = GrapheneParams.with_default_rates(1.4, 300.0)
         omega = 2.0 * math.pi * CONSTANTS.c0 / 1550e-9
-        mode = solve_mode(params, omega, "TM")
+        mode = solve_mode(params, conductivity(params, omega), "TM")
         lam_eff = effective_wavelength(mode)
         spec = ChannelSpec(k0_kappa2=mode.k.imag, x=5.0 * lam_eff)
         val = spec.transmissivity

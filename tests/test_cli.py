@@ -83,10 +83,10 @@ class TestDispersionCommand:
         assert math.isnan(float(te_row[6]))
 
     def test_conductivity_calls_per_frequency(self, tmp_path, full_calls):
-        # per frequency: the supported solve (centre plus four stencil
-        # points) and the unsupported one (centre only)
+        # one conductivity per frequency, shared by both polarization rows
+        # and the group velocity
         assert main(["dispersion", "--points", "3", "--out", str(tmp_path / "d.csv")]) == 0
-        assert len(full_calls) == 18
+        assert len(full_calls) == 3
 
 
 class TestPrismCommand:

@@ -3,7 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from gspp.material import CONSTANTS, Conductivity, GrapheneParams, conductivity
+import gspp.material
+from conftest import group_velocity_fd_oracle
+from gspp.cli import frequency_grid, main
+from gspp.material import CONSTANTS, Conductivity, GrapheneParams, QuadratureError, conductivity
 from gspp.dispersion import (
     SppMode,
     UnsupportedModeError,
@@ -47,7 +50,7 @@ class TestWavenumbers:
     ])
     def test_effective_wavelengths(self, mu_c, temp, lam_nm, pol, expect_nm):
         params = GrapheneParams.with_default_rates(mu_c, temp)
-        mode = solve_mode(params, omega_from_lambda(lam_nm * 1e-9), pol)
+        mode = solve_mode(params, conductivity(params, omega_from_lambda(lam_nm * 1e-9)), pol)
         assert mode.supported
         lam_eff = effective_wavelength(mode) * 1e9
         assert lam_eff == pytest.approx(expect_nm, rel=0.01)
@@ -134,11 +137,14 @@ class TestTransverseDecay:
             assert abs(q0**2 - rhs) / abs(rhs) < 1e-10
 
 
+TE_FREE_PARAMS = GrapheneParams(mu_c=1e-6, temperature=0.0, gamma_intra=1e9,
+                                gamma_inter=1e10, eps_r=2.0)
+
+
 class TestGroupVelocity:
     def test_te_free_limit(self):
         # nearly transparent sheet: v_g -> c0/sqrt(eps_r)
-        params = GrapheneParams(mu_c=1e-6, temperature=0.0, gamma_intra=1e9,
-                                gamma_inter=1e10, eps_r=2.0)
+        params = TE_FREE_PARAMS
         sig = conductivity(params, 2.0 * math.pi * 500e12)
         v = group_velocity(params, sig, "TE")
         assert v == pytest.approx(C0 / math.sqrt(2.0), rel=1e-4)
@@ -148,12 +154,53 @@ class TestGroupVelocity:
         v = group_velocity(params, conductivity(params, omega_from_lambda(1550e-9)), "TM")
         assert 0.0 < v < 0.05 * C0
 
-    def test_step_halving_convergence(self):
+    def test_matches_fd_oracle(self):
+        # every supported row of the fig2b grid, the 1550 nm TM mode and the
+        # T = 0 transparent-sheet TE mode: the analytic slope agrees with the
+        # Richardson stencil, and both return nan on the same rows
+        fig2b = GrapheneParams.with_default_rates(0.5, 300.0)
+        cases = [(fig2b, conductivity(fig2b, 2.0 * math.pi * f))
+                 for f in frequency_grid(0.1, 1000.0, 400, True)]
+        mu14 = GrapheneParams.with_default_rates(1.4, 300.0)
+        cases.append((mu14, conductivity(mu14, omega_from_lambda(1550e-9))))
+        cases.append((TE_FREE_PARAMS, conductivity(TE_FREE_PARAMS, 2.0 * math.pi * 500e12)))
+        n_nan = 0
+        for params, sig in cases:
+            pol = supported_polarization(sig)
+            got = group_velocity(params, sig, pol)
+            want = group_velocity_fd_oracle(params, sig, pol)
+            assert math.isnan(got) == math.isnan(want), sig.omega
+            if math.isnan(want):
+                n_nan += 1
+            else:
+                assert abs(got - want) <= 1e-9 * want, sig.omega
+        assert 0 < n_nan < len(cases) - 2
+
+    def test_slope_quadrature_error_propagates(self, monkeypatch, tmp_path):
+        # a slope integral that does not converge raises through
+        # group_velocity and solve_mode, and `gspp dispersion` exits 3
+        # without writing its table
+        real_quad = gspp.material.quad
+
+        def slope_unconverged(func, a, b, **kwargs):
+            if func.__qualname__.startswith("_interband_k2."):
+                return 0.0, 1.0, {"last": 400}, "The maximum number of subdivisions (400) has been achieved."
+            return real_quad(func, a, b, **kwargs)
+
+        monkeypatch.setattr(gspp.material, "quad", slope_unconverged)
         params = GrapheneParams.with_default_rates(1.4, 300.0)
         sig = conductivity(params, omega_from_lambda(1550e-9))
-        v1 = group_velocity(params, sig, "TM", rel_step=1e-5)
-        v2 = group_velocity(params, sig, "TM", rel_step=5e-6)
-        assert abs(v1 - v2) / v2 < 1e-6
+        with pytest.raises(QuadratureError, match="slope") as exc:
+            group_velocity(params, sig, "TM")
+        assert exc.value.error_estimate == 1.0
+        with pytest.raises(QuadratureError):
+            solve_mode(params, sig, "TM")
+        out = tmp_path / "d.csv"
+        rc = main(["dispersion", "--fmin-thz", "10", "--fmax-thz", "10", "--points", "1",
+                   "--out", str(out)])
+        assert rc == 3
+        assert not out.exists()
+        assert not tmp_path.joinpath("d.csv.manifest").exists()
 
 
 class TestDerivedQuantities:
@@ -180,7 +227,7 @@ class TestDerivedQuantities:
     def test_solve_mode_unsupported_flag(self):
         params = GrapheneParams.with_default_rates(0.5, 300.0)
         omega = 2.0 * math.pi * 10e12  # TM regime
-        mode_te = solve_mode(params, omega, "TE")
+        mode_te = solve_mode(params, conductivity(params, omega), "TE")
         assert not mode_te.supported
         assert mode_te.q0.real < 0.0 or not mode_te.q0.real > 0.0
 
@@ -188,15 +235,14 @@ class TestDerivedQuantities:
         # lambda_eff/lambda_0 ~ 0.0235 implies a strongly slowed mode
         params = GrapheneParams.with_default_rates(1.4, 300.0)
         omega = omega_from_lambda(1550e-9)
-        mode = solve_mode(params, omega, "TM")
+        mode = solve_mode(params, conductivity(params, omega), "TM")
         ratio = effective_wavelength(mode) / 1550e-9
         assert ratio == pytest.approx(0.0235, rel=0.02)
         assert mode.v_g < 0.05 * C0
 
     def test_solve_mode_conductivity_calls(self, full_calls):
-        # one conductivity at the centre, shared with the group-velocity
-        # stencil, plus its four off-centre points
+        # one conductivity per mode; the group velocity adds none
         params = GrapheneParams.with_default_rates(1.4, 300.0)
-        mode = solve_mode(params, omega_from_lambda(1550e-9), "TM")
+        mode = solve_mode(params, conductivity(params, omega_from_lambda(1550e-9)), "TM")
         assert mode.supported and mode.v_g > 0.0
-        assert len(full_calls) == 5
+        assert len(full_calls) == 1

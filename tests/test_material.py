@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from gspp.material import (
     conductivity,
     conductivity_full,
     conductivity_lowT,
+    conductivity_slope,
     select_mode,
     sigma_min,
     _interband_full,
@@ -88,6 +90,45 @@ def test_full_universal_limit():
     assert abs(sig.value.imag) < 2e-3 * sigma_min()
 
 
+def mpmath_interband(mp, p, omega, power):
+    """Integral over eps > 0 of (f(-eps) - f(eps))/(a^2 - 4 (eps/hbar)^2)^power
+    at 60 digits, with a = omega + i*gamma_inter and f the Fermi function.
+
+    The integrand is taken over eps in eV with a^(2 power) factored out, so
+    it is of order one: mpmath's convergence test is absolute, and stops
+    at once on an integrand of order 1e-80."""
+    mp.mp.dps = 60
+    kT = mp.mpf(CONSTANTS.kB) * p.temperature / mp.mpf(EV)
+    mu = mp.mpf(p.mu_c)
+    a = mp.mpf(omega) + 1j * mp.mpf(p.gamma_inter)
+    pc = mp.mpf(HBAR) * a / (2 * mp.mpf(EV))         # pole hbar*a/2, in eV
+
+    def fermi(e):
+        return 1 / (mp.e**((e - mu) / kT) + 1)
+
+    def integrand(e):
+        return (fermi(-e) - fermi(e)) / (1 - (e / pc) ** 2) ** power
+
+    # split at the (complex) pole neighborhood and the Fermi edge so the
+    # exponentially small absorption tail is fully resolved
+    pr, pi_ = float(pc.real), float(pc.imag)
+    splits = [pr - 8 * pi_, pr - 2 * pi_, pr - pi_ / 2, pr, pr + pi_ / 2,
+              pr + 2 * pi_, pr + 8 * pi_, pr * 3, pr * 10, pr * 30,
+              float(mu - 80 * kT), float(mu - 20 * kT), float(mu),
+              float(mu + 20 * kT), float(mu + 80 * kT), float(mu) * 4, float(mu) * 20]
+    nodes = [0] + sorted({x for x in splits if x > 0}) + [mp.inf]
+    return mp.quad(integrand, nodes, maxdegree=12) * mp.mpf(EV) / a ** (2 * power)
+
+
+def mpmath_intraband(mp, p, omega):
+    """Drude term of the finite-temperature conductivity at 60 digits."""
+    mp.mp.dps = 60
+    kT = mp.mpf(CONSTANTS.kB) * p.temperature
+    x = mp.mpf(p.mu_c) * mp.mpf(EV) / kT
+    return (1j * mp.mpf(EV) ** 2 * kT / (mp.pi * mp.mpf(HBAR) ** 2 * (omega + 1j * p.gamma_intra))
+            * (x + 2 * mp.log(1 + mp.e**(-x))))
+
+
 def test_full_against_mpmath_oracle():
     # mu_c = 0.5 eV, T = 300 K, tau = 0.35 ps, f = 10 THz
     mp = pytest.importorskip("mpmath")
@@ -96,36 +137,55 @@ def test_full_against_mpmath_oracle():
     omega = 2.0 * math.pi * 10e12
     ours = conductivity_full(p, omega).value
 
-    mp.mp.dps = 60
-    kT = mp.mpf(CONSTANTS.kB) * 300
-    mu = mp.mpf("0.5") * mp.mpf(EV)
-    hbar = mp.mpf(HBAR)
-    w = mp.mpf(omega)
-    gam = mp.mpf(p.gamma_inter)
-    a = w + 1j * gam
-
-    def fermi(e):
-        return 1 / (mp.e**((e - mu) / kT) + 1)
-
-    def integrand(e):
-        return (fermi(-e) - fermi(e)) / (a**2 - 4 * (e / hbar) ** 2)
-
-    # split at the (complex) pole neighborhood and the Fermi edge so the
-    # exponentially small absorption tail is fully resolved
-    pc = hbar * a / 2
-    pr, pi_ = float(pc.real), float(pc.imag)
-    nodes = [0, pr - 8 * pi_, pr - 2 * pi_, pr - pi_ / 2, pr, pr + pi_ / 2,
-             pr + 2 * pi_, pr + 8 * pi_, pr * 3, pr * 10, pr * 30,
-             float(mu - 80 * kT), float(mu - 20 * kT), float(mu),
-             float(mu + 20 * kT), float(mu + 80 * kT),
-             float(mu) * 4, float(mu) * 20, mp.inf]
-    integral = mp.quad(integrand, nodes, maxdegree=12)
-    inter = 1j * mp.mpf(EV) ** 2 * a / (mp.pi * hbar**2) * integral
-    x = mu / kT
-    intra = (1j * mp.mpf(EV) ** 2 * kT / (mp.pi * hbar**2 * (w + 1j * p.gamma_intra))
-             * (x + 2 * mp.log(1 + mp.e**(-x))))
-    oracle = complex(intra + inter)
+    integral = mpmath_interband(mp, p, omega, 1)
+    a = mp.mpf(omega) + 1j * mp.mpf(p.gamma_inter)
+    inter = 1j * mp.mpf(EV) ** 2 * a / (mp.pi * mp.mpf(HBAR) ** 2) * integral
+    oracle = complex(mpmath_intraband(mp, p, omega) + inter)
     assert abs(ours - oracle) / abs(oracle) < 1e-6
+
+
+@pytest.mark.parametrize("mu_c,omega", [
+    (0.5, 2.0 * math.pi * 10e12),
+    (1.4, 2.0 * math.pi * CONSTANTS.c0 / 1550e-9),
+    (0.5, 0.97 * 2.0 * 0.5 * EV / HBAR),
+])
+def test_slope_against_mpmath_oracle(mu_c, omega):
+    # sigma = i e^2 a I1/(pi hbar^2) + Drude term, I_n the energy integrals
+    # of mpmath_interband, so d sigma/d omega = i e^2 (I1 - 2 a^2 I2)/(pi hbar^2)
+    # - Drude/(omega + i gamma_intra)
+    mp = pytest.importorskip("mpmath")
+    p = replace(GrapheneParams.with_default_rates(mu_c, 300.0), conductivity_model="full")
+    ours = conductivity_slope(p, conductivity_full(p, omega))
+
+    i1 = mpmath_interband(mp, p, omega, 1)
+    i2 = mpmath_interband(mp, p, omega, 2)
+    a = mp.mpf(omega) + 1j * mp.mpf(p.gamma_inter)
+    inter = 1j * mp.mpf(EV) ** 2 * (i1 - 2 * a**2 * i2) / (mp.pi * mp.mpf(HBAR) ** 2)
+    intra = -mpmath_intraband(mp, p, omega) / (omega + 1j * p.gamma_intra)
+    oracle = complex(inter + intra)
+    assert abs(ours - oracle) <= 1e-9 * abs(oracle)
+
+
+@pytest.mark.parametrize("n_layers", [1, 2])
+def test_lowT_slope_against_mpmath_derivative(n_layers):
+    mp = pytest.importorskip("mpmath")
+    p = replace(GrapheneParams.with_default_rates(0.4, 0.0), n_layers=n_layers)
+    mp.mp.dps = 40
+    e, hbar, mu = mp.mpf(EV), mp.mpf(HBAR), mp.mpf(0.4) * mp.mpf(EV)
+
+    def closed_form(w):
+        hw = hbar * w
+        drude = 1j * e**2 * mu / (mp.pi * hbar**2 * (w + 1j * p.gamma_intra))
+        step = 1 if hw > 2 * mu else 0
+        inter = e**2 / (4 * hbar) * (step + 1j / mp.pi * mp.log(abs((hw - 2 * mu) / (hw + 2 * mu))))
+        return n_layers * (drude + inter)
+
+    for omega in (2.0 * math.pi * 10e12, 0.9 * 0.8 * EV / HBAR, 1.1 * 0.8 * EV / HBAR,
+                  2.0 * math.pi * CONSTANTS.c0 / 810e-9):
+        assert select_mode(p, omega) == "low"
+        ours = conductivity_slope(p, conductivity_lowT(p, omega))
+        oracle = complex(mp.diff(closed_form, mp.mpf(omega)))
+        assert abs(ours - oracle) <= 1e-9 * abs(oracle)
 
 
 def test_fig2a_sweep_shape():

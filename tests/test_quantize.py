@@ -25,13 +25,13 @@ K = CONSTANTS
 def tm_setup():
     params = GrapheneParams.with_default_rates(1.4, 300.0)
     omega = 2.0 * math.pi * K.c0 / 1550e-9
-    return params, solve_mode(params, omega, "TM")
+    return params, solve_mode(params, conductivity(params, omega), "TM")
 
 
 def te_setup():
     params = GrapheneParams.with_default_rates(0.4, 0.0)
     omega = 2.0 * math.pi * K.c0 / 1550e-9
-    return params, solve_mode(params, omega, "TE")
+    return params, solve_mode(params, conductivity(params, omega), "TE")
 
 
 def analytic_n_te(omega, sigma_pp, eps_r):
@@ -111,7 +111,7 @@ class TestNormalization:
     def test_unsupported_raises(self):
         params, mode = tm_setup()
         from gspp.dispersion import UnsupportedModeError
-        te_mode = solve_mode(params, mode.omega, "TE")
+        te_mode = solve_mode(params, conductivity(params, mode.omega), "TE")
         assert not te_mode.supported
         with pytest.raises(UnsupportedModeError):
             mode_normalization(te_mode, params)
