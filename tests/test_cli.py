@@ -433,6 +433,18 @@ class TestUsageErrors:
         assert main(argv + ["--out", str(out)]) == 2
         assert not out.exists()
 
+    def test_more_checkpoints_than_snapshot_steps_rejected(self, tmp_path, capsys):
+        # fig5's line has 324 micro-steps: snapshots at steps 0..324
+        argv = ["qec", "--config", str(CONFIG_DIR / "fig5.cfg"), "--seed", "1", "--p-list", "0",
+                "--trajectories", "3", "--workers", "1"]
+        out = tmp_path / "t.csv"
+        assert main(argv + ["--checkpoints", "500", "--out", str(out)]) == 2
+        assert not list(tmp_path.iterdir())
+        err = capsys.readouterr().err
+        assert "invalid input" in err and "500 checkpoints" in err and "325 snapshot steps" in err
+        assert main(argv + ["--checkpoints", "325", "--out", str(out)]) == 0
+        assert len(read_rows(out)[1]) == 325
+
     @pytest.mark.parametrize("argv, flag", [
         (["sigma", "--points", "3", "--tau-intra-ps", "0"], "--tau-intra-ps"),
         (["sigma", "--points", "3", "--tau-inter-ps", "0"], "--tau-inter-ps"),

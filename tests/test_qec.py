@@ -31,6 +31,7 @@ from gspp.qec import (
 )
 from gspp.qec import (
     SIX_CARDINAL,
+    _BLOCK,
     _code_basis,
     _ensemble_uniforms,
     _f0_analytic,
@@ -161,14 +162,14 @@ class TestParityCheck:
     def test_even_cat_deterministic(self, basis):
         rng = np.random.default_rng(1)
         rows = basis[(0, +1)][None, :].copy()
-        outcome = _vec_parity(rows, rng.random(1), None)
+        outcome = _vec_parity(rows, rng.random(1))
         assert outcome[0] == 1
         assert abs(np.vdot(rows[0], basis[(0, +1)])) ** 2 == pytest.approx(1.0, abs=1e-12)
 
     def test_vacuum_even(self):
         rng = np.random.default_rng(2)
         vac = np.eye(8, dtype=complex)[:1]
-        assert _vec_parity(vac, rng.random(1), None)[0] == 1
+        assert _vec_parity(vac, rng.random(1))[0] == 1
 
     def test_statistics_match_weights(self, basis):
         # even/odd superposition measured on 10^4 rows: binomial within 3 sigma
@@ -178,7 +179,7 @@ class TestParityCheck:
         rng = np.random.default_rng(3)
         n = 10_000
         rows = np.tile(psi, (n, 1))
-        hits = int(np.sum(_vec_parity(rows, rng.random(n), None) == 1))
+        hits = int(np.sum(_vec_parity(rows, rng.random(n)) == 1))
         p_even = float(np.sum(np.abs(psi[0::2]) ** 2))
         sigma = math.sqrt(n * p_even * (1.0 - p_even))
         assert abs(hits - n * p_even) < 3.0 * sigma
@@ -448,7 +449,7 @@ class TestMicroStepOracle:
             if k % 2:
                 before = np.sum(np.abs(new[:, 0::2]) ** 2, axis=1) > 0.5
                 u = rng.random(nt)
-                outcome = _vec_parity(new, u, None)
+                outcome = _vec_parity(new, u)
                 assert np.array_equal(outcome, parity_oracle(old, u))
                 assert np.array_equal(new.view(float), old.view(float))
                 flips += int(np.sum((outcome > 0) != before))
@@ -466,7 +467,7 @@ class TestMicroStepOracle:
         odd = np.zeros((1, dim), dtype=complex)
         odd[0, 1] = 1.0
         with pytest.raises(ArithmeticError):
-            _vec_parity(vacuum.copy(), np.array([1.0]), None)  # p_even = 1, u = 1 -> odd
+            _vec_parity(vacuum.copy(), np.array([1.0]))  # p_even = 1, u = 1 -> odd
         state = odd.copy()
         jumps = np.zeros(1, dtype=int)
         _vec_channel_step(state, np.array([0.0]), 0.01, n_vec, sqrt_n,
@@ -498,6 +499,13 @@ def near(value, rng, size):
     value = np.broadcast_to(value, size)
     return rng.choice(3, size=size).choose(
         [np.nextafter(value, -np.inf), value, np.nextafter(value, np.inf)])
+
+
+# check draws at and around the sector shortcut's 1 - _BAND cut
+NEAR_TOP = [1.0 - 2.0**-53, 1.0 - 1e-9, np.nextafter(1.0 - 1e-9, 0.0),
+            np.nextafter(1.0 - 1e-9, 1.0)]
+# an ensemble of two whole sweep blocks and a ragged third
+RAGGED = 2 * _BLOCK + 37
 
 
 class TestDecisionShortcuts:
@@ -542,32 +550,50 @@ class TestDecisionShortcuts:
             assert i == j and np.array_equal(p, q) and np.array_equal(f, g)
         assert np.array_equal(new[3].view(float), old[3].view(float))
 
+    @classmethod
+    def ensemble_matches_oracle(cls, beta, parity_p, initial_check, nt):
+        cfg = make_config(g=math.asin(beta), parity_p=parity_p, initial_check=initial_check,
+                          n_trajectories=nt)
+        new, old = cls.run_engines(cfg)
+        assert new[0].sum() > 100 and len(new[1]) > 30  # jumps and checks exercised
+        cls.assert_same(new, old)
+
     @pytest.mark.parametrize("beta, parity_p, initial_check", [
         (1.0, 1.0, True), (1.0, 0.2, True), (1.0, 0.6, True),
         (0.9511, 1.0, True), (0.9511, 0.6, True),
         (1.0, 0.6, False), (0.9511, 0.2, False),
     ])
     def test_ensemble_matches_oracle(self, beta, parity_p, initial_check):
-        cfg = make_config(g=math.asin(beta), parity_p=parity_p, initial_check=initial_check,
-                          n_trajectories=300)
-        new, old = self.run_engines(cfg)
-        assert new[0].sum() > 100 and len(new[1]) > 30  # jumps and checks exercised
-        self.assert_same(new, old)
+        self.ensemble_matches_oracle(beta, parity_p, initial_check, 300)
 
-    @pytest.mark.parametrize("rows", [slice(None), slice(0, 1), slice(0, 300, 7)])
-    @pytest.mark.parametrize("u", [1.0 - 2.0**-53, 1.0 - 1e-9, np.nextafter(1.0 - 1e-9, 0.0),
-                                   np.nextafter(1.0 - 1e-9, 1.0)])
-    def test_check_draws_near_top_of_unit_interval(self, rows, u):
+    @pytest.mark.parametrize("beta, parity_p, initial_check", [
+        (1.0, 1.0, True), (0.9511, 0.6, True), (0.9511, 0.2, False),
+    ])
+    def test_ensemble_matches_oracle_across_blocks(self, beta, parity_p, initial_check):
+        self.ensemble_matches_oracle(beta, parity_p, initial_check, RAGGED)
+
+    @classmethod
+    def check_draws_near_top(cls, rows, u, nt):
         # against p_even = 1 to rounding, u = 1 - 2**-53 may send an even row
         # to the empty odd sector, and then both engines raise
         def edit(blocks):
             blocks[3][5:, rows] = u
 
-        cfg = make_config(parity_p=1.0, n_trajectories=300, x_total=0.05)
-        new, old = self.run_engines(cfg, edit)
+        cfg = make_config(parity_p=1.0, n_trajectories=nt, x_total=0.05)
+        new, old = cls.run_engines(cfg, edit)
         if u < 1.0 - 1e-10:
             assert new is not ArithmeticError
-        self.assert_same(new, old)
+        cls.assert_same(new, old)
+
+    @pytest.mark.parametrize("rows", [slice(None), slice(0, 1), slice(0, 300, 7)])
+    @pytest.mark.parametrize("u", NEAR_TOP)
+    def test_check_draws_near_top_of_unit_interval(self, rows, u):
+        self.check_draws_near_top(rows, u, 300)
+
+    @pytest.mark.parametrize("rows", [slice(None), slice(-1, None), slice(_BLOCK - 3, None, 7)])
+    @pytest.mark.parametrize("u", NEAR_TOP)
+    def test_check_draws_near_top_across_blocks(self, rows, u):
+        self.check_draws_near_top(rows, u, RAGGED)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_jump_draws_at_threshold(self, seed):
@@ -618,6 +644,7 @@ class TestDecisionShortcuts:
     def test_kernels_match_oracles(self, dim, gamma_dt, nt, seed):
         rng = np.random.default_rng(seed)
         new, sector = sector_pure_rows(rng, nt, dim, decay=rng.uniform(0.0, 0.2))
+        start = new.copy()
         old = new.copy()
         n_vec = np.arange(dim, dtype=float)
         sqrt_n = np.sqrt(np.arange(1, dim, dtype=float))
@@ -634,16 +661,94 @@ class TestDecisionShortcuts:
         assert np.array_equal(jumps_new, jumps_old)
         assert np.array_equal(new.view(float), old.view(float))
 
-        sector = np.where(jumps_new % 2 == 0, sector, -sector)
-        u = rng.choice(4, size=nt).choose([near(1.0 - 1e-9, rng, nt), np.full(nt, 1.0 - 2.0**-53),
-                                           np.zeros(nt), rng.random(nt)])
-        outcome = outcome_or_error(_vec_parity, new, u, sector)
-        expected = outcome_or_error(parity_oracle, old, u)
+        # the same step fused with a check on the rows' known sectors
+        check_u = rng.choice(4, size=nt).choose([near(1.0 - 1e-9, rng, nt),
+                                                 np.full(nt, 1.0 - 2.0**-53),
+                                                 np.zeros(nt), rng.random(nt)])
+        new, jumps_new = start, np.zeros(nt, dtype=int)
+        outcome = outcome_or_error(_vec_channel_step, new, u, gamma_dt, n_vec, sqrt_n,
+                                   np.repeat(decay, 2), jumps_new, (check_u, sector))
+        sector = np.where(jumps_old % 2 == 0, sector, -sector)
+        expected = outcome_or_error(parity_oracle, old, check_u)
         if expected is ArithmeticError:
             assert outcome is ArithmeticError
         else:
             assert np.array_equal(outcome, expected) and np.array_equal(outcome, sector)
+            assert np.array_equal(jumps_new, jumps_old)
             assert np.array_equal(new.view(float), old.view(float))
+
+
+class TestBlockedSweep:
+    """The micro-step sweeps the rows in blocks of _BLOCK; no bit may depend
+    on where the block edges fall."""
+
+    @staticmethod
+    def step_both(states, u, check_u=None, sector=None, gamma_dt=0.01):
+        """The fused step (with a check on known sectors when check_u is
+        given) and the oracle step and projection, on copies of states;
+        returns each engine's (states, jumps, outcome) or ArithmeticError."""
+        nt, dim = states.shape
+        n_vec = np.arange(dim, dtype=float)
+        sqrt_n = np.sqrt(np.arange(1, dim, dtype=float))
+        decay = np.exp(-0.5 * gamma_dt * n_vec)
+        check = None if check_u is None else (check_u, sector)
+
+        def fused(new, jumps):
+            return new, jumps, _vec_channel_step(new, u, gamma_dt, n_vec, sqrt_n,
+                                                 np.repeat(decay, 2), jumps, check)
+
+        def oracle(old, jumps):
+            channel_step_oracle(old, u, gamma_dt, n_vec, sqrt_n, decay, jumps)
+            return old, jumps, None if check_u is None else parity_oracle(old, check_u)
+
+        return [outcome_or_error(engine, states.copy(), np.zeros(nt, dtype=int))
+                for engine in (fused, oracle)]
+
+    @pytest.mark.parametrize("block", [1, 7, 45])
+    def test_block_size_invariance(self, monkeypatch, block):
+        # no initial check: the first check takes the general projection,
+        # the later ones the sweep's renormalization
+        cfg = make_config(g=math.asin(0.9511), parity_p=0.6, initial_check=False,
+                          n_trajectories=40, x_total=0.05)
+        ref = unravel_rows(cfg, (0.6, 0.8))
+        monkeypatch.setattr("gspp.qec._BLOCK", block)
+        new = unravel_rows(cfg, (0.6, 0.8))
+        assert ref[0].sum() > 10 and len(ref[1]) > 20  # jumps and checks exercised
+        for a, b in zip(new[:3], ref[:3]):
+            assert np.array_equal(a, b)
+        assert np.array_equal(new[3].view(float), ref[3].view(float))
+
+    @pytest.mark.parametrize("with_check", [False, True])
+    def test_jumps_at_block_edges(self, with_check):
+        rng = np.random.default_rng(11)
+        states, sector = sector_pure_rows(rng, RAGGED, 45)
+        edges = np.array([0, _BLOCK - 1, _BLOCK, 2 * _BLOCK - 1, 2 * _BLOCK, RAGGED - 1])
+        u = np.ones(RAGGED)
+        u[edges] = 0.0
+        check_u = rng.random(RAGGED) * 0.9 if with_check else None
+        (new, jumps_new, outcome), (old, jumps_old, expected) = self.step_both(
+            states, u, check_u, sector)
+        assert np.array_equal(np.flatnonzero(jumps_new), edges)
+        assert np.array_equal(jumps_new, jumps_old)
+        assert np.array_equal(new.view(float), old.view(float))
+        if with_check:
+            assert np.array_equal(outcome, expected)
+            assert np.array_equal(outcome, np.where(jumps_new % 2 == 0, sector, -sector))
+        else:
+            assert outcome is None
+
+    @pytest.mark.parametrize("row", [0, _BLOCK, RAGGED - 1])
+    def test_fused_check_annihilation_raises(self, row):
+        # a vacuum row in the even sector draws u = 1 >= p_even = 1: the
+        # projection keeps its empty odd sector
+        rng = np.random.default_rng(12)
+        states, sector = sector_pure_rows(rng, RAGGED, 45)
+        states[row] = 0.0
+        states[row, 0] = 1.0
+        sector[row] = 1
+        check_u = rng.random(RAGGED) * 0.5
+        check_u[row] = 1.0
+        assert self.step_both(states, np.ones(RAGGED), check_u, sector) == [ArithmeticError] * 2
 
 
 class TestOrthogonalityMonitor:
