@@ -338,8 +338,8 @@ def _vec_channel_step(states, u, gamma_dt, n_vec, sqrt_n, decay2, jumps,
     Every decision is taken on the whole array first.  The arithmetic then
     runs in one sweep over blocks of _BLOCK rows that stay in cache: decay,
     renormalization, the block's jumped rows, and the check's
-    renormalization.  scratch is a complex (_BLOCK or fewer rows, dim)
-    buffer for _row_norms.
+    renormalization.  scratch is a complex (min(_BLOCK, n_traj), dim)
+    buffer for _row_norms, or None to allocate one.
     """
     rows = np.flatnonzero(u < gamma_dt * n_vec[-1] * (1.0 + _BAND))
     pre = states[rows]
