@@ -153,25 +153,25 @@ def _intraband_full(params: GrapheneParams, omega: float) -> complex:
     return 1j * k.e**2 * kT * bracket / (math.pi * k.hbar**2 * (omega + 1j * params.gamma_intra))
 
 
-def _interband_grid(params: GrapheneParams, omega: float):
-    """Scaled setup shared by the interband integral and its slope.
+def _interband_integral(params: GrapheneParams, omega: float, power: int) -> complex:
+    """Integral over u > 0 of d(u)/(abar^2 - u^2)^power, with d(u) the Fermi
+    occupation difference and abar = (omega + i*gamma_inter)/omega.
 
-    The energy integral is rescaled with eps = hbar*omega*u/2 so the
-    (gamma-shifted) resonance sits at u ~ abar = (omega + i*gamma)/omega.
-    The quadrature runs on [0, u_cut] where the Fermi occupation
-    difference still deviates from 1; beyond u_cut it is 1 to machine
-    precision and the remainder is added in closed form, so the
-    truncation error is far below 1e-10 of the accumulated value.
-    Returns abar, the occupation scales xmu = mu/kT and s = hbar*omega/(2kT)
-    as plain floats, u_cut and the quad breakpoints.
+    Power 1 is the interband conductivity's energy integral, power 2 its
+    omega-derivative kernel K2.  The energy integral is rescaled with
+    eps = hbar*omega*u/2 so the (gamma-shifted) resonance sits at u ~ abar.
+    The quadrature runs on [0, u_cut] where d(u) still deviates from 1;
+    beyond u_cut it is 1 to machine precision and the remainder is added
+    in closed form, so the truncation error is far below 1e-10 of the
+    accumulated value.  Raises QuadratureError when either adaptive run
+    exhausts its subdivisions.
     """
     k = CONSTANTS
     kT = k.kB * params.temperature
     mu = abs(params.mu_c) * k.e
-    a = omega + 1j * params.gamma_inter
-    abar = a / omega
-    s = k.hbar * omega / (2.0 * kT)      # u -> energy/kT scale
-    xmu = mu / kT
+    abar = (omega + 1j * params.gamma_inter) / omega
+    s = float(k.hbar * omega / (2.0 * kT))      # u -> energy/kT scale
+    xmu = float(mu / kT)
 
     u_step = 2.0 * mu / (k.hbar * omega)          # interband onset
     step_width = 2.0 * kT / (k.hbar * omega)
@@ -182,112 +182,85 @@ def _interband_grid(params: GrapheneParams, omega: float):
     raw_points = [pole - 3 * pole_width, pole, pole + 3 * pole_width,
                   u_step - 30 * step_width, u_step, u_step + 30 * step_width]
     points = sorted({p for p in raw_points if 0.0 < p < u_cut})
-    return abar, float(xmu), float(s), u_cut, points
 
-
-def _quad_parts(real_part, imag_part, u_cut: float, points, what: str) -> complex:
-    """Integral over [0, u_cut] of real_part + i*imag_part; raises
-    QuadratureError when either adaptive run exhausts its subdivisions."""
-    pieces = []
-    for integrand in (real_part, imag_part):
-        out = quad(integrand, 0.0, u_cut, points=points,
-                   epsabs=1e-9, epsrel=1e-9, limit=400, full_output=1)
-        if len(out) > 3:
-            raise QuadratureError(f"{what} did not converge", out[1])
-        pieces.append(out[0])
-    return pieces[0] + 1j * pieces[1]
-
-
-def _interband_full(params: GrapheneParams, omega: float) -> complex:
-    """Interband term of the finite-temperature conductivity, on the
-    scaled grid of `_interband_grid`."""
-    k = CONSTANTS
-    abar, xmu, s, u_cut, points = _interband_grid(params, omega)
-
-    # The integrand, the occupation difference over (abar^2 - u^2), runs in
-    # plain floats but equals the numpy-scalar form bit for bit: expit(x)
-    # is 1/(1 + exp(-x)), and 0 where exp(-x) overflows; the quotient is
-    # Smith's method with scl = 1/denominator, as numpy divides a float64
-    # by a complex scalar (Python's complex division differs in the last
-    # bit).  Both quad runs sample the same nodes, so the imaginary run
-    # reads the values the real run cached by u.
+    # The integrands run in plain floats but equal the numpy-scalar forms
+    # bit for bit: expit(x) is 1/(1 + exp(-x)), and 0 where exp(-x)
+    # overflows; power 1 divides by Smith's method with scl = 1/denominator,
+    # as numpy divides a float64 by a complex scalar (Python's complex
+    # division differs in the last bit).  Both quad runs sample the same
+    # nodes, so the imaginary run reads the values the real run cached by u.
+    # Each power has its own closure, picked once per call: a branch or a
+    # shared occupation call per node cost 3-8% per integral.
     exp = math.exp
     aa = abar * abar
     aa_re, bi = float(aa.real), float(aa.imag)
     abs_bi = abs(bi)
     cached_imag = {}
 
-    def real_part(u):
-        su = s * u
-        try:
-            f_minus = 1.0 / (1.0 + exp(-(xmu - su)))
-        except OverflowError:
-            f_minus = 0.0
-        d = 1.0 / (1.0 + exp(-(xmu + su))) - f_minus
-        br = aa_re - u * u
-        if abs(br) >= abs_bi:
-            rat = bi / br
-            scl = 1.0 / (br + bi * rat)
-            cached_imag[u] = (0.0 - d * rat) * scl
-            return (d + 0.0 * rat) * scl
-        rat = br / bi
-        scl = 1.0 / (bi + br * rat)
-        cached_imag[u] = (0.0 * rat - d) * scl
-        return (d * rat + 0.0) * scl
+    if power == 1:
+        def real_part(u):
+            su = s * u
+            try:
+                f_minus = 1.0 / (1.0 + exp(-(xmu - su)))
+            except OverflowError:
+                f_minus = 0.0
+            d = 1.0 / (1.0 + exp(-(xmu + su))) - f_minus
+            br = aa_re - u * u
+            if abs(br) >= abs_bi:
+                rat = bi / br
+                scl = 1.0 / (br + bi * rat)
+                cached_imag[u] = (0.0 - d * rat) * scl
+                return (d + 0.0 * rat) * scl
+            rat = br / bi
+            scl = 1.0 / (bi + br * rat)
+            cached_imag[u] = (0.0 * rat - d) * scl
+            return (d * rat + 0.0) * scl
+    else:
+        def real_part(u):
+            su = s * u
+            try:
+                f_minus = 1.0 / (1.0 + exp(-(xmu - su)))
+            except OverflowError:
+                f_minus = 0.0
+            d = 1.0 / (1.0 + exp(-(xmu + su))) - f_minus
+            br = aa_re - u * u
+            den = br * br + bi * bi
+            wr, wi = br / den, -bi / den      # 1/(abar^2 - u^2)
+            cached_imag[u] = 2.0 * d * wr * wi
+            return d * (wr * wr - wi * wi)
 
     def imag_part(u):
         if u not in cached_imag:
             real_part(u)
         return cached_imag[u]
 
-    integral = _quad_parts(real_part, imag_part, u_cut, points,
-                           "interband conductivity integral")
+    pieces = []
+    for integrand in (real_part, imag_part):
+        out = quad(integrand, 0.0, u_cut, points=points,
+                   epsabs=1e-9, epsrel=1e-9, limit=400, full_output=1)
+        if len(out) > 3:
+            what = "integral" if power == 1 else "slope integral"
+            raise QuadratureError(f"interband conductivity {what} did not converge", out[1])
+        pieces.append(out[0])
 
-    # Closed-form remainder for u > u_cut with occupation difference == 1.
-    ratio = (abar + u_cut) / (abar - u_cut)
-    tail = (-1j * math.pi - np.log(ratio)) / (2.0 * abar)
-
-    a = omega + 1j * params.gamma_inter
-    return 1j * k.e**2 * a * (integral + tail) / (2.0 * math.pi * k.hbar * omega)
-
-
-def _interband_k2(params: GrapheneParams, omega: float) -> complex:
-    """K2 = integral over u > 0 of d(u)/(abar^2 - u^2)^2, the omega-derivative
-    kernel of the interband integral, on the same grid, cut and quad
-    options as `_interband_full`, with the d(u) = 1 tail in closed form."""
-    abar, xmu, s, u_cut, points = _interband_grid(params, omega)
-    exp = math.exp
-    aa = abar * abar
-    aa_re, bi = float(aa.real), float(aa.imag)
-    cached_imag = {}
-
-    def real_part(u):
-        su = s * u
-        try:
-            f_minus = 1.0 / (1.0 + exp(-(xmu - su)))
-        except OverflowError:
-            f_minus = 0.0
-        d = 1.0 / (1.0 + exp(-(xmu + su))) - f_minus
-        br = aa_re - u * u
-        den = br * br + bi * bi
-        wr, wi = br / den, -bi / den      # 1/(abar^2 - u^2)
-        cached_imag[u] = 2.0 * d * wr * wi
-        return d * (wr * wr - wi * wi)
-
-    def imag_part(u):
-        if u not in cached_imag:
-            real_part(u)
-        return cached_imag[u]
-
-    integral = _quad_parts(real_part, imag_part, u_cut, points,
-                           "interband conductivity slope integral")
-
+    # Closed-form remainder for u > u_cut with d(u) == 1.  For power 2,
     # u/(2 abar^2 (abar^2 - u^2)) + ln((abar + u)/(abar - u))/(4 abar^3) is an
-    # antiderivative; at u -> inf the log tends to -i*pi, as in the sigma tail.
+    # antiderivative; at u -> inf the log tends to -i*pi, as for power 1.
     ratio = (abar + u_cut) / (abar - u_cut)
-    tail = ((-1j * math.pi - cmath.log(ratio)) / (4.0 * abar**3)
-            - u_cut / (2.0 * abar**2 * (abar**2 - u_cut**2)))
-    return integral + tail
+    if power == 1:
+        tail = (-1j * math.pi - np.log(ratio)) / (2.0 * abar)
+    else:
+        tail = ((-1j * math.pi - cmath.log(ratio)) / (4.0 * abar**3)
+                - u_cut / (2.0 * abar**2 * (abar**2 - u_cut**2)))
+    return pieces[0] + 1j * pieces[1] + tail
+
+
+def _interband_full(params: GrapheneParams, omega: float) -> complex:
+    """Interband term of the finite-temperature conductivity."""
+    k = CONSTANTS
+    a = omega + 1j * params.gamma_inter
+    return (1j * k.e**2 * a * _interband_integral(params, omega, 1)
+            / (2.0 * math.pi * k.hbar * omega))
 
 
 def conductivity_full(params: GrapheneParams, omega: float) -> Conductivity:
@@ -329,27 +302,27 @@ def conductivity_lowT(params: GrapheneParams, omega: float) -> Conductivity:
 
 
 def select_mode(params: GrapheneParams, omega: float) -> str:
-    """Dispatch rule: the low-T form when kB*T < 0.01*min(|mu_c|, hbar*omega),
-    and always at T = 0, where the full form is undefined."""
+    """Backend for params at omega: the one params.conductivity_model pins
+    ('full' or 'low'), or under 'auto' the low-T form when
+    kB*T < 0.01*min(|mu_c|, hbar*omega), and always at T = 0, where the
+    full form is undefined."""
+    if params.conductivity_model != "auto":
+        return params.conductivity_model
     kT = CONSTANTS.kB * params.temperature
     scale = min(abs(params.mu_c) * CONSTANTS.e, CONSTANTS.hbar * omega)
     return "low" if kT == 0.0 or kT < 0.01 * scale else "full"
 
 
 def conductivity(params: GrapheneParams, omega: float) -> Conductivity:
-    """Sheet conductivity on the backend named by params.conductivity_model:
-    'full', 'low', or 'auto' for the temperature dispatch rule."""
-    mode = params.conductivity_model
-    if mode == "auto":
-        mode = select_mode(params, omega)
-    if mode == "full":
+    """Sheet conductivity on the backend `select_mode` picks."""
+    if select_mode(params, omega) == "full":
         return conductivity_full(params, omega)
     return conductivity_lowT(params, omega)
 
 
 def conductivity_slope(params: GrapheneParams, sigma: Conductivity) -> complex:
     """d sigma/d omega (S s) at sigma.omega, where sigma = conductivity(params,
-    sigma.omega), on the backend `conductivity` dispatches to.
+    sigma.omega), on the backend `select_mode` picks.
 
     Full form: each term carries a factor 1/(omega + i*gamma), whose
     derivative gives -sigma_intra/(omega + i*gamma_intra) and
@@ -358,16 +331,13 @@ def conductivity_slope(params: GrapheneParams, sigma: Conductivity) -> complex:
     closed form differentiated.
     """
     omega = sigma.omega
-    mode = params.conductivity_model
-    if mode == "auto":
-        mode = select_mode(params, omega)
     k = CONSTANTS
     n = params.n_layers
-    if mode == "full":
+    if select_mode(params, omega) == "full":
         intra = _intraband_full(params, omega)
         inter = sigma.value / n - intra
         abar = (omega + 1j * params.gamma_inter) / omega
-        kernel = 1j * k.e**2 * abar**2 / (math.pi * k.hbar * omega) * _interband_k2(params, omega)
+        kernel = 1j * k.e**2 * abar**2 / (math.pi * k.hbar * omega) * _interband_integral(params, omega, 2)
         return n * (inter / (omega + 1j * params.gamma_inter)
                     - intra / (omega + 1j * params.gamma_intra) - kernel)
     mu = abs(params.mu_c) * k.e

@@ -437,7 +437,7 @@ def _unravel(config: QecRunConfig, states: np.ndarray, blocks, snapshot=None) ->
         for u in exc_u:
             _vec_channel_step(states, u, g_dt, n_vec, sqrt_n, decay2, jumps, scratch=scratch)
     # deterministic phase of the excited amplitude: -conj(beta) = r*e^{i phi}
-    phi = np.angle(config.alpha_excited / config.alpha) if abs(config.alpha) else 0.0
+    phi = np.angle(config.alpha_excited / config.alpha)
     states *= np.exp(1j * phi * n_vec)
 
     if config.initial_check:
@@ -595,13 +595,13 @@ def orthogonality_monitor(config: QecRunConfig) -> OrthogonalityReport:
     the run; the code analysis assumes it stays below 1e-2."""
     x = np.linspace(0.0, config.x_total, 200)
     a = np.abs(config.alpha_excited) * np.exp(-config.k0_kappa2 * x)
-    a_sq = a * a
-    n_plus = 2.0 * (1.0 + np.exp(-2.0 * a_sq))
-    n_minus = 2.0 * (1.0 - np.exp(-2.0 * a_sq))
-    # <0L+-|1L+-> = 4 e^{-a^2} cos(a^2)/N+ (even) or 4i e^{-a^2} sin(a^2)/N- (odd)
-    even = np.abs(4.0 * np.exp(-a_sq) * np.cos(a_sq) / n_plus)
-    odd = np.abs(4.0 * np.exp(-a_sq) * np.sin(a_sq) / n_minus)
-    overlap = np.maximum(even, odd)
+    t = a * a
+    # <0L+-|1L+-> = 4 e^{-t} cos(t)/N+ = cos(t)/cosh(t) (even) or
+    # 4i e^{-t} sin(t)/N- = i sin(t)/sinh(t) (odd), N+- = 2(1 +- e^{-2t}).
+    # |sin t| <= t <= sinh t and |cos t| <= 1 <= cosh t hold after rounding,
+    # so both ratios stay <= 1, also as t -> 0 where 1 - e^{-2t} cancels.
+    with np.errstate(over="ignore"):  # cosh, sinh -> inf past t ~ 710
+        overlap = np.maximum(np.abs(np.cos(t)) / np.cosh(t), np.abs(np.sin(t)) / np.sinh(t))
     max_overlap = float(overlap.max())
     return OrthogonalityReport(x=x, overlap=overlap, max_overlap=max_overlap,
                                violated=max_overlap > 1e-2)

@@ -19,8 +19,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dispersion import TE, TM, SppMode, UnsupportedModeError, supported_polarization
-from .material import CONSTANTS, GrapheneParams, conductivity
+from .dispersion import (TE, TM, SppMode, UnsupportedModeError, supported_polarization,
+                         transverse_q0, wavenumber)
+from .material import CONSTANTS, Conductivity, GrapheneParams, conductivity
 
 
 @dataclass(frozen=True)
@@ -144,20 +145,15 @@ def mode_function(polarization: str, mode: SppMode, z) -> np.ndarray:
 
 
 def _lossless_mode(polarization: str, omega: float, sigma_pp: float, eps_r: float) -> SppMode:
-    """Real-(k, q0) mode built from the reactive conductivity alone."""
-    k = CONSTANTS
-    if polarization == TM:
-        if sigma_pp <= 0.0:
-            raise UnsupportedModeError("TM needs Im sigma > 0")
-        q0 = 2.0 * omega * k.eps0 * eps_r / sigma_pp
-    else:
-        if sigma_pp >= 0.0:
-            raise UnsupportedModeError("TE needs Im sigma < 0")
-        q0 = k.mu0 * omega * abs(sigma_pp) / 2.0
-    kx = math.sqrt(q0**2 + eps_r * (omega / k.c0) ** 2)
-    c_bg = k.c0 / math.sqrt(eps_r)
-    return SppMode(polarization=polarization, omega=omega, k=complex(kx),
-                   q0=complex(q0), v_g=c_bg, supported=True, eps_r=eps_r)
+    """Real-(k, q0) mode of the dispersion relation with the reactive
+    conductivity alone, sigma = i*sigma_pp."""
+    sigma = Conductivity(1j * sigma_pp, omega)
+    if supported_polarization(sigma) != polarization:
+        raise UnsupportedModeError(f"{polarization} not supported at Im sigma = {sigma_pp:.3e}")
+    return SppMode(polarization=polarization, omega=omega,
+                   k=wavenumber(polarization, sigma, eps_r),
+                   q0=transverse_q0(polarization, sigma, eps_r),
+                   v_g=CONSTANTS.c0 / math.sqrt(eps_r), supported=True, eps_r=eps_r)
 
 
 def lossless_spp_norm(polarization: str, omega: float, sigma_pp: float,

@@ -26,7 +26,7 @@ from scipy.special import expit
 
 import gspp.material
 from gspp.dispersion import TE, wavenumber
-from gspp.material import CONSTANTS, QuadratureError, conductivity
+from gspp.material import CONSTANTS, QuadratureError, _intraband_full, conductivity
 from gspp.prism import atr_solve
 from gspp.coupling import code_legs
 from gspp.qec import trajectory_rng
@@ -396,16 +396,13 @@ def unravel_oracle(config, states, blocks, snapshot=None):
     return jumps
 
 
-def quad_interband_oracle(params, omega):
-    """Interband conductivity term with the integrand in numpy scalars:
-    scipy's expit for the occupation difference and a float64 / complex
-    quotient, one part per quad run.  Same breakpoints, tolerances and
-    closed-form tail as gspp.material._interband_full."""
+def _interband_quad_setup(params, omega):
+    """abar, the occupation scales xmu = mu/kT and s = hbar*omega/(2kT),
+    u_cut and the quad breakpoints of the scaled interband integrals."""
     k = CONSTANTS
     kT = k.kB * params.temperature
     mu = abs(params.mu_c) * k.e
-    a = omega + 1j * params.gamma_inter
-    abar = a / omega
+    abar = (omega + 1j * params.gamma_inter) / omega
     s = k.hbar * omega / (2.0 * kT)
     xmu = mu / kT
 
@@ -417,22 +414,79 @@ def quad_interband_oracle(params, omega):
     raw_points = [pole - 3 * pole_width, pole, pole + 3 * pole_width,
                   u_step - 30 * step_width, u_step, u_step + 30 * step_width]
     points = sorted({p for p in raw_points if 0.0 < p < u_cut})
+    return abar, xmu, s, u_cut, points
 
-    def integrand(u, part):
-        val = (expit(xmu + s * u) - expit(xmu - s * u)) / (abar * abar - u * u)
-        return val.real if part == 0 else val.imag
 
+def _quad_complex(integrand, u_cut, points, what):
+    """Integral over [0, u_cut] of integrand(u, 0) + i*integrand(u, 1), one
+    quad run per part."""
     pieces = []
     for part in (0, 1):
         out = quad(integrand, 0.0, u_cut, args=(part,), points=points,
                    epsabs=1e-9, epsrel=1e-9, limit=400, full_output=1)
         if len(out) > 3:
-            raise QuadratureError("interband conductivity integral did not converge", out[1])
+            raise QuadratureError(f"{what} did not converge", out[1])
         pieces.append(out[0])
-    integral = pieces[0] + 1j * pieces[1]
+    return pieces[0] + 1j * pieces[1]
+
+
+def quad_interband_oracle(params, omega):
+    """Interband conductivity term with the integrand in numpy scalars:
+    scipy's expit for the occupation difference and a float64 / complex
+    quotient, one part per quad run.  Same breakpoints, tolerances and
+    closed-form tail as gspp.material._interband_full."""
+    k = CONSTANTS
+    abar, xmu, s, u_cut, points = _interband_quad_setup(params, omega)
+
+    def integrand(u, part):
+        val = (expit(xmu + s * u) - expit(xmu - s * u)) / (abar * abar - u * u)
+        return val.real if part == 0 else val.imag
+
+    integral = _quad_complex(integrand, u_cut, points, "interband conductivity integral")
     ratio = (abar + u_cut) / (abar - u_cut)
     tail = (-1j * math.pi - np.log(ratio)) / (2.0 * abar)
+    a = omega + 1j * params.gamma_inter
     return 1j * k.e**2 * a * (integral + tail) / (2.0 * math.pi * k.hbar * omega)
+
+
+def quad_k2_oracle(params, omega):
+    """K2 = integral over u > 0 of d(u)/(abar^2 - u^2)^2, the omega-derivative
+    kernel of the interband integral: scipy's expit for the occupation
+    difference d(u), 1/(abar^2 - u^2) = (br - i*bi)/(br^2 + bi^2) with
+    br = Re abar^2 - u^2 and bi = Im abar^2, one part per quad run.  Same
+    breakpoints, tolerances and closed-form tail as
+    gspp.material.conductivity_slope's kernel."""
+    abar, xmu, s, u_cut, points = _interband_quad_setup(params, omega)
+    aa = abar * abar
+    aa_re, bi = float(aa.real), float(aa.imag)
+
+    def integrand(u, part):
+        d = expit(xmu + s * u) - expit(xmu - s * u)
+        br = aa_re - u * u
+        den = br * br + bi * bi
+        wr, wi = br / den, -bi / den
+        return d * (wr * wr - wi * wi) if part == 0 else 2.0 * d * wr * wi
+
+    integral = _quad_complex(integrand, u_cut, points,
+                             "interband conductivity slope integral")
+    ratio = (abar + u_cut) / (abar - u_cut)
+    return integral + ((-1j * math.pi - cmath.log(ratio)) / (4.0 * abar**3)
+                       - u_cut / (2.0 * abar**2 * (abar**2 - u_cut**2)))
+
+
+def slope_k2_oracle(params, sigma):
+    """Full-form d sigma/d omega at sigma.omega with K2 from quad_k2_oracle:
+    sigma_inter/(omega + i*gamma_inter) - sigma_intra/(omega + i*gamma_intra)
+    - (i e^2 abar^2/(pi hbar omega))*K2, per layer, times n_layers."""
+    k = CONSTANTS
+    omega = sigma.omega
+    n = params.n_layers
+    intra = _intraband_full(params, omega)
+    inter = sigma.value / n - intra
+    abar = (omega + 1j * params.gamma_inter) / omega
+    kernel = 1j * k.e**2 * abar**2 / (math.pi * k.hbar * omega) * quad_k2_oracle(params, omega)
+    return n * (inter / (omega + 1j * params.gamma_inter)
+                - intra / (omega + 1j * params.gamma_intra) - kernel)
 
 
 def group_velocity_fd_oracle(params, sigma, polarization, rel_step=1e-5):

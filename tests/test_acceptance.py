@@ -264,7 +264,7 @@ def test_criterion_9_f0_increase_literal(qec_curves):
     """
     for g, floor in ((math.asin(0.9877), 0.0), (0.8 * math.pi / 2, 0.2)):
         cfg = QecRunConfig(g=g, parity_p=1.0, **{**QEC_KW, "n_trajectories": 2000})
-        partial = average_fidelity(cfg, workers=1)
+        partial = average_fidelity(cfg, workers=2)
         margin = partial.f_bar - partial.f0
         ok = bool(np.all(margin > 3.0 * partial.std_err)) and margin.min() > floor
         report(9, ok, f"beta={math.sin(g):.4f}: min F_bar - F0 = {margin.min():+.3f} "

@@ -179,14 +179,25 @@ class TestGroupVelocity:
     def test_slope_quadrature_error_propagates(self, monkeypatch, tmp_path):
         # a slope integral that does not converge raises through
         # group_velocity and solve_mode, and `gspp dispersion` exits 3
-        # without writing its table
+        # without writing its table.  quad fails only inside the power-2
+        # (slope kernel K2) interband integral.
         real_quad = gspp.material.quad
+        real_integral = gspp.material._interband_integral
+        powers = []
+
+        def tracked_integral(params, omega, power):
+            powers.append(power)
+            try:
+                return real_integral(params, omega, power)
+            finally:
+                powers.pop()
 
         def slope_unconverged(func, a, b, **kwargs):
-            if func.__qualname__.startswith("_interband_k2."):
+            if powers and powers[-1] == 2:
                 return 0.0, 1.0, {"last": 400}, "The maximum number of subdivisions (400) has been achieved."
             return real_quad(func, a, b, **kwargs)
 
+        monkeypatch.setattr(gspp.material, "_interband_integral", tracked_integral)
         monkeypatch.setattr(gspp.material, "quad", slope_unconverged)
         params = GrapheneParams.with_default_rates(1.4, 300.0)
         sig = conductivity(params, omega_from_lambda(1550e-9))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import gspp.material
-from conftest import quad_interband_oracle
+from conftest import quad_interband_oracle, slope_k2_oracle
 from gspp.cli import frequency_grid, load_config, main
 from gspp.material import (
     CONSTANTS,
@@ -341,6 +341,63 @@ def test_interband_bit_exact_random_and_overflow():
         omega = 2.0 * math.pi * f_thz * 1e12
         assert_interband_matches_oracle(GrapheneParams.with_default_rates(mu, t),
                                         np.float64(omega) if i % 2 else omega)
+
+
+def assert_slope_matches_oracle(params, omega):
+    """conductivity_slope on the full form equals the slope built from the
+    numpy-scalar K2 quad oracle bit for bit, or both raise the same
+    exception type."""
+    sig = conductivity_full(params, omega)
+    try:
+        expected = slope_k2_oracle(params, sig)
+    except Exception as exc:
+        with pytest.raises(Exception) as got:
+            conductivity_slope(params, sig)
+        assert type(got.value) is type(exc)
+        return
+    assert conductivity_slope(params, sig) == expected, (params, omega)
+
+
+def test_slope_bit_exact_on_fig2b_grid():
+    cfg = load_config(str(CONFIG_DIR / "fig2b.cfg"))
+    p = GrapheneParams(mu_c=float(cfg["mu_c_ev"]), temperature=float(cfg["temperature_k"]),
+                       gamma_intra=1.0 / (float(cfg["tau_intra_ps"]) * 1e-12),
+                       gamma_inter=1.0 / (float(cfg["tau_inter_ps"]) * 1e-12),
+                       conductivity_model="full")
+    freqs = frequency_grid(float(cfg["fmin_thz"]), float(cfg["fmax_thz"]),
+                           int(cfg["points"]), True)
+    for f in freqs:
+        # the dispersion command passes numpy-scalar frequencies
+        assert_slope_matches_oracle(p, 2.0 * math.pi * f)
+
+
+def test_slope_bit_exact_random_and_overflow():
+    # mu = 0.5 eV, T = 10 K from 860 THz up: exp(-x) in the occupation of
+    # the lower band overflows, where expit gives exactly 0
+    points = [(0.5, 10.0, f) for f in (860.0, 1000.0, 2000.0)]
+    rng = np.random.default_rng(5)
+    points += [(float(rng.uniform(0.0, 1.5)), float(rng.uniform(1.0, 600.0)),
+                float(rng.uniform(0.1, 2000.0))) for _ in range(200)]
+    for i, (mu, t, f_thz) in enumerate(points):
+        omega = 2.0 * math.pi * f_thz * 1e12
+        params = replace(GrapheneParams.with_default_rates(mu, t), conductivity_model="full",
+                         n_layers=1 + i % 3)
+        assert_slope_matches_oracle(params, np.float64(omega) if i % 2 else omega)
+
+
+def test_pinned_low_model_at_finite_temperature():
+    # 'low' pins the closed form where 'auto' picks the full form, for sigma
+    # and its slope alike; the closed form does not depend on T
+    w = 2.0 * math.pi * 10e12
+    auto = GrapheneParams.with_default_rates(0.5, 300.0)
+    low = replace(auto, conductivity_model="low")
+    assert select_mode(auto, w) == "full"
+    assert select_mode(low, w) == "low"
+    sig = conductivity(low, w)
+    assert sig.value == conductivity_lowT(auto, w).value
+    cold = replace(auto, temperature=0.0)
+    assert conductivity_slope(low, sig) == conductivity_slope(cold, conductivity(cold, w))
+    assert conductivity_slope(low, sig) != conductivity_slope(auto, conductivity(auto, w))
 
 
 def test_quadrature_error_propagates(monkeypatch, tmp_path):

@@ -11,6 +11,7 @@ from conftest import (
     apply_annihilation,
     cat_norm,
     channel_step_oracle,
+    coherent_state,
     encode,
     ensemble_uniforms_oracle,
     fock_trajectory,
@@ -770,3 +771,28 @@ class TestOrthogonalityMonitor:
         cfg = make_config(x_total=0.3)
         report = orthogonality_monitor(cfg)
         assert report.overlap[0] < 1e-3
+
+    @pytest.mark.parametrize("x_total", [3.0, 10.0, 20.0])
+    def test_overlap_of_unit_states_at_most_one(self, x_total):
+        # the odd-sector overlap sin(a^2)/sinh(a^2) tends to 1 as a -> 0;
+        # 2(1 - e^{-2a^2}) cancelled there and read 1.2588 at x_total = 20
+        report = orthogonality_monitor(make_config(x_total=x_total, n_trajectories=1))
+        assert np.all(report.overlap <= 1.0)
+        assert report.max_overlap <= 1.0
+
+    @pytest.mark.parametrize("x_total", [3.0, 10.0, 20.0])
+    def test_matches_fock_overlap(self, x_total):
+        # max over sectors of |<0L+-|1L+->| with the code words built as
+        # unit Fock vectors of |a> +- |-a> and |ia> +- |-ia>, at all 200
+        # points of the run: a from 3 down to 3e^{-3}, 3e^{-10} or 3e^{-20}
+        cfg = make_config(x_total=x_total, n_trajectories=1)
+        report = orthogonality_monitor(cfg)
+
+        def word(amp, sign):
+            v = coherent_state(amp, 60) + sign * coherent_state(-amp, 60)
+            return v / np.linalg.norm(v)
+
+        for x, got in zip(report.x, report.overlap):
+            a = abs(cfg.alpha_excited) * math.exp(-cfg.k0_kappa2 * x)
+            fock = max(abs(np.vdot(word(a, s), word(1j * a, s))) for s in (1, -1))
+            assert abs(got - fock) <= 1e-12, (a, got, fock)
