@@ -14,9 +14,13 @@ sin^2|g| and is unraveled the same way before x = 0.
 Every trajectory draws from its own deterministic random stream derived
 from (seed, input index, trajectory index), so ensembles are reproducible
 and order-independent under any parallel chunking.  The stream is numpy's
-default_rng((seed, input, trajectory)), SeedSequence + PCG64; the ensemble
-builds every trajectory's stream in one vectorized pass of uint32/uint64
-arithmetic, bit-identical to trajectory_rng.
+default_rng((seed, input, trajectory)), SeedSequence + PCG64.  The
+ensemble steps every trajectory's stream at once in uint32/uint64
+arithmetic, bit-identical to trajectory_rng, and makes the draws a few
+rows at a time as the micro-steps and checks use them, so it holds
+O(n_traj) draws however long the line.  The scheduled checks' draws
+follow all the step draws in each stream; a second cursor reaches them by
+PCG64's O(log k) jump-ahead.
 
 The ensemble is one (n_traj, dim) array of Fock rows.  Each micro-step
 takes its decisions (which rows jump, and whether a due parity check may
@@ -30,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -183,20 +188,18 @@ class OrthogonalityReport:
 
 def trajectory_rng(seed: int, input_index: int, traj_index: int) -> np.random.Generator:
     """Independent stream per (seed, input, trajectory): numpy's
-    SeedSequence + PCG64.  _ensemble_uniforms builds the same streams for
-    a whole ensemble in one vectorized pass."""
+    SeedSequence + PCG64.  _ensemble_uniforms streams the same draws for
+    a whole ensemble at once."""
     return np.random.default_rng((seed, input_index, traj_index))
 
 
-# numpy.random.SeedSequence hash constants, and the PCG64 multiplier's
-# high 64 bits and the two 32-bit limbs of its low 64 bits
+# numpy.random.SeedSequence hash constants, and PCG64's 128-bit multiplier
 _M32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG_HI = np.uint64(0x2360ED051FC65DA4)
-_PCG_LO1, _PCG_LO0 = np.uint64(0x4385DF64), np.uint64(0x9FCCF645)
-_PCG_LO = (_PCG_LO1 << np.uint64(32)) | _PCG_LO0
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_M128 = (1 << 128) - 1
 _LOW32, _SHIFT32 = np.uint64(_M32), np.uint64(32)
 
 
@@ -248,45 +251,81 @@ def _seed_sequence_states(seed: int, input_index: int, nt: int) -> list[np.ndarr
     return [state[2 * k] | (state[2 * k + 1] << _SHIFT32) for k in range(4)]
 
 
-def _lcg_step(hi, lo, inc_hi, inc_lo):
-    """PCG64's 128-bit state * multiplier + increment on (hi, lo) uint64
-    halves; the high half of lo * multiplier's low half from 32-bit limbs."""
+def _lcg_step(hi, lo, mult: int, add_hi, add_lo):
+    """(state * mult + add) mod 2**128 on (hi, lo) uint64 halves, for a
+    128-bit int mult; the high half of lo * mult's low half from 32-bit
+    limbs.  mult = _PCG_MULT with add the increment is one PCG64 step."""
+    m_hi, m_lo = np.uint64(mult >> 64), np.uint64(mult & 0xFFFFFFFFFFFFFFFF)
+    m_lo1, m_lo0 = m_lo >> _SHIFT32, m_lo & _LOW32
     l1, l0 = lo >> _SHIFT32, lo & _LOW32
-    p00, p01, p10 = l0 * _PCG_LO0, l0 * _PCG_LO1, l1 * _PCG_LO0
+    p00, p01, p10 = l0 * m_lo0, l0 * m_lo1, l1 * m_lo0
     mid = (p00 >> _SHIFT32) + (p01 & _LOW32) + (p10 & _LOW32)
-    carry = l1 * _PCG_LO1 + (p01 >> _SHIFT32) + (p10 >> _SHIFT32) + (mid >> _SHIFT32)
-    new_lo = lo * _PCG_LO + inc_lo
-    new_hi = carry + lo * _PCG_HI + hi * _PCG_LO + inc_hi + (new_lo < inc_lo)
+    carry = l1 * m_lo1 + (p01 >> _SHIFT32) + (p10 >> _SHIFT32) + (mid >> _SHIFT32)
+    new_lo = lo * m_lo + add_lo
+    new_hi = carry + lo * m_hi + hi * m_lo + add_hi + (new_lo < add_lo)
     return new_hi, new_lo
 
 
-def _ensemble_uniforms(config: QecRunConfig, input_index: int, n_exc: int,
-                       n_steps: int, n_checks: int):
-    """The (draws, n_traj) blocks of every trajectory's trajectory_rng
-    stream, drawn in a fixed order: n_exc excitation-step draws, one
-    initial-check draw, n_steps line-step draws and n_checks scheduled-check
-    draws.  They are built in one vectorized pass: the
-    SeedSequence pool of each (seed, input, trajectory) entropy tuple,
-    PCG64 seeding, then per draw one LCG step, the XSL-RR output and
-    (x >> 11) * 2**-53, as Generator.random computes it."""
-    nt = config.n_trajectories
-    s_hi, s_lo, q_hi, q_lo = _seed_sequence_states(config.seed, input_index, nt)
+def _pcg_seeded(seed: int, input_index: int, nt: int):
+    """PCG64(SeedSequence((seed, input_index, j))) for every j < nt, as the
+    (hi, lo) halves of its state and (inc_hi, inc_lo) of its increment."""
+    s_hi, s_lo, q_hi, q_lo = _seed_sequence_states(seed, input_index, nt)
     one = np.uint64(1)
     inc_hi = (q_hi << one) | (q_lo >> np.uint64(63))
     inc_lo = (q_lo << one) | one
     # srandom: state = 0; step; state += initstate; step
     lo = inc_lo + s_lo
     hi = inc_hi + s_hi + (lo < s_lo)
-    hi, lo = _lcg_step(hi, lo, inc_hi, inc_lo)
-    out = np.empty((n_exc + 1 + n_steps + n_checks, nt))
-    for row in out:
-        hi, lo = _lcg_step(hi, lo, inc_hi, inc_lo)
-        x = hi ^ lo
-        rot = hi >> np.uint64(58)
-        x = (x >> rot) | (x << (-rot & np.uint64(63)))
-        np.multiply(x >> np.uint64(11), 2.0**-53, out=row)
-    ends = np.cumsum([n_exc, 1, n_steps])
-    return tuple(np.split(out, ends))
+    return (*_lcg_step(hi, lo, _PCG_MULT, inc_hi, inc_lo), inc_hi, inc_lo)
+
+
+def _pcg_advance(hi, lo, inc_hi, inc_lo, k: int):
+    """The states k LCG steps on, in O(log k): state * A + inc * S with
+    A = M**k and S = sum of M**i over i < k, by square-and-multiply as
+    numpy's pcg_advance_lcg_128 computes them (with plus = 1)."""
+    cur_mult, cur_plus, a, s = _PCG_MULT, 1, 1, 0
+    while k:
+        if k & 1:
+            a, s = a * cur_mult & _M128, (s * cur_mult + cur_plus) & _M128
+        cur_mult, cur_plus = cur_mult * cur_mult & _M128, (cur_mult + 1) * cur_plus & _M128
+        k >>= 1
+    return _lcg_step(hi, lo, a, *_lcg_step(inc_hi, inc_lo, s, 0, 0))
+
+
+def _uniform_rows(hi, lo, inc_hi, inc_lo, n_rows: int):
+    """The next n_rows Generator.random rows of the streams at (hi, lo):
+    per row one LCG step, the XSL-RR output and (x >> 11) * 2**-53.  Rows
+    are made _DRAW_ROWS at a time into one reused buffer, so a row stays
+    valid only until the stream starts its next burst."""
+    buf = np.empty((min(_DRAW_ROWS, n_rows), len(lo)))
+    for start in range(0, n_rows, _DRAW_ROWS):
+        burst = buf[:n_rows - start]
+        for row in burst:
+            hi, lo = _lcg_step(hi, lo, _PCG_MULT, inc_hi, inc_lo)
+            x = hi ^ lo
+            rot = hi >> np.uint64(58)
+            x = (x >> rot) | (x << (-rot & np.uint64(63)))
+            np.multiply(x >> np.uint64(11), 2.0**-53, out=row)
+        yield from burst
+
+
+def _ensemble_uniforms(config: QecRunConfig, input_index: int, n_exc: int,
+                       n_steps: int, n_checks: int):
+    """Every trajectory's trajectory_rng stream, as two lazy streams of
+    (n_traj,) rows.  A trajectory draws, in order, n_exc excitation-step
+    draws, one initial-check draw, n_steps line-step draws and n_checks
+    scheduled-check draws.  The first stream yields the first three groups
+    in that order, the second the check draws, from a cursor that jumps
+    n_exc + 1 + n_steps draws ahead of the first (no jump without checks).
+    Both share the vectorized SeedSequence pool and PCG64 seeding, and
+    hold O(n_traj) memory whatever the draw count."""
+    hi, lo, inc_hi, inc_lo = _pcg_seeded(config.seed, input_index, config.n_trajectories)
+    n_first = n_exc + 1 + n_steps
+    checks = iter(())
+    if n_checks:
+        checks = _uniform_rows(*_pcg_advance(hi, lo, inc_hi, inc_lo, n_first),
+                               inc_hi, inc_lo, n_checks)
+    return _uniform_rows(hi, lo, inc_hi, inc_lo, n_first), checks
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +336,10 @@ _BAND = 1e-9
 # rows per block of the micro-step sweep: a (512, 45) complex block and its
 # conjugate scratch take 0.74 MB together, inside a 2 MiB L2
 _BLOCK = 512
+# rows per burst of a draw stream, 1.3 MB at 10k trajectories: of 1, 16 and
+# 32 rows, 16 gave the lowest median wall time (3.27 s against 3.37 and
+# 3.31 s) over eight alternating two-worker dense-parity runs on a 2-vCPU Xeon
+_DRAW_ROWS = 16
 
 
 def _row_norms(states: np.ndarray, sq: np.ndarray) -> np.ndarray:
@@ -406,16 +449,19 @@ def _vec_parity(states: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     return outcome
 
 
-def _unravel(config: QecRunConfig, states: np.ndarray, blocks, snapshot=None) -> np.ndarray:
+def _unravel(config: QecRunConfig, states: np.ndarray, streams, schedule,
+             snapshot=None) -> np.ndarray:
     """Quantum-jump run of every row of states, in place.
 
-    blocks are the (draws, n_traj) uniforms of _ensemble_uniforms.  The
-    excitation-stage loss and the excitation phase come first, then the
-    initial check and the line steps with their scheduled checks.
-    snapshot(step_no, parity, flips) is called after the initial check
-    (step 0) and after every step.  Returns the per-trajectory jump counts.
+    streams are the two row streams of _ensemble_uniforms, and schedule is
+    config.check_schedule().  The excitation-stage loss and the excitation
+    phase come first, then the initial check and the line steps with their
+    scheduled checks.  Each step or check pulls its row from its stream
+    when it runs.  snapshot(step_no, parity, flips) is called after the
+    initial check (step 0) and after every step.  Returns the
+    per-trajectory jump counts.
     """
-    exc_u, init_u, step_u, check_u = blocks
+    draws, checks = streams
     nt, dim = states.shape
     n_vec = np.arange(dim, dtype=float)
     sqrt_n = np.sqrt(np.arange(1, dim, dtype=float))
@@ -431,30 +477,31 @@ def _unravel(config: QecRunConfig, states: np.ndarray, blocks, snapshot=None) ->
         parity = outcome
         at_check = jumps.copy()
 
-    if len(exc_u):
-        g_dt = config.excitation_gamma_t / len(exc_u)
+    n_exc = config.n_excitation_steps
+    if n_exc:
+        g_dt = config.excitation_gamma_t / n_exc
         decay2 = np.repeat(np.exp(-0.5 * g_dt * n_vec), 2)
-        for u in exc_u:
+        for u in islice(draws, n_exc):
             _vec_channel_step(states, u, g_dt, n_vec, sqrt_n, decay2, jumps, scratch=scratch)
     # deterministic phase of the excited amplitude: -conj(beta) = r*e^{i phi}
     phi = np.angle(config.alpha_excited / config.alpha)
     states *= np.exp(1j * phi * n_vec)
 
+    init_u = next(draws)  # drawn whether or not the initial check runs
     if config.initial_check:
-        record(_vec_parity(states, init_u[0]))
+        record(_vec_parity(states, init_u))
     if snapshot is not None:
         snapshot(0, parity, flips)
     gamma_dx = 2.0 * config.k0_kappa2 * config.step
     decay2 = np.repeat(np.exp(-0.5 * gamma_dx * n_vec), 2)
-    checks = iter(check_u)
-    for i, due in enumerate(config.check_schedule()):
+    for i, (due, u) in enumerate(zip(schedule, draws, strict=True)):
         check = None
         if due:
             # each row's sector before this step: a jump moves it to the other one
             sector = None if at_check is None else np.where((jumps - at_check) % 2 == 0,
                                                             parity, -parity)
             check = (next(checks), sector)
-        outcome = _vec_channel_step(states, step_u[i], gamma_dx, n_vec, sqrt_n, decay2, jumps,
+        outcome = _vec_channel_step(states, u, gamma_dx, n_vec, sqrt_n, decay2, jumps,
                                     check, scratch)
         if due:
             record(outcome)
@@ -480,10 +527,10 @@ def _code_basis(a: complex, dim: int) -> dict:
 
 
 def _recovered(states: np.ndarray, parity: np.ndarray, flips: np.ndarray,
-               bases: dict) -> np.ndarray:
+               bases: dict) -> tuple[np.ndarray, np.ndarray]:
     """End-of-line correction of each row on bases, the _code_basis at the
     decayed amplitude, given its last parity outcome and flip count;
-    returns the unnormalized recovered states.
+    returns the unnormalized recovered states and their norms.
 
     A row whose parity indicates the erred space has its sectors swapped
     by |0L+><0L-| + |1L+><1L-| + h.c., a partial isometry only up to
@@ -498,12 +545,16 @@ def _recovered(states: np.ndarray, parity: np.ndarray, flips: np.ndarray,
     same = [np.where(even, c[(lg, +1)], c[(lg, -1)]) for lg in (0, 1)]
     other = [np.where(even, c[(lg, -1)], c[(lg, +1)]) for lg in (0, 1)]
     phase = (-1j) ** (flips % 4)
-    # summed in place, left to right, to hold one (n_traj, dim) temporary
-    vec = same[0][:, None] * bases[(0, +1)]
-    vec += (phase * same[1])[:, None] * bases[(1, +1)]
-    vec += other[0][:, None] * bases[(0, -1)]
-    vec += (phase * other[1])[:, None] * bases[(1, -1)]
-    return vec
+    # one block for the sum and its products, which the allocator hands back
+    # from call to call; separate state-sized temporaries made it map and
+    # fault in fresh pages at every snapshot
+    vec, tmp = np.empty((2, *states.shape), dtype=complex)
+    # summed in place, left to right
+    np.multiply(same[0][:, None], bases[(0, +1)], out=vec)
+    vec += np.multiply((phase * same[1])[:, None], bases[(1, +1)], out=tmp)
+    vec += np.multiply(other[0][:, None], bases[(0, -1)], out=tmp)
+    vec += np.multiply((phase * other[1])[:, None], bases[(1, -1)], out=tmp)
+    return vec, _row_norms(vec, tmp)[:, 0]
 
 
 def _f0_analytic(config: QecRunConfig, inputs) -> float:
@@ -528,8 +579,9 @@ def run_ensemble(config: QecRunConfig, input_logical: tuple[complex, complex],
     """
     c0, c1 = input_logical
     dim = truncation_dimension(config.alpha)
-    blocks = _ensemble_uniforms(config, input_index, config.n_excitation_steps,
-                                config.n_steps, int(config.check_schedule().sum()))
+    schedule = config.check_schedule()
+    streams = _ensemble_uniforms(config, input_index, config.n_excitation_steps,
+                                 config.n_steps, int(schedule.sum()))
     nt = config.n_trajectories
     coeffs, amps = code_legs(c0, c1, config.alpha)
     states = np.tile(fock_vector(normalize_superposition(coeffs, amps), amps, dim), (nt, 1))
@@ -553,12 +605,11 @@ def run_ensemble(config: QecRunConfig, input_logical: tuple[complex, complex],
         if not config.apply_recovery:
             fid[idx] = np.abs(states @ ref.conj()) ** 2
             return
-        vec = _recovered(states, parity, flips, _code_basis(a_x, dim))
-        norms = np.linalg.norm(vec, axis=1)
+        vec, norms = _recovered(states, parity, flips, _code_basis(a_x, dim))
         overlap = np.abs(vec @ ref.conj()) ** 2
         fid[idx] = np.where(norms > 1e-8, overlap / np.maximum(norms, 1e-300) ** 2, 0.0)
 
-    jumps = _unravel(config, states, blocks, snapshot=snapshot)
+    jumps = _unravel(config, states, streams, schedule, snapshot=snapshot)
     return fid, jumps
 
 

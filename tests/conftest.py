@@ -3,12 +3,13 @@ truncated-Fock toolkit (density matrices, ladder/number/parity operators,
 coherent states, the Fock rendering of a coherent mixture, the Kraus-sum
 pure-loss channel damp_fock, the first-order damping Kraus pair and the
 cat-code jump relations), a per-trajectory quantum-jump loop over one
-Fock vector, the ensemble streams built one Generator per trajectory,
-the complex-arithmetic ensemble micro-step and parity projection and the
-ensemble loop built on them, the interband conductivity quadrature with a
-numpy-scalar integrand, the ATR boundary-equation residuals, and the mode
-integrals of the quantization and prism-overlap layers as sampled
-profiles integrated by graded-grid Simpson quadrature.
+Fock vector, the ensemble streams built one Generator per trajectory
+(and the engine run on them), the complex-arithmetic ensemble micro-step
+and parity projection and the ensemble loop built on them, the interband
+conductivity quadrature with a numpy-scalar integrand, the ATR
+boundary-equation residuals, and the mode integrals of the quantization
+and prism-overlap layers as sampled profiles integrated by graded-grid
+Simpson quadrature.
 
 Registers a derandomized hypothesis profile, so property tests draw the
 same examples on every run."""
@@ -29,7 +30,7 @@ from gspp.dispersion import TE, wavenumber
 from gspp.material import CONSTANTS, QuadratureError, _intraband_full, conductivity
 from gspp.prism import atr_solve
 from gspp.coupling import code_legs
-from gspp.qec import trajectory_rng
+from gspp.qec import _unravel, trajectory_rng
 from gspp.qstate import _coherent_column, fock_vector, truncation_dimension
 from gspp.quantize import _lossless_mode, tm_parallel_amplitude
 
@@ -323,6 +324,15 @@ def ensemble_uniforms_oracle(config, input_index, n_exc, n_steps, n_checks):
     return blocks
 
 
+def unravel_on_blocks(config, states, blocks, snapshot=None):
+    """gspp.qec._unravel fed from ensemble_uniforms_oracle's blocks: the
+    excitation, initial-check and line-step blocks in order as its first
+    row stream, the scheduled-check block as its second.  The blocks may
+    be edited first.  Same arguments and return value as unravel_oracle."""
+    streams = iter(np.concatenate(blocks[:3])), iter(blocks[3])
+    return _unravel(config, states, streams, config.check_schedule(), snapshot)
+
+
 def channel_step_oracle(states, u, gamma_dt, n_vec, sqrt_n, decay, jumps) -> None:
     """Ensemble jump/no-jump micro-step in complex arithmetic: multiply by
     the decay and divide by np.linalg.norm, in place."""
@@ -357,10 +367,11 @@ def parity_oracle(states, uniforms):
 
 
 def unravel_oracle(config, states, blocks, snapshot=None):
-    """The ensemble quantum-jump loop in gspp.qec._unravel's order, with
-    <n> over the whole array at every micro-step (channel_step_oracle) and
-    the general projection at every check (parity_oracle).  Same arguments
-    and return value as _unravel."""
+    """The ensemble quantum-jump loop in gspp.qec._unravel's order on
+    ensemble_uniforms_oracle's blocks, with <n> over the whole array at
+    every micro-step (channel_step_oracle) and the general projection at
+    every check (parity_oracle).  Returns the per-trajectory jump counts;
+    snapshot is called as _unravel calls it."""
     exc_u, init_u, step_u, check_u = blocks
     nt, dim = states.shape
     n_vec = np.arange(dim, dtype=float)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from conftest import (
     no_jump_norm,
     parity,
     parity_oracle,
+    unravel_on_blocks,
     unravel_oracle,
 )
 from gspp.channel import AMPLITUDE_MATCHED, fidelity_vs_distance
@@ -36,6 +38,8 @@ from gspp.qec import (
     _code_basis,
     _ensemble_uniforms,
     _f0_analytic,
+    _pcg_advance,
+    _pcg_seeded,
     _recovered,
     _unravel,
     _vec_channel_step,
@@ -199,12 +203,12 @@ def check_steps(cfg):
 
 
 def unravel_rows(cfg, inp):
-    """_unravel on input 0's ensemble block, every row starting at inp.
+    """_unravel on input 0's draws, every row starting at inp.
     Returns the jump counts, the (checks, n_traj) outcomes read from the
     snapshots that follow a check, the flip counts passed to the last
     snapshot and the final states."""
-    blocks = _ensemble_uniforms(cfg, 0, cfg.n_excitation_steps, cfg.n_steps,
-                                int(cfg.check_schedule().sum()))
+    blocks = ensemble_uniforms_oracle(cfg, 0, cfg.n_excitation_steps, cfg.n_steps,
+                                      int(cfg.check_schedule().sum()))
     states = np.tile(encode(inp, cfg.alpha), (cfg.n_trajectories, 1))
     due = check_steps(cfg)
     outcomes, flips = [], []
@@ -214,7 +218,7 @@ def unravel_rows(cfg, inp):
             outcomes.append(parity.copy())
         flips.append(f.copy())
 
-    jumps = _unravel(cfg, states, blocks, snapshot)
+    jumps = unravel_on_blocks(cfg, states, blocks, snapshot)
     return jumps, np.array(outcomes).reshape(-1, cfg.n_trajectories), flips[-1], states
 
 
@@ -276,7 +280,8 @@ def unit(vec):
 
 def recovered(state, last_parity, flips, basis):
     """_recovered on one row, normalized."""
-    return unit(_recovered(state[None, :], np.array([last_parity]), np.array([flips]), basis)[0])
+    vec, _ = _recovered(state[None, :], np.array([last_parity]), np.array([flips]), basis)
+    return unit(vec[0])
 
 
 def overlap_sq(a, b):
@@ -390,10 +395,17 @@ SEEDS = st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1),
                   st.integers(2**64, 2**70 - 1))
 
 
+def drain(streams, n_exc, nt):
+    """A copy of every row of _ensemble_uniforms' two streams, as
+    ensemble_uniforms_oracle's four blocks."""
+    draws, checks = (np.reshape([row.copy() for row in stream], (-1, nt)) for stream in streams)
+    return (*np.split(draws, [n_exc, n_exc + 1]), checks)
+
+
 class TestVectorizedStreams:
-    """_ensemble_uniforms builds every trajectory's stream at once; column j
-    must be trajectory_rng(seed, input, j) drawn in the engine's order, as
-    ensemble_uniforms_oracle draws it."""
+    """_ensemble_uniforms streams every trajectory's draws at once; column
+    j must be trajectory_rng(seed, input, j) drawn in the engine's order,
+    as ensemble_uniforms_oracle draws it."""
 
     @given(seed=SEEDS, input_index=st.integers(0, 9), nt=st.integers(1, 64),
            n_exc=st.integers(0, 4), n_steps=st.integers(1, 12), n_checks=st.integers(0, 12))
@@ -402,7 +414,7 @@ class TestVectorizedStreams:
     @example(seed=2**64, input_index=3, nt=7, n_exc=3, n_steps=4, n_checks=0)
     def test_matches_trajectory_rng(self, seed, input_index, nt, n_exc, n_steps, n_checks):
         cfg = make_config(seed=seed, n_trajectories=nt)
-        blocks = _ensemble_uniforms(cfg, input_index, n_exc, n_steps, n_checks)
+        blocks = drain(_ensemble_uniforms(cfg, input_index, n_exc, n_steps, n_checks), n_exc, nt)
         assert [b.shape for b in blocks] == [(n_exc, nt), (1, nt), (n_steps, nt), (n_checks, nt)]
         drawn = ensemble_uniforms_oracle(cfg, input_index, n_exc, n_steps, n_checks)
         for block, ref in zip(blocks, drawn):
@@ -410,10 +422,74 @@ class TestVectorizedStreams:
 
     def test_matches_generator_loop(self):
         cfg = make_config(seed=7, n_trajectories=300)
-        new = _ensemble_uniforms(cfg, 4, 9, 30, 17)
+        new = drain(_ensemble_uniforms(cfg, 4, 9, 30, 17), 9, 300)
         old = ensemble_uniforms_oracle(cfg, 4, 9, 30, 17)
         for block, ref in zip(new, old):
             assert np.array_equal(block, ref)
+
+    @pytest.mark.parametrize("rows", [1, 7, 40, 64])
+    def test_burst_size_invariance(self, monkeypatch, rows):
+        # 40 first-stream rows and 17 check rows, in bursts of every size
+        monkeypatch.setattr("gspp.qec._DRAW_ROWS", rows)
+        self.test_matches_generator_loop()
+
+    @given(seed=SEEDS, input_index=st.integers(0, 9), traj=st.integers(0, 63),
+           k=st.integers(0, 2**128 - 1))
+    @example(seed=7, input_index=0, traj=0, k=0)
+    @example(seed=7, input_index=5, traj=63, k=1)
+    @example(seed=2**32 - 1, input_index=1, traj=9, k=217)
+    @example(seed=2**64, input_index=2, traj=31, k=649)
+    @example(seed=0, input_index=9, traj=4, k=2**33 + 5)
+    def test_jump_ahead_matches_pcg64_advance(self, seed, input_index, traj, k):
+        hi, lo, inc_hi, inc_lo = _pcg_seeded(seed, input_index, traj + 1)
+        bitgen = np.random.PCG64(np.random.SeedSequence((seed, input_index, traj)))
+        assert int(inc_hi[traj]) << 64 | int(inc_lo[traj]) == bitgen.state["state"]["inc"]
+        hi, lo = _pcg_advance(hi, lo, inc_hi, inc_lo, k)
+        assert int(hi[traj]) << 64 | int(lo[traj]) == bitgen.advance(k).state["state"]["state"]
+
+    def test_draw_order_and_count(self):
+        # beta < 1 gives excitation draws, and at p = 0.4 the check rows fall
+        # between step rows
+        cfg = make_config(g=math.asin(0.9511), parity_p=0.4, n_trajectories=50)
+        n_exc, schedule = cfg.n_excitation_steps, cfg.check_schedule()
+        n_checks = int(schedule.sum())
+        assert n_exc > 0 and 0 < n_checks < cfg.n_steps
+        streams = _ensemble_uniforms(cfg, 2, n_exc, cfg.n_steps, n_checks)
+        pulled = []
+
+        def recorded(name, stream):
+            for row in stream:
+                pulled.append((name, row.copy()))
+                yield row
+
+        states = np.tile(encode((0.6, 0.8), cfg.alpha), (cfg.n_trajectories, 1))
+        _unravel(cfg, states, (recorded("draw", streams[0]), recorded("check", streams[1])),
+                 schedule)
+        order = ["draw"] * (n_exc + 1)
+        for due in schedule:
+            order += ["draw", "check"] if due else ["draw"]
+        assert [name for name, _ in pulled] == order
+        exc, init, step, check = ensemble_uniforms_oracle(cfg, 2, n_exc, cfg.n_steps, n_checks)
+        expected = {"draw": iter(np.concatenate((exc, init, step))), "check": iter(check)}
+        for name, row in pulled:
+            assert np.array_equal(row, next(expected[name]))
+        assert all(next(stream, None) is None for stream in (*streams, *expected.values()))
+
+    def test_run_memory_does_not_grow_with_line_length(self):
+        # the draws are streamed: a line three times as long, with three
+        # times the draws, must not raise run_ensemble's peak allocation
+        peaks = []
+        tracemalloc.start()
+        try:
+            for x_total in (0.05, 0.15):
+                cfg = make_config(x_total=x_total, parity_p=1.0, n_trajectories=2000)
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                run_ensemble(cfg, SIX_CARDINAL[2], 2)
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0]
 
 
 class TestMicroStepOracle:
@@ -518,15 +594,15 @@ class TestDecisionShortcuts:
 
     @staticmethod
     def run_engines(cfg, edit=None):
-        blocks = _ensemble_uniforms(cfg, 0, cfg.n_excitation_steps, cfg.n_steps,
-                                    int(cfg.check_schedule().sum()))
+        blocks = ensemble_uniforms_oracle(cfg, 0, cfg.n_excitation_steps, cfg.n_steps,
+                                          int(cfg.check_schedule().sum()))
         if edit is not None:
             edit(blocks)
         start = np.tile(encode((1.0 / math.sqrt(2.0), 1j / math.sqrt(2.0)), cfg.alpha),
                         (cfg.n_trajectories, 1))
         due = check_steps(cfg)
         runs = []
-        for engine in (_unravel, unravel_oracle):
+        for engine in (unravel_on_blocks, unravel_oracle):
             states = start.copy()
             outcomes, snaps = [], []
             def snapshot(i, parity, flips):
@@ -625,8 +701,8 @@ class TestDecisionShortcuts:
     def test_rows_stay_sector_pure(self, beta, parity_p, initial_check):
         cfg = make_config(g=math.asin(beta), parity_p=parity_p, initial_check=initial_check,
                           n_trajectories=200)
-        blocks = _ensemble_uniforms(cfg, 0, cfg.n_excitation_steps, cfg.n_steps,
-                                    int(cfg.check_schedule().sum()))
+        blocks = ensemble_uniforms_oracle(cfg, 0, cfg.n_excitation_steps, cfg.n_steps,
+                                          int(cfg.check_schedule().sum()))
         states = np.tile(encode((0.6, 0.8), cfg.alpha), (cfg.n_trajectories, 1))
         first_check = int(np.argmax(check_steps(cfg)))
         impure = []
@@ -636,7 +712,7 @@ class TestDecisionShortcuts:
                 pure = np.all(states[:, 0::2] == 0.0, axis=1) | np.all(states[:, 1::2] == 0.0, axis=1)
                 impure.append(int(np.sum(~pure)))
 
-        jumps = _unravel(cfg, states, blocks, snapshot)
+        jumps = unravel_on_blocks(cfg, states, blocks, snapshot)
         assert jumps.sum() > 0 and len(impure) > 100
         assert not any(impure)
 
