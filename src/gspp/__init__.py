@@ -38,11 +38,7 @@ from .coupling import (
     excite_cat,
     excite_code,
 )
-from .channel import (
-    ChannelSpec,
-    fidelity_vs_distance,
-    propagate_cat,
-)
+from .channel import fidelity_vs_distance, propagate_mixture
 from .prism import (
     AtrSolution,
     NotResonant,

@@ -14,7 +14,6 @@ dyad by dyad.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,45 +24,24 @@ INITIAL = "initial"
 AMPLITUDE_MATCHED = "matched"
 
 
-@dataclass(frozen=True)
-class ChannelSpec:
-    """Attenuation factor k0*kappa'' (1/m) and distance x (m)."""
-
-    k0_kappa2: float
-    x: float
-
-    def __post_init__(self):
-        if self.k0_kappa2 < 0.0:
-            raise ValueError("attenuation factor must be >= 0")
-        if self.x < 0.0:
-            raise ValueError("distance must be >= 0")
-
-    @property
-    def transmissivity(self) -> float:
-        return math.exp(-2.0 * self.k0_kappa2 * self.x)
-
-
-def propagate_mixture(rho: CoherentMixture, eta: float) -> CoherentMixture:
+def propagate_mixture(rho: CoherentMixture, eta) -> CoherentMixture:
     """Pure-loss channel with energy transmissivity eta on a coherent mixture:
-    a beamsplitter onto the environment, which is then traced out."""
-    if not 0.0 < eta <= 1.0:
+    a beamsplitter onto the environment, which is then traced out.  An
+    array of eta gives the stack of mixtures, one per transmissivity."""
+    eta = np.asarray(eta, dtype=float)
+    if not np.all((0.0 < eta) & (eta <= 1.0)):
         raise ValueError("transmissivity must lie in (0, 1]")
-    lost = math.sqrt(1.0 - eta) * rho.amps
-    return CoherentMixture(math.sqrt(eta) * rho.amps,
-                           rho.weights * coherent_gram(lost, lost).T)
+    lost = np.sqrt(1.0 - eta)[..., None] * rho.amps
+    return CoherentMixture(np.sqrt(eta)[..., None] * rho.amps,
+                           rho.weights * np.swapaxes(coherent_gram(lost, lost), -1, -2))
 
 
-def propagate_cat(rho: CoherentMixture, spec: ChannelSpec) -> CoherentMixture:
-    """Propagate a coherent mixture a distance x: amplitudes shrink by
-    exp(-k0*kappa''*x) and cross weights decohere accordingly."""
-    return propagate_mixture(rho, spec.transmissivity)
-
-
-def _cat_reference(alpha: float | complex):
-    """Normalized even-cat coefficient/amplitude lists at amplitude alpha."""
-    amps = np.array([alpha, -alpha], dtype=complex)
-    coeffs = normalize_superposition([1.0, 1.0], amps)
-    return coeffs, amps
+def _cat_reference(alpha):
+    """Normalized even-cat coefficients and amplitudes, shape (..., 2), at
+    the amplitude(s) alpha."""
+    alpha = np.asarray(alpha, dtype=complex)
+    amps = np.stack([alpha, -alpha], axis=-1)
+    return normalize_superposition(np.ones(amps.shape), amps), amps
 
 
 def fidelity_vs_distance(alpha: complex, g: complex, x_values, k0_kappa2: float,
@@ -73,24 +51,21 @@ def fidelity_vs_distance(alpha: complex, g: complex, x_values, k0_kappa2: float,
     reference='initial' compares against the original photon cat at
     amplitude alpha; reference='matched' against the amplitude-matched cat
     alpha' = alpha*sin g*exp(-k0*kappa''*x), via analytic overlaps only.
+    The whole curve is one propagation and one fidelity contraction over
+    the stack of x.
     """
     if reference not in (INITIAL, AMPLITUDE_MATCHED):
         raise ValueError("reference must be 'initial' or 'matched'")
-    x_values = np.asarray(x_values, dtype=float)
-    rho0 = excite_cat(alpha, g)
-    beta_mag = abs(CouplerSpec(g).beta_amp)
-    out = np.empty(x_values.shape, dtype=float)
-    ref0 = _cat_reference(alpha)
-    for i, x in enumerate(x_values.ravel()):
-        spec = ChannelSpec(k0_kappa2=k0_kappa2, x=float(x))
-        rho_x = propagate_cat(rho0, spec)
-        if reference == INITIAL:
-            coeffs, amps = ref0
-        else:
-            a_matched = alpha * beta_mag * math.exp(-k0_kappa2 * float(x))
-            coeffs, amps = _cat_reference(a_matched)
-        out.ravel()[i] = rho_x.fidelity_pure(coeffs, amps)
-    return out
+    x = np.asarray(x_values, dtype=float)
+    if k0_kappa2 < 0.0 or np.any(x < 0.0):
+        raise ValueError("attenuation factor and distances must be >= 0")
+    rho_x = propagate_mixture(excite_cat(alpha, g), np.exp(-2.0 * k0_kappa2 * x))
+    if reference == INITIAL:
+        coeffs, amps = _cat_reference(alpha)
+    else:
+        beta_mag = abs(CouplerSpec(g).beta_amp)
+        coeffs, amps = _cat_reference(alpha * beta_mag * np.exp(-k0_kappa2 * x))
+    return np.asarray(rho_x.fidelity_pure(coeffs, amps))
 
 
 def matched_turning_point(beta_mag: float) -> float:

@@ -46,61 +46,91 @@ class CouplerSpec:
         return np.array([[gam, bet], [-np.conj(bet), np.conj(gam)]], dtype=complex)
 
 
+def _cmul(a, b) -> np.ndarray:
+    """a*b by the schoolbook formula, one real operation at a time: numpy's
+    SIMD complex multiply fuses multiply-adds, which moves the last bit."""
+    a, b = np.asarray(a), np.asarray(b)
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+def _real(value) -> float | np.ndarray:
+    """Real part: a float for one mixture, an array for a stack."""
+    value = np.real(value)
+    return float(value) if value.ndim == 0 else value
+
+
 @dataclass(frozen=True)
 class CoherentMixture:
     """rho = sum_jk weights[j, k] |amps[j]><amps[k]| over coherent states,
-    with amps of shape (T,) and weights of shape (T, T), Hermitian.  The
-    overlaps come from G = coherent_gram(amps, amps).  Treat as immutable."""
+    with amps of shape (T,) and weights of shape (T, T), Hermitian.  Leading
+    axes, amps (..., T) with weights (..., T, T), hold a stack of mixtures,
+    and every method then returns one value per mixture.  The overlaps come
+    from G = coherent_gram(amps, amps).  Treat as immutable."""
 
     amps: np.ndarray
     weights: np.ndarray
 
     def __post_init__(self):
-        amps = np.array(self.amps, dtype=complex).ravel()
+        amps = np.array(self.amps, dtype=complex)
         weights = np.array(self.weights, dtype=complex)
-        if weights.shape != (len(amps), len(amps)):
+        if amps.ndim == 0 or weights.shape != amps.shape + amps.shape[-1:]:
             raise ValueError("weights must be a square matrix over amps")
         amps.setflags(write=False)
         weights.setflags(write=False)
         object.__setattr__(self, "amps", amps)
         object.__setattr__(self, "weights", weights)
 
-    def trace(self) -> float:
+    def _overlaps(self) -> np.ndarray:
+        """<a_k|a_j> at [..., j, k], the transposed Gram matrix."""
+        return np.swapaxes(coherent_gram(self.amps, self.amps), -1, -2)
+
+    def trace(self) -> float | np.ndarray:
         """Tr rho = sum_jk M_jk <a_k|a_j>."""
-        return float(np.sum(self.weights * coherent_gram(self.amps, self.amps).T).real)
+        return _real(np.sum(self.weights * self._overlaps(), axis=(-2, -1)))
 
-    def mean_photon(self) -> float:
+    def mean_photon(self) -> float | np.ndarray:
         """<n> via Tr(n |a><b|) = conj(b) a <b|a>."""
-        dyads = np.outer(self.amps, self.amps.conj()) * coherent_gram(self.amps, self.amps).T
-        return float(np.sum(self.weights * dyads).real)
+        dyads = self.amps[..., :, None] * self.amps.conj()[..., None, :] * self._overlaps()
+        return _real(np.sum(self.weights * dyads, axis=(-2, -1)))
 
-    def purity(self) -> float:
+    def purity(self) -> float | np.ndarray:
         """Tr rho^2 = Tr((M G)^2)."""
         mg = self.weights @ coherent_gram(self.amps, self.amps)
-        return float(np.trace(mg @ mg).real)
+        return _real(np.trace(mg @ mg, axis1=-2, axis2=-1))
 
-    def fidelity_pure(self, coeffs, amps) -> float:
-        """<psi|rho|psi> for |psi> = sum_m c_m |alpha_m> (normalized input)."""
+    def fidelity_pure(self, coeffs, amps) -> float | np.ndarray:
+        """<psi|rho|psi> for |psi> = sum_m c_m |alpha_m> (normalized input);
+        coeffs and amps, shape (..., M), broadcast against the stack."""
         coeffs = np.asarray(coeffs, dtype=complex)
-        # Python-ordered sums, not a matmul or np.sum: the QEC tables print
-        # this F0 to the last bit, and reordering the additions moves it.
-        bra = [sum(np.conj(c) * g for c, g in zip(coeffs, col))
-               for col in coherent_gram(amps, self.amps).T]
-        ket = [sum(c * g for c, g in zip(coeffs, row))
-               for row in coherent_gram(self.amps, amps)]
-        f = 0.0 + 0.0j
-        for (j, k), w in np.ndenumerate(self.weights):
-            f += w * bra[j] * ket[k]
-        return float(f.real)
+        bra_gram = coherent_gram(amps, self.amps)
+        ket_gram = coherent_gram(self.amps, amps)
+        # A pinned addition order with schoolbook products, not a matmul,
+        # einsum or np.sum: the QEC tables print this F0 to the last bit,
+        # and reordering the additions or fusing a product moves it.  For
+        # each j the bra and ket sums run over m in order; f then adds
+        # w_jk bra_j ket_k in row-major (j, k) order, starting from 0.
+        bra = ket = 0j
+        for m in range(coeffs.shape[-1]):
+            bra = bra + _cmul(coeffs[..., m, None].conj(), bra_gram[..., m, :])
+            ket = ket + _cmul(coeffs[..., m, None], ket_gram[..., :, m])
+        f = 0j
+        for j, k in np.ndindex(self.weights.shape[-2:]):
+            f = f + _cmul(_cmul(self.weights[..., j, k], bra[..., j]), ket[..., k])
+        return _real(f)
 
 
 def normalize_superposition(coeffs, amps) -> np.ndarray:
-    """Rescale coefficients so sum_mn c_m* c_n <a_m|a_n> equals 1 exactly."""
+    """Rescale coefficients so sum_mn c_m* c_n <a_m|a_n> equals 1 exactly;
+    coeffs and amps of shape (..., M) may stack superpositions."""
     coeffs = np.asarray(coeffs, dtype=complex)
-    norm_sq = float(np.real(coeffs.conj() @ coherent_gram(amps, amps) @ coeffs))
-    if norm_sq <= 0.0:
+    norm_sq = np.real(coeffs.conj()[..., None, :] @ coherent_gram(amps, amps)
+                      @ coeffs[..., :, None])[..., 0, 0]
+    if np.any(norm_sq <= 0.0):
         raise ValueError("degenerate coherent superposition")
-    return coeffs / math.sqrt(norm_sq)
+    return coeffs / np.sqrt(norm_sq)[..., None]
 
 
 def code_legs(c0: complex, c1: complex, a: complex) -> tuple[list, list]:

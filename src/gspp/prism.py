@@ -27,7 +27,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .dispersion import TE, TM, supported_polarization
 from .material import CONSTANTS, Conductivity, GrapheneParams, conductivity
@@ -108,8 +107,8 @@ def _require_vacuum_background(params: GrapheneParams) -> None:
 
 
 def _atr_amplitudes(eps1: float, d: float, polarization: str, thetas, sigmas, omegas):
-    """Solve the boundary systems of many (theta, sigma, omega) points as
-    one stacked batch.  The three inputs broadcast to a common shape S;
+    """Solve the boundary systems of many (d, theta, sigma, omega) points
+    as one stacked batch.  The four inputs broadcast to a common shape S;
     returns the amplitudes (r, m1, m2, t) with shape S + (4,), and kx, kz1
     and kz0 with shape S.  Raises ArithmeticError when any system's
     condition number is above 1e12 or not finite."""
@@ -122,7 +121,7 @@ def _atr_amplitudes(eps1: float, d: float, polarization: str, thetas, sigmas, om
     kz0 = np.sqrt((k0 * k0 - kx * kx).astype(complex))
     u = np.exp(1j * kz0 * d)
 
-    shape = np.broadcast_shapes(kz0.shape, sigmas.shape)
+    shape = np.broadcast_shapes(np.shape(d), kz0.shape, sigmas.shape)
     mat = np.zeros(shape + (4, 4), dtype=complex)
     rhs = np.zeros(shape + (4, 1), dtype=complex)
     mat[..., 0, 0] = 1.0
@@ -182,6 +181,11 @@ def atr_solve(geom: PrismGeometry, params: GrapheneParams, omega: float) -> AtrS
     return atr_solve_sigma(geom, sigma, omega)
 
 
+def _sigmas(params: GrapheneParams, omegas) -> np.ndarray:
+    """Sheet conductivity at each frequency."""
+    return np.array([conductivity(params, float(w)).value for w in omegas], dtype=complex)
+
+
 def reflectance_map(thetas, omegas, eps1: float, d: float, polarization: str,
                     params: GrapheneParams) -> np.ndarray:
     """Reflectance R = |r|^2 on the (omega, theta) grid, shape
@@ -192,43 +196,101 @@ def reflectance_map(thetas, omegas, eps1: float, d: float, polarization: str,
     omegas = np.asarray(omegas, dtype=float)
     for th in thetas:
         PrismGeometry(eps1=eps1, d=d, theta_i=float(th), polarization=polarization)
-    sigmas = np.array([conductivity(params, float(w)).value for w in omegas], dtype=complex)
+    sigmas = _sigmas(params, omegas)
     amps = _atr_amplitudes(eps1, d, polarization, thetas[None, :],
                            sigmas[:, None], omegas[:, None])[0]
     return np.abs(amps[..., 0]) ** 2
 
 
-def matching_frequency(geom: PrismGeometry, params: GrapheneParams,
-                       omega_lo: float, omega_hi: float, n_scan: int = 400) -> float:
-    """Frequency of the reflectance minimum: coarse scan on
-    [omega_lo, omega_hi], solved as one batch, refined by golden-section
-    search.
+def matching_frequency(geom: PrismGeometry, params: GrapheneParams, omega_lo: float,
+                       omega_hi: float, d_values, n_scan: int = 400) -> np.ndarray:
+    """Frequency of the reflectance minimum at each spacing in d_values
+    (geom.d is not used): a coarse scan on [omega_lo, omega_hi], solved one
+    spacing at a time as a batch over the scan, refined by one golden-section
+    search over all spacings.  A dip on the window edge is not refined; a
+    spacing whose window has no minimum with R < 0.99 gets nan.
 
-    Raises NotResonant below the critical angle or when the scan window
-    has no minimum with R < 0.99, and ValueError for fewer than three scan
-    points, which cannot bracket a dip.
+    Raises NotResonant below the critical angle or when no spacing has a
+    dip, and ValueError for fewer than three scan points, which cannot
+    bracket a dip.
     """
     if n_scan < 3:
         raise ValueError(f"need at least 3 scan points to bracket a dip, got {n_scan}")
     if geom.theta_i <= critical_angle(geom.eps1):
         raise NotResonant("incidence below the critical angle: no surface-wave excitation")
     _require_vacuum_background(params)
+    d_values = np.asarray(d_values, dtype=float)
     omegas = np.linspace(omega_lo, omega_hi, n_scan)
-    sigmas = np.array([conductivity(params, float(w)).value for w in omegas], dtype=complex)
-    amps = _atr_amplitudes(geom.eps1, geom.d, geom.polarization, geom.theta_i,
-                           sigmas, omegas)[0]
-    refl = np.abs(amps[:, 0]) ** 2
-    i_min = int(np.argmin(refl))
-    if refl[i_min] > 0.99:
+    sigmas = _sigmas(params, omegas)
+    dips = np.full(d_values.shape, math.nan)
+    inner, brackets = [], []
+    min_refl = math.inf
+    for i, d in enumerate(d_values):
+        amps = _atr_amplitudes(geom.eps1, float(d), geom.polarization, geom.theta_i,
+                               sigmas, omegas)[0]
+        refl = np.abs(amps[:, 0]) ** 2
+        j = int(np.argmin(refl))
+        min_refl = min(min_refl, refl[j])
+        if refl[j] > 0.99:
+            continue
+        if j == 0 or j == n_scan - 1:
+            dips[i] = omegas[j]
+        else:
+            inner.append(i)
+            brackets.append(omegas[j - 1:j + 2])
+    if not inner and np.all(np.isnan(dips)):
         raise NotResonant(f"no reflectance dip below 0.99 in the scan window "
-                          f"(min R = {refl[i_min]:.4f})")
-    if i_min == 0 or i_min == n_scan - 1:
-        return float(omegas[i_min])
-    res = minimize_scalar(
-        lambda w: atr_solve(geom, params, float(w)).reflectance,
-        bracket=(omegas[i_min - 1], omegas[i_min], omegas[i_min + 1]),
-        method="golden", options={"xtol": 1e-10})
-    return float(res.x)
+                          f"(min R = {min_refl:.4f})")
+    if inner:
+        dips[inner] = _golden_dips(geom, params, d_values[inner], np.array(brackets))
+    return dips
+
+
+def _golden_dips(geom: PrismGeometry, params: GrapheneParams, d: np.ndarray,
+                 brackets: np.ndarray) -> np.ndarray:
+    """Reflectance minimum of each lane's bracket (xa, xb, xc), one lane per
+    spacing d.  Each lane repeats the arithmetic of scipy's golden-section
+    search (minimize_scalar, method='golden'): the same constant, update
+    order and stopping rule, and its ValueError for a bad bracket.  Every
+    step solves the live lanes' systems as one batch, with sigma computed
+    at each lane's frequency."""
+
+    def reflectance(lanes, omegas):
+        sigmas = _sigmas(params, omegas)
+        r = _atr_amplitudes(geom.eps1, d[lanes], geom.polarization, geom.theta_i,
+                            sigmas, omegas)[0][:, 0]
+        # AtrSolution.reflectance's abs(r) ** 2 (libm pow), not numpy's square
+        return np.array([abs(complex(v)) ** 2 for v in r])
+
+    lanes = np.arange(len(d))
+    xa, xb, xc = brackets.T
+    xa, xc = np.where(xa > xc, xc, xa), np.where(xa > xc, xa, xc)
+    fa, fb, fc = np.split(reflectance(np.tile(lanes, 3), np.concatenate([xa, xb, xc])), 3)
+    if not np.all((xa < xb) & (xb < xc) & (fb < fa) & (fb < fc)):
+        raise ValueError("Bracketing values (xa, xb, xc) do not fulfill the requirements "
+                         "xa < xb < xc and f(xb) < f(xa), f(xc)")
+
+    g_r = 0.61803399  # scipy's golden-ratio conjugate, to its eight digits
+    g_c = 1.0 - g_r
+    xtol, maxiter = 1e-10, 5000  # the xtol the search always ran at; scipy's maxiter
+    x0, x3 = xa, xc
+    wide = np.abs(xc - xb) > np.abs(xb - xa)
+    x1 = np.where(wide, xb, xb - g_c * (xb - xa))
+    x2 = np.where(wide, xb + g_c * (xc - xb), xb)
+    f1, f2 = np.split(reflectance(np.tile(lanes, 2), np.concatenate([x1, x2])), 2)
+    for _ in range(maxiter):
+        live = np.flatnonzero(~(np.abs(x3 - x0) <= xtol * (np.abs(x1) + np.abs(x2))))
+        if live.size == 0:
+            break
+        up = f2[live] < f1[live]
+        hi, lo = live[up], live[~up]
+        x0[hi], x1[hi], f1[hi] = x1[hi], x2[hi], f2[hi]
+        x2[hi] = g_r * x1[hi] + g_c * x3[hi]
+        x3[lo], x2[lo], f2[lo] = x2[lo], x1[lo], f1[lo]
+        x1[lo] = g_r * x2[lo] + g_c * x0[lo]
+        f_new = reflectance(live, np.where(up, x2[live], x1[live]))
+        f2[hi], f1[lo] = f_new[up], f_new[~up]
+    return np.where(f1 < f2, x1, x2)
 
 
 def lossless_matching_frequency(geom: PrismGeometry, params: GrapheneParams,
@@ -324,16 +386,22 @@ def overlap_beta(geom: PrismGeometry, params: GrapheneParams, omega: float) -> c
     field is not evanescent (theta below the critical angle).
     """
     _require_vacuum_background(params)
+    return _overlap_beta(geom, conductivity(params, omega).value, omega)
+
+
+def _overlap_beta(geom: PrismGeometry, sigma: complex, omega: float) -> complex:
+    """overlap_beta at a given sheet conductivity, on the vacuum background
+    (eps_r = 1) its callers check.  The ValidityWarning points at the
+    caller of the public function that called this one."""
     if geom.theta_i <= critical_angle(geom.eps1):
         raise NotResonant("theta below the critical angle: gap field not evanescent")
-    sol = atr_solve(geom, params, omega)
+    sol = atr_solve_sigma(geom, sigma, omega)
     sigma_pp = sol.sigma.imag
     if supported_polarization(Conductivity(sol.sigma, omega)) != geom.polarization:
         raise ValueError(f"{geom.polarization} surface wave not supported at this "
                          f"frequency (Im sigma = {sigma_pp:.3e} S)")
 
-    n_phi, spp_above, spp_below = lossless_spp_norm(geom.polarization, omega, sigma_pp,
-                                                    params.eps_r)
+    n_phi, spp_above, spp_below = lossless_spp_norm(geom.polarization, omega, sigma_pp, 1.0)
     regions = _photon_regions(sol)
     n_psi = hamiltonian_norm(regions, sigma_pp, omega)
     below, gap = (field for _, _, field in regions)
@@ -346,16 +414,19 @@ def overlap_beta(geom: PrismGeometry, params: GrapheneParams, omega: float) -> c
     if frac > 1.0:
         warnings.warn(f"field energy in the prism is not negligible "
                       f"(ratio {frac:.2f}); the overlap model is marginal here",
-                      ValidityWarning, stacklevel=2)
+                      ValidityWarning, stacklevel=3)
     return beta
 
 
 def beta_sweep(geom: PrismGeometry, params: GrapheneParams, omega: float,
                d_values) -> np.ndarray:
-    """beta as a function of prism-graphene spacing at fixed omega/theta."""
+    """beta as a function of prism-graphene spacing at fixed omega/theta;
+    the conductivity is evaluated once."""
+    _require_vacuum_background(params)
+    sigma = conductivity(params, omega).value
     out = np.empty(len(d_values), dtype=complex)
     for i, d in enumerate(d_values):
-        out[i] = overlap_beta(replace(geom, d=float(d)), params, omega)
+        out[i] = _overlap_beta(replace(geom, d=float(d)), sigma, omega)
     return out
 
 
@@ -369,19 +440,11 @@ def beta_sweep_matched(geom: PrismGeometry, params: GrapheneParams,
     yield beta = 0 and omega = nan.  Raises NotResonant when no spacing
     has one.
     """
-    betas = np.zeros(len(d_values), dtype=complex)
-    dips = np.full(len(d_values), math.nan)
-    for i, d in enumerate(d_values):
-        g2 = replace(geom, d=float(d))
-        try:
-            w_star = matching_frequency(g2, params, omega_lo, omega_hi,
-                                        n_scan=n_scan)
-        except NotResonant:
-            continue
-        dips[i] = w_star
-        betas[i] = overlap_beta(g2, params, w_star)
-    if np.all(np.isnan(dips)):
-        raise NotResonant("no spacing has a reflectance dip in the scan window")
+    dips = matching_frequency(geom, params, omega_lo, omega_hi, d_values, n_scan=n_scan)
+    betas = np.zeros(len(dips), dtype=complex)
+    for i, (d, w_star) in enumerate(zip(d_values, dips.tolist())):
+        if not math.isnan(w_star):
+            betas[i] = overlap_beta(replace(geom, d=float(d)), params, w_star)
     return betas, dips
 
 

@@ -38,7 +38,8 @@ from itertools import islice
 
 import numpy as np
 
-from .coupling import CouplerSpec, code_legs, excite_code, normalize_superposition
+from .coupling import (CoherentMixture, CouplerSpec, code_legs, excite_code,
+                       normalize_superposition)
 from .qstate import fock_vector, truncation_dimension
 
 SIX_CARDINAL = (
@@ -559,12 +560,16 @@ def _recovered(states: np.ndarray, parity: np.ndarray, flips: np.ndarray,
 
 def _f0_analytic(config: QecRunConfig, inputs) -> float:
     """Average fidelity of the excited (pre-check) state against the
-    matched-amplitude logical reference, from the analytic mixture."""
+    matched-amplitude logical reference, from the analytic mixture: one
+    contraction over the stack of inputs, summed in input order."""
+    rhos = [excite_code(c0, c1, config.alpha, config.g) for c0, c1 in inputs]
+    stack = CoherentMixture(np.array([r.amps for r in rhos]), np.array([r.weights for r in rhos]))
+    legs = [code_legs(c0, c1, config.alpha_excited) for c0, c1 in inputs]
+    coeffs = np.array([c for c, _ in legs], dtype=complex)
+    amps = np.array([a for _, a in legs], dtype=complex)
     total = 0.0
-    for c0, c1 in inputs:
-        rho = excite_code(c0, c1, config.alpha, config.g)
-        coeffs, amps = code_legs(c0, c1, config.alpha_excited)
-        total += rho.fidelity_pure(normalize_superposition(coeffs, amps), amps)
+    for f in stack.fidelity_pure(normalize_superposition(coeffs, amps), amps).tolist():
+        total += f
     return total / len(inputs)
 
 

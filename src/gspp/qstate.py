@@ -9,9 +9,11 @@ import numpy as np
 
 
 def coherent_gram(x, y) -> np.ndarray:
-    """Gram matrix G_ij = <x_i|y_j> = exp(-|x_i|^2/2 - |y_j|^2/2 + conj(x_i)*y_j)."""
-    x = np.asarray(x, dtype=complex)[:, None]
-    y = np.asarray(y, dtype=complex)[None, :]
+    """Gram matrix G_ij = <x_i|y_j> = exp(-|x_i|^2/2 - |y_j|^2/2 + conj(x_i)*y_j)
+    over the last axis of x (..., n) and y (..., m); the leading axes
+    broadcast, giving (..., n, m)."""
+    x = np.asarray(x, dtype=complex)[..., :, None]
+    y = np.asarray(y, dtype=complex)[..., None, :]
     return np.exp(-0.5 * np.abs(x) ** 2 - 0.5 * np.abs(y) ** 2 + x.conj() * y)
 
 

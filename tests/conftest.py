@@ -7,9 +7,11 @@ Fock vector, the ensemble streams built one Generator per trajectory
 (and the engine run on them), the complex-arithmetic ensemble micro-step
 and parity projection and the ensemble loop built on them, the interband
 conductivity quadrature with a numpy-scalar integrand, the ATR
-boundary-equation residuals, and the mode integrals of the quantization
+boundary-equation residuals, the reflectance-dip search one spacing at a
+time with scipy's golden section, the mode integrals of the quantization
 and prism-overlap layers as sampled profiles integrated by graded-grid
-Simpson quadrature.
+Simpson quadrature, and the coherent-mixture fidelity in Python-ordered
+sums with the fidelity curves and F0 built on it one point at a time.
 
 Registers a derandomized hypothesis profile, so property tests draw the
 same examples on every run."""
@@ -23,14 +25,17 @@ import pytest
 from hypothesis import settings
 from scipy.integrate import quad, simpson
 from scipy.linalg import expm
+from scipy.optimize import minimize_scalar
 from scipy.special import expit
 
 import gspp.material
 from gspp.dispersion import TE, wavenumber
 from gspp.material import CONSTANTS, QuadratureError, _intraband_full, conductivity
-from gspp.prism import atr_solve
-from gspp.coupling import code_legs
+from gspp.prism import NotResonant, _require_vacuum_background, atr_solve, critical_angle
+from gspp.channel import propagate_mixture
+from gspp.coupling import CouplerSpec, code_legs, excite_cat, excite_code, normalize_superposition
 from gspp.qec import _unravel, trajectory_rng
+from gspp.qstate import coherent_gram
 from gspp.qstate import _coherent_column, fock_vector, truncation_dimension
 from gspp.quantize import _lossless_mode, tm_parallel_amplitude
 
@@ -642,6 +647,27 @@ def photon_norm_oracle(sol, n_points=2048):
     return 0.5 * float(below + gap) + abs(sol.sigma.imag) / (2.0 * CONSTANTS.eps0 * sol.omega) * a_par_sq
 
 
+def matching_frequency_oracle(geom, params, omega_lo, omega_hi, n_scan):
+    """Reflectance-dip frequency at the spacing geom.d: a pointwise scan,
+    then scipy's golden-section search on the three scan points around
+    the minimum.  Raises NotResonant like matching_frequency."""
+    if geom.theta_i <= critical_angle(geom.eps1):
+        raise NotResonant("incidence below the critical angle")
+    _require_vacuum_background(params)
+    omegas = np.linspace(omega_lo, omega_hi, n_scan)
+    refl = np.array([atr_solve(geom, params, float(w)).reflectance for w in omegas])
+    i_min = int(np.argmin(refl))
+    if refl[i_min] > 0.99:
+        raise NotResonant("no reflectance dip below 0.99 in the scan window")
+    if i_min == 0 or i_min == n_scan - 1:
+        return float(omegas[i_min])
+    res = minimize_scalar(
+        lambda w: atr_solve(geom, params, float(w)).reflectance,
+        bracket=(omegas[i_min - 1], omegas[i_min], omegas[i_min + 1]),
+        method="golden", options={"xtol": 1e-10})
+    return float(res.x)
+
+
 def overlap_beta_oracle(geom, params, omega, n_points=1024):
     """Overlap transmission coefficient with every mode integral sampled:
     graded Simpson below the sheet down to 40 combined decay lengths and
@@ -665,6 +691,46 @@ def overlap_beta_oracle(geom, params, omega, n_points=1024):
     gap = simpson(f_gap, x=z_gap)
     overlap = (below + gap) / math.sqrt(n_psi * n_phi)
     return complex(np.conj(math.sqrt(max(0.0, 1.0 - abs(sol.r) ** 2)) * overlap))
+
+
+def fidelity_pure_oracle(rho, coeffs, amps) -> float:
+    """<psi|rho|psi> of one coherent mixture in Python-ordered sums: for
+    each j the bra and ket sums over m in order, then w_jk bra_j ket_k in
+    row-major (j, k) order from 0."""
+    coeffs = np.asarray(coeffs, dtype=complex)
+    bra = [sum(np.conj(c) * g for c, g in zip(coeffs, col))
+           for col in coherent_gram(amps, rho.amps).T]
+    ket = [sum(c * g for c, g in zip(coeffs, row))
+           for row in coherent_gram(rho.amps, amps)]
+    f = 0.0 + 0.0j
+    for (j, k), w in np.ndenumerate(rho.weights):
+        f += w * bra[j] * ket[k]
+    return float(f.real)
+
+
+def fidelity_vs_distance_oracle(alpha, g, x_values, k0_kappa2, matched):
+    """Excited-cat fidelity curve one distance at a time, against the
+    initial cat or the amplitude-matched one."""
+    rho0 = excite_cat(alpha, g)
+    beta_mag = abs(CouplerSpec(g).beta_amp)
+    out = []
+    for x in np.asarray(x_values, dtype=float):
+        rho_x = propagate_mixture(rho0, math.exp(-2.0 * k0_kappa2 * float(x)))
+        a_ref = alpha * beta_mag * math.exp(-k0_kappa2 * float(x)) if matched else alpha
+        amps = [a_ref, -a_ref]
+        out.append(fidelity_pure_oracle(rho_x, normalize_superposition([1.0, 1.0], amps), amps))
+    return np.array(out)
+
+
+def f0_oracle(config, inputs) -> float:
+    """qec's F0 one input at a time: the excited code word against the
+    matched-amplitude logical reference, averaged in input order."""
+    total = 0.0
+    for c0, c1 in inputs:
+        rho = excite_code(c0, c1, config.alpha, config.g)
+        coeffs, amps = code_legs(c0, c1, config.alpha_excited)
+        total += fidelity_pure_oracle(rho, normalize_superposition(coeffs, amps), amps)
+    return total / len(inputs)
 
 
 @pytest.fixture

@@ -9,6 +9,8 @@ independent cross-checks belong in tests/conftest.py.
 """
 
 import ast
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -89,3 +91,13 @@ def test_readme_library_sketch_runs():
     assert run.returncode == 0, run.stderr
     # the sketch prints the TM effective wavelength at 1550 nm, "~36 nm"
     assert abs(float(run.stdout) - 36e-9) < 2e-9
+
+
+def test_traced_names_resolve():
+    # the benchmark's tracer patches these gspp functions by name
+    spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [f"{module}.{func}" for module, func, _ in tracing.TARGETS
+               if not callable(getattr(importlib.import_module(f"gspp.{module}"), func, None))]
+    assert not missing, f"bench/tracing.py traces names gspp no longer defines: {missing}"

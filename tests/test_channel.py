@@ -3,14 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from conftest import coherent_state, damp_fock, projector, to_density_matrix, trace_distance
+from conftest import (
+    coherent_state,
+    damp_fock,
+    fidelity_vs_distance_oracle,
+    projector,
+    to_density_matrix,
+    trace_distance,
+)
 from gspp.channel import (
     AMPLITUDE_MATCHED,
     INITIAL,
-    ChannelSpec,
     fidelity_vs_distance,
     matched_turning_point,
-    propagate_cat,
     propagate_mixture,
 )
 from gspp.coupling import excite_cat, normalize_superposition
@@ -18,11 +23,18 @@ from gspp.coupling import excite_cat, normalize_superposition
 
 class TestFluxDamping:
     def test_zero_distance(self):
-        assert ChannelSpec(k0_kappa2=5.0, x=0.0).transmissivity == 1.0
+        rho = excite_cat(3.0, 0.9)
+        f = fidelity_vs_distance(3.0, 0.9, [0.0], 5.0, reference=INITIAL)[0]
+        ref = normalize_superposition([1.0, 1.0], [3.0, -3.0])
+        assert f == rho.fidelity_pure(ref, [3.0, -3.0])
 
     def test_one_propagation_length(self):
-        spec = ChannelSpec(k0_kappa2=2.0, x=1.0 / (2.0 * 2.0))
-        assert spec.transmissivity == pytest.approx(math.exp(-1.0))
+        # k0 kappa'' x = 1/2 is transmissivity e^{-1}
+        alpha, g = 3.0, 0.8
+        f = fidelity_vs_distance(alpha, g, [1.0 / (2.0 * 2.0)], 2.0, reference=INITIAL)[0]
+        rho = propagate_mixture(excite_cat(alpha, g), math.exp(-1.0))
+        ref = normalize_superposition([1.0, 1.0], [alpha, -alpha])
+        assert f == pytest.approx(rho.fidelity_pure(ref, [alpha, -alpha]), rel=1e-14)
 
     def test_fig5_tm_five_wavelengths(self):
         # TM mode of the long-wavelength figure set: finite damping factor
@@ -31,21 +43,19 @@ class TestFluxDamping:
         params = GrapheneParams.with_default_rates(1.4, 300.0)
         omega = 2.0 * math.pi * CONSTANTS.c0 / 1550e-9
         mode = solve_mode(params, conductivity(params, omega), "TM")
-        lam_eff = effective_wavelength(mode)
-        spec = ChannelSpec(k0_kappa2=mode.k.imag, x=5.0 * lam_eff)
-        val = spec.transmissivity
-        assert 0.0 < val < 1.0
+        x = 5.0 * effective_wavelength(mode)
+        f = fidelity_vs_distance(3.0, math.pi / 2, [x], mode.k.imag, reference=INITIAL)[0]
+        assert 0.0 < f < 1.0
 
 
 class TestPropagateCat:
     def test_identity_at_origin(self):
         rho = excite_cat(3.0, 0.9)
-        out = propagate_cat(rho, ChannelSpec(k0_kappa2=1.0, x=0.0))
+        out = propagate_mixture(rho, 1.0)
         assert np.allclose(out.weights, rho.weights)
 
     def test_vacuum_limit(self):
-        rho = propagate_cat(excite_cat(3.0, math.pi / 2),
-                            ChannelSpec(k0_kappa2=1.0, x=100.0))
+        rho = propagate_mixture(excite_cat(3.0, math.pi / 2), math.exp(-200.0))
         coeffs = normalize_superposition([1.0], [0.0])
         assert rho.fidelity_pure(coeffs, [0.0]) == pytest.approx(1.0, abs=1e-6)
 
@@ -54,23 +64,22 @@ class TestPropagateCat:
             alpha = rng.uniform(0.5, 4.0)
             g = rng.uniform(0.1, math.pi / 2)
             x = rng.uniform(0.0, 2.0)
-            out = propagate_cat(excite_cat(alpha, g), ChannelSpec(k0_kappa2=1.0, x=x))
+            out = propagate_mixture(excite_cat(alpha, g), math.exp(-2.0 * x))
             assert out.trace() == pytest.approx(1.0, abs=1e-9)
 
     def test_matches_fock_channel(self):
         alpha, g = 3.0, math.pi / 2
-        spec = ChannelSpec(k0_kappa2=1.0, x=0.5)
+        eta = math.exp(-2.0 * 0.5)
         dim = 64
-        analytic = to_density_matrix(propagate_cat(excite_cat(alpha, g), spec), dim)
-        fock = damp_fock(to_density_matrix(excite_cat(alpha, g), dim), spec.transmissivity)
+        analytic = to_density_matrix(propagate_mixture(excite_cat(alpha, g), eta), dim)
+        fock = damp_fock(to_density_matrix(excite_cat(alpha, g), dim), eta)
         assert trace_distance(analytic.matrix, fock.matrix) < 1e-8
 
     def test_cross_weight_decoherence_factor(self):
         # c(x) = c_out exp(-2|a sin g|^2 (1 - e^{-2 k0 k'' x}))
         alpha, g, x = 3.0, 0.8, 0.3
-        spec = ChannelSpec(k0_kappa2=1.0, x=x)
-        out = propagate_cat(excite_cat(alpha, g), spec)
-        eta = spec.transmissivity
+        eta = math.exp(-2.0 * x)
+        out = propagate_mixture(excite_cat(alpha, g), eta)
         c_out = math.exp(-2.0 * (alpha * math.cos(g)) ** 2)
         c_x = c_out * math.exp(-2.0 * (alpha * math.sin(g)) ** 2 * (1.0 - eta))
         n_sq = 1.0 / (2.0 + 2.0 * math.exp(-2.0 * alpha**2))
@@ -83,12 +92,23 @@ class TestPropagateCat:
         for _ in range(10):
             alpha = rng.uniform(0.5, 3.5)
             g = rng.uniform(0.2, math.pi / 2)
-            x = rng.uniform(0.0, 1.5)
-            spec = ChannelSpec(k0_kappa2=1.0, x=x)
+            eta = math.exp(-2.0 * rng.uniform(0.0, 1.5))
             rho0 = excite_cat(alpha, g)
-            rho1 = propagate_cat(rho0, spec)
+            rho1 = propagate_mixture(rho0, eta)
             assert rho1.mean_photon() == pytest.approx(
-                spec.transmissivity * rho0.mean_photon(), rel=1e-9, abs=1e-12)
+                eta * rho0.mean_photon(), rel=1e-9, abs=1e-12)
+
+    def test_stack_matches_one_eta_at_a_time(self):
+        rho = excite_cat(2.5, 0.9)
+        etas = np.exp(-2.0 * np.linspace(0.0, 2.0, 7))
+        stack = propagate_mixture(rho, etas)
+        assert stack.amps.shape == (7, 2) and stack.weights.shape == (7, 2, 2)
+        for i, eta in enumerate(etas):
+            one = propagate_mixture(rho, float(eta))
+            np.testing.assert_array_equal(stack.amps[i], one.amps)
+            np.testing.assert_allclose(stack.weights[i], one.weights, rtol=1e-15, atol=0.0)
+        np.testing.assert_allclose(stack.trace(), 1.0, atol=1e-12)
+        np.testing.assert_allclose(stack.mean_photon(), etas * rho.mean_photon(), rtol=1e-12)
 
 
 class TestDampFock:
@@ -159,11 +179,36 @@ class TestFidelityCurves:
             fidelity_vs_distance(3.0, 0.9, [0.0], 1.0, reference="nope")
 
 
-class TestChannelSpec:
-    def test_validation(self):
+class TestFidelityStack:
+    def test_fig4_fid_matches_pointwise_oracle(self):
+        # the fig4-fid curves, one propagation and one contraction per curve
+        x = np.linspace(0.0, 3.0, 300)
+        for beta in (1.0, 0.98, 0.95, 0.9, 0.8):
+            g = math.asin(beta)
+            for reference in (INITIAL, AMPLITUDE_MATCHED):
+                got = fidelity_vs_distance(3.0, g, x, 1.0, reference=reference)
+                ref = fidelity_vs_distance_oracle(3.0, g, x, 1.0, reference == AMPLITUDE_MATCHED)
+                np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
+
+    def test_shape_follows_x(self):
+        x = np.linspace(0.0, 1.0, 6).reshape(2, 3)
+        f = fidelity_vs_distance(2.0, 0.9, x, 1.0, reference=AMPLITUDE_MATCHED)
+        assert f.shape == (2, 3)
+        np.testing.assert_array_equal(
+            f.ravel(), fidelity_vs_distance(2.0, 0.9, x.ravel(), 1.0, reference=AMPLITUDE_MATCHED))
+
+
+class TestValidation:
+    def test_negative_attenuation_or_distance(self):
         with pytest.raises(ValueError):
-            ChannelSpec(k0_kappa2=-1.0, x=1.0)
+            fidelity_vs_distance(3.0, 0.9, [0.0, 1.0], -1.0)
         with pytest.raises(ValueError):
-            ChannelSpec(k0_kappa2=1.0, x=-1.0)
+            fidelity_vs_distance(3.0, 0.9, [0.0, -1.0], 1.0)
+
+    def test_transmissivity_range(self):
         with pytest.raises(ValueError):
             propagate_mixture(excite_cat(1.0, 0.5), 0.0)
+        with pytest.raises(ValueError):
+            propagate_mixture(excite_cat(1.0, 0.5), [0.5, 1.5])
+        with pytest.raises(ValueError):
+            propagate_mixture(excite_cat(1.0, 0.5), [0.5, math.nan])

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     damp_fock,
+    fidelity_pure_oracle,
     number,
     partial_trace_mode_a,
     to_density_matrix,
@@ -159,6 +160,31 @@ class TestCoherentMixture:
         target = fock_vector([1.0, 1.0], [2.0, -2.0], dim)
         rendered = to_density_matrix(rho, dim)
         assert trace_distance(rendered.matrix, np.outer(target, target.conj())) < 1e-10
+
+
+    @pytest.mark.parametrize("n", [1, 6, 300])
+    def test_fidelity_stack_matches_python_ordered_sums(self, rng, n):
+        # general complex coefficients: numpy's fused complex products would
+        # move the last bit here, while the cardinal QEC inputs hide it
+        rhos = [excite_superposition(rng.normal(size=4) + 1j * rng.normal(size=4),
+                                     rng.normal(size=4) + 1j * rng.normal(size=4),
+                                     rng.uniform(0.2, 1.5)) for _ in range(n)]
+        stack = CoherentMixture(np.array([r.amps for r in rhos]),
+                                np.array([r.weights for r in rhos]))
+        amps = rng.normal(size=(n, 4)) + 1j * rng.normal(size=(n, 4))
+        coeffs = normalize_superposition(rng.normal(size=(n, 4)) + 1j * rng.normal(size=(n, 4)),
+                                         amps)
+        got = stack.fidelity_pure(coeffs, amps)
+        ref = [fidelity_pure_oracle(r, c, a) for r, c, a in zip(rhos, coeffs, amps)]
+        np.testing.assert_array_equal(got, ref)
+        assert rhos[0].fidelity_pure(coeffs[0], amps[0]) == ref[0]
+
+    def test_normalization_stack_matches_one_at_a_time(self, rng):
+        amps = rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3))
+        coeffs = rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3))
+        stack = normalize_superposition(coeffs, amps)
+        for i in range(5):
+            np.testing.assert_array_equal(stack[i], normalize_superposition(coeffs[i], amps[i]))
 
 
 class TestMixtureAgainstFock:

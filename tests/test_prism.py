@@ -7,13 +7,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import minimize_scalar
-
-from conftest import boundary_residuals, overlap_beta_oracle, photon_norm_oracle
+from conftest import (
+    boundary_residuals,
+    matching_frequency_oracle,
+    overlap_beta_oracle,
+    photon_norm_oracle,
+)
 from gspp.cli import load_config
 from gspp.material import CONSTANTS, GrapheneParams, conductivity
 from gspp.prism import (
     NotResonant,
+    _atr_amplitudes,
+    _golden_dips,
     PrismGeometry,
     ValidityWarning,
     atr_solve,
@@ -120,8 +125,9 @@ class TestReflectanceMap:
 class TestMatchingFrequency:
     def test_te_resonance_near_interband_edge(self):
         params = GrapheneParams.with_default_rates(1.24, 0.0)
-        w0 = matching_frequency(te_geom(), params, 2.0 * math.pi * 520e12,
-                                2.0 * math.pi * 680e12)
+        geom = te_geom()
+        w0 = matching_frequency(geom, params, 2.0 * math.pi * 520e12,
+                                2.0 * math.pi * 680e12, [geom.d])[0]
         hw = K.hbar * w0 / K.e
         assert abs(hw - 2.48) / 2.48 < 0.05
 
@@ -130,13 +136,13 @@ class TestMatchingFrequency:
         geom = te_geom(theta_i=math.radians(40.0))
         with pytest.raises(NotResonant):
             matching_frequency(geom, params, 2.0 * math.pi * 520e12,
-                               2.0 * math.pi * 680e12)
+                               2.0 * math.pi * 680e12, [geom.d])
 
     def test_no_dip_in_window(self):
         params = GrapheneParams.with_default_rates(1.24, 0.0)
         with pytest.raises(NotResonant):
-            matching_frequency(te_geom(d=1e-3), params, 2.0 * math.pi * 100e12,
-                               2.0 * math.pi * 150e12)
+            matching_frequency(te_geom(), params, 2.0 * math.pi * 100e12,
+                               2.0 * math.pi * 150e12, [1e-3])
 
     def test_lossless_root_agrees_with_lossy_dip(self):
         # reduce the intraband damping: the reflectance dip approaches the
@@ -147,7 +153,7 @@ class TestMatchingFrequency:
         geom = tm_geom(d=350e-6)
         lo, hi = 2.0 * math.pi * 0.3e12, 2.0 * math.pi * 1.5e12
         w_root = lossless_matching_frequency(geom, params, lo, hi)
-        w_dip = matching_frequency(geom, params, lo, hi, n_scan=900)
+        w_dip = matching_frequency(geom, params, lo, hi, [geom.d], n_scan=900)[0]
         assert abs(w_dip - w_root) / w_root < 0.01
 
 
@@ -188,11 +194,9 @@ class TestBatchedAtr:
         refl = np.array([atr_solve(geom, params, float(w)).reflectance for w in omegas])
         i = int(np.argmin(refl))
         assert 0 < i < n_scan - 1
-        ref = minimize_scalar(lambda w: atr_solve(geom, params, float(w)).reflectance,
-                              bracket=(omegas[i - 1], omegas[i], omegas[i + 1]),
-                              method="golden", options={"xtol": 1e-10}).x
-        got = matching_frequency(geom, params, lo, hi, n_scan=n_scan)
-        assert got == pytest.approx(ref, rel=1e-12)
+        ref = matching_frequency_oracle(geom, params, lo, hi, n_scan)
+        got = matching_frequency(geom, params, lo, hi, [geom.d], n_scan=n_scan)[0]
+        assert got == ref
 
     @pytest.mark.parametrize("bad", [2e12, math.inf, math.nan])
     def test_one_ill_conditioned_point_raises(self, monkeypatch, bad):
@@ -211,9 +215,101 @@ class TestBatchedAtr:
             reflectance_map(thetas, omegas, eps1=1.5, d=200e-6, polarization="TM",
                             params=params)
         with pytest.raises(ArithmeticError, match="condition number"):
-            matching_frequency(tm_geom(), params, omegas[0], omegas[-1], n_scan=50)
+            matching_frequency(tm_geom(), params, omegas[0], omegas[-1], [50e-6], n_scan=50)
         with pytest.raises(ArithmeticError, match="condition number"):
             atr_solve(tm_geom(), params, omegas[0])
+
+
+    def test_d_array_matches_one_d_at_a_time(self):
+        params = GrapheneParams.with_default_rates(1.24, 0.0)
+        geom = te_geom()
+        omegas = 2.0 * math.pi * np.linspace(590.5e12, 591.1e12, 900)
+        sigmas = np.array([conductivity(params, float(w)).value for w in omegas])
+        ds = np.linspace(15e-6, 40e-6, 26)
+        batch = _atr_amplitudes(geom.eps1, ds[:, None], "TE", geom.theta_i, sigmas, omegas)
+        assert batch[0].shape == (26, 900, 4)
+        for i, d in enumerate(ds):
+            one = _atr_amplitudes(geom.eps1, float(d), "TE", geom.theta_i, sigmas, omegas)
+            np.testing.assert_array_equal(batch[0][i], one[0])
+            for got, ref in zip(batch[1:], one[1:]):
+                np.testing.assert_array_equal(got, ref)
+
+
+def fig4b_te_window():
+    """(geometry, params, omega_lo, omega_hi, n_scan) of the fig4b-te dip search."""
+    cfg = load_config(str(CONFIG_DIR / "fig4b-te.cfg"))
+    params = GrapheneParams.with_default_rates(float(cfg["mu_c_ev"]),
+                                               float(cfg["temperature_k"]))
+    geom = PrismGeometry(eps1=float(cfg["eps1"]), d=1e-9,
+                         theta_i=math.radians(float(cfg["theta_deg"])), polarization=cfg["pol"])
+    lo, hi = (2.0 * math.pi * float(cfg[k]) * 1e12 for k in ("match_fmin_thz", "match_fmax_thz"))
+    return geom, params, lo, hi, int(cfg["match_scan_points"])
+
+
+class TestDipSearch:
+    """matching_frequency refines every spacing's dip in one golden-section
+    loop; each lane must repeat the one-spacing scipy search bit for bit."""
+
+    def test_dips_match_oracle_bit_for_bit(self):
+        # the fig4b-te spacings with two spacings on either side
+        geom, params, lo, hi, n_scan = fig4b_te_window()
+        ds = np.concatenate([[5.0, 10.0], np.linspace(15.0, 40.0, 26), [50.0, 60.0]]) * 1e-6
+        got = matching_frequency(geom, params, lo, hi, ds, n_scan=n_scan)
+        ref = []
+        for d in ds:
+            try:
+                ref.append(matching_frequency_oracle(replace(geom, d=float(d)), params,
+                                                     lo, hi, n_scan))
+            except NotResonant:
+                ref.append(math.nan)
+        np.testing.assert_array_equal(got, ref)
+        # lanes without a dip, a dip on the window's upper edge, refined dips
+        assert np.flatnonzero(np.isnan(got)).tolist() == [0, 1, 28, 29]
+        assert got[2] == hi
+        assert np.all((got[3:28] > lo) & (got[3:28] < hi))
+
+    def test_no_spacing_with_a_dip(self):
+        geom, params, lo, hi, n_scan = fig4b_te_window()
+        with pytest.raises(NotResonant):
+            matching_frequency(geom, params, lo, hi, [5e-6, 60e-6], n_scan=n_scan)
+
+    def test_ill_conditioned_refinement_lane_raises(self, monkeypatch):
+        geom, params, lo, hi, n_scan = fig4b_te_window()
+        real_cond = np.linalg.cond
+
+        def cond_bad_outside_scans(mat):
+            cond = np.array(real_cond(mat))
+            if cond.shape != (n_scan,):
+                cond.flat[cond.size // 2] = math.inf
+            return cond
+
+        monkeypatch.setattr(np.linalg, "cond", cond_bad_outside_scans)
+        with pytest.raises(ArithmeticError, match="condition number"):
+            matching_frequency(geom, params, lo, hi, [20e-6, 25e-6], n_scan=n_scan)
+
+    def test_bad_bracket_raises_like_scipy(self):
+        from scipy.optimize import minimize_scalar
+        geom, params, lo, hi, n_scan = fig4b_te_window()
+        d = 25e-6
+        dip = matching_frequency_oracle(replace(geom, d=d), params, lo, hi, n_scan)
+        step = (hi - lo) / (n_scan - 1)
+        for bracket in ((dip + step, dip + 2.0 * step, dip + 3.0 * step),
+                        (dip - step, dip + step, dip)):
+            with pytest.raises(ValueError):
+                minimize_scalar(lambda w: atr_solve(replace(geom, d=d), params, float(w)).reflectance,
+                                bracket=bracket, method="golden", options={"xtol": 1e-10})
+            with pytest.raises(ValueError, match="Bracketing values"):
+                _golden_dips(geom, params, np.array([d]), np.array([bracket]))
+
+    def test_matched_sweep_evaluates_beta_at_each_dip(self):
+        geom, params, lo, hi, n_scan = fig4b_te_window()
+        ds = np.array([10e-6, 20e-6, 30e-6])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ValidityWarning)
+            betas, dips = beta_sweep_matched(geom, params, lo, hi, ds, n_scan=n_scan)
+            assert betas[0] == 0.0 and math.isnan(dips[0])
+            for d, w, beta in zip(ds[1:], dips[1:].tolist(), betas[1:]):
+                assert beta == overlap_beta(replace(geom, d=float(d)), params, w)
 
 
 class TestOverlapBeta:
@@ -271,6 +367,22 @@ class TestOverlapBeta:
                 beta = overlap_beta(geom, params, omega)
                 assert abs(beta) <= math.sqrt(max(0.0, 1.0 - sol.reflectance)) + 1e-9
 
+    def test_sweep_equals_overlap_beta_per_spacing(self):
+        # the fig4b-tm sweep: one conductivity, 22 warnings, each at the caller
+        params = GrapheneParams.with_default_rates(0.5, 300.0)
+        omega = 2.0 * math.pi * 0.81e12
+        ds = np.linspace(5e-6, 200e-6, 40)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            betas = beta_sweep(tm_geom(), params, omega, ds)
+        assert sum(issubclass(w.category, ValidityWarning) for w in caught) == 22
+        assert {w.filename for w in caught} == {__file__}
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            ref = [overlap_beta(tm_geom(d=float(d)), params, omega) for d in ds]
+        assert len(caught) == 22 and {w.filename for w in caught} == {__file__}
+        np.testing.assert_array_equal(betas, ref)
+
     def test_background_permittivity_guard(self):
         params = GrapheneParams(mu_c=0.5, temperature=300.0, gamma_intra=1e12,
                                 gamma_inter=1e13, eps_r=2.0)
@@ -317,8 +429,8 @@ def sweep_points(name):
     ds = np.linspace(float(cfg["d_min_um"]), float(cfg["d_max_um"]), int(cfg["d_points"])) * 1e-6
     if "match_fmin_thz" in cfg:
         lo, hi = (2.0 * math.pi * float(cfg[k]) * 1e12 for k in ("match_fmin_thz", "match_fmax_thz"))
-        omegas = [matching_frequency(replace(geom, d=float(d)), params, lo, hi,
-                                     n_scan=int(cfg["match_scan_points"])) for d in ds]
+        omegas = matching_frequency(geom, params, lo, hi, ds,
+                                    n_scan=int(cfg["match_scan_points"])).tolist()
     else:
         omegas = [2.0 * math.pi * float(cfg["f_thz"]) * 1e12] * len(ds)
     return [(replace(geom, d=float(d)), params, w) for d, w in zip(ds, omegas)]
@@ -347,7 +459,8 @@ class TestClosedFormIntegrals:
         # Simpson error falls about 16x per grid doubling toward the closed form
         omega = 2.0 * math.pi * f_lo
         if f_hi is not None:
-            omega = matching_frequency(geom, params, omega, 2.0 * math.pi * f_hi, n_scan=900)
+            omega = matching_frequency(geom, params, omega, 2.0 * math.pi * f_hi, [geom.d],
+                                       n_scan=900)[0]
         sol = atr_solve(geom, params, omega)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ValidityWarning)

@@ -15,6 +15,7 @@ from conftest import (
     coherent_state,
     encode,
     ensemble_uniforms_oracle,
+    f0_oracle,
     fock_trajectory,
     kraus_completeness_residual,
     kraus_pair,
@@ -360,6 +361,12 @@ class TestEnsemble:
     def test_f0_bits_pinned(self, g, f0):
         # the seed-7 benchmark tables print F0 to the last bit
         assert _f0_analytic(make_config(g=g), SIX_CARDINAL) == f0
+
+    @pytest.mark.parametrize("beta", [1.0, 0.9877, 0.9511, 0.9, 0.5])
+    def test_f0_stack_equals_per_input_loop(self, beta):
+        # one contraction over the six inputs, bit for bit the loop over inputs
+        config = make_config(g=math.asin(beta))
+        assert _f0_analytic(config, SIX_CARDINAL) == f0_oracle(config, SIX_CARDINAL)
 
     def test_f0_partial_coupling_below_one(self):
         curve = average_fidelity(make_config(g=0.8 * math.pi / 2, n_trajectories=8,

@@ -54,6 +54,14 @@ class TestCoherentStates:
         with pytest.raises(ValueError):
             coherent_state(4.0, 10)
 
+    def test_gram_broadcasts_over_leading_axes(self, rng):
+        x = rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3))
+        y = rng.normal(size=(5, 2)) + 1j * rng.normal(size=(5, 2))
+        gram = coherent_gram(x, y)
+        assert gram.shape == (5, 3, 2)
+        for i in range(5):
+            np.testing.assert_array_equal(gram[i], coherent_gram(x[i], y[i]))
+
 
 class TestOperators:
     def test_annihilation_on_vacuum(self):
