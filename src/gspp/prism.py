@@ -106,12 +106,16 @@ def _require_vacuum_background(params: GrapheneParams) -> None:
                          "graphene (eps_r = 1)")
 
 
+# largest 2-norm condition number of an ATR boundary system that is solved
+_COND_LIMIT = 1e12
+
+
 def _atr_amplitudes(eps1: float, d: float, polarization: str, thetas, sigmas, omegas):
     """Solve the boundary systems of many (d, theta, sigma, omega) points
     as one stacked batch.  The four inputs broadcast to a common shape S;
     returns the amplitudes (r, m1, m2, t) with shape S + (4,), and kx, kz1
     and kz0 with shape S.  Raises ArithmeticError when any system's
-    condition number is above 1e12 or not finite."""
+    condition number is above _COND_LIMIT or not finite."""
     omegas = np.asarray(omegas, dtype=float)
     sigmas = np.asarray(sigmas, dtype=complex)
     k0 = omegas / CONSTANTS.c0
@@ -123,12 +127,12 @@ def _atr_amplitudes(eps1: float, d: float, polarization: str, thetas, sigmas, om
 
     shape = np.broadcast_shapes(np.shape(d), kz0.shape, sigmas.shape)
     mat = np.zeros(shape + (4, 4), dtype=complex)
-    rhs = np.zeros(shape + (4, 1), dtype=complex)
+    rhs = np.zeros(shape + (4,), dtype=complex)
     mat[..., 0, 0] = 1.0
     mat[..., 0, 1] = -u
     mat[..., 0, 2] = -1.0
     mat[..., 2, 1] = 1.0
-    rhs[..., 0, 0] = -1.0
+    rhs[..., 0] = -1.0
     if polarization == TE:
         # unknowns (r, m1, m2, t): E_y amplitudes
         smu = sigmas * CONSTANTS.mu0 * omegas
@@ -140,7 +144,7 @@ def _atr_amplitudes(eps1: float, d: float, polarization: str, thetas, sigmas, om
         mat[..., 3, 1] = -kz0
         mat[..., 3, 2] = kz0 * u
         mat[..., 3, 3] = -(kz0 + smu)
-        rhs[..., 1, 0] = -kz1
+        rhs[..., 1] = -kz1
     else:
         # unknowns (r, m1, m2, t): H_y amplitudes
         se = sigmas * kz0 / (omegas * CONSTANTS.eps0)
@@ -152,14 +156,45 @@ def _atr_amplitudes(eps1: float, d: float, polarization: str, thetas, sigmas, om
         mat[..., 3, 1] = -1.0
         mat[..., 3, 2] = -u
         mat[..., 3, 3] = 1.0 + se
-        rhs[..., 1, 0] = kz1 / eps1
+        rhs[..., 1] = kz1 / eps1
 
+    return _solve_screened(mat, rhs), kx, kz1, kz0
+
+
+def _solve_screened(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solutions of a stack of 4x4 systems mat @ x = rhs, rhs of shape
+    S + (4,).  Raises ArithmeticError when a system has non-finite entries
+    or a 2-norm condition number kappa above _COND_LIMIT.
+
+    One solve takes [rhs | I], so it returns the inverse too, and
+    kappa <= ||A||_F ||A^-1||_F screens the systems: only those whose bound
+    is not below half the limit, or all of them when the solve meets an
+    exactly singular one, get np.linalg.cond, a full SVD.  A system is
+    rejected exactly when np.linalg.cond is above the limit."""
+    if not np.all(np.isfinite(mat)):
+        raise ArithmeticError("ATR boundary system with non-finite entries "
+                              "(condition number undefined)")
+    aug = np.zeros(mat.shape[:-1] + (5,), dtype=complex)
+    aug[..., 0] = rhs
+    aug[..., 1:] = np.eye(4)
+    try:
+        sol = np.linalg.solve(mat, aug)
+    except np.linalg.LinAlgError:
+        _reject_ill_conditioned(mat)
+        raise
+    bound = np.linalg.norm(mat, axis=(-2, -1)) * np.linalg.norm(sol[..., 1:], axis=(-2, -1))
+    _reject_ill_conditioned(mat[~(bound <= 0.5 * _COND_LIMIT)])
+    return sol[..., 0]
+
+
+def _reject_ill_conditioned(mat: np.ndarray) -> None:
+    """Raise ArithmeticError, naming the first offender, when a system of
+    the stack has np.linalg.cond above _COND_LIMIT or not finite."""
     cond = np.linalg.cond(mat)
-    bad = ~np.isfinite(cond) | (cond > 1e12)
+    bad = ~np.isfinite(cond) | (cond > _COND_LIMIT)
     if np.any(bad):
         value = np.asarray(cond)[bad][0]
         raise ArithmeticError(f"singular ATR boundary system (condition number {value:.3e})")
-    return np.linalg.solve(mat, rhs)[..., 0], kx, kz1, kz0
 
 
 def atr_solve_sigma(geom: PrismGeometry, sigma: complex, omega: float) -> AtrSolution:

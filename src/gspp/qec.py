@@ -27,7 +27,11 @@ takes its decisions (which rows jump, and whether a due parity check may
 read its outcomes from the rows' known sectors) on the whole array, then
 does the row-local arithmetic (decay, renormalization, the jumped rows'
 writes and the check's renormalization) in one sweep over blocks of rows
-that stay in cache.  No bit depends on the block size.
+that stay in cache.  No bit depends on the block size.  The general
+parity projection and the recovery snapshots run over the same blocks,
+so a run holds the ensemble, the two draw bursts and O(_BLOCK) scratch;
+the snapshots' gemv keeps the whole-array bits while _BLOCK is a
+multiple of 8.
 """
 
 from __future__ import annotations
@@ -334,8 +338,12 @@ def _ensemble_uniforms(config: QecRunConfig, input_index: int, n_exc: int,
 
 # relative margin inside which a shortcut may not decide a Bernoulli draw
 _BAND = 1e-9
-# rows per block of the micro-step sweep: a (512, 45) complex block and its
-# conjugate scratch take 0.74 MB together, inside a 2 MiB L2
+# rows per block of the micro-step sweep, the parity projection and the
+# recovery snapshot: a (512, 45) complex block and its conjugate scratch
+# take 0.74 MB together, inside a 2 MiB L2.  It must stay a multiple of 8:
+# OpenBLAS's gemv takes the rows of the snapshot's overlaps in lanes of 8,
+# so blocks of 8k rows get the whole-array bits, and blocks of 2, 4, 5, 7
+# or 12 rows moved fidelities by up to 8.9e-16
 _BLOCK = 512
 # rows per burst of a draw stream, 1.3 MB at 10k trajectories: of 1, 16 and
 # 32 rows, 16 gave the lowest median wall time (3.27 s against 3.37 and
@@ -436,17 +444,26 @@ def _vec_channel_step(states, u, gamma_dt, n_vec, sqrt_n, decay2, jumps,
 
 def _vec_parity(states: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     """Projective parity measurement in place; returns the +-1 outcomes.
-    Raises on a row the projection annihilates."""
-    p_even = np.sum(np.abs(states[:, 0::2]) ** 2, axis=1)
-    outcome = np.where(uniforms < p_even, 1, -1)
-    even = (outcome > 0)[:, None]
-    np.copyto(states[:, 1::2], 0.0, where=even)
-    np.copyto(states[:, 0::2], 0.0, where=~even)
-    norms = _row_norms(states, np.empty_like(states))
-    if np.any(norms < 1e-14):
-        raise ArithmeticError("parity projection annihilated a trajectory")
-    flat = states.view(float)
-    flat *= 1.0 / norms
+    Raises on a row the projection annihilates.  p_even, the projection
+    and the renormalization are row-local, so they run over blocks of
+    _BLOCK rows with one block-sized scratch, and no bit depends on the
+    block size."""
+    nt, dim = states.shape
+    scratch = np.empty((min(_BLOCK, nt), dim), dtype=complex)
+    outcome = np.empty(nt, dtype=int)
+    for start in range(0, nt, _BLOCK):
+        rows = slice(start, start + _BLOCK)
+        block, out = states[rows], outcome[rows]
+        p_even = np.sum(np.abs(block[:, 0::2]) ** 2, axis=1)
+        out[:] = np.where(uniforms[rows] < p_even, 1, -1)
+        even = (out > 0)[:, None]
+        np.copyto(block[:, 1::2], 0.0, where=even)
+        np.copyto(block[:, 0::2], 0.0, where=~even)
+        norms = _row_norms(block, scratch[:len(block)])
+        if np.any(norms < 1e-14):
+            raise ArithmeticError("parity projection annihilated a trajectory")
+        flat = block.view(float)
+        flat *= 1.0 / norms
     return outcome
 
 
@@ -528,10 +545,13 @@ def _code_basis(a: complex, dim: int) -> dict:
 
 
 def _recovered(states: np.ndarray, parity: np.ndarray, flips: np.ndarray,
-               bases: dict) -> tuple[np.ndarray, np.ndarray]:
+               bases: dict, conj: dict, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """End-of-line correction of each row on bases, the _code_basis at the
-    decayed amplitude, given its last parity outcome and flip count;
-    returns the unnormalized recovered states and their norms.
+    decayed amplitude (conj holds its conjugate rows), given its last
+    parity outcome and flip count; returns the unnormalized recovered
+    states, written into out[0], and their norms.  out is a complex
+    (2, len(states), dim) buffer, so a run scores a block of rows at a
+    time in one reused buffer.
 
     A row whose parity indicates the erred space has its sectors swapped
     by |0L+><0L-| + |1L+><1L-| + h.c., a partial isometry only up to
@@ -540,16 +560,13 @@ def _recovered(states: np.ndarray, parity: np.ndarray, flips: np.ndarray,
     the flip count.  Components inconsistent with the record are carried
     into the wrong sector (honest infidelity) rather than dropped.
     """
-    c = {key: states @ basis.conj() for key, basis in bases.items()}
+    c = {key: states @ row for key, row in conj.items()}
     even = parity > 0
     # coefficients in the indicated parity sector and in the other one
     same = [np.where(even, c[(lg, +1)], c[(lg, -1)]) for lg in (0, 1)]
     other = [np.where(even, c[(lg, -1)], c[(lg, +1)]) for lg in (0, 1)]
     phase = (-1j) ** (flips % 4)
-    # one block for the sum and its products, which the allocator hands back
-    # from call to call; separate state-sized temporaries made it map and
-    # fault in fresh pages at every snapshot
-    vec, tmp = np.empty((2, *states.shape), dtype=complex)
+    vec, tmp = out
     # summed in place, left to right
     np.multiply(same[0][:, None], bases[(0, +1)], out=vec)
     vec += np.multiply((phase * same[1])[:, None], bases[(1, +1)], out=tmp)
@@ -595,6 +612,8 @@ def run_ensemble(config: QecRunConfig, input_logical: tuple[complex, complex],
     fid = np.empty((len(checkpoints), nt))
     cp_index = {int(s): i for i, s in enumerate(checkpoints)}
     a0 = config.alpha_excited
+    # _recovered's buffer, reused for every block of every snapshot
+    buf = np.empty((2, min(_BLOCK, nt), dim), dtype=complex)
 
     def snapshot(step_no: int, parity: np.ndarray, flips: np.ndarray):
         idx = cp_index.get(step_no)
@@ -606,13 +625,18 @@ def run_ensemble(config: QecRunConfig, input_logical: tuple[complex, complex],
         # Gram-normalized twice: a single pass moves std_err in its last digit
         for _ in range(2):
             ref_coeffs = normalize_superposition(ref_coeffs, ref_amps)
-        ref = fock_vector(ref_coeffs, ref_amps, dim)
+        ref = fock_vector(ref_coeffs, ref_amps, dim).conj()
         if not config.apply_recovery:
-            fid[idx] = np.abs(states @ ref.conj()) ** 2
+            fid[idx] = np.abs(states @ ref) ** 2
             return
-        vec, norms = _recovered(states, parity, flips, _code_basis(a_x, dim))
-        overlap = np.abs(vec @ ref.conj()) ** 2
-        fid[idx] = np.where(norms > 1e-8, overlap / np.maximum(norms, 1e-300) ** 2, 0.0)
+        bases = _code_basis(a_x, dim)
+        conj = {key: row.conj() for key, row in bases.items()}
+        for start in range(0, nt, _BLOCK):
+            rows = slice(start, min(start + _BLOCK, nt))
+            vec, norms = _recovered(states[rows], parity[rows], flips[rows], bases, conj,
+                                    buf[:, :rows.stop - start])
+            overlap = np.abs(vec @ ref) ** 2
+            fid[idx, rows] = np.where(norms > 1e-8, overlap / np.maximum(norms, 1e-300) ** 2, 0.0)
 
     jumps = _unravel(config, states, streams, schedule, snapshot=snapshot)
     return fid, jumps

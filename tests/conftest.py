@@ -5,13 +5,16 @@ pure-loss channel damp_fock, the first-order damping Kraus pair and the
 cat-code jump relations), a per-trajectory quantum-jump loop over one
 Fock vector, the ensemble streams built one Generator per trajectory
 (and the engine run on them), the complex-arithmetic ensemble micro-step
-and parity projection and the ensemble loop built on them, the interband
-conductivity quadrature with a numpy-scalar integrand, the ATR
-boundary-equation residuals, the reflectance-dip search one spacing at a
-time with scipy's golden section, the mode integrals of the quantization
-and prism-overlap layers as sampled profiles integrated by graded-grid
-Simpson quadrature, and the coherent-mixture fidelity in Python-ordered
-sums with the fidelity curves and F0 built on it one point at a time.
+and parity projection and the ensemble loop built on them, the
+whole-array float-view parity projection, run_ensemble with whole-array
+recovery scoring, the ATR solve guarded by every system's SVD condition
+number, the interband conductivity quadrature with a numpy-scalar
+integrand, the ATR boundary-equation residuals, the reflectance-dip
+search one spacing at a time with scipy's golden section, the mode
+integrals of the quantization and prism-overlap layers as sampled
+profiles integrated by graded-grid Simpson quadrature, and the
+coherent-mixture fidelity in Python-ordered sums with the fidelity curves
+and F0 built on it one point at a time.
 
 Registers a derandomized hypothesis profile, so property tests draw the
 same examples on every run."""
@@ -29,12 +32,13 @@ from scipy.optimize import minimize_scalar
 from scipy.special import expit
 
 import gspp.material
+import gspp.prism
 from gspp.dispersion import TE, wavenumber
 from gspp.material import CONSTANTS, QuadratureError, _intraband_full, conductivity
 from gspp.prism import NotResonant, _require_vacuum_background, atr_solve, critical_angle
 from gspp.channel import propagate_mixture
 from gspp.coupling import CouplerSpec, code_legs, excite_cat, excite_code, normalize_superposition
-from gspp.qec import _unravel, trajectory_rng
+from gspp.qec import _code_basis, _unravel, trajectory_rng
 from gspp.qstate import coherent_gram
 from gspp.qstate import _coherent_column, fock_vector, truncation_dimension
 from gspp.quantize import _lossless_mode, tm_parallel_amplitude
@@ -412,6 +416,89 @@ def unravel_oracle(config, states, blocks, snapshot=None):
     return jumps
 
 
+def vec_parity_oracle(states, uniforms):
+    """gspp.qec._vec_parity on the whole array at once: p_even, the
+    projection and the float-view renormalization with a state-sized
+    scratch, in place; returns the +-1 outcomes."""
+    p_even = np.sum(np.abs(states[:, 0::2]) ** 2, axis=1)
+    outcome = np.where(uniforms < p_even, 1, -1)
+    even = (outcome > 0)[:, None]
+    np.copyto(states[:, 1::2], 0.0, where=even)
+    np.copyto(states[:, 0::2], 0.0, where=~even)
+    sq = np.conjugate(states)
+    sq *= states
+    norms = np.sqrt(np.add.reduce(sq.real, axis=1, keepdims=True))
+    if np.any(norms < 1e-14):
+        raise ArithmeticError("parity projection annihilated a trajectory")
+    flat = states.view(float)
+    flat *= 1.0 / norms
+    return outcome
+
+
+def recovery_score_oracle(states, parity, flips, bases, ref):
+    """Recovered fidelity of every row against the reference row ref, on
+    the whole array at once: gspp.qec._recovered's correction on bases
+    (the _code_basis at the decayed amplitude) in one (2, n_traj, dim)
+    block, then run_ensemble's scoring; rows the recovery annihilates
+    score 0."""
+    c = {key: states @ basis.conj() for key, basis in bases.items()}
+    even = parity > 0
+    same = [np.where(even, c[(lg, +1)], c[(lg, -1)]) for lg in (0, 1)]
+    other = [np.where(even, c[(lg, -1)], c[(lg, +1)]) for lg in (0, 1)]
+    phase = (-1j) ** (flips % 4)
+    vec, tmp = np.empty((2, *states.shape), dtype=complex)
+    np.multiply(same[0][:, None], bases[(0, +1)], out=vec)
+    vec += np.multiply((phase * same[1])[:, None], bases[(1, +1)], out=tmp)
+    vec += np.multiply(other[0][:, None], bases[(0, -1)], out=tmp)
+    vec += np.multiply((phase * other[1])[:, None], bases[(1, -1)], out=tmp)
+    np.conjugate(vec, out=tmp)
+    np.multiply(tmp, vec, out=tmp)
+    norms = np.sqrt(np.add.reduce(tmp.real, axis=1))
+    overlap = np.abs(vec @ ref.conj()) ** 2
+    return np.where(norms > 1e-8, overlap / np.maximum(norms, 1e-300) ** 2, 0.0)
+
+
+def run_ensemble_oracle(config, input_logical, input_index):
+    """gspp.qec.run_ensemble with every step on the whole array:
+    unravel_oracle on ensemble_uniforms_oracle's blocks, each snapshot
+    scored by recovery_score_oracle.  Returns (fidelities, jumps)."""
+    dim = truncation_dimension(config.alpha)
+    coeffs, amps = code_legs(*input_logical, config.alpha)
+    states = np.tile(fock_vector(normalize_superposition(coeffs, amps), amps, dim),
+                     (config.n_trajectories, 1))
+    blocks = ensemble_uniforms_oracle(config, input_index, config.n_excitation_steps,
+                                      config.n_steps, int(config.check_schedule().sum()))
+    checkpoints = [int(s) for s in config.checkpoint_steps()]
+    fid = np.empty((len(checkpoints), config.n_trajectories))
+
+    def snapshot(step_no, parity, flips):
+        if step_no not in checkpoints:
+            return
+        a_x = config.alpha_excited * math.exp(-config.k0_kappa2 * step_no * config.step)
+        ref_coeffs, ref_amps = code_legs(*input_logical, a_x)
+        for _ in range(2):
+            ref_coeffs = normalize_superposition(ref_coeffs, ref_amps)
+        ref = fock_vector(ref_coeffs, ref_amps, dim)
+        fid[checkpoints.index(step_no)] = recovery_score_oracle(
+            states, parity, flips, _code_basis(a_x, dim), ref)
+
+    jumps = unravel_oracle(config, states, blocks, snapshot)
+    return fid, jumps
+
+
+def atr_guard_oracle(mat, rhs):
+    """Solutions of a stack of ATR boundary systems (rhs of shape S + (4,))
+    guarded by np.linalg.cond, a full SVD, on every system: raises
+    ArithmeticError naming the first system whose condition number is
+    above 1e12 or not finite."""
+    cond = np.linalg.cond(mat)
+    bad = ~np.isfinite(cond) | (cond > 1e12)
+    if np.any(bad):
+        value = np.asarray(cond)[bad][0]
+        raise ArithmeticError(f"singular ATR boundary system (condition number {value:.3e})")
+    return np.linalg.solve(mat, rhs[..., None])[..., 0]
+
+
 def _interband_quad_setup(params, omega):
     """abar, the occupation scales xmu = mu/kT and s = hbar*omega/(2kT),
     u_cut and the quad breakpoints of the scaled interband integrals."""
@@ -736,6 +823,20 @@ def f0_oracle(config, inputs) -> float:
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def atr_systems(monkeypatch):
+    """The (mat, rhs) stacks gspp.prism solves during the test, in order."""
+    systems = []
+    solve = gspp.prism._solve_screened
+
+    def record(mat, rhs):
+        systems.append((mat.copy(), rhs.copy()))
+        return solve(mat, rhs)
+
+    monkeypatch.setattr(gspp.prism, "_solve_screened", record)
+    return systems
 
 
 @pytest.fixture

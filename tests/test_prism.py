@@ -1,3 +1,4 @@
+import contextlib
 import math
 import warnings
 from dataclasses import replace
@@ -7,18 +8,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import gspp.prism
 from conftest import (
+    atr_guard_oracle,
     boundary_residuals,
     matching_frequency_oracle,
     overlap_beta_oracle,
     photon_norm_oracle,
 )
-from gspp.cli import load_config
+from gspp.cli import load_config, main
 from gspp.material import CONSTANTS, GrapheneParams, conductivity
 from gspp.prism import (
     NotResonant,
     _atr_amplitudes,
     _golden_dips,
+    _solve_screened,
     PrismGeometry,
     ValidityWarning,
     atr_solve,
@@ -36,6 +40,7 @@ from gspp.prism import (
 )
 
 K = CONSTANTS
+SIGMAS = gspp.prism._sigmas  # the unpatched conductivity list
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
@@ -198,27 +203,25 @@ class TestBatchedAtr:
         got = matching_frequency(geom, params, lo, hi, [geom.d], n_scan=n_scan)[0]
         assert got == ref
 
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf * complex
     @pytest.mark.parametrize("bad", [2e12, math.inf, math.nan])
-    def test_one_ill_conditioned_point_raises(self, monkeypatch, bad):
-        real_cond = np.linalg.cond
-
-        def cond_with_one_bad_point(mat):
-            cond = np.array(real_cond(mat))
-            cond.flat[cond.size // 2] = bad
-            return cond
-
-        monkeypatch.setattr(np.linalg, "cond", cond_with_one_bad_point)
+    def test_one_ill_conditioned_point_raises(self, monkeypatch, atr_systems, bad):
+        # one genuinely bad system per batch, from the sigma of one frequency
         params = GrapheneParams.with_default_rates(0.5, 300.0)
         thetas = np.radians(np.linspace(56.0, 75.0, 5))
         omegas = 2.0 * math.pi * np.linspace(0.3e12, 1.5e12, 4)
-        with pytest.raises(ArithmeticError, match="condition number"):
+        match = r"condition number (1\.[89]|2\.[01])\d*e\+12" if bad == 2e12 else "condition number"
+        map_geom = tm_geom(d=200e-6, theta_i=float(thetas[2]))
+        monkeypatch.setattr(gspp.prism, "_sigmas", sigmas_with_one_bad(map_geom, bad, atr_systems))
+        with pytest.raises(ArithmeticError, match=match):
             reflectance_map(thetas, omegas, eps1=1.5, d=200e-6, polarization="TM",
                             params=params)
-        with pytest.raises(ArithmeticError, match="condition number"):
+        monkeypatch.setattr(gspp.prism, "_sigmas", sigmas_with_one_bad(tm_geom(), bad, atr_systems))
+        with pytest.raises(ArithmeticError, match=match):
             matching_frequency(tm_geom(), params, omegas[0], omegas[-1], [50e-6], n_scan=50)
-        with pytest.raises(ArithmeticError, match="condition number"):
-            atr_solve(tm_geom(), params, omegas[0])
-
+        sigma = bad_sigma(tm_geom(), omegas[0], bad, atr_systems)
+        with pytest.raises(ArithmeticError, match=match):
+            atr_solve_sigma(tm_geom(), sigma, omegas[0])
 
     def test_d_array_matches_one_d_at_a_time(self):
         params = GrapheneParams.with_default_rates(1.24, 0.0)
@@ -233,6 +236,117 @@ class TestBatchedAtr:
             np.testing.assert_array_equal(batch[0][i], one[0])
             for got, ref in zip(batch[1:], one[1:]):
                 np.testing.assert_array_equal(got, ref)
+
+
+def pole_sigma(geom, omega, kappa, systems):
+    """A sheet conductivity next to the pole of geom's boundary system at
+    omega, where np.linalg.cond reads kappa to within 10%.  sigma enters one
+    matrix entry, and the Cramer numerator of t does not hold it, so 1/t is
+    affine in sigma and two solves place the pole; near it the condition
+    number grows as 1/|sigma - pole|.  systems is the atr_systems record."""
+    t0, t1 = (atr_solve_sigma(geom, s, omega).t for s in (0.0, 1e-3))
+    pole = 1e-3 * (1.0 / t0) / (1.0 / t0 - 1.0 / t1)
+
+    def cond_at(sigma):
+        with contextlib.suppress(ArithmeticError):
+            atr_solve_sigma(geom, sigma, omega)
+        return float(np.linalg.cond(systems[-1][0]))
+
+    step = 1e-9 * abs(pole)
+    sigma = pole + step * cond_at(pole + step) / kappa
+    assert abs(cond_at(sigma) / kappa - 1.0) < 0.1
+    return sigma
+
+
+def bad_sigma(geom, omega, bad, systems):
+    """bad itself when it is nan or inf; else a conductivity at the pole of
+    geom's system at omega, with condition number bad."""
+    return pole_sigma(geom, omega, bad, systems) if math.isfinite(bad) else complex(bad)
+
+
+def sigmas_with_one_bad(geom, bad, systems):
+    """A prism._sigmas that puts bad_sigma at the middle frequency."""
+
+    def sigmas(params, omegas):
+        out = SIGMAS(params, omegas)
+        i = len(out) // 2
+        out[i] = bad_sigma(geom, float(omegas[i]), bad, systems)
+        return out
+
+    return sigmas
+
+
+class TestConditionScreen:
+    """_solve_screened runs np.linalg.cond only on the systems its Frobenius
+    bound does not clear.  It must reject exactly the systems the full-SVD
+    guard rejects, name the same first offender, and return
+    np.linalg.solve's bits."""
+
+    @staticmethod
+    def outcome(solve, mat, rhs):
+        try:
+            return solve(mat, rhs)
+        except ArithmeticError as err:
+            return str(err)
+
+    def assert_same(self, mat, rhs):
+        """Both guards on one stack; returns the oracle's solutions or its
+        error message."""
+        got, ref = (self.outcome(solve, mat, rhs) for solve in (_solve_screened, atr_guard_oracle))
+        assert type(got) is type(ref)
+        if isinstance(ref, str):
+            assert got == ref
+        else:
+            np.testing.assert_array_equal(got, ref)
+        return ref
+
+    def test_figure_systems(self, atr_systems, tmp_path):
+        for name in ("fig6a", "fig6b", "fig6c", "fig4b-te"):
+            cfg = str(CONFIG_DIR / f"{name}.cfg")
+            argv = load_config(cfg)["command"].split()
+            assert main(argv + ["--config", cfg, "--out", str(tmp_path / f"{name}.csv")]) == 0
+        worst = max(float(np.max(np.linalg.cond(mat))) for mat, _ in atr_systems)
+        assert len(atr_systems) > 50 and 1e11 < worst < 1e12  # near the limit, all accepted
+        for mat, rhs in atr_systems:
+            assert not isinstance(self.assert_same(mat, rhs), str)
+
+    def test_synthetic_systems_near_the_limit(self):
+        # U diag(s) V with unitary U, V and s from 1 down to 1/kappa, kappa
+        # log-uniform in [1e11, 1e13], at scales from 1e-6 to 1e8
+        rng = np.random.default_rng(8)
+        n = 400
+        kappa = 10.0 ** rng.uniform(11.0, 13.0, n)
+
+        def unitary():
+            z = rng.standard_normal((n, 4, 4)) + 1j * rng.standard_normal((n, 4, 4))
+            return np.linalg.qr(z)[0]
+
+        s = np.ones((n, 4))
+        s[:, 1:3] = np.sort(kappa[:, None] ** -rng.uniform(0.0, 1.0, (n, 2)), axis=1)[:, ::-1]
+        s[:, 3] = 1.0 / kappa
+        mat = unitary() @ (s[..., None] * unitary()) * 10.0 ** rng.uniform(-6.0, 8.0, (n, 1, 1))
+        rhs = rng.standard_normal((n, 4)) + 1j * rng.standard_normal((n, 4))
+        refs = [self.assert_same(mat[i], rhs[i]) for i in range(n)]
+        rejected = np.array([isinstance(r, str) for r in refs])
+        assert 0.3 * n < rejected.sum() < 0.7 * n
+        assert isinstance(self.assert_same(mat, rhs), str)  # the same first offender
+        assert not isinstance(self.assert_same(mat[~rejected], rhs[~rejected]), str)
+
+    def test_exactly_singular_system(self):
+        mat = np.tile(np.eye(4, dtype=complex), (3, 1, 1))
+        mat[1, 2] = 0.0
+        rhs = np.ones((3, 4), dtype=complex)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(mat, rhs[..., None])
+        assert "condition number inf" in self.assert_same(mat, rhs)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_system_raises(self, bad):
+        # on the nan entry np.linalg.cond raises LinAlgError: the SVD does not converge
+        mat = np.tile(np.eye(4, dtype=complex), (3, 1, 1))
+        mat[1, 3, 3] = bad
+        with pytest.raises(ArithmeticError, match="condition number"):
+            _solve_screened(mat, np.ones((3, 4), dtype=complex))
 
 
 def fig4b_te_window():
@@ -273,19 +387,19 @@ class TestDipSearch:
         with pytest.raises(NotResonant):
             matching_frequency(geom, params, lo, hi, [5e-6, 60e-6], n_scan=n_scan)
 
-    def test_ill_conditioned_refinement_lane_raises(self, monkeypatch):
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf * complex
+    def test_ill_conditioned_refinement_lane_raises(self, monkeypatch, atr_systems):
+        # the scans are sound; one system of the first refinement batch is not
         geom, params, lo, hi, n_scan = fig4b_te_window()
-        real_cond = np.linalg.cond
-
-        def cond_bad_outside_scans(mat):
-            cond = np.array(real_cond(mat))
-            if cond.shape != (n_scan,):
-                cond.flat[cond.size // 2] = math.inf
-            return cond
-
-        monkeypatch.setattr(np.linalg, "cond", cond_bad_outside_scans)
-        with pytest.raises(ArithmeticError, match="condition number"):
-            matching_frequency(geom, params, lo, hi, [20e-6, 25e-6], n_scan=n_scan)
+        d = 25e-6
+        for bad in (2e12, math.inf, math.nan):
+            bad_one = sigmas_with_one_bad(replace(geom, d=d), bad, atr_systems)
+            monkeypatch.setattr(gspp.prism, "_sigmas", lambda p, omegas, bad_one=bad_one: (
+                SIGMAS(p, omegas) if len(omegas) == n_scan else bad_one(p, omegas)))
+            with pytest.raises(ArithmeticError, match="condition number"):
+                matching_frequency(geom, params, lo, hi, [d], n_scan=n_scan)
+        monkeypatch.setattr(gspp.prism, "_sigmas", SIGMAS)
+        assert lo < matching_frequency(geom, params, lo, hi, [d], n_scan=n_scan)[0] < hi
 
     def test_bad_bracket_raises_like_scipy(self):
         from scipy.optimize import minimize_scalar

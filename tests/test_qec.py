@@ -22,8 +22,10 @@ from conftest import (
     no_jump_norm,
     parity,
     parity_oracle,
+    run_ensemble_oracle,
     unravel_on_blocks,
     unravel_oracle,
+    vec_parity_oracle,
 )
 from gspp.channel import AMPLITUDE_MATCHED, fidelity_vs_distance
 from gspp.qec import (
@@ -281,7 +283,9 @@ def unit(vec):
 
 def recovered(state, last_parity, flips, basis):
     """_recovered on one row, normalized."""
-    vec, _ = _recovered(state[None, :], np.array([last_parity]), np.array([flips]), basis)
+    conj = {key: row.conj() for key, row in basis.items()}
+    vec, _ = _recovered(state[None, :], np.array([last_parity]), np.array([flips]), basis,
+                        conj, np.empty((2, 1, len(state)), dtype=complex))
     return unit(vec[0])
 
 
@@ -497,6 +501,22 @@ class TestVectorizedStreams:
         finally:
             tracemalloc.stop()
         assert peaks[1] <= 1.1 * peaks[0]
+
+    def test_run_peak_is_ensemble_plus_blocks(self):
+        # 10k rows on a 20-step line: the (10000, 45) ensemble is 6.9 MiB and
+        # the two draw bursts 2.4 MiB; the recovery snapshots and the parity
+        # projection add only _BLOCK-row scratch (26.9 MiB with whole-array
+        # snapshots and projection)
+        cfg = make_config(x_total=0.011, parity_p=1.0, n_trajectories=10_000)
+        assert cfg.n_steps == 20 and cfg.initial_check and cfg.apply_recovery
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            run_ensemble(cfg, SIX_CARDINAL[2], 2)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20
 
 
 class TestMicroStepOracle:
@@ -833,6 +853,55 @@ class TestBlockedSweep:
         check_u = rng.random(RAGGED) * 0.5
         check_u[row] = 1.0
         assert self.step_both(states, np.ones(RAGGED), check_u, sector) == [ArithmeticError] * 2
+
+
+class TestBlockedRecovery:
+    """run_ensemble scores each snapshot, and _vec_parity projects, in blocks
+    of _BLOCK rows.  With _BLOCK a multiple of 8 every bit must be the
+    whole-array oracles'."""
+
+    @pytest.fixture(scope="class", params=[517, 1101, RAGGED])
+    def whole_array_run(self, request):
+        # excitation loss, the initial check and checks at p = 0.6, recovery on
+        cfg = make_config(g=math.asin(0.9511), parity_p=0.6, x_total=0.05,
+                          n_trajectories=request.param)
+        assert cfg.initial_check and cfg.apply_recovery and cfg.n_excitation_steps
+        return cfg, run_ensemble_oracle(cfg, SIX_CARDINAL[4], 4)
+
+    @pytest.mark.parametrize("block", [8, 64, 512])
+    def test_fidelities_match_whole_array_oracle(self, monkeypatch, whole_array_run, block):
+        cfg, (fid_ref, jumps_ref) = whole_array_run
+        monkeypatch.setattr("gspp.qec._BLOCK", block)
+        fid, jumps = run_ensemble(cfg, SIX_CARDINAL[4], 4)
+        assert jumps_ref.sum() > 100 and np.any(fid_ref < 0.99)  # jumps and errors exercised
+        assert np.array_equal(jumps, jumps_ref)
+        assert fid.tobytes() == fid_ref.tobytes()
+
+    @pytest.mark.parametrize("block", [1, 7, 8, 64, 512])
+    @pytest.mark.parametrize("nt", [517, 1101, RAGGED])
+    def test_parity_matches_whole_array_oracle(self, monkeypatch, nt, block):
+        # row-local arithmetic: any block size gives the whole-array bits
+        rng = np.random.default_rng(nt)
+        states = TestMicroStepOracle.ensemble(rng, nt)
+        u = rng.random(nt)
+        ref = states.copy()
+        expected = vec_parity_oracle(ref, u)
+        monkeypatch.setattr("gspp.qec._BLOCK", block)
+        assert np.array_equal(_vec_parity(states, u), expected)
+        assert np.any(expected > 0) and np.any(expected < 0)
+        assert states.tobytes() == ref.tobytes()
+
+    def test_parity_annihilation_in_last_block_raises(self):
+        rng = np.random.default_rng(13)
+        states = TestMicroStepOracle.ensemble(rng, RAGGED)
+        states[-1] = 0.0
+        states[-1, 0] = 1.0  # vacuum: p_even = 1, and u = 1 measures odd
+        u = rng.random(RAGGED) * 0.5
+        u[-1] = 1.0
+        with pytest.raises(ArithmeticError):
+            vec_parity_oracle(states.copy(), u)
+        with pytest.raises(ArithmeticError):
+            _vec_parity(states, u)
 
 
 class TestOrthogonalityMonitor:
