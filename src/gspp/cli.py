@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import functools
 import math
 import os
 import sys
@@ -107,9 +108,21 @@ def _fmt(value) -> str:
     return str(value)
 
 
+@functools.cache
+def _versions() -> dict[str, str]:
+    """Python, numpy and scipy versions for the parameter echo; scipy's is
+    read from its package metadata, so echoing it does not import scipy."""
+    import platform
+    from importlib.metadata import version
+    return {"python_version": platform.python_version(),
+            "numpy_version": np.__version__, "scipy_version": version("scipy")}
+
+
 def write_csv(path: str, command: str, params: dict, columns: list[str], rows) -> None:
-    """The table at path under a '# ' parameter echo, and the same echo
-    under tool and command lines at path + '.manifest'."""
+    """The table at path under a '# ' parameter echo (params and the
+    versions of python, numpy and scipy), and the same echo under tool and
+    command lines at path + '.manifest'."""
+    params = params | _versions()
     echo = [f"{key}: {_fmt(params[key])}\n" for key in sorted(params)]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# gspp {__version__}\n")

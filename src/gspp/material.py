@@ -16,8 +16,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import constants as _const
-from scipy.integrate import quad
+
+
+def quad(*args, **kwargs):
+    """scipy.integrate.quad, imported at the first call: only the
+    finite-temperature interband integral needs it, and the scipy import
+    costs more than the rest of gspp's start-up."""
+    from scipy.integrate import quad as scipy_quad
+    return scipy_quad(*args, **kwargs)
 
 
 class QuadratureError(RuntimeError):
@@ -35,17 +41,23 @@ class LogSingularityError(ValueError):
     are meaningless at the singular point."""
 
 
+_MU0 = 1.25663706127e-06  # vacuum permeability, N/A^2
+_C0 = 299792458.0  # speed of light, m/s
+
+
 @dataclass(frozen=True)
 class PhysicalConstants:
-    """SI constants used throughout (CODATA values from scipy; eps0 is
-    derived from mu0 and c0 so that c0^2*eps0*mu0 = 1 holds exactly)."""
+    """SI constants used throughout (CODATA 2022, as literals: e, kB and c0
+    are exact in the SI, hbar is h/(2*pi) with h exact, mu0 is measured;
+    eps0 is derived from mu0 and c0 so that c0^2*eps0*mu0 = 1 holds
+    exactly)."""
 
-    e: float = _const.e
-    hbar: float = _const.hbar
-    kB: float = _const.k
-    eps0: float = 1.0 / (_const.mu_0 * _const.c**2)
-    mu0: float = _const.mu_0
-    c0: float = _const.c
+    e: float = 1.602176634e-19
+    hbar: float = 1.0545718176461565e-34
+    kB: float = 1.380649e-23
+    eps0: float = 1.0 / (_MU0 * _C0**2)
+    mu0: float = _MU0
+    c0: float = _C0
 
     def __post_init__(self):
         for name in ("e", "hbar", "kB", "eps0", "mu0", "c0"):

@@ -310,6 +310,17 @@ def test_manifest_is_the_header_echo(tmp_path, argv, command):
         assert_manifest_echoes_header(ortho, "qec orthogonality")
 
 
+def test_header_echoes_runtime_versions(tmp_path):
+    import platform
+    import scipy
+    out = tmp_path / "p.csv"
+    assert main(["propagate", "--beta-list", "1", "--points", "2", "--out", str(out)]) == 0
+    echo = [ln[2:] for ln in out.read_text().splitlines() if ln.startswith("# ")]
+    for line in (f"python_version: {platform.python_version()}",
+                 f"numpy_version: {np.__version__}", f"scipy_version: {scipy.__version__}"):
+        assert line in echo
+
+
 class TestConfigFiles:
     def test_all_checked_in_configs_parse(self):
         for cfg in sorted(CONFIG_DIR.glob("*.cfg")):

@@ -32,6 +32,16 @@ def ev_to_omega(hw_ev: float) -> float:
     return hw_ev * EV / HBAR
 
 
+def test_constants_are_scipy_codata():
+    # the literals are the CODATA 2022 values scipy.constants ships; eps0 is
+    # derived from mu0 and c0 as 1/(mu0 c0^2)
+    from scipy import constants as codata
+    k = CONSTANTS
+    assert (k.e, k.hbar, k.kB, k.mu0, k.c0) == (
+        codata.e, codata.hbar, codata.k, codata.mu_0, codata.c)
+    assert k.eps0 == 1.0 / (codata.mu_0 * codata.c**2)
+
+
 def test_sigma_min_value():
     assert sigma_min() == pytest.approx(6.085e-5, rel=1e-3)
     # pi e^2/(2h) is the same number as e^2/(4 hbar)
