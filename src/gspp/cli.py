@@ -49,6 +49,12 @@ from .prism import (
 from .qec import QecRunConfig, average_fidelity, orthogonality_monitor
 
 WORKERS_ENV = "GSPP_WORKERS"
+# what each command line's set_defaults stores besides its options
+ROUTING = ("func", "parser", "command")
+# parse values the parameter echo leaves out: the routing, the files, and
+# options it echoes as what they set (the scattering times as rates, qec's
+# --beta as the coupling angle g)
+NOT_ECHOED = ROUTING + ("config", "out", "ortho_out", "tau_intra_ps", "tau_inter_ps", "beta")
 
 
 # ---------------------------------------------------------------------------
@@ -71,24 +77,27 @@ def load_config(path: str) -> dict[str, str]:
     return values
 
 
-def config_defaults(path: str, sub: argparse.ArgumentParser, command: str) -> dict:
-    """Config values keyed by option destination, for sub.set_defaults().
+def config_defaults(path: str, args) -> dict:
+    """Config values keyed by option destination, for args.parser.set_defaults().
 
-    argparse runs each string through its option's type when it parses,
-    and a flag given on the command line beats its default, so explicit
-    flags win over the config file.  Switches take true/false words.  A
-    config's command key, when present, must name the invoked command.
+    args is a first parse of the command line: its options are the valid
+    keys, and those holding a bool are switches, which take true/false
+    words.  argparse runs each other string through its option's type when
+    it parses, and a flag given on the command line beats its default, so
+    explicit flags win over the config file.  A config's command key, when
+    present, must name the invoked command.
     """
-    actions = {a.dest: a for a in sub._actions if a.dest not in ("help", "config")}
+    options = {key: value for key, value in vars(args).items()
+               if key not in ROUTING + ("config",)}
     defaults = {}
     for key, raw in load_config(path).items():
         if key == "command":
-            if raw.split() != command.split():
-                raise ValueError(f"{path} is a config for {raw!r}, not {command!r}")
+            if raw.split() != args.command.split():
+                raise ValueError(f"{path} is a config for {raw!r}, not {args.command!r}")
             continue
-        if key not in actions:
+        if key not in options:
             raise ValueError(f"unknown config key {key!r}")
-        if isinstance(actions[key].const, bool):
+        if isinstance(options[key], bool):
             word = raw.lower()
             if word not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
                 raise ValueError(f"config key {key!r} needs true or false, not {raw!r}")
@@ -121,7 +130,9 @@ def _versions() -> dict[str, str]:
 def write_csv(path: str, command: str, params: dict, columns: list[str], rows) -> None:
     """The table at path under a '# ' parameter echo (params and the
     versions of python, numpy and scipy), and the same echo under tool and
-    command lines at path + '.manifest'."""
+    command lines at path + '.manifest'; neither file is written unless
+    both can be."""
+    require_writable(path)
     params = params | _versions()
     echo = [f"{key}: {_fmt(params[key])}\n" for key in sorted(params)]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -136,13 +147,15 @@ def write_csv(path: str, command: str, params: dict, columns: list[str], rows) -
 
 
 def require_writable(path: str) -> None:
-    """Raise an OSError naming path when it cannot be written, without
-    creating it: for a run that writes its files only at the end."""
+    """Raise an OSError naming path or its manifest when either cannot be
+    written, without creating them."""
     folder = os.path.dirname(path) or "."
     if not os.path.isdir(folder):
         raise FileNotFoundError(errno.ENOENT, "no such directory", path)
-    if os.path.isdir(path) or not os.access(path if os.path.exists(path) else folder, os.W_OK):
-        raise PermissionError(errno.EACCES, "cannot write", path)
+    for target in (path, path + ".manifest"):
+        if os.path.isdir(target) or not os.access(
+                target if os.path.exists(target) else folder, os.W_OK):
+            raise PermissionError(errno.EACCES, "cannot write", target)
 
 
 def float_list(flag: str, text: str) -> list[float]:
@@ -177,9 +190,11 @@ def worker_count(flag: int | None) -> int:
 
 
 # ---------------------------------------------------------------------------
-# shared option groups
+# shared option groups and the parameter echo
 
-def add_material_options(sub: argparse.ArgumentParser) -> None:
+def add_material_options(sub: argparse.ArgumentParser, background: bool) -> None:
+    """The sheet's options, and --eps-r where the command uses a background
+    permittivity (sigma is the sheet's alone; prism needs vacuum)."""
     sub.add_argument("--mu-c-ev", type=float, default=0.5,
                      help="chemical potential (eV)")
     sub.add_argument("--temperature-k", type=float, default=300.0)
@@ -187,7 +202,8 @@ def add_material_options(sub: argparse.ArgumentParser) -> None:
                      help="intraband scattering time (ps); default 0.35 at"
                           " room temperature, 5 below 150 K")
     sub.add_argument("--tau-inter-ps", type=float, default=0.0658)
-    sub.add_argument("--eps-r", type=float, default=1.0)
+    if background:
+        sub.add_argument("--eps-r", type=float, default=1.0)
     sub.add_argument("--n-layers", type=int, default=1)
     sub.add_argument("--sigma-model", choices=("auto", "full", "low"), default="auto")
 
@@ -205,22 +221,27 @@ def material_from_args(args) -> GrapheneParams:
         temperature=args.temperature_k,
         gamma_intra=1.0 / tau_intra,
         gamma_inter=1.0 / (args.tau_inter_ps * 1e-12),
-        eps_r=args.eps_r,
+        eps_r=getattr(args, "eps_r", 1.0),
         n_layers=args.n_layers,
         conductivity_model=args.sigma_model,
     )
 
 
-def material_echo(params: GrapheneParams) -> dict:
-    return {
-        "mu_c_ev": params.mu_c,
-        "temperature_k": params.temperature,
-        "gamma_intra_rad_s": params.gamma_intra,
-        "gamma_inter_rad_s": params.gamma_inter,
-        "eps_r": params.eps_r,
-        "n_layers": params.n_layers,
-        "sigma_model": params.conductivity_model,
-    }
+def parameter_echo(args, params: GrapheneParams | None = None, **derived) -> dict:
+    """The parsed options of args but NOT_ECHOED, then the material
+    parameters params sets, then the command's derived values."""
+    echo = {key: value for key, value in vars(args).items() if key not in NOT_ECHOED}
+    if params is not None:
+        echo |= {
+            "mu_c_ev": params.mu_c,
+            "temperature_k": params.temperature,
+            "gamma_intra_rad_s": params.gamma_intra,
+            "gamma_inter_rad_s": params.gamma_inter,
+            "eps_r": params.eps_r,
+            "n_layers": params.n_layers,
+            "sigma_model": params.conductivity_model,
+        }
+    return echo | derived
 
 
 def frequency_grid(fmin_thz: float, fmax_thz: float, points: int,
@@ -247,9 +268,7 @@ def cmd_sigma(args) -> int:
     for f in freqs:
         sig = conductivity(params, 2.0 * math.pi * f).value
         rows.append((f, sig.real, sig.imag, sig.real / smin, sig.imag / smin))
-    echo = material_echo(params) | {"fmin_thz": args.fmin_thz, "fmax_thz": args.fmax_thz,
-                                    "points": args.points, "log_spacing": args.log_spacing}
-    write_csv(args.out, "sigma", echo,
+    write_csv(args.out, args.command, parameter_echo(args, params),
               ["freq_hz", "sigma_re_S", "sigma_im_S", "sigma_re_over_min",
                "sigma_im_over_min"], rows)
     return 0
@@ -269,9 +288,7 @@ def cmd_dispersion(args) -> int:
                 lam_eff = l_prop = math.nan
             rows.append((f, pol, int(mode.supported), mode.kappa.real, mode.kappa.imag,
                          mode.q0.real, mode.v_g, lam_eff, l_prop))
-    echo = material_echo(params) | {"fmin_thz": args.fmin_thz, "fmax_thz": args.fmax_thz,
-                                    "points": args.points, "log_spacing": args.log_spacing}
-    write_csv(args.out, "dispersion", echo,
+    write_csv(args.out, args.command, parameter_echo(args, params),
               ["freq_hz", "pol", "supported", "kappa_re", "kappa_im", "q0_re_per_m",
                "vg_m_s", "lambda_eff_m", "L_prop_m"], rows)
     return 0
@@ -279,7 +296,7 @@ def cmd_dispersion(args) -> int:
 
 def cmd_prism(args) -> int:
     params = material_from_args(args)
-    if args.mode == "reflectance-map":
+    if args.command == "prism reflectance-map":
         if args.theta_points < 1:
             raise ValueError("need at least one angle point")
         thetas = np.radians(np.linspace(args.theta_min_deg, args.theta_max_deg,
@@ -292,12 +309,8 @@ def cmd_prism(args) -> int:
         for i, w in enumerate(omegas):
             for j, th in enumerate(thetas):
                 rows.append((w / (2.0 * math.pi), math.degrees(th), grid[i, j]))
-        echo = material_echo(params) | {
-            "eps1": args.eps1, "d_um": args.d_um, "pol": args.pol,
-            "theta_min_deg": args.theta_min_deg, "theta_max_deg": args.theta_max_deg,
-            "theta_points": args.theta_points, "fmin_thz": args.fmin_thz,
-            "fmax_thz": args.fmax_thz, "freq_points": args.freq_points}
-        write_csv(args.out, "prism reflectance-map", echo, ["freq_hz", "theta_deg", "R"], rows)
+        write_csv(args.out, args.command, parameter_echo(args, params),
+                  ["freq_hz", "theta_deg", "R"], rows)
         return 0
 
     # beta-sweep
@@ -323,14 +336,9 @@ def cmd_prism(args) -> int:
         b = betas[i]
         g = coupling_from_beta(b)
         rows.append((d, abs(b), math.atan2(b.imag, b.real), abs(g)))
-    echo = material_echo(params) | {
-        "eps1": args.eps1, "theta_deg": args.theta_deg, "pol": args.pol,
-        "f_thz": args.f_thz, "d_min_um": args.d_min_um, "d_max_um": args.d_max_um,
-        "d_points": args.d_points, "match_fmin_thz": args.match_fmin_thz,
-        "match_fmax_thz": args.match_fmax_thz, "match_scan_points": args.match_scan_points,
-        "dip_refined": matched,
-        "max_beta_abs": float(np.abs(betas).max())}
-    write_csv(args.out, "prism beta-sweep", echo, ["d_m", "beta_abs", "beta_arg", "g_abs"], rows)
+    echo = parameter_echo(args, params, dip_refined=matched,
+                          max_beta_abs=float(np.abs(betas).max()))
+    write_csv(args.out, args.command, echo, ["d_m", "beta_abs", "beta_arg", "g_abs"], rows)
     return 0
 
 
@@ -348,9 +356,8 @@ def cmd_propagate(args) -> int:
         f_match = fidelity_vs_distance(args.alpha, g, x, 1.0, reference=AMPLITUDE_MATCHED)
         for xi, fi, fm in zip(x, f_init, f_match):
             rows.append((beta, xi, fi, fm))
-    echo = {"alpha": args.alpha, "beta_list": args.beta_list,
-            "xi_max": args.xi_max, "points": args.points}
-    write_csv(args.out, "propagate", echo, ["beta", "k0kappa2_x", "F_initial", "F_matched"], rows)
+    write_csv(args.out, args.command, parameter_echo(args),
+              ["beta", "k0kappa2_x", "F_initial", "F_matched"], rows)
     return 0
 
 
@@ -362,9 +369,13 @@ def cmd_qec(args) -> int:
         raise ValueError(f"--lambda0-nm must be > 0, got {args.lambda0_nm}")
     if not abs(args.beta) <= 1.0:
         raise ValueError(f"--beta must lie in [-1, 1], got {args.beta}")
-    for path in (args.out, args.ortho_out):
-        if path:
-            require_writable(path)
+    outputs = [path for path in (args.out, args.ortho_out) if path]
+    for path in outputs:
+        require_writable(path)
+    files = {os.path.realpath(path + ext) for path in outputs for ext in ("", ".manifest")}
+    if len(files) < 2 * len(outputs):
+        raise ValueError(f"--ortho-out {args.ortho_out!r} and --out {args.out!r}"
+                         " would write the same file")
     g = math.asin(args.beta)
     omega = 2.0 * math.pi * CONSTANTS.c0 / (args.lambda0_nm * 1e-9)
     mode = solve_mode(params, conductivity(params, omega), args.pol)
@@ -383,14 +394,9 @@ def cmd_qec(args) -> int:
         curve = average_fidelity(cfg, workers=workers)
         for xi, fb, se in zip(curve.x, curve.f_bar, curve.std_err):
             rows.append((xi / lam_eff, p, fb, se, curve.f0))
-    echo = material_echo(params) | {
-        "alpha": args.alpha, "g": g, "lambda0_nm": args.lambda0_nm, "pol": args.pol,
-        "k0_kappa2_per_m": k0_kappa2, "lambda_eff_m": lam_eff,
-        "k0kappa2x_max": args.k0kappa2x_max, "p_list": args.p_list,
-        "trajectories": args.trajectories, "seed": args.seed,
-        "input_set": cfg.input_set, "checkpoints": args.checkpoints,
-        "f0": curve.f0, "workers": workers}
-    write_csv(args.out, "qec", echo, ["x_over_leff", "p", "F_bar", "std_err", "F0"], rows)
+    echo = parameter_echo(args, params, g=g, k0_kappa2_per_m=k0_kappa2, lambda_eff_m=lam_eff,
+                          input_set=cfg.input_set, f0=curve.f0, workers=workers)
+    write_csv(args.out, args.command, echo, ["x_over_leff", "p", "F_bar", "std_err", "F0"], rows)
 
     if args.ortho_out:
         # the report reads only alpha, g, k0*kappa'' and x_total, which every p shares
@@ -409,64 +415,64 @@ def build_parser() -> argparse.ArgumentParser:
         prog="gspp",
         description="Graphene surface-plasmon quantum transfer simulator")
     parser.add_argument("--version", action="version", version=f"gspp {__version__}")
-    subs = parser.add_subparsers(dest="command", required=True)
+    subs = parser.add_subparsers(required=True)
 
-    def common(sub):
+    def command(group, name: str, func, text: str, line: str = "") -> argparse.ArgumentParser:
+        """A command line's parser; it and its line (name unless given)
+        are stored in the parse, for --config and the manifest."""
+        sub = group.add_parser(name, help=text)
         sub.add_argument("--config", type=str, default=None,
                          help="key = value config file; flags override")
         sub.add_argument("--out", type=str, required=False, default=None)
+        sub.set_defaults(func=func, parser=sub, command=line or name)
+        return sub
 
     for name, func, text in (("sigma", cmd_sigma, "sheet conductivity sweep"),
                              ("dispersion", cmd_dispersion, "surface-wave dispersion sweep")):
-        sweep = subs.add_parser(name, help=text)
-        common(sweep)
-        add_material_options(sweep)
+        sweep = command(subs, name, func, text)
+        add_material_options(sweep, background=name == "dispersion")
         sweep.add_argument("--fmin-thz", type=float, default=0.1)
         sweep.add_argument("--fmax-thz", type=float, default=1000.0)
         sweep.add_argument("--points", type=int, default=400)
         sweep.add_argument("--log-spacing", action="store_true", default=True)
         sweep.add_argument("--linear-spacing", dest="log_spacing", action="store_false")
-        sweep.set_defaults(func=func)
 
-    prism = subs.add_parser("prism", help="prism-coupling studies")
-    common(prism)
-    add_material_options(prism)
-    prism.add_argument("mode", choices=("reflectance-map", "beta-sweep"))
-    prism.add_argument("--eps1", type=float, default=1.5)
-    prism.add_argument("--pol", choices=(TM, TE), default=TM)
-    prism.add_argument("--d-um", type=float, default=0.62,
-                       help="spacing for the reflectance map (um)")
-    prism.add_argument("--theta-min-deg", type=float, default=50.0)
-    prism.add_argument("--theta-max-deg", type=float, default=80.0)
-    prism.add_argument("--theta-points", type=int, default=60)
-    prism.add_argument("--fmin-thz", type=float, default=500.0)
-    prism.add_argument("--fmax-thz", type=float, default=700.0)
-    prism.add_argument("--freq-points", type=int, default=60)
-    prism.add_argument("--theta-deg", type=float, default=64.0,
-                       help="incidence angle for the beta sweep")
-    prism.add_argument("--f-thz", type=float, default=0.81)
-    prism.add_argument("--d-min-um", type=float, default=5.0)
-    prism.add_argument("--d-max-um", type=float, default=200.0)
-    prism.add_argument("--d-points", type=int, default=40)
-    prism.add_argument("--match-fmin-thz", type=float, default=None,
-                       help="refine the evaluation frequency to the "
-                            "reflectance dip inside this window")
-    prism.add_argument("--match-fmax-thz", type=float, default=None)
-    prism.add_argument("--match-scan-points", type=int, default=900)
-    prism.set_defaults(func=cmd_prism)
+    modes = subs.add_parser("prism", help="prism-coupling studies").add_subparsers(required=True)
+    rmap = command(modes, "reflectance-map", cmd_prism,
+                   "reflectance over incidence angle and frequency", "prism reflectance-map")
+    bsweep = command(modes, "beta-sweep", cmd_prism,
+                     "transmission amplitude over prism-graphene spacing", "prism beta-sweep")
+    for sub in (rmap, bsweep):
+        add_material_options(sub, background=False)
+        sub.add_argument("--eps1", type=float, default=1.5)
+        sub.add_argument("--pol", choices=(TM, TE), default=TM)
+    rmap.add_argument("--d-um", type=float, default=0.62, help="prism-graphene spacing (um)")
+    rmap.add_argument("--theta-min-deg", type=float, default=50.0)
+    rmap.add_argument("--theta-max-deg", type=float, default=80.0)
+    rmap.add_argument("--theta-points", type=int, default=60)
+    rmap.add_argument("--fmin-thz", type=float, default=500.0)
+    rmap.add_argument("--fmax-thz", type=float, default=700.0)
+    rmap.add_argument("--freq-points", type=int, default=60)
+    bsweep.add_argument("--theta-deg", type=float, default=64.0, help="incidence angle (deg)")
+    bsweep.add_argument("--f-thz", type=float, default=0.81)
+    bsweep.add_argument("--d-min-um", type=float, default=5.0)
+    bsweep.add_argument("--d-max-um", type=float, default=200.0)
+    bsweep.add_argument("--d-points", type=int, default=40)
+    bsweep.add_argument("--match-fmin-thz", type=float, default=None,
+                        help="refine the evaluation frequency to the "
+                             "reflectance dip inside this window")
+    bsweep.add_argument("--match-fmax-thz", type=float, default=None)
+    bsweep.add_argument("--match-scan-points", type=int, default=900)
 
-    prop = subs.add_parser("propagate", help="lossy-propagation fidelity curves")
-    common(prop)
+    prop = command(subs, "propagate", cmd_propagate, "lossy-propagation fidelity curves")
     prop.add_argument("--alpha", type=float, default=3.0)
     prop.add_argument("--beta-list", type=str, default="1,0.98,0.95,0.9,0.8")
     prop.add_argument("--xi-max", type=float, default=3.0,
                       help="maximum k0*kappa''*x")
     prop.add_argument("--points", type=int, default=200)
-    prop.set_defaults(func=cmd_propagate)
 
-    qec = subs.add_parser("qec", help="error-corrected propagation ensembles")
-    common(qec)
-    add_material_options(qec)
+    qec = command(subs, "qec", cmd_qec, "error-corrected propagation ensembles")
+    add_material_options(qec, background=True)
     qec.add_argument("--alpha", type=float, default=3.0)
     qec.add_argument("--beta", type=float, default=1.0,
                      help="transmission amplitude; the coupling angle is g = asin(beta)")
@@ -480,14 +486,8 @@ def build_parser() -> argparse.ArgumentParser:
     qec.add_argument("--ortho-out", type=str, default=None)
     qec.add_argument("--workers", type=int, default=None,
                      help=f"parallel workers (or ${WORKERS_ENV})")
-    qec.set_defaults(func=cmd_qec)
 
     return parser
-
-
-def _subparser_for(parser: argparse.ArgumentParser, command: str) -> argparse.ArgumentParser:
-    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return subs.choices[command]
 
 
 def require_finite(args) -> None:
@@ -503,9 +503,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.config:
-            sub = _subparser_for(parser, args.command)
-            command = f"prism {args.mode}" if args.command == "prism" else args.command
-            sub.set_defaults(**config_defaults(args.config, sub, command))
+            args.parser.set_defaults(**config_defaults(args.config, args))
             args = parser.parse_args(argv)
         require_finite(args)
         if args.out is None:

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gspp.cli import _subparser_for, build_parser, config_defaults, load_config, main
+from gspp.cli import build_parser, config_defaults, load_config, main
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = ROOT / "configs"
@@ -21,13 +21,22 @@ def read_rows(path: Path):
     return header, rows
 
 
-def assert_manifest_echoes_header(path: Path, command: str):
+MATERIAL_ECHO = ["eps_r", "gamma_inter_rad_s", "gamma_intra_rad_s", "mu_c_ev", "n_layers",
+                 "sigma_model", "temperature_k"]
+QEC_ECHO = MATERIAL_ECHO + ["alpha", "checkpoints", "f0", "g", "input_set", "k0_kappa2_per_m",
+                            "k0kappa2x_max", "lambda0_nm", "lambda_eff_m", "p_list", "pol", "seed",
+                            "trajectories", "workers"]
+
+
+def assert_manifest_echoes_header(path: Path, command: str, keys: list[str]):
     """The manifest is the CSV's comment header without '# ', under tool
-    and command lines."""
+    and command lines; the header echoes keys and the runtime versions."""
     header = [ln[2:] for ln in path.read_text().splitlines() if ln.startswith("# ")]
     manifest = Path(f"{path}.manifest").read_text().splitlines()
     assert manifest[:2] == ["tool: " + header[0], f"command: {command}"]
     assert manifest[2:] == header[1:]
+    versions = ["numpy_version", "python_version", "scipy_version"]
+    assert [ln.split(":")[0] for ln in header[1:]] == sorted(keys + versions)
 
 
 class TestSigmaCommand:
@@ -290,24 +299,34 @@ class TestQecCommand:
         assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("argv, command", [
-    (["sigma", "--points", "3"], "sigma"),
-    (["dispersion", "--points", "2"], "dispersion"),
+@pytest.mark.parametrize("argv, command, keys", [
+    (["sigma", "--points", "3"], "sigma",
+     MATERIAL_ECHO + ["fmax_thz", "fmin_thz", "log_spacing", "points"]),
+    (["dispersion", "--points", "2"], "dispersion",
+     MATERIAL_ECHO + ["fmax_thz", "fmin_thz", "log_spacing", "points"]),
     (["prism", "reflectance-map", "--theta-points", "2", "--freq-points", "2"],
-     "prism reflectance-map"),
+     "prism reflectance-map",
+     MATERIAL_ECHO + ["d_um", "eps1", "fmax_thz", "fmin_thz", "freq_points", "pol",
+                      "theta_max_deg", "theta_min_deg", "theta_points"]),
     (["prism", "beta-sweep", "--d-min-um", "40", "--d-max-um", "70", "--d-points", "2"],
-     "prism beta-sweep"),
-    (["propagate", "--beta-list", "1", "--points", "3"], "propagate"),
-    (QEC_SMALL + ["--trajectories", "4", "--checkpoints", "2"], "qec"),
+     "prism beta-sweep",
+     MATERIAL_ECHO + ["d_max_um", "d_min_um", "d_points", "dip_refined", "eps1", "f_thz",
+                      "match_fmax_thz", "match_fmin_thz", "match_scan_points", "max_beta_abs",
+                      "pol", "theta_deg"]),
+    (["propagate", "--beta-list", "1", "--points", "3"], "propagate",
+     ["alpha", "beta_list", "points", "xi_max"]),
+    (QEC_SMALL + ["--trajectories", "4", "--checkpoints", "2"], "qec", QEC_ECHO),
 ])
-def test_manifest_is_the_header_echo(tmp_path, argv, command):
+def test_manifest_is_the_header_echo(tmp_path, argv, command, keys):
+    # the keys are pinned, so a new option changes a header only on purpose
     out, ortho = tmp_path / "t.csv", tmp_path / "ortho.csv"
     if command == "qec":
         argv = argv + ["--ortho-out", str(ortho)]
     assert main(argv + ["--out", str(out)]) == 0
-    assert_manifest_echoes_header(out, command)
+    assert_manifest_echoes_header(out, command, keys)
     if command == "qec":
-        assert_manifest_echoes_header(ortho, "qec orthogonality")
+        assert_manifest_echoes_header(ortho, "qec orthogonality",
+                                      keys + ["max_overlap", "violated"])
 
 
 def test_header_echoes_runtime_versions(tmp_path):
@@ -332,11 +351,11 @@ class TestConfigFiles:
         # every key must be an option of the command the config names, and
         # every value must pass that option's type
         words = load_config(str(cfg))["command"].split()
+        argv = words + ["--seed", "0"] * (words[0] == "qec")
         parser = build_parser()
-        sub = _subparser_for(parser, words[0])
-        sub.set_defaults(**config_defaults(str(cfg), sub, " ".join(words)))
-        args = parser.parse_args(words + ["--seed", "0"] * (words[0] == "qec"))
-        assert args.command == words[0]
+        first = parser.parse_args(argv)
+        first.parser.set_defaults(**config_defaults(str(cfg), first))
+        assert parser.parse_args(argv).command == " ".join(words)
 
     @pytest.mark.parametrize("argv, invoked, config, named", [
         (["dispersion"], "dispersion", "fig2a", "sigma"),
@@ -400,6 +419,13 @@ class TestConfigFiles:
 class TestFileErrors:
     # each used to end in a traceback with exit code 1
 
+    @pytest.fixture
+    def no_ensemble(self, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("an ensemble ran")
+
+        monkeypatch.setattr("gspp.cli.average_fidelity", no_run)
+
     def test_missing_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "absent.cfg"
         assert main(["sigma", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
@@ -411,12 +437,8 @@ class TestFileErrors:
         assert main(["sigma", "--points", "3", "--out", str(out)]) == 2
         assert str(out) in capsys.readouterr().err
 
-    def test_unwritable_ortho_out(self, tmp_path, capsys, monkeypatch):
+    def test_unwritable_ortho_out(self, tmp_path, capsys, no_ensemble):
         # both paths are checked before any ensemble runs
-        def no_run(*args, **kwargs):
-            raise AssertionError("an ensemble ran")
-
-        monkeypatch.setattr("gspp.cli.average_fidelity", no_run)
         ortho = tmp_path / "absent" / "ortho.csv"
         argv = QEC_SMALL + ["--trajectories", "4", "--checkpoints", "2",
                             "--out", str(tmp_path / "q.csv"), "--ortho-out", str(ortho)]
@@ -424,6 +446,34 @@ class TestFileErrors:
         assert str(ortho) in capsys.readouterr().err
         assert not (tmp_path / "q.csv").exists()
         assert not (tmp_path / "q.csv.manifest").exists()
+
+    @pytest.mark.parametrize("argv, blocked", [
+        (["sigma", "--points", "3"], "t.csv.manifest"),
+        (["propagate", "--beta-list", "1", "--points", "3"], "t.csv.manifest"),
+        (QEC_SMALL + ["--trajectories", "4"], "t.csv.manifest"),
+        (QEC_SMALL + ["--trajectories", "4", "--ortho-out", "o.csv"], "o.csv.manifest"),
+    ])
+    def test_unwritable_manifest(self, tmp_path, capsys, monkeypatch, no_ensemble, argv,
+                                 blocked):
+        # the table used to be written before its manifest failed; qec
+        # checked only the tables before it ran every ensemble
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / blocked).mkdir()
+        assert main(argv + ["--out", "t.csv"]) == 2
+        assert [path.name for path in tmp_path.iterdir()] == [blocked]
+        assert blocked in capsys.readouterr().err
+
+    @pytest.mark.parametrize("ortho", ["q.csv", "./q.csv", "sub/../q.csv", "q.csv.manifest"])
+    def test_ortho_out_on_out_rejected(self, tmp_path, capsys, monkeypatch, no_ensemble, ortho):
+        # --ortho-out q.csv used to exit 0 with q.csv holding only the
+        # orthogonality table
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        argv = QEC_SMALL + ["--trajectories", "4", "--out", str(tmp_path / "q.csv"),
+                            "--ortho-out", ortho]
+        assert main(argv) == 2
+        assert [path.name for path in tmp_path.iterdir()] == ["sub"]
+        assert "would write the same file" in capsys.readouterr().err
 
 
 class TestUsageErrors:
@@ -481,7 +531,7 @@ class TestUsageErrors:
         ["sigma", "--points", "3", "--fmin-thz", "nan"],
         ["sigma", "--points", "3", "--temperature-k", "nan"],
         ["sigma", "--points", "3", "--mu-c-ev", "nan"],
-        ["sigma", "--points", "3", "--eps-r", "nan"],
+        ["dispersion", "--points", "3", "--eps-r", "nan"],
         ["prism", "reflectance-map", "--theta-points", "2", "--freq-points", "2", "--d-um", "nan"],
         QEC_SMALL + ["--trajectories", "4", "--alpha", "inf"],
         QEC_SMALL + ["--trajectories", "4", "--alpha", "nan"],
@@ -559,3 +609,46 @@ class TestUsageErrors:
         argv = QEC_SMALL + ["--trajectories", "1", "--checkpoints", "2", "--out", str(out)]
         assert main(argv) == 2
         assert not out.exists()
+
+
+class TestOptionsOfEachCommandLine:
+    # each command line takes only the options its table uses; these used to
+    # run, writing the table without the option or echoing an eps_r it ignored
+    MAP = ["prism", "reflectance-map", "--theta-points", "2", "--freq-points", "2"]
+    SWEEP = ["prism", "beta-sweep", "--d-min-um", "40", "--d-max-um", "70", "--d-points", "2"]
+
+    @pytest.mark.parametrize("argv", [
+        ["prism", "reflectance-map", "--config", str(CONFIG_DIR / "fig6a.cfg"),
+         "--theta-deg", "10"],
+        MAP + ["--d-points", "0"],
+        MAP + ["--f-thz", "1"],
+        MAP + ["--match-fmin-thz", "0.5", "--match-fmax-thz", "1"],
+        SWEEP + ["--d-um", "200"],
+        SWEEP + ["--theta-min-deg", "50"],
+        SWEEP + ["--freq-points", "3"],
+        ["sigma", "--points", "3", "--eps-r", "4"],
+        MAP + ["--eps-r", "1"],
+        SWEEP + ["--eps-r", "1"],
+    ])
+    def test_option_of_another_command_line_rejected(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path / "t.csv")])
+        assert exc.value.code == 2
+        assert not list(tmp_path.iterdir())
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, config, key", [
+        (["prism", "reflectance-map"], "fig6a", "d_points"),
+        (["prism", "reflectance-map"], "fig6a", "theta_deg"),
+        (["prism", "beta-sweep"], "fig4b-tm", "d_um"),
+        (["prism", "beta-sweep"], "fig4b-tm", "freq_points"),
+        (["prism", "beta-sweep"], "fig4b-tm", "eps_r"),
+        (["sigma"], "fig2a", "eps_r"),
+    ])
+    def test_config_key_of_another_command_line_rejected(self, tmp_path, capsys, argv, config,
+                                                         key):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text((CONFIG_DIR / f"{config}.cfg").read_text() + f"{key} = 4\n")
+        assert main(argv + ["--config", str(cfg), "--out", str(tmp_path / "t.csv")]) == 2
+        assert list(tmp_path.iterdir()) == [cfg]
+        assert f"unknown config key {key!r}" in capsys.readouterr().err
