@@ -22,16 +22,20 @@ O(n_traj) draws however long the line.  The scheduled checks' draws
 follow all the step draws in each stream; a second cursor reaches them by
 PCG64's O(log k) jump-ahead.
 
-The ensemble is one (n_traj, dim) array of Fock rows.  Each micro-step
-takes its decisions (which rows jump, and whether a due parity check may
-read its outcomes from the rows' known sectors) on the whole array, then
-does the row-local arithmetic (decay, renormalization, the jumped rows'
-writes and the check's renormalization) in one sweep over blocks of rows
+Every operation on a Fock row is row-local, so trajectories with the same
+jumps and check outcomes hold bit-identical rows.  The ensemble keeps one
+row per such jump-history class, at most n_traj rows, and each
+trajectory's class index.  Each micro-step takes its decisions per
+trajectory (which trajectories jump, and whether a due parity check may
+read its outcomes from their known sectors), then does the arithmetic
+(decay, renormalization, the new classes' jumped rows and the check's
+renormalization) once per class, in one sweep over blocks of class rows
 that stay in cache.  No bit depends on the block size.  The general
-parity projection and the recovery snapshots run over the same blocks,
-so a run holds the ensemble, the two draw bursts and O(_BLOCK) scratch;
-the snapshots' gemv keeps the whole-array bits while _BLOCK is a
-multiple of 8.
+parity projection runs over the same blocks, and the recovery snapshots
+gather and score the rows of one block of trajectories at a time, so a
+run holds the class rows, the two draw bursts and O(_BLOCK) scratch; the
+snapshots' gemv keeps the per-trajectory bits while _BLOCK is a multiple
+of 8.
 """
 
 from __future__ import annotations
@@ -334,7 +338,7 @@ def _ensemble_uniforms(config: QecRunConfig, input_index: int, n_exc: int,
 
 
 # ---------------------------------------------------------------------------
-# quantum-jump engine on a (n_traj, dim) block of Fock vectors
+# quantum-jump engine on one Fock row per jump-history class
 
 # relative margin inside which a shortcut may not decide a Bernoulli draw
 _BAND = 1e-9
@@ -361,54 +365,70 @@ def _row_norms(states: np.ndarray, sq: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(sq.real, axis=1, keepdims=True))
 
 
-def _vec_channel_step(states, u, gamma_dt, n_vec, sqrt_n, decay2, jumps,
-                      check=None, scratch=None):
-    """One jump/no-jump micro-step applied in place to all trajectories,
-    and the parity check due after it; decay2 is the no-jump decay
-    repeated for the float view's (re, im) pairs.  Scaling that view by
-    1/norm is what dividing the complex rows by a real norm computes.
+def _class_step(states, cls, n_live, u, gamma_dt, n_vec, sqrt_n, decay2, jumps,
+                check=None, scratch=None):
+    """One jump/no-jump micro-step of every trajectory, and the parity
+    check due after it.  Trajectory j's row is states[cls[j]]; rows
+    0..n_live-1 are the live classes, and states has room for one row per
+    trajectory.  Updates states, cls and jumps in place and returns
+    (n_live, outcomes), outcomes None without a check.  decay2 is the
+    no-jump decay repeated for the float view's (re, im) pairs: scaling
+    that view by 1/norm is what dividing the complex rows by a real norm
+    computes.
 
-    A row jumps when u < gamma_dt*<n>.  Rows enter with unit norm, so
-    <n> <= dim - 1, and <n> is computed only on the rows whose u lies
-    below gamma_dt*(dim - 1).  A gemv over a row subset can differ from
-    the whole-array gemv in the last bits, so a draw within a relative
-    _BAND of its threshold sends the step back to the whole-array <n>:
-    every jump is the one that comparison decides.
+    Every decision is per trajectory.  A trajectory jumps when
+    u < gamma_dt*<n>.  Rows enter with unit norm, so <n> <= dim - 1, and
+    <n> is computed only on the gathered rows of the trajectories whose u
+    lies below gamma_dt*(dim - 1): the matrix a per-trajectory ensemble
+    would hold at the same positions.  A gemv over a row subset can differ
+    from the whole-array gemv in the last bits, so a draw within a
+    relative _BAND of its threshold sends the step back to the <n> of
+    every gathered row: every jump is the one that comparison decides.
 
     check is None, or (uniforms, sector) for a check after this step, with
-    sector None or each row's +-1 parity sector before the step when every
-    row is sector-pure: the other sector's amplitudes are exactly zero.  A
-    jump moves a row to the other sector; decay and renormalization scale
-    by positive reals, so exact zeros stay exact.  Then an odd row has
-    p_even = 0 and measures -1, and an even row has p_even equal to its
-    unit norm to about 1e-14 and measures +1 for any u below 1 - _BAND.
-    The projection would write zeros over zeros, so only its
-    renormalization runs.  Otherwise (sector None, or an even row drawing
-    u >= 1 - _BAND) _vec_parity projects after the step.  Returns the
-    check's outcomes, or None without a check.
+    sector None or each trajectory's +-1 parity sector before the step
+    when every row is sector-pure: the other sector's amplitudes are
+    exactly zero.  A jump moves a row to the other sector; decay and
+    renormalization scale by positive reals, so exact zeros stay exact.
+    Then an odd row has p_even = 0 and measures -1, and an even row has
+    p_even equal to its unit norm to about 1e-14 and measures +1 for any
+    u below 1 - _BAND.  The projection would write zeros over zeros, so
+    only its renormalization runs.  Otherwise (sector None, or an even
+    trajectory drawing u >= 1 - _BAND) _class_parity projects after the
+    step.
 
-    Every decision is taken on the whole array first.  The arithmetic then
-    runs in one sweep over blocks of _BLOCK rows that stay in cache: decay,
-    renormalization, the block's jumped rows, and the check's
-    renormalization.  scratch is a complex (min(_BLOCK, n_traj), dim)
-    buffer for _row_norms, or None to allocate one.
+    The arithmetic is row-local, so it runs once per class.  All the
+    trajectories that jump from one class share one new class, whose row
+    is the parent's pre-step row shifted by a and normalized; it takes the
+    parent's slot when the whole class jumped and the next free slot
+    otherwise, so the live classes stay at rows 0..n_live-1.  One sweep
+    over blocks of _BLOCK class rows that stay in cache then applies the
+    decay and renormalization to the old rows, writes the new ones and
+    runs the check's renormalization on all of them.  scratch is a
+    complex (min(_BLOCK, n_traj), dim) buffer for _row_norms, or None to
+    allocate one.
     """
     rows = np.flatnonzero(u < gamma_dt * n_vec[-1] * (1.0 + _BAND))
-    pre = states[rows]
     u_rows = u[rows]
-    thr = gamma_dt * (np.abs(pre) ** 2 @ n_vec)
+    thr = gamma_dt * (np.abs(states[cls[rows]]) ** 2 @ n_vec)
     if np.any(np.abs(u_rows - thr) <= _BAND * thr):
-        rows = np.flatnonzero(u < gamma_dt * (np.abs(states) ** 2 @ n_vec))
-        pre = states[rows]
+        rows = np.flatnonzero(u < gamma_dt * (np.abs(states[cls]) ** 2 @ n_vec))
     else:
-        jumped = u_rows < thr
-        rows, pre = rows[jumped], pre[jumped]
+        rows = rows[u_rows < thr]
+    parents, child, n_jumped = np.unique(cls[rows], return_inverse=True, return_counts=True)
+    pre = states[parents]
     shifted = np.zeros_like(pre)
     shifted[:, :-1] = pre[:, 1:] * sqrt_n
     norms = np.linalg.norm(shifted, axis=1, keepdims=True)
     if np.any(norms < 1e-14):
         raise ArithmeticError("jump applied to (near-)vacuum trajectory")
     unit = shifted / norms
+    moved = np.bincount(cls, minlength=n_live)[parents] == n_jumped
+    slots = np.where(moved, parents, n_live + np.cumsum(~moved) - 1)
+    cls[rows] = slots[child]
+    order = np.argsort(slots)
+    slots, unit = slots[order], unit[order]
+    n_old, n_live = n_live, n_live + len(parents) - int(moved.sum())
     jumps[rows] += 1
 
     uniforms, sector = (None, None) if check is None else check
@@ -419,59 +439,75 @@ def _vec_channel_step(states, u, gamma_dt, n_vec, sqrt_n, decay2, jumps,
         if not np.any((sector > 0) & (uniforms >= 1.0 - _BAND)):
             outcome = sector
 
-    nt, dim = states.shape
     if scratch is None:
-        scratch = np.empty((min(_BLOCK, nt), dim), dtype=complex)
-    starts = range(0, nt, _BLOCK)
-    cuts = np.searchsorted(rows, [*starts, nt])
+        scratch = np.empty((min(_BLOCK, len(cls)), states.shape[1]), dtype=complex)
+    starts = range(0, n_live, _BLOCK)
+    cuts = np.searchsorted(slots, [*starts, n_live])
     for k, start in enumerate(starts):
-        block = states[start:start + _BLOCK]
-        sq = scratch[:len(block)]
-        flat = block.view(float)
-        flat *= decay2
-        flat *= 1.0 / _row_norms(block, sq)
+        block = states[start:min(start + _BLOCK, n_live)]
+        sq, flat = scratch[:len(block)], block.view(float)
+        n = max(n_old - start, 0)
+        old = flat[:n]
+        old *= decay2
+        old *= 1.0 / _row_norms(block[:n], sq[:n])
         take = slice(cuts[k], cuts[k + 1])
-        block[rows[take] - start] = unit[take]
+        block[slots[take] - start] = unit[take]
         if outcome is not None:
             norms = _row_norms(block, sq)
             if np.any(norms < 1e-14):
                 raise ArithmeticError("parity projection annihilated a trajectory")
             flat *= 1.0 / norms
     if uniforms is not None and outcome is None:
-        outcome = _vec_parity(states, uniforms)
-    return outcome
+        n_live, outcome = _class_parity(states, cls, n_live, uniforms, scratch)
+    return n_live, outcome
 
 
-def _vec_parity(states: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    """Projective parity measurement in place; returns the +-1 outcomes.
-    Raises on a row the projection annihilates.  p_even, the projection
-    and the renormalization are row-local, so they run over blocks of
-    _BLOCK rows with one block-sized scratch, and no bit depends on the
-    block size."""
-    nt, dim = states.shape
-    scratch = np.empty((min(_BLOCK, nt), dim), dtype=complex)
-    outcome = np.empty(nt, dtype=int)
-    for start in range(0, nt, _BLOCK):
-        rows = slice(start, start + _BLOCK)
-        block, out = states[rows], outcome[rows]
-        p_even = np.sum(np.abs(block[:, 0::2]) ** 2, axis=1)
-        out[:] = np.where(uniforms[rows] < p_even, 1, -1)
-        even = (out > 0)[:, None]
-        np.copyto(block[:, 1::2], 0.0, where=even)
-        np.copyto(block[:, 0::2], 0.0, where=~even)
+def _class_parity(states, cls, n_live, uniforms, scratch=None):
+    """Projective parity measurement of every trajectory, in place on the
+    class rows (as _class_step holds them); returns (n_live, outcomes).
+    Each trajectory's outcome comes from its class's p_even and its own
+    draw.  A class whose trajectories measure both outcomes splits: its
+    odd ones move to a copy of its row in the next free slot.  Raises on a
+    row the projection annihilates.  p_even, the projection and the
+    renormalization are row-local, so they run over blocks of _BLOCK rows,
+    and no bit depends on the block size."""
+    if scratch is None:
+        scratch = np.empty((min(_BLOCK, len(cls)), states.shape[1]), dtype=complex)
+    starts = range(0, n_live, _BLOCK)
+    p_even = np.concatenate([np.sum(np.abs(states[s:min(s + _BLOCK, n_live), 0::2]) ** 2, axis=1)
+                             for s in starts])
+    outcome = np.where(uniforms < p_even[cls], 1, -1)
+    odd = outcome < 0
+    even = np.bincount(cls[~odd], minlength=n_live) > 0
+    split = odd & even[cls]
+    parents, child = np.unique(cls[split], return_inverse=True)
+    cls[split] = n_live + child
+    for s in range(0, len(parents), _BLOCK):
+        part = parents[s:s + _BLOCK]
+        states[n_live + s:n_live + s + len(part)] = states[part]
+    n_live += len(parents)
+    even = np.concatenate((even, np.zeros(len(parents), dtype=bool)))
+    for start in range(0, n_live, _BLOCK):
+        block = states[start:min(start + _BLOCK, n_live)]
+        keep = even[start:start + _BLOCK, None]
+        np.copyto(block[:, 1::2], 0.0, where=keep)
+        np.copyto(block[:, 0::2], 0.0, where=~keep)
         norms = _row_norms(block, scratch[:len(block)])
         if np.any(norms < 1e-14):
             raise ArithmeticError("parity projection annihilated a trajectory")
         flat = block.view(float)
         flat *= 1.0 / norms
-    return outcome
+    return n_live, outcome
 
 
-def _unravel(config: QecRunConfig, states: np.ndarray, streams, schedule,
+def _unravel(config: QecRunConfig, states: np.ndarray, cls: np.ndarray, streams, schedule,
              snapshot=None) -> np.ndarray:
-    """Quantum-jump run of every row of states, in place.
+    """Quantum-jump run of every trajectory, in place on the class rows.
 
-    streams are the two row streams of _ensemble_uniforms, and schedule is
+    states has one row per trajectory of room, and trajectory j's row is
+    states[cls[j]]; rows 0..max(cls) must all be in use (one row and cls
+    all zero start every trajectory in one state).  streams are the two
+    row streams of _ensemble_uniforms, and schedule is
     config.check_schedule().  The excitation-stage loss and the excitation
     phase come first, then the initial check and the line steps with their
     scheduled checks.  Each step or check pulls its row from its stream
@@ -480,7 +516,8 @@ def _unravel(config: QecRunConfig, states: np.ndarray, streams, schedule,
     per-trajectory jump counts.
     """
     draws, checks = streams
-    nt, dim = states.shape
+    nt, dim = len(cls), states.shape[1]
+    n_live = int(cls.max()) + 1
     n_vec = np.arange(dim, dtype=float)
     sqrt_n = np.sqrt(np.arange(1, dim, dtype=float))
     scratch = np.empty((min(_BLOCK, nt), dim), dtype=complex)
@@ -500,14 +537,16 @@ def _unravel(config: QecRunConfig, states: np.ndarray, streams, schedule,
         g_dt = config.excitation_gamma_t / n_exc
         decay2 = np.repeat(np.exp(-0.5 * g_dt * n_vec), 2)
         for u in islice(draws, n_exc):
-            _vec_channel_step(states, u, g_dt, n_vec, sqrt_n, decay2, jumps, scratch=scratch)
+            n_live, _ = _class_step(states, cls, n_live, u, g_dt, n_vec, sqrt_n, decay2, jumps,
+                                    scratch=scratch)
     # deterministic phase of the excited amplitude: -conj(beta) = r*e^{i phi}
     phi = np.angle(config.alpha_excited / config.alpha)
-    states *= np.exp(1j * phi * n_vec)
+    states[:n_live] *= np.exp(1j * phi * n_vec)
 
     init_u = next(draws)  # drawn whether or not the initial check runs
     if config.initial_check:
-        record(_vec_parity(states, init_u))
+        n_live, outcome = _class_parity(states, cls, n_live, init_u, scratch)
+        record(outcome)
     if snapshot is not None:
         snapshot(0, parity, flips)
     gamma_dx = 2.0 * config.k0_kappa2 * config.step
@@ -519,8 +558,8 @@ def _unravel(config: QecRunConfig, states: np.ndarray, streams, schedule,
             sector = None if at_check is None else np.where((jumps - at_check) % 2 == 0,
                                                             parity, -parity)
             check = (next(checks), sector)
-        outcome = _vec_channel_step(states, u, gamma_dx, n_vec, sqrt_n, decay2, jumps,
-                                    check, scratch)
+        n_live, outcome = _class_step(states, cls, n_live, u, gamma_dx, n_vec, sqrt_n, decay2,
+                                      jumps, check, scratch)
         if due:
             record(outcome)
         if snapshot is not None:
@@ -606,13 +645,16 @@ def run_ensemble(config: QecRunConfig, input_logical: tuple[complex, complex],
                                  config.n_steps, int(schedule.sum()))
     nt = config.n_trajectories
     coeffs, amps = code_legs(c0, c1, config.alpha)
-    states = np.tile(fock_vector(normalize_superposition(coeffs, amps), amps, dim), (nt, 1))
+    states = np.empty((nt, dim), dtype=complex)
+    states[0] = fock_vector(normalize_superposition(coeffs, amps), amps, dim)
+    cls = np.zeros(nt, dtype=np.intp)
 
     checkpoints = config.checkpoint_steps()
     fid = np.empty((len(checkpoints), nt))
     cp_index = {int(s): i for i, s in enumerate(checkpoints)}
     a0 = config.alpha_excited
-    # _recovered's buffer, reused for every block of every snapshot
+    # _recovered's buffer, reused for every block of every snapshot; its
+    # second half first takes the block's gathered rows
     buf = np.empty((2, min(_BLOCK, nt), dim), dtype=complex)
 
     def snapshot(step_no: int, parity: np.ndarray, flips: np.ndarray):
@@ -626,19 +668,21 @@ def run_ensemble(config: QecRunConfig, input_logical: tuple[complex, complex],
         for _ in range(2):
             ref_coeffs = normalize_superposition(ref_coeffs, ref_amps)
         ref = fock_vector(ref_coeffs, ref_amps, dim).conj()
-        if not config.apply_recovery:
-            fid[idx] = np.abs(states @ ref) ** 2
-            return
         bases = _code_basis(a_x, dim)
         conj = {key: row.conj() for key, row in bases.items()}
         for start in range(0, nt, _BLOCK):
             rows = slice(start, min(start + _BLOCK, nt))
-            vec, norms = _recovered(states[rows], parity[rows], flips[rows], bases, conj,
-                                    buf[:, :rows.stop - start])
+            out = buf[:, :rows.stop - start]
+            block = np.take(states, cls[rows], axis=0, out=out[1], mode="clip")
+            if not config.apply_recovery:
+                fid[idx, rows] = np.abs(block @ ref) ** 2
+                continue
+            # _recovered reads the block before it writes the scratch half
+            vec, norms = _recovered(block, parity[rows], flips[rows], bases, conj, out)
             overlap = np.abs(vec @ ref) ** 2
             fid[idx, rows] = np.where(norms > 1e-8, overlap / np.maximum(norms, 1e-300) ** 2, 0.0)
 
-    jumps = _unravel(config, states, streams, schedule, snapshot=snapshot)
+    jumps = _unravel(config, states, cls, streams, schedule, snapshot=snapshot)
     return fid, jumps
 
 

@@ -337,9 +337,17 @@ def unravel_on_blocks(config, states, blocks, snapshot=None):
     """gspp.qec._unravel fed from ensemble_uniforms_oracle's blocks: the
     excitation, initial-check and line-step blocks in order as its first
     row stream, the scheduled-check block as its second.  The blocks may
-    be edited first.  Same arguments and return value as unravel_oracle."""
+    be edited first.  Same arguments and return value as unravel_oracle:
+    every row of states must hold the start state, and after the run
+    states holds each trajectory's gathered class row."""
+    assert np.array_equal(states, np.broadcast_to(states[0], states.shape))
+    rows = np.empty_like(states)
+    rows[0] = states[0]
+    cls = np.zeros(len(states), dtype=np.intp)
     streams = iter(np.concatenate(blocks[:3])), iter(blocks[3])
-    return _unravel(config, states, streams, config.check_schedule(), snapshot)
+    jumps = _unravel(config, rows, cls, streams, config.check_schedule(), snapshot)
+    states[:] = rows[cls]
+    return jumps
 
 
 def channel_step_oracle(states, u, gamma_dt, n_vec, sqrt_n, decay, jumps) -> None:
@@ -417,7 +425,7 @@ def unravel_oracle(config, states, blocks, snapshot=None):
 
 
 def vec_parity_oracle(states, uniforms):
-    """gspp.qec._vec_parity on the whole array at once: p_even, the
+    """gspp.qec._class_parity on the whole array at once: p_even, the
     projection and the float-view renormalization with a state-sized
     scratch, in place; returns the +-1 outcomes."""
     p_even = np.sum(np.abs(states[:, 0::2]) ** 2, axis=1)

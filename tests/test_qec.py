@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -28,6 +28,7 @@ from conftest import (
     vec_parity_oracle,
 )
 from gspp.channel import AMPLITUDE_MATCHED, fidelity_vs_distance
+from gspp.coupling import code_legs, normalize_superposition
 from gspp.qec import (
     QecRunConfig,
     average_fidelity,
@@ -38,6 +39,8 @@ from gspp.qec import (
 from gspp.qec import (
     SIX_CARDINAL,
     _BLOCK,
+    _class_parity,
+    _class_step,
     _code_basis,
     _ensemble_uniforms,
     _f0_analytic,
@@ -45,10 +48,8 @@ from gspp.qec import (
     _pcg_seeded,
     _recovered,
     _unravel,
-    _vec_channel_step,
-    _vec_parity,
 )
-from gspp.qstate import _coherent_column, fock_vector
+from gspp.qstate import _coherent_column, fock_vector, truncation_dimension
 
 ALPHA = 3.0
 DIM = 64
@@ -84,14 +85,27 @@ class TestCodeStates:
             assert np.abs(raw / math.sqrt(cat_norm(ALPHA, sign)) - st).max() < 1e-12
 
 
+def spread(rng, n_classes, nt):
+    """A class index per trajectory, every one of n_classes <= nt in use."""
+    return rng.permutation(np.arange(nt) % n_classes)
+
+
+def class_rows(rows, cls):
+    """The class engine's rows for trajectories on rows[cls]: room for one
+    row per trajectory, the given rows in the first slots."""
+    buf = np.empty((len(cls), rows.shape[1]), dtype=complex)
+    buf[:len(rows)] = rows
+    return buf
+
+
 def step_without_jumps(states, gamma_dt):
-    """One _vec_channel_step in place with draws u = 1, which cannot jump
-    while gamma_dt*<n> < 1."""
+    """One _class_step in place, one class per row, with draws u = 1,
+    which cannot jump while gamma_dt*<n> < 1."""
     nt, dim = states.shape
     n_vec = np.arange(dim, dtype=float)
     jumps = np.zeros(nt, dtype=int)
-    _vec_channel_step(states, np.ones(nt), gamma_dt, n_vec, np.sqrt(n_vec[1:]),
-                      np.repeat(np.exp(-0.5 * gamma_dt * n_vec), 2), jumps)
+    _class_step(states, np.arange(nt), nt, np.ones(nt), gamma_dt, n_vec, np.sqrt(n_vec[1:]),
+                np.repeat(np.exp(-0.5 * gamma_dt * n_vec), 2), jumps)
     assert not jumps.any()
 
 
@@ -170,27 +184,33 @@ class TestParityCheck:
     def test_even_cat_deterministic(self, basis):
         rng = np.random.default_rng(1)
         rows = basis[(0, +1)][None, :].copy()
-        outcome = _vec_parity(rows, rng.random(1))
+        _, outcome = _class_parity(rows, np.zeros(1, dtype=np.intp), 1, rng.random(1))
         assert outcome[0] == 1
         assert abs(np.vdot(rows[0], basis[(0, +1)])) ** 2 == pytest.approx(1.0, abs=1e-12)
 
     def test_vacuum_even(self):
         rng = np.random.default_rng(2)
         vac = np.eye(8, dtype=complex)[:1]
-        assert _vec_parity(vac, rng.random(1))[0] == 1
+        assert _class_parity(vac, np.zeros(1, dtype=np.intp), 1, rng.random(1))[1][0] == 1
 
     def test_statistics_match_weights(self, basis):
-        # even/odd superposition measured on 10^4 rows: binomial within 3 sigma
+        # even/odd superposition measured by 10^4 trajectories of one class:
+        # binomial within 3 sigma, and the class splits by outcome
         w_even = 0.7
         psi = math.sqrt(w_even) * basis[(0, +1)] + math.sqrt(1.0 - w_even) * basis[(0, -1)]
         psi /= np.linalg.norm(psi)
         rng = np.random.default_rng(3)
         n = 10_000
-        rows = np.tile(psi, (n, 1))
-        hits = int(np.sum(_vec_parity(rows, rng.random(n)) == 1))
+        cls = np.zeros(n, dtype=np.intp)
+        rows = class_rows(psi[None, :], cls)
+        n_live, outcome = _class_parity(rows, cls, 1, rng.random(n))
+        hits = int(np.sum(outcome == 1))
         p_even = float(np.sum(np.abs(psi[0::2]) ** 2))
         sigma = math.sqrt(n * p_even * (1.0 - p_even))
         assert abs(hits - n * p_even) < 3.0 * sigma
+        assert n_live == 2 and np.array_equal(cls, (outcome < 0).astype(int))
+        assert overlap_sq(rows[0], basis[(0, +1)]) == pytest.approx(1.0, abs=1e-12)
+        assert overlap_sq(rows[1], basis[(0, -1)]) == pytest.approx(1.0, abs=1e-12)
 
 
 def make_config(**kw):
@@ -203,6 +223,12 @@ def make_config(**kw):
 def check_steps(cfg):
     """Mask over snapshot steps 0..n_steps: a check ran just before it."""
     return np.concatenate(([cfg.initial_check], cfg.check_schedule()))
+
+
+def streams(cfg):
+    """Input 0's two row streams for _unravel."""
+    return _ensemble_uniforms(cfg, 0, cfg.n_excitation_steps, cfg.n_steps,
+                              int(cfg.check_schedule().sum()))
 
 
 def unravel_rows(cfg, inp):
@@ -473,8 +499,9 @@ class TestVectorizedStreams:
                 pulled.append((name, row.copy()))
                 yield row
 
-        states = np.tile(encode((0.6, 0.8), cfg.alpha), (cfg.n_trajectories, 1))
-        _unravel(cfg, states, (recorded("draw", streams[0]), recorded("check", streams[1])),
+        cls = np.zeros(cfg.n_trajectories, dtype=np.intp)
+        states = class_rows(encode((0.6, 0.8), cfg.alpha)[None, :], cls)
+        _unravel(cfg, states, cls, (recorded("draw", streams[0]), recorded("check", streams[1])),
                  schedule)
         order = ["draw"] * (n_exc + 1)
         for due in schedule:
@@ -518,10 +545,29 @@ class TestVectorizedStreams:
             tracemalloc.stop()
         assert peak <= 16 * 2**20
 
+    def test_lossy_run_peak_within_per_trajectory_engine(self):
+        # the fig5 weakest-coupling panel at p = 0 with 3,000 trajectories:
+        # the engine that stepped one row per trajectory peaked at 4,674,706
+        # bytes on this run, after the same warm-up run (the first ensemble
+        # of a process imports about 1 MiB of modules, numpy.ma among them)
+        cfg = make_config(g=math.asin(0.9511), parity_p=0.0, x_total=0.18,
+                          n_trajectories=3000, seed=7)
+        assert cfg.n_excitation_steps and cfg.initial_check and cfg.apply_recovery
+        run_ensemble(make_config(n_trajectories=8, x_total=0.01), SIX_CARDINAL[2], 2)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            run_ensemble(cfg, SIX_CARDINAL[2], 2)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4_674_706
+
 
 class TestMicroStepOracle:
-    """The float-view micro-step and parity projection against their
-    complex-arithmetic forms, bit for bit, over many steps."""
+    """The class engine's micro-step and parity projection against their
+    complex-arithmetic forms on the per-trajectory rows, bit for bit, over
+    many steps."""
 
     @staticmethod
     def ensemble(rng, nt=400, dim=45):
@@ -534,33 +580,42 @@ class TestMicroStepOracle:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_steps_and_checks_bit_exact(self, seed):
+        # 400 trajectories in 100 classes; a quarter of the classes are
+        # even, a quarter odd and half hold both sectors, so the first
+        # check splits them
         rng = np.random.default_rng(seed)
-        new = self.ensemble(rng)
-        old = new.copy()
-        nt, dim = new.shape
+        nt, n_live = 400, 100
+        cls = spread(rng, n_live, nt)
+        rows = self.ensemble(rng, n_live)
+        new, old = class_rows(rows, cls), rows[cls]
+        dim = new.shape[1]
         n_vec = np.arange(dim, dtype=float)
         sqrt_n = np.sqrt(np.arange(1, dim, dtype=float))
         jumps_new = np.zeros(nt, dtype=int)
         jumps_old = np.zeros(nt, dtype=int)
-        flips = 0
+        flips, splits = 0, 0
         for k in range(120):
             gamma_dt = 0.02 * (1 + k % 3)
             decay = np.exp(-0.5 * gamma_dt * n_vec)
             u = rng.random(nt) * (0.2 if k % 5 == 0 else 1.0)  # bursts of jumps
-            _vec_channel_step(new, u, gamma_dt, n_vec, sqrt_n, np.repeat(decay, 2), jumps_new)
+            n_live, _ = _class_step(new, cls, n_live, u, gamma_dt, n_vec, sqrt_n,
+                                    np.repeat(decay, 2), jumps_new)
             channel_step_oracle(old, u, gamma_dt, n_vec, sqrt_n, decay, jumps_old)
-            assert np.array_equal(new.view(float), old.view(float))
+            assert np.array_equal(new[cls].view(float), old.view(float))
             if k % 2:
-                before = np.sum(np.abs(new[:, 0::2]) ** 2, axis=1) > 0.5
+                before = np.sum(np.abs(old[:, 0::2]) ** 2, axis=1) > 0.5
                 u = rng.random(nt)
-                outcome = _vec_parity(new, u)
+                n_split = n_live
+                n_live, outcome = _class_parity(new, cls, n_live, u)
+                splits += n_live - n_split
                 assert np.array_equal(outcome, parity_oracle(old, u))
-                assert np.array_equal(new.view(float), old.view(float))
+                assert np.array_equal(new[cls].view(float), old.view(float))
                 flips += int(np.sum((outcome > 0) != before))
+            assert np.array_equal(np.unique(cls), np.arange(n_live))
         assert np.array_equal(jumps_new, jumps_old)
         assert jumps_new.sum() > nt  # jump rows were exercised
-        assert flips > 0  # and parity flips
-        assert np.any(new == 0.0)  # and exact-zero sectors
+        assert flips > 0 and splits > 0  # and parity flips and class splits
+        assert np.any(old == 0.0)  # and exact-zero sectors
 
     def test_one_row_jump_and_vacuum_errors(self):
         dim = 8
@@ -570,12 +625,13 @@ class TestMicroStepOracle:
         vacuum[0, 0] = 1.0
         odd = np.zeros((1, dim), dtype=complex)
         odd[0, 1] = 1.0
+        one = np.zeros(1, dtype=np.intp)
         with pytest.raises(ArithmeticError):
-            _vec_parity(vacuum.copy(), np.array([1.0]))  # p_even = 1, u = 1 -> odd
+            _class_parity(vacuum.copy(), one, 1, np.array([1.0]))  # p_even = 1, u = 1 -> odd
         state = odd.copy()
         jumps = np.zeros(1, dtype=int)
-        _vec_channel_step(state, np.array([0.0]), 0.01, n_vec, sqrt_n,
-                          np.repeat(np.exp(-0.005 * n_vec), 2), jumps)
+        _class_step(state, one, 1, np.array([0.0]), 0.01, n_vec, sqrt_n,
+                    np.repeat(np.exp(-0.005 * n_vec), 2), jumps)
         assert jumps[0] == 1 and np.array_equal(state, vacuum)
 
 
@@ -615,9 +671,10 @@ RAGGED = 2 * _BLOCK + 37
 class TestDecisionShortcuts:
     """The micro-step decides a jump from <n> on the rows that can jump,
     and a check after the first from each row's parity sector.  Every
-    jump, outcome and state bit must be what the whole-array <n> and the
-    general projection give.  (States compare as float views: the oracles'
-    complex division turns some -0.0 into +0.0, the float view does not.)"""
+    jump, outcome and per-trajectory state bit must be what the
+    whole-array <n> and the general projection give.  (States compare as
+    float views: the oracles' complex division turns some -0.0 into +0.0,
+    the float view does not.)"""
 
     @staticmethod
     def run_engines(cfg, edit=None):
@@ -703,24 +760,28 @@ class TestDecisionShortcuts:
     def test_jump_draws_at_threshold(self, seed):
         # u at the whole-array gamma*<n> and at its neighbours on a random
         # row subset: a subset gemv alone decides some of them wrongly
+        # 2000 trajectories in 500 classes, so draws near one threshold
+        # split a class between jumping and staying
         rng = np.random.default_rng(seed)
-        nt, dim, gamma_dt = 2000, 45, 0.01
+        nt, n_classes, dim, gamma_dt = 2000, 500, 45, 0.01
         n_vec = np.arange(dim, dtype=float)
         sqrt_n = np.sqrt(np.arange(1, dim, dtype=float))
         decay = np.exp(-0.5 * gamma_dt * n_vec)
         for _ in range(25):
-            new, _ = sector_pure_rows(rng, nt, dim)
-            old = new.copy()
-            thr = gamma_dt * (np.abs(new) ** 2 @ n_vec)
+            cls = spread(rng, n_classes, nt)
+            rows, _ = sector_pure_rows(rng, n_classes, dim)
+            new, old = class_rows(rows, cls), rows[cls]
+            thr = gamma_dt * (np.abs(old) ** 2 @ n_vec)
             u = np.ones(nt)
             rows = rng.choice(nt, int(rng.integers(1, 400)), replace=False)
             u[rows] = near(thr[rows], rng, len(rows))
             jumps_new = np.zeros(nt, dtype=int)
             jumps_old = np.zeros(nt, dtype=int)
-            _vec_channel_step(new, u, gamma_dt, n_vec, sqrt_n, np.repeat(decay, 2), jumps_new)
+            _class_step(new, cls, n_classes, u, gamma_dt, n_vec, sqrt_n, np.repeat(decay, 2),
+                        jumps_new)
             channel_step_oracle(old, u, gamma_dt, n_vec, sqrt_n, decay, jumps_old)
             assert np.array_equal(jumps_new, jumps_old)
-            assert np.array_equal(new.view(float), old.view(float))
+            assert np.array_equal(new[cls].view(float), old.view(float))
 
     @pytest.mark.parametrize("beta, parity_p, initial_check", [
         (1.0, 1.0, True), (1.0, 0.2, True), (0.9511, 0.6, True), (0.9511, 0.6, False),
@@ -728,18 +789,18 @@ class TestDecisionShortcuts:
     def test_rows_stay_sector_pure(self, beta, parity_p, initial_check):
         cfg = make_config(g=math.asin(beta), parity_p=parity_p, initial_check=initial_check,
                           n_trajectories=200)
-        blocks = ensemble_uniforms_oracle(cfg, 0, cfg.n_excitation_steps, cfg.n_steps,
-                                          int(cfg.check_schedule().sum()))
-        states = np.tile(encode((0.6, 0.8), cfg.alpha), (cfg.n_trajectories, 1))
+        cls = np.zeros(cfg.n_trajectories, dtype=np.intp)
+        states = class_rows(encode((0.6, 0.8), cfg.alpha)[None, :], cls)
         first_check = int(np.argmax(check_steps(cfg)))
         impure = []
 
         def snapshot(i, parity, flips):
             if i >= first_check:
-                pure = np.all(states[:, 0::2] == 0.0, axis=1) | np.all(states[:, 1::2] == 0.0, axis=1)
+                rows = states[cls]
+                pure = np.all(rows[:, 0::2] == 0.0, axis=1) | np.all(rows[:, 1::2] == 0.0, axis=1)
                 impure.append(int(np.sum(~pure)))
 
-        jumps = unravel_on_blocks(cfg, states, blocks, snapshot)
+        jumps = _unravel(cfg, states, cls, streams(cfg), cfg.check_schedule(), snapshot)
         assert jumps.sum() > 0 and len(impure) > 100
         assert not any(impure)
 
@@ -747,39 +808,44 @@ class TestDecisionShortcuts:
            seed=st.integers(0, 2**32 - 1))
     def test_kernels_match_oracles(self, dim, gamma_dt, nt, seed):
         rng = np.random.default_rng(seed)
-        new, sector = sector_pure_rows(rng, nt, dim, decay=rng.uniform(0.0, 0.2))
+        n_classes = int(rng.integers(1, nt + 1))
+        start_cls = spread(rng, n_classes, nt)
+        rows, sector = sector_pure_rows(rng, n_classes, dim, decay=rng.uniform(0.0, 0.2))
+        new, cls, sector = class_rows(rows, start_cls), start_cls.copy(), sector[start_cls]
         start = new.copy()
-        old = new.copy()
+        old = rows[cls]
         n_vec = np.arange(dim, dtype=float)
         sqrt_n = np.sqrt(np.arange(1, dim, dtype=float))
         decay = np.exp(-0.5 * gamma_dt * n_vec)
-        thr = gamma_dt * (np.abs(new) ** 2 @ n_vec)
+        thr = gamma_dt * (np.abs(old) ** 2 @ n_vec)
         bound = gamma_dt * (dim - 1) * (1.0 + 1e-9)
         # draws at the row's threshold, at the candidate bound, or anywhere
         u = rng.choice(3, size=nt).choose([near(thr, rng, nt), near(bound, rng, nt),
                                            rng.random(nt) * min(1.0, 2.0 * bound)])
         jumps_new = np.zeros(nt, dtype=int)
         jumps_old = np.zeros(nt, dtype=int)
-        _vec_channel_step(new, u, gamma_dt, n_vec, sqrt_n, np.repeat(decay, 2), jumps_new)
+        n_live, _ = _class_step(new, cls, n_classes, u, gamma_dt, n_vec, sqrt_n,
+                                np.repeat(decay, 2), jumps_new)
         channel_step_oracle(old, u, gamma_dt, n_vec, sqrt_n, decay, jumps_old)
         assert np.array_equal(jumps_new, jumps_old)
-        assert np.array_equal(new.view(float), old.view(float))
+        assert np.array_equal(new[cls].view(float), old.view(float))
+        assert np.array_equal(np.unique(cls), np.arange(n_live))
 
         # the same step fused with a check on the rows' known sectors
         check_u = rng.choice(4, size=nt).choose([near(1.0 - 1e-9, rng, nt),
                                                  np.full(nt, 1.0 - 2.0**-53),
                                                  np.zeros(nt), rng.random(nt)])
-        new, jumps_new = start, np.zeros(nt, dtype=int)
-        outcome = outcome_or_error(_vec_channel_step, new, u, gamma_dt, n_vec, sqrt_n,
-                                   np.repeat(decay, 2), jumps_new, (check_u, sector))
+        new, cls, jumps_new = start, start_cls.copy(), np.zeros(nt, dtype=int)
+        result = outcome_or_error(_class_step, new, cls, n_classes, u, gamma_dt, n_vec, sqrt_n,
+                                  np.repeat(decay, 2), jumps_new, (check_u, sector))
         sector = np.where(jumps_old % 2 == 0, sector, -sector)
         expected = outcome_or_error(parity_oracle, old, check_u)
         if expected is ArithmeticError:
-            assert outcome is ArithmeticError
+            assert result is ArithmeticError
         else:
-            assert np.array_equal(outcome, expected) and np.array_equal(outcome, sector)
+            assert np.array_equal(result[1], expected) and np.array_equal(result[1], sector)
             assert np.array_equal(jumps_new, jumps_old)
-            assert np.array_equal(new.view(float), old.view(float))
+            assert np.array_equal(new[cls].view(float), old.view(float))
 
 
 class TestBlockedSweep:
@@ -798,8 +864,11 @@ class TestBlockedSweep:
         check = None if check_u is None else (check_u, sector)
 
         def fused(new, jumps):
-            return new, jumps, _vec_channel_step(new, u, gamma_dt, n_vec, sqrt_n,
-                                                 np.repeat(decay, 2), jumps, check)
+            # one class per row, so the sweep's block edges fall where the rows' do
+            cls = np.arange(nt)
+            _, outcome = _class_step(new, cls, nt, u, gamma_dt, n_vec, sqrt_n,
+                                     np.repeat(decay, 2), jumps, check)
+            return new[cls], jumps, outcome
 
         def oracle(old, jumps):
             channel_step_oracle(old, u, gamma_dt, n_vec, sqrt_n, decay, jumps)
@@ -856,9 +925,9 @@ class TestBlockedSweep:
 
 
 class TestBlockedRecovery:
-    """run_ensemble scores each snapshot, and _vec_parity projects, in blocks
-    of _BLOCK rows.  With _BLOCK a multiple of 8 every bit must be the
-    whole-array oracles'."""
+    """run_ensemble scores each snapshot, and _class_parity projects, in
+    blocks of _BLOCK rows.  With _BLOCK a multiple of 8 every bit must be
+    the whole-array oracles'."""
 
     @pytest.fixture(scope="class", params=[517, 1101, RAGGED])
     def whole_array_run(self, request):
@@ -880,16 +949,19 @@ class TestBlockedRecovery:
     @pytest.mark.parametrize("block", [1, 7, 8, 64, 512])
     @pytest.mark.parametrize("nt", [517, 1101, RAGGED])
     def test_parity_matches_whole_array_oracle(self, monkeypatch, nt, block):
-        # row-local arithmetic: any block size gives the whole-array bits
+        # row-local arithmetic: any block size gives the whole-array bits,
+        # also with the splits of a third as many classes as trajectories
         rng = np.random.default_rng(nt)
-        states = TestMicroStepOracle.ensemble(rng, nt)
+        cls = spread(rng, nt // 3, nt)
+        rows = TestMicroStepOracle.ensemble(rng, nt // 3)
+        states, ref = class_rows(rows, cls), rows[cls]
         u = rng.random(nt)
-        ref = states.copy()
         expected = vec_parity_oracle(ref, u)
         monkeypatch.setattr("gspp.qec._BLOCK", block)
-        assert np.array_equal(_vec_parity(states, u), expected)
-        assert np.any(expected > 0) and np.any(expected < 0)
-        assert states.tobytes() == ref.tobytes()
+        n_live, outcome = _class_parity(states, cls, nt // 3, u)
+        assert np.array_equal(outcome, expected)
+        assert np.any(expected > 0) and np.any(expected < 0) and n_live > nt // 3
+        assert states[cls].tobytes() == ref.tobytes()
 
     def test_parity_annihilation_in_last_block_raises(self):
         rng = np.random.default_rng(13)
@@ -901,7 +973,115 @@ class TestBlockedRecovery:
         with pytest.raises(ArithmeticError):
             vec_parity_oracle(states.copy(), u)
         with pytest.raises(ArithmeticError):
-            _vec_parity(states, u)
+            _class_parity(states, np.arange(RAGGED), RAGGED, u)
+
+
+def unrecovered_oracle(cfg, input_logical, input_index):
+    """run_ensemble with apply_recovery off, on the whole array:
+    unravel_oracle on ensemble_uniforms_oracle's blocks, each snapshot the
+    squared overlap of every row with the reference row."""
+    dim = truncation_dimension(cfg.alpha)
+    coeffs, amps = code_legs(*input_logical, cfg.alpha)
+    states = np.tile(fock_vector(normalize_superposition(coeffs, amps), amps, dim),
+                     (cfg.n_trajectories, 1))
+    blocks = ensemble_uniforms_oracle(cfg, input_index, cfg.n_excitation_steps, cfg.n_steps,
+                                      int(cfg.check_schedule().sum()))
+    checkpoints = [int(s) for s in cfg.checkpoint_steps()]
+    fid = np.empty((len(checkpoints), cfg.n_trajectories))
+
+    def snapshot(step_no, parity, flips):
+        if step_no in checkpoints:
+            a_x = cfg.alpha_excited * math.exp(-cfg.k0_kappa2 * step_no * cfg.step)
+            ref_coeffs, ref_amps = code_legs(*input_logical, a_x)
+            for _ in range(2):
+                ref_coeffs = normalize_superposition(ref_coeffs, ref_amps)
+            ref = fock_vector(ref_coeffs, ref_amps, dim)
+            fid[checkpoints.index(step_no)] = np.abs(states @ ref.conj()) ** 2
+
+    return fid, unravel_oracle(cfg, states, blocks, snapshot)
+
+
+class TestClassEngine:
+    """The ensemble holds one row per jump-history class; every output bit
+    must be what the per-trajectory oracles give."""
+
+    @settings(max_examples=40)
+    @given(beta=st.sampled_from([1.0, 0.9877, 0.9511]), parity_p=st.floats(0.0, 1.0),
+           initial_check=st.booleans(), apply_recovery=st.booleans(), nt=st.integers(2, 300),
+           seed=st.integers(0, 2**32 - 1), input_index=st.integers(0, 5))
+    @example(beta=0.9511, parity_p=0.6, initial_check=False, apply_recovery=True, nt=13,
+             seed=7, input_index=4)
+    @example(beta=1.0, parity_p=1.0, initial_check=True, apply_recovery=False, nt=296,
+             seed=11, input_index=2)
+    def test_run_ensemble_matches_oracle(self, beta, parity_p, initial_check, apply_recovery,
+                                         nt, seed, input_index):
+        cfg = make_config(g=math.asin(beta), parity_p=parity_p, initial_check=initial_check,
+                          apply_recovery=apply_recovery, n_trajectories=nt, seed=seed,
+                          x_total=0.05, n_checkpoints=4)
+        args = cfg, SIX_CARDINAL[input_index], input_index
+        oracle = run_ensemble_oracle if apply_recovery else unrecovered_oracle
+        new, old = outcome_or_error(run_ensemble, *args), outcome_or_error(oracle, *args)
+        assert new is not ArithmeticError
+        assert old is not ArithmeticError
+        assert new[0].tobytes() == old[0].tobytes()
+        assert np.array_equal(new[1], old[1])
+
+    def test_slots_reused_on_a_long_line(self):
+        # at most nt trajectories share one jump, so nt**2 jumps start at
+        # least nt new classes: only reused slots keep them within nt rows
+        cfg = make_config(parity_p=0.5, x_total=1.0, n_trajectories=5, seed=3)
+        new, old = TestDecisionShortcuts.run_engines(cfg)
+        assert new[0].sum() >= cfg.n_trajectories**2
+        TestDecisionShortcuts.assert_same(new, old)
+
+    @pytest.mark.parametrize("beta, parity_p, initial_check", [
+        (1.0, 1.0, True), (0.9511, 0.0, True), (0.9511, 0.6, False),
+    ])
+    def test_classes_are_shared_histories(self, beta, parity_p, initial_check):
+        # every slot below n_live is in use, so there are at most n_traj
+        # classes, and the trajectories of one class share their record
+        cfg = make_config(g=math.asin(beta), parity_p=parity_p, initial_check=initial_check,
+                          n_trajectories=300)
+        nt = cfg.n_trajectories
+        cls = np.zeros(nt, dtype=np.intp)
+        states = class_rows(encode((0.6, 0.8), cfg.alpha)[None, :], cls)
+        counts = []
+
+        def snapshot(i, parity, flips):
+            n_live = int(cls.max()) + 1
+            counts.append(n_live)
+            assert n_live <= nt and np.array_equal(np.unique(cls), np.arange(n_live))
+            first = np.empty(n_live, dtype=int)
+            first[cls] = np.arange(nt)
+            assert np.array_equal(parity[first][cls], parity)
+            assert np.array_equal(flips[first][cls], flips)
+
+        jumps = _unravel(cfg, states, cls, streams(cfg), cfg.check_schedule(), snapshot)
+        first = np.empty(cls.max() + 1, dtype=int)
+        first[cls] = np.arange(nt)
+        assert np.array_equal(jumps[first][cls], jumps)
+        assert 1 < max(counts) < nt  # classes split, and are shared
+
+    def test_near_top_draws_split_a_class(self):
+        # one class with a 1e-12 odd part: the trajectories whose check
+        # draws lie above p_even measure odd and move to a new class
+        rng = np.random.default_rng(21)
+        nt = 2 * _BLOCK + 37
+        even = np.zeros((1, 45), dtype=complex)
+        even[0, 0::2] = rng.standard_normal(23) * np.exp(-0.16 * np.arange(23))
+        even[0, 1] = 1e-6
+        even /= np.linalg.norm(even)
+        p_even = np.sum(np.abs(even[:, 0::2]) ** 2, axis=1)[0]
+        u = rng.random(nt) * 0.5
+        u[_BLOCK - 3::7] = near(p_even, rng, len(u[_BLOCK - 3::7]))
+        cls = np.zeros(nt, dtype=np.intp)
+        states = class_rows(even, cls)
+        old = np.tile(even, (nt, 1))
+        n_live, outcome = _class_parity(states, cls, 1, u)
+        assert np.array_equal(outcome, parity_oracle(old, u))
+        assert n_live == 2 and 0 < np.sum(outcome < 0) < len(u[_BLOCK - 3::7])
+        assert np.array_equal(cls, (outcome < 0).astype(int))
+        assert np.array_equal(states[cls].view(float), old.view(float))
 
 
 class TestOrthogonalityMonitor:
