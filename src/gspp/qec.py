@@ -17,25 +17,26 @@ and order-independent under any parallel chunking.  The stream is numpy's
 default_rng((seed, input, trajectory)), SeedSequence + PCG64.  The
 ensemble steps every trajectory's stream at once in uint32/uint64
 arithmetic, bit-identical to trajectory_rng, and makes the draws a few
-rows at a time as the micro-steps and checks use them, so it holds
-O(n_traj) draws however long the line.  The scheduled checks' draws
-follow all the step draws in each stream; a second cursor reaches them by
-PCG64's O(log k) jump-ahead.
+rows at a time as the micro-steps use them, so it holds O(n_traj) draws
+however long the line.
+
+Every row lies in one parity sector from x = 0 on, the other sector's
+amplitudes exactly zero, and its sector is (-1)^jumps: the code words are
+even, and a jump is the only operation that moves amplitudes between
+sectors.  So a parity check's outcome is (-1)^jumps, read without a draw,
+and the check's only effect on the rows is their renormalization.
 
 Every operation on a Fock row is row-local, so trajectories with the same
-jumps and check outcomes hold bit-identical rows.  The ensemble keeps one
-row per such jump-history class, at most n_traj rows, and each
-trajectory's class index.  Each micro-step takes its decisions per
-trajectory (which trajectories jump, and whether a due parity check may
-read its outcomes from their known sectors), then does the arithmetic
-(decay, renormalization, the new classes' jumped rows and the check's
-renormalization) once per class, in one sweep over blocks of class rows
-that stay in cache.  No bit depends on the block size.  The general
-parity projection runs over the same blocks, and the recovery snapshots
-gather and score the rows of one block of trajectories at a time, so a
-run holds the class rows, the two draw bursts and O(_BLOCK) scratch; the
-snapshots' gemv keeps the per-trajectory bits while _BLOCK is a multiple
-of 8.
+jump history hold bit-identical rows.  The ensemble keeps one row per
+such class, at most n_traj rows, and each trajectory's class index.  Each
+micro-step decides per trajectory which trajectories jump, then does the
+arithmetic (decay, renormalization, the new classes' jumped rows and a
+due check's renormalization) once per class, in one sweep over blocks of
+class rows that stay in cache.  No bit depends on the block size.  The
+recovery snapshots gather and score the rows of one block of trajectories
+at a time, so a run holds the class rows, one draw burst and O(_BLOCK)
+scratch; the snapshots' gemv keeps the per-trajectory bits while _BLOCK
+is a multiple of 8.
 """
 
 from __future__ import annotations
@@ -66,10 +67,11 @@ class QecRunConfig:
 
     Distances are expressed through the attenuation factor k0*kappa''
     (1/m) and positions x (m); the jump rate per step is
-    gamma*dt = 2*k0*kappa''*dx.  parity_p = 0 keeps only the initial
-    post-excitation check; otherwise checks run every dx/p (integer
-    schedule, floor(i*p) increments).  dx=None picks the largest step with
-    gamma*dt*<n> <= 0.01 at the initial amplitude.
+    gamma*dt = 2*k0*kappa''*dx, with dx the largest step that keeps
+    gamma*dt*<n> <= 0.01 at the initial amplitude (x_total/100 on a
+    lossless line).  parity_p = 0 keeps only the initial post-excitation
+    check; otherwise checks run every dx/p (integer schedule, floor(i*p)
+    increments).
     """
 
     alpha: complex
@@ -77,7 +79,6 @@ class QecRunConfig:
     k0_kappa2: float
     x_total: float
     parity_p: float
-    dx: float | None = None
     n_trajectories: int = 10_000
     seed: int = 0
     input_set: str = "six"
@@ -100,9 +101,6 @@ class QecRunConfig:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         if self.input_set != "six":
             raise ValueError(f"input_set must be 'six', got {self.input_set!r}")
-        nbar = abs(self.alpha_excited) ** 2
-        if self.step * 2.0 * self.k0_kappa2 * max(nbar, 1.0) >= 0.05:
-            raise ValueError("dx too coarse: per-step jump probability exceeds 0.05")
         if self.n_checkpoints > self.n_steps + 1:
             raise ValueError(f"{self.n_checkpoints} checkpoints asked for, but the line has "
                              f"only {self.n_steps + 1} snapshot steps (0..{self.n_steps})")
@@ -118,10 +116,6 @@ class QecRunConfig:
 
     @property
     def step(self) -> float:
-        if self.dx is not None:
-            if self.dx <= 0.0:
-                raise ValueError("dx must be > 0")
-            return self.dx
         nbar = max(abs(self.alpha_excited) ** 2, 1.0)
         if self.k0_kappa2 == 0.0:
             return self.x_total / 100.0
@@ -208,7 +202,6 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_M128 = (1 << 128) - 1
 _LOW32, _SHIFT32 = np.uint64(_M32), np.uint64(32)
 
 
@@ -260,11 +253,11 @@ def _seed_sequence_states(seed: int, input_index: int, nt: int) -> list[np.ndarr
     return [state[2 * k] | (state[2 * k + 1] << _SHIFT32) for k in range(4)]
 
 
-def _lcg_step(hi, lo, mult: int, add_hi, add_lo):
-    """(state * mult + add) mod 2**128 on (hi, lo) uint64 halves, for a
-    128-bit int mult; the high half of lo * mult's low half from 32-bit
-    limbs.  mult = _PCG_MULT with add the increment is one PCG64 step."""
-    m_hi, m_lo = np.uint64(mult >> 64), np.uint64(mult & 0xFFFFFFFFFFFFFFFF)
+def _lcg_step(hi, lo, add_hi, add_lo):
+    """One PCG64 step, (state * _PCG_MULT + add) mod 2**128, on (hi, lo)
+    uint64 halves with add the increment; the high half of lo times the
+    multiplier's low half from 32-bit limbs."""
+    m_hi, m_lo = np.uint64(_PCG_MULT >> 64), np.uint64(_PCG_MULT & 0xFFFFFFFFFFFFFFFF)
     m_lo1, m_lo0 = m_lo >> _SHIFT32, m_lo & _LOW32
     l1, l0 = lo >> _SHIFT32, lo & _LOW32
     p00, p01, p10 = l0 * m_lo0, l0 * m_lo1, l1 * m_lo0
@@ -285,20 +278,7 @@ def _pcg_seeded(seed: int, input_index: int, nt: int):
     # srandom: state = 0; step; state += initstate; step
     lo = inc_lo + s_lo
     hi = inc_hi + s_hi + (lo < s_lo)
-    return (*_lcg_step(hi, lo, _PCG_MULT, inc_hi, inc_lo), inc_hi, inc_lo)
-
-
-def _pcg_advance(hi, lo, inc_hi, inc_lo, k: int):
-    """The states k LCG steps on, in O(log k): state * A + inc * S with
-    A = M**k and S = sum of M**i over i < k, by square-and-multiply as
-    numpy's pcg_advance_lcg_128 computes them (with plus = 1)."""
-    cur_mult, cur_plus, a, s = _PCG_MULT, 1, 1, 0
-    while k:
-        if k & 1:
-            a, s = a * cur_mult & _M128, (s * cur_mult + cur_plus) & _M128
-        cur_mult, cur_plus = cur_mult * cur_mult & _M128, (cur_mult + 1) * cur_plus & _M128
-        k >>= 1
-    return _lcg_step(hi, lo, a, *_lcg_step(inc_hi, inc_lo, s, 0, 0))
+    return (*_lcg_step(hi, lo, inc_hi, inc_lo), inc_hi, inc_lo)
 
 
 def _uniform_rows(hi, lo, inc_hi, inc_lo, n_rows: int):
@@ -310,7 +290,7 @@ def _uniform_rows(hi, lo, inc_hi, inc_lo, n_rows: int):
     for start in range(0, n_rows, _DRAW_ROWS):
         burst = buf[:n_rows - start]
         for row in burst:
-            hi, lo = _lcg_step(hi, lo, _PCG_MULT, inc_hi, inc_lo)
+            hi, lo = _lcg_step(hi, lo, inc_hi, inc_lo)
             x = hi ^ lo
             rot = hi >> np.uint64(58)
             x = (x >> rot) | (x << (-rot & np.uint64(63)))
@@ -318,23 +298,13 @@ def _uniform_rows(hi, lo, inc_hi, inc_lo, n_rows: int):
         yield from burst
 
 
-def _ensemble_uniforms(config: QecRunConfig, input_index: int, n_exc: int,
-                       n_steps: int, n_checks: int):
-    """Every trajectory's trajectory_rng stream, as two lazy streams of
-    (n_traj,) rows.  A trajectory draws, in order, n_exc excitation-step
-    draws, one initial-check draw, n_steps line-step draws and n_checks
-    scheduled-check draws.  The first stream yields the first three groups
-    in that order, the second the check draws, from a cursor that jumps
-    n_exc + 1 + n_steps draws ahead of the first (no jump without checks).
-    Both share the vectorized SeedSequence pool and PCG64 seeding, and
-    hold O(n_traj) memory whatever the draw count."""
-    hi, lo, inc_hi, inc_lo = _pcg_seeded(config.seed, input_index, config.n_trajectories)
-    n_first = n_exc + 1 + n_steps
-    checks = iter(())
-    if n_checks:
-        checks = _uniform_rows(*_pcg_advance(hi, lo, inc_hi, inc_lo, n_first),
-                               inc_hi, inc_lo, n_checks)
-    return _uniform_rows(hi, lo, inc_hi, inc_lo, n_first), checks
+def _ensemble_uniforms(config: QecRunConfig, input_index: int, n_exc: int, n_steps: int):
+    """Every trajectory's trajectory_rng stream, as one lazy stream of
+    (n_traj,) rows: n_exc excitation-step draws, one initial-check draw
+    and n_steps line-step draws, in the order a trajectory draws them.  It
+    holds O(n_traj) memory whatever the draw count."""
+    return _uniform_rows(*_pcg_seeded(config.seed, input_index, config.n_trajectories),
+                         n_exc + 1 + n_steps)
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +312,7 @@ def _ensemble_uniforms(config: QecRunConfig, input_index: int, n_exc: int,
 
 # relative margin inside which a shortcut may not decide a Bernoulli draw
 _BAND = 1e-9
-# rows per block of the micro-step sweep, the parity projection and the
+# rows per block of the micro-step sweep, the initial check and the
 # recovery snapshot: a (512, 45) complex block and its conjugate scratch
 # take 0.74 MB together, inside a 2 MiB L2.  It must stay a multiple of 8:
 # OpenBLAS's gemv takes the rows of the snapshot's overlaps in lanes of 8,
@@ -365,16 +335,22 @@ def _row_norms(states: np.ndarray, sq: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(sq.real, axis=1, keepdims=True))
 
 
+def _renormalize(block: np.ndarray, sq: np.ndarray) -> None:
+    """Divide each complex row of block by its norm, in place, by scaling
+    its float view by 1/norm: what dividing the complex rows by a real
+    norm computes.  sq is scratch for _row_norms."""
+    flat = block.view(float)
+    flat *= 1.0 / _row_norms(block, sq)
+
+
 def _class_step(states, cls, n_live, u, gamma_dt, n_vec, sqrt_n, decay2, jumps,
-                check=None, scratch=None):
+                check=False, scratch=None):
     """One jump/no-jump micro-step of every trajectory, and the parity
-    check due after it.  Trajectory j's row is states[cls[j]]; rows
-    0..n_live-1 are the live classes, and states has room for one row per
-    trajectory.  Updates states, cls and jumps in place and returns
-    (n_live, outcomes), outcomes None without a check.  decay2 is the
-    no-jump decay repeated for the float view's (re, im) pairs: scaling
-    that view by 1/norm is what dividing the complex rows by a real norm
-    computes.
+    check due after it when check is true.  Trajectory j's row is
+    states[cls[j]]; rows 0..n_live-1 are the live classes, and states has
+    room for one row per trajectory.  Updates states, cls and jumps in
+    place and returns n_live.  decay2 is the no-jump decay repeated for
+    the float view's (re, im) pairs.
 
     Every decision is per trajectory.  A trajectory jumps when
     u < gamma_dt*<n>.  Rows enter with unit norm, so <n> <= dim - 1, and
@@ -385,17 +361,9 @@ def _class_step(states, cls, n_live, u, gamma_dt, n_vec, sqrt_n, decay2, jumps,
     relative _BAND of its threshold sends the step back to the <n> of
     every gathered row: every jump is the one that comparison decides.
 
-    check is None, or (uniforms, sector) for a check after this step, with
-    sector None or each trajectory's +-1 parity sector before the step
-    when every row is sector-pure: the other sector's amplitudes are
-    exactly zero.  A jump moves a row to the other sector; decay and
-    renormalization scale by positive reals, so exact zeros stay exact.
-    Then an odd row has p_even = 0 and measures -1, and an even row has
-    p_even equal to its unit norm to about 1e-14 and measures +1 for any
-    u below 1 - _BAND.  The projection would write zeros over zeros, so
-    only its renormalization runs.  Otherwise (sector None, or an even
-    trajectory drawing u >= 1 - _BAND) _class_parity projects after the
-    step.
+    Every row is sector-pure (see _unravel), so a check's projection
+    would write zeros over zeros, and its only effect on the rows is one
+    more renormalization of every class row after the step.
 
     The arithmetic is row-local, so it runs once per class.  All the
     trajectories that jump from one class share one new class, whose row
@@ -431,137 +399,94 @@ def _class_step(states, cls, n_live, u, gamma_dt, n_vec, sqrt_n, decay2, jumps,
     n_old, n_live = n_live, n_live + len(parents) - int(moved.sum())
     jumps[rows] += 1
 
-    uniforms, sector = (None, None) if check is None else check
-    outcome = None
-    if sector is not None:
-        sector = sector.copy()
-        sector[rows] *= -1
-        if not np.any((sector > 0) & (uniforms >= 1.0 - _BAND)):
-            outcome = sector
-
     if scratch is None:
         scratch = np.empty((min(_BLOCK, len(cls)), states.shape[1]), dtype=complex)
     starts = range(0, n_live, _BLOCK)
     cuts = np.searchsorted(slots, [*starts, n_live])
     for k, start in enumerate(starts):
         block = states[start:min(start + _BLOCK, n_live)]
-        sq, flat = scratch[:len(block)], block.view(float)
+        sq = scratch[:len(block)]
         n = max(n_old - start, 0)
-        old = flat[:n]
+        old = block.view(float)[:n]
         old *= decay2
-        old *= 1.0 / _row_norms(block[:n], sq[:n])
+        _renormalize(block[:n], sq[:n])
         take = slice(cuts[k], cuts[k + 1])
         block[slots[take] - start] = unit[take]
-        if outcome is not None:
-            norms = _row_norms(block, sq)
-            if np.any(norms < 1e-14):
-                raise ArithmeticError("parity projection annihilated a trajectory")
-            flat *= 1.0 / norms
-    if uniforms is not None and outcome is None:
-        n_live, outcome = _class_parity(states, cls, n_live, uniforms, scratch)
-    return n_live, outcome
+        if check:
+            _renormalize(block, sq)
+    return n_live
 
 
-def _class_parity(states, cls, n_live, uniforms, scratch=None):
-    """Projective parity measurement of every trajectory, in place on the
-    class rows (as _class_step holds them); returns (n_live, outcomes).
-    Each trajectory's outcome comes from its class's p_even and its own
-    draw.  A class whose trajectories measure both outcomes splits: its
-    odd ones move to a copy of its row in the next free slot.  Raises on a
-    row the projection annihilates.  p_even, the projection and the
-    renormalization are row-local, so they run over blocks of _BLOCK rows,
-    and no bit depends on the block size."""
-    if scratch is None:
-        scratch = np.empty((min(_BLOCK, len(cls)), states.shape[1]), dtype=complex)
-    starts = range(0, n_live, _BLOCK)
-    p_even = np.concatenate([np.sum(np.abs(states[s:min(s + _BLOCK, n_live), 0::2]) ** 2, axis=1)
-                             for s in starts])
-    outcome = np.where(uniforms < p_even[cls], 1, -1)
-    odd = outcome < 0
-    even = np.bincount(cls[~odd], minlength=n_live) > 0
-    split = odd & even[cls]
-    parents, child = np.unique(cls[split], return_inverse=True)
-    cls[split] = n_live + child
-    for s in range(0, len(parents), _BLOCK):
-        part = parents[s:s + _BLOCK]
-        states[n_live + s:n_live + s + len(part)] = states[part]
-    n_live += len(parents)
-    even = np.concatenate((even, np.zeros(len(parents), dtype=bool)))
-    for start in range(0, n_live, _BLOCK):
-        block = states[start:min(start + _BLOCK, n_live)]
-        keep = even[start:start + _BLOCK, None]
-        np.copyto(block[:, 1::2], 0.0, where=keep)
-        np.copyto(block[:, 0::2], 0.0, where=~keep)
-        norms = _row_norms(block, scratch[:len(block)])
-        if np.any(norms < 1e-14):
-            raise ArithmeticError("parity projection annihilated a trajectory")
-        flat = block.view(float)
-        flat *= 1.0 / norms
-    return n_live, outcome
-
-
-def _unravel(config: QecRunConfig, states: np.ndarray, cls: np.ndarray, streams, schedule,
+def _unravel(config: QecRunConfig, states: np.ndarray, cls: np.ndarray, draws, schedule,
              snapshot=None) -> np.ndarray:
     """Quantum-jump run of every trajectory, in place on the class rows.
 
     states has one row per trajectory of room, and trajectory j's row is
     states[cls[j]]; rows 0..max(cls) must all be in use (one row and cls
-    all zero start every trajectory in one state).  streams are the two
-    row streams of _ensemble_uniforms, and schedule is
+    all zero start every trajectory in one state), and each must be even.
+    draws is the row stream of _ensemble_uniforms, and schedule is
     config.check_schedule().  The excitation-stage loss and the excitation
     phase come first, then the initial check and the line steps with their
-    scheduled checks.  Each step or check pulls its row from its stream
-    when it runs.  snapshot(step_no, parity, flips) is called after the
-    initial check (step 0) and after every step.  Returns the
-    per-trajectory jump counts.
+    scheduled checks.  Each step pulls its row from the stream when it
+    runs; the initial check's row is pulled and not used, so the step
+    rows keep their places in every trajectory's stream.
+    snapshot(step_no, parity, flips) is called after the initial check
+    (step 0) and after every step.  Returns the per-trajectory jump
+    counts.
+
+    A start row's odd amplitudes are exactly zero (fock_vector sums the
+    legs +-a and +-ia in pairs whose odd columns cancel exactly); one that
+    is not raises ValueError.  The excitation phase, the decay and the
+    renormalization scale entries and a jump shifts them by one place, so
+    every row stays in one parity sector, (-1)^jumps, with the other
+    sector exactly zero.  A projective parity check then finds p_even = 0
+    on an odd row and p_even = 1 to rounding on an even one: its outcome
+    is (-1)^jumps, and its projection writes zeros over zeros.  So a check
+    draws nothing and only renormalizes the rows.
     """
-    draws, checks = streams
     nt, dim = len(cls), states.shape[1]
     n_live = int(cls.max()) + 1
+    if np.any(states[:n_live, 1::2]):
+        raise ValueError("a start row has a nonzero odd amplitude; the code words are even")
     n_vec = np.arange(dim, dtype=float)
     sqrt_n = np.sqrt(np.arange(1, dim, dtype=float))
     scratch = np.empty((min(_BLOCK, nt), dim), dtype=complex)
     jumps = np.zeros(nt, dtype=int)
     flips = np.zeros(nt, dtype=int)
     parity = np.ones(nt, dtype=int)
-    at_check = None  # jump counts at the last check, which left every row sector-pure
 
-    def record(outcome):
-        nonlocal parity, at_check
+    def record():
+        nonlocal parity
+        outcome = np.where(jumps % 2 == 0, 1, -1)
         flips[:] += outcome != parity
         parity = outcome
-        at_check = jumps.copy()
 
     n_exc = config.n_excitation_steps
     if n_exc:
         g_dt = config.excitation_gamma_t / n_exc
         decay2 = np.repeat(np.exp(-0.5 * g_dt * n_vec), 2)
         for u in islice(draws, n_exc):
-            n_live, _ = _class_step(states, cls, n_live, u, g_dt, n_vec, sqrt_n, decay2, jumps,
-                                    scratch=scratch)
+            n_live = _class_step(states, cls, n_live, u, g_dt, n_vec, sqrt_n, decay2, jumps,
+                                 scratch=scratch)
     # deterministic phase of the excited amplitude: -conj(beta) = r*e^{i phi}
     phi = np.angle(config.alpha_excited / config.alpha)
     states[:n_live] *= np.exp(1j * phi * n_vec)
 
-    init_u = next(draws)  # drawn whether or not the initial check runs
+    next(draws)  # the initial check's draw, made whether or not the check runs
     if config.initial_check:
-        n_live, outcome = _class_parity(states, cls, n_live, init_u, scratch)
-        record(outcome)
+        for start in range(0, n_live, _BLOCK):
+            block = states[start:min(start + _BLOCK, n_live)]
+            _renormalize(block, scratch[:len(block)])
+        record()
     if snapshot is not None:
         snapshot(0, parity, flips)
     gamma_dx = 2.0 * config.k0_kappa2 * config.step
     decay2 = np.repeat(np.exp(-0.5 * gamma_dx * n_vec), 2)
     for i, (due, u) in enumerate(zip(schedule, draws, strict=True)):
-        check = None
+        n_live = _class_step(states, cls, n_live, u, gamma_dx, n_vec, sqrt_n, decay2, jumps,
+                             due, scratch)
         if due:
-            # each row's sector before this step: a jump moves it to the other one
-            sector = None if at_check is None else np.where((jumps - at_check) % 2 == 0,
-                                                            parity, -parity)
-            check = (next(checks), sector)
-        n_live, outcome = _class_step(states, cls, n_live, u, gamma_dx, n_vec, sqrt_n, decay2,
-                                      jumps, check, scratch)
-        if due:
-            record(outcome)
+            record()
         if snapshot is not None:
             snapshot(i + 1, parity, flips)
     return jumps
@@ -641,8 +566,7 @@ def run_ensemble(config: QecRunConfig, input_logical: tuple[complex, complex],
     c0, c1 = input_logical
     dim = truncation_dimension(config.alpha)
     schedule = config.check_schedule()
-    streams = _ensemble_uniforms(config, input_index, config.n_excitation_steps,
-                                 config.n_steps, int(schedule.sum()))
+    draws = _ensemble_uniforms(config, input_index, config.n_excitation_steps, config.n_steps)
     nt = config.n_trajectories
     coeffs, amps = code_legs(c0, c1, config.alpha)
     states = np.empty((nt, dim), dtype=complex)
@@ -682,7 +606,7 @@ def run_ensemble(config: QecRunConfig, input_logical: tuple[complex, complex],
             overlap = np.abs(vec @ ref) ** 2
             fid[idx, rows] = np.where(norms > 1e-8, overlap / np.maximum(norms, 1e-300) ** 2, 0.0)
 
-    jumps = _unravel(config, states, cls, streams, schedule, snapshot=snapshot)
+    jumps = _unravel(config, states, cls, draws, schedule, snapshot=snapshot)
     return fid, jumps
 
 

@@ -335,17 +335,18 @@ def ensemble_uniforms_oracle(config, input_index, n_exc, n_steps, n_checks):
 
 def unravel_on_blocks(config, states, blocks, snapshot=None):
     """gspp.qec._unravel fed from ensemble_uniforms_oracle's blocks: the
-    excitation, initial-check and line-step blocks in order as its first
-    row stream, the scheduled-check block as its second.  The blocks may
-    be edited first.  Same arguments and return value as unravel_oracle:
-    every row of states must hold the start state, and after the run
-    states holds each trajectory's gathered class row."""
+    excitation, initial-check and line-step blocks in order as its row
+    stream; the scheduled-check block is not read, since a check draws
+    nothing.  The blocks may be edited first.  Same arguments and return
+    value as unravel_oracle: every row of states must hold the start
+    state, and after the run states holds each trajectory's gathered class
+    row."""
     assert np.array_equal(states, np.broadcast_to(states[0], states.shape))
     rows = np.empty_like(states)
     rows[0] = states[0]
     cls = np.zeros(len(states), dtype=np.intp)
-    streams = iter(np.concatenate(blocks[:3])), iter(blocks[3])
-    jumps = _unravel(config, rows, cls, streams, config.check_schedule(), snapshot)
+    jumps = _unravel(config, rows, cls, iter(np.concatenate(blocks[:3])),
+                     config.check_schedule(), snapshot)
     states[:] = rows[cls]
     return jumps
 
@@ -422,25 +423,6 @@ def unravel_oracle(config, states, blocks, snapshot=None):
         if snapshot is not None:
             snapshot(i + 1, parity, flips)
     return jumps
-
-
-def vec_parity_oracle(states, uniforms):
-    """gspp.qec._class_parity on the whole array at once: p_even, the
-    projection and the float-view renormalization with a state-sized
-    scratch, in place; returns the +-1 outcomes."""
-    p_even = np.sum(np.abs(states[:, 0::2]) ** 2, axis=1)
-    outcome = np.where(uniforms < p_even, 1, -1)
-    even = (outcome > 0)[:, None]
-    np.copyto(states[:, 1::2], 0.0, where=even)
-    np.copyto(states[:, 0::2], 0.0, where=~even)
-    sq = np.conjugate(states)
-    sq *= states
-    norms = np.sqrt(np.add.reduce(sq.real, axis=1, keepdims=True))
-    if np.any(norms < 1e-14):
-        raise ArithmeticError("parity projection annihilated a trajectory")
-    flat = states.view(float)
-    flat *= 1.0 / norms
-    return outcome
 
 
 def recovery_score_oracle(states, parity, flips, bases, ref):

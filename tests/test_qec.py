@@ -25,7 +25,6 @@ from conftest import (
     run_ensemble_oracle,
     unravel_on_blocks,
     unravel_oracle,
-    vec_parity_oracle,
 )
 from gspp.channel import AMPLITUDE_MATCHED, fidelity_vs_distance
 from gspp.coupling import code_legs, normalize_superposition
@@ -39,13 +38,10 @@ from gspp.qec import (
 from gspp.qec import (
     SIX_CARDINAL,
     _BLOCK,
-    _class_parity,
     _class_step,
     _code_basis,
     _ensemble_uniforms,
     _f0_analytic,
-    _pcg_advance,
-    _pcg_seeded,
     _recovered,
     _unravel,
 )
@@ -181,36 +177,65 @@ class TestKraus:
 
 
 class TestParityCheck:
-    def test_even_cat_deterministic(self, basis):
-        rng = np.random.default_rng(1)
-        rows = basis[(0, +1)][None, :].copy()
-        _, outcome = _class_parity(rows, np.zeros(1, dtype=np.intp), 1, rng.random(1))
-        assert outcome[0] == 1
-        assert abs(np.vdot(rows[0], basis[(0, +1)])) ** 2 == pytest.approx(1.0, abs=1e-12)
+    """A check's outcome is (-1)^jumps, read from the record, whatever its
+    draw; the check only renormalizes the rows."""
+
+    @staticmethod
+    def run_checked(cfg, start, stream):
+        """_unravel from one start row; returns the jumps, the outcomes of
+        every check and the final per-trajectory rows."""
+        cls = np.zeros(cfg.n_trajectories, dtype=np.intp)
+        states = class_rows(start[None, :], cls)
+        due = check_steps(cfg)
+        outcomes = []
+
+        def snapshot(i, parity, flips):
+            if due[i]:
+                outcomes.append(parity.copy())
+
+        jumps = _unravel(cfg, states, cls, stream, cfg.check_schedule(), snapshot)
+        return jumps, np.array(outcomes), states[cls]
+
+    def test_even_cat_deterministic(self):
+        # a lossless line checked after every step, with initial-check
+        # draws from 0 to the largest below 1: every outcome is +1 and every
+        # row is still the even cat at the excited amplitude
+        cfg = make_config(k0_kappa2=0.0, parity_p=1.0, x_total=0.05, n_trajectories=3)
+        init = np.array([0.0, 0.5, 1.0 - 2.0**-53])
+        stream = iter([init, *np.ones((cfg.n_steps, 3))])
+        jumps, outcomes, rows = self.run_checked(cfg, encode((1.0, 0.0), cfg.alpha), stream)
+        assert not jumps.any() and len(outcomes) == cfg.n_steps + 1
+        assert np.all(outcomes == 1)
+        cat = _code_basis(cfg.alpha_excited, rows.shape[1])[(0, +1)]
+        for row in rows:
+            assert overlap_sq(row, cat) == pytest.approx(1.0, abs=1e-12)
 
     def test_vacuum_even(self):
-        rng = np.random.default_rng(2)
-        vac = np.eye(8, dtype=complex)[:1]
-        assert _class_parity(vac, np.zeros(1, dtype=np.intp), 1, rng.random(1))[1][0] == 1
+        # <n> = 0, so the vacuum never jumps on a lossy line, measures even
+        # at every check and stays the vacuum bit for bit
+        cfg = make_config(parity_p=1.0, x_total=0.05, n_trajectories=5)
+        vac = np.eye(truncation_dimension(cfg.alpha), dtype=complex)[0]
+        jumps, outcomes, rows = self.run_checked(cfg, vac, draws(cfg))
+        assert not jumps.any() and len(outcomes) == cfg.n_steps + 1
+        assert np.all(outcomes == 1)
+        assert np.array_equal(rows, np.tile(vac, (5, 1)))
 
-    def test_statistics_match_weights(self, basis):
-        # even/odd superposition measured by 10^4 trajectories of one class:
-        # binomial within 3 sigma, and the class splits by outcome
-        w_even = 0.7
-        psi = math.sqrt(w_even) * basis[(0, +1)] + math.sqrt(1.0 - w_even) * basis[(0, -1)]
-        psi /= np.linalg.norm(psi)
-        rng = np.random.default_rng(3)
-        n = 10_000
-        cls = np.zeros(n, dtype=np.intp)
-        rows = class_rows(psi[None, :], cls)
-        n_live, outcome = _class_parity(rows, cls, 1, rng.random(n))
-        hits = int(np.sum(outcome == 1))
-        p_even = float(np.sum(np.abs(psi[0::2]) ** 2))
-        sigma = math.sqrt(n * p_even * (1.0 - p_even))
-        assert abs(hits - n * p_even) < 3.0 * sigma
-        assert n_live == 2 and np.array_equal(cls, (outcome < 0).astype(int))
-        assert overlap_sq(rows[0], basis[(0, +1)]) == pytest.approx(1.0, abs=1e-12)
-        assert overlap_sq(rows[1], basis[(0, -1)]) == pytest.approx(1.0, abs=1e-12)
+    def test_statistics_match_weights(self):
+        # 10^4 trajectories of one class on a lossy line: the last outcome
+        # is each one's (-1)^jumps, and the even share is the pure-loss
+        # channel's weight of an even loss count at transmissivity eta,
+        # sum_n |psi_n|^2 (1 + (2 eta - 1)^n)/2, binomial within 3 sigma
+        cfg = make_config(parity_p=1.0, x_total=0.05, n_trajectories=10_000)
+        start = encode((0.6, 0.8), cfg.alpha)
+        jumps, outcomes, _ = self.run_checked(cfg, start, draws(cfg))
+        assert np.array_equal(outcomes[-1], np.where(jumps % 2 == 0, 1, -1))
+        eta = math.exp(-2.0 * cfg.k0_kappa2 * cfg.x_total)
+        n = np.arange(len(start))
+        p_even = float(np.sum(np.abs(start) ** 2 * (1.0 + (2.0 * eta - 1.0) ** n) / 2.0))
+        hits = int(np.sum(outcomes[-1] == 1))
+        sigma = math.sqrt(cfg.n_trajectories * p_even * (1.0 - p_even))
+        assert 0.1 < p_even < 0.9
+        assert abs(hits - cfg.n_trajectories * p_even) < 3.0 * sigma
 
 
 def make_config(**kw):
@@ -225,10 +250,9 @@ def check_steps(cfg):
     return np.concatenate(([cfg.initial_check], cfg.check_schedule()))
 
 
-def streams(cfg):
-    """Input 0's two row streams for _unravel."""
-    return _ensemble_uniforms(cfg, 0, cfg.n_excitation_steps, cfg.n_steps,
-                              int(cfg.check_schedule().sum()))
+def draws(cfg):
+    """Input 0's row stream for _unravel."""
+    return _ensemble_uniforms(cfg, 0, cfg.n_excitation_steps, cfg.n_steps)
 
 
 def unravel_rows(cfg, inp):
@@ -269,9 +293,9 @@ class TestTrajectories:
         assert abs(jumps.mean() - expected) < 4.0 * se
 
     def test_parity_flip_jump_alignment(self):
-        # p = 1 with a fine step: every recorded flip matches one jump
-        cfg = make_config(parity_p=1.0, x_total=0.05, dx=0.0001,
-                          n_trajectories=30, seed=5)
+        # p = 1: a check after every micro-step, which jumps at most once,
+        # so every recorded flip matches one jump
+        cfg = make_config(parity_p=1.0, x_total=0.05, n_trajectories=30, seed=5)
         jumps, _, flips, _ = unravel_rows(cfg, (1.0, 0.0))
         assert jumps.any()
         assert np.array_equal(flips, jumps)
@@ -297,10 +321,6 @@ class TestTrajectories:
             assert jumps[j] == n_jumps
             assert tuple(outcomes[:, j]) == fock_outcomes
             assert np.abs(states[j] - amps).max() < 1e-10
-
-    def test_too_coarse_step_rejected(self):
-        with pytest.raises(ValueError):
-            make_config(dx=1.0, k0_kappa2=1.0)
 
 
 def unit(vec):
@@ -432,11 +452,10 @@ SEEDS = st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1),
                   st.integers(2**64, 2**70 - 1))
 
 
-def drain(streams, n_exc, nt):
-    """A copy of every row of _ensemble_uniforms' two streams, as
-    ensemble_uniforms_oracle's four blocks."""
-    draws, checks = (np.reshape([row.copy() for row in stream], (-1, nt)) for stream in streams)
-    return (*np.split(draws, [n_exc, n_exc + 1]), checks)
+def drain(stream, n_exc, nt):
+    """A copy of every row of _ensemble_uniforms' stream, as the first
+    three of ensemble_uniforms_oracle's blocks."""
+    return np.split(np.reshape([row.copy() for row in stream], (-1, nt)), [n_exc, n_exc + 1])
 
 
 class TestVectorizedStreams:
@@ -445,73 +464,52 @@ class TestVectorizedStreams:
     as ensemble_uniforms_oracle draws it."""
 
     @given(seed=SEEDS, input_index=st.integers(0, 9), nt=st.integers(1, 64),
-           n_exc=st.integers(0, 4), n_steps=st.integers(1, 12), n_checks=st.integers(0, 12))
-    @example(seed=0, input_index=0, nt=1, n_exc=0, n_steps=1, n_checks=0)
-    @example(seed=2**32 - 1, input_index=9, nt=64, n_exc=0, n_steps=5, n_checks=5)
-    @example(seed=2**64, input_index=3, nt=7, n_exc=3, n_steps=4, n_checks=0)
-    def test_matches_trajectory_rng(self, seed, input_index, nt, n_exc, n_steps, n_checks):
+           n_exc=st.integers(0, 4), n_steps=st.integers(1, 12))
+    @example(seed=0, input_index=0, nt=1, n_exc=0, n_steps=1)
+    @example(seed=2**32 - 1, input_index=9, nt=64, n_exc=0, n_steps=5)
+    @example(seed=2**64, input_index=3, nt=7, n_exc=3, n_steps=4)
+    def test_matches_trajectory_rng(self, seed, input_index, nt, n_exc, n_steps):
         cfg = make_config(seed=seed, n_trajectories=nt)
-        blocks = drain(_ensemble_uniforms(cfg, input_index, n_exc, n_steps, n_checks), n_exc, nt)
-        assert [b.shape for b in blocks] == [(n_exc, nt), (1, nt), (n_steps, nt), (n_checks, nt)]
-        drawn = ensemble_uniforms_oracle(cfg, input_index, n_exc, n_steps, n_checks)
+        blocks = drain(_ensemble_uniforms(cfg, input_index, n_exc, n_steps), n_exc, nt)
+        assert [b.shape for b in blocks] == [(n_exc, nt), (1, nt), (n_steps, nt)]
+        drawn = ensemble_uniforms_oracle(cfg, input_index, n_exc, n_steps, 0)
         for block, ref in zip(blocks, drawn):
             assert np.array_equal(block, ref)
 
     def test_matches_generator_loop(self):
         cfg = make_config(seed=7, n_trajectories=300)
-        new = drain(_ensemble_uniforms(cfg, 4, 9, 30, 17), 9, 300)
-        old = ensemble_uniforms_oracle(cfg, 4, 9, 30, 17)
+        new = drain(_ensemble_uniforms(cfg, 4, 9, 30), 9, 300)
+        old = ensemble_uniforms_oracle(cfg, 4, 9, 30, 0)
         for block, ref in zip(new, old):
             assert np.array_equal(block, ref)
 
     @pytest.mark.parametrize("rows", [1, 7, 40, 64])
     def test_burst_size_invariance(self, monkeypatch, rows):
-        # 40 first-stream rows and 17 check rows, in bursts of every size
+        # 40 rows, in bursts of every size
         monkeypatch.setattr("gspp.qec._DRAW_ROWS", rows)
         self.test_matches_generator_loop()
 
-    @given(seed=SEEDS, input_index=st.integers(0, 9), traj=st.integers(0, 63),
-           k=st.integers(0, 2**128 - 1))
-    @example(seed=7, input_index=0, traj=0, k=0)
-    @example(seed=7, input_index=5, traj=63, k=1)
-    @example(seed=2**32 - 1, input_index=1, traj=9, k=217)
-    @example(seed=2**64, input_index=2, traj=31, k=649)
-    @example(seed=0, input_index=9, traj=4, k=2**33 + 5)
-    def test_jump_ahead_matches_pcg64_advance(self, seed, input_index, traj, k):
-        hi, lo, inc_hi, inc_lo = _pcg_seeded(seed, input_index, traj + 1)
-        bitgen = np.random.PCG64(np.random.SeedSequence((seed, input_index, traj)))
-        assert int(inc_hi[traj]) << 64 | int(inc_lo[traj]) == bitgen.state["state"]["inc"]
-        hi, lo = _pcg_advance(hi, lo, inc_hi, inc_lo, k)
-        assert int(hi[traj]) << 64 | int(lo[traj]) == bitgen.advance(k).state["state"]["state"]
-
     def test_draw_order_and_count(self):
-        # beta < 1 gives excitation draws, and at p = 0.4 the check rows fall
-        # between step rows
+        # the engine pulls n_exc + 1 + n_steps rows in stream order, and
+        # none for a check: beta < 1 gives excitation draws, and at p = 0.4
+        # the checks fall between steps
         cfg = make_config(g=math.asin(0.9511), parity_p=0.4, n_trajectories=50)
         n_exc, schedule = cfg.n_excitation_steps, cfg.check_schedule()
-        n_checks = int(schedule.sum())
-        assert n_exc > 0 and 0 < n_checks < cfg.n_steps
-        streams = _ensemble_uniforms(cfg, 2, n_exc, cfg.n_steps, n_checks)
+        assert n_exc > 0 and 0 < schedule.sum() < cfg.n_steps
+        stream = _ensemble_uniforms(cfg, 2, n_exc, cfg.n_steps)
         pulled = []
 
-        def recorded(name, stream):
+        def recorded():
             for row in stream:
-                pulled.append((name, row.copy()))
+                pulled.append(row.copy())
                 yield row
 
         cls = np.zeros(cfg.n_trajectories, dtype=np.intp)
         states = class_rows(encode((0.6, 0.8), cfg.alpha)[None, :], cls)
-        _unravel(cfg, states, cls, (recorded("draw", streams[0]), recorded("check", streams[1])),
-                 schedule)
-        order = ["draw"] * (n_exc + 1)
-        for due in schedule:
-            order += ["draw", "check"] if due else ["draw"]
-        assert [name for name, _ in pulled] == order
-        exc, init, step, check = ensemble_uniforms_oracle(cfg, 2, n_exc, cfg.n_steps, n_checks)
-        expected = {"draw": iter(np.concatenate((exc, init, step))), "check": iter(check)}
-        for name, row in pulled:
-            assert np.array_equal(row, next(expected[name]))
-        assert all(next(stream, None) is None for stream in (*streams, *expected.values()))
+        _unravel(cfg, states, cls, recorded(), schedule)
+        assert len(pulled) == n_exc + 1 + cfg.n_steps
+        blocks = ensemble_uniforms_oracle(cfg, 2, n_exc, cfg.n_steps, 0)
+        assert np.array_equal(pulled, np.concatenate(blocks))
 
     def test_run_memory_does_not_grow_with_line_length(self):
         # the draws are streamed: a line three times as long, with three
@@ -531,9 +529,9 @@ class TestVectorizedStreams:
 
     def test_run_peak_is_ensemble_plus_blocks(self):
         # 10k rows on a 20-step line: the (10000, 45) ensemble is 6.9 MiB and
-        # the two draw bursts 2.4 MiB; the recovery snapshots and the parity
-        # projection add only _BLOCK-row scratch (26.9 MiB with whole-array
-        # snapshots and projection)
+        # the draw burst 1.2 MiB; the recovery snapshots and the checks add
+        # only _BLOCK-row scratch (26.9 MiB with whole-array snapshots and
+        # parity projections)
         cfg = make_config(x_total=0.011, parity_p=1.0, n_trajectories=10_000)
         assert cfg.n_steps == 20 and cfg.initial_check and cfg.apply_recovery
         tracemalloc.start()
@@ -565,9 +563,9 @@ class TestVectorizedStreams:
 
 
 class TestMicroStepOracle:
-    """The class engine's micro-step and parity projection against their
-    complex-arithmetic forms on the per-trajectory rows, bit for bit, over
-    many steps."""
+    """The class engine's micro-step, and the check fused into it, against
+    their complex-arithmetic forms on the per-trajectory rows, bit for bit,
+    over many steps."""
 
     @staticmethod
     def ensemble(rng, nt=400, dim=45):
@@ -579,10 +577,9 @@ class TestMicroStepOracle:
         return states
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_steps_and_checks_bit_exact(self, seed):
+    def test_steps_bit_exact(self, seed):
         # 400 trajectories in 100 classes; a quarter of the classes are
-        # even, a quarter odd and half hold both sectors, so the first
-        # check splits them
+        # even, a quarter odd and half hold both sectors
         rng = np.random.default_rng(seed)
         nt, n_live = 400, 100
         cls = spread(rng, n_live, nt)
@@ -593,29 +590,51 @@ class TestMicroStepOracle:
         sqrt_n = np.sqrt(np.arange(1, dim, dtype=float))
         jumps_new = np.zeros(nt, dtype=int)
         jumps_old = np.zeros(nt, dtype=int)
-        flips, splits = 0, 0
         for k in range(120):
             gamma_dt = 0.02 * (1 + k % 3)
             decay = np.exp(-0.5 * gamma_dt * n_vec)
             u = rng.random(nt) * (0.2 if k % 5 == 0 else 1.0)  # bursts of jumps
-            n_live, _ = _class_step(new, cls, n_live, u, gamma_dt, n_vec, sqrt_n,
-                                    np.repeat(decay, 2), jumps_new)
+            n_live = _class_step(new, cls, n_live, u, gamma_dt, n_vec, sqrt_n,
+                                 np.repeat(decay, 2), jumps_new)
             channel_step_oracle(old, u, gamma_dt, n_vec, sqrt_n, decay, jumps_old)
             assert np.array_equal(new[cls].view(float), old.view(float))
-            if k % 2:
-                before = np.sum(np.abs(old[:, 0::2]) ** 2, axis=1) > 0.5
-                u = rng.random(nt)
-                n_split = n_live
-                n_live, outcome = _class_parity(new, cls, n_live, u)
-                splits += n_live - n_split
-                assert np.array_equal(outcome, parity_oracle(old, u))
-                assert np.array_equal(new[cls].view(float), old.view(float))
-                flips += int(np.sum((outcome > 0) != before))
             assert np.array_equal(np.unique(cls), np.arange(n_live))
         assert np.array_equal(jumps_new, jumps_old)
         assert jumps_new.sum() > nt  # jump rows were exercised
-        assert flips > 0 and splits > 0  # and parity flips and class splits
         assert np.any(old == 0.0)  # and exact-zero sectors
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_steps_and_checks_bit_exact(self, seed):
+        # 400 trajectories in 100 sector-pure classes, a check fused into
+        # every other step: the oracle's projection on draws of 0 measures
+        # each row's sector, the start sector times (-1)^jumps
+        rng = np.random.default_rng(seed)
+        nt, n_live = 400, 100
+        cls = spread(rng, n_live, nt)
+        rows, sector = sector_pure_rows(rng, n_live, 45)
+        new, old, sector = class_rows(rows, cls), rows[cls], sector[cls]
+        dim = new.shape[1]
+        n_vec = np.arange(dim, dtype=float)
+        sqrt_n = np.sqrt(np.arange(1, dim, dtype=float))
+        jumps_new = np.zeros(nt, dtype=int)
+        jumps_old = np.zeros(nt, dtype=int)
+        flips = 0
+        for k in range(120):
+            gamma_dt = 0.02 * (1 + k % 3)
+            decay = np.exp(-0.5 * gamma_dt * n_vec)
+            u = rng.random(nt) * (0.2 if k % 5 == 0 else 1.0)  # bursts of jumps
+            check = bool(k % 2)
+            n_live = _class_step(new, cls, n_live, u, gamma_dt, n_vec, sqrt_n,
+                                 np.repeat(decay, 2), jumps_new, check)
+            channel_step_oracle(old, u, gamma_dt, n_vec, sqrt_n, decay, jumps_old)
+            if check:
+                outcome = parity_oracle(old, np.zeros(nt))
+                assert np.array_equal(outcome, np.where(jumps_old % 2 == 0, sector, -sector))
+                flips += int(np.sum(outcome != sector))
+            assert np.array_equal(jumps_new, jumps_old)
+            assert np.array_equal(new[cls].view(float), old.view(float))
+            assert np.array_equal(np.unique(cls), np.arange(n_live))
+        assert jumps_new.sum() > nt and flips > 0  # jumps and parity flips exercised
 
     def test_one_row_jump_and_vacuum_errors(self):
         dim = 8
@@ -626,13 +645,15 @@ class TestMicroStepOracle:
         odd = np.zeros((1, dim), dtype=complex)
         odd[0, 1] = 1.0
         one = np.zeros(1, dtype=np.intp)
-        with pytest.raises(ArithmeticError):
-            _class_parity(vacuum.copy(), one, 1, np.array([1.0]))  # p_even = 1, u = 1 -> odd
+        decay2 = np.repeat(np.exp(-0.005 * n_vec), 2)
         state = odd.copy()
         jumps = np.zeros(1, dtype=int)
-        _class_step(state, one, 1, np.array([0.0]), 0.01, n_vec, sqrt_n,
-                    np.repeat(np.exp(-0.005 * n_vec), 2), jumps)
+        _class_step(state, one, 1, np.array([0.0]), 0.01, n_vec, sqrt_n, decay2, jumps)
         assert jumps[0] == 1 and np.array_equal(state, vacuum)
+        # <n> = 0 on the vacuum, so only a draw below 0 jumps it, and a
+        # jump there has nothing to remove
+        with pytest.raises(ArithmeticError, match="vacuum"):
+            _class_step(state, one, 1, np.array([-1.0]), 0.01, n_vec, sqrt_n, decay2, jumps)
 
 
 def sector_pure_rows(rng, nt, dim, decay=0.08):
@@ -661,7 +682,9 @@ def near(value, rng, size):
         [np.nextafter(value, -np.inf), value, np.nextafter(value, np.inf)])
 
 
-# check draws at and around the sector shortcut's 1 - _BAND cut
+# check draws near the top of the unit interval, where a projective check
+# with a draw could find an even row odd: the largest draw, and 1 - 1e-9
+# and its neighbours
 NEAR_TOP = [1.0 - 2.0**-53, 1.0 - 1e-9, np.nextafter(1.0 - 1e-9, 0.0),
             np.nextafter(1.0 - 1e-9, 1.0)]
 # an ensemble of two whole sweep blocks and a ragged third
@@ -670,23 +693,34 @@ RAGGED = 2 * _BLOCK + 37
 
 class TestDecisionShortcuts:
     """The micro-step decides a jump from <n> on the rows that can jump,
-    and a check after the first from each row's parity sector.  Every
-    jump, outcome and per-trajectory state bit must be what the
-    whole-array <n> and the general projection give.  (States compare as
-    float views: the oracles' complex division turns some -0.0 into +0.0,
-    the float view does not.)"""
+    and a check's outcome from each trajectory's jump count.  Every jump,
+    outcome and per-trajectory state bit must be what the whole-array <n>
+    and the projective check with its draw give.  (States compare as float
+    views with ==, which holds -0.0 equal to +0.0: the oracles' projection
+    writes +0.0 over the empty sector, and their complex division turns
+    some -0.0 into +0.0.  No output depends on that sign.)"""
 
     @staticmethod
-    def run_engines(cfg, edit=None):
+    def run_engines(cfg, near_top=None):
+        """unravel_on_blocks and unravel_oracle on the same draws.
+        near_top, a (rows, u) pair, sets those trajectories' check draws to
+        u for the engine and to 0 for the oracle, whose projection then
+        measures (-1)^jumps."""
         blocks = ensemble_uniforms_oracle(cfg, 0, cfg.n_excitation_steps, cfg.n_steps,
                                           int(cfg.check_schedule().sum()))
-        if edit is not None:
-            edit(blocks)
+        engine_blocks, oracle_blocks = blocks, blocks
+        if near_top is not None:
+            rows, u = near_top
+            engine_blocks = tuple(b.copy() for b in blocks)
+            oracle_blocks = tuple(b.copy() for b in blocks)
+            for k in (1, 3):  # the initial and the scheduled check draws
+                engine_blocks[k][:, rows] = u
+                oracle_blocks[k][:, rows] = 0.0
         start = np.tile(encode((1.0 / math.sqrt(2.0), 1j / math.sqrt(2.0)), cfg.alpha),
                         (cfg.n_trajectories, 1))
         due = check_steps(cfg)
         runs = []
-        for engine in (unravel_on_blocks, unravel_oracle):
+        for engine, drawn in ((unravel_on_blocks, engine_blocks), (unravel_oracle, oracle_blocks)):
             states = start.copy()
             outcomes, snaps = [], []
             def snapshot(i, parity, flips):
@@ -694,15 +728,12 @@ class TestDecisionShortcuts:
                 if due[i]:
                     outcomes.append(parity.copy())
 
-            jumps = outcome_or_error(engine, cfg, states, blocks, snapshot)
-            runs.append(jumps if jumps is ArithmeticError else (jumps, outcomes, snaps, states))
+            jumps = engine(cfg, states, drawn, snapshot)
+            runs.append((jumps, outcomes, snaps, states))
         return runs
 
     @staticmethod
     def assert_same(new, old):
-        if new is ArithmeticError or old is ArithmeticError:
-            assert new is old
-            return
         assert np.array_equal(new[0], old[0])
         assert len(new[1]) == len(old[1])
         assert all(np.array_equal(a, b) for a, b in zip(new[1], old[1]))
@@ -735,15 +766,12 @@ class TestDecisionShortcuts:
 
     @classmethod
     def check_draws_near_top(cls, rows, u, nt):
-        # against p_even = 1 to rounding, u = 1 - 2**-53 may send an even row
-        # to the empty odd sector, and then both engines raise
-        def edit(blocks):
-            blocks[3][5:, rows] = u
-
+        # against p_even = 1 to rounding, a projective check with a draw of
+        # 1 - 2**-53 could send an even row to its empty odd sector and
+        # abort; a check that reads the jump count completes every run
         cfg = make_config(parity_p=1.0, n_trajectories=nt, x_total=0.05)
-        new, old = cls.run_engines(cfg, edit)
-        if u < 1.0 - 1e-10:
-            assert new is not ArithmeticError
+        new, old = cls.run_engines(cfg, (rows, u))
+        assert new[0].sum() > 0 and len(new[1]) > 30  # jumps and checks exercised
         cls.assert_same(new, old)
 
     @pytest.mark.parametrize("rows", [slice(None), slice(0, 1), slice(0, 300, 7)])
@@ -755,6 +783,24 @@ class TestDecisionShortcuts:
     @pytest.mark.parametrize("u", NEAR_TOP)
     def test_check_draws_near_top_across_blocks(self, rows, u):
         self.check_draws_near_top(rows, u, RAGGED)
+
+    @settings(max_examples=30)
+    @given(beta=st.sampled_from([1.0, 0.9877, 0.9511]), parity_p=st.floats(0.0, 1.0),
+           initial_check=st.booleans(), nt=st.integers(1, 300), seed=st.integers(0, 2**32 - 1),
+           rows=st.sampled_from([slice(None), slice(0, 1), slice(3, None, 7)]),
+           u=st.sampled_from([None, *NEAR_TOP]))
+    @example(beta=0.9511, parity_p=1.0, initial_check=True, nt=RAGGED, seed=7,
+             rows=slice(_BLOCK - 3, None, 7), u=1.0 - 2.0**-53)
+    @example(beta=1.0, parity_p=0.6, initial_check=False, nt=13, seed=11, rows=slice(None),
+             u=1.0 - 2.0**-53)
+    def test_unravel_matches_oracle(self, beta, parity_p, initial_check, nt, seed, rows, u):
+        # a check draws nothing: with check draws near the top of the unit
+        # interval, where the oracle's projection could annihilate an even
+        # row, the engine equals the oracle run on draws of 0
+        cfg = make_config(g=math.asin(beta), parity_p=parity_p, initial_check=initial_check,
+                          n_trajectories=nt, seed=seed, x_total=0.05)
+        new, old = self.run_engines(cfg, None if u is None else (rows, u))
+        self.assert_same(new, old)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_jump_draws_at_threshold(self, seed):
@@ -787,22 +833,27 @@ class TestDecisionShortcuts:
         (1.0, 1.0, True), (1.0, 0.2, True), (0.9511, 0.6, True), (0.9511, 0.6, False),
     ])
     def test_rows_stay_sector_pure(self, beta, parity_p, initial_check):
+        # from snapshot 0 on every row lies in one parity sector, the other
+        # one exactly zero; it is the outcome, (-1)^jumps, at every snapshot
+        # that follows a check, and (-1)^jumps at the end
         cfg = make_config(g=math.asin(beta), parity_p=parity_p, initial_check=initial_check,
                           n_trajectories=200)
         cls = np.zeros(cfg.n_trajectories, dtype=np.intp)
         states = class_rows(encode((0.6, 0.8), cfg.alpha)[None, :], cls)
-        first_check = int(np.argmax(check_steps(cfg)))
-        impure = []
+        due = check_steps(cfg)
+        sectors = []
 
         def snapshot(i, parity, flips):
-            if i >= first_check:
-                rows = states[cls]
-                pure = np.all(rows[:, 0::2] == 0.0, axis=1) | np.all(rows[:, 1::2] == 0.0, axis=1)
-                impure.append(int(np.sum(~pure)))
+            rows = states[cls]
+            even = np.all(rows[:, 1::2] == 0.0, axis=1)
+            assert np.array_equal(even, ~np.all(rows[:, 0::2] == 0.0, axis=1))
+            sectors.append(np.where(even, 1, -1))
+            if due[i]:
+                assert np.array_equal(sectors[-1], parity)
 
-        jumps = _unravel(cfg, states, cls, streams(cfg), cfg.check_schedule(), snapshot)
-        assert jumps.sum() > 0 and len(impure) > 100
-        assert not any(impure)
+        jumps = _unravel(cfg, states, cls, draws(cfg), cfg.check_schedule(), snapshot)
+        assert jumps.sum() > 0 and len(sectors) == cfg.n_steps + 1 > 100
+        assert np.array_equal(sectors[-1], np.where(jumps % 2 == 0, 1, -1))
 
     @given(dim=st.integers(8, 60), gamma_dt=st.floats(1e-4, 0.05), nt=st.integers(1, 200),
            seed=st.integers(0, 2**32 - 1))
@@ -824,28 +875,23 @@ class TestDecisionShortcuts:
                                            rng.random(nt) * min(1.0, 2.0 * bound)])
         jumps_new = np.zeros(nt, dtype=int)
         jumps_old = np.zeros(nt, dtype=int)
-        n_live, _ = _class_step(new, cls, n_classes, u, gamma_dt, n_vec, sqrt_n,
-                                np.repeat(decay, 2), jumps_new)
+        n_live = _class_step(new, cls, n_classes, u, gamma_dt, n_vec, sqrt_n,
+                             np.repeat(decay, 2), jumps_new)
         channel_step_oracle(old, u, gamma_dt, n_vec, sqrt_n, decay, jumps_old)
         assert np.array_equal(jumps_new, jumps_old)
         assert np.array_equal(new[cls].view(float), old.view(float))
         assert np.array_equal(np.unique(cls), np.arange(n_live))
 
-        # the same step fused with a check on the rows' known sectors
-        check_u = rng.choice(4, size=nt).choose([near(1.0 - 1e-9, rng, nt),
-                                                 np.full(nt, 1.0 - 2.0**-53),
-                                                 np.zeros(nt), rng.random(nt)])
+        # the same step fused with a check, against the oracle's projection
+        # on draws of 0, which measures each row's sector: the start sector
+        # times (-1)^jumps
         new, cls, jumps_new = start, start_cls.copy(), np.zeros(nt, dtype=int)
-        result = outcome_or_error(_class_step, new, cls, n_classes, u, gamma_dt, n_vec, sqrt_n,
-                                  np.repeat(decay, 2), jumps_new, (check_u, sector))
-        sector = np.where(jumps_old % 2 == 0, sector, -sector)
-        expected = outcome_or_error(parity_oracle, old, check_u)
-        if expected is ArithmeticError:
-            assert result is ArithmeticError
-        else:
-            assert np.array_equal(result[1], expected) and np.array_equal(result[1], sector)
-            assert np.array_equal(jumps_new, jumps_old)
-            assert np.array_equal(new[cls].view(float), old.view(float))
+        _class_step(new, cls, n_classes, u, gamma_dt, n_vec, sqrt_n, np.repeat(decay, 2),
+                    jumps_new, True)
+        outcome = parity_oracle(old, np.zeros(nt))
+        assert np.array_equal(outcome, np.where(jumps_old % 2 == 0, sector, -sector))
+        assert np.array_equal(jumps_new, jumps_old)
+        assert np.array_equal(new[cls].view(float), old.view(float))
 
 
 class TestBlockedSweep:
@@ -853,34 +899,27 @@ class TestBlockedSweep:
     on where the block edges fall."""
 
     @staticmethod
-    def step_both(states, u, check_u=None, sector=None, gamma_dt=0.01):
-        """The fused step (with a check on known sectors when check_u is
-        given) and the oracle step and projection, on copies of states;
-        returns each engine's (states, jumps, outcome) or ArithmeticError."""
+    def step_both(states, u, check=False, gamma_dt=0.01):
+        """The fused step (with a check when check is true), and the oracle
+        step and projection on draws of 0, on copies of states; returns
+        (states, jumps) of the fused step and (states, jumps, outcomes) of
+        the oracle, outcomes None without a check."""
         nt, dim = states.shape
         n_vec = np.arange(dim, dtype=float)
         sqrt_n = np.sqrt(np.arange(1, dim, dtype=float))
         decay = np.exp(-0.5 * gamma_dt * n_vec)
-        check = None if check_u is None else (check_u, sector)
-
-        def fused(new, jumps):
-            # one class per row, so the sweep's block edges fall where the rows' do
-            cls = np.arange(nt)
-            _, outcome = _class_step(new, cls, nt, u, gamma_dt, n_vec, sqrt_n,
-                                     np.repeat(decay, 2), jumps, check)
-            return new[cls], jumps, outcome
-
-        def oracle(old, jumps):
-            channel_step_oracle(old, u, gamma_dt, n_vec, sqrt_n, decay, jumps)
-            return old, jumps, None if check_u is None else parity_oracle(old, check_u)
-
-        return [outcome_or_error(engine, states.copy(), np.zeros(nt, dtype=int))
-                for engine in (fused, oracle)]
+        # one class per row, so the sweep's block edges fall where the rows' do
+        new, cls, jumps_new = states.copy(), np.arange(nt), np.zeros(nt, dtype=int)
+        _class_step(new, cls, nt, u, gamma_dt, n_vec, sqrt_n, np.repeat(decay, 2), jumps_new,
+                    check)
+        old, jumps_old = states.copy(), np.zeros(nt, dtype=int)
+        channel_step_oracle(old, u, gamma_dt, n_vec, sqrt_n, decay, jumps_old)
+        outcome = parity_oracle(old, np.zeros(nt)) if check else None
+        return (new[cls], jumps_new), (old, jumps_old, outcome)
 
     @pytest.mark.parametrize("block", [1, 7, 45])
     def test_block_size_invariance(self, monkeypatch, block):
-        # no initial check: the first check takes the general projection,
-        # the later ones the sweep's renormalization
+        # excitation loss and no initial check, then checks at p = 0.6
         cfg = make_config(g=math.asin(0.9511), parity_p=0.6, initial_check=False,
                           n_trajectories=40, x_total=0.05)
         ref = unravel_rows(cfg, (0.6, 0.8))
@@ -898,36 +937,30 @@ class TestBlockedSweep:
         edges = np.array([0, _BLOCK - 1, _BLOCK, 2 * _BLOCK - 1, 2 * _BLOCK, RAGGED - 1])
         u = np.ones(RAGGED)
         u[edges] = 0.0
-        check_u = rng.random(RAGGED) * 0.9 if with_check else None
-        (new, jumps_new, outcome), (old, jumps_old, expected) = self.step_both(
-            states, u, check_u, sector)
+        (new, jumps_new), (old, jumps_old, outcome) = self.step_both(states, u, with_check)
         assert np.array_equal(np.flatnonzero(jumps_new), edges)
         assert np.array_equal(jumps_new, jumps_old)
         assert np.array_equal(new.view(float), old.view(float))
         if with_check:
-            assert np.array_equal(outcome, expected)
             assert np.array_equal(outcome, np.where(jumps_new % 2 == 0, sector, -sector))
-        else:
-            assert outcome is None
 
-    @pytest.mark.parametrize("row", [0, _BLOCK, RAGGED - 1])
-    def test_fused_check_annihilation_raises(self, row):
-        # a vacuum row in the even sector draws u = 1 >= p_even = 1: the
-        # projection keeps its empty odd sector
-        rng = np.random.default_rng(12)
-        states, sector = sector_pure_rows(rng, RAGGED, 45)
-        states[row] = 0.0
-        states[row, 0] = 1.0
-        sector[row] = 1
-        check_u = rng.random(RAGGED) * 0.5
-        check_u[row] = 1.0
-        assert self.step_both(states, np.ones(RAGGED), check_u, sector) == [ArithmeticError] * 2
+    @pytest.mark.parametrize("block", [1, 7, 8, 64, 512])
+    def test_initial_check_in_blocks(self, monkeypatch, block):
+        # excitation-stage jumps leave about 330 classes, odd and even, for
+        # the initial check to renormalize block by block
+        cfg = make_config(g=math.asin(0.9511), parity_p=0.6, initial_check=True,
+                          n_trajectories=RAGGED, x_total=0.01)
+        monkeypatch.setattr("gspp.qec._BLOCK", block)
+        new, old = TestDecisionShortcuts.run_engines(cfg)
+        i, parity, _ = new[2][0]
+        assert i == 0 and np.any(parity < 0) and np.any(parity > 0)
+        TestDecisionShortcuts.assert_same(new, old)
 
 
 class TestBlockedRecovery:
-    """run_ensemble scores each snapshot, and _class_parity projects, in
-    blocks of _BLOCK rows.  With _BLOCK a multiple of 8 every bit must be
-    the whole-array oracles'."""
+    """run_ensemble scores each snapshot, and a check renormalizes the class
+    rows, in blocks of _BLOCK rows.  With _BLOCK a multiple of 8 every bit
+    must be the whole-array oracles'."""
 
     @pytest.fixture(scope="class", params=[517, 1101, RAGGED])
     def whole_array_run(self, request):
@@ -949,31 +982,29 @@ class TestBlockedRecovery:
     @pytest.mark.parametrize("block", [1, 7, 8, 64, 512])
     @pytest.mark.parametrize("nt", [517, 1101, RAGGED])
     def test_parity_matches_whole_array_oracle(self, monkeypatch, nt, block):
-        # row-local arithmetic: any block size gives the whole-array bits,
-        # also with the splits of a third as many classes as trajectories
+        # row-local arithmetic: a step with its check on a third as many
+        # sector-pure classes as trajectories, some of them split by jumps,
+        # gives the whole-array step and projection's bits at any block size
         rng = np.random.default_rng(nt)
-        cls = spread(rng, nt // 3, nt)
-        rows = TestMicroStepOracle.ensemble(rng, nt // 3)
-        states, ref = class_rows(rows, cls), rows[cls]
+        n_classes, dim, gamma_dt = nt // 3, 45, 0.05
+        cls = spread(rng, n_classes, nt)
+        rows, sector = sector_pure_rows(rng, n_classes, dim)
+        states, ref, sector = class_rows(rows, cls), rows[cls], sector[cls]
+        n_vec = np.arange(dim, dtype=float)
+        sqrt_n = np.sqrt(np.arange(1, dim, dtype=float))
+        decay = np.exp(-0.5 * gamma_dt * n_vec)
         u = rng.random(nt)
-        expected = vec_parity_oracle(ref, u)
+        jumps_new = np.zeros(nt, dtype=int)
+        jumps_old = np.zeros(nt, dtype=int)
         monkeypatch.setattr("gspp.qec._BLOCK", block)
-        n_live, outcome = _class_parity(states, cls, nt // 3, u)
-        assert np.array_equal(outcome, expected)
-        assert np.any(expected > 0) and np.any(expected < 0) and n_live > nt // 3
-        assert states[cls].tobytes() == ref.tobytes()
-
-    def test_parity_annihilation_in_last_block_raises(self):
-        rng = np.random.default_rng(13)
-        states = TestMicroStepOracle.ensemble(rng, RAGGED)
-        states[-1] = 0.0
-        states[-1, 0] = 1.0  # vacuum: p_even = 1, and u = 1 measures odd
-        u = rng.random(RAGGED) * 0.5
-        u[-1] = 1.0
-        with pytest.raises(ArithmeticError):
-            vec_parity_oracle(states.copy(), u)
-        with pytest.raises(ArithmeticError):
-            _class_parity(states, np.arange(RAGGED), RAGGED, u)
+        n_live = _class_step(states, cls, n_classes, u, gamma_dt, n_vec, sqrt_n,
+                             np.repeat(decay, 2), jumps_new, True)
+        channel_step_oracle(ref, u, gamma_dt, n_vec, sqrt_n, decay, jumps_old)
+        expected = parity_oracle(ref, np.zeros(nt))
+        assert np.array_equal(jumps_new, jumps_old)
+        assert np.array_equal(expected, np.where(jumps_old % 2 == 0, sector, -sector))
+        assert np.any(expected > 0) and np.any(expected < 0) and n_live > n_classes
+        assert np.array_equal(states[cls].view(float), ref.view(float))
 
 
 def unrecovered_oracle(cfg, input_logical, input_index):
@@ -1056,32 +1087,45 @@ class TestClassEngine:
             assert np.array_equal(parity[first][cls], parity)
             assert np.array_equal(flips[first][cls], flips)
 
-        jumps = _unravel(cfg, states, cls, streams(cfg), cfg.check_schedule(), snapshot)
+        jumps = _unravel(cfg, states, cls, draws(cfg), cfg.check_schedule(), snapshot)
         first = np.empty(cls.max() + 1, dtype=int)
         first[cls] = np.arange(nt)
         assert np.array_equal(jumps[first][cls], jumps)
         assert 1 < max(counts) < nt  # classes split, and are shared
 
-    def test_near_top_draws_split_a_class(self):
-        # one class with a 1e-12 odd part: the trajectories whose check
-        # draws lie above p_even measure odd and move to a new class
-        rng = np.random.default_rng(21)
-        nt = 2 * _BLOCK + 37
-        even = np.zeros((1, 45), dtype=complex)
-        even[0, 0::2] = rng.standard_normal(23) * np.exp(-0.16 * np.arange(23))
-        even[0, 1] = 1e-6
-        even /= np.linalg.norm(even)
-        p_even = np.sum(np.abs(even[:, 0::2]) ** 2, axis=1)[0]
-        u = rng.random(nt) * 0.5
-        u[_BLOCK - 3::7] = near(p_even, rng, len(u[_BLOCK - 3::7]))
+    def test_one_class_per_jump_history(self):
+        # at p = 1 a check follows every micro-step, which jumps at most
+        # once, so the outcomes record when each trajectory jumped: two
+        # trajectories share a class exactly when they jumped at the same
+        # steps, and no check splits a class
+        cfg = make_config(parity_p=1.0, n_trajectories=300)
+        assert cfg.n_excitation_steps == 0 and cfg.initial_check
+        nt = cfg.n_trajectories
         cls = np.zeros(nt, dtype=np.intp)
-        states = class_rows(even, cls)
-        old = np.tile(even, (nt, 1))
-        n_live, outcome = _class_parity(states, cls, 1, u)
-        assert np.array_equal(outcome, parity_oracle(old, u))
-        assert n_live == 2 and 0 < np.sum(outcome < 0) < len(u[_BLOCK - 3::7])
-        assert np.array_equal(cls, (outcome < 0).astype(int))
-        assert np.array_equal(states[cls].view(float), old.view(float))
+        states = class_rows(encode((0.6, 0.8), cfg.alpha)[None, :], cls)
+        history = []
+
+        def snapshot(i, parity, flips):
+            history.append(parity.copy())
+
+        _unravel(cfg, states, cls, draws(cfg), cfg.check_schedule(), snapshot)
+        _, key = np.unique(np.array(history).T, axis=0, return_inverse=True)
+        n_live = int(cls.max()) + 1
+        assert 1 < n_live < nt
+        assert len(np.unique(key)) == n_live
+        assert len(np.unique(np.stack([cls, key.ravel()]), axis=1).T) == n_live
+
+    def test_odd_start_row_rejected(self):
+        # a check reads its outcome from the jump count only if every start
+        # row is even
+        cfg = make_config(n_trajectories=4)
+        cls = np.array([0, 1, 1, 0])
+        even = encode((0.6, 0.8), cfg.alpha)
+        for odd_part in (1e-300, 1e-300j):
+            states = class_rows(np.array([even, even]), cls)
+            states[1, 5] = odd_part
+            with pytest.raises(ValueError, match="odd amplitude"):
+                _unravel(cfg, states, cls, draws(cfg), cfg.check_schedule())
 
 
 class TestOrthogonalityMonitor:
