@@ -110,6 +110,9 @@ class GrapheneParams:
     conductivity_model: str = "auto"
 
     def __post_init__(self):
+        for name in ("mu_c", "temperature", "gamma_intra", "gamma_inter", "eps_r"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.temperature < 0.0:
             raise ValueError("temperature must be >= 0 K")
         if self.gamma_intra <= 0.0:

@@ -16,9 +16,9 @@ from (seed, input index, trajectory index), so ensembles are reproducible
 and order-independent under any parallel chunking.  The stream is numpy's
 default_rng((seed, input, trajectory)), SeedSequence + PCG64.  The
 ensemble steps every trajectory's stream at once in uint32/uint64
-arithmetic, bit-identical to trajectory_rng, and makes the draws a few
-rows at a time as the micro-steps use them, so it holds O(n_traj) draws
-however long the line.
+arithmetic, bit-identical to trajectory_rng, and makes each row of draws
+when a micro-step uses it, so it holds O(n_traj) draws however long the
+line.
 
 Every row lies in one parity sector from x = 0 on, the other sector's
 amplitudes exactly zero, and its sector is (-1)^jumps: the code words are
@@ -34,13 +34,14 @@ arithmetic (decay, renormalization, the new classes' jumped rows and a
 due check's renormalization) once per class, in one sweep over blocks of
 class rows that stay in cache.  No bit depends on the block size.  The
 recovery snapshots gather and score the rows of one block of trajectories
-at a time, so a run holds the class rows, one draw burst and O(_BLOCK)
-scratch; the snapshots' gemv keeps the per-trajectory bits while _BLOCK
-is a multiple of 8.
+at a time, so a run holds the class rows, one row of draws and
+O(_BLOCK)-row temporaries; no snapshot block holds a single row, which
+numpy would score with its one-row product instead of the gemv.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from itertools import islice
@@ -87,6 +88,9 @@ class QecRunConfig:
     n_checkpoints: int = 7
 
     def __post_init__(self):
+        for name in ("alpha", "g", "k0_kappa2", "x_total"):
+            if not cmath.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.alpha == 0:
             raise ValueError("code amplitude alpha must be nonzero, got 0")
         if not 0.0 <= self.parity_p <= 1.0:
@@ -283,19 +287,13 @@ def _pcg_seeded(seed: int, input_index: int, nt: int):
 
 def _uniform_rows(hi, lo, inc_hi, inc_lo, n_rows: int):
     """The next n_rows Generator.random rows of the streams at (hi, lo):
-    per row one LCG step, the XSL-RR output and (x >> 11) * 2**-53.  Rows
-    are made _DRAW_ROWS at a time into one reused buffer, so a row stays
-    valid only until the stream starts its next burst."""
-    buf = np.empty((min(_DRAW_ROWS, n_rows), len(lo)))
-    for start in range(0, n_rows, _DRAW_ROWS):
-        burst = buf[:n_rows - start]
-        for row in burst:
-            hi, lo = _lcg_step(hi, lo, inc_hi, inc_lo)
-            x = hi ^ lo
-            rot = hi >> np.uint64(58)
-            x = (x >> rot) | (x << (-rot & np.uint64(63)))
-            np.multiply(x >> np.uint64(11), 2.0**-53, out=row)
-        yield from burst
+    per row one LCG step, the XSL-RR output and (x >> 11) * 2**-53."""
+    for _ in range(n_rows):
+        hi, lo = _lcg_step(hi, lo, inc_hi, inc_lo)
+        x = hi ^ lo
+        rot = hi >> np.uint64(58)
+        x = (x >> rot) | (x << (-rot & np.uint64(63)))
+        yield (x >> np.uint64(11)) * 2.0**-53
 
 
 def _ensemble_uniforms(config: QecRunConfig, input_index: int, n_exc: int, n_steps: int):
@@ -313,38 +311,27 @@ def _ensemble_uniforms(config: QecRunConfig, input_index: int, n_exc: int, n_ste
 # relative margin inside which a shortcut may not decide a Bernoulli draw
 _BAND = 1e-9
 # rows per block of the micro-step sweep, the initial check and the
-# recovery snapshot: a (512, 45) complex block and its conjugate scratch
-# take 0.74 MB together, inside a 2 MiB L2.  It must stay a multiple of 8:
-# OpenBLAS's gemv takes the rows of the snapshot's overlaps in lanes of 8,
-# so blocks of 8k rows get the whole-array bits, and blocks of 2, 4, 5, 7
-# or 12 rows moved fidelities by up to 8.9e-16
+# recovery snapshot: a (512, 45) complex block and its norm's temporary
+# take 0.74 MB together, inside a 2 MiB L2.  The sweep and the check are
+# row-local ufuncs.  The snapshot's gemv gave the 512-row blocks' bits at
+# blocks of 2, 3, 4, 5, 7, 12 and 13 rows (numpy 2.4.6 on scipy-openblas
+# 0.3.31's Haswell kernel), but numpy scores a block of one row with its
+# one-row product instead, so run_ensemble never leaves a one-row block
 _BLOCK = 512
-# rows per burst of a draw stream, 1.3 MB at 10k trajectories: of 1, 16 and
-# 32 rows, 16 gave the lowest median wall time (3.27 s against 3.37 and
-# 3.31 s) over eight alternating two-worker dense-parity runs on a 2-vCPU Xeon
-_DRAW_ROWS = 16
 
 
-def _row_norms(states: np.ndarray, sq: np.ndarray) -> np.ndarray:
-    """np.linalg.norm(states, axis=1, keepdims=True) with its ufuncs; sq is
-    a complex buffer of states' shape that takes the conjugate and then
-    the product.  Each row's norm depends on that row only, so a block of
-    rows gets the bits the whole array would."""
-    np.conjugate(states, out=sq)
-    np.multiply(sq, states, out=sq)
-    return np.sqrt(np.add.reduce(sq.real, axis=1, keepdims=True))
-
-
-def _renormalize(block: np.ndarray, sq: np.ndarray) -> None:
+def _renormalize(block: np.ndarray) -> None:
     """Divide each complex row of block by its norm, in place, by scaling
     its float view by 1/norm: what dividing the complex rows by a real
-    norm computes.  sq is scratch for _row_norms."""
+    norm computes.  The norm is np.linalg.norm's arithmetic, and each row's
+    depends on that row only, so a block of rows gets the bits the whole
+    array would."""
     flat = block.view(float)
-    flat *= 1.0 / _row_norms(block, sq)
+    flat *= 1.0 / np.sqrt(np.add.reduce((block.conj() * block).real, axis=1, keepdims=True))
 
 
 def _class_step(states, cls, n_live, u, gamma_dt, n_vec, sqrt_n, decay2, jumps,
-                check=False, scratch=None):
+                check=False):
     """One jump/no-jump micro-step of every trajectory, and the parity
     check due after it when check is true.  Trajectory j's row is
     states[cls[j]]; rows 0..n_live-1 are the live classes, and states has
@@ -372,9 +359,7 @@ def _class_step(states, cls, n_live, u, gamma_dt, n_vec, sqrt_n, decay2, jumps,
     otherwise, so the live classes stay at rows 0..n_live-1.  One sweep
     over blocks of _BLOCK class rows that stay in cache then applies the
     decay and renormalization to the old rows, writes the new ones and
-    runs the check's renormalization on all of them.  scratch is a
-    complex (min(_BLOCK, n_traj), dim) buffer for _row_norms, or None to
-    allocate one.
+    runs the check's renormalization on all of them.
     """
     rows = np.flatnonzero(u < gamma_dt * n_vec[-1] * (1.0 + _BAND))
     u_rows = u[rows]
@@ -399,21 +384,18 @@ def _class_step(states, cls, n_live, u, gamma_dt, n_vec, sqrt_n, decay2, jumps,
     n_old, n_live = n_live, n_live + len(parents) - int(moved.sum())
     jumps[rows] += 1
 
-    if scratch is None:
-        scratch = np.empty((min(_BLOCK, len(cls)), states.shape[1]), dtype=complex)
     starts = range(0, n_live, _BLOCK)
     cuts = np.searchsorted(slots, [*starts, n_live])
     for k, start in enumerate(starts):
         block = states[start:min(start + _BLOCK, n_live)]
-        sq = scratch[:len(block)]
         n = max(n_old - start, 0)
         old = block.view(float)[:n]
         old *= decay2
-        _renormalize(block[:n], sq[:n])
+        _renormalize(block[:n])
         take = slice(cuts[k], cuts[k + 1])
         block[slots[take] - start] = unit[take]
         if check:
-            _renormalize(block, sq)
+            _renormalize(block)
     return n_live
 
 
@@ -450,7 +432,6 @@ def _unravel(config: QecRunConfig, states: np.ndarray, cls: np.ndarray, draws, s
         raise ValueError("a start row has a nonzero odd amplitude; the code words are even")
     n_vec = np.arange(dim, dtype=float)
     sqrt_n = np.sqrt(np.arange(1, dim, dtype=float))
-    scratch = np.empty((min(_BLOCK, nt), dim), dtype=complex)
     jumps = np.zeros(nt, dtype=int)
     flips = np.zeros(nt, dtype=int)
     parity = np.ones(nt, dtype=int)
@@ -466,8 +447,7 @@ def _unravel(config: QecRunConfig, states: np.ndarray, cls: np.ndarray, draws, s
         g_dt = config.excitation_gamma_t / n_exc
         decay2 = np.repeat(np.exp(-0.5 * g_dt * n_vec), 2)
         for u in islice(draws, n_exc):
-            n_live = _class_step(states, cls, n_live, u, g_dt, n_vec, sqrt_n, decay2, jumps,
-                                 scratch=scratch)
+            n_live = _class_step(states, cls, n_live, u, g_dt, n_vec, sqrt_n, decay2, jumps)
     # deterministic phase of the excited amplitude: -conj(beta) = r*e^{i phi}
     phi = np.angle(config.alpha_excited / config.alpha)
     states[:n_live] *= np.exp(1j * phi * n_vec)
@@ -476,7 +456,7 @@ def _unravel(config: QecRunConfig, states: np.ndarray, cls: np.ndarray, draws, s
     if config.initial_check:
         for start in range(0, n_live, _BLOCK):
             block = states[start:min(start + _BLOCK, n_live)]
-            _renormalize(block, scratch[:len(block)])
+            _renormalize(block)
         record()
     if snapshot is not None:
         snapshot(0, parity, flips)
@@ -484,7 +464,7 @@ def _unravel(config: QecRunConfig, states: np.ndarray, cls: np.ndarray, draws, s
     decay2 = np.repeat(np.exp(-0.5 * gamma_dx * n_vec), 2)
     for i, (due, u) in enumerate(zip(schedule, draws, strict=True)):
         n_live = _class_step(states, cls, n_live, u, gamma_dx, n_vec, sqrt_n, decay2, jumps,
-                             due, scratch)
+                             due)
         if due:
             record()
         if snapshot is not None:
@@ -509,13 +489,11 @@ def _code_basis(a: complex, dim: int) -> dict:
 
 
 def _recovered(states: np.ndarray, parity: np.ndarray, flips: np.ndarray,
-               bases: dict, conj: dict, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+               bases: dict, conj: dict) -> tuple[np.ndarray, np.ndarray]:
     """End-of-line correction of each row on bases, the _code_basis at the
     decayed amplitude (conj holds its conjugate rows), given its last
     parity outcome and flip count; returns the unnormalized recovered
-    states, written into out[0], and their norms.  out is a complex
-    (2, len(states), dim) buffer, so a run scores a block of rows at a
-    time in one reused buffer.
+    states and their norms.
 
     A row whose parity indicates the erred space has its sectors swapped
     by |0L+><0L-| + |1L+><1L-| + h.c., a partial isometry only up to
@@ -530,13 +508,9 @@ def _recovered(states: np.ndarray, parity: np.ndarray, flips: np.ndarray,
     same = [np.where(even, c[(lg, +1)], c[(lg, -1)]) for lg in (0, 1)]
     other = [np.where(even, c[(lg, -1)], c[(lg, +1)]) for lg in (0, 1)]
     phase = (-1j) ** (flips % 4)
-    vec, tmp = out
-    # summed in place, left to right
-    np.multiply(same[0][:, None], bases[(0, +1)], out=vec)
-    vec += np.multiply((phase * same[1])[:, None], bases[(1, +1)], out=tmp)
-    vec += np.multiply(other[0][:, None], bases[(0, -1)], out=tmp)
-    vec += np.multiply((phase * other[1])[:, None], bases[(1, -1)], out=tmp)
-    return vec, _row_norms(vec, tmp)[:, 0]
+    vec = (same[0][:, None] * bases[(0, +1)] + (phase * same[1])[:, None] * bases[(1, +1)]
+           + other[0][:, None] * bases[(0, -1)] + (phase * other[1])[:, None] * bases[(1, -1)])
+    return vec, np.sqrt(np.add.reduce((vec.conj() * vec).real, axis=1))
 
 
 def _f0_analytic(config: QecRunConfig, inputs) -> float:
@@ -577,9 +551,9 @@ def run_ensemble(config: QecRunConfig, input_logical: tuple[complex, complex],
     fid = np.empty((len(checkpoints), nt))
     cp_index = {int(s): i for i, s in enumerate(checkpoints)}
     a0 = config.alpha_excited
-    # _recovered's buffer, reused for every block of every snapshot; its
-    # second half first takes the block's gathered rows
-    buf = np.empty((2, min(_BLOCK, nt), dim), dtype=complex)
+    # blocks of _BLOCK trajectories, a one-row tail joined to the one before
+    cuts = [*range(0, max(nt - 1, 1), _BLOCK), nt]
+    blocks = [slice(start, stop) for start, stop in zip(cuts, cuts[1:])]
 
     def snapshot(step_no: int, parity: np.ndarray, flips: np.ndarray):
         idx = cp_index.get(step_no)
@@ -594,15 +568,12 @@ def run_ensemble(config: QecRunConfig, input_logical: tuple[complex, complex],
         ref = fock_vector(ref_coeffs, ref_amps, dim).conj()
         bases = _code_basis(a_x, dim)
         conj = {key: row.conj() for key, row in bases.items()}
-        for start in range(0, nt, _BLOCK):
-            rows = slice(start, min(start + _BLOCK, nt))
-            out = buf[:, :rows.stop - start]
-            block = np.take(states, cls[rows], axis=0, out=out[1], mode="clip")
+        for rows in blocks:
+            block = states[cls[rows]]
             if not config.apply_recovery:
                 fid[idx, rows] = np.abs(block @ ref) ** 2
                 continue
-            # _recovered reads the block before it writes the scratch half
-            vec, norms = _recovered(block, parity[rows], flips[rows], bases, conj, out)
+            vec, norms = _recovered(block, parity[rows], flips[rows], bases, conj)
             overlap = np.abs(vec @ ref) ** 2
             fid[idx, rows] = np.where(norms > 1e-8, overlap / np.maximum(norms, 1e-300) ** 2, 0.0)
 

@@ -315,6 +315,16 @@ def test_parameter_validation():
                                     gamma_inter=1e13), -1.0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["mu_c", "temperature", "gamma_intra", "gamma_inter", "eps_r"])
+def test_non_finite_parameter_rejected(field, value):
+    # unchecked, a nan rate gives sigma = nan+nanj and an infinite
+    # temperature fails inside the quadrature
+    base = dict(mu_c=0.5, temperature=300.0, gamma_intra=1e12, gamma_inter=1e13, eps_r=1.0)
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        GrapheneParams(**{**base, field: value})
+
+
 def assert_interband_matches_oracle(params, omega):
     """_interband_full equals the numpy-scalar quad oracle bit for bit, or
     both raise the same exception type."""
