@@ -110,7 +110,7 @@ class GrapheneParams:
     conductivity_model: str = "auto"
 
     def __post_init__(self):
-        for name in ("mu_c", "temperature", "gamma_intra", "gamma_inter", "eps_r"):
+        for name in ("mu_c", "temperature", "gamma_intra", "gamma_inter", "eps_r", "n_layers"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.temperature < 0.0:

@@ -33,10 +33,13 @@ micro-step decides per trajectory which trajectories jump, then does the
 arithmetic (decay, renormalization, the new classes' jumped rows and a
 due check's renormalization) once per class, in one sweep over blocks of
 class rows that stay in cache.  No bit depends on the block size.  The
-recovery snapshots gather and score the rows of one block of trajectories
-at a time, so a run holds the class rows, one row of draws and
-O(_BLOCK)-row temporaries; no snapshot block holds a single row, which
-numpy would score with its one-row product instead of the gemv.
+trajectories of one class also share their jump count, check outcomes and
+flip count, so the record is kept per class as well, and each recovery
+snapshot scores the class rows, one block at a time, and hands every
+trajectory its class's score.  A run holds the class rows and record, one
+row of draws and O(_BLOCK)-row temporaries.  A snapshot block of one row
+is scored as two copies of it, since numpy would score a lone row with its
+one-row product instead of the gemv.
 """
 
 from __future__ import annotations
@@ -310,13 +313,14 @@ def _ensemble_uniforms(config: QecRunConfig, input_index: int, n_exc: int, n_ste
 
 # relative margin inside which a shortcut may not decide a Bernoulli draw
 _BAND = 1e-9
-# rows per block of the micro-step sweep, the initial check and the
+# class rows per block of the micro-step sweep, the initial check and the
 # recovery snapshot: a (512, 45) complex block and its norm's temporary
 # take 0.74 MB together, inside a 2 MiB L2.  The sweep and the check are
 # row-local ufuncs.  The snapshot's gemv gave the 512-row blocks' bits at
 # blocks of 2, 3, 4, 5, 7, 12 and 13 rows (numpy 2.4.6 on scipy-openblas
 # 0.3.31's Haswell kernel), but numpy scores a block of one row with its
-# one-row product instead, so run_ensemble never leaves a one-row block
+# one-row product instead, so run_ensemble scores a one-row block as two
+# copies of its row
 _BLOCK = 512
 
 
@@ -330,14 +334,15 @@ def _renormalize(block: np.ndarray) -> None:
     flat *= 1.0 / np.sqrt(np.add.reduce((block.conj() * block).real, axis=1, keepdims=True))
 
 
-def _class_step(states, cls, n_live, u, gamma_dt, n_vec, sqrt_n, decay2, jumps,
-                check=False):
+def _class_step(states, cls, n_live, u, gamma_dt, n_vec, sqrt_n, decay2, jumps, flips,
+                parity, check=False):
     """One jump/no-jump micro-step of every trajectory, and the parity
     check due after it when check is true.  Trajectory j's row is
     states[cls[j]]; rows 0..n_live-1 are the live classes, and states has
-    room for one row per trajectory.  Updates states, cls and jumps in
-    place and returns n_live.  decay2 is the no-jump decay repeated for
-    the float view's (re, im) pairs.
+    room for one row per trajectory.  jumps, flips and parity are the
+    classes' record, indexed like the rows of states.  Updates states,
+    cls and the record in place and returns n_live.  decay2 is the no-jump
+    decay repeated for the float view's (re, im) pairs.
 
     Every decision is per trajectory.  A trajectory jumps when
     u < gamma_dt*<n>.  Rows enter with unit norm, so <n> <= dim - 1, and
@@ -356,10 +361,11 @@ def _class_step(states, cls, n_live, u, gamma_dt, n_vec, sqrt_n, decay2, jumps,
     trajectories that jump from one class share one new class, whose row
     is the parent's pre-step row shifted by a and normalized; it takes the
     parent's slot when the whole class jumped and the next free slot
-    otherwise, so the live classes stay at rows 0..n_live-1.  One sweep
-    over blocks of _BLOCK class rows that stay in cache then applies the
-    decay and renormalization to the old rows, writes the new ones and
-    runs the check's renormalization on all of them.
+    otherwise, so the live classes stay at rows 0..n_live-1.  It takes
+    its parent's flips and parity and one jump more.  One sweep over
+    blocks of _BLOCK class rows that stay in cache then applies the decay
+    and renormalization to the old rows, writes the new ones and runs the
+    check's renormalization on all of them.
     """
     rows = np.flatnonzero(u < gamma_dt * n_vec[-1] * (1.0 + _BAND))
     u_rows = u[rows]
@@ -379,10 +385,11 @@ def _class_step(states, cls, n_live, u, gamma_dt, n_vec, sqrt_n, decay2, jumps,
     moved = np.bincount(cls, minlength=n_live)[parents] == n_jumped
     slots = np.where(moved, parents, n_live + np.cumsum(~moved) - 1)
     cls[rows] = slots[child]
+    # the right-hand sides first: a class that jumped whole keeps its slot
+    jumps[slots], flips[slots], parity[slots] = jumps[parents] + 1, flips[parents], parity[parents]
     order = np.argsort(slots)
     slots, unit = slots[order], unit[order]
     n_old, n_live = n_live, n_live + len(parents) - int(moved.sum())
-    jumps[rows] += 1
 
     starts = range(0, n_live, _BLOCK)
     cuts = np.searchsorted(slots, [*starts, n_live])
@@ -412,9 +419,11 @@ def _unravel(config: QecRunConfig, states: np.ndarray, cls: np.ndarray, draws, s
     scheduled checks.  Each step pulls its row from the stream when it
     runs; the initial check's row is pulled and not used, so the step
     rows keep their places in every trajectory's stream.
-    snapshot(step_no, parity, flips) is called after the initial check
-    (step 0) and after every step.  Returns the per-trajectory jump
-    counts.
+    snapshot(step_no, n_live, parity, flips) is called after the initial
+    check (step 0) and after every step, with the live class count and
+    the classes' last check outcomes and flip counts, indexed like the
+    rows of states: trajectory j's are parity[cls[j]] and flips[cls[j]].
+    Returns the per-trajectory jump counts.
 
     A start row's odd amplitudes are exactly zero (fock_vector sums the
     legs +-a and +-ia in pairs whose odd columns cancel exactly); one that
@@ -432,22 +441,23 @@ def _unravel(config: QecRunConfig, states: np.ndarray, cls: np.ndarray, draws, s
         raise ValueError("a start row has a nonzero odd amplitude; the code words are even")
     n_vec = np.arange(dim, dtype=float)
     sqrt_n = np.sqrt(np.arange(1, dim, dtype=float))
+    # the record of each class slot, as states holds its row
     jumps = np.zeros(nt, dtype=int)
     flips = np.zeros(nt, dtype=int)
     parity = np.ones(nt, dtype=int)
 
     def record():
-        nonlocal parity
-        outcome = np.where(jumps % 2 == 0, 1, -1)
-        flips[:] += outcome != parity
-        parity = outcome
+        outcome = np.where(jumps[:n_live] % 2 == 0, 1, -1)
+        flips[:n_live] += outcome != parity[:n_live]
+        parity[:n_live] = outcome
 
     n_exc = config.n_excitation_steps
     if n_exc:
         g_dt = config.excitation_gamma_t / n_exc
         decay2 = np.repeat(np.exp(-0.5 * g_dt * n_vec), 2)
         for u in islice(draws, n_exc):
-            n_live = _class_step(states, cls, n_live, u, g_dt, n_vec, sqrt_n, decay2, jumps)
+            n_live = _class_step(states, cls, n_live, u, g_dt, n_vec, sqrt_n, decay2, jumps,
+                                 flips, parity)
     # deterministic phase of the excited amplitude: -conj(beta) = r*e^{i phi}
     phi = np.angle(config.alpha_excited / config.alpha)
     states[:n_live] *= np.exp(1j * phi * n_vec)
@@ -459,17 +469,17 @@ def _unravel(config: QecRunConfig, states: np.ndarray, cls: np.ndarray, draws, s
             _renormalize(block)
         record()
     if snapshot is not None:
-        snapshot(0, parity, flips)
+        snapshot(0, n_live, parity, flips)
     gamma_dx = 2.0 * config.k0_kappa2 * config.step
     decay2 = np.repeat(np.exp(-0.5 * gamma_dx * n_vec), 2)
     for i, (due, u) in enumerate(zip(schedule, draws, strict=True)):
         n_live = _class_step(states, cls, n_live, u, gamma_dx, n_vec, sqrt_n, decay2, jumps,
-                             due)
+                             flips, parity, due)
         if due:
             record()
         if snapshot is not None:
-            snapshot(i + 1, parity, flips)
-    return jumps
+            snapshot(i + 1, n_live, parity, flips)
+    return jumps[cls]
 
 
 # ---------------------------------------------------------------------------
@@ -534,8 +544,9 @@ def run_ensemble(config: QecRunConfig, input_logical: tuple[complex, complex],
 
     Returns (fidelities, jumps): fidelities has shape
     (n_checkpoints, n_trajectories) holding the recovered fidelity at each
-    snapshot; jumps the per-trajectory jump count.  Rows scored against a
-    recovery that annihilated them get fidelity 0.
+    snapshot; jumps the per-trajectory jump count.  Each snapshot scores
+    the class rows and gives every trajectory its class's score; rows
+    scored against a recovery that annihilated them get fidelity 0.
     """
     c0, c1 = input_logical
     dim = truncation_dimension(config.alpha)
@@ -551,11 +562,8 @@ def run_ensemble(config: QecRunConfig, input_logical: tuple[complex, complex],
     fid = np.empty((len(checkpoints), nt))
     cp_index = {int(s): i for i, s in enumerate(checkpoints)}
     a0 = config.alpha_excited
-    # blocks of _BLOCK trajectories, a one-row tail joined to the one before
-    cuts = [*range(0, max(nt - 1, 1), _BLOCK), nt]
-    blocks = [slice(start, stop) for start, stop in zip(cuts, cuts[1:])]
 
-    def snapshot(step_no: int, parity: np.ndarray, flips: np.ndarray):
+    def snapshot(step_no: int, n_live: int, parity: np.ndarray, flips: np.ndarray):
         idx = cp_index.get(step_no)
         if idx is None:
             return
@@ -568,14 +576,19 @@ def run_ensemble(config: QecRunConfig, input_logical: tuple[complex, complex],
         ref = fock_vector(ref_coeffs, ref_amps, dim).conj()
         bases = _code_basis(a_x, dim)
         conj = {key: row.conj() for key, row in bases.items()}
-        for rows in blocks:
-            block = states[cls[rows]]
-            if not config.apply_recovery:
-                fid[idx, rows] = np.abs(block @ ref) ** 2
-                continue
-            vec, norms = _recovered(block, parity[rows], flips[rows], bases, conj)
-            overlap = np.abs(vec @ ref) ** 2
-            fid[idx, rows] = np.where(norms > 1e-8, overlap / np.maximum(norms, 1e-300) ** 2, 0.0)
+        score = np.empty(n_live)
+        for start in range(0, n_live, _BLOCK):
+            stop = min(start + _BLOCK, n_live)
+            # a lone row as two copies: the gemv's bits, not the one-row product's
+            pick = slice(start, stop) if stop - start > 1 else [start, start]
+            if config.apply_recovery:
+                vec, norms = _recovered(states[pick], parity[pick], flips[pick], bases, conj)
+                overlap = np.abs(vec @ ref) ** 2
+                block = np.where(norms > 1e-8, overlap / np.maximum(norms, 1e-300) ** 2, 0.0)
+            else:
+                block = np.abs(states[pick] @ ref) ** 2
+            score[start:stop] = block[:stop - start]
+        fid[idx] = score[cls]
 
     jumps = _unravel(config, states, cls, draws, schedule, snapshot=snapshot)
     return fid, jumps

@@ -339,14 +339,20 @@ def unravel_on_blocks(config, states, blocks, snapshot=None):
     stream; the scheduled-check block is not read, since a check draws
     nothing.  The blocks may be edited first.  Same arguments and return
     value as unravel_oracle: every row of states must hold the start
-    state, and after the run states holds each trajectory's gathered class
-    row."""
+    state, snapshot gets each trajectory's outcome and flip count read
+    from its class's record, and after the run states holds each
+    trajectory's gathered class row."""
     assert np.array_equal(states, np.broadcast_to(states[0], states.shape))
     rows = np.empty_like(states)
     rows[0] = states[0]
     cls = np.zeros(len(states), dtype=np.intp)
+
+    def per_trajectory(step_no, n_live, parity, flips):
+        assert n_live == cls.max() + 1
+        snapshot(step_no, parity[cls], flips[cls])
+
     jumps = _unravel(config, rows, cls, iter(np.concatenate(blocks[:3])),
-                     config.check_schedule(), snapshot)
+                     config.check_schedule(), None if snapshot is None else per_trajectory)
     states[:] = rows[cls]
     return jumps
 

@@ -316,10 +316,12 @@ def test_parameter_validation():
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("field", ["mu_c", "temperature", "gamma_intra", "gamma_inter", "eps_r"])
+@pytest.mark.parametrize("field", ["mu_c", "temperature", "gamma_intra", "gamma_inter", "eps_r",
+                                   "n_layers"])
 def test_non_finite_parameter_rejected(field, value):
-    # unchecked, a nan rate gives sigma = nan+nanj and an infinite
-    # temperature fails inside the quadrature
+    # unchecked, a nan rate gives sigma = nan+nanj, an infinite
+    # temperature fails inside the quadrature, and a non-finite layer
+    # count fails in its integer conversion with a message naming no field
     base = dict(mu_c=0.5, temperature=300.0, gamma_intra=1e12, gamma_inter=1e13, eps_r=1.0)
     with pytest.raises(ValueError, match=f"{field} must be finite"):
         GrapheneParams(**{**base, field: value})

@@ -26,6 +26,7 @@ from conftest import (
     unravel_on_blocks,
     unravel_oracle,
 )
+import gspp.qec
 from gspp.channel import AMPLITUDE_MATCHED, fidelity_vs_distance
 from gspp.coupling import code_legs, normalize_superposition
 from gspp.qec import (
@@ -94,14 +95,21 @@ def class_rows(rows, cls):
     return buf
 
 
+def class_record(n_slots):
+    """A fresh class record for _class_step: no jumps, no flips, even
+    outcomes, one slot per row of room."""
+    return (np.zeros(n_slots, dtype=int), np.zeros(n_slots, dtype=int),
+            np.ones(n_slots, dtype=int))
+
+
 def step_without_jumps(states, gamma_dt):
     """One _class_step in place, one class per row, with draws u = 1,
     which cannot jump while gamma_dt*<n> < 1."""
     nt, dim = states.shape
     n_vec = np.arange(dim, dtype=float)
-    jumps = np.zeros(nt, dtype=int)
+    jumps, flips, parity = class_record(nt)
     _class_step(states, np.arange(nt), nt, np.ones(nt), gamma_dt, n_vec, np.sqrt(n_vec[1:]),
-                np.repeat(np.exp(-0.5 * gamma_dt * n_vec), 2), jumps)
+                np.repeat(np.exp(-0.5 * gamma_dt * n_vec), 2), jumps, flips, parity)
     assert not jumps.any()
 
 
@@ -189,9 +197,9 @@ class TestParityCheck:
         due = check_steps(cfg)
         outcomes = []
 
-        def snapshot(i, parity, flips):
+        def snapshot(i, n_live, parity, flips):
             if due[i]:
-                outcomes.append(parity.copy())
+                outcomes.append(parity[cls])
 
         jumps = _unravel(cfg, states, cls, stream, cfg.check_schedule(), snapshot)
         return jumps, np.array(outcomes), states[cls]
@@ -514,12 +522,16 @@ class TestVectorizedStreams:
 
     def test_run_memory_does_not_grow_with_line_length(self):
         # the draws are streamed: a line three times as long, with three
-        # times the draws, must not raise run_ensemble's peak allocation
+        # times the draws, must not raise run_ensemble's peak allocation.
+        # Both take only the step-0 snapshot, which scores one class row:
+        # a later snapshot's size follows the live classes, which grow
+        # along the line, and would measure those instead of the draws
         peaks = []
         tracemalloc.start()
         try:
             for x_total in (0.05, 0.15):
-                cfg = make_config(x_total=x_total, parity_p=1.0, n_trajectories=2000)
+                cfg = make_config(x_total=x_total, parity_p=1.0, n_trajectories=2000,
+                                  n_checkpoints=1)
                 tracemalloc.reset_peak()
                 base = tracemalloc.get_traced_memory()[0]
                 run_ensemble(cfg, SIX_CARDINAL[2], 2)
@@ -589,19 +601,19 @@ class TestMicroStepOracle:
         dim = new.shape[1]
         n_vec = np.arange(dim, dtype=float)
         sqrt_n = np.sqrt(np.arange(1, dim, dtype=float))
-        jumps_new = np.zeros(nt, dtype=int)
+        record = class_record(nt)
         jumps_old = np.zeros(nt, dtype=int)
         for k in range(120):
             gamma_dt = 0.02 * (1 + k % 3)
             decay = np.exp(-0.5 * gamma_dt * n_vec)
             u = rng.random(nt) * (0.2 if k % 5 == 0 else 1.0)  # bursts of jumps
             n_live = _class_step(new, cls, n_live, u, gamma_dt, n_vec, sqrt_n,
-                                 np.repeat(decay, 2), jumps_new)
+                                 np.repeat(decay, 2), *record)
             channel_step_oracle(old, u, gamma_dt, n_vec, sqrt_n, decay, jumps_old)
             assert np.array_equal(new[cls].view(float), old.view(float))
             assert np.array_equal(np.unique(cls), np.arange(n_live))
-        assert np.array_equal(jumps_new, jumps_old)
-        assert jumps_new.sum() > nt  # jump rows were exercised
+        assert np.array_equal(record[0][cls], jumps_old)
+        assert jumps_old.sum() > nt  # jump rows were exercised
         assert np.any(old == 0.0)  # and exact-zero sectors
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -617,7 +629,7 @@ class TestMicroStepOracle:
         dim = new.shape[1]
         n_vec = np.arange(dim, dtype=float)
         sqrt_n = np.sqrt(np.arange(1, dim, dtype=float))
-        jumps_new = np.zeros(nt, dtype=int)
+        record = class_record(nt)
         jumps_old = np.zeros(nt, dtype=int)
         flips = 0
         for k in range(120):
@@ -626,16 +638,16 @@ class TestMicroStepOracle:
             u = rng.random(nt) * (0.2 if k % 5 == 0 else 1.0)  # bursts of jumps
             check = bool(k % 2)
             n_live = _class_step(new, cls, n_live, u, gamma_dt, n_vec, sqrt_n,
-                                 np.repeat(decay, 2), jumps_new, check)
+                                 np.repeat(decay, 2), *record, check)
             channel_step_oracle(old, u, gamma_dt, n_vec, sqrt_n, decay, jumps_old)
             if check:
                 outcome = parity_oracle(old, np.zeros(nt))
                 assert np.array_equal(outcome, np.where(jumps_old % 2 == 0, sector, -sector))
                 flips += int(np.sum(outcome != sector))
-            assert np.array_equal(jumps_new, jumps_old)
+            assert np.array_equal(record[0][cls], jumps_old)
             assert np.array_equal(new[cls].view(float), old.view(float))
             assert np.array_equal(np.unique(cls), np.arange(n_live))
-        assert jumps_new.sum() > nt and flips > 0  # jumps and parity flips exercised
+        assert jumps_old.sum() > nt and flips > 0  # jumps and parity flips exercised
 
     def test_one_row_jump_and_vacuum_errors(self):
         dim = 8
@@ -648,13 +660,13 @@ class TestMicroStepOracle:
         one = np.zeros(1, dtype=np.intp)
         decay2 = np.repeat(np.exp(-0.005 * n_vec), 2)
         state = odd.copy()
-        jumps = np.zeros(1, dtype=int)
-        _class_step(state, one, 1, np.array([0.0]), 0.01, n_vec, sqrt_n, decay2, jumps)
-        assert jumps[0] == 1 and np.array_equal(state, vacuum)
+        record = class_record(1)
+        _class_step(state, one, 1, np.array([0.0]), 0.01, n_vec, sqrt_n, decay2, *record)
+        assert record[0][0] == 1 and np.array_equal(state, vacuum)
         # <n> = 0 on the vacuum, so only a draw below 0 jumps it, and a
         # jump there has nothing to remove
         with pytest.raises(ArithmeticError, match="vacuum"):
-            _class_step(state, one, 1, np.array([-1.0]), 0.01, n_vec, sqrt_n, decay2, jumps)
+            _class_step(state, one, 1, np.array([-1.0]), 0.01, n_vec, sqrt_n, decay2, *record)
 
 
 def sector_pure_rows(rng, nt, dim, decay=0.08):
@@ -822,12 +834,12 @@ class TestDecisionShortcuts:
             u = np.ones(nt)
             rows = rng.choice(nt, int(rng.integers(1, 400)), replace=False)
             u[rows] = near(thr[rows], rng, len(rows))
-            jumps_new = np.zeros(nt, dtype=int)
+            jumps_new, flips, parity = class_record(nt)
             jumps_old = np.zeros(nt, dtype=int)
             _class_step(new, cls, n_classes, u, gamma_dt, n_vec, sqrt_n, np.repeat(decay, 2),
-                        jumps_new)
+                        jumps_new, flips, parity)
             channel_step_oracle(old, u, gamma_dt, n_vec, sqrt_n, decay, jumps_old)
-            assert np.array_equal(jumps_new, jumps_old)
+            assert np.array_equal(jumps_new[cls], jumps_old)
             assert np.array_equal(new[cls].view(float), old.view(float))
 
     @pytest.mark.parametrize("beta, parity_p, initial_check", [
@@ -844,13 +856,13 @@ class TestDecisionShortcuts:
         due = check_steps(cfg)
         sectors = []
 
-        def snapshot(i, parity, flips):
+        def snapshot(i, n_live, parity, flips):
             rows = states[cls]
             even = np.all(rows[:, 1::2] == 0.0, axis=1)
             assert np.array_equal(even, ~np.all(rows[:, 0::2] == 0.0, axis=1))
             sectors.append(np.where(even, 1, -1))
             if due[i]:
-                assert np.array_equal(sectors[-1], parity)
+                assert np.array_equal(sectors[-1], parity[cls])
 
         jumps = _unravel(cfg, states, cls, draws(cfg), cfg.check_schedule(), snapshot)
         assert jumps.sum() > 0 and len(sectors) == cfg.n_steps + 1 > 100
@@ -874,24 +886,24 @@ class TestDecisionShortcuts:
         # draws at the row's threshold, at the candidate bound, or anywhere
         u = rng.choice(3, size=nt).choose([near(thr, rng, nt), near(bound, rng, nt),
                                            rng.random(nt) * min(1.0, 2.0 * bound)])
-        jumps_new = np.zeros(nt, dtype=int)
+        record = class_record(nt)
         jumps_old = np.zeros(nt, dtype=int)
         n_live = _class_step(new, cls, n_classes, u, gamma_dt, n_vec, sqrt_n,
-                             np.repeat(decay, 2), jumps_new)
+                             np.repeat(decay, 2), *record)
         channel_step_oracle(old, u, gamma_dt, n_vec, sqrt_n, decay, jumps_old)
-        assert np.array_equal(jumps_new, jumps_old)
+        assert np.array_equal(record[0][cls], jumps_old)
         assert np.array_equal(new[cls].view(float), old.view(float))
         assert np.array_equal(np.unique(cls), np.arange(n_live))
 
         # the same step fused with a check, against the oracle's projection
         # on draws of 0, which measures each row's sector: the start sector
         # times (-1)^jumps
-        new, cls, jumps_new = start, start_cls.copy(), np.zeros(nt, dtype=int)
+        new, cls, record = start, start_cls.copy(), class_record(nt)
         _class_step(new, cls, n_classes, u, gamma_dt, n_vec, sqrt_n, np.repeat(decay, 2),
-                    jumps_new, True)
+                    *record, True)
         outcome = parity_oracle(old, np.zeros(nt))
         assert np.array_equal(outcome, np.where(jumps_old % 2 == 0, sector, -sector))
-        assert np.array_equal(jumps_new, jumps_old)
+        assert np.array_equal(record[0][cls], jumps_old)
         assert np.array_equal(new[cls].view(float), old.view(float))
 
 
@@ -909,10 +921,11 @@ class TestBlockedSweep:
         n_vec = np.arange(dim, dtype=float)
         sqrt_n = np.sqrt(np.arange(1, dim, dtype=float))
         decay = np.exp(-0.5 * gamma_dt * n_vec)
-        # one class per row, so the sweep's block edges fall where the rows' do
-        new, cls, jumps_new = states.copy(), np.arange(nt), np.zeros(nt, dtype=int)
+        # one class per row, so the sweep's block edges fall where the rows'
+        # do, and the class record is the per-trajectory one
+        new, cls, (jumps_new, flips, parity) = states.copy(), np.arange(nt), class_record(nt)
         _class_step(new, cls, nt, u, gamma_dt, n_vec, sqrt_n, np.repeat(decay, 2), jumps_new,
-                    check)
+                    flips, parity, check)
         old, jumps_old = states.copy(), np.zeros(nt, dtype=int)
         channel_step_oracle(old, u, gamma_dt, n_vec, sqrt_n, decay, jumps_old)
         outcome = parity_oracle(old, np.zeros(nt)) if check else None
@@ -958,11 +971,38 @@ class TestBlockedSweep:
         TestDecisionShortcuts.assert_same(new, old)
 
 
+def live_counts(monkeypatch):
+    """Spy on run_ensemble's _unravel: returns the dict it fills with the
+    live class count at each snapshot step."""
+    counts = {}
+    unravel = gspp.qec._unravel
+
+    def spy(config, states, cls, draws, schedule, snapshot):
+        def counted(step_no, n_live, parity, flips):
+            counts[step_no] = n_live
+            snapshot(step_no, n_live, parity, flips)
+
+        return unravel(config, states, cls, draws, schedule, counted)
+
+    monkeypatch.setattr("gspp.qec._unravel", spy)
+    return counts
+
+
+def assert_matches_whole_array_oracle(cfg, input_index):
+    """run_ensemble's (fid, jumps) bit for bit those of the whole-array
+    oracle for cfg.apply_recovery."""
+    oracle = run_ensemble_oracle if cfg.apply_recovery else unrecovered_oracle
+    fid, jumps = run_ensemble(cfg, SIX_CARDINAL[input_index], input_index)
+    fid_ref, jumps_ref = oracle(cfg, SIX_CARDINAL[input_index], input_index)
+    assert np.array_equal(jumps, jumps_ref)
+    assert fid.tobytes() == fid_ref.tobytes()
+
+
 class TestBlockedRecovery:
-    """run_ensemble scores each snapshot, and a check renormalizes the class
-    rows, in blocks of _BLOCK rows.  Every bit must be the whole-array
-    oracles', also where the last snapshot block would hold one row, which
-    numpy scores with its one-row product instead of the gemv."""
+    """run_ensemble scores each snapshot's class rows, and a check
+    renormalizes them, in blocks of _BLOCK rows.  Every bit must be the
+    whole-array oracles', also where a snapshot block would hold one row,
+    which numpy scores with its one-row product instead of the gemv."""
 
     @pytest.fixture(scope="class", params=[513, 517, 1101, RAGGED])
     def whole_array_run(self, request):
@@ -996,17 +1036,81 @@ class TestBlockedRecovery:
         sqrt_n = np.sqrt(np.arange(1, dim, dtype=float))
         decay = np.exp(-0.5 * gamma_dt * n_vec)
         u = rng.random(nt)
-        jumps_new = np.zeros(nt, dtype=int)
+        record = class_record(nt)
         jumps_old = np.zeros(nt, dtype=int)
         monkeypatch.setattr("gspp.qec._BLOCK", block)
         n_live = _class_step(states, cls, n_classes, u, gamma_dt, n_vec, sqrt_n,
-                             np.repeat(decay, 2), jumps_new, True)
+                             np.repeat(decay, 2), *record, True)
         channel_step_oracle(ref, u, gamma_dt, n_vec, sqrt_n, decay, jumps_old)
         expected = parity_oracle(ref, np.zeros(nt))
-        assert np.array_equal(jumps_new, jumps_old)
+        assert np.array_equal(record[0][cls], jumps_old)
         assert np.array_equal(expected, np.where(jumps_old % 2 == 0, sector, -sector))
         assert np.any(expected > 0) and np.any(expected < 0) and n_live > n_classes
         assert np.array_equal(states[cls].view(float), ref.view(float))
+
+    @pytest.mark.parametrize("apply_recovery", [True, False])
+    @pytest.mark.parametrize("k0_kappa2", [1.0, 0.0])
+    def test_lone_class_matches_whole_array_oracle(self, monkeypatch, k0_kappa2,
+                                                   apply_recovery):
+        # at beta = 1 the step-0 snapshot holds one class, and a lossless
+        # line keeps it one class to the end
+        cfg = make_config(k0_kappa2=k0_kappa2, x_total=0.05, n_trajectories=300,
+                          apply_recovery=apply_recovery)
+        counts = live_counts(monkeypatch)
+        assert_matches_whole_array_oracle(cfg, 4)
+        live = [counts[int(s)] for s in cfg.checkpoint_steps()]
+        assert live[0] == 1
+        assert (max(live) == 1) == (k0_kappa2 == 0.0)
+
+    @pytest.mark.parametrize("apply_recovery", [True, False])
+    @pytest.mark.parametrize("block", [1, 7, 8])
+    def test_one_row_tail_matches_whole_array_oracle(self, monkeypatch, block, apply_recovery):
+        # a snapshot at every step, so some checkpoint has n_live = 1 (mod
+        # _BLOCK) with n_live > _BLOCK: its last class block holds one row
+        kw = dict(g=math.asin(0.9511), parity_p=0.6, x_total=0.05, n_trajectories=200,
+                  apply_recovery=apply_recovery)
+        cfg = make_config(**kw, n_checkpoints=make_config(**kw).n_steps + 1)
+        monkeypatch.setattr("gspp.qec._BLOCK", block)
+        counts = live_counts(monkeypatch)
+        assert_matches_whole_array_oracle(cfg, 2)
+        assert any((n - 1) % block == 0 and n > block for n in counts.values())
+
+    def test_checkpoint_scores_class_rows(self, monkeypatch):
+        # at p = 1 and beta = 1 the check outcomes up to a step record when
+        # each trajectory jumped, so their distinct histories count the
+        # live classes (test_one_class_per_jump_history); a checkpoint
+        # scores at most one row per class and one copy of a lone row
+        cfg = make_config(parity_p=1.0, x_total=0.05, n_trajectories=2000)
+        assert cfg.n_excitation_steps == 0 and cfg.initial_check
+        start = np.tile(encode(SIX_CARDINAL[2], cfg.alpha), (cfg.n_trajectories, 1))
+        blocks = ensemble_uniforms_oracle(cfg, 2, 0, cfg.n_steps,
+                                          int(cfg.check_schedule().sum()))
+        history = []
+
+        def record(i, parity, flips):
+            history.append(parity.copy())
+
+        unravel_oracle(cfg, start, blocks, record)
+        n_live = [len(np.unique(np.array(history[:s + 1]).T, axis=0))
+                  for s in cfg.checkpoint_steps()]
+        scored = []
+        code_basis, recovered = gspp.qec._code_basis, gspp.qec._recovered
+
+        def basis_spy(*args):
+            scored.append(0)  # one code basis per checkpoint
+            return code_basis(*args)
+
+        def recovered_spy(states, *args):
+            scored[-1] += len(states)
+            return recovered(states, *args)
+
+        monkeypatch.setattr("gspp.qec._code_basis", basis_spy)
+        monkeypatch.setattr("gspp.qec._recovered", recovered_spy)
+        run_ensemble(cfg, SIX_CARDINAL[2], 2)
+        assert len(scored) == len(n_live) and n_live[0] == 1
+        assert max(n_live) < cfg.n_trajectories // 4
+        for rows, classes in zip(scored, n_live):
+            assert classes <= rows <= classes + 1
 
 
 def unrecovered_oracle(cfg, input_logical, input_index):
@@ -1072,27 +1176,34 @@ class TestClassEngine:
     ])
     def test_classes_are_shared_histories(self, beta, parity_p, initial_check):
         # every slot below n_live is in use, so there are at most n_traj
-        # classes, and the trajectories of one class share their record
+        # classes, and the record kept once per class, read through each
+        # trajectory's class, is the per-trajectory oracle's at every step
         cfg = make_config(g=math.asin(beta), parity_p=parity_p, initial_check=initial_check,
                           n_trajectories=300)
         nt = cfg.n_trajectories
+        start = encode((0.6, 0.8), cfg.alpha)
+        blocks = ensemble_uniforms_oracle(cfg, 0, cfg.n_excitation_steps, cfg.n_steps,
+                                          int(cfg.check_schedule().sum()))
+        records = []
+
+        def record(i, parity, flips):
+            records.append((parity.copy(), flips.copy()))
+
+        jumps_old = unravel_oracle(cfg, np.tile(start, (nt, 1)), blocks, record)
         cls = np.zeros(nt, dtype=np.intp)
-        states = class_rows(encode((0.6, 0.8), cfg.alpha)[None, :], cls)
+        states = class_rows(start[None, :], cls)
         counts = []
 
-        def snapshot(i, parity, flips):
-            n_live = int(cls.max()) + 1
+        def snapshot(i, n_live, parity, flips):
             counts.append(n_live)
-            assert n_live <= nt and np.array_equal(np.unique(cls), np.arange(n_live))
-            first = np.empty(n_live, dtype=int)
-            first[cls] = np.arange(nt)
-            assert np.array_equal(parity[first][cls], parity)
-            assert np.array_equal(flips[first][cls], flips)
+            assert n_live == cls.max() + 1 <= nt
+            assert np.array_equal(np.unique(cls), np.arange(n_live))
+            assert np.array_equal(parity[cls], records[i][0])
+            assert np.array_equal(flips[cls], records[i][1])
 
         jumps = _unravel(cfg, states, cls, draws(cfg), cfg.check_schedule(), snapshot)
-        first = np.empty(cls.max() + 1, dtype=int)
-        first[cls] = np.arange(nt)
-        assert np.array_equal(jumps[first][cls], jumps)
+        assert np.array_equal(jumps, jumps_old)
+        assert len(counts) == cfg.n_steps + 1
         assert 1 < max(counts) < nt  # classes split, and are shared
 
     def test_one_class_per_jump_history(self):
@@ -1107,8 +1218,8 @@ class TestClassEngine:
         states = class_rows(encode((0.6, 0.8), cfg.alpha)[None, :], cls)
         history = []
 
-        def snapshot(i, parity, flips):
-            history.append(parity.copy())
+        def snapshot(i, n_live, parity, flips):
+            history.append(parity[cls])
 
         _unravel(cfg, states, cls, draws(cfg), cfg.check_schedule(), snapshot)
         _, key = np.unique(np.array(history).T, axis=0, return_inverse=True)
