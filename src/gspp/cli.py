@@ -506,7 +506,7 @@ def main(argv=None) -> int:
             args.parser.set_defaults(**config_defaults(args.config, args))
             args = parser.parse_args(argv)
         require_finite(args)
-        if args.out is None:
+        if not args.out:
             raise ValueError("--out is required")
         return args.func(args)
     except (ValueError, UnsupportedModeError, LogSingularityError) as exc:

@@ -12,6 +12,7 @@ once.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -20,8 +21,8 @@ import numpy as np
 
 def quad(*args, **kwargs):
     """scipy.integrate.quad, imported at the first call: only the
-    finite-temperature interband integral needs it, and the scipy import
-    costs more than the rest of gspp's start-up."""
+    finite-temperature interband conductivity integral needs it, and the
+    scipy import costs more than the rest of gspp's start-up."""
     from scipy.integrate import quad as scipy_quad
     return scipy_quad(*args, **kwargs)
 
@@ -175,11 +176,14 @@ def _interband_integral(params: GrapheneParams, omega: float, power: int) -> com
     Power 1 is the interband conductivity's energy integral, power 2 its
     omega-derivative kernel K2.  The energy integral is rescaled with
     eps = hbar*omega*u/2 so the (gamma-shifted) resonance sits at u ~ abar.
-    The quadrature runs on [0, u_cut] where d(u) still deviates from 1;
-    beyond u_cut it is 1 to machine precision and the remainder is added
+    Both powers share the scales, the pole and onset with their widths and
+    the cut: the integral runs on [0, u_cut] where d(u) still deviates from
+    1; beyond u_cut it is 1 to machine precision and the remainder is added
     in closed form, so the truncation error is far below 1e-10 of the
-    accumulated value.  Raises QuadratureError when either adaptive run
-    exhausts its subdivisions.
+    accumulated value.  Power 1 runs adaptive QUADPACK with the pole and
+    onset as breakpoints, power 2 a fixed-panel Gauss-Legendre rule.
+    Raises QuadratureError when an adaptive run exhausts its subdivisions
+    or the panel rule's error estimate exceeds 1e-9 of its value.
     """
     k = CONSTANTS
     kT = k.kB * params.temperature
@@ -194,55 +198,66 @@ def _interband_integral(params: GrapheneParams, omega: float, power: int) -> com
 
     pole = abar.real if abar.real > 0 else abs(abar)
     pole_width = max(abar.imag, 1e-3)
+
+    # Closed-form remainder for u > u_cut with d(u) == 1.  For power 2,
+    # u/(2 abar^2 (abar^2 - u^2)) + ln((abar + u)/(abar - u))/(4 abar^3) is an
+    # antiderivative; at u -> inf the log tends to -i*pi, as for power 1.
+    ratio = (abar + u_cut) / (abar - u_cut)
+    if power == 2:
+        tail = ((-1j * math.pi - cmath.log(ratio)) / (4.0 * abar**3)
+                - u_cut / (2.0 * abar**2 * (abar**2 - u_cut**2)))
+        # Composite Gauss-Legendre on panels whose lengths double away from
+        # the pole and the onset, every node in one array: the 16-point
+        # rule, with the 8-point rule on the same panels as its estimate.
+        nodes, weights = _panel_rule()
+        edges = np.concatenate(([0.0, u_cut], pole + pole_width * _EDGE_OFFSETS,
+                                u_step + step_width * _EDGE_OFFSETS))
+        edges = np.unique(np.clip(edges, 0.0, u_cut))
+        half = 0.5 * np.diff(edges)[:, None]
+        u = 0.5 * (edges[1:] + edges[:-1])[:, None] + half * nodes
+        # 1/(1 + exp(-x)) is exactly 0 where exp(-x) overflows to inf
+        with np.errstate(over="ignore"):
+            d = 1.0 / (1.0 + np.exp(-(xmu + s * u))) - 1.0 / (1.0 + np.exp(-(xmu - s * u)))
+        fine, coarse = ((half * d / (abar * abar - u * u) ** 2) @ weights).sum(axis=0)
+        if abs(fine - coarse) > 1e-9 * abs(fine):
+            raise QuadratureError("interband conductivity slope integral did not converge",
+                                  float(abs(fine - coarse)))
+        return complex(fine) + tail
+    tail = (-1j * math.pi - np.log(ratio)) / (2.0 * abar)
+
     raw_points = [pole - 3 * pole_width, pole, pole + 3 * pole_width,
                   u_step - 30 * step_width, u_step, u_step + 30 * step_width]
     points = sorted({p for p in raw_points if 0.0 < p < u_cut})
 
-    # The integrands run in plain floats but equal the numpy-scalar forms
+    # The integrand runs in plain floats but equals the numpy-scalar form
     # bit for bit: expit(x) is 1/(1 + exp(-x)), and 0 where exp(-x)
-    # overflows; power 1 divides by Smith's method with scl = 1/denominator,
-    # as numpy divides a float64 by a complex scalar (Python's complex
+    # overflows; it divides by Smith's method with scl = 1/denominator, as
+    # numpy divides a float64 by a complex scalar (Python's complex
     # division differs in the last bit).  Both quad runs sample the same
     # nodes, so the imaginary run reads the values the real run cached by u.
-    # Each power has its own closure, picked once per call: a branch or a
-    # shared occupation call per node cost 3-8% per integral.
     exp = math.exp
     aa = abar * abar
     aa_re, bi = float(aa.real), float(aa.imag)
     abs_bi = abs(bi)
     cached_imag = {}
 
-    if power == 1:
-        def real_part(u):
-            su = s * u
-            try:
-                f_minus = 1.0 / (1.0 + exp(-(xmu - su)))
-            except OverflowError:
-                f_minus = 0.0
-            d = 1.0 / (1.0 + exp(-(xmu + su))) - f_minus
-            br = aa_re - u * u
-            if abs(br) >= abs_bi:
-                rat = bi / br
-                scl = 1.0 / (br + bi * rat)
-                cached_imag[u] = (0.0 - d * rat) * scl
-                return (d + 0.0 * rat) * scl
-            rat = br / bi
-            scl = 1.0 / (bi + br * rat)
-            cached_imag[u] = (0.0 * rat - d) * scl
-            return (d * rat + 0.0) * scl
-    else:
-        def real_part(u):
-            su = s * u
-            try:
-                f_minus = 1.0 / (1.0 + exp(-(xmu - su)))
-            except OverflowError:
-                f_minus = 0.0
-            d = 1.0 / (1.0 + exp(-(xmu + su))) - f_minus
-            br = aa_re - u * u
-            den = br * br + bi * bi
-            wr, wi = br / den, -bi / den      # 1/(abar^2 - u^2)
-            cached_imag[u] = 2.0 * d * wr * wi
-            return d * (wr * wr - wi * wi)
+    def real_part(u):
+        su = s * u
+        try:
+            f_minus = 1.0 / (1.0 + exp(-(xmu - su)))
+        except OverflowError:
+            f_minus = 0.0
+        d = 1.0 / (1.0 + exp(-(xmu + su))) - f_minus
+        br = aa_re - u * u
+        if abs(br) >= abs_bi:
+            rat = bi / br
+            scl = 1.0 / (br + bi * rat)
+            cached_imag[u] = (0.0 - d * rat) * scl
+            return (d + 0.0 * rat) * scl
+        rat = br / bi
+        scl = 1.0 / (bi + br * rat)
+        cached_imag[u] = (0.0 * rat - d) * scl
+        return (d * rat + 0.0) * scl
 
     def imag_part(u):
         if u not in cached_imag:
@@ -254,20 +269,27 @@ def _interband_integral(params: GrapheneParams, omega: float, power: int) -> com
         out = quad(integrand, 0.0, u_cut, points=points,
                    epsabs=1e-9, epsrel=1e-9, limit=400, full_output=1)
         if len(out) > 3:
-            what = "integral" if power == 1 else "slope integral"
-            raise QuadratureError(f"interband conductivity {what} did not converge", out[1])
+            raise QuadratureError("interband conductivity integral did not converge", out[1])
         pieces.append(out[0])
-
-    # Closed-form remainder for u > u_cut with d(u) == 1.  For power 2,
-    # u/(2 abar^2 (abar^2 - u^2)) + ln((abar + u)/(abar - u))/(4 abar^3) is an
-    # antiderivative; at u -> inf the log tends to -i*pi, as for power 1.
-    ratio = (abar + u_cut) / (abar - u_cut)
-    if power == 1:
-        tail = (-1j * math.pi - np.log(ratio)) / (2.0 * abar)
-    else:
-        tail = ((-1j * math.pi - cmath.log(ratio)) / (4.0 * abar**3)
-                - u_cut / (2.0 * abar**2 * (abar**2 - u_cut**2)))
     return pieces[0] + 1j * pieces[1] + tail
+
+
+# Panel edges around a feature at c of width w: c + w*_EDGE_OFFSETS, panels
+# doubling in length away from c out to 2^17 widths.
+_EDGE_OFFSETS = np.concatenate(([0.0], 2.0 ** np.arange(-3, 18), -(2.0 ** np.arange(-3, 18))))
+
+
+@functools.cache
+def _panel_rule():
+    """Nodes on [-1, 1] of the 16-point Gauss-Legendre rule followed by the
+    8-point rule's, and a (24, 2) weight matrix whose columns apply each
+    rule to its own nodes.  Built at the first K2, so start-up does not
+    import numpy.polynomial."""
+    x16, w16 = np.polynomial.legendre.leggauss(16)
+    x8, w8 = np.polynomial.legendre.leggauss(8)
+    weights = np.zeros((24, 2))
+    weights[:16, 0], weights[16:, 1] = w16, w8
+    return np.concatenate((x16, x8)), weights
 
 
 def _interband_full(params: GrapheneParams, omega: float) -> complex:

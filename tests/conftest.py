@@ -552,9 +552,9 @@ def quad_k2_oracle(params, omega):
     """K2 = integral over u > 0 of d(u)/(abar^2 - u^2)^2, the omega-derivative
     kernel of the interband integral: scipy's expit for the occupation
     difference d(u), 1/(abar^2 - u^2) = (br - i*bi)/(br^2 + bi^2) with
-    br = Re abar^2 - u^2 and bi = Im abar^2, one part per quad run.  Same
-    breakpoints, tolerances and closed-form tail as
-    gspp.material.conductivity_slope's kernel."""
+    br = Re abar^2 - u^2 and bi = Im abar^2, one part per quad run, with the
+    breakpoints, tolerances and closed-form tail of the interband quad
+    oracle above: an adaptive check on gspp.material's fixed-panel K2."""
     abar, xmu, s, u_cut, points = _interband_quad_setup(params, omega)
     aa = abar * abar
     aa_re, bi = float(aa.real), float(aa.imag)
@@ -576,7 +576,9 @@ def quad_k2_oracle(params, omega):
 def slope_k2_oracle(params, sigma):
     """Full-form d sigma/d omega at sigma.omega with K2 from quad_k2_oracle:
     sigma_inter/(omega + i*gamma_inter) - sigma_intra/(omega + i*gamma_intra)
-    - (i e^2 abar^2/(pi hbar omega))*K2, per layer, times n_layers."""
+    - (i e^2 abar^2/(pi hbar omega))*K2, per layer, times n_layers.  Returns
+    the slope and the sum of its three terms' magnitudes, the scale of a
+    tolerance where the terms cancel (near mu = 0)."""
     k = CONSTANTS
     omega = sigma.omega
     n = params.n_layers
@@ -584,8 +586,9 @@ def slope_k2_oracle(params, sigma):
     inter = sigma.value / n - intra
     abar = (omega + 1j * params.gamma_inter) / omega
     kernel = 1j * k.e**2 * abar**2 / (math.pi * k.hbar * omega) * quad_k2_oracle(params, omega)
-    return n * (inter / (omega + 1j * params.gamma_inter)
-                - intra / (omega + 1j * params.gamma_intra) - kernel)
+    terms = (inter / (omega + 1j * params.gamma_inter),
+             -intra / (omega + 1j * params.gamma_intra), -kernel)
+    return n * (terms[0] + terms[1] + terms[2]), n * sum(abs(t) for t in terms)
 
 
 def group_velocity_fd_oracle(params, sigma, polarization, rel_step=1e-5):

@@ -1,4 +1,5 @@
 import gzip
+import importlib.util
 import math
 import os
 from pathlib import Path
@@ -10,6 +11,8 @@ from gspp.cli import build_parser, config_defaults, load_config, main
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = ROOT / "configs"
+CLASSICAL_CONFIGS = [cfg.stem for cfg in sorted(CONFIG_DIR.glob("*.cfg"))
+                     if load_config(str(cfg))["command"] != "qec"]
 QEC_SMALL = ["qec", "--seed", "1", "--mu-c-ev", "1.4", "--k0kappa2x-max", "0.02",
              "--p-list", "1", "--workers", "1"]
 
@@ -432,6 +435,16 @@ class TestFileErrors:
         assert not list(tmp_path.iterdir())
         assert str(cfg) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [["sigma", "--points", "3"],
+                                      QEC_SMALL + ["--trajectories", "4"]])
+    def test_empty_out_is_usage_error(self, tmp_path, capsys, monkeypatch, no_ensemble, argv):
+        # --out "" used to run the whole command and then exit 2 with
+        # "No such file or directory: ''"
+        monkeypatch.chdir(tmp_path)
+        assert main(argv + ["--out", ""]) == 2
+        assert "--out is required" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_unwritable_out(self, tmp_path, capsys):
         out = tmp_path / "absent" / "x.csv"
         assert main(["sigma", "--points", "3", "--out", str(out)]) == 2
@@ -652,3 +665,20 @@ class TestOptionsOfEachCommandLine:
         assert main(argv + ["--config", str(cfg), "--out", str(tmp_path / "t.csv")]) == 2
         assert list(tmp_path.iterdir()) == [cfg]
         assert f"unknown config key {key!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", CLASSICAL_CONFIGS)
+def test_classical_tables_match_bench_goldens(tmp_path, name):
+    # the benchmark's checks: the physical invariants, and every cell within
+    # relative 1e-8, floored at 1e-3 of the column's largest magnitude, of
+    # the table the seed commit wrote
+    spec = importlib.util.spec_from_file_location("bench_checks", ROOT / "bench" / "checks.py")
+    checks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checks)
+    cfg = CONFIG_DIR / f"{name}.cfg"
+    out = tmp_path / f"{name}.csv"
+    argv = load_config(str(cfg))["command"].split() + ["--config", str(cfg), "--out", str(out)]
+    assert main(argv) == 0
+    text = out.read_text()
+    assert checks.invariants(name, text) + checks.compare_golden(
+        name, text, checks.golden_text(name)) == []

@@ -1,7 +1,7 @@
 """What a gspp process imports: scipy only where it integrates.
 
-Only the finite-temperature interband integral needs scipy (its QUADPACK
-quadrature), so the CLI, and the figure configs that never integrate, run
+Only the finite-temperature interband conductivity integral needs scipy
+(its QUADPACK quadrature; the slope kernel has its own rule), so the CLI, and the figure configs that never integrate, run
 without importing it.  Each check starts a fresh interpreter, since this
 test process has imported scipy already.
 """
@@ -17,9 +17,11 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = ROOT / "configs"
 
-# scipy modules loaded at exit, and the CLI's exit code, as one JSON line
+# scipy modules loaded at exit, whether numpy.polynomial is, and the CLI's
+# exit code, as one JSON line
 REPORT = ("import json, sys; print(json.dumps({'rc': rc, 'scipy': sorted("
-          "m for m in sys.modules if m.split('.')[0] == 'scipy')}))")
+          "m for m in sys.modules if m.split('.')[0] == 'scipy'),"
+          " 'polynomial': 'numpy.polynomial' in sys.modules}))")
 
 
 def run_fresh(code: str, cwd: Path) -> dict:
@@ -34,6 +36,8 @@ def run_fresh(code: str, cwd: Path) -> dict:
 def test_cli_import_and_parser_load_no_scipy(tmp_path):
     report = run_fresh("import gspp.cli; gspp.cli.build_parser(); rc = 0", tmp_path)
     assert report["scipy"] == []
+    # the slope kernel's Gauss-Legendre nodes are built at its first call
+    assert not report["polynomial"]
 
 
 @pytest.mark.parametrize("name", ["fig4b-te", "fig4-fid", "fig6a"])
