@@ -176,14 +176,14 @@ def _interband_integral(params: GrapheneParams, omega: float, power: int) -> com
     Power 1 is the interband conductivity's energy integral, power 2 its
     omega-derivative kernel K2.  The energy integral is rescaled with
     eps = hbar*omega*u/2 so the (gamma-shifted) resonance sits at u ~ abar.
-    Both powers share the scales, the pole and onset with their widths and
-    the cut: the integral runs on [0, u_cut] where d(u) still deviates from
-    1; beyond u_cut it is 1 to machine precision and the remainder is added
-    in closed form, so the truncation error is far below 1e-10 of the
-    accumulated value.  Power 1 runs adaptive QUADPACK with the pole and
-    onset as breakpoints, power 2 a fixed-panel Gauss-Legendre rule.
+    Both powers share the scales, the pole and onset and the cut: the
+    integral runs on [0, u_cut] where d(u) still deviates from 1; beyond
+    u_cut it is 1 to machine precision and the remainder is added in closed
+    form, so the truncation error is far below 1e-10 of the accumulated
+    value.  Power 1 runs adaptive QUADPACK with the pole and onset as
+    breakpoints, power 2 a fixed-panel Gauss-Legendre rule.
     Raises QuadratureError when an adaptive run exhausts its subdivisions
-    or the panel rule's error estimate exceeds 1e-9 of its value.
+    or the panel rule's error estimate exceeds 1e-9 and 1e-9 of its value.
     """
     k = CONSTANTS
     kT = k.kB * params.temperature
@@ -208,18 +208,30 @@ def _interband_integral(params: GrapheneParams, omega: float, power: int) -> com
                 - u_cut / (2.0 * abar**2 * (abar**2 - u_cut**2)))
         # Composite Gauss-Legendre on panels whose lengths double away from
         # the pole and the onset, every node in one array: the 16-point
-        # rule, with the 8-point rule on the same panels as its estimate.
+        # rule, with the 12-point rule on the same panels as its estimate.
+        # The pole's panels are sized by the resonance's own width
+        # Im(abar) = gamma_inter/omega, however narrow, not by the floored
+        # pole_width of the quad breakpoints.
         nodes, weights = _panel_rule()
-        edges = np.concatenate(([0.0, u_cut], pole + pole_width * _EDGE_OFFSETS,
-                                u_step + step_width * _EDGE_OFFSETS))
+        po, so = _doublings(abar.imag, u_cut), _doublings(step_width, u_cut)
+        edges = np.concatenate(([0.0, u_cut, pole, u_step], pole + po, pole - po,
+                                u_step + so, u_step - so))
         edges = np.unique(np.clip(edges, 0.0, u_cut))
-        half = 0.5 * np.diff(edges)[:, None]
-        u = 0.5 * (edges[1:] + edges[:-1])[:, None] + half * nodes
+        lo, length = edges[:-1, None], np.diff(edges)[:, None]
+        t = length * nodes
+        u = lo + t
         # 1/(1 + exp(-x)) is exactly 0 where exp(-x) overflows to inf
         with np.errstate(over="ignore"):
             d = 1.0 / (1.0 + np.exp(-(xmu + s * u))) - 1.0 / (1.0 + np.exp(-(xmu - s * u)))
-        fine, coarse = ((half * d / (abar * abar - u * u) ** 2) @ weights).sum(axis=0)
-        if abs(fine - coarse) > 1e-9 * abs(fine):
+        # abar^2 - u^2 as (abar - u)(abar + u), with Re(abar) - u taken from
+        # the panel's own offset t: abar^2 - u^2 itself loses 1e-16 absolute
+        # to cancellation, relative 1e-16/Im(abar) next to a narrow pole
+        denom = ((abar.real - lo) - t + 1j * abar.imag) * (abar + u)
+        fine, coarse = ((length * d / (denom * denom)) @ weights).sum(axis=0)
+        # quad's epsabs and epsrel of 1e-9: where K2 is far below 1 (a narrow
+        # resonance at low frequency), rounding of about 1e-17 alone can
+        # exceed 1e-9 of it
+        if abs(fine - coarse) > 1e-9 * max(1.0, abs(fine)):
             raise QuadratureError("interband conductivity slope integral did not converge",
                                   float(abs(fine - coarse)))
         return complex(fine) + tail
@@ -274,22 +286,27 @@ def _interband_integral(params: GrapheneParams, omega: float, power: int) -> com
     return pieces[0] + 1j * pieces[1] + tail
 
 
-# Panel edges around a feature at c of width w: c + w*_EDGE_OFFSETS, panels
-# doubling in length away from c out to 2^17 widths.
-_EDGE_OFFSETS = np.concatenate(([0.0], 2.0 ** np.arange(-3, 18), -(2.0 ** np.arange(-3, 18))))
+_POWERS_OF_TWO = 2.0 ** np.arange(-3.0, 1024.0)
+
+
+def _doublings(width, reach):
+    """Offsets width*{2^-3, 2^-2, ...} of panel edges from a feature of the
+    given width, panels doubling in length away from it, out to the first
+    offset that covers reach (reach >= 3 widths here, so never empty)."""
+    return width * _POWERS_OF_TWO[:math.ceil(math.log2(reach / width)) + 4]
 
 
 @functools.cache
 def _panel_rule():
-    """Nodes on [-1, 1] of the 16-point Gauss-Legendre rule followed by the
-    8-point rule's, and a (24, 2) weight matrix whose columns apply each
+    """Nodes on [0, 1] of the 16-point Gauss-Legendre rule followed by the
+    12-point rule's, and a (28, 2) weight matrix whose columns apply each
     rule to its own nodes.  Built at the first K2, so start-up does not
     import numpy.polynomial."""
     x16, w16 = np.polynomial.legendre.leggauss(16)
-    x8, w8 = np.polynomial.legendre.leggauss(8)
-    weights = np.zeros((24, 2))
-    weights[:16, 0], weights[16:, 1] = w16, w8
-    return np.concatenate((x16, x8)), weights
+    x12, w12 = np.polynomial.legendre.leggauss(12)
+    weights = np.zeros((28, 2))
+    weights[:16, 0], weights[16:, 1] = 0.5 * w16, 0.5 * w12
+    return 0.5 * (1.0 + np.concatenate((x16, x12))), weights
 
 
 def _interband_full(params: GrapheneParams, omega: float) -> complex:

@@ -179,7 +179,7 @@ class TestGroupVelocity:
     def test_slope_quadrature_error_propagates(self, monkeypatch, tmp_path):
         # a slope integral whose error estimate is over tolerance raises
         # through group_velocity and solve_mode, and `gspp dispersion` exits
-        # 3 without writing its table.  The 8-point weights, scaled by 1.5,
+        # 3 without writing its table.  The 12-point weights, scaled by 1.5,
         # put the panel rule's estimate near half of its value; sigma never
         # uses the rule.
         nodes, weights = gspp.material._panel_rule()
