@@ -173,10 +173,13 @@ def float_list(flag: str, text: str) -> list[float]:
 
 
 def worker_count(flag: int | None) -> int:
-    """--workers, else $GSPP_WORKERS, else the CPU count; at least 1."""
+    """--workers, else $GSPP_WORKERS, else the count of CPUs this process
+    may run on; at least 1."""
     if flag is not None:
         name, value = "--workers", flag
     elif WORKERS_ENV not in os.environ:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     else:
         name, raw = WORKERS_ENV, os.environ[WORKERS_ENV]

@@ -594,27 +594,73 @@ def run_ensemble(config: QecRunConfig, input_logical: tuple[complex, complex],
     return fid, jumps
 
 
+def _input_stats(task: tuple[QecRunConfig, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Per-checkpoint mean and sample variance of one input's ensemble."""
+    config, idx = task
+    fid, _ = run_ensemble(config, config.input_states()[idx], idx)
+    return fid.mean(axis=1), fid.var(axis=1, ddof=1)
+
+
+_OPENBLAS_SETTERS = ("openblas_set_num_threads", "openblas_set_num_threads64_",
+                     "scipy_openblas_set_num_threads", "scipy_openblas_set_num_threads64_")
+
+
+def _one_blas_thread() -> None:
+    """Hold every OpenBLAS this worker process has loaded to one thread.
+
+    The worker processes are the parallelism.  Each one's OpenBLAS threads
+    on top would oversubscribe the CPUs: on two CPUs, the full fig5 at two
+    workers took 2.8 times as long with OpenBLAS's default threads.  The
+    libraries are found in /proc/self/maps; without it, or without an
+    OpenBLAS, this does nothing.
+    """
+    import ctypes
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            paths = {line.split(None, 5)[-1].strip() for line in maps if "openblas" in line}
+    except OSError:
+        return
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in _OPENBLAS_SETTERS:
+            if hasattr(lib, name):
+                getattr(lib, name)(ctypes.c_int(1))
+
+
 def average_fidelity(config: QecRunConfig, workers: int = 1) -> QecCurve:
     """Bloch-sphere-averaged recovered fidelity along the line.
 
     Averages over the six Pauli eigenstates (a 2-design, so their mean
-    equals the Haar average) and the trajectory ensemble, one input per
-    task on a pool of workers threads; F0 is the analytic pre-check
-    fidelity at x = 0.  The standard error needs at least two trajectories.
+    equals the Haar average) and the trajectory ensemble; F0 is the
+    analytic pre-check fidelity at x = 0.  One worker runs the inputs in
+    this process, in order.  More run one input per task in min(workers, 6)
+    worker processes, started with the POSIX ``fork`` method (threads would
+    serialize on the interpreter lock the per-step Python work holds), each
+    on one OpenBLAS thread.  The workers are joined before this returns,
+    also when an input raises, and the input's exception reaches the caller
+    with its own type.  The standard error needs at least two trajectories.
     """
     if config.n_trajectories < 2:
         raise ValueError("need at least two trajectories for a standard error")
     if workers < 1:
         raise ValueError(f"need at least one worker, got {workers}")
-    from concurrent.futures import ThreadPoolExecutor
     inputs = config.input_states()
-
-    def one(idx):
-        fid, _ = run_ensemble(config, inputs[idx], idx)
-        return fid.mean(axis=1), fid.var(axis=1, ddof=1)
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        stats = list(pool.map(one, range(len(inputs))))
+    tasks = [(config, idx) for idx in range(len(inputs))]
+    if workers == 1:
+        stats = list(map(_input_stats, tasks))
+    else:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        pool = ProcessPoolExecutor(max_workers=min(workers, len(tasks)),
+                                   mp_context=multiprocessing.get_context("fork"),
+                                   initializer=_one_blas_thread)
+        try:
+            stats = list(pool.map(_input_stats, tasks))
+        finally:
+            pool.shutdown(cancel_futures=True)  # after an error, start no further input
     # (inputs, checkpoints) C-ordered arrays: the reductions below keep their bits
     means, variances = (np.array(column) for column in zip(*stats))
     std_err = np.sqrt(variances.sum(axis=0) / config.n_trajectories) / len(inputs)

@@ -597,11 +597,14 @@ class TestUsageErrors:
         assert message in capsys.readouterr().err
 
     def test_unset_workers_means_cpu_count(self, tmp_path, monkeypatch):
+        # the CPUs this process may run on, not every CPU of the machine
         monkeypatch.delenv("GSPP_WORKERS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         out = tmp_path / "q.csv"
         argv = QEC_SMALL[:-2] + ["--trajectories", "4", "--checkpoints", "2", "--out", str(out)]
         assert main(argv) == 0
-        assert f"# workers: {os.cpu_count() or 1}\n" in out.read_text()
+        assert "# workers: 1\n" in out.read_text()
 
     @pytest.mark.parametrize("argv, flag, entry", [
         (QEC_SMALL + ["--p-list", "1,,0"], "--p-list", "''"),

@@ -1,4 +1,6 @@
+import ctypes
 import math
+import multiprocessing
 import tracemalloc
 
 import numpy as np
@@ -378,6 +380,24 @@ class TestRecovery:
         assert overlap_sq(out, basis[(0, -1)]) == pytest.approx(1.0, abs=1e-6)
 
 
+def openblas_threads() -> dict[str, int]:
+    """Thread count of each OpenBLAS this process has loaded, by path."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            paths = {line.split()[-1] for line in maps if "openblas" in line}
+    except FileNotFoundError:
+        return {}
+    counts = {}
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for prefix in ("", "scipy_"):
+            for suffix in ("", "64_"):
+                getter = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}", None)
+                if getter is not None:
+                    counts[path] = getter()
+    return counts
+
+
 class TestEnsemble:
     def test_mc_matches_analytic_channel(self):
         # parity checks disabled: trajectory-averaged fidelity equals the
@@ -430,13 +450,43 @@ class TestEnsemble:
                                              n_checkpoints=2))
         assert curve.f0 < 0.9
 
-    def test_workers_equivalence(self):
+    @pytest.mark.parametrize("workers", [2, 4, 8])  # 8: more workers than inputs
+    def test_workers_equivalence(self, workers):
         cfg = make_config(n_trajectories=32, n_checkpoints=3, parity_p=0.6)
         serial = average_fidelity(cfg, workers=1)
-        threaded = average_fidelity(cfg, workers=4)
-        assert np.array_equal(serial.f_bar, threaded.f_bar)
-        assert np.array_equal(serial.std_err, threaded.std_err)
-        assert serial.f0 == threaded.f0
+        pooled = average_fidelity(cfg, workers=workers)
+        assert np.array_equal(serial.f_bar, pooled.f_bar)
+        assert np.array_equal(serial.std_err, pooled.std_err)
+        assert serial.f0 == pooled.f0
+
+    def test_worker_error_reaches_caller(self, monkeypatch):
+        # a forked worker inherits the patched module global
+        def broken(*args):
+            raise ArithmeticError("broken ensemble")
+
+        monkeypatch.setattr(gspp.qec, "run_ensemble", broken)
+        with pytest.raises(ArithmeticError, match="broken ensemble"):
+            average_fidelity(make_config(n_trajectories=8, n_checkpoints=2), workers=2)
+        assert multiprocessing.active_children() == []
+
+    def test_no_worker_outlives_the_call(self):
+        average_fidelity(make_config(n_trajectories=8, n_checkpoints=2), workers=2)
+        assert multiprocessing.active_children() == []
+
+    def test_worker_processes_run_one_blas_thread(self, monkeypatch):
+        # the workers are the parallelism; the calling process keeps its BLAS threads
+        mine = openblas_threads()
+        if not mine:
+            pytest.skip("no OpenBLAS loaded")
+
+        def blas_threads_as_fidelity(config, input_logical, input_index):
+            threads = max(openblas_threads().values())
+            return np.full((2, config.n_trajectories), float(threads)), None
+
+        monkeypatch.setattr(gspp.qec, "run_ensemble", blas_threads_as_fidelity)
+        curve = average_fidelity(make_config(n_trajectories=8, n_checkpoints=2), workers=2)
+        assert np.array_equal(curve.f_bar, [1.0, 1.0])
+        assert openblas_threads() == mine
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_worker_count_below_one_rejected(self, workers):
