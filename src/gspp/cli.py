@@ -48,7 +48,6 @@ from .prism import (
 )
 from .qec import QecRunConfig, average_fidelity, orthogonality_monitor
 
-WORKERS_ENV = "GSPP_WORKERS"
 # what each command line's set_defaults stores besides its options
 ROUTING = ("func", "parser", "command")
 # parse values the parameter echo leaves out: the routing, the files, and
@@ -173,23 +172,14 @@ def float_list(flag: str, text: str) -> list[float]:
 
 
 def worker_count(flag: int | None) -> int:
-    """--workers, else $GSPP_WORKERS, else the count of CPUs this process
-    may run on; at least 1."""
-    if flag is not None:
-        name, value = "--workers", flag
-    elif WORKERS_ENV not in os.environ:
+    """--workers, else the count of CPUs this process may run on; at least 1."""
+    if flag is None:
         if hasattr(os, "sched_getaffinity"):
             return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
-    else:
-        name, raw = WORKERS_ENV, os.environ[WORKERS_ENV]
-        try:
-            value = int(raw)
-        except ValueError:
-            raise ValueError(f"{name} must be a positive integer, got {raw!r}") from None
-    if value < 1:
-        raise ValueError(f"{name} must be a positive integer, got {value}")
-    return value
+    if flag < 1:
+        raise ValueError(f"--workers must be a positive integer, got {flag}")
+    return flag
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     qec.add_argument("--seed", type=int, required=True)
     qec.add_argument("--ortho-out", type=str, default=None)
     qec.add_argument("--workers", type=int, default=None,
-                     help=f"parallel workers (or ${WORKERS_ENV})")
+                     help="parallel workers (default: the CPUs this process may use)")
 
     return parser
 

@@ -28,8 +28,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dispersion import TE, TM, supported_polarization
-from .material import CONSTANTS, Conductivity, GrapheneParams, conductivity
+from .dispersion import TE, TM
+from .material import CONSTANTS, GrapheneParams, conductivity
 from .quantize import Waves, hamiltonian_norm, lossless_spp_norm, wave_integral
 
 
@@ -418,7 +418,8 @@ def overlap_beta(geom: PrismGeometry, params: GrapheneParams, omega: float) -> c
     overlap integral on z <= d in closed form; frequency and in-plane
     momentum matching are enforced by evaluating both modes at the same
     omega (call at or near the matching frequency).  Raises when the gap
-    field is not evanescent (theta below the critical angle).
+    field is not evanescent (theta below the critical angle), and
+    UnsupportedModeError when Im sigma does not support the polarization.
     """
     _require_vacuum_background(params)
     return _overlap_beta(geom, conductivity(params, omega).value, omega)
@@ -432,10 +433,6 @@ def _overlap_beta(geom: PrismGeometry, sigma: complex, omega: float) -> complex:
         raise NotResonant("theta below the critical angle: gap field not evanescent")
     sol = atr_solve_sigma(geom, sigma, omega)
     sigma_pp = sol.sigma.imag
-    if supported_polarization(Conductivity(sol.sigma, omega)) != geom.polarization:
-        raise ValueError(f"{geom.polarization} surface wave not supported at this "
-                         f"frequency (Im sigma = {sigma_pp:.3e} S)")
-
     n_phi, spp_above, spp_below = lossless_spp_norm(geom.polarization, omega, sigma_pp, 1.0)
     regions = _photon_regions(sol)
     n_psi = hamiltonian_norm(regions, sigma_pp, omega)

@@ -33,13 +33,13 @@ micro-step decides per trajectory which trajectories jump, then does the
 arithmetic (decay, renormalization, the new classes' jumped rows and a
 due check's renormalization) once per class, in one sweep over blocks of
 class rows that stay in cache.  No bit depends on the block size.  The
-trajectories of one class also share their jump count, check outcomes and
-flip count, so the record is kept per class as well, and each recovery
-snapshot scores the class rows, one block at a time, and hands every
-trajectory its class's score.  A run holds the class rows and record, one
-row of draws and O(_BLOCK)-row temporaries.  A snapshot block of one row
-is scored as two copies of it, since numpy would score a lone row with its
-one-row product instead of the gemv.
+trajectories of one class also share their jump and flip counts, so the
+record is kept per class as well, and each recovery snapshot scores the
+class rows, one block at a time, and hands every trajectory its class's
+score.  A run holds the class rows and record, one row of draws and
+O(_BLOCK)-row temporaries.  A snapshot block of one row is scored as two
+copies of it, since numpy would score a lone row with its one-row product
+instead of the gemv.
 """
 
 from __future__ import annotations
@@ -96,6 +96,9 @@ class QecRunConfig:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.alpha == 0:
             raise ValueError("code amplitude alpha must be nonzero, got 0")
+        if math.exp(-0.5 * abs(self.alpha) * abs(self.alpha)) == 0.0:
+            raise ValueError(f"code amplitude alpha is too large, got {self.alpha}: "
+                             "its vacuum amplitude e^(-|alpha|^2/2) underflows to 0")
         if not 0.0 <= self.parity_p <= 1.0:
             raise ValueError("parity probability must lie in [0, 1]")
         if self.x_total <= 0.0 or self.k0_kappa2 < 0.0:
@@ -335,14 +338,14 @@ def _renormalize(block: np.ndarray) -> None:
 
 
 def _class_step(states, cls, n_live, u, gamma_dt, n_vec, sqrt_n, decay2, jumps, flips,
-                parity, check=False):
+                check=False):
     """One jump/no-jump micro-step of every trajectory, and the parity
     check due after it when check is true.  Trajectory j's row is
     states[cls[j]]; rows 0..n_live-1 are the live classes, and states has
-    room for one row per trajectory.  jumps, flips and parity are the
-    classes' record, indexed like the rows of states.  Updates states,
-    cls and the record in place and returns n_live.  decay2 is the no-jump
-    decay repeated for the float view's (re, im) pairs.
+    room for one row per trajectory.  jumps and flips are the classes'
+    record, indexed like the rows of states.  Updates states, cls and the
+    record in place and returns n_live.  decay2 is the no-jump decay
+    repeated for the float view's (re, im) pairs.
 
     Every decision is per trajectory.  A trajectory jumps when
     u < gamma_dt*<n>.  Rows enter with unit norm, so <n> <= dim - 1, and
@@ -362,9 +365,9 @@ def _class_step(states, cls, n_live, u, gamma_dt, n_vec, sqrt_n, decay2, jumps, 
     is the parent's pre-step row shifted by a and normalized; it takes the
     parent's slot when the whole class jumped and the next free slot
     otherwise, so the live classes stay at rows 0..n_live-1.  It takes
-    its parent's flips and parity and one jump more.  One sweep over
-    blocks of _BLOCK class rows that stay in cache then applies the decay
-    and renormalization to the old rows, writes the new ones and runs the
+    its parent's flips and one jump more.  One sweep over blocks of _BLOCK
+    class rows that stay in cache then applies the decay and
+    renormalization to the old rows, writes the new ones and runs the
     check's renormalization on all of them.
     """
     rows = np.flatnonzero(u < gamma_dt * n_vec[-1] * (1.0 + _BAND))
@@ -386,7 +389,7 @@ def _class_step(states, cls, n_live, u, gamma_dt, n_vec, sqrt_n, decay2, jumps, 
     slots = np.where(moved, parents, n_live + np.cumsum(~moved) - 1)
     cls[rows] = slots[child]
     # the right-hand sides first: a class that jumped whole keeps its slot
-    jumps[slots], flips[slots], parity[slots] = jumps[parents] + 1, flips[parents], parity[parents]
+    jumps[slots], flips[slots] = jumps[parents] + 1, flips[parents]
     order = np.argsort(slots)
     slots, unit = slots[order], unit[order]
     n_old, n_live = n_live, n_live + len(parents) - int(moved.sum())
@@ -419,10 +422,10 @@ def _unravel(config: QecRunConfig, states: np.ndarray, cls: np.ndarray, draws, s
     scheduled checks.  Each step pulls its row from the stream when it
     runs; the initial check's row is pulled and not used, so the step
     rows keep their places in every trajectory's stream.
-    snapshot(step_no, n_live, parity, flips) is called after the initial
-    check (step 0) and after every step, with the live class count and
-    the classes' last check outcomes and flip counts, indexed like the
-    rows of states: trajectory j's are parity[cls[j]] and flips[cls[j]].
+    snapshot(step_no, n_live, flips) is called after the initial check
+    (step 0) and after every step, with the live class count and the
+    classes' flip counts, indexed like the rows of states: trajectory j's
+    is flips[cls[j]], and its last check outcome (-1)**flips[cls[j]].
     Returns the per-trajectory jump counts.
 
     A start row's odd amplitudes are exactly zero (fock_vector sums the
@@ -433,7 +436,9 @@ def _unravel(config: QecRunConfig, states: np.ndarray, cls: np.ndarray, draws, s
     sector exactly zero.  A projective parity check then finds p_even = 0
     on an odd row and p_even = 1 to rounding on an even one: its outcome
     is (-1)^jumps, and its projection writes zeros over zeros.  So a check
-    draws nothing and only renormalizes the rows.
+    draws nothing and only renormalizes the rows.  It counts a flip where
+    its outcome differs from the last, (-1)^flips: where jumps - flips is
+    odd.
     """
     nt, dim = len(cls), states.shape[1]
     n_live = int(cls.max()) + 1
@@ -444,12 +449,9 @@ def _unravel(config: QecRunConfig, states: np.ndarray, cls: np.ndarray, draws, s
     # the record of each class slot, as states holds its row
     jumps = np.zeros(nt, dtype=int)
     flips = np.zeros(nt, dtype=int)
-    parity = np.ones(nt, dtype=int)
 
     def record():
-        outcome = np.where(jumps[:n_live] % 2 == 0, 1, -1)
-        flips[:n_live] += outcome != parity[:n_live]
-        parity[:n_live] = outcome
+        flips[:n_live] += (jumps[:n_live] - flips[:n_live]) % 2
 
     n_exc = config.n_excitation_steps
     if n_exc:
@@ -457,7 +459,7 @@ def _unravel(config: QecRunConfig, states: np.ndarray, cls: np.ndarray, draws, s
         decay2 = np.repeat(np.exp(-0.5 * g_dt * n_vec), 2)
         for u in islice(draws, n_exc):
             n_live = _class_step(states, cls, n_live, u, g_dt, n_vec, sqrt_n, decay2, jumps,
-                                 flips, parity)
+                                 flips)
     # deterministic phase of the excited amplitude: -conj(beta) = r*e^{i phi}
     phi = np.angle(config.alpha_excited / config.alpha)
     states[:n_live] *= np.exp(1j * phi * n_vec)
@@ -469,16 +471,16 @@ def _unravel(config: QecRunConfig, states: np.ndarray, cls: np.ndarray, draws, s
             _renormalize(block)
         record()
     if snapshot is not None:
-        snapshot(0, n_live, parity, flips)
+        snapshot(0, n_live, flips)
     gamma_dx = 2.0 * config.k0_kappa2 * config.step
     decay2 = np.repeat(np.exp(-0.5 * gamma_dx * n_vec), 2)
     for i, (due, u) in enumerate(zip(schedule, draws, strict=True)):
         n_live = _class_step(states, cls, n_live, u, gamma_dx, n_vec, sqrt_n, decay2, jumps,
-                             flips, parity, due)
+                             flips, due)
         if due:
             record()
         if snapshot is not None:
-            snapshot(i + 1, n_live, parity, flips)
+            snapshot(i + 1, n_live, flips)
     return jumps[cls]
 
 
@@ -498,22 +500,22 @@ def _code_basis(a: complex, dim: int) -> dict:
     return basis
 
 
-def _recovered(states: np.ndarray, parity: np.ndarray, flips: np.ndarray,
-               bases: dict, conj: dict) -> tuple[np.ndarray, np.ndarray]:
+def _recovered(states: np.ndarray, flips: np.ndarray, bases: dict,
+               conj: dict) -> tuple[np.ndarray, np.ndarray]:
     """End-of-line correction of each row on bases, the _code_basis at the
-    decayed amplitude (conj holds its conjugate rows), given its last
-    parity outcome and flip count; returns the unnormalized recovered
-    states and their norms.
+    decayed amplitude (conj holds its conjugate rows), given its flip
+    count; returns the unnormalized recovered states and their norms.
 
-    A row whose parity indicates the erred space has its sectors swapped
-    by |0L+><0L-| + |1L+><1L-| + h.c., a partial isometry only up to
-    second order in the code-word overlap that orthogonality_monitor
-    reports.  The i^k phase on the logical-one component is undone with k
-    the flip count.  Components inconsistent with the record are carried
-    into the wrong sector (honest infidelity) rather than dropped.
+    A row whose last parity outcome, (-1)^flips, indicates the erred space
+    has its sectors swapped by |0L+><0L-| + |1L+><1L-| + h.c., a partial
+    isometry only up to second order in the code-word overlap that
+    orthogonality_monitor reports.  The i^k phase on the logical-one
+    component is undone with k the flip count.  Components inconsistent
+    with the record are carried into the wrong sector (honest infidelity)
+    rather than dropped.
     """
     c = {key: states @ row for key, row in conj.items()}
-    even = parity > 0
+    even = flips % 2 == 0
     # coefficients in the indicated parity sector and in the other one
     same = [np.where(even, c[(lg, +1)], c[(lg, -1)]) for lg in (0, 1)]
     other = [np.where(even, c[(lg, -1)], c[(lg, +1)]) for lg in (0, 1)]
@@ -563,7 +565,7 @@ def run_ensemble(config: QecRunConfig, input_logical: tuple[complex, complex],
     cp_index = {int(s): i for i, s in enumerate(checkpoints)}
     a0 = config.alpha_excited
 
-    def snapshot(step_no: int, n_live: int, parity: np.ndarray, flips: np.ndarray):
+    def snapshot(step_no: int, n_live: int, flips: np.ndarray):
         idx = cp_index.get(step_no)
         if idx is None:
             return
@@ -582,7 +584,7 @@ def run_ensemble(config: QecRunConfig, input_logical: tuple[complex, complex],
             # a lone row as two copies: the gemv's bits, not the one-row product's
             pick = slice(start, stop) if stop - start > 1 else [start, start]
             if config.apply_recovery:
-                vec, norms = _recovered(states[pick], parity[pick], flips[pick], bases, conj)
+                vec, norms = _recovered(states[pick], flips[pick], bases, conj)
                 overlap = np.abs(vec @ ref) ** 2
                 block = np.where(norms > 1e-8, overlap / np.maximum(norms, 1e-300) ** 2, 0.0)
             else:

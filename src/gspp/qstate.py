@@ -19,7 +19,8 @@ def coherent_gram(x, y) -> np.ndarray:
 
 def _coherent_column(alpha: complex, dim: int) -> np.ndarray:
     """Raw truncated coherent amplitudes e^{-|a|^2/2} a^n/sqrt(n!) (not
-    renormalized); stable via a log-domain recursion."""
+    renormalized), by the linear recursion c_n = c_{n-1} a/sqrt(n) from
+    c_0 = e^{-|a|^2/2}, which underflows to zeros past |a| of about 38.6."""
     amps = np.zeros(dim, dtype=complex)
     amps[0] = math.exp(-0.5 * abs(alpha) ** 2)
     for n in range(1, dim):

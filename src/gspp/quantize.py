@@ -168,11 +168,8 @@ def lossless_spp_norm(polarization: str, omega: float, sigma_pp: float,
 
 def mode_normalization(mode: SppMode, params: GrapheneParams) -> float:
     """Quantization length N (m) of the surface wave at the mode's frequency
-    and polarization."""
+    and polarization; UnsupportedModeError where Im sigma does not support it."""
     sig = conductivity(params, mode.omega)
-    if supported_polarization(sig) != mode.polarization:
-        raise UnsupportedModeError(f"{mode.polarization} not supported at this frequency "
-                                   f"(Im sigma = {sig.imag:.3e})")
     return lossless_spp_norm(mode.polarization, mode.omega, sig.imag, params.eps_r)[0]
 
 

@@ -338,18 +338,18 @@ def unravel_on_blocks(config, states, blocks, snapshot=None):
     excitation, initial-check and line-step blocks in order as its row
     stream; the scheduled-check block is not read, since a check draws
     nothing.  The blocks may be edited first.  Same arguments and return
-    value as unravel_oracle: every row of states must hold the start
-    state, snapshot gets each trajectory's outcome and flip count read
-    from its class's record, and after the run states holds each
-    trajectory's gathered class row."""
+    value as unravel_oracle, except that snapshot(step_no, flips) gets
+    each trajectory's flip count, read from its class's record.  Every row
+    of states must hold the start state, and after the run states holds
+    each trajectory's gathered class row."""
     assert np.array_equal(states, np.broadcast_to(states[0], states.shape))
     rows = np.empty_like(states)
     rows[0] = states[0]
     cls = np.zeros(len(states), dtype=np.intp)
 
-    def per_trajectory(step_no, n_live, parity, flips):
+    def per_trajectory(step_no, n_live, flips):
         assert n_live == cls.max() + 1
-        snapshot(step_no, parity[cls], flips[cls])
+        snapshot(step_no, flips[cls])
 
     jumps = _unravel(config, rows, cls, iter(np.concatenate(blocks[:3])),
                      config.check_schedule(), None if snapshot is None else per_trajectory)
@@ -394,8 +394,11 @@ def unravel_oracle(config, states, blocks, snapshot=None):
     """The ensemble quantum-jump loop in gspp.qec._unravel's order on
     ensemble_uniforms_oracle's blocks, with <n> over the whole array at
     every micro-step (channel_step_oracle) and the general projection at
-    every check (parity_oracle).  Returns the per-trajectory jump counts;
-    snapshot is called as _unravel calls it."""
+    every check (parity_oracle).  Returns the per-trajectory jump counts.
+    snapshot(step_no, outcome, flips) is called where _unravel calls its
+    snapshot, with every trajectory's last check outcome (+1 before the
+    first check) and its count of outcomes that differed from the one
+    before."""
     exc_u, init_u, step_u, check_u = blocks
     nt, dim = states.shape
     n_vec = np.arange(dim, dtype=float)
@@ -429,6 +432,19 @@ def unravel_oracle(config, states, blocks, snapshot=None):
         if snapshot is not None:
             snapshot(i + 1, parity, flips)
     return jumps
+
+
+def last_outcome(flips):
+    """The last check outcome (-1)^flips that a flip count implies."""
+    return np.where(flips % 2 == 0, 1, -1)
+
+
+def assert_record_matches(outcome, oracle_flips, flips):
+    """The engine's record, flips, against the oracle's own last outcomes
+    and flip counts: the counts are equal, and each last outcome is
+    (-1)^flips."""
+    assert np.array_equal(flips, oracle_flips)
+    assert np.array_equal(outcome, last_outcome(flips))
 
 
 def recovery_score_oracle(states, parity, flips, bases, ref):

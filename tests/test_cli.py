@@ -2,6 +2,7 @@ import gzip
 import importlib.util
 import math
 import os
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -576,21 +577,13 @@ class TestUsageErrors:
         assert main(argv + ["--out", str(out)]) == 0
         assert f"# g: {math.asin(-0.9)!r}" in out.read_text()
 
-    @pytest.mark.parametrize("flags, env, message", [
-        (["--workers=-3"], None, "--workers must be a positive integer, got -3"),
-        (["--workers", "0"], None, "--workers must be a positive integer, got 0"),
-        (["--workers", "-1"], "2", "--workers must be a positive integer, got -1"),
-        ([], "-5", "GSPP_WORKERS must be a positive integer, got -5"),
-        ([], "0", "GSPP_WORKERS must be a positive integer, got 0"),
-        ([], "abc", "GSPP_WORKERS must be a positive integer, got 'abc'"),
-        ([], "", "GSPP_WORKERS must be a positive integer, got ''"),
+    @pytest.mark.parametrize("flags, message", [
+        (["--workers=-3"], "--workers must be a positive integer, got -3"),
+        (["--workers", "0"], "--workers must be a positive integer, got 0"),
+        (["--workers", "-1"], "--workers must be a positive integer, got -1"),
     ])
-    def test_bad_worker_count_rejected(self, tmp_path, capsys, monkeypatch, flags, env, message):
+    def test_bad_worker_count_rejected(self, tmp_path, capsys, flags, message):
         # a count below 1 used to run serially and print itself into the header
-        if env is None:
-            monkeypatch.delenv("GSPP_WORKERS", raising=False)
-        else:
-            monkeypatch.setenv("GSPP_WORKERS", env)
         argv = QEC_SMALL[:-2] + flags + ["--trajectories", "4", "--out", str(tmp_path / "q.csv")]
         assert main(argv) == 2
         assert not list(tmp_path.iterdir())
@@ -598,13 +591,38 @@ class TestUsageErrors:
 
     def test_unset_workers_means_cpu_count(self, tmp_path, monkeypatch):
         # the CPUs this process may run on, not every CPU of the machine
-        monkeypatch.delenv("GSPP_WORKERS", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         out = tmp_path / "q.csv"
         argv = QEC_SMALL[:-2] + ["--trajectories", "4", "--checkpoints", "2", "--out", str(out)]
         assert main(argv) == 0
         assert "# workers: 1\n" in out.read_text()
+
+    def test_workers_environment_variable_ignored(self, tmp_path, monkeypatch):
+        # --workers is the only worker setting; GSPP_WORKERS once set it too
+        monkeypatch.setenv("GSPP_WORKERS", "abc")
+        out = tmp_path / "q.csv"
+        argv = QEC_SMALL[:-2] + ["--trajectories", "4", "--checkpoints", "2", "--out", str(out)]
+        assert main(argv) == 0
+        assert f"# workers: {len(os.sched_getaffinity(0))}\n" in out.read_text()
+
+    @pytest.mark.parametrize("alpha", ["38.7", "1e200"])
+    def test_alpha_past_vacuum_underflow_rejected(self, tmp_path, capsys, monkeypatch, alpha):
+        # e^{-|alpha|^2/2} underflows to 0 past |alpha| of about 38.6: 38.7
+        # used to warn of an invalid division and exit 2 blaming an odd
+        # start amplitude, 1e200 to warn of an overflow and exit 3 on an
+        # infinite step count
+        def no_run(*args, **kwargs):
+            raise AssertionError("an ensemble ran")
+
+        monkeypatch.setattr("gspp.cli.average_fidelity", no_run)
+        out = tmp_path / "q.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(QEC_SMALL + ["--trajectories", "4", "--alpha", alpha, "--out", str(out)]) == 2
+        assert not list(tmp_path.iterdir())
+        err = capsys.readouterr().err
+        assert "invalid input" in err and "alpha is too large" in err
 
     @pytest.mark.parametrize("argv, flag, entry", [
         (QEC_SMALL + ["--p-list", "1,,0"], "--p-list", "''"),

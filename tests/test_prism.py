@@ -17,6 +17,7 @@ from conftest import (
     photon_norm_oracle,
 )
 from gspp.cli import load_config, main
+from gspp.dispersion import UnsupportedModeError
 from gspp.material import CONSTANTS, GrapheneParams, conductivity
 from gspp.prism import (
     NotResonant,
@@ -465,8 +466,10 @@ class TestOverlapBeta:
                          2.0 * math.pi * 0.81e12)
 
     def test_wrong_polarization_raises(self):
+        # the lossless surface mode's polarization guard, the one every
+        # normalization of it passes
         params = GrapheneParams.with_default_rates(0.5, 300.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(UnsupportedModeError, match="TE not supported"):
             overlap_beta(te_geom(theta_i=math.radians(60.0)), params,
                          2.0 * math.pi * 0.81e12)
 

@@ -12,6 +12,7 @@ from conftest import (
     CodeWord,
     annihilation,
     apply_annihilation,
+    assert_record_matches,
     cat_norm,
     channel_step_oracle,
     coherent_state,
@@ -21,6 +22,7 @@ from conftest import (
     fock_trajectory,
     kraus_completeness_residual,
     kraus_pair,
+    last_outcome,
     no_jump_norm,
     parity,
     parity_oracle,
@@ -98,10 +100,9 @@ def class_rows(rows, cls):
 
 
 def class_record(n_slots):
-    """A fresh class record for _class_step: no jumps, no flips, even
-    outcomes, one slot per row of room."""
-    return (np.zeros(n_slots, dtype=int), np.zeros(n_slots, dtype=int),
-            np.ones(n_slots, dtype=int))
+    """A fresh class record for _class_step, (jumps, flips): no jumps and
+    no flips, one slot per row of room."""
+    return np.zeros(n_slots, dtype=int), np.zeros(n_slots, dtype=int)
 
 
 def step_without_jumps(states, gamma_dt):
@@ -109,9 +110,9 @@ def step_without_jumps(states, gamma_dt):
     which cannot jump while gamma_dt*<n> < 1."""
     nt, dim = states.shape
     n_vec = np.arange(dim, dtype=float)
-    jumps, flips, parity = class_record(nt)
+    jumps, flips = class_record(nt)
     _class_step(states, np.arange(nt), nt, np.ones(nt), gamma_dt, n_vec, np.sqrt(n_vec[1:]),
-                np.repeat(np.exp(-0.5 * gamma_dt * n_vec), 2), jumps, flips, parity)
+                np.repeat(np.exp(-0.5 * gamma_dt * n_vec), 2), jumps, flips)
     assert not jumps.any()
 
 
@@ -187,8 +188,8 @@ class TestKraus:
 
 
 class TestParityCheck:
-    """A check's outcome is (-1)^jumps, read from the record, whatever its
-    draw; the check only renormalizes the rows."""
+    """A check's outcome is (-1)^jumps, whatever its draw, and the record's
+    last outcome (-1)^flips; the check only renormalizes the rows."""
 
     @staticmethod
     def run_checked(cfg, start, stream):
@@ -199,9 +200,9 @@ class TestParityCheck:
         due = check_steps(cfg)
         outcomes = []
 
-        def snapshot(i, n_live, parity, flips):
+        def snapshot(i, n_live, flips):
             if due[i]:
-                outcomes.append(parity[cls])
+                outcomes.append(last_outcome(flips[cls]))
 
         jumps = _unravel(cfg, states, cls, stream, cfg.check_schedule(), snapshot)
         return jumps, np.array(outcomes), states[cls]
@@ -267,18 +268,18 @@ def draws(cfg):
 
 def unravel_rows(cfg, inp):
     """_unravel on input 0's draws, every row starting at inp.
-    Returns the jump counts, the (checks, n_traj) outcomes read from the
-    snapshots that follow a check, the flip counts passed to the last
-    snapshot and the final states."""
+    Returns the jump counts, the (checks, n_traj) last outcomes (-1)^flips
+    of the snapshots that follow a check, the flip counts passed to the
+    last snapshot and the final states."""
     blocks = ensemble_uniforms_oracle(cfg, 0, cfg.n_excitation_steps, cfg.n_steps,
                                       int(cfg.check_schedule().sum()))
     states = np.tile(encode(inp, cfg.alpha), (cfg.n_trajectories, 1))
     due = check_steps(cfg)
     outcomes, flips = [], []
 
-    def snapshot(i, parity, f):
+    def snapshot(i, f):
         if due[i]:
-            outcomes.append(parity.copy())
+            outcomes.append(last_outcome(f))
         flips.append(f.copy())
 
     jumps = unravel_on_blocks(cfg, states, blocks, snapshot)
@@ -337,10 +338,10 @@ def unit(vec):
     return vec / np.linalg.norm(vec)
 
 
-def recovered(state, last_parity, flips, basis):
+def recovered(state, flips, basis):
     """_recovered on one row, normalized."""
     conj = {key: row.conj() for key, row in basis.items()}
-    vec, _ = _recovered(state[None, :], np.array([last_parity]), np.array([flips]), basis, conj)
+    vec, _ = _recovered(state[None, :], np.array([flips]), basis, conj)
     return unit(vec[0])
 
 
@@ -350,7 +351,7 @@ def overlap_sq(a, b):
 
 class TestRecovery:
     def test_no_jump_identity(self, basis):
-        out = recovered(basis[(0, +1)], 1, 0, basis)
+        out = recovered(basis[(0, +1)], 0, basis)
         # exact up to the e^{-alpha^2} non-orthogonality of the dyad sum
         assert overlap_sq(out, basis[(0, +1)]) == pytest.approx(1.0, abs=1e-6)
 
@@ -359,7 +360,7 @@ class TestRecovery:
         a = annihilation(DIM)
         amps = [ALPHA, -ALPHA, 1j * ALPHA, -1j * ALPHA]
         plus = fock_vector(np.ones(4), amps, DIM)
-        out = recovered(unit(a @ plus), -1, 1, basis)
+        out = recovered(unit(a @ plus), 1, basis)
         assert overlap_sq(out, plus) > 0.99
 
     def test_two_jumps_phase_correction(self, basis):
@@ -368,34 +369,40 @@ class TestRecovery:
         amps = [ALPHA, -ALPHA, 1j * ALPHA, -1j * ALPHA]
         plus = fock_vector(np.ones(4), amps, DIM)
         double = unit(a @ (a @ plus))
-        assert overlap_sq(recovered(double, 1, 2, basis), plus) > 0.99
+        assert overlap_sq(recovered(double, 2, basis), plus) > 0.99
         # without the phase correction the state is orthogonal-ish to |+>
-        assert overlap_sq(recovered(double, 1, 0, basis), plus) < 0.6
+        assert overlap_sq(recovered(double, 0, basis), plus) < 0.6
 
     def test_inconsistent_record_carried_to_wrong_sector(self, basis):
         # state in the even space but the record claims odd: the swap moves
         # it into the odd sector rather than dropping it
-        out = recovered(basis[(0, +1)], -1, 1, basis)
+        out = recovered(basis[(0, +1)], 1, basis)
         assert overlap_sq(out, basis[(0, +1)]) < 0.01
         assert overlap_sq(out, basis[(0, -1)]) == pytest.approx(1.0, abs=1e-6)
 
 
-def openblas_threads() -> dict[str, int]:
-    """Thread count of each OpenBLAS this process has loaded, by path."""
+def openblas_functions(name: str) -> dict:
+    """The openblas_<name> function of each OpenBLAS this process has
+    loaded, by path."""
     try:
         with open("/proc/self/maps", encoding="utf-8") as maps:
             paths = {line.split()[-1] for line in maps if "openblas" in line}
     except FileNotFoundError:
         return {}
-    counts = {}
+    found = {}
     for path in paths:
         lib = ctypes.CDLL(path)
         for prefix in ("", "scipy_"):
             for suffix in ("", "64_"):
-                getter = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}", None)
-                if getter is not None:
-                    counts[path] = getter()
-    return counts
+                function = getattr(lib, f"{prefix}openblas_{name}{suffix}", None)
+                if function is not None:
+                    found[path] = function
+    return found
+
+
+def openblas_threads() -> dict[str, int]:
+    """Thread count of each OpenBLAS this process has loaded, by path."""
+    return {path: get() for path, get in openblas_functions("get_num_threads").items()}
 
 
 class TestEnsemble:
@@ -474,7 +481,9 @@ class TestEnsemble:
         assert multiprocessing.active_children() == []
 
     def test_worker_processes_run_one_blas_thread(self, monkeypatch):
-        # the workers are the parallelism; the calling process keeps its BLAS threads
+        # the workers are the parallelism; the calling process keeps its BLAS
+        # threads.  It runs two for the test, so that a worker left with the
+        # threads it forked with fails also under OPENBLAS_NUM_THREADS=1
         mine = openblas_threads()
         if not mine:
             pytest.skip("no OpenBLAS loaded")
@@ -484,8 +493,17 @@ class TestEnsemble:
             return np.full((2, config.n_trajectories), float(threads)), None
 
         monkeypatch.setattr(gspp.qec, "run_ensemble", blas_threads_as_fidelity)
-        curve = average_fidelity(make_config(n_trajectories=8, n_checkpoints=2), workers=2)
-        assert np.array_equal(curve.f_bar, [1.0, 1.0])
+        setters = openblas_functions("set_num_threads")
+        try:
+            for set_threads in setters.values():
+                set_threads(ctypes.c_int(2))
+            assert set(openblas_threads().values()) == {2}
+            curve = average_fidelity(make_config(n_trajectories=8, n_checkpoints=2), workers=2)
+            assert np.array_equal(curve.f_bar, [1.0, 1.0])
+            assert set(openblas_threads().values()) == {2}
+        finally:
+            for path, set_threads in setters.items():
+                set_threads(ctypes.c_int(mine[path]))
         assert openblas_threads() == mine
 
     @pytest.mark.parametrize("workers", [0, -3])
@@ -504,6 +522,15 @@ class TestEnsemble:
         # conversion, with a message that names no field
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             make_config(**{field: value})
+
+    def test_alpha_past_vacuum_underflow_rejected(self):
+        # e^{-|alpha|^2/2} underflows to 0 past |alpha| of about 38.6, and
+        # the start row with it; below, the column starts nonzero
+        assert _coherent_column(38.5, 2)[0] > 0.0
+        make_config(alpha=38.5)
+        for alpha in (38.7, -38.7j, 1e200):
+            with pytest.raises(ValueError, match="alpha is too large"):
+                make_config(alpha=alpha)
 
     def test_only_the_six_state_input_set(self):
         # the six Pauli eigenstates are an exact 2-design; a sampled set is gone
@@ -765,10 +792,11 @@ class TestDecisionShortcuts:
 
     @staticmethod
     def run_engines(cfg, near_top=None):
-        """unravel_on_blocks and unravel_oracle on the same draws.
-        near_top, a (rows, u) pair, sets those trajectories' check draws to
-        u for the engine and to 0 for the oracle, whose projection then
-        measures (-1)^jumps."""
+        """unravel_on_blocks and unravel_oracle on the same draws; returns
+        each one's (jumps, snapshots, states), a snapshot being the step
+        number and the record the engine passed it.  near_top, a (rows, u)
+        pair, sets those trajectories' check draws to u for the engine and
+        to 0 for the oracle, whose projection then measures (-1)^jumps."""
         blocks = ensemble_uniforms_oracle(cfg, 0, cfg.n_excitation_steps, cfg.n_steps,
                                           int(cfg.check_schedule().sum()))
         engine_blocks, oracle_blocks = blocks, blocks
@@ -781,36 +809,32 @@ class TestDecisionShortcuts:
                 oracle_blocks[k][:, rows] = 0.0
         start = np.tile(encode((1.0 / math.sqrt(2.0), 1j / math.sqrt(2.0)), cfg.alpha),
                         (cfg.n_trajectories, 1))
-        due = check_steps(cfg)
         runs = []
         for engine, drawn in ((unravel_on_blocks, engine_blocks), (unravel_oracle, oracle_blocks)):
             states = start.copy()
-            outcomes, snaps = [], []
-            def snapshot(i, parity, flips):
-                snaps.append((i, parity.copy(), flips.copy()))
-                if due[i]:
-                    outcomes.append(parity.copy())
+            snaps = []
+
+            def snapshot(i, *record):
+                snaps.append((i, *(r.copy() for r in record)))
 
             jumps = engine(cfg, states, drawn, snapshot)
-            runs.append((jumps, outcomes, snaps, states))
+            runs.append((jumps, snaps, states))
         return runs
 
     @staticmethod
     def assert_same(new, old):
         assert np.array_equal(new[0], old[0])
-        assert len(new[1]) == len(old[1])
-        assert all(np.array_equal(a, b) for a, b in zip(new[1], old[1]))
-        assert len(new[2]) == len(old[2])
-        for (i, p, f), (j, q, g) in zip(new[2], old[2]):
-            assert i == j and np.array_equal(p, q) and np.array_equal(f, g)
-        assert np.array_equal(new[3].view(float), old[3].view(float))
+        assert [snap[0] for snap in new[1]] == [snap[0] for snap in old[1]]
+        for (_, flips), (_, outcome, oracle_flips) in zip(new[1], old[1]):
+            assert_record_matches(outcome, oracle_flips, flips)
+        assert np.array_equal(new[2].view(float), old[2].view(float))
 
     @classmethod
     def ensemble_matches_oracle(cls, beta, parity_p, initial_check, nt):
         cfg = make_config(g=math.asin(beta), parity_p=parity_p, initial_check=initial_check,
                           n_trajectories=nt)
         new, old = cls.run_engines(cfg)
-        assert new[0].sum() > 100 and len(new[1]) > 30  # jumps and checks exercised
+        assert new[0].sum() > 100 and check_steps(cfg).sum() > 30  # jumps and checks exercised
         cls.assert_same(new, old)
 
     @pytest.mark.parametrize("beta, parity_p, initial_check", [
@@ -834,7 +858,7 @@ class TestDecisionShortcuts:
         # abort; a check that reads the jump count completes every run
         cfg = make_config(parity_p=1.0, n_trajectories=nt, x_total=0.05)
         new, old = cls.run_engines(cfg, (rows, u))
-        assert new[0].sum() > 0 and len(new[1]) > 30  # jumps and checks exercised
+        assert new[0].sum() > 0 and check_steps(cfg).sum() > 30  # jumps and checks exercised
         cls.assert_same(new, old)
 
     @pytest.mark.parametrize("rows", [slice(None), slice(0, 1), slice(0, 300, 7)])
@@ -884,10 +908,10 @@ class TestDecisionShortcuts:
             u = np.ones(nt)
             rows = rng.choice(nt, int(rng.integers(1, 400)), replace=False)
             u[rows] = near(thr[rows], rng, len(rows))
-            jumps_new, flips, parity = class_record(nt)
+            jumps_new, flips = class_record(nt)
             jumps_old = np.zeros(nt, dtype=int)
             _class_step(new, cls, n_classes, u, gamma_dt, n_vec, sqrt_n, np.repeat(decay, 2),
-                        jumps_new, flips, parity)
+                        jumps_new, flips)
             channel_step_oracle(old, u, gamma_dt, n_vec, sqrt_n, decay, jumps_old)
             assert np.array_equal(jumps_new[cls], jumps_old)
             assert np.array_equal(new[cls].view(float), old.view(float))
@@ -897,8 +921,8 @@ class TestDecisionShortcuts:
     ])
     def test_rows_stay_sector_pure(self, beta, parity_p, initial_check):
         # from snapshot 0 on every row lies in one parity sector, the other
-        # one exactly zero; it is the outcome, (-1)^jumps, at every snapshot
-        # that follows a check, and (-1)^jumps at the end
+        # one exactly zero; it is the record's last outcome, (-1)^flips, at
+        # every snapshot that follows a check, and (-1)^jumps at the end
         cfg = make_config(g=math.asin(beta), parity_p=parity_p, initial_check=initial_check,
                           n_trajectories=200)
         cls = np.zeros(cfg.n_trajectories, dtype=np.intp)
@@ -906,13 +930,13 @@ class TestDecisionShortcuts:
         due = check_steps(cfg)
         sectors = []
 
-        def snapshot(i, n_live, parity, flips):
+        def snapshot(i, n_live, flips):
             rows = states[cls]
             even = np.all(rows[:, 1::2] == 0.0, axis=1)
             assert np.array_equal(even, ~np.all(rows[:, 0::2] == 0.0, axis=1))
             sectors.append(np.where(even, 1, -1))
             if due[i]:
-                assert np.array_equal(sectors[-1], parity[cls])
+                assert np.array_equal(sectors[-1], last_outcome(flips[cls]))
 
         jumps = _unravel(cfg, states, cls, draws(cfg), cfg.check_schedule(), snapshot)
         assert jumps.sum() > 0 and len(sectors) == cfg.n_steps + 1 > 100
@@ -973,9 +997,9 @@ class TestBlockedSweep:
         decay = np.exp(-0.5 * gamma_dt * n_vec)
         # one class per row, so the sweep's block edges fall where the rows'
         # do, and the class record is the per-trajectory one
-        new, cls, (jumps_new, flips, parity) = states.copy(), np.arange(nt), class_record(nt)
+        new, cls, (jumps_new, flips) = states.copy(), np.arange(nt), class_record(nt)
         _class_step(new, cls, nt, u, gamma_dt, n_vec, sqrt_n, np.repeat(decay, 2), jumps_new,
-                    flips, parity, check)
+                    flips, check)
         old, jumps_old = states.copy(), np.zeros(nt, dtype=int)
         channel_step_oracle(old, u, gamma_dt, n_vec, sqrt_n, decay, jumps_old)
         outcome = parity_oracle(old, np.zeros(nt)) if check else None
@@ -1016,8 +1040,8 @@ class TestBlockedSweep:
                           n_trajectories=RAGGED, x_total=0.01)
         monkeypatch.setattr("gspp.qec._BLOCK", block)
         new, old = TestDecisionShortcuts.run_engines(cfg)
-        i, parity, _ = new[2][0]
-        assert i == 0 and np.any(parity < 0) and np.any(parity > 0)
+        i, flips = new[1][0]
+        assert i == 0 and np.any(flips % 2 == 1) and np.any(flips % 2 == 0)
         TestDecisionShortcuts.assert_same(new, old)
 
 
@@ -1028,9 +1052,9 @@ def live_counts(monkeypatch):
     unravel = gspp.qec._unravel
 
     def spy(config, states, cls, draws, schedule, snapshot):
-        def counted(step_no, n_live, parity, flips):
+        def counted(step_no, n_live, flips):
             counts[step_no] = n_live
-            snapshot(step_no, n_live, parity, flips)
+            snapshot(step_no, n_live, flips)
 
         return unravel(config, states, cls, draws, schedule, counted)
 
@@ -1244,12 +1268,11 @@ class TestClassEngine:
         states = class_rows(start[None, :], cls)
         counts = []
 
-        def snapshot(i, n_live, parity, flips):
+        def snapshot(i, n_live, flips):
             counts.append(n_live)
             assert n_live == cls.max() + 1 <= nt
             assert np.array_equal(np.unique(cls), np.arange(n_live))
-            assert np.array_equal(parity[cls], records[i][0])
-            assert np.array_equal(flips[cls], records[i][1])
+            assert_record_matches(*records[i], flips[cls])
 
         jumps = _unravel(cfg, states, cls, draws(cfg), cfg.check_schedule(), snapshot)
         assert np.array_equal(jumps, jumps_old)
@@ -1258,7 +1281,7 @@ class TestClassEngine:
 
     def test_one_class_per_jump_history(self):
         # at p = 1 a check follows every micro-step, which jumps at most
-        # once, so the outcomes record when each trajectory jumped: two
+        # once, so the flip counts record when each trajectory jumped: two
         # trajectories share a class exactly when they jumped at the same
         # steps, and no check splits a class
         cfg = make_config(parity_p=1.0, n_trajectories=300)
@@ -1268,8 +1291,8 @@ class TestClassEngine:
         states = class_rows(encode((0.6, 0.8), cfg.alpha)[None, :], cls)
         history = []
 
-        def snapshot(i, n_live, parity, flips):
-            history.append(parity[cls])
+        def snapshot(i, n_live, flips):
+            history.append(flips[cls])
 
         _unravel(cfg, states, cls, draws(cfg), cfg.check_schedule(), snapshot)
         _, key = np.unique(np.array(history).T, axis=0, return_inverse=True)
