@@ -508,8 +508,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"gspp: file error: {exc}", file=sys.stderr)
         return 2
-    except (QuadratureError, NotResonant, ArithmeticError,
-            np.linalg.LinAlgError) as exc:
+    except (QuadratureError, NotResonant, ArithmeticError) as exc:
         print(f"gspp: numerical failure: {exc}", file=sys.stderr)
         return 3
 

@@ -6,13 +6,14 @@ below is vacuum.  A plane wave inside the prism hits the prism-gap
 interface at angle theta_i; past the critical angle its evanescent tail
 tunnels across the gap and can excite the surface wave.
 
-The boundary-value problem is a 4x4 linear system per (omega, theta):
-tangential-E continuity at z = d and z = 0 plus the H-field jump sigma*E
-across the sheet.  Grids and scans stack their systems and solve them in
-one batch; a single solve is the one-point case.  Phases are referenced
-at z = d for the prism waves and z = 0 for the transmitted wave; the
-transmitted wave carries e^{-i kz0 z} with the principal branch of
-kz0 = sqrt(k0^2 - kx^2), which decays downward in the evanescent regime.
+The boundary-value problem (tangential-E continuity at z = d and z = 0
+plus the H-field jump sigma*E across the sheet) has closed-form Airy
+amplitudes for this three-layer stack.  Grids and scans evaluate them
+elementwise over the whole batch; a single solve is the one-point case.
+Phases are referenced at z = d for the prism waves and z = 0 for the
+transmitted wave; the transmitted wave carries e^{-i kz0 z} with the
+principal branch of kz0 = sqrt(k0^2 - kx^2), which decays downward in
+the evanescent regime.
 
 The photon mode below the prism is a sum of exponentials in z, read off
 the ATR amplitudes as quantize.Waves; its normalization and its overlap
@@ -28,6 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .coupling import _cmul
 from .dispersion import TE, TM
 from .material import CONSTANTS, GrapheneParams, conductivity
 from .quantize import Waves, hamiltonian_norm, lossless_spp_norm, wave_integral
@@ -70,9 +72,9 @@ class AtrSolution:
 
     r is the reflection amplitude; m1/m2 the gap amplitudes, with the
     up-going wave m1 e^{+i kz0 z} referenced at z = 0 and the down-going
-    wave m2 e^{-i kz0 (z-d)} at z = d (this keeps the linear system well
-    conditioned at any spacing); t is the transmitted amplitude at z = 0.
-    For the TM case the amplitudes are the H_y amplitudes of each wave.
+    wave m2 e^{-i kz0 (z-d)} at z = d, so neither grows with the spacing;
+    t is the transmitted amplitude at z = 0.  For the TM case the
+    amplitudes are the H_y amplitudes of each wave.
     """
 
     r: complex
@@ -106,16 +108,25 @@ def _require_vacuum_background(params: GrapheneParams) -> None:
                          "graphene (eps_r = 1)")
 
 
-# largest 2-norm condition number of an ATR boundary system that is solved
-_COND_LIMIT = 1e12
+# smallest |den| / (|1 + q| + |rho u^2| |1 - q|) of an ATR stack that is solved
+_MIN_DEN_RATIO = 1e-12
 
 
 def _atr_amplitudes(eps1: float, d: float, polarization: str, thetas, sigmas, omegas):
-    """Solve the boundary systems of many (d, theta, sigma, omega) points
-    as one stacked batch.  The four inputs broadcast to a common shape S;
-    returns the amplitudes (r, m1, m2, t) with shape S + (4,), and kx, kz1
-    and kz0 with shape S.  Raises ArithmeticError when any system's
-    condition number is above _COND_LIMIT or not finite."""
+    """Amplitudes of many (d, theta, sigma, omega) points at once.  The four
+    inputs broadcast to a common shape S; returns the amplitudes
+    (r, m1, m2, t) with shape S + (4,), and kx, kz1 and kz0 with shape S.
+
+    The sheet reflects the down-going gap wave, referenced at z = 0, with
+    rho; q is the gap-to-prism admittance ratio.  With u = e^{i kz0 d}:
+    m2 = 2/den, den = (1 + q) + rho u^2 (1 - q), r = m2 (1 + rho u^2) - 1,
+    m1 = rho u m2 and t = (1 +- rho) u m2 (+ for TE, - for TM).  Complex
+    products go through _cmul, so a batch gives each point's one-point bits.
+
+    Raises ArithmeticError, naming the first offending ratio, when |den| is
+    not above _MIN_DEN_RATIO times |1 + q| + |rho u^2| |1 - q|.  A nan or
+    infinite input makes that ratio nan, which is rejected too, so every
+    amplitude returned is finite."""
     omegas = np.asarray(omegas, dtype=float)
     sigmas = np.asarray(sigmas, dtype=complex)
     k0 = omegas / CONSTANTS.c0
@@ -124,77 +135,27 @@ def _atr_amplitudes(eps1: float, d: float, polarization: str, thetas, sigmas, om
     kz1 = k1 * np.cos(thetas)
     kz0 = np.sqrt((k0 * k0 - kx * kx).astype(complex))
     u = np.exp(1j * kz0 * d)
-
-    shape = np.broadcast_shapes(np.shape(d), kz0.shape, sigmas.shape)
-    mat = np.zeros(shape + (4, 4), dtype=complex)
-    rhs = np.zeros(shape + (4,), dtype=complex)
-    mat[..., 0, 0] = 1.0
-    mat[..., 0, 1] = -u
-    mat[..., 0, 2] = -1.0
-    mat[..., 2, 1] = 1.0
-    rhs[..., 0] = -1.0
     if polarization == TE:
-        # unknowns (r, m1, m2, t): E_y amplitudes
+        # E_y amplitudes
         smu = sigmas * CONSTANTS.mu0 * omegas
-        mat[..., 1, 0] = -kz1
-        mat[..., 1, 1] = kz0 * u
-        mat[..., 1, 2] = -kz0
-        mat[..., 2, 2] = u
-        mat[..., 2, 3] = -1.0
-        mat[..., 3, 1] = -kz0
-        mat[..., 3, 2] = kz0 * u
-        mat[..., 3, 3] = -(kz0 + smu)
-        rhs[..., 1] = -kz1
+        rho = -smu / (2.0 * kz0 + smu)
+        q = kz0 / kz1
     else:
-        # unknowns (r, m1, m2, t): H_y amplitudes
-        se = sigmas * kz0 / (omegas * CONSTANTS.eps0)
-        mat[..., 1, 0] = kz1 / eps1
-        mat[..., 1, 1] = -kz0 * u
-        mat[..., 1, 2] = kz0
-        mat[..., 2, 2] = -u
-        mat[..., 2, 3] = 1.0
-        mat[..., 3, 1] = -1.0
-        mat[..., 3, 2] = -u
-        mat[..., 3, 3] = 1.0 + se
-        rhs[..., 1] = kz1 / eps1
-
-    return _solve_screened(mat, rhs), kx, kz1, kz0
-
-
-def _solve_screened(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solutions of a stack of 4x4 systems mat @ x = rhs, rhs of shape
-    S + (4,).  Raises ArithmeticError when a system has non-finite entries
-    or a 2-norm condition number kappa above _COND_LIMIT.
-
-    One solve takes [rhs | I], so it returns the inverse too, and
-    kappa <= ||A||_F ||A^-1||_F screens the systems: only those whose bound
-    is not below half the limit, or all of them when the solve meets an
-    exactly singular one, get np.linalg.cond, a full SVD.  A system is
-    rejected exactly when np.linalg.cond is above the limit."""
-    if not np.all(np.isfinite(mat)):
-        raise ArithmeticError("ATR boundary system with non-finite entries "
-                              "(condition number undefined)")
-    aug = np.zeros(mat.shape[:-1] + (5,), dtype=complex)
-    aug[..., 0] = rhs
-    aug[..., 1:] = np.eye(4)
-    try:
-        sol = np.linalg.solve(mat, aug)
-    except np.linalg.LinAlgError:
-        _reject_ill_conditioned(mat)
-        raise
-    bound = np.linalg.norm(mat, axis=(-2, -1)) * np.linalg.norm(sol[..., 1:], axis=(-2, -1))
-    _reject_ill_conditioned(mat[~(bound <= 0.5 * _COND_LIMIT)])
-    return sol[..., 0]
-
-
-def _reject_ill_conditioned(mat: np.ndarray) -> None:
-    """Raise ArithmeticError, naming the first offender, when a system of
-    the stack has np.linalg.cond above _COND_LIMIT or not finite."""
-    cond = np.linalg.cond(mat)
-    bad = ~np.isfinite(cond) | (cond > _COND_LIMIT)
+        # H_y amplitudes
+        se = _cmul(sigmas, kz0) / (omegas * CONSTANTS.eps0)
+        rho = se / (2.0 + se)
+        q = eps1 * kz0 / kz1
+    rho_u2 = _cmul(rho, _cmul(u, u))
+    den = (1.0 + q) + _cmul(rho_u2, 1.0 - q)
+    ratio = np.abs(den) / (np.abs(1.0 + q) + np.abs(rho_u2) * np.abs(1.0 - q))
+    bad = ~(ratio > _MIN_DEN_RATIO)
     if np.any(bad):
-        value = np.asarray(cond)[bad][0]
-        raise ArithmeticError(f"singular ATR boundary system (condition number {value:.3e})")
+        raise ArithmeticError(f"singular ATR stack (denominator ratio {ratio[bad][0]:.3e})")
+    m2 = 2.0 / den
+    rho_u = _cmul(rho, u)
+    t_factor = u + rho_u if polarization == TE else u - rho_u
+    amps = (_cmul(m2, 1.0 + rho_u2) - 1.0, _cmul(rho_u, m2), m2, _cmul(t_factor, m2))
+    return np.stack(amps, axis=-1), kx, kz1, kz0
 
 
 def atr_solve_sigma(geom: PrismGeometry, sigma: complex, omega: float) -> AtrSolution:
@@ -335,6 +296,7 @@ def lossless_matching_frequency(geom: PrismGeometry, params: GrapheneParams,
     +2/sqrt(eps1 sin^2 - 1) (TM)."""
     if geom.theta_i <= critical_angle(geom.eps1):
         raise NotResonant("incidence below the critical angle")
+    _require_vacuum_background(params)
     from scipy.optimize import brentq
     root = math.sqrt(geom.eps1 * math.sin(geom.theta_i) ** 2 - 1.0)
     target = -2.0 * root if geom.polarization == TE else 2.0 / root
@@ -473,10 +435,10 @@ def beta_sweep_matched(geom: PrismGeometry, params: GrapheneParams,
     has one.
     """
     dips = matching_frequency(geom, params, omega_lo, omega_hi, d_values, n_scan=n_scan)
+    found = np.flatnonzero(~np.isnan(dips))
     betas = np.zeros(len(dips), dtype=complex)
-    for i, (d, w_star) in enumerate(zip(d_values, dips.tolist())):
-        if not math.isnan(w_star):
-            betas[i] = overlap_beta(replace(geom, d=float(d)), params, w_star)
+    for i, sigma in zip(found, _sigmas(params, dips[found])):
+        betas[i] = _overlap_beta(replace(geom, d=float(d_values[i])), sigma, float(dips[i]))
     return betas, dips
 
 

@@ -666,7 +666,9 @@ def average_fidelity(config: QecRunConfig, workers: int = 1) -> QecCurve:
     # (inputs, checkpoints) C-ordered arrays: the reductions below keep their bits
     means, variances = (np.array(column) for column in zip(*stats))
     std_err = np.sqrt(variances.sum(axis=0) / config.n_trajectories) / len(inputs)
-    return QecCurve(x=config.checkpoint_steps() * config.step, f_bar=means.mean(axis=0),
+    # a row's score can round to just above 1; the reported mean is held to <= 1
+    return QecCurve(x=config.checkpoint_steps() * config.step,
+                    f_bar=np.minimum(means.mean(axis=0), 1.0),
                     std_err=std_err, f0=_f0_analytic(config, inputs))
 
 

@@ -7,14 +7,14 @@ Fock vector, the ensemble streams built one Generator per trajectory
 (and the engine run on them), the complex-arithmetic ensemble micro-step
 and parity projection and the ensemble loop built on them, the
 whole-array float-view parity projection, run_ensemble with whole-array
-recovery scoring, the ATR solve guarded by every system's SVD condition
-number, the interband conductivity quadrature with a numpy-scalar
-integrand, the ATR boundary-equation residuals, the reflectance-dip
-search one spacing at a time with scipy's golden section, the mode
-integrals of the quantization and prism-overlap layers as sampled
-profiles integrated by graded-grid Simpson quadrature, and the
-coherent-mixture fidelity in Python-ordered sums with the fidelity curves
-and F0 built on it one point at a time.
+recovery scoring, the ATR amplitudes by an LU solve of each 4x4 boundary
+system in double precision or in mpmath, the interband conductivity
+quadrature with a numpy-scalar integrand, the ATR boundary-equation
+residuals, the reflectance-dip search one spacing at a time with scipy's
+golden section, the mode integrals of the quantization and
+prism-overlap layers as sampled profiles integrated by graded-grid
+Simpson quadrature, and the coherent-mixture fidelity in Python-ordered
+sums with the fidelity curves and F0 built on it one point at a time.
 
 Registers a derandomized hypothesis profile, so property tests draw the
 same examples on every run."""
@@ -498,17 +498,54 @@ def run_ensemble_oracle(config, input_logical, input_index):
     return fid, jumps
 
 
-def atr_guard_oracle(mat, rhs):
-    """Solutions of a stack of ATR boundary systems (rhs of shape S + (4,))
-    guarded by np.linalg.cond, a full SVD, on every system: raises
-    ArithmeticError naming the first system whose condition number is
-    above 1e12 or not finite."""
-    cond = np.linalg.cond(mat)
-    bad = ~np.isfinite(cond) | (cond > 1e12)
-    if np.any(bad):
-        value = np.asarray(cond)[bad][0]
-        raise ArithmeticError(f"singular ATR boundary system (condition number {value:.3e})")
-    return np.linalg.solve(mat, rhs[..., None])[..., 0]
+def atr_system(eps1, polarization, kz1, kz0, u, sheet):
+    """Rows and right-hand side of the ATR boundary system in the unknowns
+    (r, m1, m2, t): tangential-E continuity at z = d and z = 0 plus the
+    H-field jump across the sheet, whose term is sheet = sigma mu0 omega
+    (TE) or sigma kz0/(omega eps0) (TM).  Built with arithmetic operators
+    only, so numpy arrays broadcast through it and mpmath numbers keep
+    their working precision."""
+    if polarization == TE:
+        # E_y amplitudes
+        rows = [[1, -u, -1, 0], [-kz1, kz0 * u, -kz0, 0], [0, 1, u, -1],
+                [0, -kz0, kz0 * u, -(kz0 + sheet)]]
+        return rows, [-1, -kz1, 0, 0]
+    # H_y amplitudes
+    rows = [[1, -u, -1, 0], [kz1 / eps1, -kz0 * u, kz0, 0], [0, 1, -u, 1],
+            [0, -1, -u, 1 + sheet]]
+    return rows, [-1, kz1 / eps1, 0, 0]
+
+
+def atr_system_oracle(eps1, d, polarization, thetas, sigmas, omegas):
+    """Amplitudes (r, m1, m2, t), shape S + (4,), of the broadcast
+    (d, theta, sigma, omega) points by np.linalg.solve of the stacked 4x4
+    boundary systems."""
+    omegas = np.asarray(omegas, dtype=float)
+    sigmas = np.asarray(sigmas, dtype=complex)
+    k0 = omegas / CONSTANTS.c0
+    k1 = math.sqrt(eps1) * k0
+    kx = k1 * np.sin(thetas)
+    kz1 = k1 * np.cos(thetas)
+    kz0 = np.sqrt((k0 * k0 - kx * kx).astype(complex))
+    u = np.exp(1j * kz0 * d)
+    if polarization == TE:
+        sheet = sigmas * CONSTANTS.mu0 * omegas
+    else:
+        sheet = sigmas * kz0 / (omegas * CONSTANTS.eps0)
+    rows, rhs = atr_system(eps1, polarization, kz1, kz0, u, sheet)
+    entries = np.broadcast_arrays(*(np.asarray(x, dtype=complex) for x in sum(rows, rhs)))
+    vec = np.stack(entries[:4], axis=-1)
+    mat = np.stack(entries[4:], axis=-1).reshape(vec.shape + (4,))
+    return np.linalg.solve(mat, vec[..., None])[..., 0]
+
+
+def atr_mp_oracle(mp, eps1, polarization, kz1, kz0, u, sheet):
+    """Amplitudes (r, m1, m2, t) of one ATR boundary system, its entries
+    formed from the given double-precision inputs and solved by the mpmath
+    module mp's LU at its working precision."""
+    args = [mp.mpmathify(complex(x)) for x in (kz1, kz0, u, sheet)]
+    rows, rhs = atr_system(mp.mpf(eps1), polarization, *args)
+    return list(mp.lu_solve(mp.matrix(rows), mp.matrix(rhs)))
 
 
 def _interband_quad_setup(params, omega):
@@ -838,20 +875,6 @@ def f0_oracle(config, inputs) -> float:
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
-
-
-@pytest.fixture
-def atr_systems(monkeypatch):
-    """The (mat, rhs) stacks gspp.prism solves during the test, in order."""
-    systems = []
-    solve = gspp.prism._solve_screened
-
-    def record(mat, rhs):
-        systems.append((mat.copy(), rhs.copy()))
-        return solve(mat, rhs)
-
-    monkeypatch.setattr(gspp.prism, "_solve_screened", record)
-    return systems
 
 
 @pytest.fixture

@@ -26,6 +26,7 @@ KEEP = {
     "channel.matched_turning_point": "library physics: where the matched-reference fidelity turns",
     "prism.lossless_matching_frequency": "library physics: the reactive momentum-matching root",
     "prism.prism_mode_normalization": "library physics: the prism photon mode's quantization length",
+    "prism.overlap_beta": "library physics: beta at one frequency; the benchmark traces it by name",
     "qec.trajectory_rng": "defines the streams _ensemble_uniforms builds; the benchmark traces it by name",
 }
 

@@ -260,6 +260,15 @@ class TestQecCommand:
             reference = [ln for ln in fh.read().splitlines() if not ln.startswith("#")]
         assert [ln for ln in out.read_text().splitlines() if not ln.startswith("#")] == reference
 
+    def test_f_bar_held_to_one(self, tmp_path):
+        # at alpha = 38.5 the scores at x = 0 round to just above 1, and the
+        # mean read 1.0000000000000002
+        out = tmp_path / "q.csv"
+        argv = QEC_SMALL + ["--trajectories", "2", "--checkpoints", "2", "--alpha", "38.5"]
+        assert main(argv + ["--out", str(out)]) == 0
+        f_bar = [float(row[2]) for row in read_rows(out)[1]]
+        assert f_bar[0] == 1.0 and all(0.0 <= f <= 1.0 for f in f_bar)
+
     def test_worker_count_does_not_change_rows(self, tmp_path):
         argv = QEC_SMALL + ["--trajectories", "200", "--checkpoints", "3"]
         tables = []
