@@ -2,8 +2,10 @@
 deterministic seeds and run manifests.
 
 Output CSVs carry a comment header (lines starting with '#') echoing every
-physical parameter, followed by an RFC-4180-style table ('.' decimal,
-scientific notation, UTF-8).  A plain-text manifest is written next to
+physical parameter, followed by an RFC-4180-style table (UTF-8).  A float
+cell is Python's shortest round-trip repr ('.' decimal; positional from
+1e-4 up to 1e16, scientific outside, and nan, inf, -inf); an integer cell
+prints as an integer and a string bare.  A plain-text manifest is written next to
 each output: the same parameter echo under the tool and command lines.
 Exit codes: 0 success, 2 validation or file error, 3 numerical failure.
 """
@@ -126,20 +128,31 @@ def _versions() -> dict[str, str]:
             "numpy_version": np.__version__, "scipy_version": version("scipy")}
 
 
-def write_csv(path: str, command: str, params: dict, columns: list[str], rows) -> None:
-    """The table at path under a '# ' parameter echo (params and the
+def _column_text(column) -> list[str]:
+    """The cells of one column as _fmt writes them: a column of floats
+    (Python or numpy) in one conversion, any other cell by cell, so no int
+    is printed as a float."""
+    if ((isinstance(column, np.ndarray) and column.dtype.kind == "f")
+            or all(isinstance(v, (float, np.floating)) for v in column)):
+        return list(map(repr, np.asarray(column, dtype=float).tolist()))
+    return [_fmt(v) for v in column]
+
+
+def write_csv(path: str, command: str, params: dict, table: dict) -> None:
+    """The table, {column name: column} in column order with columns of
+    one length, at path under a '# ' parameter echo (params and the
     versions of python, numpy and scipy), and the same echo under tool and
     command lines at path + '.manifest'; neither file is written unless
     both can be."""
     require_writable(path)
     params = params | _versions()
     echo = [f"{key}: {_fmt(params[key])}\n" for key in sorted(params)]
+    texts = [_column_text(column) for column in table.values()]
+    lines = [",".join(table), *map(",".join, zip(*texts, strict=True))]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# gspp {__version__}\n")
         fh.writelines("# " + line for line in echo)
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.write("\n".join(lines) + "\n")
     with open(path + ".manifest", "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"tool: gspp {__version__}\ncommand: {command}\n")
         fh.writelines(echo)
@@ -257,20 +270,18 @@ def cmd_sigma(args) -> int:
     params = material_from_args(args)
     freqs = frequency_grid(args.fmin_thz, args.fmax_thz, args.points, args.log_spacing)
     smin = sigma_min()
-    rows = []
-    for f in freqs:
-        sig = conductivity(params, 2.0 * math.pi * f).value
-        rows.append((f, sig.real, sig.imag, sig.real / smin, sig.imag / smin))
+    sig = np.array([conductivity(params, 2.0 * math.pi * f).value for f in freqs])
     write_csv(args.out, args.command, parameter_echo(args, params),
-              ["freq_hz", "sigma_re_S", "sigma_im_S", "sigma_re_over_min",
-               "sigma_im_over_min"], rows)
+              {"freq_hz": freqs, "sigma_re_S": sig.real, "sigma_im_S": sig.imag,
+               "sigma_re_over_min": sig.real / smin, "sigma_im_over_min": sig.imag / smin})
     return 0
 
 
 def cmd_dispersion(args) -> int:
     params = material_from_args(args)
     freqs = frequency_grid(args.fmin_thz, args.fmax_thz, args.points, args.log_spacing)
-    rows = []
+    table = {name: [] for name in ("freq_hz", "pol", "supported", "kappa_re", "kappa_im",
+                                   "q0_re_per_m", "vg_m_s", "lambda_eff_m", "L_prop_m")}
     for f in freqs:
         sig = conductivity(params, 2.0 * math.pi * f)
         for pol in (TM, TE):
@@ -279,11 +290,11 @@ def cmd_dispersion(args) -> int:
                 lam_eff, l_prop = effective_wavelength(mode), propagation_length(mode)
             else:
                 lam_eff = l_prop = math.nan
-            rows.append((f, pol, int(mode.supported), mode.kappa.real, mode.kappa.imag,
-                         mode.q0.real, mode.v_g, lam_eff, l_prop))
-    write_csv(args.out, args.command, parameter_echo(args, params),
-              ["freq_hz", "pol", "supported", "kappa_re", "kappa_im", "q0_re_per_m",
-               "vg_m_s", "lambda_eff_m", "L_prop_m"], rows)
+            row = (f, pol, int(mode.supported), mode.kappa.real, mode.kappa.imag,
+                   mode.q0.real, mode.v_g, lam_eff, l_prop)
+            for column, value in zip(table.values(), row):
+                column.append(value)
+    write_csv(args.out, args.command, parameter_echo(args, params), table)
     return 0
 
 
@@ -298,12 +309,10 @@ def cmd_prism(args) -> int:
                                                 args.freq_points, False)
         grid = reflectance_map(thetas, omegas, eps1=args.eps1, d=args.d_um * 1e-6,
                                polarization=args.pol, params=params)
-        rows = []
-        for i, w in enumerate(omegas):
-            for j, th in enumerate(thetas):
-                rows.append((w / (2.0 * math.pi), math.degrees(th), grid[i, j]))
+        # row (i, j) is omegas[i], thetas[j]: grid's C order
         write_csv(args.out, args.command, parameter_echo(args, params),
-                  ["freq_hz", "theta_deg", "R"], rows)
+                  {"freq_hz": np.repeat(omegas / (2.0 * math.pi), len(thetas)),
+                   "theta_deg": np.tile(np.degrees(thetas), len(omegas)), "R": grid.ravel()})
         return 0
 
     # beta-sweep
@@ -324,14 +333,12 @@ def cmd_prism(args) -> int:
             n_scan=args.match_scan_points)
     else:
         betas = beta_sweep(geom, params, 2.0 * math.pi * args.f_thz * 1e12, d_values)
-    rows = []
-    for i, d in enumerate(d_values):
-        b = betas[i]
-        g = coupling_from_beta(b)
-        rows.append((d, abs(b), math.atan2(b.imag, b.real), abs(g)))
     echo = parameter_echo(args, params, dip_refined=matched,
                           max_beta_abs=float(np.abs(betas).max()))
-    write_csv(args.out, args.command, echo, ["d_m", "beta_abs", "beta_arg", "g_abs"], rows)
+    write_csv(args.out, args.command, echo,
+              {"d_m": d_values, "beta_abs": [abs(b) for b in betas],
+               "beta_arg": [math.atan2(b.imag, b.real) for b in betas],
+               "g_abs": [abs(coupling_from_beta(b)) for b in betas]})
     return 0
 
 
@@ -340,17 +347,16 @@ def cmd_propagate(args) -> int:
     if args.points < 1:
         raise ValueError("need at least one distance point")
     x = np.linspace(0.0, args.xi_max, args.points)
-    rows = []
+    f_init, f_match = [], []
     for beta in betas:
         if not 0.0 < beta <= 1.0:
             raise ValueError("beta values must lie in (0, 1]")
         g = math.asin(beta)
-        f_init = fidelity_vs_distance(args.alpha, g, x, 1.0, reference=INITIAL)
-        f_match = fidelity_vs_distance(args.alpha, g, x, 1.0, reference=AMPLITUDE_MATCHED)
-        for xi, fi, fm in zip(x, f_init, f_match):
-            rows.append((beta, xi, fi, fm))
+        f_init.append(fidelity_vs_distance(args.alpha, g, x, 1.0, reference=INITIAL))
+        f_match.append(fidelity_vs_distance(args.alpha, g, x, 1.0, reference=AMPLITUDE_MATCHED))
     write_csv(args.out, args.command, parameter_echo(args),
-              ["beta", "k0kappa2_x", "F_initial", "F_matched"], rows)
+              {"beta": np.repeat(betas, len(x)), "k0kappa2_x": np.tile(x, len(betas)),
+               "F_initial": np.concatenate(f_init), "F_matched": np.concatenate(f_match)})
     return 0
 
 
@@ -378,26 +384,29 @@ def cmd_qec(args) -> int:
     lam_eff = effective_wavelength(mode)
     x_total = args.k0kappa2x_max / k0_kappa2
 
-    rows = []
+    curves = []
     for p in p_values:
         cfg = QecRunConfig(alpha=args.alpha, g=g, k0_kappa2=k0_kappa2,
                            x_total=x_total, parity_p=p,
                            n_trajectories=args.trajectories, seed=args.seed,
                            n_checkpoints=args.checkpoints)
-        curve = average_fidelity(cfg, workers=workers)
-        for xi, fb, se in zip(curve.x, curve.f_bar, curve.std_err):
-            rows.append((xi / lam_eff, p, fb, se, curve.f0))
+        curves.append(average_fidelity(cfg, workers=workers))
+    counts = [len(curve.x) for curve in curves]
     echo = parameter_echo(args, params, g=g, k0_kappa2_per_m=k0_kappa2, lambda_eff_m=lam_eff,
-                          input_set=cfg.input_set, f0=curve.f0, workers=workers)
-    write_csv(args.out, args.command, echo, ["x_over_leff", "p", "F_bar", "std_err", "F0"], rows)
+                          input_set=cfg.input_set, f0=curves[-1].f0, workers=workers)
+    write_csv(args.out, args.command, echo,
+              {"x_over_leff": np.concatenate([curve.x for curve in curves]) / lam_eff,
+               "p": np.repeat(p_values, counts),
+               "F_bar": np.concatenate([curve.f_bar for curve in curves]),
+               "std_err": np.concatenate([curve.std_err for curve in curves]),
+               "F0": np.repeat([curve.f0 for curve in curves], counts)})
 
     if args.ortho_out:
         # the report reads only alpha, g, k0*kappa'' and x_total, which every p shares
         report = orthogonality_monitor(cfg)
         write_csv(args.ortho_out, "qec orthogonality",
                   echo | {"max_overlap": report.max_overlap, "violated": report.violated},
-                  ["x_over_leff", "overlap_abs"],
-                  [(xi / lam_eff, ov) for xi, ov in zip(report.x, report.overlap)])
+                  {"x_over_leff": report.x / lam_eff, "overlap_abs": report.overlap})
     return 0
 
 

@@ -13,8 +13,9 @@ quadrature with a numpy-scalar integrand, the ATR boundary-equation
 residuals, the reflectance-dip search one spacing at a time with scipy's
 golden section, the mode integrals of the quantization and
 prism-overlap layers as sampled profiles integrated by graded-grid
-Simpson quadrature, and the coherent-mixture fidelity in Python-ordered
-sums with the fidelity curves and F0 built on it one point at a time.
+Simpson quadrature, the coherent-mixture fidelity in Python-ordered
+sums with the fidelity curves and F0 built on it one point at a time, and
+a CSV table rendered row by row, one cell at a time.
 
 Registers a derandomized hypothesis profile, so property tests draw the
 same examples on every run."""
@@ -33,6 +34,7 @@ from scipy.special import expit
 
 import gspp.material
 import gspp.prism
+from gspp.cli import _fmt
 from gspp.dispersion import TE, wavenumber
 from gspp.material import CONSTANTS, QuadratureError, _intraband_full, conductivity
 from gspp.prism import NotResonant, _require_vacuum_background, atr_solve, critical_angle
@@ -870,6 +872,13 @@ def f0_oracle(config, inputs) -> float:
         coeffs, amps = code_legs(c0, c1, config.alpha_excited)
         total += fidelity_pure_oracle(rho, normalize_superposition(coeffs, amps), amps)
     return total / len(inputs)
+
+
+def csv_rows_oracle(table) -> list[str]:
+    """The data lines of a {column name: column} table as the CSV writer
+    rendered them before it formatted whole columns: row by row, one _fmt
+    call per cell."""
+    return [",".join(_fmt(v) for v in row) for row in zip(*table.values())]
 
 
 @pytest.fixture

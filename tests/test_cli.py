@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gspp.cli import build_parser, config_defaults, load_config, main
+from conftest import csv_rows_oracle
+from gspp.cli import build_parser, config_defaults, load_config, main, write_csv
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = ROOT / "configs"
@@ -351,6 +352,37 @@ def test_header_echoes_runtime_versions(tmp_path):
     for line in (f"python_version: {platform.python_version()}",
                  f"numpy_version: {np.__version__}", f"scipy_version: {scipy.__version__}"):
         assert line in echo
+
+
+def test_write_csv_matches_per_cell_rendering(tmp_path):
+    # the writer formats a column of floats in one conversion; every line
+    # must still be the row rendered cell by cell, and an int among floats
+    # must not print as a float
+    table = {
+        "floats": [0.1, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e-5, 1e16, 1.0],
+        "numpy": np.array([1e-4, 9.99e-5, 1e15, 1.5e16, -2.5, 0.0, math.nan, -math.inf, 7e-300]),
+        "mixed_floats": [np.float64(0.1), 2.0, np.float32(0.1), np.float64(-0.0), 1e-5,
+                         np.float64(math.inf), 1e16, 3.0, np.float64(5e-324)],
+        "ints": [0, 1, -3, np.int64(7), 10**17, 2, 0, 1, np.int32(5)],
+        "int_and_floats": [0, 0.5, 0, 1.0, 2.5, 0, -0.0, 1e16, 3],
+        "other": [True, np.bool_(False), "TM", "TE", "", "x y", False, "nan", True],
+    }
+    out = tmp_path / "t.csv"
+    write_csv(str(out), "test", {"echoed": 1.0}, table)
+    lines = [ln for ln in out.read_text(encoding="utf-8").split("\n") if not ln.startswith("#")]
+    assert lines == [",".join(table), *csv_rows_oracle(table), ""]
+    assert [line.split(",")[4] for line in lines[1:-1]] == [
+        "0", "0.5", "0", "1.0", "2.5", "0", "-0.0", "1e+16", "3"]
+    assert lines[1].split(",")[:2] == ["0.1", "0.0001"]
+    assert lines[6].split(",")[0] == "5e-324" and lines[7].split(",")[0] == "1e-05"
+    assert Path(f"{out}.manifest").is_file()
+
+
+def test_write_csv_rejects_columns_of_unequal_length(tmp_path):
+    out = tmp_path / "t.csv"
+    with pytest.raises(ValueError):
+        write_csv(str(out), "test", {}, {"a": [1.0, 2.0], "b": [1]})
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestConfigFiles:
@@ -697,11 +729,34 @@ class TestOptionsOfEachCommandLine:
         assert f"unknown config key {key!r}" in capsys.readouterr().err
 
 
+def noncanonical_cells(text: str) -> list[str]:
+    """Data cells of a table not written as the CSV writer writes them: a
+    float as its shortest round-trip repr, supported as 0 or 1 and pol as
+    TM or TE."""
+    lines = [ln for ln in text.splitlines() if not ln.startswith("#")]
+    header = lines[0].split(",")
+    allowed = {"supported": ("0", "1"), "pol": ("TM", "TE")}
+    bad = []
+    for line in lines[1:]:
+        for column, cell in zip(header, line.split(","), strict=True):
+            if column in allowed:
+                ok = cell in allowed[column]
+            else:
+                try:
+                    ok = cell == repr(float(cell))
+                except ValueError:
+                    ok = False
+            if not ok:
+                bad.append(f"{column}: {cell!r}")
+    return bad
+
+
 @pytest.mark.parametrize("name", CLASSICAL_CONFIGS)
 def test_classical_tables_match_bench_goldens(tmp_path, name):
     # the benchmark's checks: the physical invariants, and every cell within
     # relative 1e-8, floored at 1e-3 of the column's largest magnitude, of
-    # the table the seed commit wrote
+    # the table the seed commit wrote; that tolerance cannot see 1.0
+    # printed for 1, so every data cell is also checked for its text
     spec = importlib.util.spec_from_file_location("bench_checks", ROOT / "bench" / "checks.py")
     checks = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(checks)
@@ -712,3 +767,4 @@ def test_classical_tables_match_bench_goldens(tmp_path, name):
     text = out.read_text()
     assert checks.invariants(name, text) + checks.compare_golden(
         name, text, checks.golden_text(name)) == []
+    assert noncanonical_cells(text) == []
