@@ -11,7 +11,6 @@ once.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -179,9 +178,10 @@ def _interband_integral(params: GrapheneParams, omega: float, power: int) -> com
     Both powers share the scales, the pole and onset and the cut: the
     integral runs on [0, u_cut] where d(u) still deviates from 1; beyond
     u_cut it is 1 to machine precision and the remainder is added in closed
-    form, so the truncation error is far below 1e-10 of the accumulated
-    value.  Power 1 runs adaptive QUADPACK with the pole and onset as
-    breakpoints, power 2 a fixed-panel Gauss-Legendre rule.
+    form (power 1) or as a series in (abar/u_cut)^2 (power 2), so the
+    truncation error is far below 1e-10 of the accumulated value.  Power 1
+    runs adaptive QUADPACK with the pole and onset as breakpoints, power 2
+    a fixed-panel Gauss-Legendre rule.
     Raises QuadratureError when an adaptive run exhausts its subdivisions
     or the panel rule's error estimate exceeds 1e-9 and 1e-9 of its value.
     """
@@ -199,13 +199,18 @@ def _interband_integral(params: GrapheneParams, omega: float, power: int) -> com
     pole = abar.real if abar.real > 0 else abs(abar)
     pole_width = max(abar.imag, 1e-3)
 
-    # Closed-form remainder for u > u_cut with d(u) == 1.  For power 2,
-    # u/(2 abar^2 (abar^2 - u^2)) + ln((abar + u)/(abar - u))/(4 abar^3) is an
-    # antiderivative; at u -> inf the log tends to -i*pi, as for power 1.
-    ratio = (abar + u_cut) / (abar - u_cut)
     if power == 2:
-        tail = ((-1j * math.pi - cmath.log(ratio)) / (4.0 * abar**3)
-                - u_cut / (2.0 * abar**2 * (abar**2 - u_cut**2)))
+        # Remainder for u > u_cut, where d(u) == 1: with v = u_cut/u and
+        # r = (abar/u_cut)^2, |r| <= 1/9 as u_cut >= 3|abar|, it is
+        # u_cut^-3 * integral over [0, 1] of v^2/(1 - r v^2)^2 dv
+        # = u_cut^-3 * sum over n of (n + 1) r^n/(2n + 3).  The closed form
+        # is two terms near 1/(2 abar^2 u_cut) that cancel to about
+        # 1/(3 u_cut^3), losing their last digits.
+        r = (abar / u_cut) ** 2
+        tail = 0.0
+        for c in _TAIL_SERIES:
+            tail = tail * r + c
+        tail /= u_cut**3
         # Composite Gauss-Legendre on panels whose lengths double away from
         # the pole and the onset, every node in one array: the 16-point
         # rule, with the 12-point rule on the same panels as its estimate.
@@ -220,9 +225,13 @@ def _interband_integral(params: GrapheneParams, omega: float, power: int) -> com
         lo, length = edges[:-1, None], np.diff(edges)[:, None]
         t = length * nodes
         u = lo + t
-        # 1/(1 + exp(-x)) is exactly 0 where exp(-x) overflows to inf
-        with np.errstate(over="ignore"):
-            d = 1.0 / (1.0 + np.exp(-(xmu + s * u))) - 1.0 / (1.0 + np.exp(-(xmu - s * u)))
+        # d(u) = sinh(a)/(cosh(a) + cosh(xmu)) with a = s*u > 0, top and
+        # bottom divided by exp(max(a, xmu)): no exponential overflows, and
+        # no two occupations near 1 are subtracted
+        a = s * u
+        e = np.exp(-np.abs(a - xmu))
+        d = (np.where(a < xmu, e, 1.0) * -np.expm1(-2.0 * a)
+             / ((1.0 + np.exp(-(a + xmu))) * (1.0 + e)))
         # abar^2 - u^2 as (abar - u)(abar + u), with Re(abar) - u taken from
         # the panel's own offset t: abar^2 - u^2 itself loses 1e-16 absolute
         # to cancellation, relative 1e-16/Im(abar) next to a narrow pole
@@ -235,7 +244,9 @@ def _interband_integral(params: GrapheneParams, omega: float, power: int) -> com
             raise QuadratureError("interband conductivity slope integral did not converge",
                                   float(abs(fine - coarse)))
         return complex(fine) + tail
-    tail = (-1j * math.pi - np.log(ratio)) / (2.0 * abar)
+    # closed-form remainder for u > u_cut with d(u) == 1; at u -> inf the
+    # log tends to -i*pi
+    tail = (-1j * math.pi - np.log((abar + u_cut) / (abar - u_cut))) / (2.0 * abar)
 
     raw_points = [pole - 3 * pole_width, pole, pole + 3 * pole_width,
                   u_step - 30 * step_width, u_step, u_step + 30 * step_width]
@@ -287,6 +298,9 @@ def _interband_integral(params: GrapheneParams, omega: float, power: int) -> com
 
 
 _POWERS_OF_TWO = 2.0 ** np.arange(-3.0, 1024.0)
+# (n + 1)/(2n + 3) for n = 19 down to 0, in Horner order: the 20 terms of
+# K2's tail series leave 9^-20 of its first
+_TAIL_SERIES = tuple((n + 1) / (2 * n + 3) for n in range(19, -1, -1))
 
 
 def _doublings(width, reach):

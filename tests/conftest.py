@@ -571,12 +571,13 @@ def _interband_quad_setup(params, omega):
     return abar, xmu, s, u_cut, points
 
 
-def _quad_complex(integrand, u_cut, points, what):
-    """Integral over [0, u_cut] of integrand(u, 0) + i*integrand(u, 1), one
-    quad run per part."""
+def _quad_complex(integrand, lo, hi, points, what):
+    """Integral over [lo, hi] of integrand(x, 0) + i*integrand(x, 1), one
+    quad run per part, with the breakpoints that lie inside."""
+    points = [p for p in points if lo < p < hi] or None
     pieces = []
     for part in (0, 1):
-        out = quad(integrand, 0.0, u_cut, args=(part,), points=points,
+        out = quad(integrand, lo, hi, args=(part,), points=points,
                    epsabs=1e-9, epsrel=1e-9, limit=400, full_output=1)
         if len(out) > 3:
             raise QuadratureError(f"{what} did not converge", out[1])
@@ -596,7 +597,7 @@ def quad_interband_oracle(params, omega):
         val = (expit(xmu + s * u) - expit(xmu - s * u)) / (abar * abar - u * u)
         return val.real if part == 0 else val.imag
 
-    integral = _quad_complex(integrand, u_cut, points, "interband conductivity integral")
+    integral = _quad_complex(integrand, 0.0, u_cut, points, "interband conductivity integral")
     ratio = (abar + u_cut) / (abar - u_cut)
     tail = (-1j * math.pi - np.log(ratio)) / (2.0 * abar)
     a = omega + 1j * params.gamma_inter
@@ -606,23 +607,41 @@ def quad_interband_oracle(params, omega):
 def quad_k2_oracle(params, omega):
     """K2 = integral over u > 0 of d(u)/(abar^2 - u^2)^2, the omega-derivative
     kernel of the interband integral: scipy's expit for the occupation
-    difference d(u), 1/(abar^2 - u^2) = (br - i*bi)/(br^2 + bi^2) with
-    br = Re abar^2 - u^2 and bi = Im abar^2, one part per quad run, with the
-    breakpoints, tolerances and closed-form tail of the interband quad
-    oracle above: an adaptive check on gspp.material's fixed-panel K2."""
+    difference d(u), the denominator factored as (abar - u)(abar + u), one
+    part per quad run, with the breakpoints, tolerances and closed-form
+    tail of the interband quad oracle above: an adaptive check on
+    gspp.material's fixed-panel K2 and its tail series.
+
+    Across the pole's window Re(abar) +- 3*max(Im(abar), 1e-3) the runs go
+    over theta, u = Re(abar) + Im(abar)*tan(theta), which turns the double
+    pole into a bounded integrand: over u alone QUADPACK is 1.2e-8 off
+    mpmath at a resonance of width Im(abar) = 6.6e-5 while estimating
+    1e-10."""
     abar, xmu, s, u_cut, points = _interband_quad_setup(params, omega)
-    aa = abar * abar
-    aa_re, bi = float(aa.real), float(aa.imag)
+    ar, b = abar.real, abar.imag
+    reach = 3.0 * max(b, 1e-3)
+    lo, hi = max(0.0, ar - reach), min(u_cut, ar + reach)
 
-    def integrand(u, part):
-        d = expit(xmu + s * u) - expit(xmu - s * u)
-        br = aa_re - u * u
-        den = br * br + bi * bi
-        wr, wi = br / den, -bi / den
-        return d * (wr * wr - wi * wi) if part == 0 else 2.0 * d * wr * wi
+    def occupation(u):
+        return expit(xmu + s * u) - expit(xmu - s * u)
 
-    integral = _quad_complex(integrand, u_cut, points,
-                             "interband conductivity slope integral")
+    def over_u(u, part):
+        val = occupation(u) / ((abar - u) * (abar + u)) ** 2
+        return val.real if part == 0 else val.imag
+
+    def over_theta(theta, part):
+        # abar - u = -b*(tan(theta) - i) and du = b*(1 + tan(theta)^2) dtheta
+        t = math.tan(theta)
+        u = ar + b * t
+        val = occupation(u) * b * (1.0 + t * t) / (b * (t - 1j) * (abar + u)) ** 2
+        return val.real if part == 0 else val.imag
+
+    what = "interband conductivity slope integral"
+    window = [math.atan((p - ar) / b) for p in points]
+    integral = (_quad_complex(over_u, 0.0, lo, points, what)
+                + _quad_complex(over_theta, math.atan((lo - ar) / b),
+                                math.atan((hi - ar) / b), window, what)
+                + _quad_complex(over_u, hi, u_cut, points, what))
     ratio = (abar + u_cut) / (abar - u_cut)
     return integral + ((-1j * math.pi - cmath.log(ratio)) / (4.0 * abar**3)
                        - u_cut / (2.0 * abar**2 * (abar**2 - u_cut**2)))

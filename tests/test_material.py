@@ -419,6 +419,21 @@ def test_slope_matches_quad_oracle_on_fig2b_grid():
         assert_slope_matches_oracle(p, 2.0 * math.pi * f)
 
 
+@pytest.mark.parametrize("mu_c,temperature,hw_ev", [
+    (0.5, 300.0, 1.5),
+    (0.0, 300.0, 1.5),
+    (0.3, 1.0, 1.0),
+])
+def test_slope_matches_quad_oracle_narrow_resonance(mu_c, temperature, hw_ev):
+    # gamma_inter = 1e11 rad/s, a resonance of width 6.6e-5 at 1.5 eV: with
+    # QUADPACK over u alone the oracle's K2 was 1.3e-8 off mpmath and its
+    # slope 6.6e-9, 1.1e-8 and 2.7e-9 of the terms' sum off the engine's;
+    # with the pole window over theta both are within 2e-12
+    params = replace(GrapheneParams.with_default_rates(mu_c, temperature), gamma_inter=1e11,
+                     conductivity_model="full")
+    assert_slope_matches_oracle(params, ev_to_omega(hw_ev))
+
+
 def test_slope_matches_quad_oracle_random_and_overflow():
     # mu = 0.5 eV, T = 10 K from 860 THz up: exp(-x) in the occupation of
     # the lower band overflows, where the panel rule must give exactly 0
@@ -437,18 +452,23 @@ def test_slope_matches_quad_oracle_random_and_overflow():
 
 
 @pytest.mark.parametrize("tau_inter_ps,f_thz,rel", [
-    (0.0658, 2.53, 2e-10),
-    (0.0658, 2.61, 2e-10),
+    (0.0658, 2.53, 1e-14),
+    (0.0658, 2.61, 1e-14),
     (10.0, 362.7, 1e-11),
+    (10.0, 0.1, 1e-13),
 ])
 def test_k2_against_mpmath(tau_inter_ps, f_thz, rel):
     # fig2b's material, where the adaptive K2 was 8.0e-9 (2.53 THz) and
-    # 3.7e-9 (2.61 THz) off and the panel rule is 7.3e-11 and 2.2e-11 off,
-    # the rounding of the closed-form tail; and a 10 ps interband time at
-    # 1.5 eV, a resonance of width 6.6e-5, where the panel rule is 5e-13
-    # off, the 8-point rule on the same panels 4.5e-9 and abar^2 - u^2
-    # taken unfactored 7.9e-9.  K2 = 2 omega^3/hbar times the energy
-    # integral of mpmath_interband at power 2
+    # 3.7e-9 (2.61 THz) off, the panel rule with the closed-form tail
+    # 7.3e-11 and 2.2e-11 (its two terms cancel to the tail's size), and
+    # with the tail series and d(u) = sinh/(cosh + cosh) 3.9e-16 and
+    # 3.6e-16; a 10 ps interband time at 1.5 eV, a resonance of width
+    # 6.6e-5, where the panel rule is 1.8e-13 off, the 8-point rule on the
+    # same panels 4.5e-9 and abar^2 - u^2 taken unfactored 7.9e-9; and the
+    # same at 0.1 THz, K2 = 1.1e-11, where the closed-form tail and d(u) as
+    # a difference of two occupations near 1 were 3.6e-6 off and the
+    # series and the sinh form are 8e-15.  K2 = 2 omega^3/hbar times the
+    # energy integral of mpmath_interband at power 2
     mp = pytest.importorskip("mpmath")
     p = replace(GrapheneParams.with_default_rates(0.5, 300.0),
                 gamma_inter=1.0 / (tau_inter_ps * 1e-12))
