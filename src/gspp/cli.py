@@ -5,8 +5,9 @@ Output CSVs carry a comment header (lines starting with '#') echoing every
 physical parameter, followed by an RFC-4180-style table (UTF-8).  A float
 cell is Python's shortest round-trip repr ('.' decimal; positional from
 1e-4 up to 1e16, scientific outside, and nan, inf, -inf); an integer cell
-prints as an integer and a string bare.  A plain-text manifest is written next to
-each output: the same parameter echo under the tool and command lines.
+prints as an integer and a string bare.  A plain-text manifest is written
+next to each output: the same parameter echo under the tool and command
+lines.
 Exit codes: 0 success, 2 validation or file error, 3 numerical failure.
 """
 

@@ -894,9 +894,9 @@ def f0_oracle(config, inputs) -> float:
 
 
 def csv_rows_oracle(table) -> list[str]:
-    """The data lines of a {column name: column} table as the CSV writer
-    rendered them before it formatted whole columns: row by row, one _fmt
-    call per cell."""
+    """The data lines of a {column name: column} table rendered row by row,
+    one _fmt call per cell: what the column-at-a-time CSV writer must
+    write."""
     return [",".join(_fmt(v) for v in row) for row in zip(*table.values())]
 
 
