@@ -304,6 +304,9 @@ def cmd_prism(args) -> int:
     if args.command == "prism reflectance-map":
         if args.theta_points < 1:
             raise ValueError("need at least one angle point")
+        if args.theta_min_deg > args.theta_max_deg:
+            raise ValueError(f"need --theta-min-deg <= --theta-max-deg, got "
+                             f"{args.theta_min_deg} > {args.theta_max_deg}")
         thetas = np.radians(np.linspace(args.theta_min_deg, args.theta_max_deg,
                                         args.theta_points))
         omegas = 2.0 * math.pi * frequency_grid(args.fmin_thz, args.fmax_thz,
@@ -319,6 +322,8 @@ def cmd_prism(args) -> int:
     # beta-sweep
     if args.d_points < 1:
         raise ValueError("need at least one spacing point")
+    if args.d_min_um > args.d_max_um:
+        raise ValueError(f"need --d-min-um <= --d-max-um, got {args.d_min_um} > {args.d_max_um}")
     matched = args.match_fmin_thz is not None
     if matched != (args.match_fmax_thz is not None):
         raise ValueError("--match-fmin-thz and --match-fmax-thz must be given together")

@@ -318,23 +318,52 @@ def _ensemble_uniforms(config: QecRunConfig, input_index: int, n_exc: int, n_ste
 _BAND = 1e-9
 # class rows per block of the micro-step sweep, the initial check and the
 # recovery snapshot: a (512, 45) complex block and its norm's temporary
-# take 0.74 MB together, inside a 2 MiB L2.  The sweep and the check are
-# row-local ufuncs.  The snapshot's gemv gave the 512-row blocks' bits at
-# blocks of 2, 3, 4, 5, 7, 12 and 13 rows (numpy 2.4.6 on scipy-openblas
-# 0.3.31's Haswell kernel), but numpy scores a block of one row with its
-# one-row product instead, so run_ensemble scores a one-row block as two
-# copies of its row
+# take 0.74 MB together, and the sweep's decay tile 0.37 MB more, inside a
+# 2 MiB L2.  The sweep and the check are row-local ufuncs.  The snapshot's
+# gemv gave the 512-row blocks' bits at blocks of 2, 3, 4, 5, 7, 12 and 13
+# rows (numpy 2.4.6 on scipy-openblas 0.3.31's Haswell kernel), but numpy
+# scores a block of one row with its one-row product instead, so
+# run_ensemble scores a one-row block as two copies of its row
 _BLOCK = 512
+
+
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """The (n, 1) 2-norms of the complex rows: the expression
+    np.linalg.norm(rows, axis=1, keepdims=True) runs, without its dispatch.
+    Each row's depends on that row only, so a block of rows gets the bits
+    the whole array would."""
+    return np.sqrt(np.add.reduce((rows.conj() * rows).real, axis=1, keepdims=True))
 
 
 def _renormalize(block: np.ndarray) -> None:
     """Divide each complex row of block by its norm, in place, by scaling
     its float view by 1/norm: what dividing the complex rows by a real
-    norm computes.  The norm is np.linalg.norm's arithmetic, and each row's
-    depends on that row only, so a block of rows gets the bits the whole
-    array would."""
+    norm computes."""
     flat = block.view(float)
-    flat *= 1.0 / np.sqrt(np.add.reduce((block.conj() * block).real, axis=1, keepdims=True))
+    flat *= 1.0 / _row_norms(block)
+
+
+def _group(jumped: np.ndarray, n_live: int):
+    """The classes of the jumping trajectories, as np.unique(jumped,
+    return_inverse=True, return_counts=True) gives them: the sorted
+    distinct class ids, each trajectory's index into them and each id's
+    count.  The ids are dense in 0..n_live-1, so a mask over the live
+    classes sorts them and a counting pass over the indices counts them:
+    with thousands of live classes, a one-byte mask scans faster than a
+    count per class."""
+    seen = np.zeros(n_live, dtype=bool)
+    seen[jumped] = True
+    parents = np.flatnonzero(seen)
+    child = np.searchsorted(parents, jumped)
+    return parents, child, np.bincount(child, minlength=len(parents))
+
+
+def _decay_tile(gamma_dt: float, n_vec: np.ndarray) -> np.ndarray:
+    """The no-jump decay exp(-gamma_dt*n/2) of one row's float view, its
+    (re, im) pairs, repeated over _BLOCK rows: a block of class rows is
+    scaled by a prefix of it in one contiguous multiply, where the one-row
+    decay would broadcast as one short loop per row."""
+    return np.tile(np.repeat(np.exp(-0.5 * gamma_dt * n_vec), 2), _BLOCK)
 
 
 def _class_step(states, cls, n_live, u, gamma_dt, n_vec, sqrt_n, decay2, jumps, flips,
@@ -344,8 +373,8 @@ def _class_step(states, cls, n_live, u, gamma_dt, n_vec, sqrt_n, decay2, jumps, 
     states[cls[j]]; rows 0..n_live-1 are the live classes, and states has
     room for one row per trajectory.  jumps and flips are the classes'
     record, indexed like the rows of states.  Updates states, cls and the
-    record in place and returns n_live.  decay2 is the no-jump decay
-    repeated for the float view's (re, im) pairs.
+    record in place and returns n_live.  decay2 is _decay_tile's no-jump
+    decay, one row's float view tiled over _BLOCK rows.
 
     Every decision is per trajectory.  A trajectory jumps when
     u < gamma_dt*<n>.  Rows enter with unit norm, so <n> <= dim - 1, and
@@ -365,10 +394,14 @@ def _class_step(states, cls, n_live, u, gamma_dt, n_vec, sqrt_n, decay2, jumps, 
     is the parent's pre-step row shifted by a and normalized; it takes the
     parent's slot when the whole class jumped and the next free slot
     otherwise, so the live classes stay at rows 0..n_live-1.  It takes
-    its parent's flips and one jump more.  One sweep over blocks of _BLOCK
-    class rows that stay in cache then applies the decay and
-    renormalization to the old rows, writes the new ones and runs the
-    check's renormalization on all of them.
+    its parent's flips and one jump more.  The jumping trajectories are
+    grouped by class in one pass over a mask of the live classes
+    (_group), which gives np.unique's arrays without its sort.  One sweep
+    over blocks of _BLOCK class rows that stay in cache then applies the
+    decay and renormalization to the old rows, writes the new ones and
+    runs the check's renormalization on all of them.  A block's old rows
+    are contiguous, so the decay scales them with one multiply by a
+    prefix of decay2 of their size.
     """
     rows = np.flatnonzero(u < gamma_dt * n_vec[-1] * (1.0 + _BAND))
     u_rows = u[rows]
@@ -377,14 +410,13 @@ def _class_step(states, cls, n_live, u, gamma_dt, n_vec, sqrt_n, decay2, jumps, 
         rows = np.flatnonzero(u < gamma_dt * (np.abs(states[cls]) ** 2 @ n_vec))
     else:
         rows = rows[u_rows < thr]
-    parents, child, n_jumped = np.unique(cls[rows], return_inverse=True, return_counts=True)
-    pre = states[parents]
-    shifted = np.zeros_like(pre)
-    shifted[:, :-1] = pre[:, 1:] * sqrt_n
-    norms = np.linalg.norm(shifted, axis=1, keepdims=True)
+    parents, child, n_jumped = _group(cls[rows], n_live)
+    unit = np.zeros((len(parents), states.shape[1]), dtype=complex)
+    np.multiply(states[parents, 1:], sqrt_n, out=unit[:, :-1])
+    norms = _row_norms(unit)
     if np.any(norms < 1e-14):
         raise ArithmeticError("jump applied to (near-)vacuum trajectory")
-    unit = shifted / norms
+    np.divide(unit, norms, out=unit)
     moved = np.bincount(cls, minlength=n_live)[parents] == n_jumped
     slots = np.where(moved, parents, n_live + np.cumsum(~moved) - 1)
     cls[rows] = slots[child]
@@ -400,7 +432,7 @@ def _class_step(states, cls, n_live, u, gamma_dt, n_vec, sqrt_n, decay2, jumps, 
         block = states[start:min(start + _BLOCK, n_live)]
         n = max(n_old - start, 0)
         old = block.view(float)[:n]
-        old *= decay2
+        old *= decay2[:old.size].reshape(old.shape)
         _renormalize(block[:n])
         take = slice(cuts[k], cuts[k + 1])
         block[slots[take] - start] = unit[take]
@@ -421,7 +453,10 @@ def _unravel(config: QecRunConfig, states: np.ndarray, cls: np.ndarray, draws, s
     phase come first, then the initial check and the line steps with their
     scheduled checks.  Each step pulls its row from the stream when it
     runs; the initial check's row is pulled and not used, so the step
-    rows keep their places in every trajectory's stream.
+    rows keep their places in every trajectory's stream.  Each stage
+    builds its no-jump decay once, tiled over _BLOCK rows (_decay_tile,
+    368 KB at dim 45), so each micro-step scales a block of class rows in
+    one contiguous multiply instead of one short loop per row.
     snapshot(step_no, n_live, flips) is called after the initial check
     (step 0) and after every step, with the live class count and the
     classes' flip counts, indexed like the rows of states: trajectory j's
@@ -456,7 +491,7 @@ def _unravel(config: QecRunConfig, states: np.ndarray, cls: np.ndarray, draws, s
     n_exc = config.n_excitation_steps
     if n_exc:
         g_dt = config.excitation_gamma_t / n_exc
-        decay2 = np.repeat(np.exp(-0.5 * g_dt * n_vec), 2)
+        decay2 = _decay_tile(g_dt, n_vec)
         for u in islice(draws, n_exc):
             n_live = _class_step(states, cls, n_live, u, g_dt, n_vec, sqrt_n, decay2, jumps,
                                  flips)
@@ -473,7 +508,7 @@ def _unravel(config: QecRunConfig, states: np.ndarray, cls: np.ndarray, draws, s
     if snapshot is not None:
         snapshot(0, n_live, flips)
     gamma_dx = 2.0 * config.k0_kappa2 * config.step
-    decay2 = np.repeat(np.exp(-0.5 * gamma_dx * n_vec), 2)
+    decay2 = _decay_tile(gamma_dx, n_vec)
     for i, (due, u) in enumerate(zip(schedule, draws, strict=True)):
         n_live = _class_step(states, cls, n_live, u, gamma_dx, n_vec, sqrt_n, decay2, jumps,
                              flips, due)
@@ -522,7 +557,7 @@ def _recovered(states: np.ndarray, flips: np.ndarray, bases: dict,
     phase = (-1j) ** (flips % 4)
     vec = (same[0][:, None] * bases[(0, +1)] + (phase * same[1])[:, None] * bases[(1, +1)]
            + other[0][:, None] * bases[(0, -1)] + (phase * other[1])[:, None] * bases[(1, -1)])
-    return vec, np.sqrt(np.add.reduce((vec.conj() * vec).real, axis=1))
+    return vec, _row_norms(vec)[:, 0]
 
 
 def _f0_analytic(config: QecRunConfig, inputs) -> float:

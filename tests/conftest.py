@@ -4,8 +4,9 @@ coherent states, the Fock rendering of a coherent mixture, the Kraus-sum
 pure-loss channel damp_fock, the first-order damping Kraus pair and the
 cat-code jump relations), a per-trajectory quantum-jump loop over one
 Fock vector, the ensemble streams built one Generator per trajectory
-(and the engine run on them), the complex-arithmetic ensemble micro-step
-and parity projection and the ensemble loop built on them, the
+(and the engine run on them), the complex-arithmetic ensemble micro-step,
+the jumping trajectories grouped by class with np.unique, the parity
+projection and the ensemble loop built on them, the
 whole-array float-view parity projection, run_ensemble with whole-array
 recovery scoring, the ATR amplitudes by an LU solve of each 4x4 boundary
 system in double precision or in mpmath, the interband conductivity
@@ -376,6 +377,12 @@ def channel_step_oracle(states, u, gamma_dt, n_vec, sqrt_n, decay, jumps) -> Non
             raise ArithmeticError("jump applied to (near-)vacuum trajectory")
         states[mask] = shifted / norms
         jumps += mask
+
+
+def group_oracle(jumped):
+    """The jumping trajectories' classes by sorting: np.unique's distinct
+    class ids, each trajectory's index into them and each id's count."""
+    return np.unique(jumped, return_inverse=True, return_counts=True)
 
 
 def parity_oracle(states, uniforms):

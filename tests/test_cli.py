@@ -261,6 +261,19 @@ class TestQecCommand:
             reference = [ln for ln in fh.read().splitlines() if not ln.startswith("#")]
         assert [ln for ln in out.read_text().splitlines() if not ln.startswith("#")] == reference
 
+    def test_seed7_fractional_parity_table_matches_reference(self, tmp_path):
+        # checks between only some steps at p = 0.6, where two jumps leave
+        # a class's flips unchanged, with more live classes than one sweep
+        # block; the data rows stored in tests/data, byte for byte
+        out = tmp_path / "q.csv"
+        argv = ["qec", "--config", str(CONFIG_DIR / "fig5.cfg"), "--p-list", "0.6",
+                "--k0kappa2x-max", "0.06", "--trajectories", "3000", "--seed", "7",
+                "--workers", "1"]
+        assert main(argv + ["--out", str(out)]) == 0
+        reference = (ROOT / "tests" / "data" / "qec-fractional-parity.csv").read_text()
+        assert [ln for ln in out.read_text().splitlines() if not ln.startswith("#")] == \
+            reference.splitlines()
+
     def test_f_bar_held_to_one(self, tmp_path):
         # at alpha = 38.5 the scores at x = 0 round to just above 1, and the
         # mean read 1.0000000000000002
@@ -594,9 +607,12 @@ class TestUsageErrors:
         QEC_SMALL + ["--trajectories", "4", "--k0kappa2x-max", "nan"],
         QEC_SMALL + ["--trajectories", "4", "--beta", "1.5"],
         QEC_SMALL + ["--trajectories", "4", "--beta", "-1.5"],
+        ["prism", "reflectance-map", "--theta-max-deg", "60", "--theta-min-deg", "70"],
+        ["prism", "beta-sweep", "--d-points", "2", "--d-max-um", "5", "--d-min-um", "10"],
     ])
     def test_non_finite_or_out_of_range_rejected(self, tmp_path, capsys, argv):
-        # these used to exit 0 with nan rows, or exit 2 or 3 without naming the flag
+        # these used to exit 0 with nan rows or a descending table, or exit
+        # 2 or 3 without naming the flag
         flag, value = argv[-2:]
         assert main(argv + ["--out", str(tmp_path / "t.csv")]) == 2
         assert not list(tmp_path.iterdir())

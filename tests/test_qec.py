@@ -20,6 +20,7 @@ from conftest import (
     ensemble_uniforms_oracle,
     f0_oracle,
     fock_trajectory,
+    group_oracle,
     kraus_completeness_residual,
     kraus_pair,
     last_outcome,
@@ -45,8 +46,10 @@ from gspp.qec import (
     _BLOCK,
     _class_step,
     _code_basis,
+    _decay_tile,
     _ensemble_uniforms,
     _f0_analytic,
+    _group,
     _recovered,
     _unravel,
 )
@@ -112,7 +115,7 @@ def step_without_jumps(states, gamma_dt):
     n_vec = np.arange(dim, dtype=float)
     jumps, flips = class_record(nt)
     _class_step(states, np.arange(nt), nt, np.ones(nt), gamma_dt, n_vec, np.sqrt(n_vec[1:]),
-                np.repeat(np.exp(-0.5 * gamma_dt * n_vec), 2), jumps, flips)
+                _decay_tile(gamma_dt, n_vec), jumps, flips)
     assert not jumps.any()
 
 
@@ -685,7 +688,7 @@ class TestMicroStepOracle:
             decay = np.exp(-0.5 * gamma_dt * n_vec)
             u = rng.random(nt) * (0.2 if k % 5 == 0 else 1.0)  # bursts of jumps
             n_live = _class_step(new, cls, n_live, u, gamma_dt, n_vec, sqrt_n,
-                                 np.repeat(decay, 2), *record)
+                                 _decay_tile(gamma_dt, n_vec), *record)
             channel_step_oracle(old, u, gamma_dt, n_vec, sqrt_n, decay, jumps_old)
             assert np.array_equal(new[cls].view(float), old.view(float))
             assert np.array_equal(np.unique(cls), np.arange(n_live))
@@ -715,7 +718,7 @@ class TestMicroStepOracle:
             u = rng.random(nt) * (0.2 if k % 5 == 0 else 1.0)  # bursts of jumps
             check = bool(k % 2)
             n_live = _class_step(new, cls, n_live, u, gamma_dt, n_vec, sqrt_n,
-                                 np.repeat(decay, 2), *record, check)
+                                 _decay_tile(gamma_dt, n_vec), *record, check)
             channel_step_oracle(old, u, gamma_dt, n_vec, sqrt_n, decay, jumps_old)
             if check:
                 outcome = parity_oracle(old, np.zeros(nt))
@@ -726,6 +729,20 @@ class TestMicroStepOracle:
             assert np.array_equal(np.unique(cls), np.arange(n_live))
         assert jumps_old.sum() > nt and flips > 0  # jumps and parity flips exercised
 
+    @given(n_live=st.integers(1, 3 * _BLOCK + 1), n_jumped=st.integers(0, 3 * _BLOCK + 1),
+           spread=st.integers(1, 3 * _BLOCK + 1), seed=st.integers(0, 2**32 - 1))
+    @example(n_live=1, n_jumped=0, spread=1, seed=0)  # no trajectory jumps
+    @example(n_live=1, n_jumped=40, spread=1, seed=0)  # one class
+    @example(n_live=3 * _BLOCK + 1, n_jumped=3 * _BLOCK + 1, spread=3 * _BLOCK + 1, seed=1)
+    def test_grouping_matches_unique(self, n_live, n_jumped, spread, seed):
+        # the jumping trajectories' class ids, drawn from the first spread
+        # classes or from all of them, in any order and with repeats
+        rng = np.random.default_rng(seed)
+        jumped = rng.integers(0, min(spread, n_live), size=n_jumped).astype(np.intp)
+        jumped[rng.random(n_jumped) < 0.1] = n_live - 1
+        for got, want in zip(_group(jumped, n_live), group_oracle(jumped), strict=True):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
     def test_one_row_jump_and_vacuum_errors(self):
         dim = 8
         n_vec = np.arange(dim, dtype=float)
@@ -735,7 +752,7 @@ class TestMicroStepOracle:
         odd = np.zeros((1, dim), dtype=complex)
         odd[0, 1] = 1.0
         one = np.zeros(1, dtype=np.intp)
-        decay2 = np.repeat(np.exp(-0.005 * n_vec), 2)
+        decay2 = _decay_tile(0.01, n_vec)
         state = odd.copy()
         record = class_record(1)
         _class_step(state, one, 1, np.array([0.0]), 0.01, n_vec, sqrt_n, decay2, *record)
@@ -910,8 +927,8 @@ class TestDecisionShortcuts:
             u[rows] = near(thr[rows], rng, len(rows))
             jumps_new, flips = class_record(nt)
             jumps_old = np.zeros(nt, dtype=int)
-            _class_step(new, cls, n_classes, u, gamma_dt, n_vec, sqrt_n, np.repeat(decay, 2),
-                        jumps_new, flips)
+            _class_step(new, cls, n_classes, u, gamma_dt, n_vec, sqrt_n,
+                        _decay_tile(gamma_dt, n_vec), jumps_new, flips)
             channel_step_oracle(old, u, gamma_dt, n_vec, sqrt_n, decay, jumps_old)
             assert np.array_equal(jumps_new[cls], jumps_old)
             assert np.array_equal(new[cls].view(float), old.view(float))
@@ -963,7 +980,7 @@ class TestDecisionShortcuts:
         record = class_record(nt)
         jumps_old = np.zeros(nt, dtype=int)
         n_live = _class_step(new, cls, n_classes, u, gamma_dt, n_vec, sqrt_n,
-                             np.repeat(decay, 2), *record)
+                             _decay_tile(gamma_dt, n_vec), *record)
         channel_step_oracle(old, u, gamma_dt, n_vec, sqrt_n, decay, jumps_old)
         assert np.array_equal(record[0][cls], jumps_old)
         assert np.array_equal(new[cls].view(float), old.view(float))
@@ -973,8 +990,8 @@ class TestDecisionShortcuts:
         # on draws of 0, which measures each row's sector: the start sector
         # times (-1)^jumps
         new, cls, record = start, start_cls.copy(), class_record(nt)
-        _class_step(new, cls, n_classes, u, gamma_dt, n_vec, sqrt_n, np.repeat(decay, 2),
-                    *record, True)
+        _class_step(new, cls, n_classes, u, gamma_dt, n_vec, sqrt_n,
+                    _decay_tile(gamma_dt, n_vec), *record, True)
         outcome = parity_oracle(old, np.zeros(nt))
         assert np.array_equal(outcome, np.where(jumps_old % 2 == 0, sector, -sector))
         assert np.array_equal(record[0][cls], jumps_old)
@@ -998,8 +1015,8 @@ class TestBlockedSweep:
         # one class per row, so the sweep's block edges fall where the rows'
         # do, and the class record is the per-trajectory one
         new, cls, (jumps_new, flips) = states.copy(), np.arange(nt), class_record(nt)
-        _class_step(new, cls, nt, u, gamma_dt, n_vec, sqrt_n, np.repeat(decay, 2), jumps_new,
-                    flips, check)
+        _class_step(new, cls, nt, u, gamma_dt, n_vec, sqrt_n, _decay_tile(gamma_dt, n_vec),
+                    jumps_new, flips, check)
         old, jumps_old = states.copy(), np.zeros(nt, dtype=int)
         channel_step_oracle(old, u, gamma_dt, n_vec, sqrt_n, decay, jumps_old)
         outcome = parity_oracle(old, np.zeros(nt)) if check else None
@@ -1114,7 +1131,7 @@ class TestBlockedRecovery:
         jumps_old = np.zeros(nt, dtype=int)
         monkeypatch.setattr("gspp.qec._BLOCK", block)
         n_live = _class_step(states, cls, n_classes, u, gamma_dt, n_vec, sqrt_n,
-                             np.repeat(decay, 2), *record, True)
+                             _decay_tile(gamma_dt, n_vec), *record, True)
         channel_step_oracle(ref, u, gamma_dt, n_vec, sqrt_n, decay, jumps_old)
         expected = parity_oracle(ref, np.zeros(nt))
         assert np.array_equal(record[0][cls], jumps_old)
