@@ -271,7 +271,7 @@ def cmd_sigma(args) -> int:
     params = material_from_args(args)
     freqs = frequency_grid(args.fmin_thz, args.fmax_thz, args.points, args.log_spacing)
     smin = sigma_min()
-    sig = np.array([conductivity(params, 2.0 * math.pi * f).value for f in freqs])
+    sig = conductivity(params, 2.0 * math.pi * freqs).value
     write_csv(args.out, args.command, parameter_echo(args, params),
               {"freq_hz": freqs, "sigma_re_S": sig.real, "sigma_im_S": sig.imag,
                "sigma_re_over_min": sig.real / smin, "sigma_im_over_min": sig.imag / smin})
@@ -281,20 +281,22 @@ def cmd_sigma(args) -> int:
 def cmd_dispersion(args) -> int:
     params = material_from_args(args)
     freqs = frequency_grid(args.fmin_thz, args.fmax_thz, args.points, args.log_spacing)
-    table = {name: [] for name in ("freq_hz", "pol", "supported", "kappa_re", "kappa_im",
-                                   "q0_re_per_m", "vg_m_s", "lambda_eff_m", "L_prop_m")}
-    for f in freqs:
-        sig = conductivity(params, 2.0 * math.pi * f)
-        for pol in (TM, TE):
-            mode = solve_mode(params, sig, pol)
-            if mode.supported:
-                lam_eff, l_prop = effective_wavelength(mode), propagation_length(mode)
-            else:
-                lam_eff = l_prop = math.nan
-            row = (f, pol, int(mode.supported), mode.kappa.real, mode.kappa.imag,
-                   mode.q0.real, mode.v_g, lam_eff, l_prop)
-            for column, value in zip(table.values(), row):
-                column.append(value)
+    sig = conductivity(params, 2.0 * math.pi * freqs)
+    modes = [solve_mode(params, sig, pol) for pol in (TM, TE)]
+    with np.errstate(divide="ignore"):  # the lengths of unsupported rows are dropped
+        columns = {
+            "supported": [mode.supported.astype(int) for mode in modes],
+            "kappa_re": [mode.kappa.real for mode in modes],
+            "kappa_im": [mode.kappa.imag for mode in modes],
+            "q0_re_per_m": [mode.q0.real for mode in modes],
+            "vg_m_s": [mode.v_g for mode in modes],
+            "lambda_eff_m": [np.where(mode.supported, effective_wavelength(mode), math.nan)
+                             for mode in modes],
+            "L_prop_m": [np.where(mode.supported, propagation_length(mode), math.nan)
+                         for mode in modes]}
+    # each frequency's TM row, then its TE row
+    table = {"freq_hz": np.repeat(freqs, 2), "pol": [TM, TE] * len(freqs)}
+    table |= {name: np.stack(pair, axis=1).ravel() for name, pair in columns.items()}
     write_csv(args.out, args.command, parameter_echo(args, params), table)
     return 0
 

@@ -4,9 +4,12 @@ Two evaluation paths are provided: the full finite-temperature form
 (intraband Drude term plus an interband integral over the Fermi-Dirac
 occupation difference) and the closed-form low-temperature limit (Drude
 term plus step and logarithm).  `conductivity_slope` gives d sigma/d omega
-on the same two paths.  All internal arithmetic is in SI; the
-chemical potential is accepted in eV at the API boundary and converted
-once.
+on the same two paths.  Both take one frequency or an array of them: the
+closed form and the slope kernel run as numpy expressions over the whole
+sweep, the full form's integral one frequency at a time, and each element
+of a sweep has the bits of its one-point call.  All internal arithmetic is
+in SI; the chemical potential is accepted in eV at the API boundary and
+converted once.
 """
 
 from __future__ import annotations
@@ -27,10 +30,14 @@ def quad(*args, **kwargs):
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive quadrature did not converge within its subdivision budget."""
+    """A quadrature missed its tolerance at a frequency: adaptive QUADPACK
+    ran out of subdivisions, or a fixed rule's error estimate is too large.
+    On a sweep it names the first frequency that failed."""
 
-    def __init__(self, message: str, error_estimate: float):
-        super().__init__(f"{message} (attained error estimate {error_estimate:.3e})")
+    def __init__(self, message: str, error_estimate: float, omega: float):
+        self.frequency_hz = float(omega) / (2.0 * math.pi)
+        super().__init__(f"{message} at {self.frequency_hz:.9g} Hz"
+                         f" (attained error estimate {error_estimate:.3e})")
         self.error_estimate = error_estimate
 
 
@@ -139,17 +146,18 @@ class GrapheneParams:
 
 @dataclass(frozen=True)
 class Conductivity:
-    """Complex sheet conductivity (S) evaluated at radian frequency omega."""
+    """Complex sheet conductivity (S) evaluated at radian frequency omega:
+    one point, or a sweep with value and omega arrays of one shape."""
 
-    value: complex
-    omega: float
+    value: complex | np.ndarray
+    omega: float | np.ndarray
 
     @property
-    def real(self) -> float:
+    def real(self) -> float | np.ndarray:
         return self.value.real
 
     @property
-    def imag(self) -> float:
+    def imag(self) -> float | np.ndarray:
         return self.value.imag
 
 
@@ -158,7 +166,7 @@ def sigma_min() -> float:
     return CONSTANTS.e**2 / (4.0 * CONSTANTS.hbar)
 
 
-def _intraband_full(params: GrapheneParams, omega: float) -> complex:
+def _intraband_full(params: GrapheneParams, omega):
     """Drude-like intraband term of the finite-temperature conductivity."""
     k = CONSTANTS
     kT = k.kB * params.temperature
@@ -168,22 +176,18 @@ def _intraband_full(params: GrapheneParams, omega: float) -> complex:
     return 1j * k.e**2 * kT * bracket / (math.pi * k.hbar**2 * (omega + 1j * params.gamma_intra))
 
 
-def _interband_integral(params: GrapheneParams, omega: float, power: int) -> complex:
-    """Integral over u > 0 of d(u)/(abar^2 - u^2)^power, with d(u) the Fermi
-    occupation difference and abar = (omega + i*gamma_inter)/omega.
-
-    Power 1 is the interband conductivity's energy integral, power 2 its
-    omega-derivative kernel K2.  The energy integral is rescaled with
+def _interband_integral(params: GrapheneParams, omega: float) -> complex:
+    """Integral over u > 0 of d(u)/(abar^2 - u^2), with d(u) the Fermi
+    occupation difference and abar = (omega + i*gamma_inter)/omega: the
+    interband conductivity's energy integral, rescaled with
     eps = hbar*omega*u/2 so the (gamma-shifted) resonance sits at u ~ abar.
-    Both powers share the scales, the pole and onset and the cut: the
-    integral runs on [0, u_cut] where d(u) still deviates from 1; beyond
+
+    The integral runs on [0, u_cut] where d(u) still deviates from 1; beyond
     u_cut it is 1 to machine precision and the remainder is added in closed
-    form (power 1) or as a series in (abar/u_cut)^2 (power 2), so the
-    truncation error is far below 1e-10 of the accumulated value.  Power 1
-    runs adaptive QUADPACK with the pole and onset as breakpoints, power 2
-    a fixed-panel Gauss-Legendre rule.
-    Raises QuadratureError when an adaptive run exhausts its subdivisions
-    or the panel rule's error estimate exceeds 1e-9 and 1e-9 of its value.
+    form, so the truncation error is far below 1e-10 of the accumulated
+    value.  Adaptive QUADPACK, with the pole and onset as breakpoints.
+    `_slope_kernel` takes the same scales, pole, onset and cut.  Raises
+    QuadratureError when a run exhausts its subdivisions.
     """
     k = CONSTANTS
     kT = k.kB * params.temperature
@@ -198,52 +202,6 @@ def _interband_integral(params: GrapheneParams, omega: float, power: int) -> com
 
     pole = abar.real if abar.real > 0 else abs(abar)
     pole_width = max(abar.imag, 1e-3)
-
-    if power == 2:
-        # Remainder for u > u_cut, where d(u) == 1: with v = u_cut/u and
-        # r = (abar/u_cut)^2, |r| <= 1/9 as u_cut >= 3|abar|, it is
-        # u_cut^-3 * integral over [0, 1] of v^2/(1 - r v^2)^2 dv
-        # = u_cut^-3 * sum over n of (n + 1) r^n/(2n + 3).  The closed form
-        # is two terms near 1/(2 abar^2 u_cut) that cancel to about
-        # 1/(3 u_cut^3), losing their last digits.
-        r = (abar / u_cut) ** 2
-        tail = 0.0
-        for c in _TAIL_SERIES:
-            tail = tail * r + c
-        tail /= u_cut**3
-        # Composite Gauss-Legendre on panels whose lengths double away from
-        # the pole and the onset, every node in one array: the 16-point
-        # rule, with the 12-point rule on the same panels as its estimate.
-        # The pole's panels are sized by the resonance's own width
-        # Im(abar) = gamma_inter/omega, however narrow, not by the floored
-        # pole_width of the quad breakpoints.
-        nodes, weights = _panel_rule()
-        po, so = _doublings(abar.imag, u_cut), _doublings(step_width, u_cut)
-        edges = np.concatenate(([0.0, u_cut, pole, u_step], pole + po, pole - po,
-                                u_step + so, u_step - so))
-        edges = np.unique(np.clip(edges, 0.0, u_cut))
-        lo, length = edges[:-1, None], np.diff(edges)[:, None]
-        t = length * nodes
-        u = lo + t
-        # d(u) = sinh(a)/(cosh(a) + cosh(xmu)) with a = s*u > 0, top and
-        # bottom divided by exp(max(a, xmu)): no exponential overflows, and
-        # no two occupations near 1 are subtracted
-        a = s * u
-        e = np.exp(-np.abs(a - xmu))
-        d = (np.where(a < xmu, e, 1.0) * -np.expm1(-2.0 * a)
-             / ((1.0 + np.exp(-(a + xmu))) * (1.0 + e)))
-        # abar^2 - u^2 as (abar - u)(abar + u), with Re(abar) - u taken from
-        # the panel's own offset t: abar^2 - u^2 itself loses 1e-16 absolute
-        # to cancellation, relative 1e-16/Im(abar) next to a narrow pole
-        denom = ((abar.real - lo) - t + 1j * abar.imag) * (abar + u)
-        fine, coarse = ((length * d / (denom * denom)) @ weights).sum(axis=0)
-        # quad's epsabs and epsrel of 1e-9: where K2 is far below 1 (a narrow
-        # resonance at low frequency), rounding of about 1e-17 alone can
-        # exceed 1e-9 of it
-        if abs(fine - coarse) > 1e-9 * max(1.0, abs(fine)):
-            raise QuadratureError("interband conductivity slope integral did not converge",
-                                  float(abs(fine - coarse)))
-        return complex(fine) + tail
     # closed-form remainder for u > u_cut with d(u) == 1; at u -> inf the
     # log tends to -i*pi
     tail = (-1j * math.pi - np.log((abar + u_cut) / (abar - u_cut))) / (2.0 * abar)
@@ -292,7 +250,8 @@ def _interband_integral(params: GrapheneParams, omega: float, power: int) -> com
         out = quad(integrand, 0.0, u_cut, points=points,
                    epsabs=1e-9, epsrel=1e-9, limit=400, full_output=1)
         if len(out) > 3:
-            raise QuadratureError("interband conductivity integral did not converge", out[1])
+            raise QuadratureError("interband conductivity integral did not converge",
+                                  out[1], omega)
         pieces.append(out[0])
     return pieces[0] + 1j * pieces[1] + tail
 
@@ -301,13 +260,21 @@ _POWERS_OF_TWO = 2.0 ** np.arange(-3.0, 1024.0)
 # (n + 1)/(2n + 3) for n = 19 down to 0, in Horner order: the 20 terms of
 # K2's tail series leave 9^-20 of its first
 _TAIL_SERIES = tuple((n + 1) / (2 * n + 3) for n in range(19, -1, -1))
+# Gauss-Legendre nodes per block of the slope kernel: a block's temporaries
+# stay near 256 KB however long the sweep (2**16 was as fast but added
+# 9 MiB to a fig2b run's peak RSS, this 3 MiB)
+_BLOCK_NODES = 2**14
 
 
 def _doublings(width, reach):
     """Offsets width*{2^-3, 2^-2, ...} of panel edges from a feature of the
-    given width, panels doubling in length away from it, out to the first
-    offset that covers reach (reach >= 3 widths here, so never empty)."""
-    return width * _POWERS_OF_TWO[:math.ceil(math.log2(reach / width)) + 4]
+    given width, one row per frequency, panels doubling in length away from
+    it out to the first offset that covers reach (reach >= 3 widths here,
+    so never empty); nan past the last offset of a row."""
+    count = np.ceil(np.log2(reach / width)).astype(int) + 4
+    offsets = width[:, None] * _POWERS_OF_TWO[:count.max()]
+    offsets[np.arange(count.max()) >= count[:, None]] = np.nan
+    return offsets
 
 
 @functools.cache
@@ -323,20 +290,112 @@ def _panel_rule():
     return 0.5 * (1.0 + np.concatenate((x16, x12))), weights
 
 
+def _slope_kernel(params: GrapheneParams, omegas: np.ndarray) -> np.ndarray:
+    """K2 = integral over u > 0 of d(u)/(abar^2 - u^2)^2 at each frequency of
+    the 1-D array omegas: the omega-derivative kernel of the interband
+    integral, on `_interband_integral`'s scales, pole, onset and cut.
+
+    Past u_cut, where d(u) == 1: with v = u_cut/u and r = (abar/u_cut)^2,
+    |r| <= 1/9 as u_cut >= 3|abar|, the remainder is u_cut^-3 * integral
+    over [0, 1] of v^2/(1 - r v^2)^2 dv = u_cut^-3 * sum over n of
+    (n + 1) r^n/(2n + 3).  The closed form is two terms near
+    1/(2 abar^2 u_cut) that cancel to about 1/(3 u_cut^3), losing their
+    last digits.  Below u_cut, a composite 16-point Gauss-Legendre rule on
+    panels whose lengths double away from the pole and the onset, with the
+    12-point rule on the same panels as its estimate.  The pole's panels
+    are sized by the resonance's own width Im(abar) = gamma_inter/omega,
+    however narrow.  Every frequency's panels go into one array, evaluated
+    in blocks of about _BLOCK_NODES nodes; each panel's rule sums are taken
+    node by node, and each frequency's sum over its own panels, so a
+    frequency's K2 has the same bits alone or in any sweep.
+    Raises QuadratureError, at the first such frequency, where the two
+    rules differ by more than 1e-9 and 1e-9 of the value.
+    """
+    k = CONSTANTS
+    kT = k.kB * params.temperature
+    mu = abs(params.mu_c) * k.e
+    abar = (omegas + 1j * params.gamma_inter) / omegas
+    s = k.hbar * omegas / (2.0 * kT)
+    xmu = mu / kT
+    u_step = 2.0 * mu / (k.hbar * omegas)
+    step_width = 2.0 * kT / (k.hbar * omegas)
+    u_cut = np.maximum(np.maximum(4.0, 3.0 * np.abs(abar)), u_step + 60.0 * step_width + 2.0)
+    pole = np.where(abar.real > 0, abar.real, np.abs(abar))
+
+    r = (abar / u_cut) ** 2
+    tail = np.zeros_like(abar)
+    for c in _TAIL_SERIES:
+        tail = tail * r + c
+    tail /= u_cut**3
+
+    # each frequency's panel edges, sorted, with nan pads last: a panel is
+    # two neighbouring edges that differ
+    po, so = _doublings(abar.imag, u_cut), _doublings(step_width, u_cut)
+    features = np.column_stack((np.zeros_like(u_cut), u_cut, pole, u_step))
+    edges = np.concatenate((features, pole[:, None] + po, pole[:, None] - po,
+                            u_step[:, None] + so, u_step[:, None] - so), axis=1)
+    edges = np.sort(np.clip(edges, 0.0, u_cut[:, None]), axis=1)
+    panels = edges[:, 1:] > edges[:, :-1]
+    which = np.nonzero(panels)[0]   # each panel's frequency, in sweep order
+    lo, length = edges[:, :-1][panels], np.diff(edges, axis=1)[panels]
+
+    nodes, weights = _panel_rule()
+    sums = np.empty((weights.shape[1], len(lo)), dtype=complex)
+    step = max(1, _BLOCK_NODES // len(nodes))
+    for start in range(0, len(lo), step):
+        block = slice(start, start + step)
+        f, lo_b, length_b = which[block], lo[block], length[block]
+        t = nodes[:, None] * length_b
+        u = lo_b + t
+        # d(u) = sinh(a)/(cosh(a) + cosh(xmu)) with a = s*u > 0, top and
+        # bottom divided by exp(max(a, xmu)): no exponential overflows, and
+        # no two occupations near 1 are subtracted
+        a = s[f] * u
+        e = np.exp(-np.abs(a - xmu))
+        d = (np.where(a < xmu, e, 1.0) * -np.expm1(-2.0 * a)
+             / ((1.0 + np.exp(-(a + xmu))) * (1.0 + e)))
+        # abar^2 - u^2 as (abar - u)(abar + u), with Re(abar) - u taken from
+        # the panel's own offset t: abar^2 - u^2 itself loses 1e-16 absolute
+        # to cancellation, relative 1e-16/Im(abar) next to a narrow pole
+        ab = abar[f]
+        denom = ((ab.real - lo_b) - t + 1j * ab.imag) * (ab + u)
+        values = length_b * d / (denom * denom)
+        # weights.T @ values one node at a time (BLAS may order the sum by
+        # the block's shape), each rule over its own nodes
+        sums[:, block] = 0.0
+        for rule, column in zip(sums[:, block], weights.T):
+            for j in np.flatnonzero(column):
+                rule += column[j] * values[j]
+    fine, coarse = np.add.reduceat(sums, np.searchsorted(which, np.arange(len(omegas))), axis=1)
+    # quad's epsabs and epsrel of 1e-9: where K2 is far below 1 (a narrow
+    # resonance at low frequency), rounding of about 1e-17 alone can
+    # exceed 1e-9 of it
+    error = np.abs(fine - coarse)
+    failed = np.flatnonzero(error > 1e-9 * np.maximum(1.0, np.abs(fine)))
+    if failed.size:
+        i = failed[0]
+        raise QuadratureError("interband conductivity slope integral did not converge",
+                              float(error[i]), omegas[i])
+    return fine + tail
+
+
 def _interband_full(params: GrapheneParams, omega: float) -> complex:
     """Interband term of the finite-temperature conductivity."""
     k = CONSTANTS
     a = omega + 1j * params.gamma_inter
-    return (1j * k.e**2 * a * _interband_integral(params, omega, 1)
+    return (1j * k.e**2 * a * _interband_integral(params, omega)
             / (2.0 * math.pi * k.hbar * omega))
 
 
 def conductivity_full(params: GrapheneParams, omega: float) -> Conductivity:
-    """Finite-temperature sheet conductivity (intraband + interband integral).
+    """Finite-temperature sheet conductivity (intraband + interband integral)
+    at one frequency, taken as a Python float: the bits do not depend on
+    the type of omega.
 
     Requires temperature > 0; at T = 0 the closed low-temperature form is
     the appropriate (and exact) limit.
     """
+    omega = float(omega)
     if omega <= 0.0:
         raise ValueError("omega must be > 0")
     if params.temperature <= 0.0:
@@ -345,52 +404,86 @@ def conductivity_full(params: GrapheneParams, omega: float) -> Conductivity:
     return Conductivity(value=params.n_layers * value, omega=omega)
 
 
-def conductivity_lowT(params: GrapheneParams, omega: float) -> Conductivity:
-    """Low-temperature closed form: Drude term plus interband step and log.
+def _off_log_singularity(hw: np.ndarray, mu: float, omegas: np.ndarray) -> None:
+    """Raise LogSingularityError at the first frequency where
+    hbar*omega == 2*mu exactly."""
+    singular = np.flatnonzero(hw == 2.0 * mu)
+    if singular.size:
+        raise LogSingularityError(
+            f"hbar*omega equals 2*mu_c exactly at {omegas[singular[0]] / (2.0 * math.pi):.9g} Hz;"
+            " offset omega away from the log singularity")
+
+
+def _sweep(omega) -> np.ndarray:
+    """omega as a 1-D float array: a one-point call runs the sweep's numpy
+    loops on one element, so it has the bits of that element in any sweep
+    (numpy's scalar complex product rounds differently)."""
+    return np.atleast_1d(np.asarray(omega, dtype=float))
+
+
+def conductivity_lowT(params: GrapheneParams, omega) -> Conductivity:
+    """Low-temperature closed form: Drude term plus interband step and log,
+    at one frequency or elementwise over an array of them.
 
     Valid for kB*T << min(|mu_c|, hbar*omega).  Exactly at
     hbar*omega = 2*|mu_c| the logarithm diverges and a
     LogSingularityError is raised.
     """
-    if omega <= 0.0:
+    omegas = _sweep(omega)
+    if not np.all(omegas > 0.0):
         raise ValueError("omega must be > 0")
     k = CONSTANTS
     mu = abs(params.mu_c) * k.e
-    hw = k.hbar * omega
-    drude = 1j * k.e**2 * mu / (math.pi * k.hbar**2 * (omega + 1j * params.gamma_intra))
+    hw = k.hbar * omegas
+    drude = 1j * k.e**2 * mu / (math.pi * k.hbar**2 * (omegas + 1j * params.gamma_intra))
     if mu == 0.0:
         inter = k.e**2 / (4.0 * k.hbar)
     else:
-        if hw == 2.0 * mu:
-            raise LogSingularityError(
-                "hbar*omega equals 2*mu_c exactly; offset omega away from the log singularity")
-        step = 1.0 if hw > 2.0 * mu else 0.0
-        inter = k.e**2 / (4.0 * k.hbar) * (step + 1j / math.pi * math.log(abs((hw - 2.0 * mu) / (hw + 2.0 * mu))))
-    return Conductivity(value=params.n_layers * (drude + inter), omega=omega)
+        _off_log_singularity(hw, mu, omegas)
+        step = np.where(hw > 2.0 * mu, 1.0, 0.0)
+        inter = k.e**2 / (4.0 * k.hbar) * (step + 1j / math.pi * np.log(np.abs((hw - 2.0 * mu) / (hw + 2.0 * mu))))
+    value = params.n_layers * (drude + inter)
+    if np.ndim(omega) == 0:
+        return Conductivity(value=value[0], omega=float(omega))
+    return Conductivity(value=value, omega=omegas)
 
 
-def select_mode(params: GrapheneParams, omega: float) -> str:
-    """Backend for params at omega: the one params.conductivity_model pins
-    ('full' or 'low'), or under 'auto' the low-T form when
-    kB*T < 0.01*min(|mu_c|, hbar*omega), and always at T = 0, where the
-    full form is undefined."""
+def select_mode(params: GrapheneParams, omega):
+    """Backend for params at omega, elementwise over an array of
+    frequencies: the one params.conductivity_model pins ('full' or 'low'),
+    or under 'auto' the low-T form when kB*T < 0.01*min(|mu_c|, hbar*omega),
+    and always at T = 0, where the full form is undefined."""
     if params.conductivity_model != "auto":
-        return params.conductivity_model
-    kT = CONSTANTS.kB * params.temperature
-    scale = min(abs(params.mu_c) * CONSTANTS.e, CONSTANTS.hbar * omega)
-    return "low" if kT == 0.0 or kT < 0.01 * scale else "full"
+        mode = np.full(np.shape(omega), params.conductivity_model)
+    else:
+        kT = CONSTANTS.kB * params.temperature
+        scale = np.minimum(abs(params.mu_c) * CONSTANTS.e,
+                           CONSTANTS.hbar * np.asarray(omega, dtype=float))
+        mode = np.where((kT == 0.0) | (kT < 0.01 * scale), "low", "full")
+    return str(mode) if mode.ndim == 0 else mode
 
 
-def conductivity(params: GrapheneParams, omega: float) -> Conductivity:
-    """Sheet conductivity on the backend `select_mode` picks."""
-    if select_mode(params, omega) == "full":
-        return conductivity_full(params, omega)
-    return conductivity_lowT(params, omega)
+def conductivity(params: GrapheneParams, omega) -> Conductivity:
+    """Sheet conductivity at one frequency or elementwise over an array of
+    them, on the backend `select_mode` picks at each: the closed form in one
+    `conductivity_lowT` call, the full form one `conductivity_full` call per
+    frequency, in sweep order."""
+    omegas = np.asarray(omega, dtype=float)
+    low = select_mode(params, omegas) == "low"
+    if omegas.ndim == 0:
+        return conductivity_lowT(params, omega) if low else conductivity_full(params, omega)
+    value = np.empty(omegas.shape, dtype=complex)
+    if low.any():
+        value[low] = conductivity_lowT(params, omegas[low]).value
+    value[~low] = [conductivity_full(params, w).value for w in omegas[~low].tolist()]
+    return Conductivity(value=value, omega=omegas)
 
 
-def conductivity_slope(params: GrapheneParams, sigma: Conductivity) -> complex:
+def conductivity_slope(params: GrapheneParams, sigma: Conductivity):
     """d sigma/d omega (S s) at sigma.omega, where sigma = conductivity(params,
-    sigma.omega), on the backend `select_mode` picks.
+    sigma.omega), on the backend `select_mode` picks; elementwise on a
+    sweep, with K2 for all its full-form frequencies in one
+    `_slope_kernel` call.
 
     Full form: each term carries a factor 1/(omega + i*gamma), whose
     derivative gives -sigma_intra/(omega + i*gamma_intra) and
@@ -398,23 +491,27 @@ def conductivity_slope(params: GrapheneParams, sigma: Conductivity) -> complex:
     denominator adds -(i e^2 abar^2/(pi hbar omega))*K2.  Low-T form: the
     closed form differentiated.
     """
-    omega = sigma.omega
+    omegas, values = _sweep(sigma.omega), np.atleast_1d(sigma.value)
     k = CONSTANTS
     n = params.n_layers
-    if select_mode(params, omega) == "full":
+    full = select_mode(params, omegas) == "full"
+    slope = np.empty(omegas.shape, dtype=complex)
+    if full.any():
+        omega = omegas[full]
         intra = _intraband_full(params, omega)
-        inter = sigma.value / n - intra
+        inter = values[full] / n - intra
         abar = (omega + 1j * params.gamma_inter) / omega
-        kernel = 1j * k.e**2 * abar**2 / (math.pi * k.hbar * omega) * _interband_integral(params, omega, 2)
-        return n * (inter / (omega + 1j * params.gamma_inter)
-                    - intra / (omega + 1j * params.gamma_intra) - kernel)
-    mu = abs(params.mu_c) * k.e
-    hw = k.hbar * omega
-    a = omega + 1j * params.gamma_intra
-    slope = -1j * k.e**2 * mu / (math.pi * k.hbar**2 * a * a)
-    if mu != 0.0:
-        if hw == 2.0 * mu:
-            raise LogSingularityError(
-                "hbar*omega equals 2*mu_c exactly; offset omega away from the log singularity")
-        slope += 1j * k.e**2 * mu / (math.pi * (hw - 2.0 * mu) * (hw + 2.0 * mu))
-    return n * slope
+        kernel = 1j * k.e**2 * abar**2 / (math.pi * k.hbar * omega) * _slope_kernel(params, omega)
+        slope[full] = n * (inter / (omega + 1j * params.gamma_inter)
+                           - intra / (omega + 1j * params.gamma_intra) - kernel)
+    if not full.all():
+        omega = omegas[~full]
+        mu = abs(params.mu_c) * k.e
+        hw = k.hbar * omega
+        a = omega + 1j * params.gamma_intra
+        low = -1j * k.e**2 * mu / (math.pi * k.hbar**2 * a * a)
+        if mu != 0.0:
+            _off_log_singularity(hw, mu, omega)
+            low += 1j * k.e**2 * mu / (math.pi * (hw - 2.0 * mu) * (hw + 2.0 * mu))
+        slope[~full] = n * low
+    return slope[0] if np.ndim(sigma.omega) == 0 else slope

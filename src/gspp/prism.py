@@ -177,22 +177,17 @@ def atr_solve(geom: PrismGeometry, params: GrapheneParams, omega: float) -> AtrS
     return atr_solve_sigma(geom, sigma, omega)
 
 
-def _sigmas(params: GrapheneParams, omegas) -> np.ndarray:
-    """Sheet conductivity at each frequency."""
-    return np.array([conductivity(params, float(w)).value for w in omegas], dtype=complex)
-
-
 def reflectance_map(thetas, omegas, eps1: float, d: float, polarization: str,
                     params: GrapheneParams) -> np.ndarray:
     """Reflectance R = |r|^2 on the (omega, theta) grid, shape
     (len(omegas), len(thetas)).  The conductivity is evaluated once per
-    frequency row; the whole grid is solved as one batch."""
+    frequency row, in one sweep; the whole grid is solved as one batch."""
     _require_vacuum_background(params)
     thetas = np.asarray(thetas, dtype=float)
     omegas = np.asarray(omegas, dtype=float)
     for th in thetas:
         PrismGeometry(eps1=eps1, d=d, theta_i=float(th), polarization=polarization)
-    sigmas = _sigmas(params, omegas)
+    sigmas = conductivity(params, omegas).value
     amps = _atr_amplitudes(eps1, d, polarization, thetas[None, :],
                            sigmas[:, None], omegas[:, None])[0]
     return np.abs(amps[..., 0]) ** 2
@@ -217,7 +212,7 @@ def matching_frequency(geom: PrismGeometry, params: GrapheneParams, omega_lo: fl
     _require_vacuum_background(params)
     d_values = np.asarray(d_values, dtype=float)
     omegas = np.linspace(omega_lo, omega_hi, n_scan)
-    sigmas = _sigmas(params, omegas)
+    sigmas = conductivity(params, omegas).value
     dips = np.full(d_values.shape, math.nan)
     inner, brackets = [], []
     min_refl = math.inf
@@ -249,10 +244,10 @@ def _golden_dips(geom: PrismGeometry, params: GrapheneParams, d: np.ndarray,
     search (minimize_scalar, method='golden'): the same constant, update
     order and stopping rule, and its ValueError for a bad bracket.  Every
     step solves the live lanes' systems as one batch, with sigma computed
-    at each lane's frequency."""
+    at each lane's frequency in one sweep."""
 
     def reflectance(lanes, omegas):
-        sigmas = _sigmas(params, omegas)
+        sigmas = conductivity(params, omegas).value
         r = _atr_amplitudes(geom.eps1, d[lanes], geom.polarization, geom.theta_i,
                             sigmas, omegas)[0][:, 0]
         # AtrSolution.reflectance's abs(r) ** 2 (libm pow), not numpy's square
@@ -302,11 +297,10 @@ def lossless_matching_frequency(geom: PrismGeometry, params: GrapheneParams,
     target = -2.0 * root if geom.polarization == TE else 2.0 / root
 
     def mismatch(w):
-        sig = conductivity(params, float(w))
-        return sig.imag * CONSTANTS.eta0 - target
+        return conductivity(params, w).imag * CONSTANTS.eta0 - target
 
     omegas = np.linspace(omega_lo, omega_hi, n_scan)
-    vals = np.array([mismatch(w) for w in omegas])
+    vals = mismatch(omegas)
     sign_change = np.nonzero(np.diff(np.sign(vals)) != 0)[0]
     if len(sign_change) == 0:
         raise NotResonant("no momentum-matching root in the window")
@@ -437,7 +431,7 @@ def beta_sweep_matched(geom: PrismGeometry, params: GrapheneParams,
     dips = matching_frequency(geom, params, omega_lo, omega_hi, d_values, n_scan=n_scan)
     found = np.flatnonzero(~np.isnan(dips))
     betas = np.zeros(len(dips), dtype=complex)
-    for i, sigma in zip(found, _sigmas(params, dips[found])):
+    for i, sigma in zip(found, conductivity(params, dips[found]).value):
         betas[i] = _overlap_beta(replace(geom, d=float(d_values[i])), sigma, float(dips[i]))
     return betas, dips
 

@@ -578,16 +578,17 @@ def _interband_quad_setup(params, omega):
     return abar, xmu, s, u_cut, points
 
 
-def _quad_complex(integrand, lo, hi, points, what):
+def _quad_complex(integrand, lo, hi, points, what, omega):
     """Integral over [lo, hi] of integrand(x, 0) + i*integrand(x, 1), one
-    quad run per part, with the breakpoints that lie inside."""
+    quad run per part, with the breakpoints that lie inside; a run that
+    does not converge raises QuadratureError at omega."""
     points = [p for p in points if lo < p < hi] or None
     pieces = []
     for part in (0, 1):
         out = quad(integrand, lo, hi, args=(part,), points=points,
                    epsabs=1e-9, epsrel=1e-9, limit=400, full_output=1)
         if len(out) > 3:
-            raise QuadratureError(f"{what} did not converge", out[1])
+            raise QuadratureError(f"{what} did not converge", out[1], omega)
         pieces.append(out[0])
     return pieces[0] + 1j * pieces[1]
 
@@ -604,7 +605,8 @@ def quad_interband_oracle(params, omega):
         val = (expit(xmu + s * u) - expit(xmu - s * u)) / (abar * abar - u * u)
         return val.real if part == 0 else val.imag
 
-    integral = _quad_complex(integrand, 0.0, u_cut, points, "interband conductivity integral")
+    integral = _quad_complex(integrand, 0.0, u_cut, points, "interband conductivity integral",
+                             omega)
     ratio = (abar + u_cut) / (abar - u_cut)
     tail = (-1j * math.pi - np.log(ratio)) / (2.0 * abar)
     a = omega + 1j * params.gamma_inter
@@ -645,10 +647,10 @@ def quad_k2_oracle(params, omega):
 
     what = "interband conductivity slope integral"
     window = [math.atan((p - ar) / b) for p in points]
-    integral = (_quad_complex(over_u, 0.0, lo, points, what)
+    integral = (_quad_complex(over_u, 0.0, lo, points, what, omega)
                 + _quad_complex(over_theta, math.atan((lo - ar) / b),
-                                math.atan((hi - ar) / b), window, what)
-                + _quad_complex(over_u, hi, u_cut, points, what))
+                                math.atan((hi - ar) / b), window, what, omega)
+                + _quad_complex(over_u, hi, u_cut, points, what, omega))
     ratio = (abar + u_cut) / (abar - u_cut)
     return integral + ((-1j * math.pi - cmath.log(ratio)) / (4.0 * abar**3)
                        - u_cut / (2.0 * abar**2 * (abar**2 - u_cut**2)))

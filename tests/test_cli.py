@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import csv_rows_oracle
-from gspp.cli import build_parser, config_defaults, load_config, main, write_csv
+from gspp.cli import build_parser, config_defaults, frequency_grid, load_config, main, write_csv
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = ROOT / "configs"
@@ -96,11 +96,14 @@ class TestDispersionCommand:
         assert int(te_row[2]) == 0  # flagged unsupported at this frequency
         assert math.isnan(float(te_row[6]))
 
-    def test_conductivity_calls_per_frequency(self, tmp_path, full_calls):
-        # one conductivity per frequency, shared by both polarization rows
-        # and the group velocity
-        assert main(["dispersion", "--points", "3", "--out", str(tmp_path / "d.csv")]) == 0
-        assert len(full_calls) == 3
+
+@pytest.mark.parametrize("command", ["sigma", "dispersion"])
+def test_one_full_conductivity_per_frequency(tmp_path, full_calls, command):
+    # the sweep is one conductivity call, which runs the full form once per
+    # frequency, in sweep order; dispersion's two polarizations and its
+    # group velocities add none
+    assert main([command, "--points", "7", "--out", str(tmp_path / "t.csv")]) == 0
+    assert full_calls == (2.0 * math.pi * frequency_grid(0.1, 1000.0, 7, True)).tolist()
 
 
 class TestPrismCommand:

@@ -185,12 +185,22 @@ class TestGroupVelocity:
         nodes, weights = gspp.material._panel_rule()
         monkeypatch.setattr(gspp.material, "_panel_rule", lambda: (nodes, weights * [1.0, 1.5]))
         params = GrapheneParams.with_default_rates(1.4, 300.0)
-        sig = conductivity(params, omega_from_lambda(1550e-9))
+        omega = omega_from_lambda(1550e-9)
+        sig = conductivity(params, omega)
         with pytest.raises(QuadratureError, match="slope") as exc:
             group_velocity(params, sig, "TM")
         assert exc.value.error_estimate > 0.0
+        assert exc.value.frequency_hz == pytest.approx(omega / (2.0 * math.pi), rel=1e-15)
+        assert f"at {omega / (2.0 * math.pi):.9g} Hz" in str(exc.value)
         with pytest.raises(QuadratureError):
             solve_mode(params, sig, "TM")
+        # a sweep names its first frequency that failed, in sweep order
+        for scale in ([1.0, 1.01], [1.01, 1.0]):
+            sweep = conductivity(params, omega * np.array(scale))
+            with pytest.raises(QuadratureError) as exc:
+                solve_mode(params, sweep, "TM")
+            assert exc.value.frequency_hz == pytest.approx(omega * scale[0] / (2.0 * math.pi),
+                                                           rel=1e-15)
         out = tmp_path / "d.csv"
         rc = main(["dispersion", "--fmin-thz", "10", "--fmax-thz", "10", "--points", "1",
                    "--out", str(out)])

@@ -21,8 +21,8 @@ from gspp.material import (
     select_mode,
     sigma_min,
     _interband_full,
-    _interband_integral,
     _intraband_full,
+    _slope_kernel,
 )
 
 EV = CONSTANTS.e
@@ -474,7 +474,7 @@ def test_k2_against_mpmath(tau_inter_ps, f_thz, rel):
                 gamma_inter=1.0 / (tau_inter_ps * 1e-12))
     omega = 2.0 * math.pi * f_thz * 1e12
     oracle = complex(mpmath_interband(mp, p, omega, 2) * 2 * mp.mpf(omega) ** 3 / mp.mpf(HBAR))
-    assert abs(_interband_integral(p, omega, 2) - oracle) <= rel * abs(oracle)
+    assert abs(_slope_kernel(p, np.array([omega]))[0] - oracle) <= rel * abs(oracle)
 
 
 def test_panel_rule_orders():
@@ -510,9 +510,15 @@ def test_quadrature_error_propagates(monkeypatch, tmp_path):
 
     monkeypatch.setattr(gspp.material, "quad", unconverged)
     p = GrapheneParams.with_default_rates(0.5, 300.0)
-    with pytest.raises(QuadratureError) as exc:
+    with pytest.raises(QuadratureError, match=r"at 1e\+13 Hz") as exc:
         conductivity_full(p, 2.0 * math.pi * 10e12)
     assert exc.value.error_estimate == 1.0
+    assert exc.value.frequency_hz == pytest.approx(10e12, rel=1e-15)
+    # a sweep names its first frequency that failed, in sweep order
+    for f_thz in ([10.0, 20.0], [20.0, 10.0]):
+        with pytest.raises(QuadratureError) as exc:
+            conductivity(p, 2.0 * math.pi * 1e12 * np.array(f_thz))
+        assert exc.value.frequency_hz == pytest.approx(f_thz[0] * 1e12, rel=1e-15)
     out = tmp_path / "s.csv"
     rc = main(["sigma", "--fmin-thz", "10", "--fmax-thz", "10", "--points", "1",
                "--out", str(out)])

@@ -20,7 +20,7 @@ from conftest import (
 from gspp.cli import load_config, main
 from gspp.coupling import _cmul
 from gspp.dispersion import UnsupportedModeError
-from gspp.material import CONSTANTS, GrapheneParams, conductivity
+from gspp.material import CONSTANTS, Conductivity, GrapheneParams, conductivity
 from gspp.prism import (
     NotResonant,
     _atr_amplitudes,
@@ -42,7 +42,7 @@ from gspp.prism import (
 )
 
 K = CONSTANTS
-SIGMAS = gspp.prism._sigmas  # the unpatched conductivity list
+CONDUCTIVITY = gspp.prism.conductivity  # the unpatched conductivity sweep
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 # (bad, match) of TestBatchedAtr's and TestDipSearch's guard tests: sigma
 # at the pole, at a denominator ratio below the 1e-12 limit, and non-finite
@@ -218,7 +218,7 @@ class TestBatchedAtr:
         thetas = np.radians(np.linspace(56.0, 75.0, 5))
         omegas = 2.0 * math.pi * np.linspace(0.3e12, 1.5e12, 4)
         map_geom = tm_geom(d=200e-6, theta_i=float(thetas[2]))
-        monkeypatch.setattr(gspp.prism, "_sigmas", sigmas_with_one_bad(map_geom, bad))
+        monkeypatch.setattr(gspp.prism, "conductivity", conductivity_with_one_bad(map_geom, bad))
         with pytest.raises(ArithmeticError, match=match):
             reflectance_map(thetas, omegas, eps1=1.5, d=200e-6, polarization="TM",
                             params=params)
@@ -228,7 +228,7 @@ class TestBatchedAtr:
                      "--theta-min-deg", "56", "--theta-max-deg", "75", "--theta-points", "5",
                      "--fmin-thz", "0.3", "--fmax-thz", "1.5", "--freq-points", "4"]) == 3
         assert not out.exists()
-        monkeypatch.setattr(gspp.prism, "_sigmas", sigmas_with_one_bad(tm_geom(), bad))
+        monkeypatch.setattr(gspp.prism, "conductivity", conductivity_with_one_bad(tm_geom(), bad))
         with pytest.raises(ArithmeticError, match=match):
             matching_frequency(tm_geom(), params, omegas[0], omegas[-1], [50e-6], n_scan=50)
         sigma = bad_sigma(tm_geom(), omegas[0], bad)
@@ -284,16 +284,17 @@ def bad_sigma(geom, omega, bad):
     return sigma_at_ratio(geom, omega, bad) if math.isfinite(bad) else complex(bad)
 
 
-def sigmas_with_one_bad(geom, bad):
-    """A prism._sigmas that puts bad_sigma at the middle frequency."""
+def conductivity_with_one_bad(geom, bad):
+    """A prism.conductivity that puts bad_sigma at the middle frequency of
+    a sweep."""
 
-    def sigmas(params, omegas):
-        out = SIGMAS(params, omegas)
-        i = len(out) // 2
-        out[i] = bad_sigma(geom, float(omegas[i]), bad)
-        return out
+    def sweep(params, omegas):
+        value = CONDUCTIVITY(params, omegas).value
+        i = len(value) // 2
+        value[i] = bad_sigma(geom, float(omegas[i]), bad)
+        return Conductivity(value=value, omega=omegas)
 
-    return sigmas
+    return sweep
 
 
 def map_args(name):
@@ -307,7 +308,7 @@ def map_args(name):
     omegas = 2.0 * math.pi * 1e12 * np.linspace(float(cfg["fmin_thz"]), float(cfg["fmax_thz"]),
                                                 int(cfg["freq_points"]))
     return (float(cfg["eps1"]), float(cfg["d_um"]) * 1e-6, cfg["pol"], thetas[None, :],
-            SIGMAS(params, omegas)[:, None], omegas[:, None])
+            CONDUCTIVITY(params, omegas).value[:, None], omegas[:, None])
 
 
 def fig4b_te_scan_args():
@@ -316,7 +317,8 @@ def fig4b_te_scan_args():
     cfg = load_config(str(CONFIG_DIR / "fig4b-te.cfg"))
     ds = np.linspace(float(cfg["d_min_um"]), float(cfg["d_max_um"]), int(cfg["d_points"])) * 1e-6
     omegas = np.linspace(lo, hi, n_scan)
-    return geom.eps1, ds[:, None], geom.polarization, geom.theta_i, SIGMAS(params, omegas), omegas
+    return (geom.eps1, ds[:, None], geom.polarization, geom.theta_i,
+            CONDUCTIVITY(params, omegas).value, omegas)
 
 
 def relative_error(got, ref):
@@ -419,12 +421,12 @@ class TestDipSearch:
         # the scans are sound; one point of the first refinement batch is not
         geom, params, lo, hi, n_scan = fig4b_te_window()
         d = 25e-6
-        bad_one = sigmas_with_one_bad(replace(geom, d=d), bad)
-        monkeypatch.setattr(gspp.prism, "_sigmas", lambda p, omegas: (
-            SIGMAS(p, omegas) if len(omegas) == n_scan else bad_one(p, omegas)))
+        bad_one = conductivity_with_one_bad(replace(geom, d=d), bad)
+        monkeypatch.setattr(gspp.prism, "conductivity", lambda p, omegas: (
+            CONDUCTIVITY(p, omegas) if len(omegas) == n_scan else bad_one(p, omegas)))
         with pytest.raises(ArithmeticError, match=match):
             matching_frequency(geom, params, lo, hi, [d], n_scan=n_scan)
-        monkeypatch.setattr(gspp.prism, "_sigmas", SIGMAS)
+        monkeypatch.setattr(gspp.prism, "conductivity", CONDUCTIVITY)
         assert lo < matching_frequency(geom, params, lo, hi, [d], n_scan=n_scan)[0] < hi
 
     def test_bad_bracket_raises_like_scipy(self):

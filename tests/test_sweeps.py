@@ -1,0 +1,98 @@
+"""Stages 1 and 2 over a frequency sweep against one-point calls.
+
+conductivity and conductivity_slope take a whole sweep in one call; each
+element must carry the bits of its one-point call.  The dispersion layer
+(wavenumber, transverse_q0, group_velocity, solve_mode) must agree with
+one-point calls to within 4 ulp.  The sweeps straddle the interband edge
+hbar*omega = 2*mu, at 300 K and at 4 K, where 'auto' puts both backends
+in one sweep.
+"""
+
+import math
+from dataclasses import replace
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gspp.dispersion import group_velocity, solve_mode, transverse_q0, wavenumber
+from gspp.material import CONSTANTS, GrapheneParams, conductivity, conductivity_slope, select_mode
+
+ULPS = 4
+
+
+def assert_within_ulps(got, want, what):
+    """Real and imaginary parts each within ULPS ulp of want's, nan where
+    want is nan."""
+    for part in (np.real, np.imag):
+        g, w = part(got), part(want)
+        if math.isnan(w):
+            assert math.isnan(g), what
+        else:
+            assert abs(g - w) <= ULPS * np.spacing(abs(w)), (what, got, want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(temperature=st.sampled_from([300.0, 4.0]), mu_c=st.floats(0.05, 1.0),
+       model=st.sampled_from(["auto", "full", "low"]), n_layers=st.integers(1, 3),
+       eps_r=st.sampled_from([1.0, 2.25]),
+       below=st.lists(st.floats(0.05, 0.999), min_size=1, max_size=4),
+       above=st.lists(st.floats(1.001, 3.0), min_size=1, max_size=4),
+       order=st.randoms(use_true_random=False))
+def test_sweep_matches_one_point_calls(temperature, mu_c, model, n_layers, eps_r, below,
+                                       above, order):
+    params = replace(GrapheneParams.with_default_rates(mu_c, temperature, eps_r, n_layers),
+                     conductivity_model=model)
+    ratios = below + above
+    order.shuffle(ratios)
+    edge = 2.0 * mu_c * CONSTANTS.e / CONSTANTS.hbar  # hbar*omega = 2*mu
+    omegas = edge * np.array(ratios)
+
+    # one element: the scalar call's bits
+    one = conductivity(params, omegas[:1])
+    assert one.value[0] == conductivity(params, float(omegas[0])).value
+
+    sigmas = [conductivity(params, w) for w in omegas.tolist()]
+    sweep = conductivity(params, omegas)
+    for i, sigma in enumerate(sigmas):
+        assert sweep.value[i] == sigma.value, (omegas[i], sweep.value[i], sigma.value)
+
+    slope = conductivity_slope(params, sweep)
+    slopes = [conductivity_slope(params, sigma) for sigma in sigmas]
+    assert np.array_equal(slope, slopes)
+    one_slope = conductivity_slope(params, conductivity(params, omegas[:1]))
+    assert one_slope[0] == slopes[0]
+
+    for pol in ("TM", "TE"):
+        k = wavenumber(pol, sweep, eps_r)
+        q0 = transverse_q0(pol, sweep, eps_r)
+        v_g = group_velocity(params, sweep, pol)
+        mode = solve_mode(params, sweep, pol)
+        for i, sigma in enumerate(sigmas):
+            at = f"{pol} at {omegas[i]:.6e} rad/s"
+            assert_within_ulps(k[i], wavenumber(pol, sigma, eps_r), f"k {at}")
+            assert_within_ulps(q0[i], transverse_q0(pol, sigma, eps_r), f"q0 {at}")
+            assert_within_ulps(v_g[i], group_velocity(params, sigma, pol), f"v_g {at}")
+            point = solve_mode(params, sigma, pol)
+            assert mode.supported[i] == point.supported, at
+            for name in ("k", "q0", "v_g"):
+                assert_within_ulps(getattr(mode, name)[i], getattr(point, name), f"{name} {at}")
+        first = solve_mode(params, conductivity(params, omegas[:1]), pol)
+        point = solve_mode(params, sigmas[0], pol)
+        for name in ("k", "q0", "v_g"):
+            assert_within_ulps(getattr(first, name)[0], getattr(point, name), f"one-element {name}")
+
+
+def test_cold_sweep_mixes_backends():
+    # 4 K, 0.05 eV: below about a third of the edge kB*T is not below
+    # 0.01*hbar*omega, so 'auto' takes the full form there and the closed
+    # form above; one sweep holds both, each element with its one-point bits
+    params = GrapheneParams.with_default_rates(0.05, 4.0)
+    omegas = 2.0 * 0.05 * CONSTANTS.e / CONSTANTS.hbar * np.array([0.2, 0.3, 0.9, 1.1, 2.5])
+    assert select_mode(params, omegas).tolist() == ["full", "full", "low", "low", "low"]
+    sweep = conductivity(params, omegas)
+    slope = conductivity_slope(params, sweep)
+    for i, w in enumerate(omegas.tolist()):
+        sigma = conductivity(params, w)
+        assert sweep.value[i] == sigma.value
+        assert slope[i] == conductivity_slope(params, sigma)
