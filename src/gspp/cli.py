@@ -44,9 +44,9 @@ from .material import (
 from .prism import (
     NotResonant,
     PrismGeometry,
-    beta_sweep,
-    beta_sweep_matched,
     coupling_from_beta,
+    matching_frequency,
+    overlap_sweep,
     reflectance_map,
 )
 from .qec import QecRunConfig, average_fidelity, orthogonality_monitor
@@ -335,14 +335,16 @@ def cmd_prism(args) -> int:
                          polarization=args.pol)
     d_values = np.linspace(args.d_min_um, args.d_max_um, args.d_points) * 1e-6
     if matched:
-        betas, _ = beta_sweep_matched(
-            geom, params, 2.0 * math.pi * args.match_fmin_thz * 1e12,
-            2.0 * math.pi * args.match_fmax_thz * 1e12, d_values,
-            n_scan=args.match_scan_points)
+        omegas = matching_frequency(geom, params, 2.0 * math.pi * args.match_fmin_thz * 1e12,
+                                    2.0 * math.pi * args.match_fmax_thz * 1e12, d_values,
+                                    n_scan=args.match_scan_points)
     else:
-        betas = beta_sweep(geom, params, 2.0 * math.pi * args.f_thz * 1e12, d_values)
+        omegas = 2.0 * math.pi * args.f_thz * 1e12
+    betas, ratios = overlap_sweep(geom, params, omegas, d_values)
     echo = parameter_echo(args, params, dip_refined=matched,
-                          max_beta_abs=float(np.abs(betas).max()))
+                          max_beta_abs=float(np.abs(betas).max()),
+                          validity_warnings=int(np.sum(ratios > 1.0)),
+                          max_prism_energy_ratio=float(np.nanmax(ratios)))
     write_csv(args.out, args.command, echo,
               {"d_m": d_values, "beta_abs": [abs(b) for b in betas],
                "beta_arg": [math.atan2(b.imag, b.real) for b in betas],

@@ -17,13 +17,19 @@ the evanescent regime.
 
 The photon mode below the prism is a sum of exponentials in z, read off
 the ATR amplitudes as quantize.Waves; its normalization and its overlap
-with the surface wave are exact integrals, with no sampling grid.
+with the surface wave are exact integrals, with no sampling grid.  A
+spacing sweep is one batch: `overlap_sweep` solves the stacks, both mode
+normalizations and the overlaps of every spacing in one call, and
+`matching_frequency` scans every spacing's window as one (spacings x scan)
+batch.  `overlap_beta` and `prism_mode_normalization` are the one-point
+case, so an element of a sweep has the bits of its one-point call.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 import warnings
 from dataclasses import dataclass, replace
 
@@ -68,7 +74,8 @@ class PrismGeometry:
 
 @dataclass(frozen=True)
 class AtrSolution:
-    """Field amplitudes for unit incident amplitude.
+    """Field amplitudes for unit incident amplitude, at one point or, with
+    every field but polarization and eps1 an array of one shape, a batch.
 
     r is the reflection amplitude; m1/m2 the gap amplitudes, with the
     up-going wave m1 e^{+i kz0 z} referenced at z = 0 and the down-going
@@ -93,6 +100,12 @@ class AtrSolution:
     @property
     def reflectance(self) -> float:
         return float(abs(self.r) ** 2)
+
+
+def _reflectance(r) -> np.ndarray:
+    """AtrSolution.reflectance of each amplitude in r: abs(r) ** 2 (libm pow),
+    not numpy's square, so a batch agrees with the one-point solve."""
+    return np.array([abs(v) ** 2 for v in np.ravel(r).tolist()]).reshape(np.shape(r))
 
 
 def critical_angle(eps1: float) -> float:
@@ -196,10 +209,11 @@ def reflectance_map(thetas, omegas, eps1: float, d: float, polarization: str,
 def matching_frequency(geom: PrismGeometry, params: GrapheneParams, omega_lo: float,
                        omega_hi: float, d_values, n_scan: int = 400) -> np.ndarray:
     """Frequency of the reflectance minimum at each spacing in d_values
-    (geom.d is not used): a coarse scan on [omega_lo, omega_hi], solved one
-    spacing at a time as a batch over the scan, refined by one golden-section
-    search over all spacings.  A dip on the window edge is not refined; a
-    spacing whose window has no minimum with R < 0.99 gets nan.
+    (geom.d is not used): a coarse scan on [omega_lo, omega_hi], solved for
+    every spacing as one (spacings x scan) batch, refined by one
+    golden-section search over all spacings.  A dip on the window edge is
+    not refined; a spacing whose window has no minimum with R < 0.99 gets
+    nan.
 
     Raises NotResonant below the critical angle or when no spacing has a
     dip, and ValueError for fewer than three scan points, which cannot
@@ -213,27 +227,21 @@ def matching_frequency(geom: PrismGeometry, params: GrapheneParams, omega_lo: fl
     d_values = np.asarray(d_values, dtype=float)
     omegas = np.linspace(omega_lo, omega_hi, n_scan)
     sigmas = conductivity(params, omegas).value
-    dips = np.full(d_values.shape, math.nan)
-    inner, brackets = [], []
-    min_refl = math.inf
-    for i, d in enumerate(d_values):
-        amps = _atr_amplitudes(geom.eps1, float(d), geom.polarization, geom.theta_i,
-                               sigmas, omegas)[0]
-        refl = np.abs(amps[:, 0]) ** 2
-        j = int(np.argmin(refl))
-        min_refl = min(min_refl, refl[j])
-        if refl[j] > 0.99:
-            continue
-        if j == 0 or j == n_scan - 1:
-            dips[i] = omegas[j]
-        else:
-            inner.append(i)
-            brackets.append(omegas[j - 1:j + 2])
-    if not inner and np.all(np.isnan(dips)):
+    amps = _atr_amplitudes(geom.eps1, d_values[:, None], geom.polarization, geom.theta_i,
+                           sigmas, omegas)[0]
+    refl = np.abs(amps[..., 0]) ** 2
+    j = np.argmin(refl, axis=1)
+    min_refl = refl[np.arange(len(d_values)), j]
+    dipped = ~(min_refl > 0.99)
+    if not dipped.any():
         raise NotResonant(f"no reflectance dip below 0.99 in the scan window "
-                          f"(min R = {min_refl:.4f})")
-    if inner:
-        dips[inner] = _golden_dips(geom, params, d_values[inner], np.array(brackets))
+                          f"(min R = {np.min(min_refl, initial=math.inf):.4f})")
+    edge = (j == 0) | (j == n_scan - 1)
+    dips = np.where(dipped & edge, omegas[j], math.nan)
+    inner = np.flatnonzero(dipped & ~edge)
+    if inner.size:
+        brackets = omegas[j[inner, None] + np.arange(-1, 2)]
+        dips[inner] = _golden_dips(geom, params, d_values[inner], brackets)
     return dips
 
 
@@ -248,10 +256,8 @@ def _golden_dips(geom: PrismGeometry, params: GrapheneParams, d: np.ndarray,
 
     def reflectance(lanes, omegas):
         sigmas = conductivity(params, omegas).value
-        r = _atr_amplitudes(geom.eps1, d[lanes], geom.polarization, geom.theta_i,
-                            sigmas, omegas)[0][:, 0]
-        # AtrSolution.reflectance's abs(r) ** 2 (libm pow), not numpy's square
-        return np.array([abs(complex(v)) ** 2 for v in r])
+        return _reflectance(_atr_amplitudes(geom.eps1, d[lanes], geom.polarization,
+                                            geom.theta_i, sigmas, omegas)[0][:, 0])
 
     lanes = np.arange(len(d))
     xa, xb, xc = brackets.T
@@ -311,24 +317,42 @@ def lossless_matching_frequency(geom: PrismGeometry, params: GrapheneParams,
 # ---------------------------------------------------------------------------
 # photon-mode profiles and the overlap transmission coefficient
 
+def _atr_batch(geom: PrismGeometry, sigmas, omegas, d) -> AtrSolution:
+    """The ATR solutions of the (sigma, omega, d) points, broadcast to one
+    shape, as one AtrSolution of arrays, from one _atr_amplitudes call."""
+    sigmas, omegas, d = np.broadcast_arrays(np.asarray(sigmas, dtype=complex),
+                                            np.asarray(omegas, dtype=float),
+                                            np.asarray(d, dtype=float))
+    amps, kx, kz1, kz0 = _atr_amplitudes(geom.eps1, d, geom.polarization, geom.theta_i,
+                                         sigmas, omegas)
+    r, m1, m2, t = np.moveaxis(amps, -1, 0)
+    return AtrSolution(r=r, m1=m1, m2=m2, t=t, omega=omegas, polarization=geom.polarization,
+                       k_x=kx, k_z_prism=kz1, k_z_gap=kz0, sigma=sigmas, eps1=geom.eps1, d=d)
+
+
 def _photon_regions(sol: AtrSolution) -> list:
-    """Vector potential A = E/(i omega) of the lower-region photon mode as
-    (lo, hi, Waves) regions: below the sheet (z <= 0) the transmitted wave
-    t, in the gap (0 <= z <= d) the up-going wave m1 referenced at z = 0
-    and the down-going wave m2 referenced at z = d.  The amplitudes are E_y
-    for TE and H_y for TM, where A = curl H/(eps0 omega^2).  The overall
-    scale is arbitrary (it cancels in the normalized overlap)."""
+    """Vector potential A = E/(i omega) of the lower-region photon mode of a
+    batched sol as (lo, hi, Waves) regions: below the sheet (z <= 0) the
+    transmitted wave t, in the gap (0 <= z <= d) the up-going wave m1
+    referenced at z = 0 and the down-going wave m2 referenced at z = d.
+    The amplitudes are E_y for TE and H_y for TM, where
+    A = curl H/(eps0 omega^2).  The overall scale is arbitrary (it cancels
+    in the normalized overlap)."""
     s, w = 1j * sol.k_z_gap, sol.omega
 
     def potential(amps, rates, refs):
-        field = Waves(sol.k_x, np.outer(amps, (0.0, 1.0, 0.0)), np.array(rates), np.array(refs))
+        vectors = np.zeros(amps.shape + (3,), dtype=complex)
+        vectors[..., 1] = amps
+        field = Waves(sol.k_x, vectors, rates, refs)
         if sol.polarization == TE:
-            return replace(field, amps=field.amps / (1j * w))
+            return replace(field, amps=field.amps / (1j * w)[..., None, None])
         curl_h = field.curl()
-        return replace(curl_h, amps=curl_h.amps / (CONSTANTS.eps0 * w * w))
+        return replace(curl_h, amps=curl_h.amps / (CONSTANTS.eps0 * w * w)[..., None, None])
 
-    return [(-math.inf, 0.0, potential([sol.t], [-s], [0.0])),
-            (0.0, sol.d, potential([sol.m1, sol.m2], [s, -s], [0.0, sol.d]))]
+    zero = np.zeros_like(sol.d)
+    return [(-math.inf, 0.0, potential(sol.t[..., None], -s[..., None], zero[..., None])),
+            (0.0, sol.d, potential(np.stack([sol.m1, sol.m2], axis=-1),
+                                   np.stack([s, -s], axis=-1), np.stack([zero, sol.d], axis=-1)))]
 
 
 def prism_mode_normalization(geom: PrismGeometry, params: GrapheneParams, omega: float) -> float:
@@ -339,20 +363,22 @@ def prism_mode_normalization(geom: PrismGeometry, params: GrapheneParams, omega:
     evanescent-gap regime (theta above the critical angle)."""
     if geom.theta_i <= critical_angle(geom.eps1):
         raise NotResonant("theta below the critical angle: gap field not evanescent")
-    sol = atr_solve(geom, params, omega)
-    return hamiltonian_norm(_photon_regions(sol), sol.sigma.imag, omega)
+    _require_vacuum_background(params)
+    sol = _atr_batch(geom, conductivity(params, omega).value, omega, [geom.d])
+    return float(hamiltonian_norm(_photon_regions(sol), sol.sigma.imag, sol.omega)[0])
 
 
-def prism_energy_fraction(sol: AtrSolution, n_lower: float) -> float:
+def prism_energy_fraction(sol: AtrSolution, n_lower):
     """Standing-wave field energy inside the prism, taken over a depth
     equal to the lower region's own extent (gap plus one decay length of
-    the transmitted tail), relative to the lower-region mode energy.  The
-    overlap model assumes this ratio is small: at resonance the tunneled
-    fields are strongly enhanced and dominate the normalization."""
+    the transmitted tail), relative to the lower-region mode energy; one
+    ratio per element of a batched sol.  The overlap model assumes this
+    ratio is small: at resonance the tunneled fields are strongly enhanced
+    and dominate the normalization."""
     w = sol.omega
-    kz1 = sol.k_z_prism.real
-    k1_sq = abs(sol.k_x) ** 2 + kz1 * kz1
-    amp_sq = 1.0 + abs(sol.r) ** 2
+    kz1 = np.real(sol.k_z_prism)
+    k1_sq = np.abs(sol.k_x) ** 2 + kz1 * kz1
+    amp_sq = 1.0 + _reflectance(sol.r)
     c2w2 = (CONSTANTS.c0 / w) ** 2
     if sol.polarization == TE:
         # E_y amplitude 1; |A|^2 = |E|^2/w^2, |curl A|^2 = mu0^2 |H|^2
@@ -361,10 +387,58 @@ def prism_energy_fraction(sol: AtrSolution, n_lower: float) -> float:
         # H_y amplitude 1; E = (k/(w eps0 eps1)) H
         e_sq = k1_sq / (w * CONSTANTS.eps0 * sol.eps1) ** 2
         density = amp_sq * (e_sq / w**2 + c2w2 * CONSTANTS.mu0 ** 2)
-    decay_below = abs(np.imag(-sol.k_z_gap))
-    depth = sol.d + (0.5 / decay_below if decay_below > 0.0 else sol.d)
-    prism_energy = 0.5 * density * depth
-    return float(prism_energy / n_lower)
+    decay_below = np.abs(np.imag(sol.k_z_gap))
+    with np.errstate(divide="ignore"):
+        depth = sol.d + np.where(decay_below > 0.0, 0.5 / decay_below, sol.d)
+    return 0.5 * density * depth / n_lower
+
+
+def overlap_sweep(geom: PrismGeometry, params: GrapheneParams, omegas,
+                  d_values) -> tuple[np.ndarray, np.ndarray]:
+    """beta (see overlap_beta) and the prism energy ratio
+    (prism_energy_fraction) at each spacing in d_values (geom.d is not
+    used), solved as one batch.  omegas is one frequency, or one per
+    spacing with nan where a spacing has no dip (beta 0, ratio nan).  The
+    conductivity and the lossless surface wave are evaluated once at one
+    frequency, else once per spacing in one call.
+
+    Warns ValidityWarning once per ratio above 1, at the first caller
+    outside this module.  Raises NotResonant below the critical angle,
+    UnsupportedModeError when Im sigma does not support the polarization
+    and ArithmeticError, naming the first failing ratio, at a singular
+    stack.
+    """
+    _require_vacuum_background(params)
+    if geom.theta_i <= critical_angle(geom.eps1):
+        raise NotResonant("theta below the critical angle: gap field not evanescent")
+    d_values = np.asarray(d_values, dtype=float)
+    omegas = np.asarray(omegas, dtype=float)
+    live = ~np.isnan(omegas) if omegas.ndim else np.full(d_values.shape, True)
+    betas = np.zeros(d_values.shape, dtype=complex)
+    ratios = np.full(d_values.shape, math.nan)
+    if not live.any():
+        return betas, ratios
+    omega = omegas[live] if omegas.ndim else omegas[None]
+    sigma = conductivity(params, omega).value
+    sol = _atr_batch(geom, sigma, omega, d_values[live])
+    n_phi, spp_above, spp_below = lossless_spp_norm(geom.polarization, omega, sigma.imag, 1.0)
+    regions = _photon_regions(sol)
+    n_psi = hamiltonian_norm(regions, sol.sigma.imag, sol.omega)
+    below, gap = (field for _, _, field in regions)
+    overlap = (wave_integral(below, spp_below, -math.inf, 0.0)
+               + wave_integral(gap, spp_above, 0.0, sol.d))
+    absorbed = np.sqrt(np.maximum(0.0, 1.0 - _reflectance(sol.r)))
+    betas[live] = np.conj(overlap) * (absorbed / np.sqrt(n_psi * n_phi))
+    ratios[live] = prism_energy_fraction(sol, n_psi)
+
+    frame, level = sys._getframe(1), 2
+    while frame.f_code.co_filename == __file__:
+        frame, level = frame.f_back, level + 1
+    for ratio in ratios[ratios > 1.0]:
+        warnings.warn(f"field energy in the prism is not negligible "
+                      f"(ratio {ratio:.2f}); the overlap model is marginal here",
+                      ValidityWarning, stacklevel=level)
+    return betas, ratios
 
 
 def overlap_beta(geom: PrismGeometry, params: GrapheneParams, omega: float) -> complex:
@@ -373,49 +447,17 @@ def overlap_beta(geom: PrismGeometry, params: GrapheneParams, omega: float) -> c
     beta* = sqrt(1 - |r|^2) * <Psi_L, phi> / sqrt(N_Psi N_phi) with the
     overlap integral on z <= d in closed form; frequency and in-plane
     momentum matching are enforced by evaluating both modes at the same
-    omega (call at or near the matching frequency).  Raises when the gap
-    field is not evanescent (theta below the critical angle), and
-    UnsupportedModeError when Im sigma does not support the polarization.
+    omega (call at or near the matching frequency).  The one-spacing case
+    of overlap_sweep, whose warnings and errors it raises.
     """
-    _require_vacuum_background(params)
-    return _overlap_beta(geom, conductivity(params, omega).value, omega)
-
-
-def _overlap_beta(geom: PrismGeometry, sigma: complex, omega: float) -> complex:
-    """overlap_beta at a given sheet conductivity, on the vacuum background
-    (eps_r = 1) its callers check.  The ValidityWarning points at the
-    caller of the public function that called this one."""
-    if geom.theta_i <= critical_angle(geom.eps1):
-        raise NotResonant("theta below the critical angle: gap field not evanescent")
-    sol = atr_solve_sigma(geom, sigma, omega)
-    sigma_pp = sol.sigma.imag
-    n_phi, spp_above, spp_below = lossless_spp_norm(geom.polarization, omega, sigma_pp, 1.0)
-    regions = _photon_regions(sol)
-    n_psi = hamiltonian_norm(regions, sigma_pp, omega)
-    below, gap = (field for _, _, field in regions)
-    overlap = (wave_integral(below, spp_below, -math.inf, 0.0)
-               + wave_integral(gap, spp_above, 0.0, geom.d))
-    beta_conj = math.sqrt(max(0.0, 1.0 - abs(sol.r) ** 2)) * overlap / math.sqrt(n_psi * n_phi)
-    beta = complex(np.conj(beta_conj))
-
-    frac = prism_energy_fraction(sol, n_psi)
-    if frac > 1.0:
-        warnings.warn(f"field energy in the prism is not negligible "
-                      f"(ratio {frac:.2f}); the overlap model is marginal here",
-                      ValidityWarning, stacklevel=3)
-    return beta
+    return complex(overlap_sweep(geom, params, omega, [geom.d])[0][0])
 
 
 def beta_sweep(geom: PrismGeometry, params: GrapheneParams, omega: float,
                d_values) -> np.ndarray:
-    """beta as a function of prism-graphene spacing at fixed omega/theta;
-    the conductivity is evaluated once."""
-    _require_vacuum_background(params)
-    sigma = conductivity(params, omega).value
-    out = np.empty(len(d_values), dtype=complex)
-    for i, d in enumerate(d_values):
-        out[i] = _overlap_beta(replace(geom, d=float(d)), sigma, omega)
-    return out
+    """beta as a function of prism-graphene spacing at fixed omega/theta,
+    in one overlap_sweep."""
+    return overlap_sweep(geom, params, omega, d_values)[0]
 
 
 def beta_sweep_matched(geom: PrismGeometry, params: GrapheneParams,
@@ -429,11 +471,7 @@ def beta_sweep_matched(geom: PrismGeometry, params: GrapheneParams,
     has one.
     """
     dips = matching_frequency(geom, params, omega_lo, omega_hi, d_values, n_scan=n_scan)
-    found = np.flatnonzero(~np.isnan(dips))
-    betas = np.zeros(len(dips), dtype=complex)
-    for i, sigma in zip(found, conductivity(params, dips[found]).value):
-        betas[i] = _overlap_beta(replace(geom, d=float(d_values[i])), sigma, float(dips[i]))
-    return betas, dips
+    return overlap_sweep(geom, params, dips, d_values)[0], dips
 
 
 def coupling_from_beta(beta: complex) -> complex:

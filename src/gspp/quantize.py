@@ -6,7 +6,10 @@ taken in closed form (`wave_integral`).  The normalization length N is
 fixed by requiring that the mode Hamiltonian (field energy plus the sheet
 term delta(z)*omega*|sigma''|/eps0*|A_par|^2) take the harmonic-oscillator
 form eps0*L^2*omega^2*N*(C*C^+ + C^+C); `hamiltonian_norm` computes it for
-the surface wave here and for the prism's photon mode.  Quantization uses
+the surface wave here and for the prism's photon mode.  Fields, integrals
+and normalizations take a leading batch axis, one mode per element; complex
+products go through `_cmul` and sums run in a fixed order, so an element of
+a batch has the bits of its one-point call.  Quantization uses
 the lossless idealization: the reactive part of the conductivity only
 (sigma = i*sigma''), giving real k and q0.  Loss enters downstream through
 the channel module.
@@ -19,6 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .coupling import _cmul
 from .dispersion import (TE, TM, SppMode, UnsupportedModeError, supported_polarization,
                          transverse_q0, wavenumber)
 from .material import CONSTANTS, Conductivity, GrapheneParams, conductivity
@@ -39,10 +43,11 @@ class QuantizationGeometry:
 class Waves:
     """Field sum_i amps[i] exp(i kx x + rates[i] (z - refs[i])) on one z-region.
 
-    amps holds one (x, y, z) vector per wave.  Each wave is referenced at
-    the end of its region where it is largest, so no factor of a
-    closed-form integral overflows however many decay lengths the region
-    spans.
+    amps holds one (x, y, z) vector per wave.  Leading axes hold a batch of
+    fields: kx of shape B, amps B + (n, 3), rates and refs B + (n,), or
+    shapes that broadcast to those.  Each wave is referenced at the end of
+    its region where it is largest, so no factor of a closed-form integral
+    overflows however many decay lengths the region spans.
     """
 
     kx: complex
@@ -52,50 +57,66 @@ class Waves:
 
     def curl(self) -> Waves:
         """curl of the field: (i kx, 0, rate) x amps for each wave."""
-        ax, ay, az = self.amps.T
-        s, ikx = self.rates, 1j * self.kx
-        return replace(self, amps=np.stack([-s * ay, s * ax - ikx * az, ikx * ay], axis=-1))
+        ax, ay, az = np.moveaxis(self.amps, -1, 0)
+        s, ikx = self.rates, 1j * np.asarray(self.kx)[..., None]
+        return replace(self, amps=np.stack(
+            [-_cmul(s, ay), _cmul(s, ax) - _cmul(ikx, az), _cmul(ikx, ay)], axis=-1))
 
     def at(self, z) -> np.ndarray:
-        """Field vectors at x = 0 and the points z, shape z.shape + (3,)."""
+        """Field vectors at x = 0 and the points z, shape z.shape + B + (3,)."""
         z = np.asarray(z, dtype=float)
-        return np.exp(np.subtract.outer(z, self.refs) * self.rates) @ self.amps
+        waves = _cmul(np.exp(np.subtract.outer(z, self.refs) * self.rates)[..., None], self.amps)
+        return _ordered_sum(np.moveaxis(waves, -1, -2))
 
 
-def wave_integral(a: Waves, b: Waves, lo: float, hi: float) -> complex:
+def _ordered_sum(terms):
+    """Sum over the last axis, left to right."""
+    total = terms[..., 0]
+    for k in range(1, terms.shape[-1]):
+        total = total + terms[..., k]
+    return total
+
+
+def wave_integral(a: Waves, b: Waves, lo, hi):
     """Int_lo^hi a(z) . conj(b(z)) dz in closed form, for [lo, hi] one of
-    (-inf, 0], [0, d] and [0, inf).
+    (-inf, 0], [0, d] and [0, inf); over a batch of fields (and of d), one
+    integral per element.
 
     Each wave pair contributes a_i . conj(b_j) times the integral of
     e^{r z}, r = s_i + conj(t_j), taken from the end where e^{r z} peaks:
     expm1(rho L)/rho with Re rho <= 0 over a finite length L, and -1/rho
     over a half-line, toward whose open end every pair must decay.
     """
-    r = a.rates[:, None] + np.conj(b.rates)[None, :]
+    r = a.rates[..., :, None] + np.conj(b.rates)[..., None, :]
+    lo, hi = (np.asarray(end, dtype=float)[..., None, None] for end in (lo, hi))
     grows = r.real > 0.0
     top = np.where(grows, hi, lo)
     rho = np.where(grows, -r, r)
     length = hi - lo
-    if math.isinf(length):
+    if np.isinf(length).any():
         if not (np.all(np.isfinite(top)) and np.all(rho.real < 0.0)):
             raise ValueError("field does not decay toward infinity; no finite mode integral")
         weight = -1.0 / rho
     else:
         flat = rho == 0.0
         weight = np.where(flat, length, np.expm1(rho * length) / np.where(flat, 1.0, rho))
-    shift = np.exp(a.rates[:, None] * (top - a.refs[:, None])
-                   + np.conj(b.rates)[None, :] * (top - b.refs[None, :]))
-    return complex(np.sum((a.amps @ b.amps.conj().T) * shift * weight))
+    shift = np.exp(a.rates[..., :, None] * (top - a.refs[..., :, None])
+                   + np.conj(b.rates)[..., None, :] * (top - b.refs[..., None, :]))
+    dots = _ordered_sum(_cmul(a.amps[..., :, None, :], np.conj(b.amps[..., None, :, :])))
+    terms = _cmul(_cmul(dots, shift), weight)
+    total = _ordered_sum(terms.reshape(terms.shape[:-2] + (-1,)))
+    return complex(total) if total.ndim == 0 else total
 
 
-def hamiltonian_norm(regions, sigma_pp: float, omega: float, eps_r: float = 1.0) -> float:
+def hamiltonian_norm(regions, sigma_pp, omega, eps_r: float = 1.0):
     """Quantization length N (m) of a mode given as (lo, hi, A) regions:
 
     N = (1/2) Int [eps_r |A|^2 + (c0/omega)^2 |curl A|^2] dz
         + |sigma''|/(2 eps0 omega) |A_par(0)|^2,
 
     with A_par(0) read on the region that starts at z = 0 (the tangential
-    field is continuous across the sheet).
+    field is continuous across the sheet).  For fields with a batch axis,
+    sigma_pp and omega hold one value per element and N is an array.
     """
     c2w2 = (CONSTANTS.c0 / omega) ** 2
     bulk = 0.0
@@ -103,12 +124,12 @@ def hamiltonian_norm(regions, sigma_pp: float, omega: float, eps_r: float = 1.0)
         curl = field.curl()
         bulk += (eps_r * wave_integral(field, field, lo, hi)
                  + c2w2 * wave_integral(curl, curl, lo, hi)).real
-    a0 = next(field for lo, _, field in regions if lo == 0.0).at(0.0)
-    a_par_sq = abs(a0[0]) ** 2 + abs(a0[1]) ** 2
+    a_par = next(field for lo, _, field in regions if lo == 0.0).at(0.0)[..., :2]
+    a_par_sq = _ordered_sum(a_par.real ** 2 + a_par.imag ** 2)
     n_len = 0.5 * bulk + abs(sigma_pp) / (2.0 * CONSTANTS.eps0 * omega) * a_par_sq
-    if not n_len > 0.0:
+    if not np.all(n_len > 0.0):
         raise ValueError("non-positive mode normalization")
-    return n_len
+    return n_len if np.ndim(n_len) else float(n_len)
 
 
 def tm_parallel_amplitude(mode: SppMode) -> complex:
@@ -121,18 +142,22 @@ def spp_waves(polarization: str, mode: SppMode) -> tuple[Waves, Waves]:
     """Surface-wave profile above (z >= 0) and below the sheet:
 
     TE:  y_hat e^{-q0|z|};
-    TM:  -(P x_hat -+ z_hat) e^{-q0|z|}, P = i q0/k.
+    TM:  -(P x_hat -+ z_hat) e^{-q0|z|}, P = i q0/k;
+
+    with a batch axis when the mode holds a sweep.
     """
+    q0 = np.asarray(mode.q0)[..., None]
+    zero, one = np.zeros(q0.shape, dtype=complex), np.ones(q0.shape, dtype=complex)
     if polarization == TE:
-        above = below = (0.0, 1.0, 0.0)
+        above = below = np.stack([zero, one, zero], axis=-1)
     elif polarization == TM:
-        p_amp = tm_parallel_amplitude(mode)
-        above, below = (-p_amp, 0.0, 1.0), (-p_amp, 0.0, -1.0)
+        p_amp = np.asarray(tm_parallel_amplitude(mode))[..., None]
+        above = np.stack([-p_amp, zero, one], axis=-1)
+        below = np.stack([-p_amp, zero, -one], axis=-1)
     else:
         raise ValueError("polarization must be 'TM' or 'TE'")
     ref = np.zeros(1)
-    return (Waves(mode.k, np.array([above], dtype=complex), np.array([-mode.q0]), ref),
-            Waves(mode.k, np.array([below], dtype=complex), np.array([mode.q0]), ref))
+    return Waves(mode.k, above, -q0, ref), Waves(mode.k, below, q0, ref)
 
 
 def mode_function(polarization: str, mode: SppMode, z) -> np.ndarray:
@@ -146,20 +171,24 @@ def mode_function(polarization: str, mode: SppMode, z) -> np.ndarray:
 
 def _lossless_mode(polarization: str, omega: float, sigma_pp: float, eps_r: float) -> SppMode:
     """Real-(k, q0) mode of the dispersion relation with the reactive
-    conductivity alone, sigma = i*sigma_pp."""
+    conductivity alone, sigma = i*sigma_pp; over a sweep when omega and
+    sigma_pp are arrays.  UnsupportedModeError names the sigma_pp least in
+    the polarization's favour."""
     sigma = Conductivity(1j * sigma_pp, omega)
     if supported_polarization(sigma) != polarization:
-        raise UnsupportedModeError(f"{polarization} not supported at Im sigma = {sigma_pp:.3e}")
+        worst = (np.min if polarization == TM else np.max)(sigma_pp)
+        raise UnsupportedModeError(f"{polarization} not supported at Im sigma = {worst:.3e}")
     return SppMode(polarization=polarization, omega=omega,
                    k=wavenumber(polarization, sigma, eps_r),
                    q0=transverse_q0(polarization, sigma, eps_r),
                    v_g=CONSTANTS.c0 / math.sqrt(eps_r), supported=True, eps_r=eps_r)
 
 
-def lossless_spp_norm(polarization: str, omega: float, sigma_pp: float,
+def lossless_spp_norm(polarization: str, omega, sigma_pp,
                       eps_r: float) -> tuple[float, Waves, Waves]:
     """Quantization length N (m) of the lossless surface wave, hamiltonian_norm
-    over both half-spaces, with its (above, below) profiles."""
+    over both half-spaces, with its (above, below) profiles; one per element
+    when omega and sigma_pp are arrays."""
     above, below = spp_waves(polarization, _lossless_mode(polarization, omega, sigma_pp, eps_r))
     n_len = hamiltonian_norm([(-math.inf, 0.0, below), (0.0, math.inf, above)],
                              sigma_pp, omega, eps_r)

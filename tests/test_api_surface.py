@@ -27,6 +27,9 @@ KEEP = {
     "prism.lossless_matching_frequency": "library physics: the reactive momentum-matching root",
     "prism.prism_mode_normalization": "library physics: the prism photon mode's quantization length",
     "prism.overlap_beta": "library physics: beta at one frequency; the benchmark traces it by name",
+    "prism.beta_sweep": "library physics: beta over spacing at one frequency",
+    "prism.beta_sweep_matched": "library physics: beta at each spacing's reflectance dip",
+    "prism.atr_solve": "library physics: one ATR solve at the sheet's conductivity, through atr_solve_sigma, which the benchmark traces by name",
     "qec.trajectory_rng": "defines the streams _ensemble_uniforms builds; the benchmark traces it by name",
 }
 

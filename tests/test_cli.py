@@ -342,7 +342,7 @@ class TestQecCommand:
      "prism beta-sweep",
      MATERIAL_ECHO + ["d_max_um", "d_min_um", "d_points", "dip_refined", "eps1", "f_thz",
                       "match_fmax_thz", "match_fmin_thz", "match_scan_points", "max_beta_abs",
-                      "pol", "theta_deg"]),
+                      "max_prism_energy_ratio", "pol", "theta_deg", "validity_warnings"]),
     (["propagate", "--beta-list", "1", "--points", "3"], "propagate",
      ["alpha", "beta_list", "points", "xi_max"]),
     (QEC_SMALL + ["--trajectories", "4", "--checkpoints", "2"], "qec", QEC_ECHO),

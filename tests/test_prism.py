@@ -547,6 +547,79 @@ class TestOverlapBeta:
         assert len(caught) == 3 and {w.filename for w in caught} == {__file__}
 
 
+class TestSweepErrors:
+    """The spacing sweeps fail as the one-point overlap does, and the
+    beta-sweep command exits 2 or 3 without writing a table."""
+
+    PARAMS = GrapheneParams.with_default_rates(0.5, 300.0)  # inductive: TM only
+    OMEGA = 2.0 * math.pi * 0.81e12
+    WINDOW = (2.0 * math.pi * 0.3e12, 2.0 * math.pi * 1.5e12)
+    CLI = ["prism", "beta-sweep", "--d-min-um", "5", "--d-max-um", "10", "--d-points", "2"]
+    MATCH = ["--match-fmin-thz", "0.3", "--match-fmax-thz", "1.5", "--match-scan-points", "50"]
+
+    def sweeps(self, geom):
+        ds = np.array([5e-6, 10e-6])
+        return (lambda: beta_sweep(geom, self.PARAMS, self.OMEGA, ds),
+                lambda: beta_sweep_matched(geom, self.PARAMS, *self.WINDOW, ds, n_scan=50))
+
+    def test_below_critical_angle_raises(self):
+        for sweep in self.sweeps(tm_geom(theta_i=math.radians(40.0))):
+            with pytest.raises(NotResonant):
+                sweep()
+
+    def test_wrong_polarization_raises(self):
+        # the TE scan finds absorption dips; the surface wave is TM only
+        for sweep in self.sweeps(te_geom(theta_i=math.radians(60.0))):
+            with pytest.raises(UnsupportedModeError, match="TE not supported"):
+                sweep()
+
+    def test_singular_stack_names_the_first_failing_ratio(self, monkeypatch, tmp_path):
+        geom = tm_geom()
+        ds = np.linspace(100.0, 200.0, 5) * 1e-6  # the command's spacings
+        # one conductivity for every spacing, singular at the second
+        sigma = sigma_at_ratio(replace(geom, d=float(ds[1])), self.OMEGA, 5e-13)
+        monkeypatch.setattr(gspp.prism, "conductivity", lambda params, omegas: Conductivity(
+            value=np.full(np.shape(omegas), sigma), omega=omegas))
+        with pytest.raises(ArithmeticError, match=BAD_SIGMAS[1][1]):
+            beta_sweep(geom, self.PARAMS, self.OMEGA, ds)
+        out = tmp_path / "beta.csv"
+        assert main(self.CLI + ["--d-min-um", "100", "--d-max-um", "200", "--d-points", "5",
+                                "--out", str(out)]) == 3
+        assert not list(tmp_path.iterdir())
+
+        # the dips' conductivities, singular at the second dip (ratio 5e-13)
+        # and the fourth (2e-13): the error names the first
+        monkeypatch.setattr(gspp.prism, "conductivity", CONDUCTIVITY)
+        dips = matching_frequency(geom, self.PARAMS, *self.WINDOW, ds, n_scan=50)
+        assert not np.isnan(dips).any()
+
+        def conductivity(params, omegas):
+            value = CONDUCTIVITY(params, omegas).value
+            if np.array_equal(omegas, dips):  # the overlap's call
+                for i, ratio in ((1, 5e-13), (3, 2e-13)):
+                    value[i] = sigma_at_ratio(replace(geom, d=float(ds[i])), float(dips[i]), ratio)
+            return Conductivity(value=value, omega=omegas)
+
+        monkeypatch.setattr(gspp.prism, "conductivity", conductivity)
+        with pytest.raises(ArithmeticError, match=BAD_SIGMAS[1][1]):
+            beta_sweep_matched(geom, self.PARAMS, *self.WINDOW, ds, n_scan=50)
+        out = tmp_path / "beta.csv"
+        assert main(self.CLI + self.MATCH + ["--d-min-um", "100", "--d-max-um", "200",
+                                             "--d-points", "5", "--out", str(out)]) == 3
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("flags, code", [
+        (["--theta-deg", "40"], 3),
+        (["--theta-deg", "40"] + MATCH, 3),
+        (["--pol", "TE", "--theta-deg", "60"], 2),
+        (["--pol", "TE", "--theta-deg", "60"] + MATCH, 2),
+    ], ids=["below-critical", "below-critical-matched", "wrong-pol", "wrong-pol-matched"])
+    def test_cli_exit_code_and_no_table(self, tmp_path, flags, code):
+        out = tmp_path / "beta.csv"
+        assert main(self.CLI + flags + ["--out", str(out)]) == code
+        assert not list(tmp_path.iterdir())
+
+
 class TestPrismNormalization:
     def test_positive(self):
         params = GrapheneParams.with_default_rates(0.5, 300.0)

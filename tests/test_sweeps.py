@@ -1,22 +1,28 @@
-"""Stages 1 and 2 over a frequency sweep against one-point calls.
+"""Stages 1, 2 and 4 over a sweep against one-point calls.
 
 conductivity and conductivity_slope take a whole sweep in one call; each
 element must carry the bits of its one-point call.  The dispersion layer
 (wavenumber, transverse_q0, group_velocity, solve_mode) must agree with
 one-point calls to within 4 ulp.  The sweeps straddle the interband edge
 hbar*omega = 2*mu, at 300 K and at 4 K, where 'auto' puts both backends
-in one sweep.
+in one sweep.  The prism's spacing sweeps (beta_sweep, beta_sweep_matched)
+solve every spacing in one batch; each beta must carry the bits of
+overlap_beta at its spacing and frequency.
 """
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import overlap_beta_oracle
 from gspp.dispersion import group_velocity, solve_mode, transverse_q0, wavenumber
 from gspp.material import CONSTANTS, GrapheneParams, conductivity, conductivity_slope, select_mode
+from gspp.prism import (PrismGeometry, ValidityWarning, beta_sweep, beta_sweep_matched,
+                        overlap_beta)
 
 ULPS = 4
 
@@ -96,3 +102,49 @@ def test_cold_sweep_mixes_backends():
         sigma = conductivity(params, w)
         assert sweep.value[i] == sigma.value
         assert slope[i] == conductivity_slope(params, sigma)
+
+
+# each polarization's fig4b coupler: (mu_c eV, T K) of a sheet whose
+# sigma'' supports it, the incidence angle (deg), the spacings' lower end,
+# the figure's beta peak and upper end (um), the frequency window (THz) and
+# the dip scan's points
+COUPLERS = {
+    "TM": ((0.5, 300.0), 64.0, (5.0, 45.0, 200.0), (0.3, 1.5), 200),
+    "TE": ((1.24, 0.0), 54.74, (15.0, 26.0, 40.0), (590.5, 591.1), 300),
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(pol=st.sampled_from(["TM", "TE"]),
+       below=st.lists(st.floats(0.0, 0.999), min_size=1, max_size=8),
+       above=st.lists(st.floats(0.001, 1.0), min_size=1, max_size=8),
+       f_frac=st.floats(0.0, 1.0), order=st.randoms(use_true_random=False))
+def test_coupler_sweeps_match_one_point_calls(pol, below, above, f_frac, order):
+    (mu_c, temperature), theta_deg, (d_lo, d_peak, d_hi), (f_lo, f_hi), n_scan = COUPLERS[pol]
+    params = GrapheneParams.with_default_rates(mu_c, temperature)
+    geom = PrismGeometry(eps1=1.5, d=1e-9, theta_i=math.radians(theta_deg), polarization=pol)
+    spacings = ([d_lo + x * (d_peak - d_lo) for x in below]
+                + [d_peak + x * (d_hi - d_peak) for x in above])
+    order.shuffle(spacings)
+    ds = np.array(spacings) * 1e-6
+    omega = 2.0 * math.pi * (f_lo + f_frac * (f_hi - f_lo)) * 1e12
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ValidityWarning)
+        betas = beta_sweep(geom, params, omega, ds)
+        matched, dips = beta_sweep_matched(geom, params, 2.0 * math.pi * f_lo * 1e12,
+                                           2.0 * math.pi * f_hi * 1e12, ds, n_scan=n_scan)
+        points = []
+        for d, beta in zip(ds.tolist(), betas):
+            assert beta == overlap_beta(replace(geom, d=d), params, omega), d
+            points.append((d, omega, beta))
+        for d, w, beta in zip(ds.tolist(), dips.tolist(), matched):
+            if math.isnan(w):
+                assert beta == 0.0
+                continue
+            assert beta == overlap_beta(replace(geom, d=d), params, w), (d, w)
+            points.append((d, w, beta))
+    # the closed form against the sampled quadrature, at the tolerance of
+    # the fig4b points: both sweeps' first spacing and the last matched point
+    for d, w, beta in (points[0], points[len(ds)], points[-1]):
+        ref = overlap_beta_oracle(replace(geom, d=d), params, w, n_points=1024)
+        assert abs(beta - ref) <= 1e-9 * abs(ref), (d, w)
