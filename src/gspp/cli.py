@@ -212,7 +212,9 @@ def add_material_options(sub: argparse.ArgumentParser, background: bool) -> None
     if background:
         sub.add_argument("--eps-r", type=float, default=1.0)
     sub.add_argument("--n-layers", type=int, default=1)
-    sub.add_argument("--sigma-model", choices=("auto", "full", "low"), default="auto")
+    sub.add_argument("--sigma-model", choices=("auto", "full", "low"), default="auto",
+                     help="conductivity form at every frequency: auto takes the full form"
+                          " at T > 0 and the closed form at T = 0; full or low pins one")
 
 
 def material_from_args(args) -> GrapheneParams:
@@ -324,8 +326,8 @@ def cmd_prism(args) -> int:
     # beta-sweep
     if args.d_points < 1:
         raise ValueError("need at least one spacing point")
-    if args.d_min_um > args.d_max_um:
-        raise ValueError(f"need --d-min-um <= --d-max-um, got {args.d_min_um} > {args.d_max_um}")
+    if not 0.0 < args.d_min_um <= args.d_max_um:
+        raise ValueError(f"need 0 < --d-min-um <= --d-max-um, got {args.d_min_um} and {args.d_max_um}")
     matched = args.match_fmin_thz is not None
     if matched != (args.match_fmax_thz is not None):
         raise ValueError("--match-fmin-thz and --match-fmax-thz must be given together")

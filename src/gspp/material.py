@@ -3,13 +3,14 @@
 Two evaluation paths are provided: the full finite-temperature form
 (intraband Drude term plus an interband integral over the Fermi-Dirac
 occupation difference) and the closed-form low-temperature limit (Drude
-term plus step and logarithm).  `conductivity_slope` gives d sigma/d omega
-on the same two paths.  Both take one frequency or an array of them: the
-closed form and the slope kernel run as numpy expressions over the whole
-sweep, the full form's integral one frequency at a time, and each element
-of a sweep has the bits of its one-point call.  All internal arithmetic is
-in SI; the chemical potential is accepted in eV at the API boundary and
-converted once.
+term plus step and logarithm).  `select_mode` picks one per material, not
+per frequency: the full form at T > 0, the closed form at T = 0, unless
+params pin one.  `conductivity_slope` gives d sigma/d omega on the same
+path.  Both take one frequency or an array of them: the closed form and
+the slope kernel run as numpy expressions over the whole sweep, the full
+form's integral one frequency at a time, and each element of a sweep has
+the bits of its one-point call.  All internal arithmetic is in SI; the
+chemical potential is in eV at the API boundary, converted once.
 """
 
 from __future__ import annotations
@@ -110,10 +111,8 @@ class GrapheneParams:
     gamma_inter: float
     eps_r: float = 1.0
     n_layers: int = 1
-    # 'auto' dispatches on kB*T vs min(|mu_c|, hbar*omega); 'full' or 'low'
-    # pin the evaluation path.  Near the interband edge the gamma-less
-    # low-T closed form is log-singular, so edge studies at cryogenic
-    # temperature should pin 'full'.
+    # 'auto' takes the full form at T > 0 and the closed form at T = 0;
+    # 'full' or 'low' pin the evaluation path for every frequency.
     conductivity_model: str = "auto"
 
     def __post_init__(self):
@@ -272,8 +271,8 @@ def _doublings(width, reach):
     it out to the first offset that covers reach (reach >= 3 widths here,
     so never empty); nan past the last offset of a row."""
     count = np.ceil(np.log2(reach / width)).astype(int) + 4
-    offsets = width[:, None] * _POWERS_OF_TWO[:count.max()]
-    offsets[np.arange(count.max()) >= count[:, None]] = np.nan
+    offsets = width[:, None] * _POWERS_OF_TWO[:count.max(initial=0)]
+    offsets[np.arange(offsets.shape[1]) >= count[:, None]] = np.nan
     return offsets
 
 
@@ -448,42 +447,34 @@ def conductivity_lowT(params: GrapheneParams, omega) -> Conductivity:
     return Conductivity(value=value, omega=omegas)
 
 
-def select_mode(params: GrapheneParams, omega):
-    """Backend for params at omega, elementwise over an array of
-    frequencies: the one params.conductivity_model pins ('full' or 'low'),
-    or under 'auto' the low-T form when kB*T < 0.01*min(|mu_c|, hbar*omega),
-    and always at T = 0, where the full form is undefined."""
+def select_mode(params: GrapheneParams) -> str:
+    """Conductivity backend for params, one for every frequency: the one
+    params.conductivity_model pins ('full' or 'low'), or under 'auto' the
+    closed form where kB*T == 0, where the full form is undefined, and the
+    full form at any T > 0."""
     if params.conductivity_model != "auto":
-        mode = np.full(np.shape(omega), params.conductivity_model)
-    else:
-        kT = CONSTANTS.kB * params.temperature
-        scale = np.minimum(abs(params.mu_c) * CONSTANTS.e,
-                           CONSTANTS.hbar * np.asarray(omega, dtype=float))
-        mode = np.where((kT == 0.0) | (kT < 0.01 * scale), "low", "full")
-    return str(mode) if mode.ndim == 0 else mode
+        return params.conductivity_model
+    return "low" if CONSTANTS.kB * params.temperature == 0.0 else "full"
 
 
 def conductivity(params: GrapheneParams, omega) -> Conductivity:
     """Sheet conductivity at one frequency or elementwise over an array of
-    them, on the backend `select_mode` picks at each: the closed form in one
-    `conductivity_lowT` call, the full form one `conductivity_full` call per
-    frequency, in sweep order."""
+    them, on the backend `select_mode` picks for params: the closed form in
+    one `conductivity_lowT` call, the full form one `conductivity_full` call
+    per frequency, in sweep order."""
+    if select_mode(params) == "low":
+        return conductivity_lowT(params, omega)
     omegas = np.asarray(omega, dtype=float)
-    low = select_mode(params, omegas) == "low"
     if omegas.ndim == 0:
-        return conductivity_lowT(params, omega) if low else conductivity_full(params, omega)
-    value = np.empty(omegas.shape, dtype=complex)
-    if low.any():
-        value[low] = conductivity_lowT(params, omegas[low]).value
-    value[~low] = [conductivity_full(params, w).value for w in omegas[~low].tolist()]
-    return Conductivity(value=value, omega=omegas)
+        return conductivity_full(params, omega)
+    value = [conductivity_full(params, w).value for w in omegas.ravel().tolist()]
+    return Conductivity(value=np.array(value, dtype=complex).reshape(omegas.shape), omega=omegas)
 
 
 def conductivity_slope(params: GrapheneParams, sigma: Conductivity):
     """d sigma/d omega (S s) at sigma.omega, where sigma = conductivity(params,
     sigma.omega), on the backend `select_mode` picks; elementwise on a
-    sweep, with K2 for all its full-form frequencies in one
-    `_slope_kernel` call.
+    sweep, with K2 for all its frequencies in one `_slope_kernel` call.
 
     Full form: each term carries a factor 1/(omega + i*gamma), whose
     derivative gives -sigma_intra/(omega + i*gamma_intra) and
@@ -491,21 +482,17 @@ def conductivity_slope(params: GrapheneParams, sigma: Conductivity):
     denominator adds -(i e^2 abar^2/(pi hbar omega))*K2.  Low-T form: the
     closed form differentiated.
     """
-    omegas, values = _sweep(sigma.omega), np.atleast_1d(sigma.value)
+    omega = _sweep(sigma.omega).ravel()
     k = CONSTANTS
     n = params.n_layers
-    full = select_mode(params, omegas) == "full"
-    slope = np.empty(omegas.shape, dtype=complex)
-    if full.any():
-        omega = omegas[full]
+    if select_mode(params) == "full":
         intra = _intraband_full(params, omega)
-        inter = values[full] / n - intra
+        inter = np.ravel(sigma.value) / n - intra
         abar = (omega + 1j * params.gamma_inter) / omega
         kernel = 1j * k.e**2 * abar**2 / (math.pi * k.hbar * omega) * _slope_kernel(params, omega)
-        slope[full] = n * (inter / (omega + 1j * params.gamma_inter)
-                           - intra / (omega + 1j * params.gamma_intra) - kernel)
-    if not full.all():
-        omega = omegas[~full]
+        slope = n * (inter / (omega + 1j * params.gamma_inter)
+                     - intra / (omega + 1j * params.gamma_intra) - kernel)
+    else:
         mu = abs(params.mu_c) * k.e
         hw = k.hbar * omega
         a = omega + 1j * params.gamma_intra
@@ -513,5 +500,5 @@ def conductivity_slope(params: GrapheneParams, sigma: Conductivity):
         if mu != 0.0:
             _off_log_singularity(hw, mu, omega)
             low += 1j * k.e**2 * mu / (math.pi * (hw - 2.0 * mu) * (hw + 2.0 * mu))
-        slope[~full] = n * low
-    return slope[0] if np.ndim(sigma.omega) == 0 else slope
+        slope = n * low
+    return slope[0] if np.ndim(sigma.omega) == 0 else slope.reshape(np.shape(sigma.omega))

@@ -64,8 +64,8 @@ class PrismGeometry:
     def __post_init__(self):
         if self.eps1 <= 1.0:
             raise ValueError("prism permittivity must exceed 1")
-        if self.d <= 0.0:
-            raise ValueError("spacing d must be > 0")
+        if not self.d > 0.0:
+            raise ValueError(f"spacing d must be > 0, got {self.d}")
         if not 0.0 < self.theta_i < math.pi / 2.0:
             raise ValueError("incidence angle must lie in (0, pi/2)")
         if self.polarization not in (TM, TE):
@@ -217,7 +217,7 @@ def matching_frequency(geom: PrismGeometry, params: GrapheneParams, omega_lo: fl
 
     Raises NotResonant below the critical angle or when no spacing has a
     dip, and ValueError for fewer than three scan points, which cannot
-    bracket a dip.
+    bracket a dip, or for a spacing that is not > 0.
     """
     if n_scan < 3:
         raise ValueError(f"need at least 3 scan points to bracket a dip, got {n_scan}")
@@ -225,6 +225,8 @@ def matching_frequency(geom: PrismGeometry, params: GrapheneParams, omega_lo: fl
         raise NotResonant("incidence below the critical angle: no surface-wave excitation")
     _require_vacuum_background(params)
     d_values = np.asarray(d_values, dtype=float)
+    for d in d_values.tolist():
+        replace(geom, d=d)  # PrismGeometry rejects a spacing that is not > 0
     omegas = np.linspace(omega_lo, omega_hi, n_scan)
     sigmas = conductivity(params, omegas).value
     amps = _atr_amplitudes(geom.eps1, d_values[:, None], geom.polarization, geom.theta_i,
@@ -404,14 +406,16 @@ def overlap_sweep(geom: PrismGeometry, params: GrapheneParams, omegas,
 
     Warns ValidityWarning once per ratio above 1, at the first caller
     outside this module.  Raises NotResonant below the critical angle,
-    UnsupportedModeError when Im sigma does not support the polarization
-    and ArithmeticError, naming the first failing ratio, at a singular
-    stack.
+    ValueError for a spacing that is not > 0, UnsupportedModeError when
+    Im sigma does not support the polarization and ArithmeticError, naming
+    the first failing ratio, at a singular stack.
     """
     _require_vacuum_background(params)
     if geom.theta_i <= critical_angle(geom.eps1):
         raise NotResonant("theta below the critical angle: gap field not evanescent")
     d_values = np.asarray(d_values, dtype=float)
+    for d in d_values.tolist():
+        replace(geom, d=d)  # PrismGeometry rejects a spacing that is not > 0
     omegas = np.asarray(omegas, dtype=float)
     live = ~np.isnan(omegas) if omegas.ndim else np.full(d_values.shape, True)
     betas = np.zeros(d_values.shape, dtype=complex)

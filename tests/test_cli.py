@@ -612,6 +612,9 @@ class TestUsageErrors:
         QEC_SMALL + ["--trajectories", "4", "--beta", "-1.5"],
         ["prism", "reflectance-map", "--theta-max-deg", "60", "--theta-min-deg", "70"],
         ["prism", "beta-sweep", "--d-points", "2", "--d-max-um", "5", "--d-min-um", "10"],
+        ["prism", "beta-sweep", "--d-points", "4", "--d-max-um", "10", "--d-min-um", "-5"],
+        ["prism", "beta-sweep", "--d-points", "4", "--match-fmin-thz", "0.3",
+         "--match-fmax-thz", "1.5", "--d-max-um", "10", "--d-min-um", "-5"],
     ])
     def test_non_finite_or_out_of_range_rejected(self, tmp_path, capsys, argv):
         # these used to exit 0 with nan rows or a descending table, or exit

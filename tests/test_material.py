@@ -217,7 +217,7 @@ def test_lowT_slope_against_mpmath_derivative(n_layers):
 
     for omega in (2.0 * math.pi * 10e12, 0.9 * 0.8 * EV / HBAR, 1.1 * 0.8 * EV / HBAR,
                   2.0 * math.pi * CONSTANTS.c0 / 810e-9):
-        assert select_mode(p, omega) == "low"
+        assert select_mode(p) == "low"
         ours = conductivity_slope(p, conductivity_lowT(p, omega))
         oracle = complex(mp.diff(closed_form, mp.mpf(omega)))
         assert abs(ours - oracle) <= 1e-9 * abs(oracle)
@@ -241,9 +241,9 @@ def test_fig2a_sweep_shape():
 
 def test_dispatch_rules():
     p0 = GrapheneParams(mu_c=0.5, temperature=0.0, gamma_intra=1e12, gamma_inter=1e13)
-    assert select_mode(p0, ev_to_omega(0.5)) == "low"
+    assert select_mode(p0) == "low"
     p300 = GrapheneParams(mu_c=0.5, temperature=300.0, gamma_intra=1e12, gamma_inter=1e13)
-    assert select_mode(p300, 2.0 * math.pi * 1e12) == "full"
+    assert select_mode(p300) == "full"
 
 
 @pytest.mark.parametrize("n_layers", [1, 2])
@@ -253,7 +253,7 @@ def test_zero_temperature_neutral_sheet_dispatches_closed_form(n_layers):
     p = GrapheneParams(mu_c=0.0, temperature=0.0, gamma_intra=1e12, gamma_inter=1e13,
                        n_layers=n_layers)
     w = ev_to_omega(0.5)
-    assert select_mode(p, w) == "low"
+    assert select_mode(p) == "low"
     assert conductivity(p, w).value == n_layers * sigma_min()
 
 
@@ -495,8 +495,8 @@ def test_pinned_low_model_at_finite_temperature():
     w = 2.0 * math.pi * 10e12
     auto = GrapheneParams.with_default_rates(0.5, 300.0)
     low = replace(auto, conductivity_model="low")
-    assert select_mode(auto, w) == "full"
-    assert select_mode(low, w) == "low"
+    assert select_mode(auto) == "full"
+    assert select_mode(low) == "low"
     sig = conductivity(low, w)
     assert sig.value == conductivity_lowT(auto, w).value
     cold = replace(auto, temperature=0.0)

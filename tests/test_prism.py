@@ -36,6 +36,7 @@ from gspp.prism import (
     lossless_matching_frequency,
     matching_frequency,
     overlap_beta,
+    overlap_sweep,
     prism_energy_fraction,
     prism_mode_normalization,
     reflectance_map,
@@ -155,6 +156,15 @@ class TestMatchingFrequency:
         with pytest.raises(NotResonant):
             matching_frequency(te_geom(), params, 2.0 * math.pi * 100e12,
                                2.0 * math.pi * 150e12, [1e-3])
+
+    @pytest.mark.parametrize("bad", [-5e-6, 0.0, math.nan])
+    def test_non_positive_spacing_raises(self, bad):
+        # PrismGeometry rejects d <= 0; the sweep's spacings used to pass
+        # unchecked and give a dip at d = -5 um and d = 0
+        params = GrapheneParams.with_default_rates(0.5, 300.0)
+        with pytest.raises(ValueError, match="spacing d must be > 0"):
+            matching_frequency(tm_geom(), params, 2.0 * math.pi * 0.3e12,
+                               2.0 * math.pi * 1.5e12, [5e-6, bad, 10e-6])
 
     def test_lossless_root_agrees_with_lossy_dip(self):
         # reduce the intraband damping: the reflectance dip approaches the
@@ -485,6 +495,14 @@ class TestOverlapBeta:
             warnings.simplefilter("ignore", ValidityWarning)
             beta = overlap_beta(tm_geom(), params, 2.0 * math.pi * 10e12)
         assert abs(beta) < 1e-3
+
+    @pytest.mark.parametrize("bad", [-5e-6, 0.0, math.nan])
+    def test_non_positive_spacing_raises(self, bad):
+        # PrismGeometry rejects d <= 0; the sweep's spacings used to pass
+        # unchecked and give a beta at d = -5 um and d = 0
+        params = GrapheneParams.with_default_rates(0.5, 300.0)
+        with pytest.raises(ValueError, match="spacing d must be > 0"):
+            overlap_sweep(tm_geom(), params, 2.0 * math.pi * 0.81e12, [5e-6, bad, 10e-6])
 
     def test_below_critical_angle_raises(self):
         params = GrapheneParams.with_default_rates(0.5, 300.0)

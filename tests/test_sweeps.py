@@ -4,10 +4,10 @@ conductivity and conductivity_slope take a whole sweep in one call; each
 element must carry the bits of its one-point call.  The dispersion layer
 (wavenumber, transverse_q0, group_velocity, solve_mode) must agree with
 one-point calls to within 4 ulp.  The sweeps straddle the interband edge
-hbar*omega = 2*mu, at 300 K and at 4 K, where 'auto' puts both backends
-in one sweep.  The prism's spacing sweeps (beta_sweep, beta_sweep_matched)
-solve every spacing in one batch; each beta must carry the bits of
-overlap_beta at its spacing and frequency.
+hbar*omega = 2*mu, at 300 K and at 4 K, where 'auto' takes the full form
+at every frequency, as at 300 K.  The prism's spacing sweeps (beta_sweep,
+beta_sweep_matched) solve every spacing in one batch; each beta must carry
+the bits of overlap_beta at its spacing and frequency.
 """
 
 import math
@@ -15,12 +15,13 @@ import warnings
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import overlap_beta_oracle
 from gspp.dispersion import group_velocity, solve_mode, transverse_q0, wavenumber
-from gspp.material import CONSTANTS, GrapheneParams, conductivity, conductivity_slope, select_mode
+from gspp.material import CONSTANTS, GrapheneParams, conductivity, conductivity_slope
 from gspp.prism import (PrismGeometry, ValidityWarning, beta_sweep, beta_sweep_matched,
                         overlap_beta)
 
@@ -89,19 +90,34 @@ def test_sweep_matches_one_point_calls(temperature, mu_c, model, n_layers, eps_r
             assert_within_ulps(getattr(first, name)[0], getattr(point, name), f"one-element {name}")
 
 
-def test_cold_sweep_mixes_backends():
-    # 4 K, 0.05 eV: below about a third of the edge kB*T is not below
-    # 0.01*hbar*omega, so 'auto' takes the full form there and the closed
-    # form above; one sweep holds both, each element with its one-point bits
+def test_cold_sweep_runs_on_one_backend():
+    # 4 K, 0.05 eV: 'auto' takes the full form at every frequency.  A
+    # per-frequency rule handed over to the closed form, which drops the
+    # interband broadening, where kB*T = 0.01*hbar*omega (8.3346 THz): Re sigma
+    # fell 11-fold there, and TM kappa'' from 2.35 at 8 THz to 0.247 at 9 THz
     params = GrapheneParams.with_default_rates(0.05, 4.0)
-    omegas = 2.0 * 0.05 * CONSTANTS.e / CONSTANTS.hbar * np.array([0.2, 0.3, 0.9, 1.1, 2.5])
-    assert select_mode(params, omegas).tolist() == ["full", "full", "low", "low", "low"]
+    pinned = replace(params, conductivity_model="full")
+    handover = 100.0 * CONSTANTS.kB * 4.0 / CONSTANTS.hbar
+    omegas = handover * np.array([0.5, 1.0 - 1e-9, 1.0 + 1e-9, 1.5, 3.0])
     sweep = conductivity(params, omegas)
+    assert np.array_equal(sweep.value, conductivity(pinned, omegas).value)
+    assert np.array_equal(conductivity_slope(params, sweep), conductivity_slope(pinned, sweep))
+    below, above = sweep.value[1:3]
+    assert abs(above - below) <= 1e-6 * abs(below), (below, above)
+
+    omegas = 2.0 * math.pi * np.array([8e12, 9e12])
+    mode = solve_mode(params, conductivity(params, omegas), "TM")
+    kappa2 = mode.k.imag * CONSTANTS.c0 / omegas
+    assert kappa2[1] > kappa2[0], kappa2
+
+
+@pytest.mark.parametrize("temperature", [300.0, 4.0, 0.0])
+def test_empty_sweep(temperature):
+    params = GrapheneParams.with_default_rates(0.5, temperature)
+    sweep = conductivity(params, np.array([]))
     slope = conductivity_slope(params, sweep)
-    for i, w in enumerate(omegas.tolist()):
-        sigma = conductivity(params, w)
-        assert sweep.value[i] == sigma.value
-        assert slope[i] == conductivity_slope(params, sigma)
+    assert sweep.value.shape == slope.shape == (0,)
+    assert sweep.value.dtype == slope.dtype == complex
 
 
 # each polarization's fig4b coupler: (mu_c eV, T K) of a sheet whose
