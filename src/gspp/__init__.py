@@ -25,10 +25,8 @@ from .dispersion import (
     wavenumber,
 )
 from .quantize import (
-    QuantizationGeometry,
     mode_function,
     mode_normalization,
-    quantize_mode,
     vector_potential_amplitude,
 )
 from .qstate import truncation_dimension
@@ -43,7 +41,6 @@ from .prism import (
     AtrSolution,
     NotResonant,
     PrismGeometry,
-    atr_solve,
     coupling_from_beta,
     critical_angle,
     matching_frequency,

@@ -313,10 +313,11 @@ def cmd_prism(args) -> int:
                              f"{args.theta_min_deg} > {args.theta_max_deg}")
         thetas = np.radians(np.linspace(args.theta_min_deg, args.theta_max_deg,
                                         args.theta_points))
+        geom = PrismGeometry(eps1=args.eps1, d=args.d_um * 1e-6, theta_i=thetas,
+                             polarization=args.pol)
         omegas = 2.0 * math.pi * frequency_grid(args.fmin_thz, args.fmax_thz,
                                                 args.freq_points, False)
-        grid = reflectance_map(thetas, omegas, eps1=args.eps1, d=args.d_um * 1e-6,
-                               polarization=args.pol, params=params)
+        grid = reflectance_map(geom, params, omegas)
         # row (i, j) is omegas[i], thetas[j]: grid's C order
         write_csv(args.out, args.command, parameter_echo(args, params),
                   {"freq_hz": np.repeat(omegas / (2.0 * math.pi), len(thetas)),
@@ -333,22 +334,22 @@ def cmd_prism(args) -> int:
         raise ValueError("--match-fmin-thz and --match-fmax-thz must be given together")
     if matched and not 0.0 < args.match_fmin_thz < args.match_fmax_thz:
         raise ValueError("need 0 < match fmin < match fmax")
-    geom = PrismGeometry(eps1=args.eps1, d=1e-9, theta_i=math.radians(args.theta_deg),
-                         polarization=args.pol)
-    d_values = np.linspace(args.d_min_um, args.d_max_um, args.d_points) * 1e-6
+    geom = PrismGeometry(eps1=args.eps1,
+                         d=np.linspace(args.d_min_um, args.d_max_um, args.d_points) * 1e-6,
+                         theta_i=math.radians(args.theta_deg), polarization=args.pol)
     if matched:
         omegas = matching_frequency(geom, params, 2.0 * math.pi * args.match_fmin_thz * 1e12,
-                                    2.0 * math.pi * args.match_fmax_thz * 1e12, d_values,
+                                    2.0 * math.pi * args.match_fmax_thz * 1e12,
                                     n_scan=args.match_scan_points)
     else:
         omegas = 2.0 * math.pi * args.f_thz * 1e12
-    betas, ratios = overlap_sweep(geom, params, omegas, d_values)
+    betas, ratios = overlap_sweep(geom, params, omegas)
     echo = parameter_echo(args, params, dip_refined=matched,
                           max_beta_abs=float(np.abs(betas).max()),
                           validity_warnings=int(np.sum(ratios > 1.0)),
                           max_prism_energy_ratio=float(np.nanmax(ratios)))
     write_csv(args.out, args.command, echo,
-              {"d_m": d_values, "beta_abs": [abs(b) for b in betas],
+              {"d_m": geom.d, "beta_abs": [abs(b) for b in betas],
                "beta_arg": [math.atan2(b.imag, b.real) for b in betas],
                "g_abs": [abs(coupling_from_beta(b)) for b in betas]})
     return 0

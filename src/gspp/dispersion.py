@@ -37,8 +37,7 @@ class SppMode:
 
     k is the complex in-plane wavenumber (1/m), q0 the complex transverse
     decay constant (1/m), v_g the group velocity (m/s, nan when the mode
-    is unsupported) and norm_n the quantization normalization length (m),
-    filled in by the quantize module.
+    is unsupported).
     """
 
     polarization: str
@@ -48,7 +47,6 @@ class SppMode:
     v_g: float | np.ndarray
     supported: bool | np.ndarray
     eps_r: float
-    norm_n: float | None = None
 
     def __post_init__(self):
         if self.polarization not in (TM, TE):

@@ -17,12 +17,13 @@ the evanescent regime.
 
 The photon mode below the prism is a sum of exponentials in z, read off
 the ATR amplitudes as quantize.Waves; its normalization and its overlap
-with the surface wave are exact integrals, with no sampling grid.  A
-spacing sweep is one batch: `overlap_sweep` solves the stacks, both mode
-normalizations and the overlaps of every spacing in one call, and
-`matching_frequency` scans every spacing's window as one (spacings x scan)
-batch.  `overlap_beta` and `prism_mode_normalization` are the one-point
-case, so an element of a sweep has the bits of its one-point call.
+with the surface wave are exact integrals, with no sampling grid.  Each
+entry point reads its sweep from the PrismGeometry (d or theta_i an
+array).  A spacing sweep is one batch: `overlap_sweep` solves the stacks,
+both mode normalizations and the overlaps of every spacing in one call,
+and `matching_frequency` scans every spacing's window as one
+(spacings x scan) batch.  `overlap_beta` is the one-point case, so an
+element of a sweep has the bits of its one-point call.
 """
 
 from __future__ import annotations
@@ -54,20 +55,22 @@ class ValidityWarning(UserWarning):
 @dataclass(frozen=True)
 class PrismGeometry:
     """Prism permittivity, prism-graphene spacing d (m), incidence angle
-    theta_i (rad) and the polarization driven."""
+    theta_i (rad) and the polarization driven; d or theta_i may be an
+    array, a spacing or an angle sweep, checked element by element."""
 
     eps1: float
-    d: float
-    theta_i: float
+    d: float | np.ndarray
+    theta_i: float | np.ndarray
     polarization: str
 
     def __post_init__(self):
-        if self.eps1 <= 1.0:
-            raise ValueError("prism permittivity must exceed 1")
-        if not self.d > 0.0:
-            raise ValueError(f"spacing d must be > 0, got {self.d}")
-        if not 0.0 < self.theta_i < math.pi / 2.0:
-            raise ValueError("incidence angle must lie in (0, pi/2)")
+        if not self.eps1 > 1.0:
+            raise ValueError(f"prism permittivity must exceed 1, got eps1 = {self.eps1}")
+        d, theta = np.asarray(self.d, dtype=float), np.asarray(self.theta_i, dtype=float)
+        if (bad := d[~(d > 0.0)]).size:
+            raise ValueError(f"spacing d must be > 0, got {bad[0]}")
+        if (bad := theta[~((0.0 < theta) & (theta < math.pi / 2.0))]).size:
+            raise ValueError(f"incidence angle must lie in (0, pi/2), got {bad[0]}")
         if self.polarization not in (TM, TE):
             raise ValueError("polarization must be 'TM' or 'TE'")
 
@@ -110,8 +113,8 @@ def _reflectance(r) -> np.ndarray:
 
 def critical_angle(eps1: float) -> float:
     """Total-internal-reflection angle arcsin(1/sqrt(eps1)), radians."""
-    if eps1 < 1.0:
-        raise ValueError("eps1 must be >= 1")
+    if not eps1 >= 1.0:
+        raise ValueError(f"eps1 must be >= 1, got {eps1}")
     return math.asin(1.0 / math.sqrt(eps1))
 
 
@@ -119,6 +122,16 @@ def _require_vacuum_background(params: GrapheneParams) -> None:
     if params.eps_r != 1.0:
         raise ValueError("the prism model assumes vacuum on both sides of the "
                          "graphene (eps_r = 1)")
+
+
+def _require_evanescent_gap(geom: PrismGeometry, params: GrapheneParams) -> None:
+    """The checks of every entry point that couples to the surface wave: vacuum
+    around the sheet, and one incidence angle, above the critical angle."""
+    _require_vacuum_background(params)
+    if np.ndim(geom.theta_i):
+        raise ValueError("surface-wave coupling takes one incidence angle, not an angle sweep")
+    if not geom.theta_i > critical_angle(geom.eps1):
+        raise NotResonant(f"incidence angle {geom.theta_i} rad not above the critical angle")
 
 
 # smallest |den| / (|1 + q| + |rho u^2| |1 - q|) of an ATR stack that is solved
@@ -172,8 +185,9 @@ def _atr_amplitudes(eps1: float, d: float, polarization: str, thetas, sigmas, om
 
 
 def atr_solve_sigma(geom: PrismGeometry, sigma: complex, omega: float) -> AtrSolution:
-    """Solve the three-region reflection/transmission problem for a given
-    sheet conductivity (the graphene-free limit is sigma -> 0)."""
+    """Solve the three-region reflection/transmission problem of a one-point
+    geometry for a given sheet conductivity (the graphene-free limit is
+    sigma -> 0)."""
     amps, kx, kz1, kz0 = _atr_amplitudes(geom.eps1, geom.d, geom.polarization,
                                          geom.theta_i, sigma, omega)
     r, m1, m2, t = (complex(a) for a in amps)
@@ -183,57 +197,44 @@ def atr_solve_sigma(geom: PrismGeometry, sigma: complex, omega: float) -> AtrSol
                        eps1=geom.eps1, d=geom.d)
 
 
-def atr_solve(geom: PrismGeometry, params: GrapheneParams, omega: float) -> AtrSolution:
-    """Solve the three-region problem with the graphene conductivity at omega."""
+def reflectance_map(geom: PrismGeometry, params: GrapheneParams, omegas) -> np.ndarray:
+    """Reflectance R = |r|^2 with one row per frequency and one column per
+    point of geom's sweep (one column for a one-point geometry).  The
+    conductivity is evaluated once per frequency row, in one sweep; the
+    whole grid is solved as one batch."""
     _require_vacuum_background(params)
-    sigma = conductivity(params, omega).value
-    return atr_solve_sigma(geom, sigma, omega)
-
-
-def reflectance_map(thetas, omegas, eps1: float, d: float, polarization: str,
-                    params: GrapheneParams) -> np.ndarray:
-    """Reflectance R = |r|^2 on the (omega, theta) grid, shape
-    (len(omegas), len(thetas)).  The conductivity is evaluated once per
-    frequency row, in one sweep; the whole grid is solved as one batch."""
-    _require_vacuum_background(params)
-    thetas = np.asarray(thetas, dtype=float)
     omegas = np.asarray(omegas, dtype=float)
-    for th in thetas:
-        PrismGeometry(eps1=eps1, d=d, theta_i=float(th), polarization=polarization)
     sigmas = conductivity(params, omegas).value
-    amps = _atr_amplitudes(eps1, d, polarization, thetas[None, :],
-                           sigmas[:, None], omegas[:, None])[0]
+    amps = _atr_amplitudes(geom.eps1, geom.d, geom.polarization,
+                           np.atleast_1d(geom.theta_i)[None, :], sigmas[:, None],
+                           omegas[:, None])[0]
     return np.abs(amps[..., 0]) ** 2
 
 
 def matching_frequency(geom: PrismGeometry, params: GrapheneParams, omega_lo: float,
-                       omega_hi: float, d_values, n_scan: int = 400) -> np.ndarray:
-    """Frequency of the reflectance minimum at each spacing in d_values
-    (geom.d is not used): a coarse scan on [omega_lo, omega_hi], solved for
-    every spacing as one (spacings x scan) batch, refined by one
+                       omega_hi: float, n_scan: int = 400) -> np.ndarray:
+    """Frequency of the reflectance minimum at each spacing of geom (one for
+    a one-point geometry): a coarse scan on [omega_lo, omega_hi], solved
+    for every spacing as one (spacings x scan) batch, refined by one
     golden-section search over all spacings.  A dip on the window edge is
     not refined; a spacing whose window has no minimum with R < 0.99 gets
     nan.
 
     Raises NotResonant below the critical angle or when no spacing has a
     dip, and ValueError for fewer than three scan points, which cannot
-    bracket a dip, or for a spacing that is not > 0.
+    bracket a dip.
     """
     if n_scan < 3:
         raise ValueError(f"need at least 3 scan points to bracket a dip, got {n_scan}")
-    if geom.theta_i <= critical_angle(geom.eps1):
-        raise NotResonant("incidence below the critical angle: no surface-wave excitation")
-    _require_vacuum_background(params)
-    d_values = np.asarray(d_values, dtype=float)
-    for d in d_values.tolist():
-        replace(geom, d=d)  # PrismGeometry rejects a spacing that is not > 0
+    _require_evanescent_gap(geom, params)
+    d = np.atleast_1d(geom.d)
     omegas = np.linspace(omega_lo, omega_hi, n_scan)
     sigmas = conductivity(params, omegas).value
-    amps = _atr_amplitudes(geom.eps1, d_values[:, None], geom.polarization, geom.theta_i,
+    amps = _atr_amplitudes(geom.eps1, d[:, None], geom.polarization, geom.theta_i,
                            sigmas, omegas)[0]
     refl = np.abs(amps[..., 0]) ** 2
     j = np.argmin(refl, axis=1)
-    min_refl = refl[np.arange(len(d_values)), j]
+    min_refl = refl[np.arange(len(d)), j]
     dipped = ~(min_refl > 0.99)
     if not dipped.any():
         raise NotResonant(f"no reflectance dip below 0.99 in the scan window "
@@ -243,25 +244,25 @@ def matching_frequency(geom: PrismGeometry, params: GrapheneParams, omega_lo: fl
     inner = np.flatnonzero(dipped & ~edge)
     if inner.size:
         brackets = omegas[j[inner, None] + np.arange(-1, 2)]
-        dips[inner] = _golden_dips(geom, params, d_values[inner], brackets)
+        dips[inner] = _golden_dips(replace(geom, d=d[inner]), params, brackets)
     return dips
 
 
-def _golden_dips(geom: PrismGeometry, params: GrapheneParams, d: np.ndarray,
+def _golden_dips(geom: PrismGeometry, params: GrapheneParams,
                  brackets: np.ndarray) -> np.ndarray:
     """Reflectance minimum of each lane's bracket (xa, xb, xc), one lane per
-    spacing d.  Each lane repeats the arithmetic of scipy's golden-section
-    search (minimize_scalar, method='golden'): the same constant, update
-    order and stopping rule, and its ValueError for a bad bracket.  Every
-    step solves the live lanes' systems as one batch, with sigma computed
-    at each lane's frequency in one sweep."""
+    spacing of geom's sweep.  Each lane repeats the arithmetic of scipy's
+    golden-section search (minimize_scalar, method='golden'): the same
+    constant, update order and stopping rule, and its ValueError for a bad
+    bracket.  Every step solves the live lanes' systems as one batch, with
+    sigma computed at each lane's frequency in one sweep."""
 
     def reflectance(lanes, omegas):
         sigmas = conductivity(params, omegas).value
-        return _reflectance(_atr_amplitudes(geom.eps1, d[lanes], geom.polarization,
+        return _reflectance(_atr_amplitudes(geom.eps1, geom.d[lanes], geom.polarization,
                                             geom.theta_i, sigmas, omegas)[0][:, 0])
 
-    lanes = np.arange(len(d))
+    lanes = np.arange(len(geom.d))
     xa, xb, xc = brackets.T
     xa, xc = np.where(xa > xc, xc, xa), np.where(xa > xc, xa, xc)
     fa, fb, fc = np.split(reflectance(np.tile(lanes, 3), np.concatenate([xa, xb, xc])), 3)
@@ -296,10 +297,8 @@ def lossless_matching_frequency(geom: PrismGeometry, params: GrapheneParams,
                                 omega_lo: float, omega_hi: float, n_scan: int = 2000) -> float:
     """Root of the momentum-matching condition using the reactive
     conductivity only: sigma''*eta = -2*sqrt(eps1 sin^2 - 1) (TE) or
-    +2/sqrt(eps1 sin^2 - 1) (TM)."""
-    if geom.theta_i <= critical_angle(geom.eps1):
-        raise NotResonant("incidence below the critical angle")
-    _require_vacuum_background(params)
+    +2/sqrt(eps1 sin^2 - 1) (TM).  The spacing does not enter."""
+    _require_evanescent_gap(geom, params)
     from scipy.optimize import brentq
     root = math.sqrt(geom.eps1 * math.sin(geom.theta_i) ** 2 - 1.0)
     target = -2.0 * root if geom.polarization == TE else 2.0 / root
@@ -319,12 +318,12 @@ def lossless_matching_frequency(geom: PrismGeometry, params: GrapheneParams,
 # ---------------------------------------------------------------------------
 # photon-mode profiles and the overlap transmission coefficient
 
-def _atr_batch(geom: PrismGeometry, sigmas, omegas, d) -> AtrSolution:
-    """The ATR solutions of the (sigma, omega, d) points, broadcast to one
-    shape, as one AtrSolution of arrays, from one _atr_amplitudes call."""
+def _atr_batch(geom: PrismGeometry, sigmas, omegas) -> AtrSolution:
+    """The ATR solutions of the (sigma, omega, geom.d) points, broadcast to
+    one shape, as one AtrSolution of arrays, from one _atr_amplitudes call."""
     sigmas, omegas, d = np.broadcast_arrays(np.asarray(sigmas, dtype=complex),
                                             np.asarray(omegas, dtype=float),
-                                            np.asarray(d, dtype=float))
+                                            np.asarray(geom.d, dtype=float))
     amps, kx, kz1, kz0 = _atr_amplitudes(geom.eps1, d, geom.polarization, geom.theta_i,
                                          sigmas, omegas)
     r, m1, m2, t = np.moveaxis(amps, -1, 0)
@@ -357,17 +356,16 @@ def _photon_regions(sol: AtrSolution) -> list:
                                    np.stack([s, -s], axis=-1), np.stack([zero, sol.d], axis=-1)))]
 
 
-def prism_mode_normalization(geom: PrismGeometry, params: GrapheneParams, omega: float) -> float:
+def prism_mode_normalization(geom: PrismGeometry, params: GrapheneParams, omega: float):
     """Quantization length of the lower-region photon mode by the same
     Hamiltonian-integral method used for the surface wave: half the
     integral of |A|^2 + (c0/omega)^2 |curl A|^2 over z <= d plus the
-    sheet term |sigma''|/(2 eps0 omega)|A_par(0)|^2.  Defined for the
-    evanescent-gap regime (theta above the critical angle)."""
-    if geom.theta_i <= critical_angle(geom.eps1):
-        raise NotResonant("theta below the critical angle: gap field not evanescent")
-    _require_vacuum_background(params)
-    sol = _atr_batch(geom, conductivity(params, omega).value, omega, [geom.d])
-    return float(hamiltonian_norm(_photon_regions(sol), sol.sigma.imag, sol.omega)[0])
+    sheet term |sigma''|/(2 eps0 omega)|A_par(0)|^2; one per spacing of a
+    spacing sweep.  Defined for the evanescent-gap regime (theta above the
+    critical angle)."""
+    _require_evanescent_gap(geom, params)
+    sol = _atr_batch(geom, conductivity(params, omega).value, omega)
+    return hamiltonian_norm(_photon_regions(sol), sol.sigma.imag, sol.omega)
 
 
 def prism_energy_fraction(sol: AtrSolution, n_lower):
@@ -395,36 +393,32 @@ def prism_energy_fraction(sol: AtrSolution, n_lower):
     return 0.5 * density * depth / n_lower
 
 
-def overlap_sweep(geom: PrismGeometry, params: GrapheneParams, omegas,
-                  d_values) -> tuple[np.ndarray, np.ndarray]:
+def overlap_sweep(geom: PrismGeometry, params: GrapheneParams,
+                  omegas) -> tuple[np.ndarray, np.ndarray]:
     """beta (see overlap_beta) and the prism energy ratio
-    (prism_energy_fraction) at each spacing in d_values (geom.d is not
-    used), solved as one batch.  omegas is one frequency, or one per
+    (prism_energy_fraction) at each spacing of geom (one for a one-point
+    geometry), solved as one batch.  omegas is one frequency, or one per
     spacing with nan where a spacing has no dip (beta 0, ratio nan).  The
     conductivity and the lossless surface wave are evaluated once at one
     frequency, else once per spacing in one call.
 
     Warns ValidityWarning once per ratio above 1, at the first caller
     outside this module.  Raises NotResonant below the critical angle,
-    ValueError for a spacing that is not > 0, UnsupportedModeError when
-    Im sigma does not support the polarization and ArithmeticError, naming
-    the first failing ratio, at a singular stack.
+    UnsupportedModeError when Im sigma does not support the polarization
+    and ArithmeticError, naming the first failing ratio, at a singular
+    stack.
     """
-    _require_vacuum_background(params)
-    if geom.theta_i <= critical_angle(geom.eps1):
-        raise NotResonant("theta below the critical angle: gap field not evanescent")
-    d_values = np.asarray(d_values, dtype=float)
-    for d in d_values.tolist():
-        replace(geom, d=d)  # PrismGeometry rejects a spacing that is not > 0
+    _require_evanescent_gap(geom, params)
+    d = np.atleast_1d(geom.d)
     omegas = np.asarray(omegas, dtype=float)
-    live = ~np.isnan(omegas) if omegas.ndim else np.full(d_values.shape, True)
-    betas = np.zeros(d_values.shape, dtype=complex)
-    ratios = np.full(d_values.shape, math.nan)
+    live = ~np.isnan(omegas) if omegas.ndim else np.full(d.shape, True)
+    betas = np.zeros(d.shape, dtype=complex)
+    ratios = np.full(d.shape, math.nan)
     if not live.any():
         return betas, ratios
     omega = omegas[live] if omegas.ndim else omegas[None]
     sigma = conductivity(params, omega).value
-    sol = _atr_batch(geom, sigma, omega, d_values[live])
+    sol = _atr_batch(replace(geom, d=d[live]), sigma, omega)
     n_phi, spp_above, spp_below = lossless_spp_norm(geom.polarization, omega, sigma.imag, 1.0)
     regions = _photon_regions(sol)
     n_psi = hamiltonian_norm(regions, sol.sigma.imag, sol.omega)
@@ -451,38 +445,17 @@ def overlap_beta(geom: PrismGeometry, params: GrapheneParams, omega: float) -> c
     beta* = sqrt(1 - |r|^2) * <Psi_L, phi> / sqrt(N_Psi N_phi) with the
     overlap integral on z <= d in closed form; frequency and in-plane
     momentum matching are enforced by evaluating both modes at the same
-    omega (call at or near the matching frequency).  The one-spacing case
-    of overlap_sweep, whose warnings and errors it raises.
+    omega (call at or near the matching frequency).  The one-point case of
+    overlap_sweep, whose warnings and errors it raises.
     """
-    return complex(overlap_sweep(geom, params, omega, [geom.d])[0][0])
-
-
-def beta_sweep(geom: PrismGeometry, params: GrapheneParams, omega: float,
-               d_values) -> np.ndarray:
-    """beta as a function of prism-graphene spacing at fixed omega/theta,
-    in one overlap_sweep."""
-    return overlap_sweep(geom, params, omega, d_values)[0]
-
-
-def beta_sweep_matched(geom: PrismGeometry, params: GrapheneParams,
-                       omega_lo: float, omega_hi: float, d_values, n_scan: int = 1200):
-    """beta versus spacing with the evaluation frequency refined to the
-    reflectance dip for each spacing (the dip shifts and narrows as the
-    coupling weakens, especially for the sharp below-edge TE resonance).
-
-    Returns (betas, dip_omegas); spacings whose window holds no usable dip
-    yield beta = 0 and omega = nan.  Raises NotResonant when no spacing
-    has one.
-    """
-    dips = matching_frequency(geom, params, omega_lo, omega_hi, d_values, n_scan=n_scan)
-    return overlap_sweep(geom, params, dips, d_values)[0], dips
+    return overlap_sweep(geom, params, omega)[0].item()
 
 
 def coupling_from_beta(beta: complex) -> complex:
     """Coupling angle g = e^{i arg beta} arcsin|beta|, |g| in [0, pi/2]."""
     mag = abs(beta)
-    if mag > 1.0 + 1e-9:
-        raise ValueError(f"|beta| = {mag} exceeds 1")
+    if not mag <= 1.0 + 1e-9:
+        raise ValueError(f"|beta| must not exceed 1, got {mag}")
     mag = min(mag, 1.0)
     if mag == 0.0:
         return 0.0 + 0.0j

@@ -29,17 +29,6 @@ from .material import CONSTANTS, Conductivity, GrapheneParams, conductivity
 
 
 @dataclass(frozen=True)
-class QuantizationGeometry:
-    """Transverse beam width W (m) in the invariant in-plane direction."""
-
-    W: float
-
-    def __post_init__(self):
-        if self.W <= 0.0:
-            raise ValueError("beamwidth W must be > 0")
-
-
-@dataclass(frozen=True)
 class Waves:
     """Field sum_i amps[i] exp(i kx x + rates[i] (z - refs[i])) on one z-region.
 
@@ -202,17 +191,13 @@ def mode_normalization(mode: SppMode, params: GrapheneParams) -> float:
     return lossless_spp_norm(mode.polarization, mode.omega, sig.imag, params.eps_r)[0]
 
 
-def quantize_mode(mode: SppMode, params: GrapheneParams) -> SppMode:
-    """Return the mode with its normalization length filled in."""
-    return replace(mode, norm_n=mode_normalization(mode, params))
-
-
-def vector_potential_amplitude(mode: SppMode, geometry: QuantizationGeometry) -> float:
+def vector_potential_amplitude(mode: SppMode, params: GrapheneParams, width: float) -> float:
     """Prefactor sqrt(hbar/(2 eps0 W v_g omega N)) of the quantized vector
-    potential for a beam of width W."""
-    if mode.norm_n is None:
-        raise ValueError("mode has no normalization; run quantize_mode first")
+    potential for a beam of width W (m) in the invariant in-plane direction,
+    with N from mode_normalization."""
+    if not width > 0.0:
+        raise ValueError(f"beam width W must be > 0, got {width}")
     if not (mode.supported and mode.v_g > 0.0):
         raise UnsupportedModeError("amplitude defined for supported modes only")
-    return math.sqrt(CONSTANTS.hbar /
-                     (2.0 * CONSTANTS.eps0 * geometry.W * mode.v_g * mode.omega * mode.norm_n))
+    return math.sqrt(CONSTANTS.hbar / (2.0 * CONSTANTS.eps0 * width * mode.v_g * mode.omega
+                                       * mode_normalization(mode, params)))

@@ -38,7 +38,7 @@ import gspp.prism
 from gspp.cli import _fmt
 from gspp.dispersion import TE, wavenumber
 from gspp.material import CONSTANTS, QuadratureError, _intraband_full, conductivity
-from gspp.prism import NotResonant, _require_vacuum_background, atr_solve, critical_angle
+from gspp.prism import NotResonant, _require_vacuum_background, atr_solve_sigma, critical_angle
 from gspp.channel import propagate_mixture
 from gspp.coupling import CouplerSpec, code_legs, excite_cat, excite_code, normalize_superposition
 from gspp.qec import _code_basis, _unravel, trajectory_rng
@@ -816,6 +816,12 @@ def photon_norm_oracle(sol, n_points=2048):
     return 0.5 * float(below + gap) + abs(sol.sigma.imag) / (2.0 * CONSTANTS.eps0 * sol.omega) * a_par_sq
 
 
+def atr_of(geom, params, omega):
+    """The one-point ATR solution of geom at omega, with the sheet's
+    conductivity there."""
+    return atr_solve_sigma(geom, conductivity(params, omega).value, omega)
+
+
 def matching_frequency_oracle(geom, params, omega_lo, omega_hi, n_scan):
     """Reflectance-dip frequency at the spacing geom.d: a pointwise scan,
     then scipy's golden-section search on the three scan points around
@@ -824,14 +830,14 @@ def matching_frequency_oracle(geom, params, omega_lo, omega_hi, n_scan):
         raise NotResonant("incidence below the critical angle")
     _require_vacuum_background(params)
     omegas = np.linspace(omega_lo, omega_hi, n_scan)
-    refl = np.array([atr_solve(geom, params, float(w)).reflectance for w in omegas])
+    refl = np.array([atr_of(geom, params, float(w)).reflectance for w in omegas])
     i_min = int(np.argmin(refl))
     if refl[i_min] > 0.99:
         raise NotResonant("no reflectance dip below 0.99 in the scan window")
     if i_min == 0 or i_min == n_scan - 1:
         return float(omegas[i_min])
     res = minimize_scalar(
-        lambda w: atr_solve(geom, params, float(w)).reflectance,
+        lambda w: atr_of(geom, params, float(w)).reflectance,
         bracket=(omegas[i_min - 1], omegas[i_min], omegas[i_min + 1]),
         method="golden", options={"xtol": 1e-10})
     return float(res.x)
@@ -841,7 +847,7 @@ def overlap_beta_oracle(geom, params, omega, n_points=1024):
     """Overlap transmission coefficient with every mode integral sampled:
     graded Simpson below the sheet down to 40 combined decay lengths and
     uniform Simpson across the gap."""
-    sol = atr_solve(geom, params, omega)
+    sol = atr_of(geom, params, omega)
     spp = _lossless_mode(geom.polarization, omega, sol.sigma.imag, params.eps_r)
     n_phi = spp_norm_oracle(geom.polarization, spp, params, n_points)
     n_psi = photon_norm_oracle(sol, n_points)

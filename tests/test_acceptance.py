@@ -30,11 +30,10 @@ from gspp.material import (
 from gspp.prism import (
     PrismGeometry,
     ValidityWarning,
-    beta_sweep,
-    beta_sweep_matched,
     critical_angle,
     lossless_matching_frequency,
     matching_frequency,
+    overlap_sweep,
 )
 from gspp.qec import QecRunConfig, average_fidelity, orthogonality_monitor, run_ensemble
 
@@ -105,10 +104,9 @@ def test_criterion_4_prism_coupling():
     tm_max = {}
     for mu_c in (0.5, 0.8):
         params = GrapheneParams.with_default_rates(mu_c, 300.0)
-        geom = PrismGeometry(eps1=1.5, d=50e-6, theta_i=math.radians(64.0),
-                             polarization="TM")
-        ds = np.linspace(10e-6, 160e-6, 16)
-        betas = beta_sweep(geom, params, omega_tm, ds)
+        geom = PrismGeometry(eps1=1.5, d=np.linspace(10e-6, 160e-6, 16),
+                             theta_i=math.radians(64.0), polarization="TM")
+        betas = overlap_sweep(geom, params, omega_tm)[0]
         tm_max[mu_c] = float(np.abs(betas).max())
 
     # TE branch: theta = 54.74 deg, mu_c = 1.24 eV, T = 0; evaluate each
@@ -118,15 +116,15 @@ def test_criterion_4_prism_coupling():
                             polarization="TE")
     w_root = lossless_matching_frequency(geom_te, params_te,
                                          2.0 * math.pi * 575e12, 2.0 * math.pi * 599e12)
-    ds_te = np.linspace(18e-6, 34e-6, 6)
-    betas_te, dips = beta_sweep_matched(
-        geom_te, params_te, w_root - 2.0 * math.pi * 0.02e12,
-        w_root + 2.0 * math.pi * 0.35e12, ds_te, n_scan=900)
+    sweep_te = replace(geom_te, d=np.linspace(18e-6, 34e-6, 6))
+    dips = matching_frequency(sweep_te, params_te, w_root - 2.0 * math.pi * 0.02e12,
+                              w_root + 2.0 * math.pi * 0.35e12, n_scan=900)
+    betas_te = overlap_sweep(sweep_te, params_te, dips)[0]
     te_max = float(np.abs(betas_te).max())
 
     # reflectance-dip location of the d = 620 nm geometry near 2 mu_c/hbar
     w_dip = matching_frequency(geom_te, params_te, 2.0 * math.pi * 520e12,
-                               2.0 * math.pi * 680e12, [geom_te.d], n_scan=400)[0]
+                               2.0 * math.pi * 680e12, n_scan=400)[0]
     w_edge = 2.0 * 1.24 * K.e / K.hbar
     dip_dev = abs(w_dip - w_edge) / w_edge
 

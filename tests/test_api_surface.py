@@ -22,14 +22,11 @@ PACKAGE = ROOT / "src" / "gspp"
 KEEP = {
     "quantize.mode_function": "stage 3's output: the vector mode profile",
     "quantize.vector_potential_amplitude": "stage 3's output: the quantized field amplitude",
-    "quantize.quantize_mode": "stage 3's output: mode profile and amplitude together",
     "channel.matched_turning_point": "library physics: where the matched-reference fidelity turns",
     "prism.lossless_matching_frequency": "library physics: the reactive momentum-matching root",
     "prism.prism_mode_normalization": "library physics: the prism photon mode's quantization length",
     "prism.overlap_beta": "library physics: beta at one frequency; the benchmark traces it by name",
-    "prism.beta_sweep": "library physics: beta over spacing at one frequency",
-    "prism.beta_sweep_matched": "library physics: beta at each spacing's reflectance dip",
-    "prism.atr_solve": "library physics: one ATR solve at the sheet's conductivity, through atr_solve_sigma, which the benchmark traces by name",
+    "prism.atr_solve_sigma": "library physics: one ATR solve at a given sheet conductivity; the benchmark traces it by name",
     "qec.trajectory_rng": "defines the streams _ensemble_uniforms builds; the benchmark traces it by name",
 }
 

@@ -118,12 +118,13 @@ class TestPrismCommand:
         assert rc == 0
         _, rows = read_rows(out)
         assert len(rows) == 1
+        from conftest import atr_of
         from gspp.material import GrapheneParams
-        from gspp.prism import PrismGeometry, atr_solve
+        from gspp.prism import PrismGeometry
         params = GrapheneParams.with_default_rates(0.5, 300.0)
         geom = PrismGeometry(eps1=1.5, d=200e-6, theta_i=math.radians(64.0),
                              polarization="TM")
-        direct = atr_solve(geom, params, 2.0 * math.pi * 0.81e12).reflectance
+        direct = atr_of(geom, params, 2.0 * math.pi * 0.81e12).reflectance
         assert float(rows[0][2]) == pytest.approx(direct, rel=1e-12)
 
     def test_beta_sweep_csv(self, tmp_path):

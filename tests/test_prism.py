@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 import gspp.prism
 from conftest import (
     atr_mp_oracle,
+    atr_of,
     atr_system_oracle,
     boundary_residuals,
     matching_frequency_oracle,
@@ -19,7 +21,7 @@ from conftest import (
 )
 from gspp.cli import load_config, main
 from gspp.coupling import _cmul
-from gspp.dispersion import UnsupportedModeError
+from gspp.dispersion import UnsupportedModeError, solve_mode
 from gspp.material import CONSTANTS, Conductivity, GrapheneParams, conductivity
 from gspp.prism import (
     NotResonant,
@@ -27,10 +29,7 @@ from gspp.prism import (
     _golden_dips,
     PrismGeometry,
     ValidityWarning,
-    atr_solve,
     atr_solve_sigma,
-    beta_sweep,
-    beta_sweep_matched,
     coupling_from_beta,
     critical_angle,
     lossless_matching_frequency,
@@ -41,6 +40,7 @@ from gspp.prism import (
     prism_mode_normalization,
     reflectance_map,
 )
+from gspp.quantize import vector_potential_amplitude
 
 K = CONSTANTS
 CONDUCTIVITY = gspp.prism.conductivity  # the unpatched conductivity sweep
@@ -62,6 +62,59 @@ def tm_geom(**kw):
     base = dict(eps1=1.5, d=50e-6, theta_i=math.radians(64.0), polarization="TM")
     base.update(kw)
     return PrismGeometry(**base)
+
+
+def entry_points(geom, params):
+    """Calls of every entry point that couples geom to the surface wave."""
+    lo, hi, omega = 2.0 * math.pi * 0.3e12, 2.0 * math.pi * 1.5e12, 2.0 * math.pi * 0.81e12
+    return [lambda: matching_frequency(geom, params, lo, hi, n_scan=50),
+            lambda: overlap_sweep(geom, params, omega),
+            lambda: overlap_beta(geom, params, omega),
+            lambda: prism_mode_normalization(geom, params, omega),
+            lambda: lossless_matching_frequency(geom, params, lo, hi)]
+
+
+class TestPrismGeometry:
+    def test_spacing_sweep_names_the_bad_spacing(self):
+        with pytest.raises(ValueError, match=r"spacing d must be > 0, got -5e-06"):
+            tm_geom(d=np.array([5e-6, 20e-6, -5e-6, 10e-6]))
+
+    @pytest.mark.parametrize("bad", [0.0, math.pi / 2.0, 2.0, math.nan])
+    def test_angle_sweep_names_the_bad_angle(self, bad):
+        with pytest.raises(ValueError, match=r"must lie in \(0, pi/2\), got " + re.escape(str(bad))):
+            tm_geom(theta_i=np.array([1.0, bad, 1.2]))
+
+    def test_coupling_takes_one_angle(self):
+        params = GrapheneParams.with_default_rates(0.5, 300.0)
+        for solve in entry_points(tm_geom(theta_i=np.radians([60.0, 64.0])), params):
+            with pytest.raises(ValueError, match="one incidence angle"):
+                solve()
+
+    @pytest.mark.parametrize("theta", [critical_angle(1.5), math.radians(40.0)],
+                             ids=["critical", "below"])
+    def test_coupling_at_or_below_critical_angle_not_resonant(self, theta):
+        params = GrapheneParams.with_default_rates(0.5, 300.0)
+        for solve in entry_points(tm_geom(theta_i=theta), params):
+            with pytest.raises(NotResonant, match="not above the critical angle"):
+                solve()
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: tm_geom(eps1=math.nan), "eps1 = nan"),
+    (lambda: critical_angle(math.nan), "got nan"),
+    (lambda: coupling_from_beta(math.nan), "got nan"),
+    (lambda: vector_potential_amplitude(*tm_mode_1550nm(), math.nan), "got nan"),
+], ids=["PrismGeometry-eps1", "critical_angle", "coupling_from_beta", "beam-width"])
+def test_nan_is_rejected(call, match):
+    # each check reads "not x > bound", which nan fails
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
+def tm_mode_1550nm():
+    """(mode, params) of the TM surface wave at 1550 nm, mu_c = 1.4 eV, 300 K."""
+    params = GrapheneParams.with_default_rates(1.4, 300.0)
+    return solve_mode(params, conductivity(params, 2.0 * math.pi * K.c0 / 1550e-9), "TM"), params
 
 
 class TestCriticalAngle:
@@ -93,7 +146,7 @@ class TestAtrSolve:
     def test_boundary_residuals_vanish(self):
         params = GrapheneParams.with_default_rates(0.5, 300.0)
         for geom, f in ((tm_geom(), 0.81e12), (te_geom(), 599e12)):
-            sol = atr_solve(geom, params, 2.0 * math.pi * f)
+            sol = atr_of(geom, params, 2.0 * math.pi * f)
             scale = abs(sol.k_z_prism)
             assert np.abs(boundary_residuals(sol)).max() / scale < 1e-12
 
@@ -105,12 +158,12 @@ class TestAtrSolve:
 
     def test_decoupled_large_gap(self):
         params = GrapheneParams.with_default_rates(0.5, 300.0)
-        sol = atr_solve(tm_geom(d=5e-3), params, 2.0 * math.pi * 0.81e12)
+        sol = atr_of(tm_geom(d=5e-3), params, 2.0 * math.pi * 0.81e12)
         assert sol.reflectance == pytest.approx(1.0, abs=1e-6)
 
     def test_lossy_reflectance_below_one(self):
         params = GrapheneParams.with_default_rates(0.5, 300.0)
-        sol = atr_solve(tm_geom(), params, 2.0 * math.pi * 0.81e12)
+        sol = atr_of(tm_geom(), params, 2.0 * math.pi * 0.81e12)
         assert sol.reflectance < 1.0
 
 
@@ -120,8 +173,7 @@ class TestReflectanceMap:
         params = GrapheneParams.with_default_rates(0.5, 300.0)
         thetas = np.radians(np.linspace(56.0, 75.0, 9))
         omegas = 2.0 * math.pi * np.linspace(0.3e12, 1.5e12, 9)
-        grid = reflectance_map(thetas, omegas, eps1=1.5, d=200e-6,
-                               polarization="TM", params=params)
+        grid = reflectance_map(tm_geom(d=200e-6, theta_i=thetas), params, omegas)
         assert grid.shape == (9, 9)
         assert np.all(grid >= 0.0) and np.all(grid <= 1.0 + 1e-12)
         assert grid.min() < 0.5
@@ -129,10 +181,19 @@ class TestReflectanceMap:
     def test_grid_point_equals_direct_call(self):
         params = GrapheneParams.with_default_rates(0.5, 300.0)
         theta, omega = math.radians(64.0), 2.0 * math.pi * 0.81e12
-        grid = reflectance_map([theta], [omega], eps1=1.5, d=200e-6,
-                               polarization="TM", params=params)
-        direct = atr_solve(tm_geom(d=200e-6), params, omega).reflectance
+        grid = reflectance_map(tm_geom(d=200e-6, theta_i=theta), params, [omega])
+        direct = atr_of(tm_geom(d=200e-6), params, omega).reflectance
         assert grid[0, 0] == direct
+
+    def test_spacing_sweep_columns_equal_one_spacing_maps(self):
+        params = GrapheneParams.with_default_rates(0.5, 300.0)
+        omegas = 2.0 * math.pi * np.linspace(0.3e12, 1.5e12, 7)
+        ds = np.array([30e-6, 200e-6, 90e-6])
+        grid = reflectance_map(tm_geom(d=ds), params, omegas)
+        assert grid.shape == (7, 3)
+        for j, d in enumerate(ds.tolist()):
+            np.testing.assert_array_equal(grid[:, j], reflectance_map(tm_geom(d=d), params,
+                                                                      omegas)[:, 0])
 
 
 class TestMatchingFrequency:
@@ -140,7 +201,7 @@ class TestMatchingFrequency:
         params = GrapheneParams.with_default_rates(1.24, 0.0)
         geom = te_geom()
         w0 = matching_frequency(geom, params, 2.0 * math.pi * 520e12,
-                                2.0 * math.pi * 680e12, [geom.d])[0]
+                                2.0 * math.pi * 680e12)[0]
         hw = K.hbar * w0 / K.e
         assert abs(hw - 2.48) / 2.48 < 0.05
 
@@ -149,22 +210,22 @@ class TestMatchingFrequency:
         geom = te_geom(theta_i=math.radians(40.0))
         with pytest.raises(NotResonant):
             matching_frequency(geom, params, 2.0 * math.pi * 520e12,
-                               2.0 * math.pi * 680e12, [geom.d])
+                               2.0 * math.pi * 680e12)
 
     def test_no_dip_in_window(self):
         params = GrapheneParams.with_default_rates(1.24, 0.0)
         with pytest.raises(NotResonant):
-            matching_frequency(te_geom(), params, 2.0 * math.pi * 100e12,
-                               2.0 * math.pi * 150e12, [1e-3])
+            matching_frequency(te_geom(d=1e-3), params, 2.0 * math.pi * 100e12,
+                               2.0 * math.pi * 150e12)
 
     @pytest.mark.parametrize("bad", [-5e-6, 0.0, math.nan])
     def test_non_positive_spacing_raises(self, bad):
-        # PrismGeometry rejects d <= 0; the sweep's spacings used to pass
-        # unchecked and give a dip at d = -5 um and d = 0
+        # PrismGeometry rejects d <= 0 in a spacing sweep too; the sweep's
+        # spacings used to pass unchecked and give a dip at d = -5 um and d = 0
         params = GrapheneParams.with_default_rates(0.5, 300.0)
         with pytest.raises(ValueError, match="spacing d must be > 0"):
-            matching_frequency(tm_geom(), params, 2.0 * math.pi * 0.3e12,
-                               2.0 * math.pi * 1.5e12, [5e-6, bad, 10e-6])
+            matching_frequency(tm_geom(d=np.array([5e-6, bad, 10e-6])), params,
+                               2.0 * math.pi * 0.3e12, 2.0 * math.pi * 1.5e12)
 
     def test_lossless_root_agrees_with_lossy_dip(self):
         # reduce the intraband damping: the reflectance dip approaches the
@@ -175,7 +236,7 @@ class TestMatchingFrequency:
         geom = tm_geom(d=350e-6)
         lo, hi = 2.0 * math.pi * 0.3e12, 2.0 * math.pi * 1.5e12
         w_root = lossless_matching_frequency(geom, params, lo, hi)
-        w_dip = matching_frequency(geom, params, lo, hi, [geom.d], n_scan=900)[0]
+        w_dip = matching_frequency(geom, params, lo, hi, n_scan=900)[0]
         assert abs(w_dip - w_root) / w_root < 0.01
 
 
@@ -195,8 +256,8 @@ class TestBatchedAtr:
         omegas = 2.0 * math.pi * 1e12 * np.linspace(float(cfg["fmin_thz"]),
                                                     float(cfg["fmax_thz"]),
                                                     int(cfg["freq_points"]))
-        grid = reflectance_map(thetas, omegas, eps1=eps1, d=d, polarization=pol,
-                               params=params)
+        grid = reflectance_map(PrismGeometry(eps1=eps1, d=d, theta_i=thetas, polarization=pol),
+                               params, omegas)
         ref = np.empty_like(grid)
         for i, w in enumerate(omegas):
             sigma = conductivity(params, float(w)).value
@@ -213,11 +274,11 @@ class TestBatchedAtr:
     def test_dip_matches_pointwise_scan(self, geom, params, f_lo, f_hi, n_scan):
         lo, hi = 2.0 * math.pi * f_lo, 2.0 * math.pi * f_hi
         omegas = np.linspace(lo, hi, n_scan)
-        refl = np.array([atr_solve(geom, params, float(w)).reflectance for w in omegas])
+        refl = np.array([atr_of(geom, params, float(w)).reflectance for w in omegas])
         i = int(np.argmin(refl))
         assert 0 < i < n_scan - 1
         ref = matching_frequency_oracle(geom, params, lo, hi, n_scan)
-        got = matching_frequency(geom, params, lo, hi, [geom.d], n_scan=n_scan)[0]
+        got = matching_frequency(geom, params, lo, hi, n_scan=n_scan)[0]
         assert got == ref
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf * complex
@@ -230,8 +291,7 @@ class TestBatchedAtr:
         map_geom = tm_geom(d=200e-6, theta_i=float(thetas[2]))
         monkeypatch.setattr(gspp.prism, "conductivity", conductivity_with_one_bad(map_geom, bad))
         with pytest.raises(ArithmeticError, match=match):
-            reflectance_map(thetas, omegas, eps1=1.5, d=200e-6, polarization="TM",
-                            params=params)
+            reflectance_map(tm_geom(d=200e-6, theta_i=thetas), params, omegas)
         out = tmp_path / "map.csv"
         assert main(["prism", "reflectance-map", "--out", str(out), "--mu-c-ev", "0.5",
                      "--temperature-k", "300", "--pol", "TM", "--eps1", "1.5", "--d-um", "200",
@@ -240,7 +300,7 @@ class TestBatchedAtr:
         assert not out.exists()
         monkeypatch.setattr(gspp.prism, "conductivity", conductivity_with_one_bad(tm_geom(), bad))
         with pytest.raises(ArithmeticError, match=match):
-            matching_frequency(tm_geom(), params, omegas[0], omegas[-1], [50e-6], n_scan=50)
+            matching_frequency(tm_geom(d=50e-6), params, omegas[0], omegas[-1], n_scan=50)
         sigma = bad_sigma(tm_geom(), omegas[0], bad)
         with pytest.raises(ArithmeticError, match=match):
             atr_solve_sigma(tm_geom(), sigma, omegas[0])
@@ -324,10 +384,8 @@ def map_args(name):
 def fig4b_te_scan_args():
     """The same for the fig4b-te dip scan, spacings along the first axis."""
     geom, params, lo, hi, n_scan = fig4b_te_window()
-    cfg = load_config(str(CONFIG_DIR / "fig4b-te.cfg"))
-    ds = np.linspace(float(cfg["d_min_um"]), float(cfg["d_max_um"]), int(cfg["d_points"])) * 1e-6
     omegas = np.linspace(lo, hi, n_scan)
-    return (geom.eps1, ds[:, None], geom.polarization, geom.theta_i,
+    return (geom.eps1, geom.d[:, None], geom.polarization, geom.theta_i,
             CONDUCTIVITY(params, omegas).value, omegas)
 
 
@@ -388,11 +446,13 @@ class TestClosedForm:
 
 
 def fig4b_te_window():
-    """(geometry, params, omega_lo, omega_hi, n_scan) of the fig4b-te dip search."""
+    """(geometry, params, omega_lo, omega_hi, n_scan) of the fig4b-te dip
+    search, the geometry holding the config's spacing sweep."""
     cfg = load_config(str(CONFIG_DIR / "fig4b-te.cfg"))
     params = GrapheneParams.with_default_rates(float(cfg["mu_c_ev"]),
                                                float(cfg["temperature_k"]))
-    geom = PrismGeometry(eps1=float(cfg["eps1"]), d=1e-9,
+    ds = np.linspace(float(cfg["d_min_um"]), float(cfg["d_max_um"]), int(cfg["d_points"])) * 1e-6
+    geom = PrismGeometry(eps1=float(cfg["eps1"]), d=ds,
                          theta_i=math.radians(float(cfg["theta_deg"])), polarization=cfg["pol"])
     lo, hi = (2.0 * math.pi * float(cfg[k]) * 1e12 for k in ("match_fmin_thz", "match_fmax_thz"))
     return geom, params, lo, hi, int(cfg["match_scan_points"])
@@ -406,7 +466,7 @@ class TestDipSearch:
         # the fig4b-te spacings with two spacings on either side
         geom, params, lo, hi, n_scan = fig4b_te_window()
         ds = np.concatenate([[5.0, 10.0], np.linspace(15.0, 40.0, 26), [50.0, 60.0]]) * 1e-6
-        got = matching_frequency(geom, params, lo, hi, ds, n_scan=n_scan)
+        got = matching_frequency(replace(geom, d=ds), params, lo, hi, n_scan=n_scan)
         ref = []
         for d in ds:
             try:
@@ -423,44 +483,46 @@ class TestDipSearch:
     def test_no_spacing_with_a_dip(self):
         geom, params, lo, hi, n_scan = fig4b_te_window()
         with pytest.raises(NotResonant):
-            matching_frequency(geom, params, lo, hi, [5e-6, 60e-6], n_scan=n_scan)
+            matching_frequency(replace(geom, d=np.array([5e-6, 60e-6])), params, lo, hi,
+                               n_scan=n_scan)
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf * complex
     @pytest.mark.parametrize("bad, match", BAD_SIGMAS, ids=BAD_IDS)
     def test_singular_refinement_lane_raises(self, monkeypatch, bad, match):
         # the scans are sound; one point of the first refinement batch is not
         geom, params, lo, hi, n_scan = fig4b_te_window()
-        d = 25e-6
-        bad_one = conductivity_with_one_bad(replace(geom, d=d), bad)
+        geom = replace(geom, d=25e-6)
+        bad_one = conductivity_with_one_bad(geom, bad)
         monkeypatch.setattr(gspp.prism, "conductivity", lambda p, omegas: (
             CONDUCTIVITY(p, omegas) if len(omegas) == n_scan else bad_one(p, omegas)))
         with pytest.raises(ArithmeticError, match=match):
-            matching_frequency(geom, params, lo, hi, [d], n_scan=n_scan)
+            matching_frequency(geom, params, lo, hi, n_scan=n_scan)
         monkeypatch.setattr(gspp.prism, "conductivity", CONDUCTIVITY)
-        assert lo < matching_frequency(geom, params, lo, hi, [d], n_scan=n_scan)[0] < hi
+        assert lo < matching_frequency(geom, params, lo, hi, n_scan=n_scan)[0] < hi
 
     def test_bad_bracket_raises_like_scipy(self):
         from scipy.optimize import minimize_scalar
         geom, params, lo, hi, n_scan = fig4b_te_window()
-        d = 25e-6
-        dip = matching_frequency_oracle(replace(geom, d=d), params, lo, hi, n_scan)
+        geom = replace(geom, d=25e-6)
+        dip = matching_frequency_oracle(geom, params, lo, hi, n_scan)
         step = (hi - lo) / (n_scan - 1)
         for bracket in ((dip + step, dip + 2.0 * step, dip + 3.0 * step),
                         (dip - step, dip + step, dip)):
             with pytest.raises(ValueError):
-                minimize_scalar(lambda w: atr_solve(replace(geom, d=d), params, float(w)).reflectance,
+                minimize_scalar(lambda w: atr_of(geom, params, float(w)).reflectance,
                                 bracket=bracket, method="golden", options={"xtol": 1e-10})
             with pytest.raises(ValueError, match="Bracketing values"):
-                _golden_dips(geom, params, np.array([d]), np.array([bracket]))
+                _golden_dips(replace(geom, d=np.array([geom.d])), params, np.array([bracket]))
 
     def test_matched_sweep_evaluates_beta_at_each_dip(self):
         geom, params, lo, hi, n_scan = fig4b_te_window()
-        ds = np.array([10e-6, 20e-6, 30e-6])
+        geom = replace(geom, d=np.array([10e-6, 20e-6, 30e-6]))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ValidityWarning)
-            betas, dips = beta_sweep_matched(geom, params, lo, hi, ds, n_scan=n_scan)
+            dips = matching_frequency(geom, params, lo, hi, n_scan=n_scan)
+            betas = overlap_sweep(geom, params, dips)[0]
             assert betas[0] == 0.0 and math.isnan(dips[0])
-            for d, w, beta in zip(ds[1:], dips[1:].tolist(), betas[1:]):
+            for d, w, beta in zip(geom.d[1:], dips[1:].tolist(), betas[1:]):
                 assert beta == overlap_beta(replace(geom, d=float(d)), params, w)
 
 
@@ -471,7 +533,7 @@ class TestOverlapBeta:
         ds = np.linspace(10e-6, 150e-6, 15)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ValidityWarning)
-            betas = beta_sweep(tm_geom(), params, omega, ds)
+            betas = overlap_sweep(tm_geom(d=ds), params, omega)[0]
         assert np.abs(betas).max() > 0.7
 
     def test_te_matched_sweep_peaks_above_07(self):
@@ -479,12 +541,12 @@ class TestOverlapBeta:
         geom = te_geom()
         w_root = lossless_matching_frequency(geom, params, 2.0 * math.pi * 575e12,
                                              2.0 * math.pi * 599e12)
-        ds = np.linspace(18e-6, 32e-6, 5)
+        sweep = replace(geom, d=np.linspace(18e-6, 32e-6, 5))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ValidityWarning)
-            betas, dips = beta_sweep_matched(
-                geom, params, w_root - 2.0 * math.pi * 0.02e12,
-                w_root + 2.0 * math.pi * 0.35e12, ds, n_scan=900)
+            dips = matching_frequency(sweep, params, w_root - 2.0 * math.pi * 0.02e12,
+                                      w_root + 2.0 * math.pi * 0.35e12, n_scan=900)
+            betas = overlap_sweep(sweep, params, dips)[0]
         assert np.abs(betas).max() > 0.7
 
     def test_total_reflection_gives_zero(self):
@@ -498,11 +560,11 @@ class TestOverlapBeta:
 
     @pytest.mark.parametrize("bad", [-5e-6, 0.0, math.nan])
     def test_non_positive_spacing_raises(self, bad):
-        # PrismGeometry rejects d <= 0; the sweep's spacings used to pass
-        # unchecked and give a beta at d = -5 um and d = 0
+        # PrismGeometry rejects d <= 0 in a spacing sweep too; the sweep's
+        # spacings used to pass unchecked and give a beta at d = -5 um and d = 0
         params = GrapheneParams.with_default_rates(0.5, 300.0)
         with pytest.raises(ValueError, match="spacing d must be > 0"):
-            overlap_sweep(tm_geom(), params, 2.0 * math.pi * 0.81e12, [5e-6, bad, 10e-6])
+            overlap_sweep(tm_geom(d=np.array([5e-6, bad, 10e-6])), params, 2.0 * math.pi * 0.81e12)
 
     def test_below_critical_angle_raises(self):
         params = GrapheneParams.with_default_rates(0.5, 300.0)
@@ -525,7 +587,7 @@ class TestOverlapBeta:
             warnings.simplefilter("ignore", ValidityWarning)
             for d in (20e-6, 60e-6, 120e-6):
                 geom = tm_geom(d=d)
-                sol = atr_solve(geom, params, omega)
+                sol = atr_of(geom, params, omega)
                 beta = overlap_beta(geom, params, omega)
                 assert abs(beta) <= math.sqrt(max(0.0, 1.0 - sol.reflectance)) + 1e-9
 
@@ -536,7 +598,7 @@ class TestOverlapBeta:
         ds = np.linspace(5e-6, 200e-6, 40)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            betas = beta_sweep(tm_geom(), params, omega, ds)
+            betas = overlap_sweep(tm_geom(d=ds), params, omega)[0]
         assert sum(issubclass(w.category, ValidityWarning) for w in caught) == 22
         assert {w.filename for w in caught} == {__file__}
         with warnings.catch_warnings(record=True) as caught:
@@ -546,22 +608,23 @@ class TestOverlapBeta:
         np.testing.assert_array_equal(betas, ref)
 
     def test_background_permittivity_guard(self):
+        # every entry point that takes params
         params = GrapheneParams(mu_c=0.5, temperature=300.0, gamma_intra=1e12,
                                 gamma_inter=1e13, eps_r=2.0)
-        lo, hi = 2.0 * math.pi * 0.3e12, 2.0 * math.pi * 1.5e12
-        for solve in (lambda: atr_solve(tm_geom(), params, 2.0 * math.pi * 0.81e12),
-                      lambda: overlap_beta(tm_geom(), params, 2.0 * math.pi * 0.81e12),
-                      lambda: lossless_matching_frequency(tm_geom(), params, lo, hi)):
+        for solve in entry_points(tm_geom(), params) + [
+                lambda: reflectance_map(tm_geom(), params, [2.0 * math.pi * 0.81e12])]:
             with pytest.raises(ValueError, match="eps_r = 1"):
                 solve()
 
     def test_matched_sweep_warnings_point_at_the_caller(self):
         # three of the five dips warn
         params = GrapheneParams.with_default_rates(0.5, 300.0)
+        geom = tm_geom(d=np.linspace(100e-6, 200e-6, 5))
+        dips = matching_frequency(geom, params, 2.0 * math.pi * 0.3e12, 2.0 * math.pi * 1.5e12,
+                                  n_scan=1200)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            beta_sweep_matched(tm_geom(), params, 2.0 * math.pi * 0.3e12, 2.0 * math.pi * 1.5e12,
-                               np.linspace(100e-6, 200e-6, 5))
+            overlap_sweep(geom, params, dips)
         assert len(caught) == 3 and {w.filename for w in caught} == {__file__}
 
 
@@ -576,9 +639,10 @@ class TestSweepErrors:
     MATCH = ["--match-fmin-thz", "0.3", "--match-fmax-thz", "1.5", "--match-scan-points", "50"]
 
     def sweeps(self, geom):
-        ds = np.array([5e-6, 10e-6])
-        return (lambda: beta_sweep(geom, self.PARAMS, self.OMEGA, ds),
-                lambda: beta_sweep_matched(geom, self.PARAMS, *self.WINDOW, ds, n_scan=50))
+        geom = replace(geom, d=np.array([5e-6, 10e-6]))
+        return (lambda: overlap_sweep(geom, self.PARAMS, self.OMEGA),
+                lambda: overlap_sweep(geom, self.PARAMS, matching_frequency(
+                    geom, self.PARAMS, *self.WINDOW, n_scan=50)))
 
     def test_below_critical_angle_raises(self):
         for sweep in self.sweeps(tm_geom(theta_i=math.radians(40.0))):
@@ -599,7 +663,7 @@ class TestSweepErrors:
         monkeypatch.setattr(gspp.prism, "conductivity", lambda params, omegas: Conductivity(
             value=np.full(np.shape(omegas), sigma), omega=omegas))
         with pytest.raises(ArithmeticError, match=BAD_SIGMAS[1][1]):
-            beta_sweep(geom, self.PARAMS, self.OMEGA, ds)
+            overlap_sweep(replace(geom, d=ds), self.PARAMS, self.OMEGA)
         out = tmp_path / "beta.csv"
         assert main(self.CLI + ["--d-min-um", "100", "--d-max-um", "200", "--d-points", "5",
                                 "--out", str(out)]) == 3
@@ -608,7 +672,7 @@ class TestSweepErrors:
         # the dips' conductivities, singular at the second dip (ratio 5e-13)
         # and the fourth (2e-13): the error names the first
         monkeypatch.setattr(gspp.prism, "conductivity", CONDUCTIVITY)
-        dips = matching_frequency(geom, self.PARAMS, *self.WINDOW, ds, n_scan=50)
+        dips = matching_frequency(replace(geom, d=ds), self.PARAMS, *self.WINDOW, n_scan=50)
         assert not np.isnan(dips).any()
 
         def conductivity(params, omegas):
@@ -619,8 +683,10 @@ class TestSweepErrors:
             return Conductivity(value=value, omega=omegas)
 
         monkeypatch.setattr(gspp.prism, "conductivity", conductivity)
+        sweep = replace(geom, d=ds)
         with pytest.raises(ArithmeticError, match=BAD_SIGMAS[1][1]):
-            beta_sweep_matched(geom, self.PARAMS, *self.WINDOW, ds, n_scan=50)
+            overlap_sweep(sweep, self.PARAMS,
+                          matching_frequency(sweep, self.PARAMS, *self.WINDOW, n_scan=50))
         out = tmp_path / "beta.csv"
         assert main(self.CLI + self.MATCH + ["--d-min-um", "100", "--d-max-um", "200",
                                              "--d-points", "5", "--out", str(out)]) == 3
@@ -649,6 +715,7 @@ class TestPrismNormalization:
         omega = 2.0 * math.pi * 0.81e12
         ds = np.linspace(20e-6, 120e-6, 9)
         vals = np.array([prism_mode_normalization(tm_geom(d=float(d)), params, omega) for d in ds])
+        np.testing.assert_array_equal(prism_mode_normalization(tm_geom(d=ds), params, omega), vals)
         rel_jump = np.abs(np.diff(vals)) / vals[:-1]
         assert rel_jump.max() < 0.8
 
@@ -672,12 +739,12 @@ def sweep_points(name):
     cfg = load_config(str(CONFIG_DIR / f"{name}.cfg"))
     params = GrapheneParams.with_default_rates(float(cfg["mu_c_ev"]),
                                                float(cfg["temperature_k"]))
-    geom = PrismGeometry(eps1=float(cfg["eps1"]), d=1e-9,
-                         theta_i=math.radians(float(cfg["theta_deg"])), polarization=cfg["pol"])
     ds = np.linspace(float(cfg["d_min_um"]), float(cfg["d_max_um"]), int(cfg["d_points"])) * 1e-6
+    geom = PrismGeometry(eps1=float(cfg["eps1"]), d=ds,
+                         theta_i=math.radians(float(cfg["theta_deg"])), polarization=cfg["pol"])
     if "match_fmin_thz" in cfg:
         lo, hi = (2.0 * math.pi * float(cfg[k]) * 1e12 for k in ("match_fmin_thz", "match_fmax_thz"))
-        omegas = matching_frequency(geom, params, lo, hi, ds,
+        omegas = matching_frequency(geom, params, lo, hi,
                                     n_scan=int(cfg["match_scan_points"])).tolist()
     else:
         omegas = [2.0 * math.pi * float(cfg["f_thz"]) * 1e12] * len(ds)
@@ -707,9 +774,8 @@ class TestClosedFormIntegrals:
         # Simpson error falls about 16x per grid doubling toward the closed form
         omega = 2.0 * math.pi * f_lo
         if f_hi is not None:
-            omega = matching_frequency(geom, params, omega, 2.0 * math.pi * f_hi, [geom.d],
-                                       n_scan=900)[0]
-        sol = atr_solve(geom, params, omega)
+            omega = matching_frequency(geom, params, omega, 2.0 * math.pi * f_hi, n_scan=900)[0]
+        sol = atr_of(geom, params, omega)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ValidityWarning)
             beta = overlap_beta(geom, params, omega)
@@ -741,7 +807,7 @@ class TestClosedFormIntegrals:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ValidityWarning)
             beta = overlap_beta(geom, params, omega)
-        refl = atr_solve(geom, params, omega).reflectance
+        refl = atr_of(geom, params, omega).reflectance
         assert abs(beta) <= math.sqrt(max(0.0, 1.0 - refl)) + 1e-9
         assert prism_mode_normalization(geom, params, omega) > 0.0
 

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,13 +6,12 @@ import pytest
 from conftest import integrate_graded, spp_energy_density
 from gspp.material import CONSTANTS, GrapheneParams, conductivity
 from gspp.dispersion import solve_mode
+import gspp.quantize
 from gspp.quantize import (
-    QuantizationGeometry,
     Waves,
     _lossless_mode,
     mode_function,
     mode_normalization,
-    quantize_mode,
     tm_parallel_amplitude,
     vector_potential_amplitude,
     wave_integral,
@@ -201,27 +199,29 @@ class TestWaveIntegral:
 
 
 class TestVectorPotentialAmplitude:
-    def test_scalings(self):
+    def test_scalings(self, monkeypatch):
         params, mode = tm_setup()
-        mode = quantize_mode(mode, params)
-        base = vector_potential_amplitude(mode, QuantizationGeometry(W=1e-6))
-        wide = vector_potential_amplitude(mode, QuantizationGeometry(W=2e-6))
+        base = vector_potential_amplitude(mode, params, 1e-6)
+        wide = vector_potential_amplitude(mode, params, 2e-6)
         assert wide == pytest.approx(base / math.sqrt(2.0), rel=1e-12)
-        doubled = replace(mode, norm_n=2.0 * mode.norm_n)
-        assert vector_potential_amplitude(doubled, QuantizationGeometry(W=1e-6)) == \
+        n_len = mode_normalization(mode, params)
+        monkeypatch.setattr(gspp.quantize, "mode_normalization", lambda m, p: 2.0 * n_len)
+        assert vector_potential_amplitude(mode, params, 1e-6) == \
             pytest.approx(base / math.sqrt(2.0), rel=1e-12)
 
     def test_value_finite_positive(self):
         params, mode = tm_setup()
-        mode = quantize_mode(mode, params)
-        amp = vector_potential_amplitude(mode, QuantizationGeometry(W=1e-6))
+        amp = vector_potential_amplitude(mode, params, 1e-6)
         assert amp > 0.0 and math.isfinite(amp)
 
-    def test_requires_normalization(self):
+    def test_normalization_from_mode_normalization(self):
+        # the amplitude takes N from mode_normalization at the mode's frequency
         params, mode = tm_setup()
-        with pytest.raises(ValueError):
-            vector_potential_amplitude(mode, QuantizationGeometry(W=1e-6))
+        n_len = mode_normalization(mode, params)
+        assert vector_potential_amplitude(mode, params, 1e-6) == math.sqrt(
+            K.hbar / (2.0 * K.eps0 * 1e-6 * mode.v_g * mode.omega * n_len))
 
     def test_geometry_validation(self):
-        with pytest.raises(ValueError):
-            QuantizationGeometry(W=0.0)
+        params, mode = tm_setup()
+        with pytest.raises(ValueError, match="beam width W must be > 0, got 0.0"):
+            vector_potential_amplitude(mode, params, 0.0)

@@ -6,8 +6,9 @@ element must carry the bits of its one-point call.  The dispersion layer
 one-point calls to within 4 ulp.  The sweeps straddle the interband edge
 hbar*omega = 2*mu, at 300 K and at 4 K, where 'auto' takes the full form
 at every frequency, as at 300 K.  The prism's spacing sweeps (beta_sweep,
-beta_sweep_matched) solve every spacing in one batch; each beta must carry
-the bits of overlap_beta at its spacing and frequency.
+overlap_sweep at one frequency and at each spacing's matching_frequency
+dip) solve every spacing in one batch; each beta must carry the bits of
+overlap_beta at its spacing and frequency.
 """
 
 import math
@@ -22,8 +23,8 @@ from hypothesis import strategies as st
 from conftest import overlap_beta_oracle
 from gspp.dispersion import group_velocity, solve_mode, transverse_q0, wavenumber
 from gspp.material import CONSTANTS, GrapheneParams, conductivity, conductivity_slope
-from gspp.prism import (PrismGeometry, ValidityWarning, beta_sweep, beta_sweep_matched,
-                        overlap_beta)
+from gspp.prism import (PrismGeometry, ValidityWarning, matching_frequency, overlap_beta,
+                        overlap_sweep)
 
 ULPS = 4
 
@@ -138,17 +139,18 @@ COUPLERS = {
 def test_coupler_sweeps_match_one_point_calls(pol, below, above, f_frac, order):
     (mu_c, temperature), theta_deg, (d_lo, d_peak, d_hi), (f_lo, f_hi), n_scan = COUPLERS[pol]
     params = GrapheneParams.with_default_rates(mu_c, temperature)
-    geom = PrismGeometry(eps1=1.5, d=1e-9, theta_i=math.radians(theta_deg), polarization=pol)
     spacings = ([d_lo + x * (d_peak - d_lo) for x in below]
                 + [d_peak + x * (d_hi - d_peak) for x in above])
     order.shuffle(spacings)
     ds = np.array(spacings) * 1e-6
+    geom = PrismGeometry(eps1=1.5, d=ds, theta_i=math.radians(theta_deg), polarization=pol)
     omega = 2.0 * math.pi * (f_lo + f_frac * (f_hi - f_lo)) * 1e12
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ValidityWarning)
-        betas = beta_sweep(geom, params, omega, ds)
-        matched, dips = beta_sweep_matched(geom, params, 2.0 * math.pi * f_lo * 1e12,
-                                           2.0 * math.pi * f_hi * 1e12, ds, n_scan=n_scan)
+        betas = overlap_sweep(geom, params, omega)[0]
+        dips = matching_frequency(geom, params, 2.0 * math.pi * f_lo * 1e12,
+                                  2.0 * math.pi * f_hi * 1e12, n_scan=n_scan)
+        matched = overlap_sweep(geom, params, dips)[0]
         points = []
         for d, beta in zip(ds.tolist(), betas):
             assert beta == overlap_beta(replace(geom, d=d), params, omega), d
