@@ -8,8 +8,9 @@ tunnels across the gap and can excite the surface wave.
 
 The boundary-value problem (tangential-E continuity at z = d and z = 0
 plus the H-field jump sigma*E across the sheet) has closed-form Airy
-amplitudes for this three-layer stack.  Grids and scans evaluate them
-elementwise over the whole batch; a single solve is the one-point case.
+amplitudes for this three-layer stack.  One solver, `_atr_solve`, evaluates
+them elementwise over a geometry's sweep and a batch of frequencies and
+returns an AtrSolution; `atr_solve_sigma` is its one-point case.
 Phases are referenced at z = d for the prism waves and z = 0 for the
 transmitted wave; the transmitted wave carries e^{-i kz0 z} with the
 principal branch of kz0 = sqrt(k0^2 - kx^2), which decays downward in
@@ -18,10 +19,10 @@ the evanescent regime.
 The photon mode below the prism is a sum of exponentials in z, read off
 the ATR amplitudes as quantize.Waves; its normalization and its overlap
 with the surface wave are exact integrals, with no sampling grid.  Each
-entry point reads its sweep from the PrismGeometry (d or theta_i an
-array).  A spacing sweep is one batch: `overlap_sweep` solves the stacks,
-both mode normalizations and the overlaps of every spacing in one call,
-and `matching_frequency` scans every spacing's window as one
+entry point reads its sweep from the PrismGeometry (d or theta_i, not
+both, an array).  A spacing sweep is one batch: `overlap_sweep` solves the
+stacks, both mode normalizations and the overlaps of every spacing in one
+call, and `matching_frequency` scans every spacing's window as one
 (spacings x scan) batch.  `overlap_beta` is the one-point case, so an
 element of a sweep has the bits of its one-point call.
 """
@@ -55,8 +56,8 @@ class ValidityWarning(UserWarning):
 @dataclass(frozen=True)
 class PrismGeometry:
     """Prism permittivity, prism-graphene spacing d (m), incidence angle
-    theta_i (rad) and the polarization driven; d or theta_i may be an
-    array, a spacing or an angle sweep, checked element by element."""
+    theta_i (rad) and the polarization driven; d or theta_i, not both, may
+    be an array, a spacing or an angle sweep, checked element by element."""
 
     eps1: float
     d: float | np.ndarray
@@ -67,6 +68,9 @@ class PrismGeometry:
         if not self.eps1 > 1.0:
             raise ValueError(f"prism permittivity must exceed 1, got eps1 = {self.eps1}")
         d, theta = np.asarray(self.d, dtype=float), np.asarray(self.theta_i, dtype=float)
+        if d.ndim and theta.ndim:
+            raise ValueError("a geometry holds one sweep, not both a spacing sweep "
+                             "and an angle sweep")
         if (bad := d[~(d > 0.0)]).size:
             raise ValueError(f"spacing d must be > 0, got {bad[0]}")
         if (bad := theta[~((0.0 < theta) & (theta < math.pi / 2.0))]).size:
@@ -77,8 +81,9 @@ class PrismGeometry:
 
 @dataclass(frozen=True)
 class AtrSolution:
-    """Field amplitudes for unit incident amplitude, at one point or, with
-    every field but polarization and eps1 an array of one shape, a batch.
+    """Field amplitudes for unit incident amplitude, as _atr_solve returns
+    them: every field but polarization and eps1 an array of one shape, a
+    batch, or Python scalars at one point (atr_solve_sigma).
 
     r is the reflection amplitude; m1/m2 the gap amplitudes, with the
     up-going wave m1 e^{+i kz0 z} referenced at z = 0 and the down-going
@@ -138,10 +143,10 @@ def _require_evanescent_gap(geom: PrismGeometry, params: GrapheneParams) -> None
 _MIN_DEN_RATIO = 1e-12
 
 
-def _atr_amplitudes(eps1: float, d: float, polarization: str, thetas, sigmas, omegas):
-    """Amplitudes of many (d, theta, sigma, omega) points at once.  The four
-    inputs broadcast to a common shape S; returns the amplitudes
-    (r, m1, m2, t) with shape S + (4,), and kx, kz1 and kz0 with shape S.
+def _atr_solve(geom: PrismGeometry, sigmas, omegas) -> AtrSolution:
+    """The ATR solutions of geom's points (its sweep, if any) at the
+    (sigma, omega) points; d, theta_i, sigmas and omegas broadcast to one
+    shape, to which every field of the solution is broadcast on return.
 
     The sheet reflects the down-going gap wave, referenced at z = 0, with
     rho; q is the gap-to-prism admittance ratio.  With u = e^{i kz0 d}:
@@ -153,14 +158,15 @@ def _atr_amplitudes(eps1: float, d: float, polarization: str, thetas, sigmas, om
     not above _MIN_DEN_RATIO times |1 + q| + |rho u^2| |1 - q|.  A nan or
     infinite input makes that ratio nan, which is rejected too, so every
     amplitude returned is finite."""
+    eps1, polarization = geom.eps1, geom.polarization
     omegas = np.asarray(omegas, dtype=float)
     sigmas = np.asarray(sigmas, dtype=complex)
     k0 = omegas / CONSTANTS.c0
     k1 = math.sqrt(eps1) * k0
-    kx = k1 * np.sin(thetas)
-    kz1 = k1 * np.cos(thetas)
+    kx = k1 * np.sin(geom.theta_i)
+    kz1 = k1 * np.cos(geom.theta_i)
     kz0 = np.sqrt((k0 * k0 - kx * kx).astype(complex))
-    u = np.exp(1j * kz0 * d)
+    u = np.exp(1j * kz0 * geom.d)
     if polarization == TE:
         # E_y amplitudes
         smu = sigmas * CONSTANTS.mu0 * omegas
@@ -180,21 +186,23 @@ def _atr_amplitudes(eps1: float, d: float, polarization: str, thetas, sigmas, om
     m2 = 2.0 / den
     rho_u = _cmul(rho, u)
     t_factor = u + rho_u if polarization == TE else u - rho_u
-    amps = (_cmul(m2, 1.0 + rho_u2) - 1.0, _cmul(rho_u, m2), m2, _cmul(t_factor, m2))
-    return np.stack(amps, axis=-1), kx, kz1, kz0
+    r, m1, m2, t, omega, kx, kz1, kz0, sigma, d = np.broadcast_arrays(
+        _cmul(m2, 1.0 + rho_u2) - 1.0, _cmul(rho_u, m2), m2, _cmul(t_factor, m2),
+        omegas, kx, kz1, kz0, sigmas, geom.d)
+    return AtrSolution(r=r, m1=m1, m2=m2, t=t, omega=omega, polarization=polarization,
+                       k_x=kx, k_z_prism=kz1, k_z_gap=kz0, sigma=sigma, eps1=eps1, d=d)
 
 
 def atr_solve_sigma(geom: PrismGeometry, sigma: complex, omega: float) -> AtrSolution:
     """Solve the three-region reflection/transmission problem of a one-point
     geometry for a given sheet conductivity (the graphene-free limit is
-    sigma -> 0)."""
-    amps, kx, kz1, kz0 = _atr_amplitudes(geom.eps1, geom.d, geom.polarization,
-                                         geom.theta_i, sigma, omega)
-    r, m1, m2, t = (complex(a) for a in amps)
-    return AtrSolution(r=r, m1=m1, m2=m2, t=t, omega=omega,
-                       polarization=geom.polarization, k_x=complex(kx),
-                       k_z_prism=complex(kz1), k_z_gap=complex(kz0), sigma=complex(sigma),
-                       eps1=geom.eps1, d=geom.d)
+    sigma -> 0); the one-point case of _atr_solve, with Python scalar fields."""
+    if np.ndim(geom.d) or np.ndim(geom.theta_i):
+        raise ValueError("atr_solve_sigma solves one point, not a spacing or an angle sweep")
+    sol = _atr_solve(geom, sigma, omega)
+    return replace(sol, omega=omega, d=geom.d, **{
+        name: complex(getattr(sol, name))
+        for name in ("r", "m1", "m2", "t", "k_x", "k_z_prism", "k_z_gap", "sigma")})
 
 
 def reflectance_map(geom: PrismGeometry, params: GrapheneParams, omegas) -> np.ndarray:
@@ -205,10 +213,7 @@ def reflectance_map(geom: PrismGeometry, params: GrapheneParams, omegas) -> np.n
     _require_vacuum_background(params)
     omegas = np.asarray(omegas, dtype=float)
     sigmas = conductivity(params, omegas).value
-    amps = _atr_amplitudes(geom.eps1, geom.d, geom.polarization,
-                           np.atleast_1d(geom.theta_i)[None, :], sigmas[:, None],
-                           omegas[:, None])[0]
-    return np.abs(amps[..., 0]) ** 2
+    return np.abs(_atr_solve(geom, sigmas[:, None], omegas[:, None]).r) ** 2
 
 
 def matching_frequency(geom: PrismGeometry, params: GrapheneParams, omega_lo: float,
@@ -230,9 +235,7 @@ def matching_frequency(geom: PrismGeometry, params: GrapheneParams, omega_lo: fl
     d = np.atleast_1d(geom.d)
     omegas = np.linspace(omega_lo, omega_hi, n_scan)
     sigmas = conductivity(params, omegas).value
-    amps = _atr_amplitudes(geom.eps1, d[:, None], geom.polarization, geom.theta_i,
-                           sigmas, omegas)[0]
-    refl = np.abs(amps[..., 0]) ** 2
+    refl = np.abs(_atr_solve(replace(geom, d=d[:, None]), sigmas, omegas).r) ** 2
     j = np.argmin(refl, axis=1)
     min_refl = refl[np.arange(len(d)), j]
     dipped = ~(min_refl > 0.99)
@@ -259,8 +262,7 @@ def _golden_dips(geom: PrismGeometry, params: GrapheneParams,
 
     def reflectance(lanes, omegas):
         sigmas = conductivity(params, omegas).value
-        return _reflectance(_atr_amplitudes(geom.eps1, geom.d[lanes], geom.polarization,
-                                            geom.theta_i, sigmas, omegas)[0][:, 0])
+        return _reflectance(_atr_solve(replace(geom, d=geom.d[lanes]), sigmas, omegas).r)
 
     lanes = np.arange(len(geom.d))
     xa, xb, xc = brackets.T
@@ -293,43 +295,8 @@ def _golden_dips(geom: PrismGeometry, params: GrapheneParams,
     return np.where(f1 < f2, x1, x2)
 
 
-def lossless_matching_frequency(geom: PrismGeometry, params: GrapheneParams,
-                                omega_lo: float, omega_hi: float, n_scan: int = 2000) -> float:
-    """Root of the momentum-matching condition using the reactive
-    conductivity only: sigma''*eta = -2*sqrt(eps1 sin^2 - 1) (TE) or
-    +2/sqrt(eps1 sin^2 - 1) (TM).  The spacing does not enter."""
-    _require_evanescent_gap(geom, params)
-    from scipy.optimize import brentq
-    root = math.sqrt(geom.eps1 * math.sin(geom.theta_i) ** 2 - 1.0)
-    target = -2.0 * root if geom.polarization == TE else 2.0 / root
-
-    def mismatch(w):
-        return conductivity(params, w).imag * CONSTANTS.eta0 - target
-
-    omegas = np.linspace(omega_lo, omega_hi, n_scan)
-    vals = mismatch(omegas)
-    sign_change = np.nonzero(np.diff(np.sign(vals)) != 0)[0]
-    if len(sign_change) == 0:
-        raise NotResonant("no momentum-matching root in the window")
-    i = int(sign_change[0])
-    return float(brentq(mismatch, omegas[i], omegas[i + 1], xtol=1e-3))
-
-
 # ---------------------------------------------------------------------------
 # photon-mode profiles and the overlap transmission coefficient
-
-def _atr_batch(geom: PrismGeometry, sigmas, omegas) -> AtrSolution:
-    """The ATR solutions of the (sigma, omega, geom.d) points, broadcast to
-    one shape, as one AtrSolution of arrays, from one _atr_amplitudes call."""
-    sigmas, omegas, d = np.broadcast_arrays(np.asarray(sigmas, dtype=complex),
-                                            np.asarray(omegas, dtype=float),
-                                            np.asarray(geom.d, dtype=float))
-    amps, kx, kz1, kz0 = _atr_amplitudes(geom.eps1, d, geom.polarization, geom.theta_i,
-                                         sigmas, omegas)
-    r, m1, m2, t = np.moveaxis(amps, -1, 0)
-    return AtrSolution(r=r, m1=m1, m2=m2, t=t, omega=omegas, polarization=geom.polarization,
-                       k_x=kx, k_z_prism=kz1, k_z_gap=kz0, sigma=sigmas, eps1=geom.eps1, d=d)
-
 
 def _photon_regions(sol: AtrSolution) -> list:
     """Vector potential A = E/(i omega) of the lower-region photon mode of a
@@ -364,7 +331,7 @@ def prism_mode_normalization(geom: PrismGeometry, params: GrapheneParams, omega:
     spacing sweep.  Defined for the evanescent-gap regime (theta above the
     critical angle)."""
     _require_evanescent_gap(geom, params)
-    sol = _atr_batch(geom, conductivity(params, omega).value, omega)
+    sol = _atr_solve(geom, conductivity(params, omega).value, omega)
     return hamiltonian_norm(_photon_regions(sol), sol.sigma.imag, sol.omega)
 
 
@@ -418,7 +385,7 @@ def overlap_sweep(geom: PrismGeometry, params: GrapheneParams,
         return betas, ratios
     omega = omegas[live] if omegas.ndim else omegas[None]
     sigma = conductivity(params, omega).value
-    sol = _atr_batch(replace(geom, d=d[live]), sigma, omega)
+    sol = _atr_solve(replace(geom, d=d[live]), sigma, omega)
     n_phi, spp_above, spp_below = lossless_spp_norm(geom.polarization, omega, sigma.imag, 1.0)
     regions = _photon_regions(sol)
     n_psi = hamiltonian_norm(regions, sol.sigma.imag, sol.omega)

@@ -6,7 +6,9 @@ taken in closed form (`wave_integral`).  The normalization length N is
 fixed by requiring that the mode Hamiltonian (field energy plus the sheet
 term delta(z)*omega*|sigma''|/eps0*|A_par|^2) take the harmonic-oscillator
 form eps0*L^2*omega^2*N*(C*C^+ + C^+C); `hamiltonian_norm` computes it for
-the surface wave here and for the prism's photon mode.  Fields, integrals
+the surface wave here and for the prism's photon mode.  A surface-wave
+profile (`spp_waves`, `mode_function`) takes its polarization from the
+SppMode it is given.  Fields, integrals
 and normalizations take a leading batch axis, one mode per element; complex
 products go through `_cmul` and sums run in a fixed order, so an element of
 a batch has the bits of its one-point call.  Quantization uses
@@ -121,40 +123,34 @@ def hamiltonian_norm(regions, sigma_pp, omega, eps_r: float = 1.0):
     return n_len if np.ndim(n_len) else float(n_len)
 
 
-def tm_parallel_amplitude(mode: SppMode) -> complex:
-    """x-directed amplitude P of the TM mode function; the boundary
-    conditions reduce 2*k*i/(2*q0 - i*sigma*mu0*omega) to i*q0/k."""
-    return 1j * mode.q0 / mode.k
-
-
-def spp_waves(polarization: str, mode: SppMode) -> tuple[Waves, Waves]:
-    """Surface-wave profile above (z >= 0) and below the sheet:
+def spp_waves(mode: SppMode) -> tuple[Waves, Waves]:
+    """Surface-wave profile above (z >= 0) and below the sheet, in the
+    mode's polarization:
 
     TE:  y_hat e^{-q0|z|};
-    TM:  -(P x_hat -+ z_hat) e^{-q0|z|}, P = i q0/k;
+    TM:  -(P x_hat -+ z_hat) e^{-q0|z|}, P = i q0/k (the boundary
+         conditions reduce 2ki/(2q0 - i sigma mu0 omega) to it);
 
     with a batch axis when the mode holds a sweep.
     """
     q0 = np.asarray(mode.q0)[..., None]
     zero, one = np.zeros(q0.shape, dtype=complex), np.ones(q0.shape, dtype=complex)
-    if polarization == TE:
+    if mode.polarization == TE:
         above = below = np.stack([zero, one, zero], axis=-1)
-    elif polarization == TM:
-        p_amp = np.asarray(tm_parallel_amplitude(mode))[..., None]
+    else:
+        p_amp = np.asarray(1j * mode.q0 / mode.k)[..., None]
         above = np.stack([-p_amp, zero, one], axis=-1)
         below = np.stack([-p_amp, zero, -one], axis=-1)
-    else:
-        raise ValueError("polarization must be 'TM' or 'TE'")
     ref = np.zeros(1)
     return Waves(mode.k, above, -q0, ref), Waves(mode.k, below, q0, ref)
 
 
-def mode_function(polarization: str, mode: SppMode, z) -> np.ndarray:
+def mode_function(mode: SppMode, z) -> np.ndarray:
     """Vector mode profile phi(z) of spp_waves, shape (..., 3) for
     components (x, y, z).  At z = 0 the one-sided limit from z > 0 is
     returned."""
     dist = np.abs(np.asarray(z, dtype=float))
-    above, below = spp_waves(polarization, mode)
+    above, below = spp_waves(mode)
     return np.where((np.asarray(z) >= 0.0)[..., None], above.at(dist), below.at(-dist))
 
 
@@ -178,7 +174,7 @@ def lossless_spp_norm(polarization: str, omega, sigma_pp,
     """Quantization length N (m) of the lossless surface wave, hamiltonian_norm
     over both half-spaces, with its (above, below) profiles; one per element
     when omega and sigma_pp are arrays."""
-    above, below = spp_waves(polarization, _lossless_mode(polarization, omega, sigma_pp, eps_r))
+    above, below = spp_waves(_lossless_mode(polarization, omega, sigma_pp, eps_r))
     n_len = hamiltonian_norm([(-math.inf, 0.0, below), (0.0, math.inf, above)],
                              sigma_pp, omega, eps_r)
     return n_len, above, below

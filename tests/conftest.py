@@ -9,7 +9,8 @@ the jumping trajectories grouped by class with np.unique, the parity
 projection and the ensemble loop built on them, the
 whole-array float-view parity projection, run_ensemble with whole-array
 recovery scoring, the ATR amplitudes by an LU solve of each 4x4 boundary
-system in double precision or in mpmath, the interband conductivity
+system in double precision or in mpmath, the reactive momentum-matching
+root of the prism coupling, the interband conductivity
 quadrature with a numpy-scalar integrand, the ATR boundary-equation
 residuals, the reflectance-dip search one spacing at a time with scipy's
 golden section, the mode integrals of the quantization and
@@ -30,7 +31,7 @@ import pytest
 from hypothesis import settings
 from scipy.integrate import quad, simpson
 from scipy.linalg import expm
-from scipy.optimize import minimize_scalar
+from scipy.optimize import brentq, minimize_scalar
 from scipy.special import expit
 
 import gspp.material
@@ -44,7 +45,7 @@ from gspp.coupling import CouplerSpec, code_legs, excite_cat, excite_code, norma
 from gspp.qec import _code_basis, _unravel, trajectory_rng
 from gspp.qstate import coherent_gram
 from gspp.qstate import _coherent_column, fock_vector, truncation_dimension
-from gspp.quantize import _lossless_mode, tm_parallel_amplitude
+from gspp.quantize import _lossless_mode
 
 settings.register_profile("gspp", derandomize=True, deadline=None, database=None)
 settings.load_profile("gspp")
@@ -525,10 +526,11 @@ def atr_system(eps1, polarization, kz1, kz0, u, sheet):
     return rows, [-1, kz1 / eps1, 0, 0]
 
 
-def atr_system_oracle(eps1, d, polarization, thetas, sigmas, omegas):
-    """Amplitudes (r, m1, m2, t), shape S + (4,), of the broadcast
-    (d, theta, sigma, omega) points by np.linalg.solve of the stacked 4x4
-    boundary systems."""
+def atr_system_oracle(geom, sigmas, omegas):
+    """Amplitudes (r, m1, m2, t), shape S + (4,), of geom's points at the
+    (sigma, omega) points, broadcast to S, by np.linalg.solve of the
+    stacked 4x4 boundary systems."""
+    eps1, d, polarization, thetas = geom.eps1, geom.d, geom.polarization, geom.theta_i
     omegas = np.asarray(omegas, dtype=float)
     sigmas = np.asarray(sigmas, dtype=complex)
     k0 = omegas / CONSTANTS.c0
@@ -719,6 +721,11 @@ def integrate_graded(f, length: float, rate: float, n: int = 1025) -> complex:
     return simpson(y, dx=1.0 / (len(z) - 1))
 
 
+def tm_parallel_oracle(mode):
+    """x-directed amplitude P = i q0/k of the TM surface-wave profile."""
+    return 1j * mode.q0 / mode.k
+
+
 def spp_profile_oracle(polarization, mode, z):
     """Surface-wave profile written out per component: TE y_hat e^{-q0|z|},
     TM -(P x_hat -+ z_hat) e^{-q0|z|}; z = 0 takes the z > 0 side."""
@@ -728,7 +735,7 @@ def spp_profile_oracle(polarization, mode, z):
     if polarization == "TE":
         out[..., 1] = decay
     else:
-        out[..., 0] = -tm_parallel_amplitude(mode) * decay
+        out[..., 0] = -tm_parallel_oracle(mode) * decay
         out[..., 2] = np.where(z >= 0.0, 1.0, -1.0) * decay
     return out
 
@@ -741,7 +748,7 @@ def spp_energy_density(polarization, mode, eps_r):
     if polarization == "TE":
         coeff = eps_r + c2w2 * (abs(q0) ** 2 + abs(kx) ** 2)
     else:
-        p_amp = tm_parallel_amplitude(mode)
+        p_amp = tm_parallel_oracle(mode)
         coeff = eps_r * (abs(p_amp) ** 2 + 1.0) + c2w2 * abs(q0 * p_amp - 1j * kx) ** 2
     return lambda z: coeff * np.exp(-2.0 * np.real(q0) * z) * np.ones_like(z)
 
@@ -754,7 +761,7 @@ def spp_norm_oracle(polarization, mode, params, n_points=2048):
     q0 = ll.q0.real
     density = spp_energy_density(polarization, ll, params.eps_r)
     bulk = 2.0 * integrate_graded(density, 40.0 / q0, 2.0 * q0, n_points // 2 + 1).real
-    phi_par0 = 1.0 if polarization == "TE" else abs(tm_parallel_amplitude(ll)) ** 2
+    phi_par0 = 1.0 if polarization == "TE" else abs(tm_parallel_oracle(ll)) ** 2
     return 0.5 * bulk + abs(sig.imag) / (2.0 * CONSTANTS.eps0 * mode.omega) * phi_par0
 
 
@@ -841,6 +848,29 @@ def matching_frequency_oracle(geom, params, omega_lo, omega_hi, n_scan):
         bracket=(omegas[i_min - 1], omegas[i_min], omegas[i_min + 1]),
         method="golden", options={"xtol": 1e-10})
     return float(res.x)
+
+
+def lossless_matching_frequency_oracle(params, eps1, theta_i, polarization, omega_lo, omega_hi):
+    """Root of the momentum-matching condition with the reactive
+    conductivity only, sigma''*eta0 = -2 sqrt(eps1 sin^2 - 1) (TE) or
+    +2/sqrt(eps1 sin^2 - 1) (TM): the first sign change of a 2000-point
+    scan of [omega_lo, omega_hi], refined by brentq.  The spacing does not
+    enter."""
+    _require_vacuum_background(params)
+    if not theta_i > critical_angle(eps1):
+        raise NotResonant("incidence angle not above the critical angle")
+    root = math.sqrt(eps1 * math.sin(theta_i) ** 2 - 1.0)
+    target = -2.0 * root if polarization == TE else 2.0 / root
+
+    def mismatch(w):
+        return conductivity(params, w).imag * CONSTANTS.eta0 - target
+
+    omegas = np.linspace(omega_lo, omega_hi, 2000)
+    sign_change = np.flatnonzero(np.diff(np.sign(mismatch(omegas))) != 0)
+    if not sign_change.size:
+        raise NotResonant("no momentum-matching root in the window")
+    i = int(sign_change[0])
+    return float(brentq(mismatch, omegas[i], omegas[i + 1], xtol=1e-3))
 
 
 def overlap_beta_oracle(geom, params, omega, n_points=1024):

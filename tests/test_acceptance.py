@@ -15,7 +15,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import damp_fock, kraus_completeness_residual, to_density_matrix, trace_distance
+from conftest import (
+    damp_fock,
+    kraus_completeness_residual,
+    lossless_matching_frequency_oracle,
+    to_density_matrix,
+    trace_distance,
+)
 from gspp.channel import AMPLITUDE_MATCHED, INITIAL, fidelity_vs_distance, propagate_mixture
 from gspp.coupling import excite_cat
 from gspp.dispersion import effective_wavelength, solve_mode
@@ -31,7 +37,6 @@ from gspp.prism import (
     PrismGeometry,
     ValidityWarning,
     critical_angle,
-    lossless_matching_frequency,
     matching_frequency,
     overlap_sweep,
 )
@@ -114,8 +119,8 @@ def test_criterion_4_prism_coupling():
     params_te = GrapheneParams.with_default_rates(1.24, 0.0)
     geom_te = PrismGeometry(eps1=1.5, d=620e-9, theta_i=math.radians(54.74),
                             polarization="TE")
-    w_root = lossless_matching_frequency(geom_te, params_te,
-                                         2.0 * math.pi * 575e12, 2.0 * math.pi * 599e12)
+    w_root = lossless_matching_frequency_oracle(params_te, geom_te.eps1, geom_te.theta_i, "TE",
+                                                2.0 * math.pi * 575e12, 2.0 * math.pi * 599e12)
     sweep_te = replace(geom_te, d=np.linspace(18e-6, 34e-6, 6))
     dips = matching_frequency(sweep_te, params_te, w_root - 2.0 * math.pi * 0.02e12,
                               w_root + 2.0 * math.pi * 0.35e12, n_scan=900)

@@ -23,7 +23,6 @@ KEEP = {
     "quantize.mode_function": "stage 3's output: the vector mode profile",
     "quantize.vector_potential_amplitude": "stage 3's output: the quantized field amplitude",
     "channel.matched_turning_point": "library physics: where the matched-reference fidelity turns",
-    "prism.lossless_matching_frequency": "library physics: the reactive momentum-matching root",
     "prism.prism_mode_normalization": "library physics: the prism photon mode's quantization length",
     "prism.overlap_beta": "library physics: beta at one frequency; the benchmark traces it by name",
     "prism.atr_solve_sigma": "library physics: one ATR solve at a given sheet conductivity; the benchmark traces it by name",

@@ -15,6 +15,7 @@ from conftest import (
     atr_of,
     atr_system_oracle,
     boundary_residuals,
+    lossless_matching_frequency_oracle,
     matching_frequency_oracle,
     overlap_beta_oracle,
     photon_norm_oracle,
@@ -25,14 +26,13 @@ from gspp.dispersion import UnsupportedModeError, solve_mode
 from gspp.material import CONSTANTS, Conductivity, GrapheneParams, conductivity
 from gspp.prism import (
     NotResonant,
-    _atr_amplitudes,
+    _atr_solve,
     _golden_dips,
     PrismGeometry,
     ValidityWarning,
     atr_solve_sigma,
     coupling_from_beta,
     critical_angle,
-    lossless_matching_frequency,
     matching_frequency,
     overlap_beta,
     overlap_sweep,
@@ -70,8 +70,7 @@ def entry_points(geom, params):
     return [lambda: matching_frequency(geom, params, lo, hi, n_scan=50),
             lambda: overlap_sweep(geom, params, omega),
             lambda: overlap_beta(geom, params, omega),
-            lambda: prism_mode_normalization(geom, params, omega),
-            lambda: lossless_matching_frequency(geom, params, lo, hi)]
+            lambda: prism_mode_normalization(geom, params, omega)]
 
 
 class TestPrismGeometry:
@@ -83,6 +82,12 @@ class TestPrismGeometry:
     def test_angle_sweep_names_the_bad_angle(self, bad):
         with pytest.raises(ValueError, match=r"must lie in \(0, pi/2\), got " + re.escape(str(bad))):
             tm_geom(theta_i=np.array([1.0, bad, 1.2]))
+
+    def test_one_sweep_per_geometry(self):
+        # a spacing sweep and an angle sweep at once used to fail late, in
+        # numpy's broadcasting
+        with pytest.raises(ValueError, match="not both a spacing sweep and an angle sweep"):
+            tm_geom(d=np.array([5e-6, 20e-6, 10e-6]), theta_i=np.radians([60.0, 64.0]))
 
     def test_coupling_takes_one_angle(self):
         params = GrapheneParams.with_default_rates(0.5, 300.0)
@@ -149,6 +154,14 @@ class TestAtrSolve:
             sol = atr_of(geom, params, 2.0 * math.pi * f)
             scale = abs(sol.k_z_prism)
             assert np.abs(boundary_residuals(sol)).max() / scale < 1e-12
+
+    @pytest.mark.parametrize("sweep", [dict(d=np.array([20e-6, 50e-6])),
+                                       dict(theta_i=np.radians([60.0, 64.0]))],
+                             ids=["spacings", "angles"])
+    def test_sweep_geometry_raises(self, sweep):
+        # a sweep used to fail with "only 0-dimensional arrays can be converted"
+        with pytest.raises(ValueError, match="solves one point"):
+            atr_solve_sigma(tm_geom(**sweep), 1j * 8.8e-3, 2.0 * math.pi * 0.81e12)
 
     def test_lossless_evanescent_total_reflection(self):
         # sigma' = 0 and evanescent gap: |r| = 1 exactly
@@ -235,7 +248,8 @@ class TestMatchingFrequency:
                                 gamma_inter=1.0 / 0.0658e-12)
         geom = tm_geom(d=350e-6)
         lo, hi = 2.0 * math.pi * 0.3e12, 2.0 * math.pi * 1.5e12
-        w_root = lossless_matching_frequency(geom, params, lo, hi)
+        w_root = lossless_matching_frequency_oracle(params, geom.eps1, geom.theta_i,
+                                                    geom.polarization, lo, hi)
         w_dip = matching_frequency(geom, params, lo, hi, n_scan=900)[0]
         assert abs(w_dip - w_root) / w_root < 0.01
 
@@ -321,13 +335,13 @@ class TestBatchedAtr:
         omegas = 2.0 * math.pi * np.linspace(590.5e12, 591.1e12, 900)
         sigmas = np.array([conductivity(params, float(w)).value for w in omegas])
         ds = np.linspace(15e-6, 40e-6, 26)
-        batch = _atr_amplitudes(geom.eps1, ds[:, None], "TE", geom.theta_i, sigmas, omegas)
-        assert batch[0].shape == (26, 900, 4)
+        batch = _atr_solve(replace(geom, d=ds[:, None]), sigmas, omegas)
+        assert batch.r.shape == (26, 900)
         for i, d in enumerate(ds):
-            one = _atr_amplitudes(geom.eps1, float(d), "TE", geom.theta_i, sigmas, omegas)
-            np.testing.assert_array_equal(batch[0][i], one[0])
-            for got, ref in zip(batch[1:], one[1:]):
-                np.testing.assert_array_equal(got, ref)
+            one = _atr_solve(replace(geom, d=float(d)), sigmas, omegas)
+            for name in ("r", "m1", "m2", "t", "omega", "k_x", "k_z_prism", "k_z_gap",
+                         "sigma", "d"):
+                np.testing.assert_array_equal(getattr(batch, name)[i], getattr(one, name))
 
 
 def sigma_at_ratio(geom, omega, ratio):
@@ -368,8 +382,8 @@ def conductivity_with_one_bad(geom, bad):
 
 
 def map_args(name):
-    """(eps1, d, polarization, thetas, sigmas, omegas) of a reflectance-map
-    config, thetas along the last axis and frequencies along the first."""
+    """(geometry, sigmas, omegas) of a reflectance-map config, the
+    geometry's angles along the last axis and frequencies along the first."""
     cfg = load_config(str(CONFIG_DIR / f"{name}.cfg"))
     params = GrapheneParams.with_default_rates(float(cfg["mu_c_ev"]),
                                                float(cfg["temperature_k"]))
@@ -377,27 +391,28 @@ def map_args(name):
                                     float(cfg["theta_max_deg"]), int(cfg["theta_points"])))
     omegas = 2.0 * math.pi * 1e12 * np.linspace(float(cfg["fmin_thz"]), float(cfg["fmax_thz"]),
                                                 int(cfg["freq_points"]))
-    return (float(cfg["eps1"]), float(cfg["d_um"]) * 1e-6, cfg["pol"], thetas[None, :],
-            CONDUCTIVITY(params, omegas).value[:, None], omegas[:, None])
+    geom = PrismGeometry(eps1=float(cfg["eps1"]), d=float(cfg["d_um"]) * 1e-6,
+                         theta_i=thetas[None, :], polarization=cfg["pol"])
+    return geom, CONDUCTIVITY(params, omegas).value[:, None], omegas[:, None]
 
 
 def fig4b_te_scan_args():
     """The same for the fig4b-te dip scan, spacings along the first axis."""
     geom, params, lo, hi, n_scan = fig4b_te_window()
     omegas = np.linspace(lo, hi, n_scan)
-    return (geom.eps1, geom.d[:, None], geom.polarization, geom.theta_i,
-            CONDUCTIVITY(params, omegas).value, omegas)
+    return replace(geom, d=geom.d[:, None]), CONDUCTIVITY(params, omegas).value, omegas
 
 
-def relative_error(got, ref):
-    """Largest over points of |got - ref| / |ref|, the norm over the four
-    amplitudes of the last axis."""
+def relative_error(sol, ref):
+    """Largest over points of |got - ref| / |ref|, got the amplitudes
+    (r, m1, m2, t) of sol and the norm over those four, ref's last axis."""
+    got = np.stack([sol.r, sol.m1, sol.m2, sol.t], axis=-1)
     return float(np.max(np.linalg.norm(got - ref, axis=-1) / np.linalg.norm(ref, axis=-1)))
 
 
 class TestClosedForm:
-    """_atr_amplitudes solves the Otto stack in closed form; the LU solve of
-    its 4x4 boundary system, in double precision and in mpmath, is the
+    """_atr_solve solves the Otto stack in closed form; the LU solve of its
+    4x4 boundary system, in double precision and in mpmath, is the
     oracle."""
 
     @pytest.mark.parametrize("name, tol", [("fig6a", 1e-12), ("fig6b", 1e-12), ("fig6c", 1e-12),
@@ -406,7 +421,7 @@ class TestClosedForm:
         # at the resonant fig4b-te spacings the double-precision LU is itself
         # up to 2.2e-12 off (test_matches_mpmath_lu); the closed form 9e-15
         args = fig4b_te_scan_args() if name == "fig4b-te" else map_args(name)
-        assert relative_error(_atr_amplitudes(*args)[0], atr_system_oracle(*args)) <= tol
+        assert relative_error(_atr_solve(*args), atr_system_oracle(*args)) <= tol
 
     def test_matches_mpmath_lu(self):
         # the fig6 grids every 12th point, each fig4b-te spacing's scan
@@ -419,28 +434,31 @@ class TestClosedForm:
         mp = pytest.importorskip("mpmath").mp
         points = []
         for name in ("fig6a", "fig6b", "fig6c"):
-            eps1, d, pol, thetas, sigmas, omegas = map_args(name)
-            points += [(eps1, d, pol, th, s, w) for s, w in zip(sigmas[::12, 0], omegas[::12, 0])
-                       for th in thetas[0, ::12]]
-        eps1, ds, pol, theta, sigmas, omegas = fig4b_te_scan_args()
-        refl = np.abs(_atr_amplitudes(eps1, ds, pol, theta, sigmas, omegas)[0][..., 0])
-        for d, row in zip(ds[:, 0], refl):
+            geom, sigmas, omegas = map_args(name)
+            points += [(replace(geom, theta_i=th), s, w)
+                       for s, w in zip(sigmas[::12, 0], omegas[::12, 0])
+                       for th in geom.theta_i[0, ::12]]
+        geom, sigmas, omegas = fig4b_te_scan_args()
+        refl = np.abs(_atr_solve(geom, sigmas, omegas).r)
+        for d, row in zip(geom.d[:, 0], refl):
             j = int(np.argmin(row))
-            points += [(eps1, d, pol, theta, sigmas[k], omegas[k])
+            points += [(replace(geom, d=float(d)), sigmas[k], omegas[k])
                        for k in range(max(j - 1, 0), min(j + 2, len(omegas)))]
         tm_points = sweep_points("fig4b-tm")
         sigma = conductivity(tm_points[0][1], tm_points[0][2]).value
-        points += [(g.eps1, g.d, g.polarization, g.theta_i, sigma, w) for g, _, w in tm_points]
+        points += [(g, sigma, w) for g, _, w in tm_points]
         assert len(points) == 75 + 77 + 40
         worst = 0.0
         with mp.workdps(40):
-            for eps1, d, pol, theta, sigma, omega in points:
-                amps, _, kz1, kz0 = _atr_amplitudes(eps1, float(d), pol, theta, sigma, omega)
-                u = np.exp(1j * kz0 * float(d))
-                sheet = (np.asarray(sigma) * K.mu0 * np.asarray(omega) if pol == "TE"
+            for geom, sigma, omega in points:
+                sol = _atr_solve(geom, sigma, omega)
+                kz1, kz0 = sol.k_z_prism, sol.k_z_gap
+                u = np.exp(1j * kz0 * geom.d)
+                sheet = (np.asarray(sigma) * K.mu0 * np.asarray(omega) if geom.polarization == "TE"
                          else _cmul(sigma, kz0) / (np.asarray(omega) * K.eps0))
-                ref = atr_mp_oracle(mp, eps1, pol, kz1, kz0, u, sheet)
-                diff = mp.norm(mp.matrix([complex(a) - b for a, b in zip(amps, ref)]))
+                ref = atr_mp_oracle(mp, geom.eps1, geom.polarization, kz1, kz0, u, sheet)
+                diff = mp.norm(mp.matrix([complex(a) - b for a, b in
+                                          zip((sol.r, sol.m1, sol.m2, sol.t), ref)]))
                 worst = max(worst, float(diff / mp.norm(mp.matrix(ref))))
         assert worst <= 2e-14
 
@@ -538,10 +556,9 @@ class TestOverlapBeta:
 
     def test_te_matched_sweep_peaks_above_07(self):
         params = GrapheneParams.with_default_rates(1.24, 0.0)
-        geom = te_geom()
-        w_root = lossless_matching_frequency(geom, params, 2.0 * math.pi * 575e12,
-                                             2.0 * math.pi * 599e12)
-        sweep = replace(geom, d=np.linspace(18e-6, 32e-6, 5))
+        sweep = te_geom(d=np.linspace(18e-6, 32e-6, 5))
+        w_root = lossless_matching_frequency_oracle(params, sweep.eps1, sweep.theta_i, "TE",
+                                                    2.0 * math.pi * 575e12, 2.0 * math.pi * 599e12)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ValidityWarning)
             dips = matching_frequency(sweep, params, w_root - 2.0 * math.pi * 0.02e12,

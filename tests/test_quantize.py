@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import integrate_graded, spp_energy_density
+from conftest import integrate_graded, spp_energy_density, tm_parallel_oracle
 from gspp.material import CONSTANTS, GrapheneParams, conductivity
 from gspp.dispersion import solve_mode
 import gspp.quantize
@@ -12,7 +12,6 @@ from gspp.quantize import (
     _lossless_mode,
     mode_function,
     mode_normalization,
-    tm_parallel_amplitude,
     vector_potential_amplitude,
     wave_integral,
 )
@@ -51,30 +50,31 @@ def analytic_n_tm(omega, sigma_pp, eps_r):
 class TestModeFunction:
     def test_te_at_interface(self):
         _, mode = te_setup()
-        vec = mode_function("TE", mode, 0.0)
+        vec = mode_function(mode, 0.0)
         assert vec[1] == pytest.approx(1.0)
         assert vec[0] == 0.0 and vec[2] == 0.0
 
     def test_tm_z_component_odd(self):
         _, mode = tm_setup()
-        above = mode_function("TM", mode, 1e-9)
-        below = mode_function("TM", mode, -1e-9)
+        above = mode_function(mode, 1e-9)
+        below = mode_function(mode, -1e-9)
         assert above[2] == pytest.approx(-below[2], rel=1e-9)
         assert above[0] == pytest.approx(below[0], rel=1e-9)
 
     def test_decay_ratio(self):
         _, mode = tm_setup()
         q0 = mode.q0.real
-        v1 = mode_function("TM", mode, 1.0 / q0)
-        v2 = mode_function("TM", mode, 2.0 / q0)
+        v1 = mode_function(mode, 1.0 / q0)
+        v2 = mode_function(mode, 2.0 / q0)
         assert abs(v2[0] / v1[0]) == pytest.approx(math.exp(-1.0), rel=1e-6)
 
     def test_tm_parallel_amplitude_identity(self):
-        # boundary conditions collapse 2ki/(2q0 - i sigma mu0 w) to i q0/k
+        # boundary conditions collapse 2ki/(2q0 - i sigma mu0 w) to i q0/k,
+        # the x amplitude -P of the profile at the sheet
         params, mode = tm_setup()
         sig = conductivity(params, mode.omega)
         direct = 2j * mode.k / (2.0 * mode.q0 - 1j * sig.value * K.mu0 * mode.omega)
-        assert tm_parallel_amplitude(mode) == pytest.approx(direct, rel=1e-10)
+        assert -mode_function(mode, 0.0)[0] == pytest.approx(direct, rel=1e-10)
 
 
 class TestNormalization:
@@ -125,7 +125,7 @@ class TestNormalization:
             q0 = ll.q0.real
             density = spp_energy_density(pol, ll, params.eps_r)
             bulk = 2.0 * integrate_graded(density, 40.0 / q0, 2.0 * q0, 4097).real
-            phi_par0 = 1.0 if pol == "TE" else abs(tm_parallel_amplitude(ll)) ** 2
+            phi_par0 = 1.0 if pol == "TE" else abs(tm_parallel_oracle(ll)) ** 2
             sheet = abs(sig.imag) / (2.0 * K.eps0 * mode.omega) * phi_par0
             n_direct = 0.5 * bulk + sheet
             n_module = mode_normalization(mode, params)
@@ -147,7 +147,7 @@ class TestNormalization:
                 magnetic = c2w2 * (q0 + kx**2 / q0)
                 sheet = -abs(sig.imag) / (K.eps0 * w)
             else:
-                p_amp = tm_parallel_amplitude(ll)
+                p_amp = tm_parallel_oracle(ll)
                 electric = -eps_r * (1.0 - p_amp**2) / q0
                 magnetic = -c2w2 * (q0 * p_amp - 1j * kx) ** 2 / q0
                 sheet = sig.imag / (K.eps0 * w) * (-(p_amp**2))

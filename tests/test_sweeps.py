@@ -5,8 +5,8 @@ element must carry the bits of its one-point call.  The dispersion layer
 (wavenumber, transverse_q0, group_velocity, solve_mode) must agree with
 one-point calls to within 4 ulp.  The sweeps straddle the interband edge
 hbar*omega = 2*mu, at 300 K and at 4 K, where 'auto' takes the full form
-at every frequency, as at 300 K.  The prism's spacing sweeps (beta_sweep,
-overlap_sweep at one frequency and at each spacing's matching_frequency
+at every frequency, as at 300 K.  The prism's spacing sweeps
+(overlap_sweep at one frequency and at each spacing's matching_frequency
 dip) solve every spacing in one batch; each beta must carry the bits of
 overlap_beta at its spacing and frequency.
 """
